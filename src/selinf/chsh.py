@@ -14,10 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidPattern
-from .model import TREATMENTS, ExperimentData, Treatment
+from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,17 @@ class SignPattern:
 
     @classmethod
     def from_string(cls, text: str) -> "SignPattern":
-        if len(text) != 4 or set(text) - {"+", "-"}:
-            raise InvalidPattern(f"pattern string must be four of +/-, got {text!r}")
-        return cls(tuple(1 if ch == "+" else -1 for ch in text))
+        return cls(decode_signs(text, 4, "pattern string", InvalidPattern))
 
     def negated(self) -> "SignPattern":
         return SignPattern(tuple(-s for s in self.signs))
 
+    def signed_sum(self, expectations: Iterable[Fraction]) -> Fraction:
+        """s1*E_ab + s2*E_ab' + s3*E_a'b + s4*E_a'b' over expectations in treatment order."""
+        return sum((s * e for s, e in zip(self.signs, expectations)), Fraction(0))
+
     def __str__(self) -> str:
-        return "".join("+" if s == 1 else "-" for s in self.signs)
+        return encode_signs(self.signs)
 
 
 # All valid patterns, in lexicographic order over sign tuples with +1 before -1.
@@ -99,20 +101,14 @@ def chsh_facet_value(data: ExperimentData, pattern: SignPattern) -> Fraction:
     """The signed sum of the four product expectations for one pattern."""
     if not isinstance(pattern, SignPattern):
         pattern = SignPattern(tuple(pattern))
-    return sum(
-        (s * data.table(t).expectation() for s, t in zip(pattern.signs, TREATMENTS)),
-        Fraction(0),
-    )
+    return pattern.signed_sum(data.table(t).expectation() for t in TREATMENTS)
 
 
 def compute_gamma(data: ExperimentData) -> ChshReport:
     """Evaluate all eight signed sums and report the maximum with its achievers."""
     expectations = data.expectations()
     values = [expectations[t] for t in TREATMENTS]
-    sums = {
-        p: sum((s * e for s, e in zip(p.signs, values)), Fraction(0))
-        for p in SIGN_PATTERNS
-    }
+    sums = {p: p.signed_sum(values) for p in SIGN_PATTERNS}
     gamma = max(sums.values())
     argmax = frozenset(p for p, v in sums.items() if v == gamma)
     return ChshReport(

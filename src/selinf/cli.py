@@ -9,8 +9,8 @@ Commands::
 
 Exit codes: 0 when the hidden-state representation is feasible (or the
 command succeeded), 1 when infeasible (or a selftest failed), 2 on input
-or usage errors. The environment variable SELINF_FORMAT=json switches the
-default output format of analyze/witness to JSON.
+or usage errors and on any other failure. The environment variable
+SELINF_FORMAT=json switches the default output format of analyze/witness to JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
-from .errors import InvalidValue, ParseError, SelinfError
+from .errors import ParseError, SelinfError
 from .feasibility import solve_feasibility
 from .io import (
     analyze,
@@ -34,6 +34,7 @@ from .io import (
     render_report_text,
     report_to_json_dict,
     serialize_experiment,
+    witness_lines,
     witness_to_dict,
 )
 from .model import rational
@@ -138,9 +139,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         if as_json:
             print(json.dumps({"verdict": "feasible", "witness": witness_to_dict(result.witness)}, indent=2))
         else:
-            print("FEASIBLE; witness (state A(a)A(a')B(b)B(b') : weight):")
-            for state, w in result.witness.nonzero_items():
-                print(f"  {state} : {w}")
+            print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
         return EXIT_FEASIBLE
     if as_json:
         print(
@@ -259,13 +258,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, InvalidValue) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except SelinfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:  # a crash must not exit 1, the "infeasible" code
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -21,9 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .chsh import SIGN_PATTERNS, SignPattern, chsh_facet_value, compute_gamma
+from .chsh import SignPattern, compute_gamma
 from .errors import InvalidDistribution, InvalidValue, SelinfError
 from .model import (
     CELLS,
@@ -33,6 +33,8 @@ from .model import (
     Level,
     Rational,
     Treatment,
+    decode_signs,
+    encode_signs,
     rational,
 )
 from .selectivity import MarginalComparison, check_marginal_selectivity
@@ -70,28 +72,17 @@ class HiddenState:
 
     @classmethod
     def from_string(cls, text: str) -> "HiddenState":
-        if len(text) != 4 or set(text) - {"+", "-"}:
-            raise InvalidValue(f"hidden state string must be four of +/-, got {text!r}")
-        return cls(*(1 if ch == "+" else -1 for ch in text))
-
-    def a_response(self, level: Level) -> int:
-        return self.a_val if level is Level.FIRST else self.a_prime_val
-
-    def b_response(self, level: Level) -> int:
-        return self.b_val if level is Level.FIRST else self.b_prime_val
+        return cls(*decode_signs(text, 4, "hidden state string", InvalidValue))
 
     def response(self, treatment: Treatment) -> tuple[int, int]:
         """The (A, B) outcome this state produces under ``treatment``."""
         return (
-            self.a_response(treatment.alpha.level),
-            self.b_response(treatment.beta.level),
+            self.a_val if treatment.alpha.level is Level.FIRST else self.a_prime_val,
+            self.b_val if treatment.beta.level is Level.FIRST else self.b_prime_val,
         )
 
     def __str__(self) -> str:
-        return "".join(
-            "+" if v == 1 else "-"
-            for v in (self.a_val, self.a_prime_val, self.b_val, self.b_prime_val)
-        )
+        return encode_signs((self.a_val, self.a_prime_val, self.b_val, self.b_prime_val))
 
 
 HIDDEN_STATES: tuple[HiddenState, ...] = tuple(HiddenState.from_index(i) for i in range(16))
@@ -152,20 +143,27 @@ class HiddenStateDistribution:
         )
 
 
-def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
-    """Push the state distribution forward to one joint table per treatment."""
-    tables = {}
-    for t in TREATMENTS:
-        cells = {pair: Fraction(0) for pair in CELLS}
-        for state, w in dist.nonzero_items():
-            cells[state.response(t)] += w
-        tables[t] = JointTable(*(cells[pair] for pair in CELLS))
-    return ExperimentData(tables=tables)
-
-
 # One outcome pair per treatment, in canonical treatment order: 4^4 = 256 tuples.
 OutcomePair = tuple[int, int]
 OutcomeTuple = tuple[OutcomePair, OutcomePair, OutcomePair, OutcomePair]
+
+
+def _coordinate_tables(weights: Iterable[tuple[OutcomeTuple, Fraction]]) -> ExperimentData:
+    """Marginalize each treatment's coordinate of weighted outcome tuples to a joint table."""
+    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
+    for tup, w in weights:
+        for k, pair in enumerate(tup):
+            cells[k][pair] += w
+    return ExperimentData(
+        tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)}
+    )
+
+
+def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
+    """Push the state distribution forward to one joint table per treatment."""
+    return _coordinate_tables(
+        (tuple(state.response(t) for t in TREATMENTS), w) for state, w in dist.nonzero_items()
+    )
 
 
 @dataclass(frozen=True)
@@ -193,13 +191,7 @@ class GeneralRepresentation:
 
     def reconstructed_tables(self) -> ExperimentData:
         """Marginalize each treatment's coordinate back to a joint table."""
-        tables = {}
-        for k, t in enumerate(TREATMENTS):
-            cells = {pair: Fraction(0) for pair in CELLS}
-            for tup, w in self.weights.items():
-                cells[tup[k]] += w
-            tables[t] = JointTable(*(cells[pair] for pair in CELLS))
-        return ExperimentData(tables=tables)
+        return _coordinate_tables(self.weights.items())
 
 
 def construct_general_representation(data: ExperimentData) -> GeneralRepresentation:
@@ -268,8 +260,7 @@ def fine_violations(data: ExperimentData) -> list[Certificate]:
     for comp in check_marginal_selectivity(data, 0).comparisons:
         if comp.delta > 0:
             violations.append(comp)
-    for pattern in SIGN_PATTERNS:
-        value = chsh_facet_value(data, pattern)
+    for pattern, value in compute_gamma(data).sums.items():
         if value > 2:
             violations.append(FacetViolation(pattern, value))
     return violations
@@ -277,26 +268,17 @@ def fine_violations(data: ExperimentData) -> list[Certificate]:
 
 def fine_criterion(data: ExperimentData) -> bool:
     """Exact marginal selectivity and all eight CHSH facets at most 2."""
-    return (
-        check_marginal_selectivity(data, 0).satisfied
-        and compute_gamma(data).gamma <= 2
-    )
+    return not fine_violations(data)
 
 
-def _constraint_system(data: ExperimentData) -> tuple[list[list[Fraction]], list[Fraction]]:
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for t in TREATMENTS:
-        table = data.table(t)
-        for pair in CELLS:
-            rows.append(
-                [one if state.response(t) == pair else zero for state in HIDDEN_STATES]
-            )
-            rhs.append(table.cell(*pair))
-    rows.append([one] * 16)
-    rhs.append(one)
-    return rows, rhs
+# One row per (treatment, outcome pair) cell equation, in table cell order,
+# then normalization. The matrix never changes; only the right-hand side
+# (the data's cells, then 1) does.
+_CONSTRAINT_ROWS = tuple(
+    tuple(Fraction(int(state.response(t) == pair)) for state in HIDDEN_STATES)
+    for t in TREATMENTS
+    for pair in CELLS
+) + ((Fraction(1),) * 16,)
 
 
 def solve_feasibility(data: ExperimentData) -> FeasibilityResult:
@@ -308,8 +290,8 @@ def solve_feasibility(data: ExperimentData) -> FeasibilityResult:
     recomputed from the marginal and facet checks, which Fine's theorem
     makes complete for this design.
     """
-    rows, rhs = _constraint_system(data)
-    solution = feasible_point(rows, rhs)
+    rhs = [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
+    solution = feasible_point(_CONSTRAINT_ROWS, rhs)
     if solution is not None:
         witness = HiddenStateDistribution(tuple(solution))
         return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)

@@ -57,6 +57,7 @@ from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (
     BadCell,
     ConflictingData,
+    InvalidTable,
     InvalidValue,
     MissingTreatment,
     ParseError,
@@ -70,10 +71,7 @@ from .feasibility import (
     solve_feasibility,
 )
 from .model import (
-    ALPHA_A,
-    ALPHA_A_PRIME,
-    BETA_B,
-    BETA_B_PRIME,
+    FACTOR_LEVELS,
     TREATMENTS,
     CountTable,
     ExperimentData,
@@ -81,6 +79,7 @@ from .model import (
     LabelSet,
     Rational,
     Treatment,
+    decode_signs,
     rational,
 )
 from .selectivity import (
@@ -98,12 +97,7 @@ PROB_KEYS = ("pp", "pm", "mp", "mm")
 
 RENORMALIZE_WINDOW = Fraction(1, 100)
 
-_LEVELS_BY_KEY = {
-    "a": ALPHA_A,
-    "a'": ALPHA_A_PRIME,
-    "b": BETA_B,
-    "b'": BETA_B_PRIME,
-}
+_LEVELS_BY_KEY = {lv.key: lv for lv in FACTOR_LEVELS}
 
 JsonDoc = Union[str, Mapping[str, Any]]
 
@@ -120,25 +114,17 @@ def _load(document: JsonDoc, what: str) -> Mapping[str, Any]:
 
 
 def _parse_count_cells(block: Mapping[str, Any], key: str) -> CountTable:
-    cells = []
-    for ck in PROB_KEYS:
-        v = block[ck]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise BadCell(f"treatment {key}: count cell {ck} must be an integer, got {v!r}")
-        if v < 0:
-            raise BadCell(f"treatment {key}: count cell {ck} is negative")
-        cells.append(v)
-    if sum(cells) == 0:
-        raise BadCell(f"treatment {key}: counts total zero")
+    try:
+        counts = CountTable(*(block[ck] for ck in PROB_KEYS))
+    except InvalidTable as exc:
+        raise BadCell(f"treatment {key}: {exc}") from exc
     if "n" in block:
         n = block["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise BadCell(f"treatment {key}: n must be an integer")
-        if n != sum(cells):
-            raise ConflictingData(
-                f"treatment {key}: counts sum to {sum(cells)} but n = {n}"
-            )
-    return CountTable(*cells)
+        if n != counts.n:
+            raise ConflictingData(f"treatment {key}: counts sum to {counts.n} but n = {n}")
+    return counts
 
 
 def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> JointTable:
@@ -270,8 +256,6 @@ def parse_experiment(document: JsonDoc, renormalize: Optional[bool] = None) -> E
             labels=labels,
             independent_counts=independent,
         )
-    except ConflictingData:
-        raise
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
 
@@ -327,11 +311,10 @@ def parse_model(document: JsonDoc) -> Model:
     raw_map = doc["cross_map"]
     if not isinstance(raw_map, Mapping) or set(raw_map) != set(TREATMENT_KEYS):
         raise ParseError("cross_map must give an outcome pair for all four treatments")
-    cross = {}
-    for key, pair in raw_map.items():
-        if not isinstance(pair, str) or len(pair) != 2 or set(pair) - {"+", "-"}:
-            raise ParseError(f"cross_map[{key!r}] must be two of +/-, got {pair!r}")
-        cross[Treatment.from_key(key)] = tuple(1 if ch == "+" else -1 for ch in pair)
+    cross = {
+        Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
+        for key, pair in raw_map.items()
+    }
     try:
         return ContaminatedModel(hidden=hidden, eta=eta, cross_map=cross)
     except InvalidValue as exc:
@@ -422,10 +405,20 @@ def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
     return {str(state): _f2s(w) for state, w in witness.nonzero_items()}
 
 
+def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
+    """The witness header, then one ``state : weight`` line per state of nonzero weight."""
+    return [f"{header_prefix}witness (state A(a)A(a')B(b)B(b') : weight):"] + [
+        f"{indent}{state} : {w}" for state, w in witness.nonzero_items()
+    ]
+
+
+def _ordered_argmax(chsh: ChshReport) -> list[str]:
+    return [str(p) for p in chsh.sums if p in chsh.argmax_patterns]
+
+
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
     """Machine rendering; every rational is an exact fraction string."""
     chsh = report.chsh
-    ordered_argmax = [str(p) for p in chsh.sums if p in chsh.argmax_patterns]
     out: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "chsh": {
@@ -433,7 +426,7 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
             "sums": {str(p): _f2s(v) for p, v in chsh.sums.items()},
             "gamma": _f2s(chsh.gamma),
             "gamma_decimal": chsh.gamma_decimal(),
-            "argmax_patterns": ordered_argmax,
+            "argmax_patterns": _ordered_argmax(chsh),
             "classification": chsh.classification.value,
         },
         "marginal_selectivity": {
@@ -575,8 +568,7 @@ def render_report_text(
         f"  Gamma = {chsh.gamma} (= {chsh.gamma_decimal()} to 3 places)"
         f"   classification: {chsh.classification.value}"
     )
-    ordered_argmax = [str(p) for p in chsh.sums if p in chsh.argmax_patterns]
-    lines.append(f"  attained by sign pattern(s): {', '.join(ordered_argmax)}")
+    lines.append(f"  attained by sign pattern(s): {', '.join(_ordered_argmax(chsh))}")
     lines.append("")
     ms = report.marginals
     verdict = "satisfied" if ms.satisfied else "VIOLATED"
@@ -603,9 +595,7 @@ def render_report_text(
     if feas.feasible:
         lines.append("Hidden-state model: FEASIBLE (a witness distribution exists)")
         if include_witness and feas.witness is not None:
-            lines.append("  witness (state A(a)A(a')B(b)B(b') : weight):")
-            for state, w in feas.witness.nonzero_items():
-                lines.append(f"    {state} : {w}")
+            lines.extend(witness_lines(feas.witness, "  ", "    "))
     else:
         lines.append("Hidden-state model: INFEASIBLE")
         lines.append(f"  certificate: {describe_certificate(feas.certificate)}")

@@ -12,11 +12,11 @@ tolerance-based.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import ConflictingData, InvalidTable, InvalidValue, ZeroTotal
+from .errors import ConflictingData, InvalidTable, InvalidValue, SelinfError, ZeroTotal
 
 # Public alias: probabilities are exact rationals in [0, 1].
 Probability = Fraction
@@ -31,21 +31,30 @@ def rational(value: Rational) -> Fraction:
     Floats go through their shortest decimal repr, so a JSON number 0.049
     also becomes exactly 49/1000.
     """
-    if isinstance(value, bool):
-        raise InvalidValue(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, float):
+            return Fraction(repr(value))
+        if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidValue(f"cannot interpret {value!r} as a rational") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidValue(f"cannot interpret {value!r} as a rational") from exc
     raise InvalidValue(f"cannot interpret {value!r} as a rational")
 
 
+def decode_signs(text: object, length: int, what: str, error: type[SelinfError]) -> tuple[int, ...]:
+    """Read a string of ``length`` "+"/"-" characters as +1/-1 signs."""
+    if not isinstance(text, str) or len(text) != length or set(text) - {"+", "-"}:
+        raise error(f"{what} must be {length} of +/-, got {text!r}")
+    return tuple(1 if ch == "+" else -1 for ch in text)
+
+
+def encode_signs(signs: tuple[int, ...]) -> str:
+    """Write +1/-1 signs as a string of "+"/"-" characters."""
+    return "".join("+" if s == 1 else "-" for s in signs)
+
+
 class Factor(enum.Enum):
+    # Each value is also the name of the Treatment field holding that factor's level.
     ALPHA = "alpha"
     BETA = "beta"
 
@@ -155,7 +164,9 @@ class CountTable:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
     def normalized(self) -> "JointTable":
-        return JointTable.from_counts(self)
+        """Exact cell fractions count/n."""
+        n = self.n
+        return JointTable(*(Fraction(c, n) for c in self.cells()))
 
     def flip_a(self) -> "CountTable":
         return CountTable(self.n_mp, self.n_mm, self.n_pp, self.n_pm)
@@ -188,14 +199,6 @@ class JointTable:
             raise InvalidTable(f"cells sum to {total}, expected exactly 1")
 
     @classmethod
-    def from_counts(cls, counts: CountTable) -> "JointTable":
-        """Normalize a count table to exact cell fractions count/n."""
-        if counts.n == 0:
-            raise ZeroTotal("count table has zero total observations")
-        n = counts.n
-        return cls(*(Fraction(c, n) for c in counts.cells()))
-
-    @classmethod
     def uniform(cls) -> "JointTable":
         q = Fraction(1, 4)
         return cls(q, q, q, q)
@@ -215,10 +218,6 @@ class JointTable:
     def expectation(self) -> Fraction:
         """E[A*B] = p_pp - p_pm - p_mp + p_mm."""
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
-
-    def marginals(self) -> tuple[Fraction, Fraction]:
-        """(Pr(A=+1), Pr(B=+1)) as row and column sums."""
-        return (self.p_pp + self.p_pm, self.p_pp + self.p_mp)
 
     @property
     def pr_a_plus(self) -> Fraction:
@@ -244,21 +243,6 @@ class JointTable:
         return JointTable(
             *(lam * x + (1 - lam) * y for x, y in zip(self.cells(), other.cells()))
         )
-
-
-def expectation(table: JointTable) -> Fraction:
-    """E[A*B] of one treatment's joint table."""
-    return table.expectation()
-
-
-def marginals(table: JointTable) -> tuple[Fraction, Fraction]:
-    """(Pr(A=+1), Pr(B=+1)) of one treatment's joint table."""
-    return table.marginals()
-
-
-def from_counts(counts: CountTable) -> JointTable:
-    """Exact normalization of observed counts, cell = count/n."""
-    return JointTable.from_counts(counts)
 
 
 _LEVEL_KEYS = ("a", "a'", "b", "b'")
@@ -367,121 +351,80 @@ def mix_experiments(first: ExperimentData, second: ExperimentData, lam: Rational
     )
 
 
-def _swap_pair(pair: Optional[tuple[str, str]]) -> Optional[tuple[str, str]]:
-    return None if pair is None else (pair[1], pair[0])
-
-
-def _transform(
-    data: ExperimentData,
-    table_fn,
-    count_fn,
-    key_map: Mapping[Treatment, Treatment],
-    labels: Optional[LabelSet],
-) -> ExperimentData:
-    tables = {key_map[t]: table_fn(t, data.table(t)) for t in TREATMENTS}
+def _rebuild(data: ExperimentData, move, labels: Optional[LabelSet]) -> ExperimentData:
+    """``data`` with every joint and count table moved by ``move(t, table) -> (t', table')``."""
     counts = None
     if data.counts is not None:
-        counts = {
-            key_map[t]: count_fn(t, ct)
-            for t, ct in data.counts.items()
-        }
+        counts = dict(move(t, ct) for t, ct in data.counts.items())
     return ExperimentData(
-        tables=tables,
+        tables=dict(move(t, data.table(t)) for t in TREATMENTS),
         counts=counts,
         labels=labels,
         independent_counts=data.independent_counts,
     )
 
 
-def flip_a_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
-    """Recode A (+1 <-> -1) at one alpha level, or at both when level is None."""
-    hit = lambda t: level is None or t.alpha.level is level
+def _flip_coding(data: ExperimentData, factor: Factor, level: Optional[Level]) -> ExperimentData:
+    """Recode the response read at ``factor`` (+1 <-> -1) at one level, or at both when None."""
+    keys = {lv.key for lv in FACTOR_LEVELS if lv.factor is factor and level in (None, lv.level)}
+    flip = "flip_a" if factor is Factor.ALPHA else "flip_b"
+
+    def move(t: Treatment, table):
+        hit = getattr(t, factor.value).key in keys
+        return t, (getattr(table, flip)() if hit else table)
+
     labels = data.labels
     if labels is not None and labels.responses is not None:
-        responses = dict(labels.responses)
-        for lv, key in ((Level.FIRST, "a"), (Level.SECOND, "a'")):
-            if (level is None or lv is level) and key in responses:
-                responses[key] = _swap_pair(responses[key])
+        responses = {
+            key: (pair[1], pair[0]) if key in keys else pair
+            for key, pair in labels.responses.items()
+        }
         labels = LabelSet(labels.factors, labels.levels, responses)
-    return _transform(
-        data,
-        lambda t, tab: tab.flip_a() if hit(t) else tab,
-        lambda t, ct: ct.flip_a() if hit(t) else ct,
-        {t: t for t in TREATMENTS},
-        labels,
-    )
+    return _rebuild(data, move, labels)
+
+
+def flip_a_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
+    """Recode A (+1 <-> -1) at one alpha level, or at both when level is None."""
+    return _flip_coding(data, Factor.ALPHA, level)
 
 
 def flip_b_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
     """Recode B (+1 <-> -1) at one beta level, or at both when level is None."""
-    hit = lambda t: level is None or t.beta.level is level
-    labels = data.labels
-    if labels is not None and labels.responses is not None:
-        responses = dict(labels.responses)
-        for lv, key in ((Level.FIRST, "b"), (Level.SECOND, "b'")):
-            if (level is None or lv is level) and key in responses:
-                responses[key] = _swap_pair(responses[key])
-        labels = LabelSet(labels.factors, labels.levels, responses)
-    return _transform(
-        data,
-        lambda t, tab: tab.flip_b() if hit(t) else tab,
-        lambda t, ct: ct.flip_b() if hit(t) else ct,
-        {t: t for t in TREATMENTS},
-        labels,
-    )
+    return _flip_coding(data, Factor.BETA, level)
 
 
 def _swap_level_labels(labels: Optional[LabelSet], first_key: str, second_key: str) -> Optional[LabelSet]:
     if labels is None:
         return None
-    levels = None
-    if labels.levels is not None:
-        levels = dict(labels.levels)
-        levels[first_key], levels[second_key] = (
-            levels.get(second_key),
-            levels.get(first_key),
-        )
-        levels = {k: v for k, v in levels.items() if v is not None}
-    responses = None
-    if labels.responses is not None:
-        responses = dict(labels.responses)
-        responses[first_key], responses[second_key] = (
-            responses.get(second_key),
-            responses.get(first_key),
-        )
-        responses = {k: v for k, v in responses.items() if v is not None}
-    return LabelSet(labels.factors, levels, responses)
+    swapped = []
+    for mapping in (labels.levels, labels.responses):
+        if mapping is not None:
+            mapping = dict(mapping)
+            mapping[first_key], mapping[second_key] = (
+                mapping.get(second_key),
+                mapping.get(first_key),
+            )
+            mapping = {k: v for k, v in mapping.items() if v is not None}
+        swapped.append(mapping)
+    return LabelSet(labels.factors, *swapped)
+
+
+def _swap_levels(data: ExperimentData, factor: Factor) -> ExperimentData:
+    """Exchange the roles of the two levels of ``factor``."""
+    first, second = (lv for lv in FACTOR_LEVELS if lv.factor is factor)
+    other = {first: second, second: first}
+
+    def move(t: Treatment, table):
+        return replace(t, **{factor.value: other[getattr(t, factor.value)]}), table
+
+    return _rebuild(data, move, _swap_level_labels(data.labels, first.key, second.key))
 
 
 def swap_alpha_levels(data: ExperimentData) -> ExperimentData:
     """Exchange the roles of a and a' (relabel the alpha factor's levels)."""
-    key_map = {
-        t: Treatment(
-            ALPHA_A if t.alpha.level is Level.SECOND else ALPHA_A_PRIME, t.beta
-        )
-        for t in TREATMENTS
-    }
-    return _transform(
-        data,
-        lambda t, tab: tab,
-        lambda t, ct: ct,
-        key_map,
-        _swap_level_labels(data.labels, "a", "a'"),
-    )
+    return _swap_levels(data, Factor.ALPHA)
 
 
 def swap_beta_levels(data: ExperimentData) -> ExperimentData:
     """Exchange the roles of b and b' (relabel the beta factor's levels)."""
-    key_map = {
-        t: Treatment(
-            t.alpha, BETA_B if t.beta.level is Level.SECOND else BETA_B_PRIME
-        )
-        for t in TREATMENTS
-    }
-    return _transform(
-        data,
-        lambda t, tab: tab,
-        lambda t, ct: ct,
-        key_map,
-        _swap_level_labels(data.labels, "b", "b'"),
-    )
+    return _swap_levels(data, Factor.BETA)

@@ -55,15 +55,7 @@ class MarginalComparison:
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:
         """The two treatments whose marginals are compared, in level order."""
-        if self.response is Response.A:
-            return (
-                Treatment(self.fixed_level, BETA_B),
-                Treatment(self.fixed_level, BETA_B_PRIME),
-            )
-        return (
-            Treatment(ALPHA_A, self.fixed_level),
-            Treatment(ALPHA_A_PRIME, self.fixed_level),
-        )
+        return _compared_treatments(self.response, self.fixed_level)
 
     def complements(self) -> tuple[Fraction, Fraction]:
         """Pr(response = -1) under both levels (the second listed alternative)."""
@@ -79,14 +71,17 @@ _COMPARISON_SLOTS = (
 )
 
 
-def _build_comparison(data: ExperimentData, response: Response, level: FactorLevel) -> MarginalComparison:
+def _compared_treatments(response: Response, level: FactorLevel) -> tuple[Treatment, Treatment]:
     if response is Response.A:
-        first = data.table(Treatment(level, BETA_B)).pr_a_plus
-        second = data.table(Treatment(level, BETA_B_PRIME)).pr_a_plus
-    else:
-        first = data.table(Treatment(ALPHA_A, level)).pr_b_plus
-        second = data.table(Treatment(ALPHA_A_PRIME, level)).pr_b_plus
-    return MarginalComparison(response, level, first, second)
+        return (Treatment(level, BETA_B), Treatment(level, BETA_B_PRIME))
+    return (Treatment(ALPHA_A, level), Treatment(ALPHA_A_PRIME, level))
+
+
+def _build_comparison(data: ExperimentData, response: Response, level: FactorLevel) -> MarginalComparison:
+    first, second = (data.table(t) for t in _compared_treatments(response, level))
+    if response is Response.A:
+        return MarginalComparison(response, level, first.pr_a_plus, second.pr_a_plus)
+    return MarginalComparison(response, level, first.pr_b_plus, second.pr_b_plus)
 
 
 @dataclass(frozen=True)
@@ -161,8 +156,7 @@ def test_marginal_selectivity(
         raise MissingCounts("statistical test needs counts for all four treatments")
     alpha_eff = alpha_sig / 4 if bonferroni else alpha_sig
     results = []
-    for response, level in _COMPARISON_SLOTS:
-        comp = _build_comparison(data, response, level)
+    for comp in check_marginal_selectivity(data).comparisons:
         t1, t2 = comp.treatments
         n1 = data.count(t1).n
         n2 = data.count(t2).n

@@ -23,6 +23,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _pivot(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: scale ``row`` to 1 at ``col``, clear ``col`` elsewhere."""
+    inv = ONE / rows[row][col]
+    rows[row] = [v * inv for v in rows[row]]
+    for i, other in enumerate(rows):
+        if i != row and other[col] != 0:
+            f = other[col]
+            rows[i] = [v - f * w for v, w in zip(other, rows[row])]
+
+
 def _row_reduce(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Optional[tuple[list[list[Fraction]], list[Fraction], list[int]]]:
@@ -41,12 +51,7 @@ def _row_reduce(
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i, other in enumerate(rows):
-            if i != rank and other[col] != 0:
-                f = other[col]
-                rows[i] = [v - f * w for v, w in zip(other, rows[rank])]
+        _pivot(rows, rank, col)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -81,12 +86,7 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list
         return cost
 
     def pivot(row: int, col: int) -> None:
-        inv = ONE / tableau[row][col]
-        tableau[row] = [v * inv for v in tableau[row]]
-        for i in range(m):
-            if i != row and tableau[i][col] != 0:
-                f = tableau[i][col]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[row])]
+        _pivot(tableau, row, col)
         basis[row] = col
 
     while True:

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, output formats, fixtures, simulation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selinf
 from selinf.cli import load_fixture_text, run_cli
 from selinf.io import parse_experiment
 
@@ -202,3 +207,54 @@ class TestSelftest:
         assert len(lines) == 3
         assert all(ln.startswith("PASS") for ln in lines)
         assert "table3" in out
+
+
+def run_module(*args):
+    """Run ``python -m <args>`` with the package under test importable."""
+    env = dict(os.environ)
+    src = str(Path(selinf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["selinf", "selinf.cli"])
+    def test_selftest_runs(self, module):
+        proc = run_module(module, "selftest")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3
+        assert all(ln.startswith("PASS") for ln in lines)
+
+
+class TestUnexpectedFailure:
+    """A failure outside the package's own errors exits 2, never 1 ("infeasible")."""
+
+    @pytest.fixture
+    def huge_denominator_path(self, tmp_path):
+        # Renormalizing by a sum with a 5000-digit denominator leaves cells
+        # whose str() exceeds Python's int-to-str digit limit.
+        first = {"pp": "1e-5000", "pm": "0", "mp": "0", "mm": "1"}
+        other = {"pp": "1", "pm": "0", "mp": "0", "mm": "0"}
+        doc = {
+            "treatments": {"a,b": first, "a,b'": other, "a',b": other, "a',b'": other},
+            "renormalize": True,
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_run_cli_exits_with_error_code(self, huge_denominator_path, capsys):
+        code = run_cli(["analyze", huge_denominator_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_process_exits_with_error_code(self, huge_denominator_path):
+        proc = run_module("selinf", "analyze", huge_denominator_path)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

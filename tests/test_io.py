@@ -103,6 +103,34 @@ class TestParseExperiment:
         with pytest.raises((BadCell, SumNotOne)):
             parse_experiment(json.dumps(doc))
 
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+    def test_non_finite_number_cells(self, cell):
+        doc = uniform_doc()
+        doc["treatments"]["a,b"] = {"pp": cell, "pm": 0.5, "mp": 0.5, "mm": 0.0}
+        with pytest.raises(BadCell, match="a,b"):
+            parse_experiment(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"pp": 1, "pm": -1, "mp": 1, "mm": 1},
+            {"pp": 0, "pm": 0, "mp": 0, "mm": 0},
+            {"pp": 1.5, "pm": 1, "mp": 1, "mm": 1},
+            {"pp": "1", "pm": 1, "mp": 1, "mm": 1},
+        ],
+    )
+    def test_bad_nested_counts_name_the_treatment(self, counts):
+        doc = uniform_doc()
+        doc["treatments"]["a',b"]["counts"] = counts
+        with pytest.raises(BadCell, match="treatment a',b: count"):
+            parse_experiment(json.dumps(doc))
+
+    def test_bad_count_block_names_the_treatment(self):
+        doc = uniform_doc()
+        doc["treatments"]["a,b'"] = {"pp": 0, "pm": 0, "mp": 0, "mm": 0}
+        with pytest.raises(BadCell, match="treatment a,b': count"):
+            parse_experiment(json.dumps(doc))
+
     def test_bad_json_text(self):
         with pytest.raises(ParseError):
             parse_experiment("{not json")
