@@ -38,7 +38,7 @@ from .model import (
     rational,
 )
 from .selectivity import MarginalComparison, check_marginal_selectivity
-from .simplex import feasible_point
+from .simplex import feasible_point, reduce_system
 
 
 @dataclass(frozen=True)
@@ -272,26 +272,25 @@ def fine_criterion(data: ExperimentData) -> bool:
 
 
 # One row per (treatment, outcome pair) cell equation, in table cell order,
-# then normalization. The matrix never changes; only the right-hand side
-# (the data's cells, then 1) does.
-_CONSTRAINT_ROWS = tuple(
-    tuple(Fraction(int(state.response(t) == pair)) for state in HIDDEN_STATES)
-    for t in TREATMENTS
-    for pair in CELLS
-) + ((Fraction(1),) * 16,)
+# then normalization. The matrix never changes, so it is reduced once here;
+# each solve reduces only the right-hand side (the data's cells, then 1).
+_CONSTRAINTS = reduce_system(
+    [[Fraction(int(s.response(t) == pair)) for s in HIDDEN_STATES] for t in TREATMENTS for pair in CELLS]
+    + [[Fraction(1)] * 16]
+)
 
 
 def solve_feasibility(data: ExperimentData) -> FeasibilityResult:
     """Decide exactly whether some hidden-state mixture reproduces the data.
 
     The verdict comes from the rational phase-1 simplex on the 16-weight
-    system (the 16 cell equations plus normalization; dependent rows are
-    eliminated first). Certificates are not read off the solver: they are
-    recomputed from the marginal and facet checks, which Fine's theorem
+    system (the 16 cell equations plus normalization, its constant matrix
+    reduced once at import). Certificates are not read off the solver: they
+    are recomputed from the marginal and facet checks, which Fine's theorem
     makes complete for this design.
     """
     rhs = [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
-    solution = feasible_point(_CONSTRAINT_ROWS, rhs)
+    solution = feasible_point(_CONSTRAINTS, rhs)
     if solution is not None:
         witness = HiddenStateDistribution(tuple(solution))
         return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)

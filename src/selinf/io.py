@@ -28,6 +28,8 @@ additionally carry a nested ``"counts"`` object; the two must agree unless
 ``independent_counts`` is set (for published rounded estimates shipped
 alongside sample sizes). Probability cells must sum to exactly 1 unless
 ``renormalize`` is set, which accepts sums within +-0.01 and rescales.
+Decimal exponents beyond +-1000 and count tables of more than 2**53
+observations are bad cells.
 
 On output, probabilities are written as exact fraction strings
 ("49/1000"), so parse(serialize(data)) == data.
@@ -106,7 +108,7 @@ def _load(document: JsonDoc, what: str) -> Mapping[str, Any]:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise ParseError(f"{what} must be a JSON object")

@@ -12,6 +12,7 @@ tolerance-based.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -23,14 +24,26 @@ Probability = Fraction
 
 Rational = Union[Fraction, int, str, float]
 
+# Input caps, checked before any big integer is built. Fraction("1e-2000000")
+# would expand 10**2000000; z-tests need count totals that are exact floats.
+MAX_DECIMAL_EXPONENT = 1000
+MAX_COUNT_TOTAL = 2**53
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def rational(value: Rational) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
     Strings may be decimals (".049" -> 49/1000) or ratios ("49/1000").
     Floats go through their shortest decimal repr, so a JSON number 0.049
-    also becomes exactly 49/1000.
+    also becomes exactly 49/1000. Decimal exponents beyond
+    ``MAX_DECIMAL_EXPONENT`` in magnitude are rejected.
     """
+    if isinstance(value, str):
+        exponent = _DECIMAL_EXPONENT.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise InvalidValue(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
         if isinstance(value, float):
             return Fraction(repr(value))
@@ -155,6 +168,8 @@ class CountTable:
                 raise InvalidTable(f"count {name} must be nonnegative, got {v}")
         if self.n == 0:
             raise ZeroTotal("count table has zero total observations")
+        if self.n > MAX_COUNT_TOTAL:
+            raise InvalidTable("count table total exceeds 2**53 observations")
 
     @property
     def n(self) -> int:

@@ -1,21 +1,25 @@
 """Exact-rational feasibility of {x >= 0, A x = b} by phase-1 simplex.
 
 Everything runs on ``fractions.Fraction``, so the verdict is exact: no
-tolerances, no scaling heuristics. The pipeline is
+tolerances, no scaling heuristics. The work has two steps:
 
-1. Gauss-Jordan elimination of the augmented system, which drops dependent
-   rows and detects inconsistency (a zero row with nonzero right-hand side);
-2. if the reduced system's basic solution is already nonnegative, return it;
-3. otherwise a phase-1 simplex with one artificial variable per row,
-   minimizing their sum under Bland's anti-cycling rule. Optimum zero yields
-   a feasible point; a positive optimum proves there is none.
+1. ``reduce_system(A)``, once per matrix: Gauss-Jordan elimination of
+   [A | I]. Pivots are chosen from A's columns alone, so the same row
+   operations take [A | b] to [R | T b] for every b; the rows of T beyond
+   the rank of A are the consistency conditions.
+2. ``feasible_point(reduced, b)``, once per right-hand side, with no
+   elimination: T b decides consistency, a nonnegative reduced right-hand
+   side is itself the basic solution, and otherwise a phase-1 simplex with
+   one artificial variable per row minimizes their sum under Bland's
+   anti-cycling rule. Optimum zero yields a feasible point; a positive
+   optimum proves there is none.
 
-Sizes here are tiny (the caller's systems are at most 17 rows by 16
-columns), so clarity wins over sparse tricks.
+Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,45 +30,47 @@ ONE = Fraction(1)
 def _pivot(rows: list[list[Fraction]], row: int, col: int) -> None:
     """Gauss-Jordan pivot in place: scale ``row`` to 1 at ``col``, clear ``col`` elsewhere."""
     inv = ONE / rows[row][col]
-    rows[row] = [v * inv for v in rows[row]]
+    rows[row] = [v * inv if v else v for v in rows[row]]
     for i, other in enumerate(rows):
-        if i != row and other[col] != 0:
-            f = other[col]
-            rows[i] = [v - f * w for v, w in zip(other, rows[row])]
+        f = other[col]
+        if i != row and f:
+            rows[i] = [v - f * w if w else v for v, w in zip(other, rows[row])]
 
 
-def _row_reduce(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[tuple[list[list[Fraction]], list[Fraction], list[int]]]:
-    """Reduce [A | b] to reduced row-echelon form.
+@dataclass(frozen=True)
+class ReducedSystem:
+    """The independent rows and pivot columns of RREF(A), and T as (index, coefficient) rows."""
 
-    Returns (independent rows of A, their rhs, pivot column indices), or
-    None when the system is inconsistent. Rows beyond the rank are all-zero
-    in A by construction, so consistency is just their rhs being zero.
-    """
-    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
+    rows: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...]
+    transform: tuple[tuple[tuple[int, Fraction], ...], ...]
+    ncols: int
+
+
+def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> ReducedSystem:
+    """Gauss-Jordan elimination of [A | I]; the result serves every right-hand side."""
+    if not matrix:
+        raise ValueError("empty constraint system")
+    m, n = len(matrix), len(matrix[0])
+    rows = [list(row) + [ONE if j == i else ZERO for j in range(m)] for i, row in enumerate(matrix)]
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    for col in range(n):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, m) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         _pivot(rows, rank, col)
         pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    for i in range(rank, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    reduced = [rows[i][:-1] for i in range(rank)]
-    reduced_rhs = [rows[i][-1] for i in range(rank)]
-    return reduced, reduced_rhs, pivots
+    return ReducedSystem(
+        rows=tuple(tuple(row[:n]) for row in rows[: len(pivots)]),
+        pivots=tuple(pivots),
+        transform=tuple(tuple((j, v) for j, v in enumerate(row[n:]) if v) for row in rows),
+        ncols=n,
+    )
 
 
-def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
+def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
     """Phase-1 simplex on an independent-row system; None when infeasible."""
     m = len(rows)
     n = len(rows[0])
@@ -131,22 +137,16 @@ def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list
     return solution
 
 
-def feasible_point(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
+def feasible_point(reduced: ReducedSystem, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """A nonnegative exact solution of A x = b, or None when none exists."""
-    if not matrix:
-        raise ValueError("empty constraint system")
-    reduced = _row_reduce(matrix, rhs)
-    if reduced is None:
+    reduced_rhs = [sum((c * rhs[j] for j, c in row), ZERO) for row in reduced.transform]
+    rank = len(reduced.pivots)
+    if any(reduced_rhs[rank:]):
         return None
-    rows, red_rhs, pivots = reduced
-    n = len(matrix[0])
-    if not rows:
-        return [ZERO] * n  # b = 0 under a zero matrix
-    if all(v >= 0 for v in red_rhs):
-        solution = [ZERO] * n
-        for col, value in zip(pivots, red_rhs):
+    del reduced_rhs[rank:]
+    if all(v >= 0 for v in reduced_rhs):
+        solution = [ZERO] * reduced.ncols
+        for col, value in zip(reduced.pivots, reduced_rhs):
             solution[col] = value
         return solution
-    return _phase_one(rows, red_rhs)
+    return _phase_one(reduced.rows, reduced_rhs)

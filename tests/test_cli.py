@@ -43,6 +43,13 @@ class TestAnalyze:
         assert "satisfied" in out
         assert "INFEASIBLE" in out
 
+    def test_solver_disagreeing_with_fine_exits_with_error_code(self, uniform_path, monkeypatch, capsys):
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs: None)
+        code = run_cli(["analyze", uniform_path])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: solver found no mixture") and err.count("\n") == 1
+
     def test_uniform_is_feasible_with_witness(self, uniform_path, capsys):
         code = run_cli(["analyze", uniform_path, "--witness"])
         out = capsys.readouterr().out
@@ -209,14 +216,17 @@ class TestSelftest:
         assert "table3" in out
 
 
-def run_module(*args):
-    """Run ``python -m <args>`` with the package under test importable."""
+def run_python(*args):
+    """Run ``python <args>`` with the package under test importable."""
     env = dict(os.environ)
     src = str(Path(selinf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*args):
+    """Run ``python -m <args>``."""
+    return run_python("-m", *args)
 
 
 class TestModuleEntryPoints:
@@ -232,29 +242,48 @@ class TestModuleEntryPoints:
 class TestUnexpectedFailure:
     """A failure outside the package's own errors exits 2, never 1 ("infeasible")."""
 
-    @pytest.fixture
-    def huge_denominator_path(self, tmp_path):
-        # Renormalizing by a sum with a 5000-digit denominator leaves cells
-        # whose str() exceeds Python's int-to-str digit limit.
-        first = {"pp": "1e-5000", "pm": "0", "mp": "0", "mm": "1"}
+    def test_run_cli_exits_with_error_code(self, uniform_path, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("selinf.cli._cmd_analyze", crash)
+        code = run_cli(["analyze", uniform_path])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
+
+    def test_process_exits_with_error_code(self, uniform_path):
+        script = (
+            "import selinf.cli as cli\n"
+            "def crash(args):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli._cmd_analyze = crash\n"
+            "cli.main()\n"
+        )
+        proc = run_python("-c", script, "analyze", uniform_path)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr == "error: unexpected RuntimeError: boom\n"
+
+
+class TestOversizedInput:
+    """Inputs beyond the parse caps are bad cells, reported on one line with exit 2."""
+
+    @pytest.mark.parametrize(
+        "block, renormalize",
+        [
+            ({"pp": "1e-5000", "pm": "0", "mp": "0", "mm": "1"}, True),
+            ({"pp": 10**400, "pm": 1, "mp": 1, "mm": 1}, False),
+        ],
+    )
+    def test_exits_with_error_code_naming_the_treatment(self, tmp_path, capsys, block, renormalize):
         other = {"pp": "1", "pm": "0", "mp": "0", "mm": "0"}
         doc = {
-            "treatments": {"a,b": first, "a,b'": other, "a',b": other, "a',b'": other},
-            "renormalize": True,
+            "treatments": {"a,b": block, "a,b'": other, "a',b": other, "a',b'": other},
+            "renormalize": renormalize,
         }
-        path = tmp_path / "huge.json"
+        path = tmp_path / "oversized.json"
         path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_run_cli_exits_with_error_code(self, huge_denominator_path, capsys):
-        code = run_cli(["analyze", huge_denominator_path])
+        code = run_cli(["analyze", str(path)])
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-
-    def test_process_exits_with_error_code(self, huge_denominator_path):
-        proc = run_module("selinf", "analyze", huge_denominator_path)
-        assert proc.returncode == EXIT_ERROR
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert err.startswith("error: treatment a,b: ") and err.count("\n") == 1
+        assert "unexpected" not in err

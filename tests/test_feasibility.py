@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from selinf.chsh import SignPattern, compute_gamma
-from selinf.errors import InvalidDistribution, InvalidValue
+from selinf.errors import InvalidDistribution, InvalidValue, SelinfError
 from selinf.feasibility import (
     HIDDEN_STATES,
     FacetViolation,
@@ -154,6 +154,21 @@ class TestSolveFeasibility:
             result = solve_feasibility(data)
             assert result.feasible
             assert verify_witness(result.witness, data)
+
+    def test_solves_reuse_the_import_time_reduction(self, table1, table2, table3, monkeypatch):
+        def reduce_again(matrix):
+            raise AssertionError("the constraint matrix was reduced during a solve")
+
+        monkeypatch.setattr("selinf.feasibility.reduce_system", reduce_again)
+        monkeypatch.setattr("selinf.simplex.reduce_system", reduce_again)
+        assert solve_feasibility(predicted_tables(HiddenStateDistribution.uniform())).feasible
+        assert not any(solve_feasibility(t).feasible for t in (table1, table2, table3))
+
+    def test_solver_disagreeing_with_fine_is_an_error(self, monkeypatch):
+        # the runtime cross-check: no witness, yet no violated condition
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs: None)
+        with pytest.raises(SelinfError, match="no marginal or facet condition"):
+            solve_feasibility(predicted_tables(HiddenStateDistribution.uniform()))
 
     def test_certificate_search_order_marginals_first(self, table1):
         result = solve_feasibility(table1)

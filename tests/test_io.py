@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,34 @@ class TestParseExperiment:
     def test_bad_json_text(self):
         with pytest.raises(ParseError):
             parse_experiment("{not json")
+
+    @pytest.mark.parametrize("text", ['{"treatments": ' + "1" * 5000 + "}", "[" * 100000])
+    def test_json_beyond_decoder_limits_is_a_parse_error(self, text):
+        # an integer literal over Python's 4300-digit limit, and deep nesting
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_experiment(text)
+
+    def test_huge_decimal_exponent_rejected_before_expansion(self):
+        doc = uniform_doc()
+        doc["treatments"]["a,b"] = {"pp": "1e-2000000", "pm": ".5", "mp": ".5", "mm": "0"}
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(BadCell, match="treatment a,b: cell pp: decimal exponent"):
+            parse_experiment(text)
+        assert time.perf_counter() - start < 0.010
+
+    def test_renormalized_tiny_cell_beyond_the_cap_is_a_bad_cell(self):
+        doc = uniform_doc()
+        doc["treatments"]["a,b"] = {"pp": "1e-5000", "pm": "0", "mp": "0", "mm": "1"}
+        doc["renormalize"] = True
+        with pytest.raises(BadCell, match="treatment a,b: cell pp: decimal exponent"):
+            parse_experiment(json.dumps(doc))
+
+    def test_counts_beyond_float_precision_are_bad_cells(self):
+        doc = uniform_doc()
+        doc["treatments"]["a',b'"] = {"pp": 10**400, "pm": 1, "mp": 1, "mm": 1}
+        with pytest.raises(BadCell, match="treatment a',b': count table total exceeds"):
+            parse_experiment(json.dumps(doc))
 
     def test_count_blocks(self):
         doc = uniform_doc()

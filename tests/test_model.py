@@ -59,6 +59,13 @@ class TestRational:
         with pytest.raises(InvalidValue):
             rational(bad)
 
+    def test_decimal_exponent_is_capped(self):
+        assert rational("1e-1000") == Fraction(1, 10**1000)
+        assert rational("5E+0000000001") == 50
+        for bad in ("1e-1001", "1e1_001", "1e-2000000", "1e-" + "9" * 5000):
+            with pytest.raises(InvalidValue, match="decimal exponent"):
+                rational(bad)
+
 
 class TestTreatments:
     def test_four_canonical_treatments_in_order(self):
@@ -205,6 +212,11 @@ class TestCounts:
             CountTable(1.5, 1, 1, 1)
         with pytest.raises(InvalidTable):
             CountTable(True, 1, 1, 1)
+
+    def test_total_capped_at_exact_float_integers(self):
+        assert CountTable(2**53 - 3, 1, 1, 1).n == 2**53
+        with pytest.raises(InvalidTable, match="2\\*\\*53"):
+            CountTable(2**53 - 2, 1, 1, 1)
 
 
 class TestExperimentData:

@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from selinf.simplex import feasible_point
+from selinf.simplex import feasible_point, reduce_system
 
 
 def F(*args):
     return Fraction(*args)
+
+
+def solve(matrix, rhs):
+    """Reduce the matrix, then solve for one right-hand side."""
+    return feasible_point(reduce_system(matrix), rhs)
 
 
 def check_solution(matrix, rhs, x):
@@ -22,48 +27,54 @@ class TestBasics:
     def test_single_equation(self):
         matrix = [[F(1), F(1)]]
         rhs = [F(1)]
-        x = feasible_point(matrix, rhs)
+        x = solve(matrix, rhs)
         check_solution(matrix, rhs, x)
 
     def test_inconsistent_rows(self):
         matrix = [[F(1), F(1)], [F(1), F(1)]]
-        assert feasible_point(matrix, [F(1), F(2)]) is None
+        assert solve(matrix, [F(1), F(2)]) is None
 
     def test_negative_rhs_with_nonnegative_row_is_infeasible(self):
-        assert feasible_point([[F(1), F(1)]], [F(-1)]) is None
+        assert solve([[F(1), F(1)]], [F(-1)]) is None
 
     def test_redundant_rows_are_harmless(self):
         matrix = [[F(1), F(1)], [F(2), F(2)], [F(1), F(0)]]
         rhs = [F(1), F(2), F(1, 2)]
-        x = feasible_point(matrix, rhs)
+        x = solve(matrix, rhs)
         check_solution(matrix, rhs, x)
 
     def test_negative_basic_solution_recovered_by_phase_one(self):
         # RREF pins x1 = -1 when x2 is nonbasic; phase-1 must still find x2 = 1.
         matrix = [[F(1), F(-1)]]
         rhs = [F(-1)]
-        x = feasible_point(matrix, rhs)
+        x = solve(matrix, rhs)
         check_solution(matrix, rhs, x)
 
     def test_sign_trap_needs_pivoting(self):
         # x1 - x2 = -2 and x1 + x2 = 4: unique solution (1, 3)
         matrix = [[F(1), F(-1)], [F(1), F(1)]]
         rhs = [F(-2), F(4)]
-        x = feasible_point(matrix, rhs)
+        x = solve(matrix, rhs)
         assert x == [F(1), F(3)]
 
     def test_unique_negative_solution_is_infeasible(self):
         # x1 - x2 = 1 and x1 + x2 = -1 forces x2 = -1
         matrix = [[F(1), F(-1)], [F(1), F(1)]]
-        assert feasible_point(matrix, [F(1), F(-1)]) is None
+        assert solve(matrix, [F(1), F(-1)]) is None
 
     def test_zero_rhs_returns_origin(self):
         matrix = [[F(1), F(2), F(3)]]
-        assert feasible_point(matrix, [F(0)]) == [F(0), F(0), F(0)]
+        assert solve(matrix, [F(0)]) == [F(0), F(0), F(0)]
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            feasible_point([], [])
+            reduce_system([])
+
+    def test_zero_matrix_with_zero_rhs_returns_origin(self):
+        assert solve([[F(0), F(0)]], [F(0)]) == [F(0), F(0)]
+
+    def test_zero_matrix_with_nonzero_rhs_is_infeasible(self):
+        assert solve([[F(0), F(0)]], [F(1)]) is None
 
 
 class TestExactness:
@@ -71,14 +82,14 @@ class TestExactness:
         # substituting (1, 10/3): 1/3 + 10/21 = 17/21 and 2/5 + 10/11 = 72/55
         matrix = [[F(1, 3), F(1, 7)], [F(2, 5), F(3, 11)]]
         rhs = [F(17, 21), F(72, 55)]
-        x = feasible_point(matrix, rhs)
+        x = solve(matrix, rhs)
         assert x == [F(1), F(10, 3)]
 
     def test_tiny_infeasibility_detected(self):
         # identical rows whose rhs differ by 1/10^12
         eps = Fraction(1, 10**12)
         matrix = [[F(1), F(1)], [F(1), F(1)]]
-        assert feasible_point(matrix, [F(1), F(1) + eps]) is None
+        assert solve(matrix, [F(1), F(1) + eps]) is None
 
 
 class TestRandomSystems:
@@ -92,7 +103,7 @@ class TestRandomSystems:
             ]
             x0 = [Fraction(rng.randint(0, 5)) for _ in range(n)]
             rhs = [sum(c * v for c, v in zip(row, x0)) for row in matrix]
-            x = feasible_point(matrix, rhs)
+            x = solve(matrix, rhs)
             assert x is not None
             check_solution(matrix, rhs, x)
 
@@ -105,7 +116,7 @@ class TestRandomSystems:
                 [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
             ]
             rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-            ours = feasible_point(matrix, rhs)
+            ours = solve(matrix, rhs)
             ref = sp.linprog(
                 c=[0.0] * n,
                 A_eq=[[float(c) for c in row] for row in matrix],
@@ -116,3 +127,29 @@ class TestRandomSystems:
             assert (ours is not None) == ref.success
             if ours is not None:
                 check_solution(matrix, rhs, ours)
+
+
+class TestSharedReduction:
+    def test_one_reduction_serves_interleaved_right_hand_sides(self):
+        rng = random.Random(43)
+        # a nonnegative matrix, so a consistent rhs with a negative entry may
+        # still need phase 1 to prove infeasibility
+        matrix = [[Fraction(rng.randint(0, 3)) for _ in range(6)] for _ in range(3)]
+        matrix.append([a + b for a, b in zip(matrix[0], matrix[1])])  # dependent row
+        shared = reduce_system(matrix)
+        snapshot = reduce_system(matrix)
+        infeasible = {0: set(), 1: set(), 2: set(), 3: set()}
+        for k in range(120):
+            if k % 2 == 0:  # built from a nonnegative point: feasible
+                x0 = [Fraction(rng.randint(0, 5)) for _ in range(6)]
+                rhs = [sum(c * v for c, v in zip(row, x0)) for row in matrix]
+            else:  # arbitrary; the dependent row is off by one when k % 4 == 1
+                rhs = [Fraction(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(3)]
+                rhs.append(rhs[0] + rhs[1] + (k % 4 == 1))
+            x = feasible_point(shared, rhs)
+            assert x == feasible_point(reduce_system(matrix), rhs)
+            if x is not None:
+                check_solution(matrix, rhs, x)
+            infeasible[k % 4].add(x is None)
+        assert shared == snapshot
+        assert infeasible == {0: {False}, 1: {True}, 2: {False}, 3: {False, True}}
