@@ -86,21 +86,14 @@ class ChshReport:
     argmax_patterns: frozenset[SignPattern]
     classification: BoundClassification
 
-    def gamma_decimal(self, places: int = 3) -> str:
-        """Gamma rounded half-up to ``places`` decimal places, as a string."""
-        if places < 0:
-            raise ValueError("places must be nonnegative")
-        q = 10**places
-        scaled = math.floor(self.gamma * q + Fraction(1, 2))
-        if places == 0:
-            return str(scaled)
-        return f"{scaled // q}.{scaled % q:0{places}d}"
+    def gamma_decimal(self) -> str:
+        """Gamma rounded half-up to three decimal places, as a string."""
+        scaled = math.floor(self.gamma * 1000 + Fraction(1, 2))
+        return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
 def chsh_facet_value(data: ExperimentData, pattern: SignPattern) -> Fraction:
     """The signed sum of the four product expectations for one pattern."""
-    if not isinstance(pattern, SignPattern):
-        pattern = SignPattern(tuple(pattern))
     return pattern.signed_sum(data.table(t).expectation() for t in TREATMENTS)
 
 

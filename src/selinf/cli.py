@@ -9,15 +9,13 @@ Commands::
 
 Exit codes: 0 when the hidden-state representation is feasible (or the
 command succeeded), 1 when infeasible (or a selftest failed), 2 on input
-or usage errors and on any other failure. The environment variable
-SELINF_FORMAT=json switches the default output format of analyze/witness to JSON.
+or usage errors and on any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -49,12 +47,6 @@ FIXTURE_NAMES = ("table1", "table2", "table3")
 
 def load_fixture_text(name: str) -> str:
     return (resources.files("selinf") / "fixtures" / f"{name}.json").read_text()
-
-
-def _output_format(json_flag: bool) -> str:
-    if json_flag:
-        return "json"
-    return "json" if os.environ.get("SELINF_FORMAT") == "json" else "text"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +113,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         alpha_sig=args.sig,
         bonferroni=args.bonferroni,
     )
-    if _output_format(args.json) == "json":
+    if args.json:
         print(json.dumps(report_to_json_dict(report, include_witness=args.witness), indent=2))
     else:
         print(
@@ -134,14 +126,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     data = parse_experiment(_read_file(args.file))
     result = solve_feasibility(data)
-    as_json = _output_format(args.json) == "json"
     if result.feasible:
-        if as_json:
+        if args.json:
             print(json.dumps({"verdict": "feasible", "witness": witness_to_dict(result.witness)}, indent=2))
         else:
             print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
         return EXIT_FEASIBLE
-    if as_json:
+    if args.json:
         print(
             json.dumps(
                 {

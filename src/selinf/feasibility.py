@@ -106,13 +106,11 @@ class HiddenStateDistribution:
         object.__setattr__(self, "weights", ws)
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[Union[HiddenState, str], Rational]) -> "HiddenStateDistribution":
-        """Build from {state: weight}; states may be "+-+-" strings; missing states get 0."""
+    def from_mapping(cls, mapping: Mapping[str, Rational]) -> "HiddenStateDistribution":
+        """Build from {"+-+-": weight}, states written A(a)A(a')B(b)B(b'); missing states get 0."""
         ws = [Fraction(0)] * 16
         for state, weight in mapping.items():
-            if isinstance(state, str):
-                state = HiddenState.from_string(state)
-            ws[state.index] += rational(weight)
+            ws[HiddenState.from_string(state).index] += rational(weight)
         return cls(tuple(ws))
 
     @classmethod

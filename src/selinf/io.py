@@ -28,8 +28,10 @@ additionally carry a nested ``"counts"`` object; the two must agree unless
 ``independent_counts`` is set (for published rounded estimates shipped
 alongside sample sizes). Probability cells must sum to exactly 1 unless
 ``renormalize`` is set, which accepts sums within +-0.01 and rescales.
-Decimal exponents beyond +-1000 and count tables of more than 2**53
-observations are bad cells.
+Decimal exponents beyond +-1000, count tables of more than 2**53
+observations, and cells whose least common denominator exceeds 10**2000
+(checked per block, then over all 16 cells after renormalizing) are bad
+cells. ``parse_experiment`` and ``parse_model`` read the document text.
 
 On output, probabilities are written as exact fraction strings
 ("49/1000"), so parse(serialize(data)) == data.
@@ -51,9 +53,10 @@ written outcome pair, A then B, when contamination strikes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (
@@ -99,20 +102,30 @@ PROB_KEYS = ("pp", "pm", "mp", "mm")
 
 RENORMALIZE_WINDOW = Fraction(1, 100)
 
+# Every rational a report computes from the tables has a denominator that
+# divides the least common denominator of the 16 table cells times the
+# determinant of a basis of the constant 0/1 constraint matrix (at most 195
+# in magnitude for 9x9), and a numerator at most 4 times that denominator.
+# Capping the common denominator keeps every rendered number far below
+# Python's 4,300-digit int-to-str limit.
+MAX_COMMON_DENOMINATOR = 10**2000
+
 _LEVELS_BY_KEY = {lv.key: lv for lv in FACTOR_LEVELS}
 
-JsonDoc = Union[str, Mapping[str, Any]]
 
-
-def _load(document: JsonDoc, what: str) -> Mapping[str, Any]:
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-            raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+def _load(text: str, what: str) -> Mapping[str, Any]:
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise ParseError(f"{what} must be a JSON object")
     return document
+
+
+def _check_common_denominator(cells: Iterable[Fraction], where: str) -> None:
+    if math.lcm(*(c.denominator for c in cells)) > MAX_COMMON_DENOMINATOR:
+        raise BadCell(f"{where}: the cells' least common denominator exceeds 10**2000")
 
 
 def _parse_count_cells(block: Mapping[str, Any], key: str) -> CountTable:
@@ -140,8 +153,9 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
         except InvalidValue as exc:
             raise BadCell(f"treatment {key}: cell {ck}: {exc}") from exc
         if f < 0 or f > 1:
-            raise BadCell(f"treatment {key}: cell {ck} = {f} outside [0, 1]")
+            raise BadCell(f"treatment {key}: cell {ck} = {v!r} outside [0, 1]")
         cells.append(f)
+    _check_common_denominator(cells, f"treatment {key}")  # SumNotOne prints the sum
     total = sum(cells)
     if total != 1:
         if not renormalize:
@@ -222,19 +236,15 @@ def _parse_labels(raw: Any) -> LabelSet:
         raise ParseError(f"bad labels: {exc}") from exc
 
 
-def parse_experiment(document: JsonDoc, renormalize: Optional[bool] = None) -> ExperimentData:
-    """Parse an experiment file into exact-rational data.
-
-    ``renormalize`` None defers to the file's own flag (default false).
-    """
-    doc = _load(document, "experiment document")
+def parse_experiment(text: str) -> ExperimentData:
+    """Parse the text of an experiment file into exact-rational data."""
+    doc = _load(text, "experiment document")
     unknown = set(doc) - {"treatments", "labels", "renormalize", "independent_counts"}
     if unknown:
         raise ParseError(f"unknown top-level keys {sorted(unknown)}")
     if "treatments" not in doc or not isinstance(doc["treatments"], Mapping):
         raise ParseError('document needs a "treatments" object')
-    if renormalize is None:
-        renormalize = bool(doc.get("renormalize", False))
+    renormalize = bool(doc.get("renormalize", False))
     independent = bool(doc.get("independent_counts", False))
     blocks = doc["treatments"]
     unknown = set(blocks) - set(TREATMENT_KEYS)
@@ -250,6 +260,7 @@ def parse_experiment(document: JsonDoc, renormalize: Optional[bool] = None) -> E
         tables[treatment] = table
         if count is not None:
             counts[treatment] = count
+    _check_common_denominator((c for table in tables.values() for c in table.cells()), "treatments")
     labels = _parse_labels(doc["labels"]) if "labels" in doc else None
     try:
         return ExperimentData(
@@ -288,9 +299,9 @@ def serialize_experiment(data: ExperimentData) -> str:
     return json.dumps(doc, indent=2)
 
 
-def parse_model(document: JsonDoc) -> Model:
-    """Parse a model file into a selective or contaminated model."""
-    doc = _load(document, "model document")
+def parse_model(text: str) -> Model:
+    """Parse the text of a model file into a selective or contaminated model."""
+    doc = _load(text, "model document")
     unknown = set(doc) - {"hidden", "eta", "cross_map"}
     if unknown:
         raise ParseError(f"unknown top-level keys {sorted(unknown)}")
@@ -338,18 +349,14 @@ def analyze(
     tolerance: Rational = 0,
     alpha_sig: float = 0.05,
     bonferroni: bool = False,
-    run_significance: Optional[bool] = None,
 ) -> AnalysisReport:
     """Run the full pipeline on one experiment.
 
-    Significance tests run when counts are present for all four treatments
-    (or when forced with ``run_significance=True``, which raises without
-    counts).
+    Significance tests run exactly when counts are present for all four
+    treatments.
     """
-    if run_significance is None:
-        run_significance = data.has_full_counts()
     ms_tests = None
-    if run_significance:
+    if data.has_full_counts():
         ms_tests = tuple(test_marginal_selectivity(data, alpha_sig, bonferroni))
     return AnalysisReport(
         chsh=compute_gamma(data),
@@ -608,9 +615,7 @@ def render_report_text(
     return "\n".join(lines) + "\n"
 
 
-def describe_certificate(cert: Union[MarginalComparison, FacetViolation, None]) -> str:
-    if cert is None:
-        return "(none)"
+def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
     if isinstance(cert, FacetViolation):
         return f"CHSH facet {cert.pattern} = {_fmt(cert.value)} > 2"
     return (

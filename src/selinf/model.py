@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -79,15 +79,10 @@ class Level(enum.Enum):
 
 @dataclass(frozen=True)
 class FactorLevel:
-    """One level of one factor. ``label`` is display-only and ignored by ==."""
+    """One level of one factor; display names live in ``LabelSet``."""
 
     factor: Factor
     level: Level
-    label: Optional[str] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.label is not None and not self.label:
-            raise InvalidValue("factor level label must be nonempty when given")
 
     @property
     def key(self) -> str:

@@ -32,6 +32,7 @@ ceil(cum * 2^53) over the fixed cell order pp, pm, mp, mm.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -82,14 +83,6 @@ def _cell_thresholds(table: JointTable) -> list[int]:
         scaled = cum * (1 << 53)
         thresholds.append(-((-scaled.numerator) // scaled.denominator))
     return thresholds
-
-
-def _draw_cell(gen: SplitMix64, thresholds: list[int]) -> int:
-    r = gen.next_53bits()
-    for k in range(4):
-        if r < thresholds[k]:
-            return k
-    raise AssertionError("53-bit draw above the total-mass threshold")
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:
         thresholds = _cell_thresholds(exact.table(t))
         tally = [0, 0, 0, 0]
         for _ in range(spec.n_per_treatment):
-            tally[_draw_cell(gen, thresholds)] += 1
+            tally[bisect_right(thresholds, gen.next_53bits())] += 1
         counts[t] = CountTable(*tally)
         tables[t] = counts[t].normalized()
     return ExperimentData(tables=tables, counts=counts)

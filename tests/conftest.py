@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -77,3 +78,35 @@ def pr_box() -> ExperimentData:
     tables = dict.fromkeys(TREATMENTS[:3], aligned)
     tables[TREATMENTS[3]] = crossed
     return ExperimentData(tables=tables)
+
+
+def large_denominator_documents() -> dict[str, str]:
+    """Experiment texts whose reports would need integers beyond 4,300 digits.
+
+    "renormalized": an a,b block of 1/(10**2500+1), 0, 1/(10**2500+3), 1 with
+    "renormalize" set. "combined": exact a,b and a,b' blocks with pp =
+    1/(10**2200+1) and 1/(10**2200+3) and mm = 1 - pp; each cell prints, but
+    the CHSH sums combine the two denominators. Other tables are uniform.
+    """
+
+    def exact(denominator: int) -> dict[str, str]:
+        pp = Fraction(1, denominator)
+        return {"pp": str(pp), "pm": "0", "mp": "0", "mm": str(1 - pp)}
+
+    uniform = {"pp": "1/4", "pm": "1/4", "mp": "1/4", "mm": "1/4"}
+    renormalized = {"pp": f"1/{10**2500 + 1}", "pm": "0", "mp": f"1/{10**2500 + 3}", "mm": "1"}
+    docs = {
+        "renormalized": {
+            "treatments": {"a,b": renormalized, "a,b'": uniform, "a',b": uniform, "a',b'": uniform},
+            "renormalize": True,
+        },
+        "combined": {
+            "treatments": {
+                "a,b": exact(10**2200 + 1),
+                "a,b'": exact(10**2200 + 3),
+                "a',b": uniform,
+                "a',b'": uniform,
+            }
+        },
+    }
+    return {name: json.dumps(doc) for name, doc in docs.items()}

@@ -102,11 +102,6 @@ class TestFacetValues:
         assert value == expected
         assert Fraction(2415, 1000) <= value <= Fraction(2425, 1000)
 
-    def test_raw_tuple_accepted_but_validated(self, table2):
-        assert chsh_facet_value(table2, (1, 1, 1, -1)) == 4
-        with pytest.raises(InvalidPattern):
-            chsh_facet_value(table2, (1, 1, -1, -1))
-
 
 class TestGammaInvariants:
     def test_gamma_nonnegative_and_at_most_four(self):
@@ -168,18 +163,19 @@ class TestClassification:
     def test_gamma_decimal_rounding(self, table3):
         report = compute_gamma(table3)
         # 2.421655... rounds half-up
-        assert report.gamma_decimal(3) == "2.422"
-        assert report.gamma_decimal(2) == "2.42"
-        assert report.gamma_decimal(0) == "2"
-        assert report.gamma_decimal(6) == "2.421656"
+        assert report.gamma_decimal() == "2.422"
 
     def test_gamma_decimal_half_up(self):
-        report = ChshReport(
-            expectations={},
-            sums={},
-            gamma=Fraction(5, 2),
-            argmax_patterns=frozenset(),
-            classification=classify_gamma(Fraction(5, 2)),
-        )
-        assert report.gamma_decimal(0) == "3"
-        assert report.gamma_decimal(1) == "2.5"
+        for gamma, expected in [
+            (Fraction(5, 2), "2.500"),
+            (Fraction(25005, 10000), "2.501"),
+            (Fraction(5, 10000), "0.001"),
+        ]:
+            report = ChshReport(
+                expectations={},
+                sums={},
+                gamma=gamma,
+                argmax_patterns=frozenset(),
+                classification=classify_gamma(gamma),
+            )
+            assert report.gamma_decimal() == expected

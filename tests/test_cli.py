@@ -12,6 +12,8 @@ import selinf
 from selinf.cli import load_fixture_text, run_cli
 from selinf.io import parse_experiment
 
+from conftest import large_denominator_documents
+
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR = 0, 1, 2
 
 
@@ -75,12 +77,6 @@ class TestAnalyze:
         jsonschema.validate(doc, schema)
         assert code == EXIT_INFEASIBLE
         assert doc["chsh"]["gamma"] == "0"
-
-    def test_env_var_switches_default_format(self, fixture_path, capsys, monkeypatch):
-        monkeypatch.setenv("SELINF_FORMAT", "json")
-        run_cli(["analyze", fixture_path("table1")])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "selinf-analysis/1"
 
     def test_missing_file(self, capsys):
         code = run_cli(["analyze", "/nonexistent/experiment.json"])
@@ -287,3 +283,13 @@ class TestOversizedInput:
         assert code == EXIT_ERROR
         assert err.startswith("error: treatment a,b: ") and err.count("\n") == 1
         assert "unexpected" not in err
+
+    @pytest.mark.parametrize("name", ["renormalized", "combined"])
+    def test_large_common_denominators_exit_with_one_error_line(self, tmp_path, capsys, name):
+        path = tmp_path / "large.json"
+        path.write_text(large_denominator_documents()[name])
+        code = run_cli(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected" not in err and "least common denominator" in err

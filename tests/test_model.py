@@ -13,8 +13,6 @@ from selinf.model import (
     TREATMENTS,
     CountTable,
     ExperimentData,
-    Factor,
-    FactorLevel,
     JointTable,
     LabelSet,
     Level,
@@ -77,16 +75,6 @@ class TestTreatments:
             assert Treatment.from_key(t.key) == t
         with pytest.raises(InvalidValue):
             Treatment.from_key("a,c")
-
-    def test_label_ignored_by_equality(self):
-        labeled = FactorLevel(Factor.ALPHA, Level.FIRST, label="Horse or Bear?")
-        assert labeled == ALPHA_A
-        assert Treatment(labeled, BETA_B) == TREATMENTS[0]
-        assert hash(Treatment(labeled, BETA_B)) == hash(TREATMENTS[0])
-
-    def test_empty_label_rejected(self):
-        with pytest.raises(InvalidValue):
-            FactorLevel(Factor.ALPHA, Level.FIRST, label="")
 
     def test_treatment_needs_one_level_per_factor(self):
         with pytest.raises(InvalidValue):

@@ -188,7 +188,7 @@ class TestSelectiveModelsUnderTest:
     def test_exactly_selective_sampled_tables_keep_small_z(self):
         # push-forward tables turned into exact counts: z is identically zero
         dist = HiddenStateDistribution.from_mapping(
-            {HIDDEN_STATES[0]: Fraction(1, 4), HIDDEN_STATES[5]: Fraction(3, 4)}
+            {str(HIDDEN_STATES[0]): Fraction(1, 4), str(HIDDEN_STATES[5]): Fraction(3, 4)}
         )
         data = predicted_tables(dist)
         counts = {}
