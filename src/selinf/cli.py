@@ -35,7 +35,6 @@ from .io import (
     witness_lines,
     witness_to_dict,
 )
-from .model import rational
 from .simulate import SampleSpec, sample_counts
 
 EXIT_FEASIBLE = 0
@@ -106,10 +105,9 @@ def _read_file(path: str) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     data = parse_experiment(_read_file(args.file))
-    tolerance = rational(args.tolerance)
     report = analyze(
         data,
-        tolerance=tolerance,
+        tolerance=args.tolerance,
         alpha_sig=args.sig,
         bonferroni=args.bonferroni,
     )

@@ -31,7 +31,9 @@ alongside sample sizes). Probability cells must sum to exactly 1 unless
 Decimal exponents beyond +-1000, count tables of more than 2**53
 observations, and cells whose least common denominator exceeds 10**2000
 (checked per block, then over all 16 cells after renormalizing) are bad
-cells. ``parse_experiment`` and ``parse_model`` read the document text.
+cells, and ``analyze`` rejects a tolerance whose numerator or denominator
+exceeds 10**2000. ``parse_experiment`` and ``parse_model`` read the
+document text.
 
 On output, probabilities are written as exact fraction strings
 ("49/1000"), so parse(serialize(data)) == data.
@@ -168,8 +170,8 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
                 f"treatment {key}: cells sum to {total} "
                 f"(~{float(total):.4f}), beyond the +-0.01 renormalization window"
             )
-        cells = [c / total for c in cells]
-    return JointTable(*cells)
+        cells = [c / total for c in cells]  # each c <= total, so still in [0, 1]
+    return JointTable._from_checked(cells)
 
 
 def _parse_block(
@@ -353,8 +355,12 @@ def analyze(
     """Run the full pipeline on one experiment.
 
     Significance tests run exactly when counts are present for all four
-    treatments.
+    treatments. A tolerance whose numerator or denominator exceeds 10**2000
+    is rejected, as table cells are.
     """
+    tolerance = rational(tolerance)
+    if max(abs(tolerance.numerator), tolerance.denominator) > MAX_COMMON_DENOMINATOR:
+        raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
     ms_tests = None
     if data.has_full_counts():
         ms_tests = tuple(test_marginal_selectivity(data, alpha_sig, bonferroni))

@@ -209,6 +209,14 @@ class JointTable:
             raise InvalidTable(f"cells sum to {total}, expected exactly 1")
 
     @classmethod
+    def _from_checked(cls, cells: list[Fraction]) -> "JointTable":
+        """A table of Fractions the caller has already checked lie in [0, 1] and sum to 1."""
+        table = object.__new__(cls)
+        for name, v in zip(_CELL_FIELDS, cells):
+            object.__setattr__(table, name, v)
+        return table
+
+    @classmethod
     def uniform(cls) -> "JointTable":
         q = Fraction(1, 4)
         return cls(q, q, q, q)

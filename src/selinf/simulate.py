@@ -28,11 +28,21 @@ changing the result.
 One draw from a table maps r = next_uint64() >> 11 (a 53-bit value) to the
 first cell whose cumulative threshold exceeds r, thresholds being
 ceil(cum * 2^53) over the fixed cell order pp, pm, mp, mm.
+
+Evaluation
+----------
+The state after k steps is ``seed + k * 0x9E3779B97F4A7C15 mod 2^64``, so
+``sample_counts`` evaluates the contract a chunk of draws at a time: the
+chunk's states are packed as 128-bit lanes of one Python int, the output
+function runs on all lanes at once (each multiply stays inside its lane),
+and a cell's count is the number of outputs at or beyond its threshold,
+found by adding ``2^64 - (threshold << 11)`` to every lane and counting the
+carries into bit 64. The counts equal those of drawing one at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -53,6 +63,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_LANES = 4096  # draws per chunk; one chunk's lanes fill a 64 KB int
 
 
 class SplitMix64:
@@ -83,6 +94,37 @@ def _cell_thresholds(table: JointTable) -> list[int]:
         scaled = cum * (1 << 53)
         thresholds.append(-((-scaled.numerator) // scaled.denominator))
     return thresholds
+
+
+def _lane_constants(width: int) -> tuple[int, int, int, int]:
+    """For ``width`` 128-bit lanes: 1 in every lane, GOLDEN * (j + 1) in lane j,
+    2^64 - 1 in every lane, and bit 64 of every lane."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
+    ramp = int.from_bytes(struct.pack("<" + "Q8x" * width, *range(1, width + 1)), "little")
+    return ones, _GOLDEN * ramp, ones * _MASK64, ones << 64
+
+
+def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """Cell counts of the first n draws of each (seed, cell thresholds) stream."""
+    lanes = {width: _lane_constants(width) for width in {min(n, _LANES), n % _LANES}}
+    tallies = []
+    for seed, thresholds in streams:
+        above = [n, 0, 0, 0, 0]  # above[i + 1]: draws whose r reaches thresholds[i]
+        done = 0
+        while done < n:
+            width = min(_LANES, n - done)
+            ones, golden_ramp, mask, carries = lanes[width]
+            z = (((seed + done * _GOLDEN) & _MASK64) * ones + golden_ramp) & mask
+            # a right shift moves the next lane's low bits into this lane's padding
+            z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+            z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+            z = (z ^ (z >> 31)) & mask
+            for i in range(3):
+                # r >= th exactly when z >= th << 11, i.e. when this sum carries into bit 64
+                above[i + 1] += ((z + ((1 << 64) - (thresholds[i] << 11)) * ones) & carries).bit_count()
+            done += width
+        tallies.append([above[k] - above[k + 1] for k in range(4)])
+    return tallies
 
 
 @dataclass(frozen=True)
@@ -160,15 +202,10 @@ def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:
     """
     exact = model_tables(model)
     root = SplitMix64(spec.seed)
-    substream_seeds = [root.next_uint64() for _ in TREATMENTS]
+    streams = [(root.next_uint64(), _cell_thresholds(exact.table(t))) for t in TREATMENTS]
     tables = {}
     counts = {}
-    for t, sub_seed in zip(TREATMENTS, substream_seeds):
-        gen = SplitMix64(sub_seed)
-        thresholds = _cell_thresholds(exact.table(t))
-        tally = [0, 0, 0, 0]
-        for _ in range(spec.n_per_treatment):
-            tally[bisect_right(thresholds, gen.next_53bits())] += 1
+    for t, tally in zip(TREATMENTS, _tallies(spec.n_per_treatment, streams)):
         counts[t] = CountTable(*tally)
         tables[t] = counts[t].normalized()
     return ExperimentData(tables=tables, counts=counts)

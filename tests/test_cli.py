@@ -284,6 +284,22 @@ class TestOversizedInput:
         assert err.startswith("error: treatment a,b: ") and err.count("\n") == 1
         assert "unexpected" not in err
 
+    @pytest.mark.parametrize(
+        "tolerance",
+        ["0." + "0" * 4000 + "1e-1000", "9" * 4000 + "e1000", "-" + "9" * 4000 + "e1000"],
+        ids=["long-denominator", "long-numerator", "long-negative-numerator"],
+    )
+    def test_oversized_tolerance_exits_with_one_error_line(self, fixture_path, capsys, tolerance):
+        code = run_cli(["analyze", fixture_path("table1"), f"--tolerance={tolerance}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: tolerance: numerator or denominator exceeds 10**2000\n"
+
+    def test_tolerance_at_the_cap_is_accepted(self, fixture_path, capsys):
+        tolerance = "1/" + "1" + "0" * 2000
+        assert run_cli(["analyze", fixture_path("table1"), f"--tolerance={tolerance}"]) == EXIT_INFEASIBLE
+        assert f"(tolerance {tolerance})" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["renormalized", "combined"])
     def test_large_common_denominators_exit_with_one_error_line(self, tmp_path, capsys, name):
         path = tmp_path / "large.json"

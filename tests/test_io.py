@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import selinf.io
+import selinf.model
 from selinf.errors import (
     BadCell,
     ConflictingData,
@@ -50,6 +52,25 @@ class TestParseExperiment:
         data = parse_experiment(json.dumps(uniform_doc()))
         for t in TREATMENTS:
             assert data.table(t) == JointTable.uniform()
+
+    def test_each_probability_cell_is_converted_once(self, monkeypatch):
+        original = selinf.model.rational
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(selinf.model, "rational", counting)
+        monkeypatch.setattr(selinf.io, "rational", counting)
+        doc = uniform_doc()
+        doc["treatments"]["a',b"] = {"pp": ".778", "pm": ".086", "mp": ".086", "mm": ".049"}
+        doc["renormalize"] = True
+        data = parse_experiment(json.dumps(doc))
+        assert len(calls) == 16
+        assert data.table(TREATMENTS[2]).cells() == tuple(
+            Fraction(c, 999) for c in (778, 86, 86, 49)
+        )
 
     def test_sum_not_one_without_flag(self):
         doc = uniform_doc()

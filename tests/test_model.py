@@ -90,12 +90,14 @@ class TestJointTable:
         assert isinstance(t.p_pm, Fraction)
 
     def test_sum_must_be_exactly_one(self):
-        with pytest.raises(InvalidTable):
+        with pytest.raises(InvalidTable, match=r"^cells sum to 999/1000, expected exactly 1$"):
             JointTable(".778", ".086", ".086", ".049")  # sums to .999
 
     def test_cells_must_be_probabilities(self):
-        with pytest.raises(InvalidTable):
+        with pytest.raises(InvalidTable, match=r"^cell p_pp = 3/2 outside \[0, 1\]$"):
             JointTable("1.5", "-0.5", "0", "0")
+        with pytest.raises(InvalidTable, match=r"^cell p_pm = -1/2 outside \[0, 1\]$"):
+            JointTable(Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
 
     def test_cell_lookup_by_signs(self):
         t = JointTable(".1", ".2", ".3", ".4")

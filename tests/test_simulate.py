@@ -1,6 +1,8 @@
 """Generator contract, latent-model tables, and sampling behavior."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from selinf.simulate import (
     SampleSpec,
     SelectiveModel,
     SplitMix64,
+    _LANES,
+    _tallies,
     model_tables,
     sample_counts,
 )
@@ -27,6 +31,7 @@ from selinf.simulate import (
 from conftest import random_hidden_distribution
 
 MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def reference_splitmix64(seed, count):
@@ -40,6 +45,19 @@ def reference_splitmix64(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         out.append(z ^ (z >> 31))
     return out
+
+
+def reference_thresholds(cells):
+    """ceil(cumulative * 2^53) over the cells in order."""
+    return [math.ceil(sum(cells[: k + 1]) * 2**53) for k in range(4)]
+
+
+def reference_tally(outputs, thresholds):
+    """Cell counts when each r = output >> 11 falls in the first cell whose threshold exceeds r."""
+    tally = [0, 0, 0, 0]
+    for out in outputs:
+        tally[next(k for k, th in enumerate(thresholds) if out >> 11 < th)] += 1
+    return tally
 
 
 class TestSplitMix64:
@@ -217,3 +235,52 @@ class TestSampling:
         table = sampled.table(TREATMENTS[0])
         assert abs(table.p_pp - Fraction(1, 3)) < Fraction(2, 100)
         assert abs(table.p_mm - Fraction(2, 3)) < Fraction(2, 100)
+
+
+CHUNK_EDGES = (1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1)
+WRAPPING_SEEDS = (0, MASK64, (1 << 64) - GOLDEN)  # first states GOLDEN, GOLDEN - 1 and 0
+
+
+class TestPackedSampler:
+    """The chunked big-integer sampler against draw-by-draw transcription."""
+
+    CELLS = {
+        "distinct": (Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(34, 105)),
+        "first cell empty": (Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        "middle cell empty": (Fraction(1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 3)),
+        "point mass pp": (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+        "point mass pm": (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+        "point mass mm": (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+    }
+
+    @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_tallies_match_per_draw_reference(self, n, seed):
+        outputs = reference_splitmix64(seed, n)
+        thresholds = [reference_thresholds(c) for c in self.CELLS.values()]
+        got = _tallies(n, [(seed, th) for th in thresholds])
+        assert got == [reference_tally(outputs, th) for th in thresholds]
+
+    @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
+    def test_sample_counts_match_per_draw_reference(self, seed):
+        cross = dict(zip(TREATMENTS, ((1, 1), (1, -1), (-1, -1), (1, 1))))
+        hidden = random_hidden_distribution(random.Random(76))
+        model = ContaminatedModel(hidden=hidden, eta=Fraction(1, 10), cross_map=cross)
+        exact = model_tables(model)
+        n = _LANES + 1
+        sampled = sample_counts(model, SampleSpec(n, seed))
+        for t, sub_seed in zip(TREATMENTS, reference_splitmix64(seed, 4)):
+            expected = reference_tally(
+                reference_splitmix64(sub_seed, n), reference_thresholds(exact.table(t).cells())
+            )
+            assert list(sampled.count(t).cells()) == expected
+
+    def test_memory_does_not_grow_with_n(self):
+        model = SelectiveModel(HiddenStateDistribution.uniform())
+        tracemalloc.start()
+        try:
+            sample_counts(model, SampleSpec(10**6, 2026))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
