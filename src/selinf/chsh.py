@@ -92,11 +92,6 @@ class ChshReport:
         return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def chsh_facet_value(data: ExperimentData, pattern: SignPattern) -> Fraction:
-    """The signed sum of the four product expectations for one pattern."""
-    return pattern.signed_sum(data.table(t).expectation() for t in TREATMENTS)
-
-
 def compute_gamma(data: ExperimentData) -> ChshReport:
     """Evaluate all eight signed sums and report the maximum with its achievers."""
     expectations = data.expectations()

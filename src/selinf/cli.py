@@ -22,7 +22,6 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import ParseError, SelinfError
-from .feasibility import solve_feasibility
 from .io import (
     analyze,
     certificate_to_dict,
@@ -123,7 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     data = parse_experiment(_read_file(args.file))
-    result = solve_feasibility(data)
+    result = analyze(data).feasibility
     if result.feasible:
         if args.json:
             print(json.dumps({"verdict": "feasible", "witness": witness_to_dict(result.witness)}, indent=2))

@@ -7,9 +7,10 @@ its own factor plus a shared random source. Whether observed tables admit
 such a mixture is a linear feasibility question in the 16 weights; it is
 decided here with an exact rational phase-1 simplex, returning either a
 witness distribution or a certificate (a marginal-selectivity inequality or
-a CHSH facet above 2) that provably excludes every mixture. Fine's theorem
-guarantees the certificate family is complete for this design, and
-``fine_criterion`` provides that closed form as an independent cross-check.
+a CHSH facet above 2, read from the caller's reports of the same data) that
+provably excludes every mixture. Fine's theorem guarantees the certificate
+family is complete for this design, and ``fine_criterion`` provides that
+closed form as an independent cross-check.
 
 An unrestricted representation, in which both responses may read both
 factors, always exists: ``construct_general_representation`` builds one as a
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .chsh import SignPattern, compute_gamma
+from .chsh import ChshReport, SignPattern, compute_gamma
 from .errors import InvalidDistribution, InvalidValue, SelinfError
 from .model import (
     CELLS,
@@ -37,7 +38,7 @@ from .model import (
     encode_signs,
     rational,
 )
-from .selectivity import MarginalComparison, check_marginal_selectivity
+from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
 from .simplex import feasible_point, reduce_system
 
 
@@ -252,21 +253,16 @@ class FeasibilityResult:
         return self.verdict is Verdict.FEASIBLE
 
 
-def fine_violations(data: ExperimentData) -> list[Certificate]:
+def fine_violations(chsh: ChshReport, marginals: MarginalReport) -> list[Certificate]:
     """All violated conditions: marginal inequalities first, then CHSH facets."""
-    violations: list[Certificate] = []
-    for comp in check_marginal_selectivity(data, 0).comparisons:
-        if comp.delta > 0:
-            violations.append(comp)
-    for pattern, value in compute_gamma(data).sums.items():
-        if value > 2:
-            violations.append(FacetViolation(pattern, value))
+    violations: list[Certificate] = [c for c in marginals.comparisons if c.delta > 0]
+    violations += [FacetViolation(p, v) for p, v in chsh.sums.items() if v > 2]
     return violations
 
 
 def fine_criterion(data: ExperimentData) -> bool:
     """Exact marginal selectivity and all eight CHSH facets at most 2."""
-    return not fine_violations(data)
+    return check_marginal_selectivity(data).satisfied and compute_gamma(data).gamma <= 2
 
 
 # One row per (treatment, outcome pair) cell equation, in table cell order,
@@ -278,21 +274,23 @@ _CONSTRAINTS = reduce_system(
 )
 
 
-def solve_feasibility(data: ExperimentData) -> FeasibilityResult:
+def solve_feasibility(
+    data: ExperimentData, chsh: ChshReport, marginals: MarginalReport
+) -> FeasibilityResult:
     """Decide exactly whether some hidden-state mixture reproduces the data.
 
     The verdict comes from the rational phase-1 simplex on the 16-weight
     system (the 16 cell equations plus normalization, its constant matrix
     reduced once at import). Certificates are not read off the solver: they
-    are recomputed from the marginal and facet checks, which Fine's theorem
-    makes complete for this design.
+    are the violated conditions in ``marginals`` and ``chsh``, the reports
+    of the same data, which Fine's theorem makes complete for this design.
     """
     rhs = [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
     solution = feasible_point(_CONSTRAINTS, rhs)
     if solution is not None:
         witness = HiddenStateDistribution(tuple(solution))
         return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)
-    violations = fine_violations(data)
+    violations = fine_violations(chsh, marginals)
     if not violations:
         raise SelinfError(
             "solver found no mixture but no marginal or facet condition is violated"

@@ -171,7 +171,7 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
                 f"(~{float(total):.4f}), beyond the +-0.01 renormalization window"
             )
         cells = [c / total for c in cells]  # each c <= total, so still in [0, 1]
-    return JointTable._from_checked(cells)
+    return JointTable(*cells)
 
 
 def _parse_block(
@@ -219,10 +219,11 @@ def _parse_labels(raw: Any) -> LabelSet:
     unknown = set(raw) - {"factors", "levels", "responses"}
     if unknown:
         raise ParseError(f"unknown label sections {sorted(unknown)}")
+    for section in ("factors", "levels", "responses"):
+        if section in raw and not isinstance(raw[section], Mapping):
+            raise ParseError(f"labels.{section} must be a JSON object")
     responses = None
     if "responses" in raw:
-        if not isinstance(raw["responses"], Mapping):
-            raise ParseError("labels.responses must be a JSON object")
         responses = {}
         for key, pair in raw["responses"].items():
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -246,8 +247,11 @@ def parse_experiment(text: str) -> ExperimentData:
         raise ParseError(f"unknown top-level keys {sorted(unknown)}")
     if "treatments" not in doc or not isinstance(doc["treatments"], Mapping):
         raise ParseError('document needs a "treatments" object')
-    renormalize = bool(doc.get("renormalize", False))
-    independent = bool(doc.get("independent_counts", False))
+    for key in ("renormalize", "independent_counts"):
+        if not isinstance(doc.get(key, False), bool):
+            raise ParseError(f'"{key}" must be JSON true or false')
+    renormalize = doc.get("renormalize", False)
+    independent = doc.get("independent_counts", False)
     blocks = doc["treatments"]
     unknown = set(blocks) - set(TREATMENT_KEYS)
     if unknown:
@@ -364,11 +368,13 @@ def analyze(
     ms_tests = None
     if data.has_full_counts():
         ms_tests = tuple(test_marginal_selectivity(data, alpha_sig, bonferroni))
+    chsh = compute_gamma(data)
+    marginals = check_marginal_selectivity(data, tolerance)
     return AnalysisReport(
-        chsh=compute_gamma(data),
-        marginals=check_marginal_selectivity(data, tolerance),
+        chsh=chsh,
+        marginals=marginals,
         ms_tests=ms_tests,
-        feasibility=solve_feasibility(data),
+        feasibility=solve_feasibility(data, chsh, marginals),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -178,19 +178,14 @@ class CountTable:
         n = self.n
         return JointTable(*(Fraction(c, n) for c in self.cells()))
 
-    def flip_a(self) -> "CountTable":
-        return CountTable(self.n_mp, self.n_mm, self.n_pp, self.n_pm)
-
-    def flip_b(self) -> "CountTable":
-        return CountTable(self.n_pm, self.n_pp, self.n_mm, self.n_mp)
-
 
 @dataclass(frozen=True)
 class JointTable:
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
-    rationals in [0, 1] summing to exactly 1.
+    rationals in [0, 1] summing to exactly 1; cells that are not already
+    Fractions are converted with ``rational``.
     """
 
     p_pp: Fraction
@@ -200,21 +195,15 @@ class JointTable:
 
     def __post_init__(self) -> None:
         for name in _CELL_FIELDS:
-            v = rational(getattr(self, name))
+            v = getattr(self, name)
+            if not isinstance(v, Fraction):
+                v = rational(v)
+                object.__setattr__(self, name, v)
             if not 0 <= v <= 1:
                 raise InvalidTable(f"cell {name} = {v} outside [0, 1]")
-            object.__setattr__(self, name, v)
         total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
         if total != 1:
             raise InvalidTable(f"cells sum to {total}, expected exactly 1")
-
-    @classmethod
-    def _from_checked(cls, cells: list[Fraction]) -> "JointTable":
-        """A table of Fractions the caller has already checked lie in [0, 1] and sum to 1."""
-        table = object.__new__(cls)
-        for name, v in zip(_CELL_FIELDS, cells):
-            object.__setattr__(table, name, v)
-        return table
 
     @classmethod
     def uniform(cls) -> "JointTable":
@@ -244,14 +233,6 @@ class JointTable:
     @property
     def pr_b_plus(self) -> Fraction:
         return self.p_pp + self.p_mp
-
-    def flip_a(self) -> "JointTable":
-        """Swap the A=+1 / A=-1 rows (recode A)."""
-        return JointTable(self.p_mp, self.p_mm, self.p_pp, self.p_pm)
-
-    def flip_b(self) -> "JointTable":
-        """Swap the B=+1 / B=-1 columns (recode B)."""
-        return JointTable(self.p_pm, self.p_pp, self.p_mm, self.p_mp)
 
     def mix(self, other: "JointTable", lam: Rational) -> "JointTable":
         """Cell-wise convex combination lam*self + (1-lam)*other."""
@@ -360,89 +341,3 @@ class ExperimentData:
 
     def expectations(self) -> dict[Treatment, Fraction]:
         return {t: tab.expectation() for t, tab in self.tables.items()}
-
-
-def mix_experiments(first: ExperimentData, second: ExperimentData, lam: Rational) -> ExperimentData:
-    """Treatment-wise convex combination lam*first + (1-lam)*second of the tables."""
-    return ExperimentData(
-        tables={t: first.table(t).mix(second.table(t), lam) for t in TREATMENTS}
-    )
-
-
-def _rebuild(data: ExperimentData, move, labels: Optional[LabelSet]) -> ExperimentData:
-    """``data`` with every joint and count table moved by ``move(t, table) -> (t', table')``."""
-    counts = None
-    if data.counts is not None:
-        counts = dict(move(t, ct) for t, ct in data.counts.items())
-    return ExperimentData(
-        tables=dict(move(t, data.table(t)) for t in TREATMENTS),
-        counts=counts,
-        labels=labels,
-        independent_counts=data.independent_counts,
-    )
-
-
-def _flip_coding(data: ExperimentData, factor: Factor, level: Optional[Level]) -> ExperimentData:
-    """Recode the response read at ``factor`` (+1 <-> -1) at one level, or at both when None."""
-    keys = {lv.key for lv in FACTOR_LEVELS if lv.factor is factor and level in (None, lv.level)}
-    flip = "flip_a" if factor is Factor.ALPHA else "flip_b"
-
-    def move(t: Treatment, table):
-        hit = getattr(t, factor.value).key in keys
-        return t, (getattr(table, flip)() if hit else table)
-
-    labels = data.labels
-    if labels is not None and labels.responses is not None:
-        responses = {
-            key: (pair[1], pair[0]) if key in keys else pair
-            for key, pair in labels.responses.items()
-        }
-        labels = LabelSet(labels.factors, labels.levels, responses)
-    return _rebuild(data, move, labels)
-
-
-def flip_a_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
-    """Recode A (+1 <-> -1) at one alpha level, or at both when level is None."""
-    return _flip_coding(data, Factor.ALPHA, level)
-
-
-def flip_b_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
-    """Recode B (+1 <-> -1) at one beta level, or at both when level is None."""
-    return _flip_coding(data, Factor.BETA, level)
-
-
-def _swap_level_labels(labels: Optional[LabelSet], first_key: str, second_key: str) -> Optional[LabelSet]:
-    if labels is None:
-        return None
-    swapped = []
-    for mapping in (labels.levels, labels.responses):
-        if mapping is not None:
-            mapping = dict(mapping)
-            mapping[first_key], mapping[second_key] = (
-                mapping.get(second_key),
-                mapping.get(first_key),
-            )
-            mapping = {k: v for k, v in mapping.items() if v is not None}
-        swapped.append(mapping)
-    return LabelSet(labels.factors, *swapped)
-
-
-def _swap_levels(data: ExperimentData, factor: Factor) -> ExperimentData:
-    """Exchange the roles of the two levels of ``factor``."""
-    first, second = (lv for lv in FACTOR_LEVELS if lv.factor is factor)
-    other = {first: second, second: first}
-
-    def move(t: Treatment, table):
-        return replace(t, **{factor.value: other[getattr(t, factor.value)]}), table
-
-    return _rebuild(data, move, _swap_level_labels(data.labels, first.key, second.key))
-
-
-def swap_alpha_levels(data: ExperimentData) -> ExperimentData:
-    """Exchange the roles of a and a' (relabel the alpha factor's levels)."""
-    return _swap_levels(data, Factor.ALPHA)
-
-
-def swap_beta_levels(data: ExperimentData) -> ExperimentData:
-    """Exchange the roles of b and b' (relabel the beta factor's levels)."""
-    return _swap_levels(data, Factor.BETA)

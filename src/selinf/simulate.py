@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -133,6 +134,11 @@ class SelectiveModel:
 
     hidden: HiddenStateDistribution
 
+    @cached_property
+    def _tables(self) -> ExperimentData:
+        """The exact push-forward, computed on first use."""
+        return predicted_tables(self.hidden)
+
 
 @dataclass(frozen=True)
 class ContaminatedModel:
@@ -162,6 +168,13 @@ class ContaminatedModel:
             fixed[t] = pair
         object.__setattr__(self, "cross_map", fixed)
 
+    @cached_property
+    def _tables(self) -> ExperimentData:
+        """Per treatment, the forced pair's point mass mixed in at rate eta; computed on first use."""
+        base = predicted_tables(self.hidden).tables
+        mixed = {t: JointTable.point_mass(*pair).mix(base[t], self.eta) for t, pair in self.cross_map.items()}
+        return ExperimentData(tables=mixed)
+
 
 Model = Union[SelectiveModel, ContaminatedModel]
 
@@ -181,18 +194,8 @@ class SampleSpec:
 
 
 def model_tables(model: Model) -> ExperimentData:
-    """The exact per-treatment joint tables a model generates."""
-    if isinstance(model, SelectiveModel):
-        return predicted_tables(model.hidden)
-    if isinstance(model, ContaminatedModel):
-        base = predicted_tables(model.hidden)
-        eta = model.eta
-        tables = {}
-        for t in TREATMENTS:
-            point = JointTable.point_mass(*model.cross_map[t])
-            tables[t] = point.mix(base.table(t), eta)
-        return ExperimentData(tables=tables)
-    raise InvalidValue(f"unknown model type {type(model).__name__}")
+    """The exact per-treatment joint tables a model generates, computed once per model."""
+    return model._tables
 
 
 def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:

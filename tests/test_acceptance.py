@@ -18,17 +18,7 @@ from selinf.feasibility import (
     solve_feasibility,
     verify_witness,
 )
-from selinf.model import (
-    TREATMENTS,
-    CountTable,
-    ExperimentData,
-    Level,
-    flip_a_coding,
-    flip_b_coding,
-    mix_experiments,
-    swap_alpha_levels,
-    swap_beta_levels,
-)
+from selinf.model import TREATMENTS, CountTable, ExperimentData, Level
 from selinf.selectivity import (
     MarginalComparison,
     Response,
@@ -36,9 +26,17 @@ from selinf.selectivity import (
     test_marginal_selectivity as run_ms_test,
 )
 from selinf.simulate import SampleSpec, SelectiveModel, sample_counts
-from selinf.io import serialize_experiment
+from selinf.io import analyze, serialize_experiment
 
 from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
+from relabel import (
+    chsh_facet_value,
+    flip_a_coding,
+    flip_b_coding,
+    mix_experiments,
+    swap_alpha_levels,
+    swap_beta_levels,
+)
 
 # Documented Monte-Carlo seed for the sampling criteria (also in the README).
 DOCUMENTED_SEED = 2026
@@ -52,9 +50,7 @@ def _min_analysis_seconds(data, repeats=5):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        compute_gamma(data)
-        check_marginal_selectivity(data, 0)
-        solve_feasibility(data)
+        solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data, 0))
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -69,7 +65,7 @@ def test_criterion_1_zero_gamma_with_marginal_violation(table1):
     assert b_at_b.p_under_first == Fraction(5, 10)
     assert b_at_b.p_under_second == Fraction(4, 10)
 
-    result = solve_feasibility(table1)
+    result = analyze(table1).feasibility
     assert not result.feasible
     assert isinstance(result.certificate, MarginalComparison)
 
@@ -88,7 +84,7 @@ def test_criterion_2_extremal_box(table2):
     assert ms.satisfied
     assert ms.max_delta == 0
 
-    result = solve_feasibility(table2)
+    result = analyze(table2).feasibility
     assert not result.feasible
     assert isinstance(result.certificate, FacetViolation)
 
@@ -107,7 +103,7 @@ def test_criterion_3_observed_experiment(table3):
     assert abs(cat_under_b - Fraction(135, 1000)) <= Fraction(2, 1000)
     assert abs(cat_under_b_prime - Fraction(766, 1000)) <= Fraction(2, 1000)
 
-    assert not solve_feasibility(table3).feasible
+    assert not analyze(table3).feasibility.feasible
     _passed(
         3,
         f"Gamma = {float(report.gamma):.4f} in [2.415, 2.425], "
@@ -121,14 +117,14 @@ def test_criterion_4_fine_equivalence_property_suite():
 
     for _ in range(1000):
         data = predicted_tables(random_hidden_distribution(rng))
-        assert solve_feasibility(data).feasible
+        assert analyze(data).feasibility.feasible
         assert check_marginal_selectivity(data, 0).satisfied
         assert compute_gamma(data).gamma <= 2
 
     agreements = 0
     for _ in range(1000):
         data = random_ms_data(rng)
-        assert solve_feasibility(data).feasible == fine_criterion(data)
+        assert analyze(data).feasibility.feasible == fine_criterion(data)
         agreements += 1
 
     elapsed = time.monotonic() - start
@@ -149,7 +145,7 @@ def test_criterion_5_witness_and_certificate_soundness():
         else:
             local = predicted_tables(random_hidden_distribution(rng))
             data = mix_experiments(box, local, Fraction(rng.randint(0, 16), 16))
-        result = solve_feasibility(data)
+        result = analyze(data).feasibility
         if result.feasible:
             n_feasible += 1
             assert verify_witness(result.witness, data)
@@ -158,8 +154,6 @@ def test_criterion_5_witness_and_certificate_soundness():
             assert result.certificate is not None
             for cert in result.all_violations:
                 if isinstance(cert, FacetViolation):
-                    from selinf.chsh import chsh_facet_value
-
                     assert chsh_facet_value(data, cert.pattern) == cert.value
                     assert cert.value > 2
                 else:

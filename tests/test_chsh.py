@@ -10,22 +10,21 @@ from selinf.chsh import (
     BoundClassification,
     ChshReport,
     SignPattern,
-    chsh_facet_value,
     classify_gamma,
     compute_gamma,
 )
 from selinf.errors import InvalidPattern
 from selinf.feasibility import predicted_tables
-from selinf.model import (
-    TREATMENTS,
-    Level,
+from selinf.model import TREATMENTS, Level
+
+from conftest import random_any_data, random_hidden_distribution
+from relabel import (
+    chsh_facet_value,
     flip_a_coding,
     flip_b_coding,
     swap_alpha_levels,
     swap_beta_levels,
 )
-
-from conftest import random_any_data, random_hidden_distribution
 
 
 class TestSignPatterns:

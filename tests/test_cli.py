@@ -260,6 +260,30 @@ class TestUnexpectedFailure:
         assert proc.stderr == "error: unexpected RuntimeError: boom\n"
 
 
+class TestMalformedOptionalSections:
+    """Flags that are not JSON booleans and label sections that are not objects exit 2 on one line."""
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"labels": {"factors": ["alpha"]}}, "labels.factors"),
+            ({"labels": {"levels": ["a"]}}, "labels.levels"),
+            ({"renormalize": "false"}, '"renormalize"'),
+            ({"independent_counts": "false"}, '"independent_counts"'),
+        ],
+    )
+    def test_exits_with_one_error_line_naming_the_key(self, tmp_path, capsys, extra, named):
+        block = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
+        doc = {"treatments": {k: dict(block) for k in ("a,b", "a,b'", "a',b", "a',b'")}, **extra}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected" not in err and named in err
+
+
 class TestOversizedInput:
     """Inputs beyond the parse caps are bad cells, reported on one line with exit 2."""
 

@@ -19,10 +19,12 @@ from selinf.feasibility import (
     solve_feasibility,
     verify_witness,
 )
-from selinf.model import TREATMENTS, JointTable, Level, mix_experiments
+from selinf.io import analyze
+from selinf.model import TREATMENTS, JointTable, Level
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 
 from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
+from relabel import chsh_facet_value, mix_experiments
 
 
 class TestHiddenStates:
@@ -112,14 +114,14 @@ class TestPredictedTables:
 
 class TestSolveFeasibility:
     def test_extremal_box_blocked_by_facet(self, table2):
-        result = solve_feasibility(table2)
+        result = analyze(table2).feasibility
         assert not result.feasible
         assert isinstance(result.certificate, FacetViolation)
         assert result.certificate.pattern == SignPattern.of(1, 1, 1, -1)
         assert result.certificate.value == 4
 
     def test_marginal_violation_blocks_despite_zero_gamma(self, table1):
-        result = solve_feasibility(table1)
+        result = analyze(table1).feasibility
         assert not result.feasible
         assert isinstance(result.certificate, MarginalComparison)
         # the B-at-b inequality (.5 vs .4) is among the listed violations
@@ -137,13 +139,13 @@ class TestSolveFeasibility:
         )
 
     def test_observed_experiment_infeasible(self, table3):
-        result = solve_feasibility(table3)
+        result = analyze(table3).feasibility
         assert not result.feasible
         assert result.certificate is not None
 
     def test_uniform_tables_feasible_with_witness(self):
         data = predicted_tables(HiddenStateDistribution.uniform())
-        result = solve_feasibility(data)
+        result = analyze(data).feasibility
         assert result.feasible
         assert verify_witness(result.witness, data)
 
@@ -151,7 +153,7 @@ class TestSolveFeasibility:
         rng = random.Random(53)
         for _ in range(100):
             data = predicted_tables(random_hidden_distribution(rng))
-            result = solve_feasibility(data)
+            result = analyze(data).feasibility
             assert result.feasible
             assert verify_witness(result.witness, data)
 
@@ -161,17 +163,18 @@ class TestSolveFeasibility:
 
         monkeypatch.setattr("selinf.feasibility.reduce_system", reduce_again)
         monkeypatch.setattr("selinf.simplex.reduce_system", reduce_again)
-        assert solve_feasibility(predicted_tables(HiddenStateDistribution.uniform())).feasible
-        assert not any(solve_feasibility(t).feasible for t in (table1, table2, table3))
+        assert analyze(predicted_tables(HiddenStateDistribution.uniform())).feasibility.feasible
+        assert not any(analyze(t).feasibility.feasible for t in (table1, table2, table3))
 
     def test_solver_disagreeing_with_fine_is_an_error(self, monkeypatch):
         # the runtime cross-check: no witness, yet no violated condition
         monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs: None)
+        data = predicted_tables(HiddenStateDistribution.uniform())
         with pytest.raises(SelinfError, match="no marginal or facet condition"):
-            solve_feasibility(predicted_tables(HiddenStateDistribution.uniform()))
+            solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data))
 
     def test_certificate_search_order_marginals_first(self, table1):
-        result = solve_feasibility(table1)
+        result = analyze(table1).feasibility
         # table 1 violates all four marginal comparisons; fixed order starts at A at a
         first = result.certificate
         assert isinstance(first, MarginalComparison)
@@ -188,7 +191,7 @@ class TestFineEquivalence:
         rng = random.Random(54)
         for _ in range(150):
             data = random_ms_data(rng)
-            assert solve_feasibility(data).feasible == fine_criterion(data)
+            assert analyze(data).feasibility.feasible == fine_criterion(data)
 
     def test_verdict_equals_criterion_on_box_mixtures(self):
         rng = random.Random(55)
@@ -197,7 +200,7 @@ class TestFineEquivalence:
             local = predicted_tables(random_hidden_distribution(rng))
             lam = Fraction(rng.randint(0, 16), 16)
             data = mix_experiments(box, local, lam)
-            assert solve_feasibility(data).feasible == fine_criterion(data)
+            assert analyze(data).feasibility.feasible == fine_criterion(data)
 
     def test_golden_tables_all_fail_criterion(self, table1, table2, table3):
         assert not fine_criterion(table1)  # marginal selectivity fails, gamma = 0
@@ -220,14 +223,12 @@ class TestFineEquivalence:
                 )
             else:
                 data = random_ms_data(rng)
-            result = solve_feasibility(data)
+            result = analyze(data).feasibility
             if result.feasible:
                 continue
             for cert in (result.certificate, *result.all_violations):
                 if isinstance(cert, FacetViolation):
                     seen_facet += 1
-                    from selinf.chsh import chsh_facet_value
-
                     assert chsh_facet_value(data, cert.pattern) == cert.value > 2
                 else:
                     seen_marginal += 1
@@ -242,7 +243,8 @@ class TestFineEquivalence:
         rng = random.Random(57)
         for _ in range(100):
             data = random_ms_data(rng) if rng.random() < 0.5 else random_any_data(rng)
-            assert (not fine_violations(data)) == solve_feasibility(data).feasible
+            violations = fine_violations(compute_gamma(data), check_marginal_selectivity(data))
+            assert (not violations) == analyze(data).feasibility.feasible
 
 
 class TestConvexity:
@@ -253,7 +255,7 @@ class TestConvexity:
             d2 = predicted_tables(random_hidden_distribution(rng))
             lam = Fraction(rng.randint(0, 12), 12)
             mixed = mix_experiments(d1, d2, lam)
-            result = solve_feasibility(mixed)
+            result = analyze(mixed).feasibility
             assert result.feasible
             assert verify_witness(result.witness, mixed)
 
@@ -266,7 +268,7 @@ class TestGeneralRepresentation:
             assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
 
     def test_exists_even_for_infeasible_data(self, table2):
-        assert not solve_feasibility(table2).feasible
+        assert not analyze(table2).feasibility.feasible
         rep = construct_general_representation(table2)
         assert sum(rep.weights.values()) == 1
 
@@ -302,6 +304,6 @@ class TestVerifyWitness:
         rng = random.Random(61)
         for _ in range(50):
             data = random_ms_data(rng)
-            result = solve_feasibility(data)
+            result = analyze(data).feasibility
             if result.feasible:
                 assert verify_witness(result.witness, data)

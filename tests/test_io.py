@@ -3,10 +3,12 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import selinf.feasibility
 import selinf.io
 import selinf.model
 from selinf.errors import (
@@ -268,6 +270,29 @@ class TestParseExperiment:
         assert data.independent_counts
         assert data.table(TREATMENTS[0]) == JointTable.uniform()
 
+    @pytest.mark.parametrize("value", ["false", 0, None, [1]])
+    @pytest.mark.parametrize("key", ["renormalize", "independent_counts"])
+    def test_flags_accept_only_json_booleans(self, key, value):
+        doc = uniform_doc()
+        doc[key] = value
+        with pytest.raises(ParseError, match=f'"{key}" must be JSON true or false'):
+            parse_experiment(json.dumps(doc))
+
+    def test_false_flags_are_read_as_false(self):
+        near_one = uniform_doc()
+        near_one["treatments"]["a,b"] = {"pp": ".2549", "pm": ".25", "mp": ".25", "mm": ".25"}
+        near_one["renormalize"] = False
+        with pytest.raises(SumNotOne):
+            parse_experiment(json.dumps(near_one))
+        conflicting = uniform_doc()
+        conflicting["treatments"]["a,b"] = {
+            "pp": "1/2", "pm": "0", "mp": "0", "mm": "1/2",
+            "counts": {"pp": 3, "pm": 0, "mp": 0, "mm": 1},
+        }
+        conflicting["independent_counts"] = False
+        with pytest.raises(ConflictingData):
+            parse_experiment(json.dumps(conflicting))
+
     def test_float_cells_read_by_shortest_repr(self):
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": 0.049, "pm": 0.63, "mp": 0.259, "mm": 0.062}
@@ -284,6 +309,14 @@ class TestParseExperiment:
         doc = uniform_doc()
         doc["labels"] = {"responses": {"q": ["x", "y"]}}
         with pytest.raises(ParseError):
+            parse_experiment(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [["alpha"], "a", None])
+    @pytest.mark.parametrize("section", ["factors", "levels", "responses"])
+    def test_label_sections_must_be_objects(self, section, value):
+        doc = uniform_doc()
+        doc["labels"] = {section: value}
+        with pytest.raises(ParseError, match=f"labels.{section} must be a JSON object"):
             parse_experiment(json.dumps(doc))
 
 
@@ -348,6 +381,26 @@ class TestAnalyzeAssembly:
         loose = analyze(table1, tolerance=Fraction(1, 4))
         assert loose.marginals.satisfied
         assert not loose.feasibility.feasible  # solver still exact
+
+    def test_each_report_is_built_once(self, table1, table2, monkeypatch):
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("compute_gamma", "check_marginal_selectivity"):
+            wrapper = counted(name, getattr(selinf.io, name))
+            for module in (selinf.io, selinf.feasibility):
+                monkeypatch.setattr(module, name, wrapper)
+        feasible = predicted_tables(random_hidden_distribution(random.Random(83)))
+        for data in (table1, table2, feasible):
+            calls.clear()
+            analyze(data)
+            assert calls == {"compute_gamma": 1, "check_marginal_selectivity": 1}
 
 
 class TestReportJson:

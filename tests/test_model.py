@@ -17,15 +17,19 @@ from selinf.model import (
     LabelSet,
     Level,
     Treatment,
-    flip_a_coding,
-    flip_b_coding,
-    mix_experiments,
     rational,
-    swap_alpha_levels,
-    swap_beta_levels,
 )
 
 from conftest import random_any_data
+from relabel import (
+    flip_a,
+    flip_a_coding,
+    flip_b,
+    flip_b_coding,
+    mix_experiments,
+    swap_alpha_levels,
+    swap_beta_levels,
+)
 
 
 def random_table(rng, denom=20):
@@ -132,10 +136,10 @@ class TestExpectation:
         rng = random.Random(12)
         for _ in range(100):
             t = random_table(rng)
-            assert t.flip_a().expectation() == -t.expectation()
-            assert t.flip_a().pr_a_plus == 1 - t.pr_a_plus
-            assert t.flip_b().expectation() == -t.expectation()
-            assert t.flip_b().pr_b_plus == 1 - t.pr_b_plus
+            assert flip_a(t).expectation() == -t.expectation()
+            assert flip_a(t).pr_a_plus == 1 - t.pr_a_plus
+            assert flip_b(t).expectation() == -t.expectation()
+            assert flip_b(t).pr_b_plus == 1 - t.pr_b_plus
 
 
 class TestMarginals:
@@ -262,7 +266,7 @@ class TestTransforms:
         flipped = flip_a_coding(data, Level.FIRST)
         for t in TREATMENTS:
             if t.alpha.level is Level.FIRST:
-                assert flipped.table(t) == data.table(t).flip_a()
+                assert flipped.table(t) == flip_a(data.table(t))
             else:
                 assert flipped.table(t) == data.table(t)
 

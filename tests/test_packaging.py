@@ -1,6 +1,7 @@
 """Package hygiene: stdlib-only imports and a public API that matches its imports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +45,17 @@ def test_all_lists_exactly_the_names_imported_by_the_package():
     assert len(selinf.__all__) == len(imported)
     for name in selinf.__all__:
         assert getattr(selinf, name) is not None
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only tests use belongs in a test helper, not in the API
+    root = PACKAGE_DIR.parent.parent
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "bench").glob("*.py")) + [root / "README.md"]
+    texts = [path.read_text() for path in paths]
+    unused = []
+    for name in selinf.__all__:
+        definition = re.compile(rf"^\s*(?:def|class)\s+{name}\b|^{name}\s*(?::[^=\n]*)?=", re.M)
+        if not any(re.search(rf"\b{name}\b", definition.sub("", text)) for text in texts):
+            unused.append(name)
+    assert unused == []

@@ -8,14 +8,7 @@ import pytest
 
 from selinf.errors import InvalidValue, MissingCounts
 from selinf.feasibility import HIDDEN_STATES, HiddenStateDistribution, predicted_tables
-from selinf.model import (
-    TREATMENTS,
-    CountTable,
-    ExperimentData,
-    Level,
-    flip_a_coding,
-    flip_b_coding,
-)
+from selinf.model import TREATMENTS, CountTable, ExperimentData, Level
 from selinf.selectivity import (
     Response,
     check_marginal_selectivity,
@@ -23,6 +16,7 @@ from selinf.selectivity import (
 )
 
 from conftest import random_any_data, random_hidden_distribution
+from relabel import flip_a_coding, flip_b_coding
 
 
 def with_counts(counts_by_treatment):

@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+import selinf.simulate
 from selinf.chsh import compute_gamma
 from selinf.errors import InvalidValue
 from selinf.feasibility import (
     HIDDEN_STATES,
     HiddenStateDistribution,
     fine_criterion,
-    solve_feasibility,
 )
+from selinf.io import analyze
 from selinf.model import TREATMENTS, JointTable
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import (
@@ -143,7 +144,31 @@ class TestModelTables:
         for _ in range(50):
             data = model_tables(SelectiveModel(random_hidden_distribution(rng)))
             assert fine_criterion(data)
-            assert solve_feasibility(data).feasible
+            assert analyze(data).feasibility.feasible
+
+    def test_tables_are_computed_on_first_use_and_once(self, monkeypatch):
+        pushed = []
+        original = selinf.simulate.predicted_tables
+
+        def counting(dist):
+            pushed.append(dist)
+            return original(dist)
+
+        monkeypatch.setattr(selinf.simulate, "predicted_tables", counting)
+        uniform = HiddenStateDistribution.uniform()
+        cross = {t: (1, -1) for t in TREATMENTS}
+        builds = (
+            lambda: SelectiveModel(uniform),
+            lambda: ContaminatedModel(hidden=uniform, eta=Fraction(1, 5), cross_map=cross),
+        )
+        for build in builds:
+            pushed.clear()
+            model = build()
+            assert pushed == []  # not at construction
+            first = sample_counts(model, SampleSpec(n_per_treatment=50, seed=3))
+            assert sample_counts(model, SampleSpec(n_per_treatment=50, seed=3)) == first
+            assert model_tables(model) is model_tables(model)
+            assert len(pushed) == 1
 
     def test_model_validation(self):
         uniform = HiddenStateDistribution.uniform()
