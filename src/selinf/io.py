@@ -24,7 +24,8 @@ All four treatment blocks are required. A block holds either four
 probability cells (strings such as ".049" or "49/1000"; bare JSON numbers
 are accepted and read via their shortest decimal form) or four integer
 count cells with an optional redundant total "n". A probability block may
-additionally carry a nested ``"counts"`` object; the two must agree unless
+additionally carry a nested ``"counts"`` object of that count form ("n"
+appears only with counts); the two must agree unless
 ``independent_counts`` is set (for published rounded estimates shipped
 alongside sample sizes). Probability cells must sum to exactly 1 unless
 ``renormalize`` is set, which accepts sums within +-0.01 and rescales.
@@ -32,8 +33,8 @@ Decimal exponents beyond +-1000, count tables of more than 2**53
 observations, and cells whose least common denominator exceeds 10**2000
 (checked per block, then over all 16 cells after renormalizing) are bad
 cells, and ``analyze`` rejects a tolerance whose numerator or denominator
-exceeds 10**2000. ``parse_experiment`` and ``parse_model`` read the
-document text.
+exceeds 10**2000. Every label name is a nonempty string.
+``parse_experiment`` and ``parse_model`` read the document text.
 
 On output, probabilities are written as exact fraction strings
 ("49/1000"), so parse(serialize(data)) == data.
@@ -49,16 +50,17 @@ Model file format (JSON)
     }
 
 Missing states weigh 0. ``cross_map`` (required when eta > 0) forces the
-written outcome pair, A then B, when contamination strikes.
+written outcome pair, A then B, when contamination strikes. The hidden
+weights, and eta, are rejected when a numerator or their least common
+denominator exceeds 10**2000.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Collection, Mapping, Optional, Union
 
 from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (
@@ -87,6 +89,7 @@ from .model import (
     Rational,
     Treatment,
     decode_signs,
+    exceeds_common_denominator_cap,
     rational,
 )
 from .selectivity import (
@@ -99,18 +102,9 @@ from .selectivity import (
 )
 from .simulate import ContaminatedModel, Model, SelectiveModel
 
-TREATMENT_KEYS = tuple(t.key for t in TREATMENTS)
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 
 RENORMALIZE_WINDOW = Fraction(1, 100)
-
-# Every rational a report computes from the tables has a denominator that
-# divides the least common denominator of the 16 table cells times the
-# determinant of a basis of the constant 0/1 constraint matrix (at most 195
-# in magnitude for 9x9), and a numerator at most 4 times that denominator.
-# Capping the common denominator keeps every rendered number far below
-# Python's 4,300-digit int-to-str limit.
-MAX_COMMON_DENOMINATOR = 10**2000
 
 _LEVELS_BY_KEY = {lv.key: lv for lv in FACTOR_LEVELS}
 
@@ -125,22 +119,35 @@ def _load(text: str, what: str) -> Mapping[str, Any]:
     return document
 
 
-def _check_common_denominator(cells: Iterable[Fraction], where: str) -> None:
-    if math.lcm(*(c.denominator for c in cells)) > MAX_COMMON_DENOMINATOR:
+def _check_common_denominator(cells: Collection[Fraction], where: str) -> None:
+    if exceeds_common_denominator_cap(cells):
         raise BadCell(f"{where}: the cells' least common denominator exceeds 10**2000")
 
 
-def _parse_count_cells(block: Mapping[str, Any], key: str) -> CountTable:
+def _check_cell_keys(block: Mapping[str, Any], key: str, extra: str) -> None:
+    """The four cells must be present; ``extra`` is the one other key allowed."""
+    unknown = set(block) - set(PROB_KEYS) - {extra}
+    if unknown:
+        raise ParseError(f"treatment {key}: unknown keys {sorted(unknown)}")
+    missing = [ck for ck in PROB_KEYS if ck not in block]
+    if missing:
+        raise BadCell(f"treatment {key}: missing cells {missing}")
+
+
+def _parse_count_cells(block: Any, key: str) -> CountTable:
+    """A count block, top-level or nested under "counts": four counts and an optional total "n"."""
+    if not isinstance(block, Mapping):
+        raise ParseError(f"treatment {key}: counts must be a JSON object")
+    _check_cell_keys(block, key, "n")
     try:
         counts = CountTable(*(block[ck] for ck in PROB_KEYS))
     except InvalidTable as exc:
         raise BadCell(f"treatment {key}: {exc}") from exc
-    if "n" in block:
-        n = block["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise BadCell(f"treatment {key}: n must be an integer")
-        if n != counts.n:
-            raise ConflictingData(f"treatment {key}: counts sum to {counts.n} but n = {n}")
+    n = block.get("n", counts.n)
+    if type(n) is not int:  # JSON integers, not booleans
+        raise BadCell(f"treatment {key}: n must be an integer")
+    if n != counts.n:
+        raise ConflictingData(f"treatment {key}: counts sum to {counts.n} but n = {n}")
     return counts
 
 
@@ -179,38 +186,17 @@ def _parse_block(
 ) -> tuple[JointTable, Optional[CountTable]]:
     if not isinstance(block, Mapping):
         raise ParseError(f"treatment {key}: block must be a JSON object")
-    unknown = set(block) - set(PROB_KEYS) - {"counts", "n"}
-    if unknown:
-        raise ParseError(f"treatment {key}: unknown keys {sorted(unknown)}")
-    missing = [ck for ck in PROB_KEYS if ck not in block]
-    if missing:
-        raise BadCell(f"treatment {key}: missing cells {missing}")
-    cell_types = {
-        ck: (isinstance(block[ck], int) and not isinstance(block[ck], bool))
-        for ck in PROB_KEYS
-    }
-    if all(cell_types.values()):
-        # integer cells are counts
-        if "counts" in block:
-            raise ParseError(f"treatment {key}: nested counts under a count block")
+    is_count = [type(block.get(ck)) is int for ck in PROB_KEYS]  # JSON integers, not booleans
+    if all(is_count):
         counts = _parse_count_cells(block, key)
         return counts.normalized(), counts
-    if any(cell_types.values()):
+    _check_cell_keys(block, key, "counts")
+    if any(is_count):
         raise BadCell(
             f"treatment {key}: mix of integer (count) and fractional (probability) cells"
         )
     table = _parse_prob_cells(block, key, renormalize)
-    counts = None
-    if "counts" in block:
-        nested = block["counts"]
-        if not isinstance(nested, Mapping):
-            raise ParseError(f"treatment {key}: counts must be a JSON object")
-        if set(nested) - set(PROB_KEYS) - {"n"}:
-            raise ParseError(f"treatment {key}: unknown keys in counts")
-        if any(ck not in nested for ck in PROB_KEYS):
-            raise BadCell(f"treatment {key}: counts block missing cells")
-        counts = _parse_count_cells(nested, key)
-    return table, counts
+    return table, _parse_count_cells(block["counts"], key) if "counts" in block else None
 
 
 def _parse_labels(raw: Any) -> LabelSet:
@@ -222,19 +208,8 @@ def _parse_labels(raw: Any) -> LabelSet:
     for section in ("factors", "levels", "responses"):
         if section in raw and not isinstance(raw[section], Mapping):
             raise ParseError(f"labels.{section} must be a JSON object")
-    responses = None
-    if "responses" in raw:
-        responses = {}
-        for key, pair in raw["responses"].items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ParseError(f"labels.responses[{key!r}] must be a two-item list")
-            responses[key] = (str(pair[0]), str(pair[1]))
     try:
-        return LabelSet(
-            factors=raw.get("factors"),
-            levels=raw.get("levels"),
-            responses=responses,
-        )
+        return LabelSet(**raw)
     except InvalidValue as exc:
         raise ParseError(f"bad labels: {exc}") from exc
 
@@ -253,20 +228,18 @@ def parse_experiment(text: str) -> ExperimentData:
     renormalize = doc.get("renormalize", False)
     independent = doc.get("independent_counts", False)
     blocks = doc["treatments"]
-    unknown = set(blocks) - set(TREATMENT_KEYS)
+    unknown = set(blocks) - {t.key for t in TREATMENTS}
     if unknown:
         raise ParseError(f"unknown treatment keys {sorted(unknown)}")
     tables = {}
     counts = {}
-    for key in TREATMENT_KEYS:
-        if key not in blocks:
-            raise MissingTreatment(f"treatment block {key!r} is missing")
-        table, count = _parse_block(blocks[key], key, renormalize)
-        treatment = Treatment.from_key(key)
-        tables[treatment] = table
+    for t in TREATMENTS:
+        if t.key not in blocks:
+            raise MissingTreatment(f"treatment block {t.key!r} is missing")
+        tables[t], count = _parse_block(blocks[t.key], t.key, renormalize)
         if count is not None:
-            counts[treatment] = count
-    _check_common_denominator((c for table in tables.values() for c in table.cells()), "treatments")
+            counts[t] = count
+    _check_common_denominator([c for table in tables.values() for c in table.cells()], "treatments")
     labels = _parse_labels(doc["labels"]) if "labels" in doc else None
     try:
         return ExperimentData(
@@ -291,15 +264,8 @@ def serialize_experiment(data: ExperimentData) -> str:
             block["counts"] = dict(zip(PROB_KEYS, ct.cells()))
         treatments[t.key] = block
     doc: dict[str, Any] = {"treatments": treatments}
-    if data.labels is not None:
-        labels: dict[str, Any] = {}
-        if data.labels.factors is not None:
-            labels["factors"] = dict(data.labels.factors)
-        if data.labels.levels is not None:
-            labels["levels"] = dict(data.labels.levels)
-        if data.labels.responses is not None:
-            labels["responses"] = {k: list(v) for k, v in data.labels.responses.items()}
-        doc["labels"] = labels
+    if data.labels is not None:  # json writes each response pair as a list
+        doc["labels"] = {name: names for name, names in asdict(data.labels).items() if names is not None}
     if data.independent_counts:
         doc["independent_counts"] = True
     return json.dumps(doc, indent=2)
@@ -314,27 +280,29 @@ def parse_model(text: str) -> Model:
     if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):
         raise ParseError('model needs a "hidden" object of state weights')
     try:
-        hidden = HiddenStateDistribution.from_mapping(doc["hidden"])
+        weights = {state: rational(w) for state, w in doc["hidden"].items()}
+        if exceeds_common_denominator_cap(weights.values()):  # the sum error prints the total
+            raise ParseError("hidden: a numerator or the least common denominator exceeds 10**2000")
+        hidden = HiddenStateDistribution.from_mapping(weights)
     except InvalidValue as exc:
         raise ParseError(f"bad hidden-state weights: {exc}") from exc
-    eta = Fraction(0)
-    if "eta" in doc:
-        try:
-            eta = rational(doc["eta"])
-        except InvalidValue as exc:
-            raise ParseError(f"bad eta: {exc}") from exc
+    try:
+        eta = rational(doc.get("eta", 0))
+    except InvalidValue as exc:
+        raise ParseError(f"bad eta: {exc}") from exc
+    if exceeds_common_denominator_cap([eta]):  # the range error prints eta
+        raise ParseError("eta: numerator or denominator exceeds 10**2000")
     if "cross_map" not in doc:
         if eta != 0:
             raise ParseError("eta > 0 needs a cross_map of forced outcome pairs")
         return SelectiveModel(hidden=hidden)
-    raw_map = doc["cross_map"]
-    if not isinstance(raw_map, Mapping) or set(raw_map) != set(TREATMENT_KEYS):
-        raise ParseError("cross_map must give an outcome pair for all four treatments")
-    cross = {
-        Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
-        for key, pair in raw_map.items()
-    }
+    if not isinstance(doc["cross_map"], Mapping):
+        raise ParseError("cross_map must be a JSON object")
     try:
+        cross = {
+            Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
+            for key, pair in doc["cross_map"].items()
+        }
         return ContaminatedModel(hidden=hidden, eta=eta, cross_map=cross)
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
@@ -359,17 +327,13 @@ def analyze(
     """Run the full pipeline on one experiment.
 
     Significance tests run exactly when counts are present for all four
-    treatments. A tolerance whose numerator or denominator exceeds 10**2000
-    is rejected, as table cells are.
+    treatments.
     """
-    tolerance = rational(tolerance)
-    if max(abs(tolerance.numerator), tolerance.denominator) > MAX_COMMON_DENOMINATOR:
-        raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
-    ms_tests = None
-    if data.has_full_counts():
-        ms_tests = tuple(test_marginal_selectivity(data, alpha_sig, bonferroni))
     chsh = compute_gamma(data)
     marginals = check_marginal_selectivity(data, tolerance)
+    ms_tests = None
+    if data.has_full_counts():
+        ms_tests = tuple(test_marginal_selectivity(data, marginals, alpha_sig, bonferroni))
     return AnalysisReport(
         chsh=chsh,
         marginals=marginals,

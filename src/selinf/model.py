@@ -12,15 +12,13 @@ tolerance-based.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Collection, Mapping, Optional, Union
 
 from .errors import ConflictingData, InvalidTable, InvalidValue, SelinfError, ZeroTotal
-
-# Public alias: probabilities are exact rationals in [0, 1].
-Probability = Fraction
 
 Rational = Union[Fraction, int, str, float]
 
@@ -29,6 +27,20 @@ Rational = Union[Fraction, int, str, float]
 MAX_DECIMAL_EXPONENT = 1000
 MAX_COUNT_TOTAL = 2**53
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+# Every rational a report computes from the tables has a denominator that
+# divides the least common denominator of the 16 table cells times the
+# determinant of a basis of the constant 0/1 constraint matrix (at most 195
+# in magnitude for 9x9), and a numerator at most 4 times that denominator.
+# Capping the common denominator keeps every rendered number far below
+# Python's 4,300-digit int-to-str limit.
+MAX_COMMON_DENOMINATOR = 10**2000
+
+
+def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
+    """Whether the values' least common denominator, or a numerator's magnitude, exceeds 10**2000."""
+    lcd = math.lcm(*(v.denominator for v in values))
+    return max(lcd, *(abs(v.numerator) for v in values)) > MAX_COMMON_DENOMINATOR
 
 
 def rational(value: Rational) -> Fraction:
@@ -244,7 +256,11 @@ class JointTable:
         )
 
 
-_LEVEL_KEYS = ("a", "a'", "b", "b'")
+_LABEL_KEYS = {
+    "factors": ("alpha", "beta"),
+    "levels": ("a", "a'", "b", "b'"),
+    "responses": ("a", "a'", "b", "b'"),
+}
 
 
 @dataclass(frozen=True)
@@ -252,7 +268,8 @@ class LabelSet:
     """Optional display names: factor names, level prompts, response alternatives.
 
     ``responses`` maps a level key ("a", "a'", "b", "b'") to the pair of
-    alternative names, first alternative (+1) before second (-1).
+    alternative names, first alternative (+1) before second (-1). Every
+    name is a nonempty string.
     """
 
     factors: Optional[Mapping[str, str]] = None
@@ -260,28 +277,22 @@ class LabelSet:
     responses: Optional[Mapping[str, tuple[str, str]]] = None
 
     def __post_init__(self) -> None:
-        if self.factors is not None:
-            bad = set(self.factors) - {"alpha", "beta"}
-            if bad:
-                raise InvalidValue(f"unknown factor label keys {sorted(bad)}")
-            object.__setattr__(self, "factors", dict(self.factors))
-        for attr in ("levels", "responses"):
-            mapping = getattr(self, attr)
+        for section, keys in _LABEL_KEYS.items():
+            mapping = getattr(self, section)
             if mapping is None:
                 continue
-            bad = set(mapping) - set(_LEVEL_KEYS)
+            bad = set(mapping) - set(keys)
             if bad:
-                raise InvalidValue(f"unknown level keys {sorted(bad)} in {attr}")
-            if attr == "responses":
-                fixed = {}
-                for key, pair in mapping.items():
-                    first, second = pair
-                    if not first or not second:
-                        raise InvalidValue(f"response alternatives for {key} must be nonempty")
-                    fixed[key] = (str(first), str(second))
-                object.__setattr__(self, attr, fixed)
-            else:
-                object.__setattr__(self, attr, dict(mapping))
+                raise InvalidValue(f"unknown keys {sorted(bad)} in labels.{section}")
+            pair = section == "responses"
+            fixed = {}
+            for key, value in mapping.items():
+                names = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
+                if len(names) != (2 if pair else 1) or not all(isinstance(name, str) and name for name in names):
+                    shape = "a list of two nonempty strings" if pair else "a nonempty string"
+                    raise InvalidValue(f"labels.{section}[{key!r}] must be {shape}")
+                fixed[key] = names if pair else value
+            object.__setattr__(self, section, fixed)
 
     def response_pair(self, level: FactorLevel) -> Optional[tuple[str, str]]:
         if self.responses is None:
@@ -313,16 +324,13 @@ class ExperimentData:
             raise InvalidValue("tables must be keyed by the four treatments")
         object.__setattr__(self, "tables", {t: self.tables[t] for t in TREATMENTS})
         if self.counts is not None:
-            extra = set(self.counts) - set(TREATMENTS)
-            if extra:
+            if set(self.counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")
-            counts = {t: self.counts[t] for t in TREATMENTS if t in self.counts}
-            if not counts:
-                counts = None
+            counts = {t: self.counts[t] for t in TREATMENTS if t in self.counts} or None
             object.__setattr__(self, "counts", counts)
             if counts and not self.independent_counts:
                 for t, ct in counts.items():
-                    if ct.normalized() != self.tables[t]:
+                    if any(p * ct.n != c for p, c in zip(self.tables[t].cells(), ct.cells())):
                         raise ConflictingData(
                             f"treatment {t.key}: counts normalize to "
                             f"{ct.normalized().cells()} but table says {self.tables[t].cells()}"

@@ -25,6 +25,7 @@ from .model import (
     Level,
     Rational,
     Treatment,
+    exceeds_common_denominator_cap,
     rational,
 )
 
@@ -112,8 +113,12 @@ def check_marginal_selectivity(
     """Compare Pr(response=+1) across the other factor's levels, all four ways.
 
     tolerance 0 is the exact check; a positive rational accepts deltas up to it.
+    A tolerance whose numerator or denominator exceeds 10**2000 is rejected,
+    as table cells are.
     """
     tol = rational(tolerance)
+    if exceeds_common_denominator_cap([tol]):  # checked first: the sign error prints tol
+        raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
     if tol < 0:
         raise InvalidValue(f"tolerance must be nonnegative, got {tol}")
     comparisons = tuple(
@@ -138,12 +143,14 @@ class MsTestResult:
 
 def test_marginal_selectivity(
     data: ExperimentData,
+    marginals: MarginalReport,
     alpha_sig: float = 0.05,
     bonferroni: bool = False,
 ) -> list[MsTestResult]:
     """Run the pooled two-proportion z-test on each of the four comparisons.
 
-    Proportions come from the joint tables' marginals; sample sizes from the
+    Proportions come from ``marginals``, the report
+    ``check_marginal_selectivity(data)`` gives; sample sizes from the
     attached counts (all four treatments must carry counts). Two-sided
     p-values from the standard normal. A pooled proportion of exactly 0 or 1
     is flagged degenerate: z is 0 when the two proportions agree, otherwise
@@ -156,7 +163,7 @@ def test_marginal_selectivity(
         raise MissingCounts("statistical test needs counts for all four treatments")
     alpha_eff = alpha_sig / 4 if bonferroni else alpha_sig
     results = []
-    for comp in check_marginal_selectivity(data).comparisons:
+    for comp in marginals.comparisons:
         t1, t2 = comp.treatments
         n1 = data.count(t1).n
         n2 = data.count(t2).n

@@ -52,6 +52,7 @@ from .errors import InvalidValue
 from .feasibility import HiddenStateDistribution, predicted_tables
 from .model import (
     CELLS,
+    MAX_COUNT_TOTAL,
     TREATMENTS,
     CountTable,
     ExperimentData,
@@ -160,12 +161,10 @@ class ContaminatedModel:
         object.__setattr__(self, "eta", eta)
         if set(self.cross_map) != set(TREATMENTS):
             raise InvalidValue("cross_map must give an outcome pair for all four treatments")
-        fixed = {}
-        for t, pair in self.cross_map.items():
-            pair = tuple(pair)
+        fixed = {t: tuple(pair) for t, pair in self.cross_map.items()}
+        for t, pair in fixed.items():
             if pair not in CELLS:
                 raise InvalidValue(f"cross_map[{t.key}] = {pair!r} is not a +1/-1 pair")
-            fixed[t] = pair
         object.__setattr__(self, "cross_map", fixed)
 
     @cached_property
@@ -187,8 +186,8 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_per_treatment, int) or self.n_per_treatment < 1:
-            raise InvalidValue(f"n_per_treatment must be a positive integer, got {self.n_per_treatment!r}")
+        if not isinstance(self.n_per_treatment, int) or not 1 <= self.n_per_treatment <= MAX_COUNT_TOTAL:
+            raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {self.n_per_treatment!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 

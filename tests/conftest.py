@@ -110,3 +110,22 @@ def large_denominator_documents() -> dict[str, str]:
         },
     }
     return {name: json.dumps(doc) for name, doc in docs.items()}
+
+
+CROSS_MAP = {"a,b": "++", "a,b'": "+-", "a',b": "-+", "a',b'": "--"}
+
+
+def oversized_model_documents() -> dict[str, str]:
+    """Model texts whose error messages would print integers beyond 4,300 digits.
+
+    "hidden-denominators": weights 1/(10**3000+1) and 1/(10**3000+3), whose sum
+    is not 1. "hidden-numerator": one weight of 4,000 nines times 10**1000.
+    "eta-numerator": eta of that size, outside [0, 1].
+    """
+    huge = "9" * 4000 + "e1000"
+    docs = {
+        "hidden-denominators": {"hidden": {"++++": f"1/{10**3000 + 1}", "----": f"1/{10**3000 + 3}"}},
+        "hidden-numerator": {"hidden": {"++++": huge}},
+        "eta-numerator": {"hidden": {"++++": "1"}, "eta": huge, "cross_map": CROSS_MAP},
+    }
+    return {name: json.dumps(doc) for name, doc in docs.items()}

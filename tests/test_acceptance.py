@@ -181,7 +181,7 @@ def test_criterion_7_statistical_rejection_at_n81():
     data = ExperimentData(
         tables={t: c.normalized() for t, c in counts.items()}, counts=counts
     )
-    results = run_ms_test(data, alpha_sig=0.05)
+    results = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.05)
     cat = results[1]  # A at a' (+1 = Tiger, so complements are the Cat rates)
     assert abs(cat.z_statistic) > 1.96
     assert 7.9 < abs(cat.z_statistic) < 8.2  # derived value ~= 8.07
@@ -191,7 +191,8 @@ def test_criterion_7_statistical_rejection_at_n81():
     flat_data = ExperimentData(
         tables={t: c.normalized() for t, c in flat.items()}, counts=flat
     )
-    assert all(r.z_statistic == 0.0 and not r.reject for r in run_ms_test(flat_data))
+    flat_results = run_ms_test(flat_data, check_marginal_selectivity(flat_data))
+    assert all(r.z_statistic == 0.0 and not r.reject for r in flat_results)
     _passed(7, f"Cat comparison |z| = {abs(cat.z_statistic):.2f} > 1.96 rejected; flat data z = 0")
 
 

@@ -12,7 +12,7 @@ import selinf
 from selinf.cli import load_fixture_text, run_cli
 from selinf.io import parse_experiment
 
-from conftest import large_denominator_documents
+from conftest import large_denominator_documents, oversized_model_documents
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR = 0, 1, 2
 
@@ -199,6 +199,27 @@ class TestSimulateCommand:
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps({"hidden": {"++++": "0.9"}}))
         assert run_cli(["simulate", "--model", str(path), "--n", "5", "--seed", "1"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("name", ["hidden-denominators", "hidden-numerator", "eta-numerator"])
+    def test_oversized_model_exits_with_one_error_line(self, tmp_path, capsys, name):
+        path = tmp_path / "model.json"
+        path.write_text(oversized_model_documents()[name])
+        code = run_cli(["simulate", "--model", str(path), "--n", "10", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected" not in err and "exceeds 10**2000" in err
+
+    def test_sample_size_beyond_2_to_the_53_is_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr("selinf.cli.sample_counts", no_draws)
+        model = self.model_path(tmp_path)
+        code = run_cli(["simulate", "--model", model, "--n", str(2**53 + 1), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == f"error: n_per_treatment must be an integer from 1 to 2**53, got {2**53 + 1}\n"
 
 
 class TestSelftest:

@@ -11,6 +11,7 @@ import pytest
 import selinf.feasibility
 import selinf.io
 import selinf.model
+import selinf.selectivity
 from selinf.errors import (
     BadCell,
     ConflictingData,
@@ -31,7 +32,13 @@ from selinf.io import (
 from selinf.model import TREATMENTS, JointTable
 from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, sample_counts
 
-from conftest import large_denominator_documents, random_any_data, random_hidden_distribution
+from conftest import (
+    CROSS_MAP,
+    large_denominator_documents,
+    oversized_model_documents,
+    random_any_data,
+    random_hidden_distribution,
+)
 
 UNIFORM_BLOCK = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
 
@@ -262,6 +269,35 @@ class TestParseExperiment:
         with pytest.raises(ConflictingData):
             parse_experiment(json.dumps(doc))
 
+    def test_nested_counts_carry_an_optional_total(self):
+        doc = uniform_doc()
+        doc["treatments"]["a,b"]["counts"] = {"pp": 1, "pm": 1, "mp": 1, "mm": 1, "n": 4}
+        assert parse_experiment(json.dumps(doc)).count(TREATMENTS[0]).n == 4
+        doc["treatments"]["a,b"]["counts"]["n"] = 5
+        with pytest.raises(ConflictingData, match="treatment a,b: counts sum to 4 but n = 5"):
+            parse_experiment(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "block, error, message",
+        [
+            ({**UNIFORM_BLOCK, "n": 7}, ParseError, "unknown keys \\['n'\\]"),
+            ({**UNIFORM_BLOCK, "n": "x"}, ParseError, "unknown keys \\['n'\\]"),
+            ({**UNIFORM_BLOCK, "counts": [1, 1, 1, 1]}, ParseError, "counts must be a JSON object"),
+            ({**UNIFORM_BLOCK, "counts": {"pp": 1, "pm": 1, "mp": 1}}, BadCell, "missing cells \\['mm'\\]"),
+            ({**UNIFORM_BLOCK, "counts": {"pp": 1, "pm": 1, "mp": 1, "mm": 1, "x": 1}}, ParseError, "unknown keys \\['x'\\]"),
+            ({"pp": 1, "pm": 1, "mp": 1, "mm": 1, "counts": {"pp": 1, "pm": 1, "mp": 1, "mm": 1}},
+             ParseError, "unknown keys \\['counts'\\]"),
+            ({"pp": 1, "pm": 1, "mp": 1, "mm": 1, "n": True}, BadCell, "n must be an integer"),
+        ],
+        ids=["n-int", "n-str", "counts-not-object", "counts-missing-cell", "counts-unknown-key", "counts-in-counts", "bool-n"],
+    )
+    def test_block_keys(self, block, error, message):
+        # "n" belongs only beside counts; a probability block takes its cells and "counts"
+        doc = uniform_doc()
+        doc["treatments"]["a,b"] = block
+        with pytest.raises(error, match=f"treatment a,b: {message}"):
+            parse_experiment(json.dumps(doc))
+
     def test_independent_counts_flag(self):
         doc = uniform_doc()
         doc["treatments"]["a,b"]["counts"] = {"pp": 2, "pm": 1, "mp": 1, "mm": 1}
@@ -309,6 +345,24 @@ class TestParseExperiment:
         doc = uniform_doc()
         doc["labels"] = {"responses": {"q": ["x", "y"]}}
         with pytest.raises(ParseError):
+            parse_experiment(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"responses": {"a": [None, None]}},
+            {"responses": {"a": ["Horse", ""]}},
+            {"responses": {"a": "HB"}},
+            {"responses": {"a": ["Horse", "Bear", "Cat"]}},
+            {"levels": {"a": [1]}},
+            {"levels": {"a": ""}},
+            {"factors": {"alpha": 3}},
+        ],
+    )
+    def test_label_names_must_be_nonempty_strings(self, labels):
+        doc = uniform_doc()
+        doc["labels"] = labels
+        with pytest.raises(ParseError, match="bad labels: labels\\.\\w+\\['a(lpha)?'\\] must be"):
             parse_experiment(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [["alpha"], "a", None])
@@ -371,6 +425,39 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model('{"hidden": {"+++x": "1"}}')
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("hidden-denominators", "hidden: a numerator or the least common denominator exceeds 10\\*\\*2000"),
+            ("hidden-numerator", "hidden: a numerator or the least common denominator exceeds 10\\*\\*2000"),
+            ("eta-numerator", "eta: numerator or denominator exceeds 10\\*\\*2000"),
+        ],
+    )
+    def test_oversized_weights_and_eta_are_rejected_before_building(self, name, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_model(oversized_model_documents()[name])
+
+    def test_weights_and_eta_at_the_cap_are_accepted(self):
+        cap = 10**2000
+        doc = {"hidden": {"++++": f"1/{cap}", "----": f"{cap - 1}/{cap}"}, "eta": f"1/{cap}", "cross_map": CROSS_MAP}
+        model = parse_model(json.dumps(doc))
+        assert model.eta == Fraction(1, cap)
+        assert model.hidden.weights[0] == Fraction(1, cap)
+
+    @pytest.mark.parametrize(
+        "cross_map, message",
+        [
+            ({k: v for k, v in CROSS_MAP.items() if k != "a',b'"}, "cross_map must give an outcome pair for all four"),
+            ({**CROSS_MAP, "a,c": "++"}, "unknown treatment key 'a,c'"),
+            ({**CROSS_MAP, "a,b": "+x"}, "cross_map\\['a,b'\\] must be 2 of \\+/-"),
+            (["++", "+-", "-+", "--"], "cross_map must be a JSON object"),
+        ],
+    )
+    def test_bad_cross_maps(self, cross_map, message):
+        doc = {"hidden": {"++++": "1"}, "eta": "1/10", "cross_map": cross_map}
+        with pytest.raises(ParseError, match=message):
+            parse_model(json.dumps(doc))
+
 
 class TestAnalyzeAssembly:
     def test_significance_runs_only_with_full_counts(self, table1, table3):
@@ -382,7 +469,7 @@ class TestAnalyzeAssembly:
         assert loose.marginals.satisfied
         assert not loose.feasibility.feasible  # solver still exact
 
-    def test_each_report_is_built_once(self, table1, table2, monkeypatch):
+    def test_each_report_is_built_once(self, table1, table2, table3, monkeypatch):
         calls = Counter()
 
         def counted(name, original):
@@ -392,12 +479,16 @@ class TestAnalyzeAssembly:
 
             return wrapper
 
-        for name in ("compute_gamma", "check_marginal_selectivity"):
+        call_sites = {
+            "compute_gamma": (selinf.io, selinf.feasibility),
+            "check_marginal_selectivity": (selinf.io, selinf.feasibility, selinf.selectivity),
+        }
+        for name, modules in call_sites.items():
             wrapper = counted(name, getattr(selinf.io, name))
-            for module in (selinf.io, selinf.feasibility):
+            for module in modules:
                 monkeypatch.setattr(module, name, wrapper)
         feasible = predicted_tables(random_hidden_distribution(random.Random(83)))
-        for data in (table1, table2, feasible):
+        for data in (table1, table2, table3, feasible):
             calls.clear()
             analyze(data)
             assert calls == {"compute_gamma": 1, "check_marginal_selectivity": 1}

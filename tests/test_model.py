@@ -238,6 +238,44 @@ class TestExperimentData:
         data = ExperimentData(tables=tables, counts=counts)
         assert data.has_full_counts()
 
+    def test_counts_are_normalized_only_to_report_a_conflict(self, monkeypatch):
+        counts = {t: CountTable(4, 3, 2, 1) for t in TREATMENTS}
+        tables = {t: c.normalized() for t, c in counts.items()}
+        calls = []
+        original = CountTable.normalized
+        monkeypatch.setattr(CountTable, "normalized", lambda self: calls.append(self) or original(self))
+        ExperimentData(tables=tables, counts=counts)
+        assert calls == []
+        counts[TREATMENTS[2]] = CountTable(4, 3, 1, 2)
+        with pytest.raises(ConflictingData, match="treatment a',b: counts normalize to"):
+            ExperimentData(tables=tables, counts=counts)
+        assert calls == [counts[TREATMENTS[2]]]
+
+
+class TestLabelSet:
+    def test_names_are_stored_with_pairs_as_tuples(self):
+        labels = LabelSet(factors={"alpha": "animal"}, levels={"a": "Horse or Bear?"}, responses={"a": ["Horse", "Bear"]})
+        assert labels.factors == {"alpha": "animal"}
+        assert labels.levels == {"a": "Horse or Bear?"}
+        assert labels.responses == {"a": ("Horse", "Bear")}
+        assert labels.response_pair(ALPHA_A) == ("Horse", "Bear")
+
+    @pytest.mark.parametrize(
+        "section, mapping, message",
+        [
+            ("factors", {"gamma": "x"}, "unknown keys \\['gamma'\\] in labels.factors"),
+            ("levels", {"c": "x"}, "unknown keys \\['c'\\] in labels.levels"),
+            ("factors", {"alpha": None}, "labels.factors\\['alpha'\\] must be a nonempty string"),
+            ("levels", {"a": ("x",)}, "labels.levels\\['a'\\] must be a nonempty string"),
+            ("responses", {"a": ("Horse", None)}, "labels.responses\\['a'\\] must be a list of two"),
+            ("responses", {"a": ("", "Bear")}, "labels.responses\\['a'\\] must be a list of two"),
+            ("responses", {"a": "HB"}, "labels.responses\\['a'\\] must be a list of two"),
+        ],
+    )
+    def test_bad_names_rejected(self, section, mapping, message):
+        with pytest.raises(InvalidValue, match=message):
+            LabelSet(**{section: mapping})
+
 
 class TestTransforms:
     def transform_set(self):

@@ -1,8 +1,10 @@
 """Package hygiene: stdlib-only imports and a public API that matches its imports."""
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import selinf
@@ -47,15 +49,41 @@ def test_all_lists_exactly_the_names_imported_by_the_package():
         assert getattr(selinf, name) is not None
 
 
+def code_names(path):
+    """Names a Python file uses in code: NAME tokens, not words in strings or
+    comments, and not the names its def, class and top-level assignments define."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    used = set()
+    for before, token, after in zip([None] + tokens, tokens, tokens[1:] + [None]):
+        defined = (before is not None and before.string in ("def", "class")) or (
+            token.start[1] == 0 and after is not None and after.string in ("=", ":")
+        )
+        if token.type == tokenize.NAME and not defined:
+            used.add(token.string)
+    return used
+
+
+def test_code_names_skip_prose_and_definitions(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""Probability cells."""\n'
+        "# Probability in a comment\n"
+        "Probability = float\n"
+        "Rational: type = int\n"
+        "def helper():\n"
+        "    return Rational(0)\n"
+    )
+    names = code_names(path)
+    assert "Probability" not in names and "helper" not in names
+    assert "Rational" in names and "float" in names
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # a name only tests use belongs in a test helper, not in the API
     root = PACKAGE_DIR.parent.parent
     paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((root / "bench").glob("*.py")) + [root / "README.md"]
-    texts = [path.read_text() for path in paths]
-    unused = []
-    for name in selinf.__all__:
-        definition = re.compile(rf"^\s*(?:def|class)\s+{name}\b|^{name}\s*(?::[^=\n]*)?=", re.M)
-        if not any(re.search(rf"\b{name}\b", definition.sub("", text)) for text in texts):
-            unused.append(name)
+    paths += sorted((root / "bench").glob("*.py"))
+    used = set().union(*(code_names(path) for path in paths))
+    readme = (root / "README.md").read_text()
+    unused = [name for name in selinf.__all__ if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []

@@ -73,6 +73,19 @@ class TestExactCheck:
         with pytest.raises(InvalidValue):
             check_marginal_selectivity(table1, Fraction(-1, 10))
 
+    @pytest.mark.parametrize(
+        "tolerance",
+        [Fraction(1, 10**2000 + 1), Fraction(10**2000 + 1), "-" + "9" * 4000 + "e1000"],
+        ids=["long-denominator", "long-numerator", "long-negative-numerator"],
+    )
+    def test_oversized_tolerance_rejected_before_its_sign(self, table1, tolerance):
+        with pytest.raises(InvalidValue, match="^tolerance: numerator or denominator exceeds 10\\*\\*2000$"):
+            check_marginal_selectivity(table1, tolerance)
+
+    def test_tolerance_at_the_cap_accepted(self, table1):
+        assert check_marginal_selectivity(table1, 10**2000).satisfied
+        assert not check_marginal_selectivity(table1, Fraction(1, 10**2000)).satisfied
+
     def test_hidden_state_models_always_satisfy(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -93,7 +106,7 @@ class TestExactCheck:
 class TestZTest:
     def test_observed_counts_give_large_z(self):
         data = with_counts(TABLE3_COUNTS)
-        results = run_ms_test(data, alpha_sig=0.05)
+        results = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.05)
         tiger_cat = results[1]  # A at a'
         # frozen from the pooled-z formula: (70/81 - 19/81) / sqrt(pbar(1-pbar)(2/81))
         assert abs(tiger_cat.z_statistic - 8.05325127432548) < 1e-9
@@ -101,7 +114,7 @@ class TestZTest:
         assert tiger_cat.reject
 
     def test_published_decimals_with_independent_counts(self, table3):
-        results = run_ms_test(table3, alpha_sig=0.05)
+        results = run_ms_test(table3, check_marginal_selectivity(table3), alpha_sig=0.05)
         tiger_cat = results[1]
         # frozen from the same formula at p = 864/999 vs 234/1000
         assert abs(tiger_cat.z_statistic - 8.06913056294408) < 1e-9
@@ -109,7 +122,7 @@ class TestZTest:
 
     def test_identical_proportions_give_zero(self):
         data = with_counts([(10, 10, 10, 10)] * 4)
-        for r in run_ms_test(data):
+        for r in run_ms_test(data, check_marginal_selectivity(data)):
             assert r.z_statistic == 0.0
             assert r.p_value == 1.0
             assert not r.reject
@@ -118,42 +131,42 @@ class TestZTest:
         # table 2 proportions realized as exact counts
         counts = [(50, 0, 0, 50)] * 3 + [(0, 50, 50, 0)]
         data = with_counts(counts)
-        assert all(r.z_statistic == 0.0 for r in run_ms_test(data))
+        assert all(r.z_statistic == 0.0 for r in run_ms_test(data, check_marginal_selectivity(data)))
 
     def test_degenerate_point_mass_flagged_not_fatal(self):
         data = with_counts([(5, 0, 0, 0)] * 4)
-        results = run_ms_test(data)
+        results = run_ms_test(data, check_marginal_selectivity(data))
         assert all(r.degenerate for r in results)
         assert all(r.z_statistic == 0.0 for r in results)
 
     def test_missing_counts_raises(self, table1):
         with pytest.raises(MissingCounts):
-            run_ms_test(table1)
+            run_ms_test(table1, check_marginal_selectivity(table1))
 
     def test_alpha_out_of_range_rejected(self):
         data = with_counts([(10, 10, 10, 10)] * 4)
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidValue):
-                run_ms_test(data, alpha_sig=bad)
+                run_ms_test(data, check_marginal_selectivity(data), alpha_sig=bad)
 
     def test_p_value_monotone_in_z_magnitude(self):
         data = with_counts(TABLE3_COUNTS)
-        results = sorted(run_ms_test(data), key=lambda r: abs(r.z_statistic))
+        results = sorted(run_ms_test(data, check_marginal_selectivity(data)), key=lambda r: abs(r.z_statistic))
         ps = [r.p_value for r in results]
         assert ps == sorted(ps, reverse=True)
 
     def test_reject_monotone_in_alpha(self):
         data = with_counts(TABLE3_COUNTS)
-        weak = run_ms_test(data, alpha_sig=0.4)
-        strict = run_ms_test(data, alpha_sig=0.001)
+        weak = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.4)
+        strict = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.001)
         for w, s in zip(weak, strict):
             if s.reject:
                 assert w.reject
 
     def test_bonferroni_divides_alpha(self):
         data = with_counts(TABLE3_COUNTS)
-        plain = run_ms_test(data, alpha_sig=0.05)
-        corrected = run_ms_test(data, alpha_sig=0.05, bonferroni=True)
+        plain = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.05)
+        corrected = run_ms_test(data, check_marginal_selectivity(data), alpha_sig=0.05, bonferroni=True)
         for p, c in zip(plain, corrected):
             assert c.alpha_sig == pytest.approx(p.alpha_sig / 4)
             if c.reject:
@@ -161,7 +174,7 @@ class TestZTest:
 
     def test_two_sided_p_from_standard_normal(self):
         data = with_counts(TABLE3_COUNTS)
-        for r in run_ms_test(data):
+        for r in run_ms_test(data, check_marginal_selectivity(data)):
             expected = math.erfc(abs(r.z_statistic) / math.sqrt(2))
             assert r.p_value == pytest.approx(expected, rel=1e-12)
 
@@ -170,7 +183,7 @@ class TestZTestAgainstStatsmodels:
     def test_matches_proportions_ztest(self):
         sm = pytest.importorskip("statsmodels.stats.proportion")
         data = with_counts(TABLE3_COUNTS)
-        results = run_ms_test(data)
+        results = run_ms_test(data, check_marginal_selectivity(data))
         # A at a': Tiger successes under b vs b'
         successes = [63 + 7, 12 + 7]
         z_ref, p_ref = sm.proportions_ztest(successes, [81, 81])
@@ -192,4 +205,4 @@ class TestSelectiveModelsUnderTest:
         full = ExperimentData(
             tables={t: c.normalized() for t, c in counts.items()}, counts=counts
         )
-        assert all(r.z_statistic == 0.0 for r in run_ms_test(full))
+        assert all(r.z_statistic == 0.0 for r in run_ms_test(full, check_marginal_selectivity(full)))

@@ -198,6 +198,12 @@ class TestSampleSpec:
             SampleSpec(10, 1 << 64)
         SampleSpec(1, (1 << 64) - 1)
 
+    def test_sample_size_is_capped_like_count_totals(self):
+        # constructing a spec draws nothing; a larger n could never form a CountTable
+        assert SampleSpec(2**53, 0).n_per_treatment == 2**53
+        with pytest.raises(InvalidValue, match="2\\*\\*53"):
+            SampleSpec(2**53 + 1, 0)
+
 
 class TestSampling:
     def test_point_mass_model_draws_only_plus_plus(self):
