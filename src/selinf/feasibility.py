@@ -279,7 +279,7 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Decide exactly whether some hidden-state mixture reproduces the data.
 
-    The verdict comes from the rational phase-1 simplex on the 16-weight
+    The verdict comes from the exact phase-1 simplex on the 16-weight
     system (the 16 cell equations plus normalization, its constant matrix
     reduced once at import). Certificates are not read off the solver: they
     are the violated conditions in ``marginals`` and ``chsh``, the reports

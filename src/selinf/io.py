@@ -100,7 +100,7 @@ from .selectivity import (
     check_marginal_selectivity,
     test_marginal_selectivity,
 )
-from .simulate import ContaminatedModel, Model, SelectiveModel
+from .simulate import ContaminatedModel, Model, SelectiveModel, contamination_rate
 
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 
@@ -292,6 +292,10 @@ def parse_model(text: str) -> Model:
         raise ParseError(f"bad eta: {exc}") from exc
     if exceeds_common_denominator_cap([eta]):  # the range error prints eta
         raise ParseError("eta: numerator or denominator exceeds 10**2000")
+    try:
+        contamination_rate(eta)
+    except InvalidValue as exc:
+        raise ParseError(str(exc)) from exc
     if "cross_map" not in doc:
         if eta != 0:
             raise ParseError("eta > 0 needs a cross_map of forced outcome pairs")

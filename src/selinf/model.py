@@ -33,7 +33,10 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # determinant of a basis of the constant 0/1 constraint matrix (at most 195
 # in magnitude for 9x9), and a numerator at most 4 times that denominator.
 # Capping the common denominator keeps every rendered number far below
-# Python's 4,300-digit int-to-str limit.
+# Python's 4,300-digit int-to-str limit. The simplex's phase 1 pivots on
+# integers, the cells scaled by their common denominator L; its tableau
+# entries stay under 2**18 * L (see ``simplex``), so about 2,000 digits at
+# the cap.
 MAX_COMMON_DENOMINATOR = 10**2000
 
 
@@ -331,9 +334,10 @@ class ExperimentData:
             if counts and not self.independent_counts:
                 for t, ct in counts.items():
                     if any(p * ct.n != c for p, c in zip(self.tables[t].cells(), ct.cells())):
+                        normalized = ", ".join(map(str, ct.normalized().cells()))
+                        table = ", ".join(map(str, self.tables[t].cells()))
                         raise ConflictingData(
-                            f"treatment {t.key}: counts normalize to "
-                            f"{ct.normalized().cells()} but table says {self.tables[t].cells()}"
+                            f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
                         )
 
     def table(self, treatment: Treatment) -> JointTable:

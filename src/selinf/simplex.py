@@ -1,24 +1,45 @@
-"""Exact-rational feasibility of {x >= 0, A x = b} by phase-1 simplex.
+"""Exact feasibility of {x >= 0, A x = b} by a fraction-free phase-1 simplex.
 
-Everything runs on ``fractions.Fraction``, so the verdict is exact: no
-tolerances, no scaling heuristics. The work has two steps:
+The verdict is exact: no tolerances, no scaling heuristics. The work has two
+steps:
 
 1. ``reduce_system(A)``, once per matrix: Gauss-Jordan elimination of
-   [A | I]. Pivots are chosen from A's columns alone, so the same row
-   operations take [A | b] to [R | T b] for every b; the rows of T beyond
-   the rank of A are the consistency conditions.
-2. ``feasible_point(reduced, b)``, once per right-hand side, with no
-   elimination: T b decides consistency, a nonnegative reduced right-hand
-   side is itself the basic solution, and otherwise a phase-1 simplex with
-   one artificial variable per row minimizes their sum under Bland's
-   anti-cycling rule. Optimum zero yields a feasible point; a positive
-   optimum proves there is none.
+   [A | I] on ``Fraction``. Pivots are chosen from A's columns alone, so the
+   same row operations take [A | b] to [R | T b] for every b; the rows of T
+   beyond the rank of A are the consistency conditions. R and T are stored
+   as ``int``, both multiplied by one positive scale k, the least common
+   denominator of their entries (k = 1 for the program's 0/1 constraint
+   matrix).
+2. ``feasible_point(reduced, b)``, once per right-hand side, on integers
+   only: with L the least common denominator of b, (kT)(Lb) decides
+   consistency, a nonnegative reduced right-hand side is itself the basic
+   solution, and otherwise a phase-1 simplex with one artificial variable
+   per row minimizes their sum under Bland's anti-cycling rule. Optimum zero
+   yields a feasible point; a positive optimum proves there is none.
+
+Phase 1 pivots fraction-free (Bareiss 1968): the tableau is an integer
+matrix M over a positive common divisor d, the previous pivot. A pivot on p
+keeps its row and makes every other row (p*v - f*w) // d, an exact division:
+each entry of M is, up to sign, a minor of the initial tableau [kR | I | kT Lb]
+of order at most rank(A), and d is the absolute determinant of the current
+basis. So the integers never outgrow those minors, which Hadamard's
+inequality bounds. For the program's matrix, 9 independent rows of [R | I]
+with five entries of -1 or 1 each, every matrix entry and d are at most
+5**4.5 < 1400, and every right-hand side entry at most that times the sum
+of |kT Lb| <= 153 L: under 18 bits beyond L.
+
+Phase 1 solves (kR) y = kT(Lb) for y = Lx, with artificials kL times the
+rational ones. That multiplies the phase-1 objective by kL > 0 and each
+variable by a positive constant, so every reduced cost keeps its sign and
+every ratio test its order: Bland's rule takes the same entering and leaving
+steps as on the rational tableau, and the final basis and point are the same.
 
 Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,12 +60,13 @@ def _pivot(rows: list[list[Fraction]], row: int, col: int) -> None:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The independent rows and pivot columns of RREF(A), and T as (index, coefficient) rows."""
+    """k RREF(A) (independent rows), its pivot columns, k T as (index, coefficient) rows, and k."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
-    transform: tuple[tuple[tuple[int, Fraction], ...], ...]
+    transform: tuple[tuple[tuple[int, int], ...], ...]
     ncols: int
+    scale: int
 
 
 def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> ReducedSystem:
@@ -62,91 +84,121 @@ def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> ReducedSystem:
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         _pivot(rows, rank, col)
         pivots.append(col)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     return ReducedSystem(
-        rows=tuple(tuple(row[:n]) for row in rows[: len(pivots)]),
+        rows=tuple(tuple(row[:n]) for row in scaled[: len(pivots)]),
         pivots=tuple(pivots),
-        transform=tuple(tuple((j, v) for j, v in enumerate(row[n:]) if v) for row in rows),
+        transform=tuple(tuple((j, v) for j, v in enumerate(row[n:]) if v) for row in scaled),
         ncols=n,
+        scale=scale,
     )
 
 
-def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Phase-1 simplex on an independent-row system; None when infeasible."""
+def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
+    """Phase-1 simplex on an independent-row integer system.
+
+    Returns a nonnegative solution as numerators over one positive common
+    denominator, or None when infeasible.
+    """
     m = len(rows)
     n = len(rows[0])
     # Artificial variable j = n + i starts basic in row i; rhs must be >= 0.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i, (row, r) in enumerate(zip(rows, rhs)):
-        sign = -ONE if r < 0 else ONE
-        art = [ZERO] * m
-        art[i] = ONE
+        sign = -1 if r < 0 else 1
+        art = [0] * m
+        art[i] = 1
         tableau.append([sign * v for v in row] + art + [sign * r])
     basis = [n + i for i in range(m)]
+    divisor = 1  # the rational tableau is tableau / divisor
 
-    def reduced_cost(col: int) -> Fraction:
-        # Phase-1 costs: 1 on artificials, 0 on originals.
-        cost = ONE if col >= n else ZERO
+    def improves(col: int) -> bool:
+        # Phase-1 costs: 1 on artificials, 0 on originals; the reduced cost times divisor.
+        cost = divisor if col >= n else 0
         for i in range(m):
             if basis[i] >= n:
                 cost -= tableau[i][col]
-        return cost
+        return cost < 0
 
     def pivot(row: int, col: int) -> None:
-        _pivot(tableau, row, col)
+        nonlocal divisor
+        p, w_row = tableau[row][col], tableau[row]  # p > 0
+        for i, other in enumerate(tableau):
+            if i == row:
+                continue
+            f = other[col]
+            if f:
+                tableau[i] = [(p * v - f * w) // divisor for v, w in zip(other, w_row)]
+            elif p != divisor:
+                tableau[i] = [p * v // divisor for v in other]
+        divisor = p
         basis[row] = col
 
     while True:
-        entering = None
-        for col in range(n + m):
-            if col in basis:
-                continue
-            if reduced_cost(col) < 0:
-                entering = col
-                break  # Bland: smallest improving index
+        # Bland: smallest improving index
+        entering = next((col for col in range(n + m) if col not in basis and improves(col)), None)
         if entering is None:
             break
         leaving = None
-        best = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
+                if leaving is None:
+                    leaving = i
+                    continue
+                # Ratios rhs/coeff compared by cross-multiplication (both coeffs > 0);
                 # Bland tie-break: smallest basis variable index.
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
+                here = tableau[i][-1] * tableau[leaving][entering]
+                best = tableau[leaving][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
         pivot(leaving, entering)
 
-    objective = sum((tableau[i][-1] for i in range(m) if basis[i] >= n), ZERO)
-    if objective != 0:
+    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
         return None
 
     # Drive out artificials stuck basic at zero level; rows are independent,
-    # so some original column is always available to pivot on.
+    # so some original column is always available to pivot on. The row's
+    # right-hand side is 0, so negating it to make the pivot positive
+    # changes nothing the pivot does not undo.
     for i in range(m):
         if basis[i] >= n:
             col = next(j for j in range(n) if tableau[i][j] != 0)
+            if tableau[i][col] < 0:
+                tableau[i] = [-v for v in tableau[i]]
             pivot(i, col)
 
-    solution = [ZERO] * n
+    solution = [0] * n
     for i, var in enumerate(basis):
         solution[var] = tableau[i][-1]
-    return solution
+    return solution, divisor
 
 
 def feasible_point(reduced: ReducedSystem, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """A nonnegative exact solution of A x = b, or None when none exists."""
-    reduced_rhs = [sum((c * rhs[j] for j, c in row), ZERO) for row in reduced.transform]
+    ratios = [v.as_integer_ratio() for v in rhs]
+    lcd = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (lcd // q) for p, q in ratios]
+    # k T (L b), the reduced right-hand side times kL
+    reduced_rhs = [sum(c * scaled[j] for j, c in row) for row in reduced.transform]
     rank = len(reduced.pivots)
     if any(reduced_rhs[rank:]):
         return None
     del reduced_rhs[rank:]
     if all(v >= 0 for v in reduced_rhs):
         solution = [ZERO] * reduced.ncols
+        denominator = reduced.scale * lcd
         for col, value in zip(reduced.pivots, reduced_rhs):
-            solution[col] = value
+            if value:
+                solution[col] = Fraction(value, denominator)
         return solution
-    return _phase_one(reduced.rows, reduced_rhs)
+    found = _phase_one(reduced.rows, reduced_rhs)
+    if found is None:
+        return None
+    # y = Lx; the row scale k does not scale the solution
+    values, divisor = found
+    denominator = divisor * lcd
+    return [Fraction(v, denominator) if v else ZERO for v in values]

@@ -57,6 +57,7 @@ from .model import (
     CountTable,
     ExperimentData,
     JointTable,
+    Rational,
     Treatment,
     rational,
 )
@@ -141,6 +142,14 @@ class SelectiveModel:
         return predicted_tables(self.hidden)
 
 
+def contamination_rate(value: Rational) -> Fraction:
+    """``value`` as an exact contamination rate eta, which must lie in [0, 1]."""
+    eta = rational(value)
+    if not 0 <= eta <= 1:
+        raise InvalidValue(f"eta must be in [0, 1], got {eta}")
+    return eta
+
+
 @dataclass(frozen=True)
 class ContaminatedModel:
     """A selective core contaminated at rate eta by fixed cross-reading outcomes.
@@ -155,10 +164,7 @@ class ContaminatedModel:
     cross_map: Mapping[Treatment, tuple[int, int]]
 
     def __post_init__(self) -> None:
-        eta = rational(self.eta)
-        if not 0 <= eta <= 1:
-            raise InvalidValue(f"eta must be in [0, 1], got {eta}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", contamination_rate(self.eta))
         if set(self.cross_map) != set(TREATMENTS):
             raise InvalidValue("cross_map must give an outcome pair for all four treatments")
         fixed = {t: tuple(pair) for t, pair in self.cross_map.items()}

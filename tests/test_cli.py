@@ -95,6 +95,16 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert run_cli(["analyze", str(path)]) == EXIT_ERROR
 
+    def test_conflicting_counts_print_cells_as_fractions(self, tmp_path, capsys):
+        block = {"pp": "1/2", "pm": "0", "mp": "0", "mm": "1/2", "counts": {"pp": 3, "pm": 0, "mp": 0, "mm": 1}}
+        doc = {"treatments": {k: dict(block) for k in ("a,b", "a,b'", "a',b", "a',b'")}}
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["analyze", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: treatment a,b: counts normalize to 3/4, 0, 0, 1/4 but table says 1/2, 0, 0, 1/2\n"
+        )
+
     def test_exit_code_tracks_feasibility_not_statistics(self, tmp_path, capsys):
         # marginally violated but with tiny counts: no statistical rejection,
         # infeasible nonetheless; the exit code follows the verdict

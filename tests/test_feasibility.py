@@ -1,13 +1,18 @@
 """Hidden-state feasibility: push-forward, solver, criterion, representations."""
 
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from selinf import simplex
 from selinf.chsh import SignPattern, compute_gamma
 from selinf.errors import InvalidDistribution, InvalidValue, SelinfError
 from selinf.feasibility import (
+    _CONSTRAINTS,
     HIDDEN_STATES,
     FacetViolation,
     HiddenState,
@@ -19,12 +24,14 @@ from selinf.feasibility import (
     solve_feasibility,
     verify_witness,
 )
-from selinf.io import analyze
-from selinf.model import TREATMENTS, JointTable, Level
+from selinf.io import analyze, render_report_text, report_to_json_dict
+from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 
 from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
 from relabel import chsh_facet_value, mix_experiments
+
+import fraction_simplex
 
 
 class TestHiddenStates:
@@ -184,6 +191,56 @@ class TestSolveFeasibility:
             Fraction(1, 2),
             Fraction(3, 4),
         )
+
+
+def _rhs(data):
+    """The right-hand side ``solve_feasibility`` passes: the 16 cells, then 1."""
+    return [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
+
+
+@pytest.fixture
+def phase_one_runs(monkeypatch):
+    """A list that grows by one each time the simplex runs phase 1."""
+    runs = []
+    original = simplex._phase_one
+    monkeypatch.setattr(simplex, "_phase_one", lambda *a: runs.append(1) or original(*a))
+    return runs
+
+
+class TestIntegerPhaseOne:
+    def test_constraint_reduction_is_integer_with_scale_one(self):
+        assert _CONSTRAINTS.scale == 1
+        assert all(type(v) is int for row in _CONSTRAINTS.rows for v in row)
+        assert all(type(c) is int for row in _CONSTRAINTS.transform for _, c in row)
+
+    def test_same_points_as_the_rational_tableau_on_selective_batch_cases(self, phase_one_runs):
+        # push-forwards alternating with marginally selective tables, as in
+        # the benchmark's selective-batch pool; phase 1 decides most of them
+        rng = random.Random(301)
+        for i in range(400):
+            data = predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
+            rhs = _rhs(data)
+            assert simplex.feasible_point(_CONSTRAINTS, rhs) == fraction_simplex.feasible_point(_CONSTRAINTS, rhs)
+        assert len(phase_one_runs) > 300
+
+    def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):
+        denominator = MAX_COMMON_DENOMINATOR - 1
+        rng = random.Random(2000)
+        parts = [rng.randrange(denominator // 16) for _ in range(15)]
+        parts.append(denominator - sum(parts))
+        data = predicted_tables(HiddenStateDistribution(tuple(Fraction(a, denominator) for a in parts)))
+        assert math.lcm(*(c.denominator for c in _rhs(data))) == denominator
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            report = analyze(data)
+            json.dumps(report_to_json_dict(report, include_witness=True))
+            render_report_text(report, include_witness=True)
+            best = min(best, time.perf_counter() - start)
+        assert len(phase_one_runs) == 3
+        assert verify_witness(report.feasibility.witness, data)
+        # about 25 ms on a 2-CPU host with Python 3.11, most of it CHSH sums and rendering
+        assert best < 0.25
 
 
 class TestFineEquivalence:

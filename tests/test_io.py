@@ -417,6 +417,15 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model('{"hidden": {"++++": "1"}, "eta": "0.5"}')
 
+    @pytest.mark.parametrize("eta", ["-1/2", "3/2"])
+    @pytest.mark.parametrize("cross_map", [None, CROSS_MAP])
+    def test_eta_outside_the_unit_interval_is_a_range_error(self, eta, cross_map):
+        doc = {"hidden": {"++++": "1"}, "eta": eta}
+        if cross_map is not None:
+            doc["cross_map"] = cross_map
+        with pytest.raises(ParseError, match=f"^eta must be in \\[0, 1\\], got {eta}$"):
+            parse_model(json.dumps(doc))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ParseError):
             parse_model('{"hidden": {"++++": "0.7"}}')

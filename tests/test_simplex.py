@@ -7,14 +7,19 @@ import pytest
 
 from selinf.simplex import feasible_point, reduce_system
 
+import fraction_simplex
+
 
 def F(*args):
     return Fraction(*args)
 
 
 def solve(matrix, rhs):
-    """Reduce the matrix, then solve for one right-hand side."""
-    return feasible_point(reduce_system(matrix), rhs)
+    """Reduce the matrix, then solve for one right-hand side; the rational oracle must agree."""
+    reduced = reduce_system(matrix)
+    x = feasible_point(reduced, rhs)
+    assert x == fraction_simplex.feasible_point(reduced, rhs)
+    return x
 
 
 def check_solution(matrix, rhs, x):
@@ -148,8 +153,48 @@ class TestSharedReduction:
                 rhs.append(rhs[0] + rhs[1] + (k % 4 == 1))
             x = feasible_point(shared, rhs)
             assert x == feasible_point(reduce_system(matrix), rhs)
+            assert x == fraction_simplex.feasible_point(shared, rhs)
             if x is not None:
                 check_solution(matrix, rhs, x)
             infeasible[k % 4].add(x is None)
         assert shared == snapshot
         assert infeasible == {0: {False}, 1: {True}, 2: {False}, 3: {False, True}}
+
+
+class TestIntegerTableau:
+    def test_reduction_is_integer_times_one_scale(self):
+        # T of this matrix is not integer: its entries share the denominator 39
+        reduced = reduce_system([[F(1, 3), F(1, 7)], [F(2, 5), F(3, 11)]])
+        assert reduced.scale > 1
+        assert all(type(v) is int for row in reduced.rows for v in row)
+        assert all(type(c) is int for row in reduced.transform for _, c in row)
+        # R has the identity at its pivot columns, so k R holds the scale there
+        assert [row[col] for row, col in zip(reduced.rows, reduced.pivots)] == [reduced.scale] * 2
+
+    def test_artificial_driven_out_on_a_negative_entry(self):
+        # x1 + x3 = 2 and x2 - x3 = -2: phase 1 ends with an artificial basic
+        # at zero whose row is negative in the first original column
+        matrix = [[F(2), F(0), F(2)], [F(1), F(2), F(-1)]]
+        rhs = [F(4), F(-2)]
+        assert solve(matrix, rhs) == [F(0), F(0), F(2)]
+
+    def test_degenerate_fractional_systems_follow_the_rational_path(self):
+        # sparse nonnegative points make degenerate vertices, so phase 1 often
+        # ends with artificials basic at zero and drives them out
+        rng = random.Random(44)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 9)
+            matrix = [
+                [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5))) for _ in range(n)]
+                for _ in range(m)
+            ]
+            if m > 1 and rng.random() < 0.3:
+                matrix[-1] = [a + b for a, b in zip(matrix[0], matrix[1])]
+            if rng.random() < 0.5:
+                x0 = [Fraction(rng.randint(0, 3)) * rng.randint(0, 1) for _ in range(n)]
+                rhs = [sum(c * v for c, v in zip(row, x0)) for row in matrix]
+            else:
+                rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)]
+            x = solve(matrix, rhs)
+            if x is not None:
+                check_solution(matrix, rhs, x)
