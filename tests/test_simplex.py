@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from selinf.simplex import feasible_point, reduce_system
+from selinf.simplex import _phase_one, feasible_point, reduce_system
 
 import fraction_simplex
 
@@ -173,10 +173,16 @@ class TestIntegerTableau:
 
     def test_artificial_driven_out_on_a_negative_entry(self):
         # x1 + x3 = 2 and x2 - x3 = -2: phase 1 ends with an artificial basic
-        # at zero whose row is negative in the first original column
+        # at zero whose row is negative in the first original column; the row
+        # is negated first, so the common divisor stays positive
         matrix = [[F(2), F(0), F(2)], [F(1), F(2), F(-1)]]
         rhs = [F(4), F(-2)]
         assert solve(matrix, rhs) == [F(0), F(0), F(2)]
+        reduced = reduce_system(matrix)
+        scaled_rhs = [sum(c * int(rhs[j]) for j, c in row) for row in reduced.transform]
+        values, divisor = _phase_one(reduced.rows, scaled_rhs)
+        assert divisor > 0
+        assert values == [0, 0, 2 * divisor]
 
     def test_degenerate_fractional_systems_follow_the_rational_path(self):
         # sparse nonnegative points make degenerate vertices, so phase 1 often
