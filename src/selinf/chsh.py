@@ -5,19 +5,22 @@ The statistic is the maximum of the signed sums s1*E_ab + s2*E_ab' + s3*E_a'b
 which each response depends only on its own factor and shared randomness keeps
 it at or below 2; quantum models reach 2*sqrt(2); the algebraic ceiling is 4.
 Comparisons against 2*sqrt(2) are done as gamma^2 vs 8 in exact rationals.
+
+``compute_gamma`` scales the 16 cells to integers over their least common
+denominator L, picks gamma and its achievers by comparing integer sums, and
+builds each expectation and sum as a ``Fraction`` once, for the report.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidPattern
-from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs
+from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def classify_gamma(gamma: Fraction) -> BoundClassification:
     return BoundClassification.SUPRA_QUANTUM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChshReport:
     """Per-treatment expectations, all eight signed sums, and their maximum."""
 
@@ -88,21 +91,25 @@ class ChshReport:
 
     def gamma_decimal(self) -> str:
         """Gamma rounded half-up to three decimal places, as a string."""
-        scaled = math.floor(self.gamma * 1000 + Fraction(1, 2))
+        p, q = self.gamma.as_integer_ratio()
+        scaled = (2000 * p + q) // (2 * q)  # floor(gamma * 1000 + 1/2)
         return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
 def compute_gamma(data: ExperimentData) -> ChshReport:
     """Evaluate all eight signed sums and report the maximum with its achievers."""
-    expectations = data.expectations()
-    values = [expectations[t] for t in TREATMENTS]
-    sums = {p: p.signed_sum(values) for p in SIGN_PATTERNS}
-    gamma = max(sums.values())
-    argmax = frozenset(p for p, v in sums.items() if v == gamma)
+    cells, lcd = over_common_denominator(c for table in data.tables.values() for c in table.cells())
+    # E[A*B] = p_pp - p_pm - p_mp + p_mm per treatment, times L
+    values = [cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4)]
+    sums = {p: sum(s * e for s, e in zip(p.signs, values)) for p in SIGN_PATTERNS}
+    top = max(sums.values())
+    argmax = [p for p, v in sums.items() if v == top]
+    fractions = {p: Fraction(v, lcd) for p, v in sums.items()}
+    gamma = fractions[argmax[0]]
     return ChshReport(
-        expectations=expectations,
-        sums=sums,
+        expectations={t: Fraction(e, lcd) for t, e in zip(TREATMENTS, values)},
+        sums=fractions,
         gamma=gamma,
-        argmax_patterns=argmax,
+        argmax_patterns=frozenset(argmax),
         classification=classify_gamma(gamma),
     )

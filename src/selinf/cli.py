@@ -151,8 +151,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sampled = sample_counts(model, spec)
     text = serialize_experiment(sampled)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SelinfError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
     return EXIT_FEASIBLE

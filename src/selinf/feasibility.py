@@ -36,6 +36,7 @@ from .model import (
     Treatment,
     decode_signs,
     encode_signs,
+    over_common_denominator,
     rational,
 )
 from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
@@ -89,21 +90,21 @@ class HiddenState:
 HIDDEN_STATES: tuple[HiddenState, ...] = tuple(HiddenState.from_index(i) for i in range(16))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HiddenStateDistribution:
-    """Probability weights over the 16 deterministic states, summing to 1."""
+    """Probability weights over the 16 deterministic states, summing to 1 (checked on integers)."""
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(rational(w) for w in self.weights)
+        ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in self.weights)
         if len(ws) != 16:
             raise InvalidDistribution(f"need 16 weights, got {len(ws)}")
-        if any(w < 0 for w in ws):
+        numerators, lcd = over_common_denominator(ws)
+        if any(p < 0 for p in numerators):
             raise InvalidDistribution("weights must be nonnegative")
-        total = sum(ws)
-        if total != 1:
-            raise InvalidDistribution(f"weights sum to {total}, expected exactly 1")
+        if sum(numerators) != lcd:
+            raise InvalidDistribution(f"weights sum to {Fraction(sum(numerators), lcd)}, expected exactly 1")
         object.__setattr__(self, "weights", ws)
 
     @classmethod
@@ -221,7 +222,7 @@ class Verdict(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetViolation:
     """A CHSH facet whose signed sum exceeds the classical bound 2."""
 
@@ -232,7 +233,7 @@ class FacetViolation:
 Certificate = Union[MarginalComparison, FacetViolation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityResult:
     """Outcome of the hidden-state feasibility decision.
 
@@ -285,7 +286,7 @@ def solve_feasibility(
     are the violated conditions in ``marginals`` and ``chsh``, the reports
     of the same data, which Fine's theorem makes complete for this design.
     """
-    rhs = [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
+    rhs = [cell for table in data.tables.values() for cell in table.cells()] + [Fraction(1)]
     solution = feasible_point(_CONSTRAINTS, rhs)
     if solution is not None:
         witness = HiddenStateDistribution(tuple(solution))

@@ -98,6 +98,7 @@ from .selectivity import (
     MsTestResult,
     Response,
     check_marginal_selectivity,
+    significance_level,
     test_marginal_selectivity,
 )
 from .simulate import ContaminatedModel, Model, SelectiveModel, contamination_rate
@@ -152,33 +153,37 @@ def _parse_count_cells(block: Any, key: str) -> CountTable:
 
 
 def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> JointTable:
+    """Four probability cells, checked by ``JointTable``; the parser looks again only at cells it rejects."""
     cells = []
     for ck in PROB_KEYS:
         v = block[ck]
         if isinstance(v, bool) or not isinstance(v, (str, int, float)):
             raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {v!r}")
         try:
-            f = rational(v)
+            cells.append(rational(v))
         except InvalidValue as exc:
             raise BadCell(f"treatment {key}: cell {ck}: {exc}") from exc
+    try:
+        if not exceeds_common_denominator_cap(cells):  # JointTable's messages print the cells
+            return JointTable(*cells)
+    except InvalidTable:
+        pass
+    for ck, f in zip(PROB_KEYS, cells):
         if f < 0 or f > 1:
-            raise BadCell(f"treatment {key}: cell {ck} = {v!r} outside [0, 1]")
-        cells.append(f)
+            raise BadCell(f"treatment {key}: cell {ck} = {block[ck]!r} outside [0, 1]")
     _check_common_denominator(cells, f"treatment {key}")  # SumNotOne prints the sum
     total = sum(cells)
-    if total != 1:
-        if not renormalize:
-            raise SumNotOne(
-                f"treatment {key}: cells sum to {total} "
-                f"(~{float(total):.4f}); set \"renormalize\" to accept near-1 sums"
-            )
-        if abs(total - 1) > RENORMALIZE_WINDOW or total == 0:
-            raise SumNotOne(
-                f"treatment {key}: cells sum to {total} "
-                f"(~{float(total):.4f}), beyond the +-0.01 renormalization window"
-            )
-        cells = [c / total for c in cells]  # each c <= total, so still in [0, 1]
-    return JointTable(*cells)
+    if not renormalize:
+        raise SumNotOne(
+            f"treatment {key}: cells sum to {total} "
+            f"(~{float(total):.4f}); set \"renormalize\" to accept near-1 sums"
+        )
+    if abs(total - 1) > RENORMALIZE_WINDOW or total == 0:
+        raise SumNotOne(
+            f"treatment {key}: cells sum to {total} "
+            f"(~{float(total):.4f}), beyond the +-0.01 renormalization window"
+        )
+    return JointTable(*(c / total for c in cells))  # each c <= total, so still in [0, 1]
 
 
 def _parse_block(
@@ -312,7 +317,7 @@ def parse_model(text: str) -> Model:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     """Everything one analysis produces: CHSH, marginals, tests, feasibility."""
 
@@ -331,10 +336,11 @@ def analyze(
     """Run the full pipeline on one experiment.
 
     Significance tests run exactly when counts are present for all four
-    treatments.
+    treatments; ``alpha_sig`` is checked either way.
     """
     chsh = compute_gamma(data)
     marginals = check_marginal_selectivity(data, tolerance)
+    significance_level(alpha_sig)
     ms_tests = None
     if data.has_full_counts():
         ms_tests = tuple(test_marginal_selectivity(data, marginals, alpha_sig, bonferroni))
@@ -349,17 +355,13 @@ def analyze(
 REPORT_FORMAT = "selinf-analysis/1"
 
 
-def _f2s(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
     return {
         "response": comp.response.value,
         "fixed_level": comp.fixed_level.key,
-        "p_under_first": _f2s(comp.p_under_first),
-        "p_under_second": _f2s(comp.p_under_second),
-        "delta": _f2s(comp.delta),
+        "p_under_first": str(comp.p_under_first),
+        "p_under_second": str(comp.p_under_second),
+        "delta": str(comp.delta),
     }
 
 
@@ -377,7 +379,7 @@ def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict
         return {
             "kind": "chsh_facet",
             "pattern": str(cert.pattern),
-            "value": _f2s(cert.value),
+            "value": str(cert.value),
         }
     return {"kind": "marginal", **_comparison_to_dict(cert)}
 
@@ -391,7 +393,7 @@ def _certificate_from_dict(d: Mapping[str, Any]):
 
 
 def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
-    return {str(state): _f2s(w) for state, w in witness.nonzero_items()}
+    return {str(state): str(w) for state, w in witness.nonzero_items()}
 
 
 def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
@@ -411,17 +413,17 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
     out: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "chsh": {
-            "expectations": {t.key: _f2s(chsh.expectations[t]) for t in TREATMENTS},
-            "sums": {str(p): _f2s(v) for p, v in chsh.sums.items()},
-            "gamma": _f2s(chsh.gamma),
+            "expectations": {t.key: str(chsh.expectations[t]) for t in TREATMENTS},
+            "sums": {str(p): str(v) for p, v in chsh.sums.items()},
+            "gamma": str(chsh.gamma),
             "gamma_decimal": chsh.gamma_decimal(),
             "argmax_patterns": _ordered_argmax(chsh),
             "classification": chsh.classification.value,
         },
         "marginal_selectivity": {
-            "tolerance": _f2s(report.marginals.tolerance),
+            "tolerance": str(report.marginals.tolerance),
             "satisfied": report.marginals.satisfied,
-            "max_delta": _f2s(report.marginals.max_delta),
+            "max_delta": str(report.marginals.max_delta),
             "comparisons": [
                 _comparison_to_dict(c) for c in report.marginals.comparisons
             ],

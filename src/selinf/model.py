@@ -7,6 +7,12 @@ probability in this package is a ``fractions.Fraction``: decimal strings such
 as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
 tolerance-based.
+
+Data and reports hold Fractions; arithmetic on several of them runs on
+``int``s. ``over_common_denominator`` writes values as numerators over their
+least common denominator L, so table checks, CHSH sums, marginals and the
+simplex add and compare plain integers, with no gcd per step. A ``Fraction``
+is built only for a value that a report holds or a message prints.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Mapping, Optional, Union
+from typing import Collection, Iterable, Mapping, Optional, Union
 
 from .errors import ConflictingData, InvalidTable, InvalidValue, SelinfError, ZeroTotal
 
@@ -44,6 +50,13 @@ def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
     """Whether the values' least common denominator, or a numerator's magnitude, exceeds 10**2000."""
     lcd = math.lcm(*(v.denominator for v in values))
     return max(lcd, *(abs(v.numerator) for v in values)) > MAX_COMMON_DENOMINATOR
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator L, and L."""
+    ratios = [v.as_integer_ratio() for v in values]
+    lcd = math.lcm(*(q for _, q in ratios))
+    return [p * (lcd // q) for p, q in ratios], lcd
 
 
 def rational(value: Rational) -> Fraction:
@@ -118,23 +131,23 @@ FACTOR_LEVELS = (ALPHA_A, ALPHA_A_PRIME, BETA_B, BETA_B_PRIME)
 
 @dataclass(frozen=True)
 class Treatment:
-    """One combination of factor levels; exactly four exist."""
+    """One combination of factor levels; exactly four exist, hashed by ``index``, their canonical position."""
 
     alpha: FactorLevel
     beta: FactorLevel
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha.factor is not Factor.ALPHA or self.beta.factor is not Factor.BETA:
             raise InvalidValue("treatment needs one alpha level and one beta level")
+        object.__setattr__(self, "index", 2 * (self.alpha.level is Level.SECOND) + (self.beta.level is Level.SECOND))
+
+    def __hash__(self) -> int:
+        return self.index
 
     @property
     def key(self) -> str:
         return f"{self.alpha.key},{self.beta.key}"
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical order (a,b), (a,b'), (a',b), (a',b')."""
-        return 2 * (self.alpha.level is Level.SECOND) + (self.beta.level is Level.SECOND)
 
     @classmethod
     def from_key(cls, key: str) -> "Treatment":
@@ -160,7 +173,7 @@ CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _CELL_FIELDS = ("p_pp", "p_pm", "p_mp", "p_mm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountTable:
     """Observed outcome counts for one treatment."""
 
@@ -194,13 +207,13 @@ class CountTable:
         return JointTable(*(Fraction(c, n) for c in self.cells()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointTable:
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
-    rationals in [0, 1] summing to exactly 1; cells that are not already
-    Fractions are converted with ``rational``.
+    rationals in [0, 1] summing to exactly 1, checked on integers; cells that
+    are not already Fractions are converted with ``rational``.
     """
 
     p_pp: Fraction
@@ -214,11 +227,11 @@ class JointTable:
             if not isinstance(v, Fraction):
                 v = rational(v)
                 object.__setattr__(self, name, v)
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise InvalidTable(f"cell {name} = {v} outside [0, 1]")
-        total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
-        if total != 1:
-            raise InvalidTable(f"cells sum to {total}, expected exactly 1")
+        numerators, lcd = over_common_denominator(self.cells())
+        if sum(numerators) != lcd:
+            raise InvalidTable(f"cells sum to {Fraction(sum(numerators), lcd)}, expected exactly 1")
 
     @classmethod
     def uniform(cls) -> "JointTable":
@@ -303,7 +316,7 @@ class LabelSet:
         return self.responses.get(level.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentData:
     """The four joint tables of one experiment, optionally with counts and labels.
 
@@ -333,7 +346,8 @@ class ExperimentData:
             object.__setattr__(self, "counts", counts)
             if counts and not self.independent_counts:
                 for t, ct in counts.items():
-                    if any(p * ct.n != c for p, c in zip(self.tables[t].cells(), ct.cells())):
+                    pairs = zip(self.tables[t].cells(), ct.cells())
+                    if any(p.numerator * ct.n != c * p.denominator for p, c in pairs):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
                         table = ", ".join(map(str, self.tables[t].cells()))
                         raise ConflictingData(
@@ -350,6 +364,3 @@ class ExperimentData:
 
     def has_full_counts(self) -> bool:
         return self.counts is not None and set(self.counts) == set(TREATMENTS)
-
-    def expectations(self) -> dict[Treatment, Fraction]:
-        return {t: tab.expectation() for t, tab in self.tables.items()}

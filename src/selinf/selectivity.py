@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InvalidValue, MissingCounts
 from .model import (
@@ -20,12 +20,14 @@ from .model import (
     ALPHA_A_PRIME,
     BETA_B,
     BETA_B_PRIME,
+    TREATMENTS,
     ExperimentData,
     FactorLevel,
     Level,
     Rational,
     Treatment,
     exceeds_common_denominator_cap,
+    over_common_denominator,
     rational,
 )
 
@@ -35,57 +37,44 @@ class Response(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarginalComparison:
     """Pr(response=+1) at a fixed own-factor level, across the other factor's levels.
 
     For response A at alpha level L: p_under_first is Pr(A=+1) under (L, b)
     and p_under_second under (L, b'); for response B at beta level L the
-    roles of the factors swap.
+    roles of the factors swap. ``delta``, their absolute difference, is set once.
     """
 
     response: Response
     fixed_level: FactorLevel
     p_under_first: Fraction
     p_under_second: Fraction
+    delta: Fraction = field(init=False, repr=False, compare=False)
 
-    @property
-    def delta(self) -> Fraction:
-        return abs(self.p_under_first - self.p_under_second)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", abs(self.p_under_first - self.p_under_second))
 
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:
         """The two treatments whose marginals are compared, in level order."""
-        return _compared_treatments(self.response, self.fixed_level)
+        return _COMPARISON_SLOTS[(self.response, self.fixed_level)]
 
     def complements(self) -> tuple[Fraction, Fraction]:
         """Pr(response = -1) under both levels (the second listed alternative)."""
         return (1 - self.p_under_first, 1 - self.p_under_second)
 
 
-# Fixed comparison order: A at a, A at a', B at b, B at b'.
-_COMPARISON_SLOTS = (
-    (Response.A, ALPHA_A),
-    (Response.A, ALPHA_A_PRIME),
-    (Response.B, BETA_B),
-    (Response.B, BETA_B_PRIME),
-)
+# Fixed comparison order: A at a, A at a', B at b, B at b'; each with the treatments it compares.
+_COMPARISON_SLOTS = {
+    (Response.A, ALPHA_A): (TREATMENTS[0], TREATMENTS[1]),  # (a,b), (a,b')
+    (Response.A, ALPHA_A_PRIME): (TREATMENTS[2], TREATMENTS[3]),  # (a',b), (a',b')
+    (Response.B, BETA_B): (TREATMENTS[0], TREATMENTS[2]),  # (a,b), (a',b)
+    (Response.B, BETA_B_PRIME): (TREATMENTS[1], TREATMENTS[3]),  # (a,b'), (a',b')
+}
 
 
-def _compared_treatments(response: Response, level: FactorLevel) -> tuple[Treatment, Treatment]:
-    if response is Response.A:
-        return (Treatment(level, BETA_B), Treatment(level, BETA_B_PRIME))
-    return (Treatment(ALPHA_A, level), Treatment(ALPHA_A_PRIME, level))
-
-
-def _build_comparison(data: ExperimentData, response: Response, level: FactorLevel) -> MarginalComparison:
-    first, second = (data.table(t) for t in _compared_treatments(response, level))
-    if response is Response.A:
-        return MarginalComparison(response, level, first.pr_a_plus, second.pr_a_plus)
-    return MarginalComparison(response, level, first.pr_b_plus, second.pr_b_plus)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarginalReport:
     """All four marginal comparisons plus the satisfied/violated verdict."""
 
@@ -114,20 +103,34 @@ def check_marginal_selectivity(
 
     tolerance 0 is the exact check; a positive rational accepts deltas up to it.
     A tolerance whose numerator or denominator exceeds 10**2000 is rejected,
-    as table cells are.
+    as table cells are. Marginals are summed as integers over the cells' common denominator.
     """
     tol = rational(tolerance)
     if exceeds_common_denominator_cap([tol]):  # checked first: the sign error prints tol
         raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
     if tol < 0:
         raise InvalidValue(f"tolerance must be nonnegative, got {tol}")
+    cells, lcd = over_common_denominator(c for table in data.tables.values() for c in table.cells())
+    # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L
+    plus = {
+        Response.A: [cells[k] + cells[k + 1] for k in range(0, 16, 4)],
+        Response.B: [cells[k] + cells[k + 2] for k in range(0, 16, 4)],
+    }
+    as_fraction = {m: Fraction(m, lcd) for m in {*plus[Response.A], *plus[Response.B]}}  # once per distinct value
     comparisons = tuple(
-        _build_comparison(data, response, level) for response, level in _COMPARISON_SLOTS
+        MarginalComparison(response, level, *(as_fraction[plus[response][t.index]] for t in pair))
+        for (response, level), pair in _COMPARISON_SLOTS.items()
     )
     return MarginalReport(comparisons=comparisons, tolerance=tol)
 
 
-@dataclass(frozen=True)
+def significance_level(alpha_sig: float) -> None:
+    """Reject a significance level outside (0, 1)."""
+    if not 0 < alpha_sig < 1:
+        raise InvalidValue(f"alpha_sig must be in (0, 1), got {alpha_sig}")
+
+
+@dataclass(frozen=True, slots=True)
 class MsTestResult:
     """Two-sample pooled z-test of one marginal comparison."""
 
@@ -157,24 +160,24 @@ def test_marginal_selectivity(
     infinite in magnitude. ``bonferroni`` divides the significance level by
     the four comparisons made.
     """
-    if not 0 < alpha_sig < 1:
-        raise InvalidValue(f"alpha_sig must be in (0, 1), got {alpha_sig}")
+    significance_level(alpha_sig)
     if not data.has_full_counts():
         raise MissingCounts("statistical test needs counts for all four treatments")
     alpha_eff = alpha_sig / 4 if bonferroni else alpha_sig
     results = []
     for comp in marginals.comparisons:
-        t1, t2 = comp.treatments
-        n1 = data.count(t1).n
-        n2 = data.count(t2).n
-        p1, p2 = comp.p_under_first, comp.p_under_second
-        pooled = (p1 * n1 + p2 * n2) / Fraction(n1 + n2)
-        degenerate = pooled == 0 or pooled == 1
+        n1, n2 = (data.count(t).n for t in comp.treatments)
+        (a1, b1), (a2, b2) = comp.p_under_first.as_integer_ratio(), comp.p_under_second.as_integer_ratio()
+        # p1 - p2 = diff / (b1 b2) and (p1 n1 + p2 n2) / (n1 + n2) = pooled / total; int / int rounds as float() does
+        diff = a1 * b2 - a2 * b1
+        pooled = a1 * b2 * n1 + a2 * b1 * n2
+        total = b1 * b2 * (n1 + n2)
+        degenerate = pooled == 0 or pooled == total
         if degenerate:
-            z = 0.0 if p1 == p2 else math.copysign(math.inf, float(p1 - p2))
+            z = 0.0 if diff == 0 else (math.inf if diff > 0 else -math.inf)
         else:
-            se = math.sqrt(float(pooled * (1 - pooled)) * (1 / n1 + 1 / n2))
-            z = float(p1 - p2) / se
+            se = math.sqrt(pooled * (total - pooled) / (total * total) * (1 / n1 + 1 / n2))
+            z = diff / (b1 * b2) / se
         p_value = math.erfc(abs(z) / math.sqrt(2))
         results.append(
             MsTestResult(

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .model import over_common_denominator
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -179,9 +181,7 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
 
 def feasible_point(reduced: ReducedSystem, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """A nonnegative exact solution of A x = b, or None when none exists."""
-    ratios = [v.as_integer_ratio() for v in rhs]
-    lcd = math.lcm(*(q for _, q in ratios))
-    scaled = [p * (lcd // q) for p, q in ratios]
+    scaled, lcd = over_common_denominator(rhs)
     # k T (L b), the reduced right-hand side times kL
     reduced_rhs = [sum(c * scaled[j] for j, c in row) for row in reduced.transform]
     rank = len(reduced.pivots)

@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Union
 
 from .errors import InvalidValue
@@ -59,6 +60,7 @@ from .model import (
     JointTable,
     Rational,
     Treatment,
+    over_common_denominator,
     rational,
 )
 
@@ -88,17 +90,16 @@ class SplitMix64:
         return self.next_uint64() >> 11
 
 
-def _cell_thresholds(table: JointTable) -> list[int]:
-    """ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""
+def _model_thresholds(model: Model) -> list[list[int]]:
+    """Per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""
     thresholds = []
-    cum = Fraction(0)
-    for p in table.cells():
-        cum += p
-        scaled = cum * (1 << 53)
-        thresholds.append(-((-scaled.numerator) // scaled.denominator))
+    for table in model_tables(model).tables.values():
+        numerators, lcd = over_common_denominator(table.cells())
+        thresholds.append([-((-cum << 53) // lcd) for cum in accumulate(numerators)])
     return thresholds
 
 
+@lru_cache(maxsize=4)  # a chunk's width is _LANES or the remainder; 256 KB each at most
 def _lane_constants(width: int) -> tuple[int, int, int, int]:
     """For ``width`` 128-bit lanes: 1 in every lane, GOLDEN * (j + 1) in lane j,
     2^64 - 1 in every lane, and bit 64 of every lane."""
@@ -109,14 +110,13 @@ def _lane_constants(width: int) -> tuple[int, int, int, int]:
 
 def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
     """Cell counts of the first n draws of each (seed, cell thresholds) stream."""
-    lanes = {width: _lane_constants(width) for width in {min(n, _LANES), n % _LANES}}
     tallies = []
     for seed, thresholds in streams:
         above = [n, 0, 0, 0, 0]  # above[i + 1]: draws whose r reaches thresholds[i]
         done = 0
         while done < n:
             width = min(_LANES, n - done)
-            ones, golden_ramp, mask, carries = lanes[width]
+            ones, golden_ramp, mask, carries = _lane_constants(width)
             z = (((seed + done * _GOLDEN) & _MASK64) * ones + golden_ramp) & mask
             # a right shift moves the next lane's low bits into this lane's padding
             z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
@@ -140,6 +140,8 @@ class SelectiveModel:
     def _tables(self) -> ExperimentData:
         """The exact push-forward, computed on first use."""
         return predicted_tables(self.hidden)
+
+    _thresholds = cached_property(_model_thresholds)
 
 
 def contamination_rate(value: Rational) -> Fraction:
@@ -180,6 +182,8 @@ class ContaminatedModel:
         mixed = {t: JointTable.point_mass(*pair).mix(base[t], self.eta) for t, pair in self.cross_map.items()}
         return ExperimentData(tables=mixed)
 
+    _thresholds = cached_property(_model_thresholds)
+
 
 Model = Union[SelectiveModel, ContaminatedModel]
 
@@ -208,9 +212,8 @@ def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:
 
     Deterministic in (model, spec): same inputs give identical counts.
     """
-    exact = model_tables(model)
     root = SplitMix64(spec.seed)
-    streams = [(root.next_uint64(), _cell_thresholds(exact.table(t))) for t in TREATMENTS]
+    streams = [(root.next_uint64(), thresholds) for thresholds in model._thresholds]
     tables = {}
     counts = {}
     for t, tally in zip(TREATMENTS, _tallies(spec.n_per_treatment, streams)):

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from selinf.cli import load_fixture_text
-from selinf.feasibility import HiddenStateDistribution
+from selinf.feasibility import HiddenStateDistribution, predicted_tables
 from selinf.io import parse_experiment
-from selinf.model import TREATMENTS, ExperimentData, JointTable, Level
+from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, Level
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +68,15 @@ def random_any_data(rng: random.Random, denom: int = 20) -> ExperimentData:
         total = sum(cells)
         tables[t] = JointTable(*(c / total for c in cells))
     return ExperimentData(tables=tables)
+
+
+def cap_denominator_push_forward() -> ExperimentData:
+    """The push-forward of 16 seeded weights over the denominator 10**2000 - 1, just under the cap."""
+    denominator = MAX_COMMON_DENOMINATOR - 1
+    rng = random.Random(2000)
+    parts = [rng.randrange(denominator // 16) for _ in range(15)]
+    parts.append(denominator - sum(parts))
+    return predicted_tables(HiddenStateDistribution(tuple(Fraction(a, denominator) for a in parts)))
 
 
 def pr_box() -> ExperimentData:

@@ -78,6 +78,15 @@ class TestAnalyze:
         assert code == EXIT_INFEASIBLE
         assert doc["chsh"]["gamma"] == "0"
 
+    @pytest.mark.parametrize("name", ["table1", "table3"])  # without counts, with counts
+    @pytest.mark.parametrize("sig", ["5", "0", "1", "-0.05", "nan"])
+    def test_significance_outside_zero_one_is_an_input_error(self, fixture_path, capsys, name, sig):
+        code = run_cli(["analyze", fixture_path(name), "--sig", sig])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: alpha_sig must be in (0, 1), got {float(sig)}\n"
+
     def test_missing_file(self, capsys):
         code = run_cli(["analyze", "/nonexistent/experiment.json"])
         assert code == EXIT_ERROR
@@ -204,6 +213,17 @@ class TestSimulateCommand:
         code = run_cli(["analyze", str(out_file)])
         capsys.readouterr()
         assert code in (EXIT_FEASIBLE, EXIT_INFEASIBLE)
+
+    @pytest.mark.parametrize("target", ["directory", "missing/parent/sampled.json"])
+    def test_unwritable_out_path_exits_with_one_error_line(self, tmp_path, capsys, target):
+        model = self.model_path(tmp_path)
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / target)
+        code = run_cli(["simulate", "--model", model, "--n", "10", "--seed", "1", "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "unexpected" not in err
 
     def test_bad_model_file(self, tmp_path):
         path = tmp_path / "bad_model.json"

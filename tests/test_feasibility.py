@@ -28,7 +28,7 @@ from selinf.io import analyze, render_report_text, report_to_json_dict
 from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 
-from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
+from conftest import cap_denominator_push_forward, pr_box, random_any_data, random_hidden_distribution, random_ms_data
 from relabel import chsh_facet_value, mix_experiments
 
 import fraction_simplex
@@ -73,6 +73,20 @@ class TestHiddenStateDistribution:
         ws[0], ws[1] = Fraction(-1, 16), Fraction(1, 8) + Fraction(3, 16)
         with pytest.raises(InvalidDistribution):
             HiddenStateDistribution(tuple(ws))
+
+    def test_messages_print_the_reduced_sum(self):
+        with pytest.raises(InvalidDistribution, match=r"^weights sum to 15/16, expected exactly 1$"):
+            HiddenStateDistribution((Fraction(1, 16),) * 15 + (Fraction(0),))
+        with pytest.raises(InvalidDistribution, match=r"^need 16 weights, got 15$"):
+            HiddenStateDistribution((Fraction(1, 15),) * 15)
+
+    def test_fractions_are_kept_and_other_weights_converted(self):
+        ws = (Fraction(1, 2), Fraction(0)) + (Fraction(1, 28),) * 14
+        dist = HiddenStateDistribution(ws)
+        assert all(kept is given for kept, given in zip(dist.weights, ws))
+        converted = HiddenStateDistribution(("1/2", 0, 0.5) + (0,) * 13)
+        assert converted.weights[:3] == (Fraction(1, 2), 0, Fraction(1, 2))
+        assert all(type(w) is Fraction for w in converted.weights)
 
     def test_from_mapping_with_state_strings(self):
         dist = HiddenStateDistribution.from_mapping({"++++": "1/2", "----": ".5"})
@@ -224,12 +238,8 @@ class TestIntegerPhaseOne:
         assert len(phase_one_runs) > 300
 
     def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):
-        denominator = MAX_COMMON_DENOMINATOR - 1
-        rng = random.Random(2000)
-        parts = [rng.randrange(denominator // 16) for _ in range(15)]
-        parts.append(denominator - sum(parts))
-        data = predicted_tables(HiddenStateDistribution(tuple(Fraction(a, denominator) for a in parts)))
-        assert math.lcm(*(c.denominator for c in _rhs(data))) == denominator
+        data = cap_denominator_push_forward()
+        assert math.lcm(*(c.denominator for c in _rhs(data))) == MAX_COMMON_DENOMINATOR - 1
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()

@@ -80,6 +80,27 @@ class TestTreatments:
         with pytest.raises(InvalidValue):
             Treatment.from_key("a,c")
 
+    def test_ad_hoc_treatment_hashes_and_looks_up_as_the_canonical_one(self):
+        ad_hoc = Treatment(ALPHA_A, BETA_B)
+        assert ad_hoc is not TREATMENTS[0] and ad_hoc == TREATMENTS[0]
+        assert hash(ad_hoc) == hash(TREATMENTS[0]) == 0
+        data = random_any_data(random.Random(5))
+        counts = {t: CountTable(1, 2, 3, 4) for t in TREATMENTS}
+        with_counts = ExperimentData({t: ct.normalized() for t, ct in counts.items()}, counts)
+        assert data.table(ad_hoc) is data.table(TREATMENTS[0]) is data.tables[ad_hoc]
+        assert with_counts.count(ad_hoc) is with_counts.count(TREATMENTS[0])
+        assert {ad_hoc: "x"}[TREATMENTS[0]] == "x" and ad_hoc in set(TREATMENTS)
+        for t in TREATMENTS:
+            assert hash(Treatment(t.alpha, t.beta)) == hash(t) == t.index
+        assert len({Treatment(t.alpha, t.beta) for t in TREATMENTS} | set(TREATMENTS)) == 4
+
+    def test_tables_keyed_by_ad_hoc_treatments_are_rekeyed_canonically(self):
+        data = random_any_data(random.Random(6))
+        rebuilt = ExperimentData({Treatment(t.alpha, t.beta): data.table(t) for t in reversed(TREATMENTS)})
+        assert list(rebuilt.tables) == list(TREATMENTS)
+        assert all(a is b for a, b in zip(rebuilt.tables, TREATMENTS))
+        assert rebuilt == data
+
     def test_treatment_needs_one_level_per_factor(self):
         with pytest.raises(InvalidValue):
             Treatment(BETA_B, BETA_B)
@@ -96,6 +117,15 @@ class TestJointTable:
     def test_sum_must_be_exactly_one(self):
         with pytest.raises(InvalidTable, match=r"^cells sum to 999/1000, expected exactly 1$"):
             JointTable(".778", ".086", ".086", ".049")  # sums to .999
+
+    def test_sum_is_checked_exactly_and_printed_reduced(self):
+        # denominators 10**400 + 1 and 10**400 + 3 share no factor
+        d1, d2 = 10**400 + 1, 10**400 + 3
+        JointTable(Fraction(1, d1), Fraction(d1 - 1, d1) - Fraction(1, d2), Fraction(1, d2), 0)
+        with pytest.raises(InvalidTable, match=rf"^cells sum to {d2 + 1}/{d2}, expected exactly 1$"):
+            JointTable(Fraction(1, d1), Fraction(d1 - 1, d1) - Fraction(1, d2), Fraction(2, d2), 0)
+        with pytest.raises(InvalidTable, match=r"^cells sum to 1/6, expected exactly 1$"):
+            JointTable(Fraction(1, 12), Fraction(1, 24), Fraction(1, 24), 0)
 
     def test_cells_must_be_probabilities(self):
         with pytest.raises(InvalidTable, match=r"^cell p_pp = 3/2 outside \[0, 1\]$"):

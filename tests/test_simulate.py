@@ -24,6 +24,7 @@ from selinf.simulate import (
     SelectiveModel,
     SplitMix64,
     _LANES,
+    _lane_constants,
     _tallies,
     model_tables,
     sample_counts,
@@ -169,6 +170,23 @@ class TestModelTables:
             assert sample_counts(model, SampleSpec(n_per_treatment=50, seed=3)) == first
             assert model_tables(model) is model_tables(model)
             assert len(pushed) == 1
+
+    def test_thresholds_and_lane_constants_are_computed_once(self, monkeypatch):
+        looked_up = []
+        original = selinf.simulate.model_tables
+
+        def counting(model):
+            looked_up.append(model)
+            return original(model)
+
+        monkeypatch.setattr(selinf.simulate, "model_tables", counting)
+        model = SelectiveModel(random_hidden_distribution(random.Random(8)))
+        before = _lane_constants.cache_info()
+        first = sample_counts(model, SampleSpec(n_per_treatment=77, seed=3))
+        assert sample_counts(model, SampleSpec(n_per_treatment=77, seed=4)) != first
+        after = _lane_constants.cache_info()
+        assert looked_up == [model]  # once per model, not per call
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 7
 
     def test_model_validation(self):
         uniform = HiddenStateDistribution.uniform()
