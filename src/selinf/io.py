@@ -58,9 +58,10 @@ denominator exceeds 10**2000.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Collection, Mapping, Optional, Union
+from typing import Any, Collection, Optional, Union
 
 from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (

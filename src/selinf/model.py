@@ -111,11 +111,11 @@ class FactorLevel:
 
     factor: Factor
     level: Level
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
+    def __post_init__(self) -> None:
         base = "a" if self.factor is Factor.ALPHA else "b"
-        return base if self.level is Level.FIRST else base + "'"
+        object.__setattr__(self, "key", base if self.level is Level.FIRST else base + "'")
 
     def __str__(self) -> str:
         return self.key
@@ -136,25 +136,22 @@ class Treatment:
     alpha: FactorLevel
     beta: FactorLevel
     index: int = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha.factor is not Factor.ALPHA or self.beta.factor is not Factor.BETA:
             raise InvalidValue("treatment needs one alpha level and one beta level")
         object.__setattr__(self, "index", 2 * (self.alpha.level is Level.SECOND) + (self.beta.level is Level.SECOND))
+        object.__setattr__(self, "key", f"{self.alpha.key},{self.beta.key}")
 
     def __hash__(self) -> int:
         return self.index
 
-    @property
-    def key(self) -> str:
-        return f"{self.alpha.key},{self.beta.key}"
-
     @classmethod
     def from_key(cls, key: str) -> "Treatment":
-        for t in TREATMENTS:
-            if t.key == key:
-                return t
-        raise InvalidValue(f"unknown treatment key {key!r}")
+        if key not in _TREATMENT_BY_KEY:
+            raise InvalidValue(f"unknown treatment key {key!r}")
+        return _TREATMENT_BY_KEY[key]
 
     def __str__(self) -> str:
         return self.key
@@ -166,6 +163,7 @@ TREATMENTS = (
     Treatment(ALPHA_A_PRIME, BETA_B),
     Treatment(ALPHA_A_PRIME, BETA_B_PRIME),
 )
+_TREATMENT_BY_KEY = {t.key: t for t in TREATMENTS}
 
 # Outcome pairs (A, B) in the fixed cell order pp, pm, mp, mm.
 CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))

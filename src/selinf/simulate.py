@@ -33,11 +33,13 @@ Evaluation
 ----------
 The state after k steps is ``seed + k * 0x9E3779B97F4A7C15 mod 2^64``, so
 ``sample_counts`` evaluates the contract a chunk of draws at a time: the
-chunk's states are packed as 128-bit lanes of one Python int, the output
-function runs on all lanes at once (each multiply stays inside its lane),
-and a cell's count is the number of outputs at or beyond its threshold,
-found by adding ``2^64 - (threshold << 11)`` to every lane and counting the
-carries into bit 64. The counts equal those of drawing one at a time.
+chunk's states are packed as 128-bit lanes of one Python int, and the
+output function runs on all lanes at once (each multiply stays inside its
+lane). A cell's count is the number of outputs at or beyond its threshold
+t << 11: the lanes are written out once as bytes, ``bytes.translate`` counts
+the outputs whose top byte exceeds its, and only top-byte ties take the last
+step ``z ^ (z >> 31)`` (which changes bits 0..32, never the top byte) and a
+full comparison. The counts equal those of drawing one at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _LANES = 4096  # draws per chunk; one chunk's lanes fill a 64 KB int
+_BYTES = bytes(range(256))
 
 
 class SplitMix64:
@@ -99,32 +102,43 @@ def _model_thresholds(model: Model) -> list[list[int]]:
     return thresholds
 
 
-@lru_cache(maxsize=4)  # a chunk's width is _LANES or the remainder; 256 KB each at most
-def _lane_constants(width: int) -> tuple[int, int, int, int]:
+@lru_cache(maxsize=4)  # a chunk's width is _LANES or the remainder; 192 KB each at most
+def _lane_constants(width: int) -> tuple[int, int, int]:
     """For ``width`` 128-bit lanes: 1 in every lane, GOLDEN * (j + 1) in lane j,
-    2^64 - 1 in every lane, and bit 64 of every lane."""
+    and 2^64 - 1 in every lane."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
     ramp = int.from_bytes(struct.pack("<" + "Q8x" * width, *range(1, width + 1)), "little")
-    return ones, _GOLDEN * ramp, ones * _MASK64, ones << 64
+    return ones, _GOLDEN * ramp, ones * _MASK64
 
 
 def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
-    """Cell counts of the first n draws of each (seed, cell thresholds) stream."""
+    """Cell counts of the first n draws of each (seed, cell thresholds) stream.
+
+    A draw reaches threshold th when its output is at least t = th << 11: its top
+    byte exceeds t's, or ties with it (about one draw in 256) and the full output
+    ``v ^ (v >> 31)``, whose top byte is v's, is at least t.
+    """
     tallies = []
     for seed, thresholds in streams:
         above = [n, 0, 0, 0, 0]  # above[i + 1]: draws whose r reaches thresholds[i]
         done = 0
         while done < n:
             width = min(_LANES, n - done)
-            ones, golden_ramp, mask, carries = _lane_constants(width)
+            ones, golden_ramp, mask = _lane_constants(width)
             z = (((seed + done * _GOLDEN) & _MASK64) * ones + golden_ramp) & mask
             # a right shift moves the next lane's low bits into this lane's padding
             z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-            z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-            z = (z ^ (z >> 31)) & mask
-            for i in range(3):
-                # r >= th exactly when z >= th << 11, i.e. when this sum carries into bit 64
-                above[i + 1] += ((z + ((1 << 64) - (thresholds[i] << 11)) * ones) & carries).bit_count()
+            # no mask: each lane's product is below 2^128, and its bytes 0..7 are v = product mod 2^64
+            lanes = (((z ^ (z >> 27)) & mask) * _MIX2).to_bytes(16 * width, "little")
+            top = lanes[7::16]  # the output v ^ (v >> 31) has v's top byte
+            for i, t in enumerate(th << 11 for th in thresholds[:3] if th < 1 << 53):  # sorted; no r reaches 2^53
+                tb = t >> 56
+                above[i + 1] += len(top.translate(None, _BYTES[: tb + 1]))
+                j = top.find(tb)
+                while j >= 0:
+                    v = int.from_bytes(lanes[16 * j : 16 * j + 8], "little")
+                    above[i + 1] += v ^ (v >> 31) >= t
+                    j = top.find(tb, j + 1)
             done += width
         tallies.append([above[k] - above[k + 1] for k in range(4)])
     return tallies

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import selinf.simulate
 from selinf.chsh import compute_gamma
@@ -302,13 +303,50 @@ class TestPackedSampler:
         "point mass mm": (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
     }
 
+    @staticmethod
+    def tie_thresholds(outputs):
+        """Thresholds that put drawn outputs on top-byte ties: at and just past their r, on
+        top-byte edges (the threshold << 11 has 56 zero low bits), and 0 and 2^53 before the last cell."""
+        first, last = outputs[0] >> 11, outputs[-1] >> 11
+        # the most trailing zeros: with 11 or more, this output equals its threshold << 11 exactly
+        exact = max(outputs, key=lambda out: out & -out) >> 11
+        edges = [r >> 45 << 45 for r in (first, last, exact)]
+        return [
+            sorted([first, last, exact]) + [2**53],
+            sorted([first + 1, last + 1, exact + 1]) + [2**53],
+            sorted(edges[:2] + [edges[2] + (1 << 45)]) + [2**53],
+            [0, 0, exact, 2**53],
+            [0, 2**53, 2**53, 2**53],
+            [exact, 2**53, 2**53, 2**53],
+        ]
+
     @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     def test_tallies_match_per_draw_reference(self, n, seed):
         outputs = reference_splitmix64(seed, n)
-        thresholds = [reference_thresholds(c) for c in self.CELLS.values()]
+        thresholds = [reference_thresholds(c) for c in self.CELLS.values()] + self.tie_thresholds(outputs)
         got = _tallies(n, [(seed, th) for th in thresholds])
         assert got == [reference_tally(outputs, th) for th in thresholds]
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, MASK64),
+        n=st.integers(1, 300),
+        thresholds=st.lists(
+            st.one_of(
+                st.just(0),
+                st.just(2**53),
+                st.integers(0, 2**53),
+                st.integers(0, 2**53).map(lambda r: r >> 45 << 45),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_tallies_match_per_draw_reference_for_any_seed(self, seed, n, thresholds):
+        thresholds = sorted(thresholds) + [2**53]
+        outputs = reference_splitmix64(seed, n)
+        assert _tallies(n, [(seed, thresholds)]) == [reference_tally(outputs, thresholds)]
 
     @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
     def test_sample_counts_match_per_draw_reference(self, seed):
