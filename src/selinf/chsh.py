@@ -6,21 +6,22 @@ which each response depends only on its own factor and shared randomness keeps
 it at or below 2; quantum models reach 2*sqrt(2); the algebraic ceiling is 4.
 Comparisons against 2*sqrt(2) are done as gamma^2 vs 8 in exact rationals.
 
-``compute_gamma`` scales the 16 cells to integers over their least common
-denominator L, picks gamma and its achievers by comparing integer sums, and
-builds each expectation and sum as a ``Fraction`` once, for the report.
+``compute_gamma`` reads the 16 cells as integers over their least common
+denominator L from ``ExperimentData.scaled_cells``, picks gamma and its
+achievers by comparing integer sums, and builds each expectation and sum as a
+``Fraction`` once, for the report.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvalidPattern
-from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs, over_common_denominator
+from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,7 @@ class SignPattern:
     """Signs applied to (E_ab, E_ab', E_a'b, E_a'b'); the plus count must be odd."""
 
     signs: tuple[int, int, int, int]
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         signs = tuple(self.signs)
@@ -36,6 +38,7 @@ class SignPattern:
         if sum(s == 1 for s in signs) % 2 == 0:
             raise InvalidPattern(f"pattern {signs!r} has an even number of plus signs")
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "key", encode_signs(signs))
 
     @classmethod
     def of(cls, s1: int, s2: int, s3: int, s4: int) -> "SignPattern":
@@ -53,7 +56,7 @@ class SignPattern:
         return sum((s * e for s, e in zip(self.signs, expectations)), Fraction(0))
 
     def __str__(self) -> str:
-        return encode_signs(self.signs)
+        return self.key
 
 
 # All valid patterns, in lexicographic order over sign tuples with +1 before -1.
@@ -98,7 +101,7 @@ class ChshReport:
 
 def compute_gamma(data: ExperimentData) -> ChshReport:
     """Evaluate all eight signed sums and report the maximum with its achievers."""
-    cells, lcd = over_common_denominator(c for table in data.tables.values() for c in table.cells())
+    cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # E[A*B] = p_pp - p_pm - p_mp + p_mm per treatment, times L
     values = [cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4)]
     sums = {p: sum(s * e for s, e in zip(p.signs, values)) for p in SIGN_PATTERNS}

@@ -20,7 +20,7 @@ product measure over the 256 tuples of per-treatment outcome pairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -51,11 +51,13 @@ class HiddenState:
     a_prime_val: int
     b_val: int
     b_prime_val: int
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("a_val", "a_prime_val", "b_val", "b_prime_val"):
             if getattr(self, name) not in (1, -1):
                 raise InvalidValue(f"{name} must be +1 or -1")
+        object.__setattr__(self, "key", encode_signs((self.a_val, self.a_prime_val, self.b_val, self.b_prime_val)))
 
     @property
     def index(self) -> int:
@@ -84,7 +86,7 @@ class HiddenState:
         )
 
     def __str__(self) -> str:
-        return encode_signs((self.a_val, self.a_prime_val, self.b_val, self.b_prime_val))
+        return self.key
 
 
 HIDDEN_STATES: tuple[HiddenState, ...] = tuple(HiddenState.from_index(i) for i in range(16))
@@ -282,12 +284,12 @@ def solve_feasibility(
 
     The verdict comes from the exact phase-1 simplex on the 16-weight
     system (the 16 cell equations plus normalization, its constant matrix
-    reduced once at import). Certificates are not read off the solver: they
-    are the violated conditions in ``marginals`` and ``chsh``, the reports
-    of the same data, which Fine's theorem makes complete for this design.
+    reduced once at import; its right-hand side, the cells then 1, is
+    ``data.scaled_cells`` over its last entry). Certificates are not read off
+    the solver: they are the violated conditions in ``marginals`` and ``chsh``,
+    the reports of the same data, which Fine's theorem makes complete for this design.
     """
-    rhs = [cell for table in data.tables.values() for cell in table.cells()] + [Fraction(1)]
-    solution = feasible_point(_CONSTRAINTS, rhs)
+    solution = feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
     if solution is not None:
         witness = HiddenStateDistribution(tuple(solution))
         return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)

@@ -61,7 +61,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Collection, Optional, Union
+from typing import Any, Optional, Union
 
 from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (
@@ -82,6 +82,7 @@ from .feasibility import (
 )
 from .model import (
     FACTOR_LEVELS,
+    MAX_COMMON_DENOMINATOR,
     TREATMENTS,
     CountTable,
     ExperimentData,
@@ -119,11 +120,6 @@ def _load(text: str, what: str) -> Mapping[str, Any]:
     if not isinstance(document, Mapping):
         raise ParseError(f"{what} must be a JSON object")
     return document
-
-
-def _check_common_denominator(cells: Collection[Fraction], where: str) -> None:
-    if exceeds_common_denominator_cap(cells):
-        raise BadCell(f"{where}: the cells' least common denominator exceeds 10**2000")
 
 
 def _check_cell_keys(block: Mapping[str, Any], key: str, extra: str) -> None:
@@ -172,7 +168,8 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
     for ck, f in zip(PROB_KEYS, cells):
         if f < 0 or f > 1:
             raise BadCell(f"treatment {key}: cell {ck} = {block[ck]!r} outside [0, 1]")
-    _check_common_denominator(cells, f"treatment {key}")  # SumNotOne prints the sum
+    if exceeds_common_denominator_cap(cells):  # SumNotOne prints the sum
+        raise BadCell(f"treatment {key}: the cells' least common denominator exceeds 10**2000")
     total = sum(cells)
     if not renormalize:
         raise SumNotOne(
@@ -245,10 +242,9 @@ def parse_experiment(text: str) -> ExperimentData:
         tables[t], count = _parse_block(blocks[t.key], t.key, renormalize)
         if count is not None:
             counts[t] = count
-    _check_common_denominator([c for table in tables.values() for c in table.cells()], "treatments")
     labels = _parse_labels(doc["labels"]) if "labels" in doc else None
     try:
-        return ExperimentData(
+        data = ExperimentData(
             tables=tables,
             counts=counts or None,
             labels=labels,
@@ -256,6 +252,9 @@ def parse_experiment(text: str) -> ExperimentData:
         )
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
+    if max(data.scaled_cells) > MAX_COMMON_DENOMINATOR:  # L and every numerator, each cell being at most 1
+        raise BadCell("treatments: the cells' least common denominator exceeds 10**2000")
+    return data
 
 
 def serialize_experiment(data: ExperimentData) -> str:
@@ -379,7 +378,7 @@ def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict
     if isinstance(cert, FacetViolation):
         return {
             "kind": "chsh_facet",
-            "pattern": str(cert.pattern),
+            "pattern": cert.pattern.key,
             "value": str(cert.value),
         }
     return {"kind": "marginal", **_comparison_to_dict(cert)}
@@ -394,18 +393,18 @@ def _certificate_from_dict(d: Mapping[str, Any]):
 
 
 def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
-    return {str(state): str(w) for state, w in witness.nonzero_items()}
+    return {state.key: str(w) for state, w in witness.nonzero_items()}
 
 
 def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
     """The witness header, then one ``state : weight`` line per state of nonzero weight."""
     return [f"{header_prefix}witness (state A(a)A(a')B(b)B(b') : weight):"] + [
-        f"{indent}{state} : {w}" for state, w in witness.nonzero_items()
+        f"{indent}{state.key} : {w}" for state, w in witness.nonzero_items()
     ]
 
 
 def _ordered_argmax(chsh: ChshReport) -> list[str]:
-    return [str(p) for p in chsh.sums if p in chsh.argmax_patterns]
+    return [p.key for p in chsh.sums if p in chsh.argmax_patterns]
 
 
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
@@ -415,7 +414,7 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
         "format": REPORT_FORMAT,
         "chsh": {
             "expectations": {t.key: str(chsh.expectations[t]) for t in TREATMENTS},
-            "sums": {str(p): str(v) for p, v in chsh.sums.items()},
+            "sums": {p.key: str(v) for p, v in chsh.sums.items()},
             "gamma": str(chsh.gamma),
             "gamma_decimal": chsh.gamma_decimal(),
             "argmax_patterns": _ordered_argmax(chsh),
@@ -600,7 +599,7 @@ def render_report_text(
 
 def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
     if isinstance(cert, FacetViolation):
-        return f"CHSH facet {cert.pattern} = {_fmt(cert.value)} > 2"
+        return f"CHSH facet {cert.pattern.key} = {_fmt(cert.value)} > 2"
     return (
         f"marginal comparison {cert.response.value} at {cert.fixed_level.key}: "
         f"{_fmt(cert.p_under_first)} vs {_fmt(cert.p_under_second)}"

@@ -10,9 +10,11 @@ tolerance-based.
 
 Data and reports hold Fractions; arithmetic on several of them runs on
 ``int``s. ``over_common_denominator`` writes values as numerators over their
-least common denominator L, so table checks, CHSH sums, marginals and the
-simplex add and compare plain integers, with no gcd per step. A ``Fraction``
-is built only for a value that a report holds or a message prints.
+least common denominator L. ``ExperimentData`` computes its 16 cells in this
+form once; the cap check, CHSH sums, marginals and simplex read that vector and
+add and compare plain integers, with no gcd per step. A ``Fraction`` is built
+only for a value that a report holds or a message prints. ``rational`` reads
+plain ASCII "p/q" and decimal strings with ``int``, the rest with ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,21 +43,21 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # Capping the common denominator keeps every rendered number far below
 # Python's 4,300-digit int-to-str limit. The simplex's phase 1 pivots on
 # integers, the cells scaled by their common denominator L; its tableau
-# entries stay under 2**18 * L (see ``simplex``), so about 2,000 digits at
+# entries stay under 2**22 * L (see ``simplex``), so about 2,000 digits at
 # the cap.
 MAX_COMMON_DENOMINATOR = 10**2000
 
 
 def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
     """Whether the values' least common denominator, or a numerator's magnitude, exceeds 10**2000."""
-    lcd = math.lcm(*(v.denominator for v in values))
-    return max(lcd, *(abs(v.numerator) for v in values)) > MAX_COMMON_DENOMINATOR
+    lcd = math.lcm(*[v.denominator for v in values])
+    return max(lcd, *[abs(v.numerator) for v in values]) > MAX_COMMON_DENOMINATOR
 
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """The values as integer numerators over their least common denominator L, and L."""
     ratios = [v.as_integer_ratio() for v in values]
-    lcd = math.lcm(*(q for _, q in ratios))
+    lcd = math.lcm(*[q for _, q in ratios])
     return [p * (lcd // q) for p, q in ratios], lcd
 
 
@@ -65,14 +67,23 @@ def rational(value: Rational) -> Fraction:
     Strings may be decimals (".049" -> 49/1000) or ratios ("49/1000").
     Floats go through their shortest decimal repr, so a JSON number 0.049
     also becomes exactly 49/1000. Decimal exponents beyond
-    ``MAX_DECIMAL_EXPONENT`` in magnitude are rejected.
+    ``MAX_DECIMAL_EXPONENT`` in magnitude are rejected. Plain strings are read
+    with ``int``, as ``Fraction`` would read them; the rest go to ``Fraction``.
     """
+    plain = False
     if isinstance(value, str):
-        exponent = _DECIMAL_EXPONENT.search(value)
+        num, slash, den = value.partition("/")
+        whole, _, decimals = num.partition(".")
+        # "p/q" or a plain decimal in ASCII digits, which int() reads as Fraction() would
+        plain = value.isascii() and (num.isdigit() and den.isdigit() if slash else (whole + decimals).isdigit())
+        exponent = None if plain else _DECIMAL_EXPONENT.search(value)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise InvalidValue(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
+        if plain:
+            scale = 10 ** len(decimals)
+            return Fraction(int(whole or 0) * scale + int(decimals or 0), scale * int(den or 1))
         if isinstance(value, float):
             return Fraction(repr(value))
         if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
@@ -321,13 +332,15 @@ class ExperimentData:
     When ``counts`` are present each table must equal its count table
     normalized, unless ``independent_counts`` marks the probabilities as
     supplied separately from the counts (e.g. published rounded estimates
-    alongside the sample size).
+    alongside the sample size). ``scaled_cells`` holds the 16 cells in order
+    as integers over their least common denominator L, then L.
     """
 
     tables: Mapping[Treatment, JointTable]
     counts: Optional[Mapping[Treatment, CountTable]] = None
     labels: Optional[LabelSet] = None
     independent_counts: bool = False
+    scaled_cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         found = set(self.tables)
@@ -337,6 +350,8 @@ class ExperimentData:
                 raise InvalidValue(f"missing treatments: {missing}")
             raise InvalidValue("tables must be keyed by the four treatments")
         object.__setattr__(self, "tables", {t: self.tables[t] for t in TREATMENTS})
+        numerators, lcd = over_common_denominator(c for table in self.tables.values() for c in table.cells())
+        object.__setattr__(self, "scaled_cells", (*numerators, lcd))
         if self.counts is not None:
             if set(self.counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")

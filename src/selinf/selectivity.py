@@ -27,7 +27,6 @@ from .model import (
     Rational,
     Treatment,
     exceeds_common_denominator_cap,
-    over_common_denominator,
     rational,
 )
 
@@ -103,14 +102,15 @@ def check_marginal_selectivity(
 
     tolerance 0 is the exact check; a positive rational accepts deltas up to it.
     A tolerance whose numerator or denominator exceeds 10**2000 is rejected,
-    as table cells are. Marginals are summed as integers over the cells' common denominator.
+    as table cells are. Marginals are summed on ``data.scaled_cells``, the
+    cells as integers over their common denominator.
     """
     tol = rational(tolerance)
     if exceeds_common_denominator_cap([tol]):  # checked first: the sign error prints tol
         raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
     if tol < 0:
         raise InvalidValue(f"tolerance must be nonnegative, got {tol}")
-    cells, lcd = over_common_denominator(c for table in data.tables.values() for c in table.cells())
+    cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L
     plus = {
         Response.A: [cells[k] + cells[k + 1] for k in range(0, 16, 4)],

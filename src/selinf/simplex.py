@@ -10,8 +10,8 @@ steps:
    as ``int``, both multiplied by one positive scale k, the least common
    denominator of their entries (k = 1 for the program's 0/1 constraint
    matrix).
-2. ``feasible_point(reduced, b)``, once per right-hand side, on integers
-   only: with L the least common denominator of b, (kT)(Lb) decides
+2. ``feasible_point(reduced, Lb, L)``, once per right-hand side, given as
+   integers Lb over a positive common denominator L: (kT)(Lb) decides
    consistency, a nonnegative reduced right-hand side is itself the basic
    solution, and otherwise a phase-1 simplex with one artificial variable
    per row minimizes their sum under Bland's anti-cycling rule. Optimum zero
@@ -26,7 +26,11 @@ basis. So the integers never outgrow those minors, which Hadamard's
 inequality bounds. For the program's matrix, 9 independent rows of [R | I]
 with five entries of -1 or 1 each, every matrix entry and d are at most
 5**4.5 < 1400, and every right-hand side entry at most that times the sum
-of |kT Lb| <= 153 L: under 18 bits beyond L.
+of |kT Lb| <= 153 L: under 18 bits beyond L. The objective row, one more row
+of M pivoted like the others, is the artificial-basic rows' sum minus d times
+the costs (1 on each artificial): minus each reduced cost, then the objective,
+times d, at most rank(A) + 1 times M's largest entry. Bland enters its first
+positive column.
 
 Phase 1 solves (kR) y = kT(Lb) for y = Lx, with artificials kL times the
 rational ones. That multiplies the phase-1 objective by kL > 0 and each
@@ -43,8 +47,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from .model import over_common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,16 +114,11 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
         art = [0] * m
         art[i] = 1
         tableau.append([sign * v for v in row] + art + [sign * r])
+    # row m, the objective row: the rows' sum less the cost 1 on each artificial
+    tableau.append([sum(column) for column in zip(*tableau)])
+    tableau[m][n : n + m] = [0] * m
     basis = [n + i for i in range(m)]
     divisor = 1  # the rational tableau is tableau / divisor
-
-    def improves(col: int) -> bool:
-        # Phase-1 costs: 1 on artificials, 0 on originals; the reduced cost times divisor.
-        cost = divisor if col >= n else 0
-        for i in range(m):
-            if basis[i] >= n:
-                cost -= tableau[i][col]
-        return cost < 0
 
     def pivot(row: int, col: int) -> None:
         nonlocal divisor
@@ -139,7 +136,7 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
 
     while True:
         # Bland: smallest improving index
-        entering = next((col for col in range(n + m) if col not in basis and improves(col)), None)
+        entering = next((col for col, v in enumerate(tableau[m][:-1]) if v > 0), None)
         if entering is None:
             break
         leaving = None
@@ -159,7 +156,7 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
             raise AssertionError("phase-1 objective cannot be unbounded")
         pivot(leaving, entering)
 
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    if tableau.pop()[-1] != 0:
         return None
 
     # Drive out artificials stuck basic at zero level; rows are independent,
@@ -179,11 +176,10 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
     return solution, divisor
 
 
-def feasible_point(reduced: ReducedSystem, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """A nonnegative exact solution of A x = b, or None when none exists."""
-    scaled, lcd = over_common_denominator(rhs)
+def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Optional[list[Fraction]]:
+    """A nonnegative exact solution of A x = b, or None; ``rhs`` is L b, for a positive ``lcd`` = L."""
     # k T (L b), the reduced right-hand side times kL
-    reduced_rhs = [sum(c * scaled[j] for j, c in row) for row in reduced.transform]
+    reduced_rhs = [sum(c * rhs[j] for j, c in row) for row in reduced.transform]
     rank = len(reduced.pivots)
     if any(reduced_rhs[rank:]):
         return None

@@ -15,7 +15,7 @@ from selinf.chsh import (
 )
 from selinf.errors import InvalidPattern
 from selinf.feasibility import predicted_tables
-from selinf.model import TREATMENTS, Level
+from selinf.model import TREATMENTS, Level, encode_signs
 
 from conftest import random_any_data, random_hidden_distribution
 from relabel import (
@@ -59,6 +59,12 @@ class TestSignPatterns:
     def test_string_round_trip(self):
         for p in SIGN_PATTERNS:
             assert SignPattern.from_string(str(p)) == p
+
+    def test_stored_string_leaves_equality_hash_and_repr_alone(self):
+        p = SignPattern((1, 1, 1, -1))
+        assert p.key == str(p) == encode_signs(p.signs) == "+++-"
+        assert repr(p) == "SignPattern(signs=(1, 1, 1, -1))"
+        assert hash(p) == hash(((1, 1, 1, -1),)) and p == SIGN_PATTERNS[0]
 
 
 class TestGammaOnGoldenTables:

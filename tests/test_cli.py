@@ -46,7 +46,7 @@ class TestAnalyze:
         assert "INFEASIBLE" in out
 
     def test_solver_disagreeing_with_fine_exits_with_error_code(self, uniform_path, monkeypatch, capsys):
-        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs: None)
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs, lcd: None)
         code = run_cli(["analyze", uniform_path])
         err = capsys.readouterr().err
         assert code == EXIT_ERROR

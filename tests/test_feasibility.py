@@ -39,6 +39,12 @@ class TestHiddenStates:
         assert len(HIDDEN_STATES) == 16
         assert len(set(HIDDEN_STATES)) == 16
 
+    def test_stored_string_leaves_equality_hash_and_repr_alone(self):
+        state = HiddenState(1, -1, -1, 1)
+        assert state.key == str(state) == "+--+"
+        assert repr(state) == "HiddenState(a_val=1, a_prime_val=-1, b_val=-1, b_prime_val=1)"
+        assert hash(state) == hash((1, -1, -1, 1)) and state == HIDDEN_STATES[6]
+
     def test_lexicographic_order_with_plus_first(self):
         assert str(HIDDEN_STATES[0]) == "++++"
         assert str(HIDDEN_STATES[1]) == "+++-"
@@ -189,7 +195,7 @@ class TestSolveFeasibility:
 
     def test_solver_disagreeing_with_fine_is_an_error(self, monkeypatch):
         # the runtime cross-check: no witness, yet no violated condition
-        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs: None)
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs, lcd: None)
         data = predicted_tables(HiddenStateDistribution.uniform())
         with pytest.raises(SelinfError, match="no marginal or facet condition"):
             solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data))
@@ -208,7 +214,7 @@ class TestSolveFeasibility:
 
 
 def _rhs(data):
-    """The right-hand side ``solve_feasibility`` passes: the 16 cells, then 1."""
+    """The rational right-hand side: the 16 cells, then 1."""
     return [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
 
 
@@ -233,8 +239,8 @@ class TestIntegerPhaseOne:
         rng = random.Random(301)
         for i in range(400):
             data = predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
-            rhs = _rhs(data)
-            assert simplex.feasible_point(_CONSTRAINTS, rhs) == fraction_simplex.feasible_point(_CONSTRAINTS, rhs)
+            ours = simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
+            assert ours == fraction_simplex.feasible_point(_CONSTRAINTS, _rhs(data))
         assert len(phase_one_runs) > 300
 
     def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from selinf import model
 from selinf.errors import ConflictingData, InvalidTable, InvalidValue, ZeroTotal
 from selinf.model import (
     ALPHA_A,
@@ -17,6 +19,7 @@ from selinf.model import (
     LabelSet,
     Level,
     Treatment,
+    over_common_denominator,
     rational,
 )
 
@@ -67,6 +70,56 @@ class TestRational:
         for bad in ("1e-1001", "1e1_001", "1e-2000000", "1e-" + "9" * 5000):
             with pytest.raises(InvalidValue, match="decimal exponent"):
                 rational(bad)
+
+
+def fraction_route(text):
+    """What ``rational`` gave for every string before it read plain strings with
+    int(): the exponent cap, then ``Fraction``; a Fraction or the error message."""
+    exponent = model._DECIMAL_EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or int(digits or 0) > 1000:
+        return "decimal exponent beyond +-1000"
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"cannot interpret {text!r} as a rational"
+
+
+def rational_or_message(text):
+    try:
+        return rational(text)
+    except InvalidValue as exc:
+        return str(exc)
+
+
+# Python 3.10's Fraction rejects "0.000_1" and "1_0/3", 3.11 and later accept
+# them; int() reads underscores on every version, so they must not be plain.
+FIXED_STRINGS = ("0.", ".", "1/0", "00/1", "١/٢", " 1/2 ", "0.000_1", "1_0/3", "1/-2", "+.5", "1e5", "1.5/2")
+
+
+class TestRationalRoutes:
+    @pytest.mark.parametrize("text", FIXED_STRINGS + ("49/1000", ".049", "0.5", "7", "0/3", "0." + "1" * 5000))
+    def test_fixed_strings_read_as_fraction_reads_them(self, text):
+        assert rational_or_message(text) == fraction_route(text)
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(st.text(alphabet="0123456789./_e+- ١²", max_size=9))
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # "١" is an Arabic-Indic one, a digit to int() and Fraction; "²" a digit to str.isdigit() only
+        assert rational_or_message(text) == fraction_route(text)
+
+    @pytest.mark.parametrize("text", ["١/٢", "٠.٥", "١", "1/٢"])
+    def test_non_ascii_digits_take_the_fraction_parser(self, text, monkeypatch):
+        parsed = []
+
+        class Spy(Fraction):
+            def __new__(cls, *args):
+                parsed.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(model, "Fraction", Spy)
+        assert rational(text) == Fraction(text)
+        assert parsed == [(text,)]
 
 
 class TestTreatments:

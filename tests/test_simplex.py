@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from selinf.model import over_common_denominator
 from selinf.simplex import _phase_one, feasible_point, reduce_system
 
 import fraction_simplex
@@ -17,7 +18,7 @@ def F(*args):
 def solve(matrix, rhs):
     """Reduce the matrix, then solve for one right-hand side; the rational oracle must agree."""
     reduced = reduce_system(matrix)
-    x = feasible_point(reduced, rhs)
+    x = feasible_point(reduced, *over_common_denominator(rhs))
     assert x == fraction_simplex.feasible_point(reduced, rhs)
     return x
 
@@ -151,8 +152,9 @@ class TestSharedReduction:
             else:  # arbitrary; the dependent row is off by one when k % 4 == 1
                 rhs = [Fraction(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(3)]
                 rhs.append(rhs[0] + rhs[1] + (k % 4 == 1))
-            x = feasible_point(shared, rhs)
-            assert x == feasible_point(reduce_system(matrix), rhs)
+            scaled, lcd = over_common_denominator(rhs)
+            x = feasible_point(shared, scaled, lcd)
+            assert x == feasible_point(reduce_system(matrix), scaled, lcd)
             assert x == fraction_simplex.feasible_point(shared, rhs)
             if x is not None:
                 check_solution(matrix, rhs, x)
