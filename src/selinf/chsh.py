@@ -18,7 +18,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidPattern
 from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs
@@ -41,19 +41,8 @@ class SignPattern:
         object.__setattr__(self, "key", encode_signs(signs))
 
     @classmethod
-    def of(cls, s1: int, s2: int, s3: int, s4: int) -> "SignPattern":
-        return cls((s1, s2, s3, s4))
-
-    @classmethod
     def from_string(cls, text: str) -> "SignPattern":
         return cls(decode_signs(text, 4, "pattern string", InvalidPattern))
-
-    def negated(self) -> "SignPattern":
-        return SignPattern(tuple(-s for s in self.signs))
-
-    def signed_sum(self, expectations: Iterable[Fraction]) -> Fraction:
-        """s1*E_ab + s2*E_ab' + s3*E_a'b + s4*E_a'b' over expectations in treatment order."""
-        return sum((s * e for s, e in zip(self.signs, expectations)), Fraction(0))
 
     def __str__(self) -> str:
         return self.key

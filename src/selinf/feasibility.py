@@ -4,13 +4,14 @@ A deterministic hidden state fixes all four responses at once: A's answer at
 a and at a', B's answer at b and at b'. There are 16 such states, and the
 mixtures over them are exactly the models in which each response reads only
 its own factor plus a shared random source. Whether observed tables admit
-such a mixture is a linear feasibility question in the 16 weights; it is
-decided here with an exact rational phase-1 simplex, returning either a
-witness distribution or a certificate (a marginal-selectivity inequality or
-a CHSH facet above 2, read from the caller's reports of the same data) that
-provably excludes every mixture. Fine's theorem guarantees the certificate
-family is complete for this design, and ``fine_criterion`` provides that
-closed form as an independent cross-check.
+such a mixture is a linear feasibility question in the 16 weights. Data that
+violates marginal selectivity fails it outright; the rest is decided here
+with an exact phase-1 simplex. The answer is either a witness distribution
+or a certificate (a marginal-selectivity inequality or a CHSH facet above 2,
+read from the caller's reports of the same data) that provably excludes
+every mixture. Fine's theorem guarantees the certificate family is complete
+for this design, and ``fine_criterion`` provides that closed form as an
+independent cross-check.
 
 An unrestricted representation, in which both responses may read both
 factors, always exists: ``construct_general_representation`` builds one as a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .chsh import ChshReport, SignPattern, compute_gamma
 from .errors import InvalidDistribution, InvalidValue, SelinfError
@@ -40,7 +41,7 @@ from .model import (
     rational,
 )
 from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
-from .simplex import feasible_point, reduce_system
+from .simplex import ReducedSystem, feasible_point
 
 
 @dataclass(frozen=True)
@@ -117,32 +118,11 @@ class HiddenStateDistribution:
             ws[HiddenState.from_string(state).index] += rational(weight)
         return cls(tuple(ws))
 
-    @classmethod
-    def uniform(cls) -> "HiddenStateDistribution":
-        return cls((Fraction(1, 16),) * 16)
-
-    @classmethod
-    def point_mass(cls, state: HiddenState) -> "HiddenStateDistribution":
-        ws = [Fraction(0)] * 16
-        ws[state.index] = Fraction(1)
-        return cls(tuple(ws))
-
-    def weight(self, state: HiddenState) -> Fraction:
-        return self.weights[state.index]
-
     def items(self) -> Iterator[tuple[HiddenState, Fraction]]:
         return zip(HIDDEN_STATES, self.weights)
 
     def nonzero_items(self) -> Iterator[tuple[HiddenState, Fraction]]:
         return ((s, w) for s, w in self.items() if w != 0)
-
-    def mix(self, other: "HiddenStateDistribution", lam: Rational) -> "HiddenStateDistribution":
-        lam = rational(lam)
-        if not 0 <= lam <= 1:
-            raise InvalidValue(f"mixing weight {lam} outside [0, 1]")
-        return HiddenStateDistribution(
-            tuple(lam * a + (1 - lam) * b for a, b in zip(self.weights, other.weights))
-        )
 
 
 # One outcome pair per treatment, in canonical treatment order: 4^4 = 256 tuples.
@@ -150,21 +130,14 @@ OutcomePair = tuple[int, int]
 OutcomeTuple = tuple[OutcomePair, OutcomePair, OutcomePair, OutcomePair]
 
 
-def _coordinate_tables(weights: Iterable[tuple[OutcomeTuple, Fraction]]) -> ExperimentData:
-    """Marginalize each treatment's coordinate of weighted outcome tuples to a joint table."""
-    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
-    for tup, w in weights:
-        for k, pair in enumerate(tup):
-            cells[k][pair] += w
-    return ExperimentData(
-        tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)}
-    )
-
-
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
     """Push the state distribution forward to one joint table per treatment."""
-    return _coordinate_tables(
-        (tuple(state.response(t) for t in TREATMENTS), w) for state, w in dist.nonzero_items()
+    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
+    for state, w in dist.nonzero_items():
+        for k, t in enumerate(TREATMENTS):
+            cells[k][state.response(t)] += w
+    return ExperimentData(
+        tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)}
     )
 
 
@@ -190,10 +163,6 @@ class GeneralRepresentation:
         if sum(fixed.values()) != 1:
             raise InvalidDistribution("weights must sum to exactly 1")
         object.__setattr__(self, "weights", fixed)
-
-    def reconstructed_tables(self) -> ExperimentData:
-        """Marginalize each treatment's coordinate back to a joint table."""
-        return _coordinate_tables(self.weights.items())
 
 
 def construct_general_representation(data: ExperimentData) -> GeneralRepresentation:
@@ -268,12 +237,35 @@ def fine_criterion(data: ExperimentData) -> bool:
     return check_marginal_selectivity(data).satisfied and compute_gamma(data).gamma <= 2
 
 
-# One row per (treatment, outcome pair) cell equation, in table cell order,
-# then normalization. The matrix never changes, so it is reduced once here;
-# each solve reduces only the right-hand side (the data's cells, then 1).
-_CONSTRAINTS = reduce_system(
-    [[Fraction(int(s.response(t) == pair)) for s in HIDDEN_STATES] for t in TREATMENTS for pair in CELLS]
-    + [[Fraction(1)] * 16]
+# The 16 cell equations, one per (treatment, outcome pair) in table cell
+# order, then normalization, have rank 9. Row-reduced, they are R x = T b
+# below, b the cells then 1; the 8 rows of T beyond the rank say that b
+# satisfies marginal selectivity exactly and that each table sums to 1
+# (tests/test_feasibility.py re-derives all of this from HIDDEN_STATES).
+_CONSTRAINTS = ReducedSystem(
+    rows=(
+        (1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1),
+        (0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1),
+        (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1),
+        (0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, -1),
+        (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
+        (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 1, 0, 0, -1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1),
+    ),
+    pivots=(0, 1, 2, 4, 5, 6, 8, 9, 10),
+    transform=(
+        ((3, 1), (6, -1), (9, -1), (12, 1)),
+        ((7, -1), (8, 1), (9, 1), (12, -1)),
+        ((3, -1), (9, 1)),
+        ((1, -1), (3, -1), (4, 1), (6, 1), (9, 1), (12, -1)),
+        ((0, 1), (1, 1), (4, -1), (7, 1), (8, -1), (9, -1), (12, 1)),
+        ((1, 1), (3, 1), (9, -1)),
+        ((3, -1), (6, 1)),
+        ((7, 1),),
+        ((3, 1),),
+    ),
 )
 
 
@@ -282,17 +274,21 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Decide exactly whether some hidden-state mixture reproduces the data.
 
-    The verdict comes from the exact phase-1 simplex on the 16-weight
-    system (the 16 cell equations plus normalization, its constant matrix
-    reduced once at import; its right-hand side, the cells then 1, is
+    Data that violates marginal selectivity exactly (a comparison in
+    ``marginals`` with a nonzero ``delta``, whatever its tolerance) fails the
+    system's consistency conditions and is infeasible at once. Otherwise the
+    verdict comes from the exact phase-1 simplex on the 16-weight system
+    (the 16 cell equations plus normalization, reduced to the constant
+    ``_CONSTRAINTS``; its right-hand side, the cells then 1, is
     ``data.scaled_cells`` over its last entry). Certificates are not read off
     the solver: they are the violated conditions in ``marginals`` and ``chsh``,
     the reports of the same data, which Fine's theorem makes complete for this design.
     """
-    solution = feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
-    if solution is not None:
-        witness = HiddenStateDistribution(tuple(solution))
-        return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)
+    if marginals.max_delta == 0:
+        solution = feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
+        if solution is not None:
+            witness = HiddenStateDistribution(tuple(solution))
+            return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)
     violations = fine_violations(chsh, marginals)
     if not violations:
         raise SelinfError(

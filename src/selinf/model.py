@@ -243,11 +243,6 @@ class JointTable:
             raise InvalidTable(f"cells sum to {Fraction(sum(numerators), lcd)}, expected exactly 1")
 
     @classmethod
-    def uniform(cls) -> "JointTable":
-        q = Fraction(1, 4)
-        return cls(q, q, q, q)
-
-    @classmethod
     def point_mass(cls, a: int, b: int) -> "JointTable":
         cells = [Fraction(1) if (a, b) == pair else Fraction(0) for pair in CELLS]
         return cls(*cells)
@@ -258,18 +253,6 @@ class JointTable:
     def cell(self, a: int, b: int) -> Fraction:
         """Pr(A=a, B=b) for a, b in {+1, -1}."""
         return self.cells()[CELLS.index((a, b))]
-
-    def expectation(self) -> Fraction:
-        """E[A*B] = p_pp - p_pm - p_mp + p_mm."""
-        return self.p_pp - self.p_pm - self.p_mp + self.p_mm
-
-    @property
-    def pr_a_plus(self) -> Fraction:
-        return self.p_pp + self.p_pm
-
-    @property
-    def pr_b_plus(self) -> Fraction:
-        return self.p_pp + self.p_mp
 
     def mix(self, other: "JointTable", lam: Rational) -> "JointTable":
         """Cell-wise convex combination lam*self + (1-lam)*other."""

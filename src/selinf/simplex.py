@@ -1,102 +1,57 @@
 """Exact feasibility of {x >= 0, A x = b} by a fraction-free phase-1 simplex.
 
-The verdict is exact: no tolerances, no scaling heuristics. The work has two
-steps:
-
-1. ``reduce_system(A)``, once per matrix: Gauss-Jordan elimination of
-   [A | I] on ``Fraction``. Pivots are chosen from A's columns alone, so the
-   same row operations take [A | b] to [R | T b] for every b; the rows of T
-   beyond the rank of A are the consistency conditions. R and T are stored
-   as ``int``, both multiplied by one positive scale k, the least common
-   denominator of their entries (k = 1 for the program's 0/1 constraint
-   matrix).
-2. ``feasible_point(reduced, Lb, L)``, once per right-hand side, given as
-   integers Lb over a positive common denominator L: (kT)(Lb) decides
-   consistency, a nonnegative reduced right-hand side is itself the basic
-   solution, and otherwise a phase-1 simplex with one artificial variable
-   per row minimizes their sum under Bland's anti-cycling rule. Optimum zero
-   yields a feasible point; a positive optimum proves there is none.
+The verdict is exact: no tolerances, no scaling heuristics. The system comes
+reduced, as a ``ReducedSystem``: R, the reduced row echelon form of A, as
+independent integer rows with the identity at its pivot columns, and the
+rows of T that take b to the right-hand side of R x = T b. That equation is
+A x = b only for a b that passes the consistency conditions (the rows of T
+beyond the rank), which the caller checks. ``feasible_point(reduced, Lb, L)``
+takes b as integers Lb over a positive common denominator L: a nonnegative
+T(Lb) is itself the basic solution, and otherwise a phase-1 simplex with one
+artificial variable per row minimizes their sum under Bland's anti-cycling
+rule. Optimum zero yields a feasible point; a positive optimum proves there
+is none.
 
 Phase 1 pivots fraction-free (Bareiss 1968): the tableau is an integer
 matrix M over a positive common divisor d, the previous pivot. A pivot on p
 keeps its row and makes every other row (p*v - f*w) // d, an exact division:
-each entry of M is, up to sign, a minor of the initial tableau [kR | I | kT Lb]
+each entry of M is, up to sign, a minor of the initial tableau [R | I | T Lb]
 of order at most rank(A), and d is the absolute determinant of the current
 basis. So the integers never outgrow those minors, which Hadamard's
 inequality bounds. For the program's matrix, 9 independent rows of [R | I]
 with five entries of -1 or 1 each, every matrix entry and d are at most
 5**4.5 < 1400, and every right-hand side entry at most that times the sum
-of |kT Lb| <= 153 L: under 18 bits beyond L. The objective row, one more row
+of |T Lb| <= 153 L: under 18 bits beyond L. The objective row, one more row
 of M pivoted like the others, is the artificial-basic rows' sum minus d times
 the costs (1 on each artificial): minus each reduced cost, then the objective,
 times d, at most rank(A) + 1 times M's largest entry. Bland enters its first
 positive column.
 
-Phase 1 solves (kR) y = kT(Lb) for y = Lx, with artificials kL times the
-rational ones. That multiplies the phase-1 objective by kL > 0 and each
-variable by a positive constant, so every reduced cost keeps its sign and
-every ratio test its order: Bland's rule takes the same entering and leaving
-steps as on the rational tableau, and the final basis and point are the same.
+Phase 1 solves R y = T(Lb) for y = Lx, with artificials L times the rational
+ones. That multiplies the phase-1 objective by L > 0 and each variable by a
+positive constant, so every reduced cost keeps its sign and every ratio test
+its order: Bland's rule takes the same entering and leaving steps as on the
+rational tableau, and the final basis and point are the same.
 
 Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _pivot(rows: list[list[Fraction]], row: int, col: int) -> None:
-    """Gauss-Jordan pivot in place: scale ``row`` to 1 at ``col``, clear ``col`` elsewhere."""
-    inv = ONE / rows[row][col]
-    rows[row] = [v * inv if v else v for v in rows[row]]
-    for i, other in enumerate(rows):
-        f = other[col]
-        if i != row and f:
-            rows[i] = [v - f * w if w else v for v, w in zip(other, rows[row])]
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """k RREF(A) (independent rows), its pivot columns, k T as (index, coefficient) rows, and k."""
+    """R (independent integer rows), its pivot columns, and T as (index, coefficient) rows."""
 
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     transform: tuple[tuple[tuple[int, int], ...], ...]
-    ncols: int
-    scale: int
-
-
-def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> ReducedSystem:
-    """Gauss-Jordan elimination of [A | I]; the result serves every right-hand side."""
-    if not matrix:
-        raise ValueError("empty constraint system")
-    m, n = len(matrix), len(matrix[0])
-    rows = [list(row) + [ONE if j == i else ZERO for j in range(m)] for i, row in enumerate(matrix)]
-    pivots: list[int] = []
-    for col in range(n):
-        rank = len(pivots)
-        pivot_row = next((i for i in range(rank, m) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        _pivot(rows, rank, col)
-        pivots.append(col)
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-    return ReducedSystem(
-        rows=tuple(tuple(row[:n]) for row in scaled[: len(pivots)]),
-        pivots=tuple(pivots),
-        transform=tuple(tuple((j, v) for j, v in enumerate(row[n:]) if v) for row in scaled),
-        ncols=n,
-        scale=scale,
-    )
 
 
 def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
@@ -177,24 +132,21 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
 
 
 def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Optional[list[Fraction]]:
-    """A nonnegative exact solution of A x = b, or None; ``rhs`` is L b, for a positive ``lcd`` = L."""
-    # k T (L b), the reduced right-hand side times kL
-    reduced_rhs = [sum(c * rhs[j] for j, c in row) for row in reduced.transform]
-    rank = len(reduced.pivots)
-    if any(reduced_rhs[rank:]):
-        return None
-    del reduced_rhs[rank:]
+    """A nonnegative exact solution of A x = b, or None; ``rhs`` is L b, for a positive ``lcd`` = L.
+
+    b must pass the consistency conditions of the system.
+    """
+    reduced_rhs = [sum(c * rhs[j] for j, c in row) for row in reduced.transform]  # T (L b)
     if all(v >= 0 for v in reduced_rhs):
-        solution = [ZERO] * reduced.ncols
-        denominator = reduced.scale * lcd
+        solution = [ZERO] * len(reduced.rows[0])
         for col, value in zip(reduced.pivots, reduced_rhs):
             if value:
-                solution[col] = Fraction(value, denominator)
+                solution[col] = Fraction(value, lcd)
         return solution
     found = _phase_one(reduced.rows, reduced_rhs)
     if found is None:
         return None
-    # y = Lx; the row scale k does not scale the solution
+    # y = Lx
     values, divisor = found
     denominator = divisor * lcd
     return [Fraction(v, denominator) if v else ZERO for v in values]

@@ -89,9 +89,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def next_53bits(self) -> int:
-        return self.next_uint64() >> 11
-
 
 def _model_thresholds(model: Model) -> list[list[int]]:
     """Per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""

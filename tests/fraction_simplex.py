@@ -1,16 +1,82 @@
-"""The rational phase-1 simplex, kept for the tests as the integer solver's oracle.
+"""Gauss-Jordan reduction and the rational phase-1 simplex, kept for the tests as oracles.
+
+``reduce_system`` row-reduces [A | I] on ``Fraction``: it derives the
+constant system that ``selinf.feasibility`` ships as a literal, and it
+reduces the random systems on which the tests run ``selinf.simplex``. It
+keeps the rows of T beyond the rank of A, the consistency conditions,
+which the program leaves to marginal selectivity.
 
 ``selinf.simplex`` runs phase 1 on a fraction-free integer tableau and
-claims to take the same Bland steps as this ``Fraction`` tableau, so the
+claims to take the same Bland steps as the ``Fraction`` tableau here, so the
 two must return the same point (or both None) for every right-hand side.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from selinf.simplex import ONE, ZERO, ReducedSystem, _pivot
+from selinf.simplex import ReducedSystem
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _pivot(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: scale ``row`` to 1 at ``col``, clear ``col`` elsewhere."""
+    inv = ONE / rows[row][col]
+    rows[row] = [v * inv if v else v for v in rows[row]]
+    for i, other in enumerate(rows):
+        f = other[col]
+        if i != row and f:
+            rows[i] = [v - f * w if w else v for v, w in zip(other, rows[row])]
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """k RREF(A) (independent rows), its pivot columns, k T as (index, coefficient) rows, A's column count, and k.
+
+    T has a row per row of A; its rows beyond the rank vanish on b exactly
+    when A x = b is consistent.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    transform: tuple[tuple[tuple[int, int], ...], ...]
+    ncols: int
+    scale: int
+
+    def system(self) -> ReducedSystem:
+        """R and the first rank rows of T, the form ``selinf.simplex`` solves when k = 1."""
+        return ReducedSystem(self.rows, self.pivots, self.transform[: len(self.pivots)])
+
+
+def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> Reduction:
+    """Gauss-Jordan elimination of [A | I]; the result serves every right-hand side."""
+    if not matrix:
+        raise ValueError("empty constraint system")
+    m, n = len(matrix), len(matrix[0])
+    rows = [list(row) + [ONE if j == i else ZERO for j in range(m)] for i, row in enumerate(matrix)]
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, m) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        _pivot(rows, rank, col)
+        pivots.append(col)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    return Reduction(
+        rows=tuple(tuple(row[:n]) for row in scaled[: len(pivots)]),
+        pivots=tuple(pivots),
+        transform=tuple(tuple((j, v) for j, v in enumerate(row[n:]) if v) for row in scaled),
+        ncols=n,
+        scale=scale,
+    )
 
 
 def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -80,7 +146,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> Optio
     return solution
 
 
-def feasible_point(reduced: ReducedSystem, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def feasible_point(reduced: Reduction, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """A nonnegative exact solution of A x = b, or None, all on ``Fraction``."""
     k = reduced.scale
     rows = [[Fraction(v, k) for v in row] for row in reduced.rows]

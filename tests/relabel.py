@@ -3,7 +3,10 @@
 Recoding a response or exchanging a factor's two levels permutes the tables
 and signed sums in a known way, and mixing two experiments is affine cell by
 cell; the invariance and convexity tests check the program against these.
-One facet's signed sum, computed on its own, checks the certificates.
+One facet's signed sum, computed on its own, checks the certificates. The
+per-table expectations and marginals, uniform tables and distributions, and
+the other small helpers below are computed here on ``Fraction``s, apart from
+the integer routes the program takes.
 """
 
 from __future__ import annotations
@@ -12,22 +15,95 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
+from typing import Iterable
+
 from selinf.chsh import SignPattern
+from selinf.feasibility import GeneralRepresentation, HiddenState, HiddenStateDistribution
 from selinf.model import (
+    CELLS,
     FACTOR_LEVELS,
     TREATMENTS,
     ExperimentData,
     Factor,
+    JointTable,
     LabelSet,
     Level,
     Rational,
     Treatment,
+    rational,
 )
+from selinf.simulate import SplitMix64
+
+
+def uniform_table() -> JointTable:
+    q = Fraction(1, 4)
+    return JointTable(q, q, q, q)
+
+
+def expectation(table: JointTable) -> Fraction:
+    """E[A*B] = p_pp - p_pm - p_mp + p_mm."""
+    return table.p_pp - table.p_pm - table.p_mp + table.p_mm
+
+
+def pr_a_plus(table: JointTable) -> Fraction:
+    return table.p_pp + table.p_pm
+
+
+def pr_b_plus(table: JointTable) -> Fraction:
+    return table.p_pp + table.p_mp
+
+
+def uniform_distribution() -> HiddenStateDistribution:
+    return HiddenStateDistribution((Fraction(1, 16),) * 16)
+
+
+def point_mass_distribution(state: HiddenState) -> HiddenStateDistribution:
+    ws = [Fraction(0)] * 16
+    ws[state.index] = Fraction(1)
+    return HiddenStateDistribution(tuple(ws))
+
+
+def weight(dist: HiddenStateDistribution, state: HiddenState) -> Fraction:
+    return dist.weights[state.index]
+
+
+def mix_distributions(
+    first: HiddenStateDistribution, second: HiddenStateDistribution, lam: Rational
+) -> HiddenStateDistribution:
+    """State-wise convex combination lam*first + (1-lam)*second."""
+    lam = rational(lam)
+    return HiddenStateDistribution(tuple(lam * a + (1 - lam) * b for a, b in zip(first.weights, second.weights)))
+
+
+def sign_pattern(s1: int, s2: int, s3: int, s4: int) -> SignPattern:
+    return SignPattern((s1, s2, s3, s4))
+
+
+def negated(pattern: SignPattern) -> SignPattern:
+    return SignPattern(tuple(-s for s in pattern.signs))
+
+
+def signed_sum(pattern: SignPattern, expectations: Iterable[Fraction]) -> Fraction:
+    """s1*E_ab + s2*E_ab' + s3*E_a'b + s4*E_a'b' over expectations in treatment order."""
+    return sum((s * e for s, e in zip(pattern.signs, expectations)), Fraction(0))
 
 
 def chsh_facet_value(data: ExperimentData, pattern: SignPattern) -> Fraction:
     """The signed sum of the four product expectations for one pattern."""
-    return pattern.signed_sum(data.table(t).expectation() for t in TREATMENTS)
+    return signed_sum(pattern, (expectation(data.table(t)) for t in TREATMENTS))
+
+
+def reconstructed_tables(rep: GeneralRepresentation) -> ExperimentData:
+    """Marginalize each treatment's coordinate of the representation back to a joint table."""
+    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
+    for tup, w in rep.weights.items():
+        for k, pair in enumerate(tup):
+            cells[k][pair] += w
+    return ExperimentData(tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)})
+
+
+def next_53bits(gen: SplitMix64) -> int:
+    return gen.next_uint64() >> 11
 
 
 def flip_a(table):

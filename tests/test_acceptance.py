@@ -8,10 +8,9 @@ import random
 import time
 from fractions import Fraction
 
-from selinf.chsh import SignPattern, compute_gamma
+from selinf.chsh import compute_gamma
 from selinf.feasibility import (
     FacetViolation,
-    HiddenStateDistribution,
     construct_general_representation,
     fine_criterion,
     predicted_tables,
@@ -34,8 +33,11 @@ from relabel import (
     flip_a_coding,
     flip_b_coding,
     mix_experiments,
+    reconstructed_tables,
+    sign_pattern,
     swap_alpha_levels,
     swap_beta_levels,
+    uniform_distribution,
 )
 
 # Documented Monte-Carlo seed for the sampling criteria (also in the README).
@@ -77,7 +79,7 @@ def test_criterion_1_zero_gamma_with_marginal_violation(table1):
 def test_criterion_2_extremal_box(table2):
     report = compute_gamma(table2)
     assert report.gamma == 4
-    assert report.argmax_patterns == frozenset({SignPattern.of(1, 1, 1, -1)})
+    assert report.argmax_patterns == frozenset({sign_pattern(1, 1, 1, -1)})
     assert report.classification.value == "supra-quantum"
 
     ms = check_marginal_selectivity(table2, 0)
@@ -169,7 +171,7 @@ def test_criterion_6_general_representation_reconstructs(table1, table2, table3)
     datasets = [table1, table2, table3] + [random_any_data(rng) for _ in range(100)]
     for data in datasets:
         rep = construct_general_representation(data)
-        rec = rep.reconstructed_tables()
+        rec = reconstructed_tables(rep)
         assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
     _passed(6, "3 golden + 100 random tables reconstructed exactly (256-state source)")
 
@@ -217,7 +219,7 @@ def test_criterion_8_relabeling_invariance():
 
 
 def test_criterion_9_simulator_reproducibility_and_convergence():
-    uniform = SelectiveModel(HiddenStateDistribution.uniform())
+    uniform = SelectiveModel(uniform_distribution())
 
     spec = SampleSpec(n_per_treatment=500, seed=DOCUMENTED_SEED)
     first = serialize_experiment(sample_counts(uniform, spec)).encode()

@@ -15,7 +15,7 @@ import selinf
 from selinf.chsh import compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import BadCell, ConflictingData, ParseError
-from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
+from selinf.feasibility import predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
 from selinf.model import CELLS, TREATMENTS, Level, over_common_denominator
 from selinf.selectivity import check_marginal_selectivity
@@ -28,7 +28,14 @@ from conftest import (
     random_hidden_distribution,
     random_ms_data,
 )
-from relabel import flip_a_coding, flip_b_coding, mix_experiments, swap_alpha_levels, swap_beta_levels
+from relabel import (
+    flip_a_coding,
+    flip_b_coding,
+    mix_experiments,
+    swap_alpha_levels,
+    swap_beta_levels,
+    uniform_distribution,
+)
 
 
 def table_cells(data):
@@ -68,9 +75,9 @@ def test_every_route_stores_the_cells_over_their_common_denominator():
 
 
 def test_the_vector_is_not_part_of_equality_or_repr():
-    data = predicted_tables(HiddenStateDistribution.uniform())
+    data = predicted_tables(uniform_distribution())
     assert "scaled_cells" not in repr(data)
-    assert data == predicted_tables(HiddenStateDistribution.uniform())
+    assert data == predicted_tables(uniform_distribution())
 
 
 @pytest.fixture

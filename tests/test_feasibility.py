@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from selinf import simplex
-from selinf.chsh import SignPattern, compute_gamma
+from selinf.chsh import compute_gamma
 from selinf.errors import InvalidDistribution, InvalidValue, SelinfError
 from selinf.feasibility import (
     _CONSTRAINTS,
@@ -25,13 +25,24 @@ from selinf.feasibility import (
     verify_witness,
 )
 from selinf.io import analyze, render_report_text, report_to_json_dict
-from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 
 from conftest import cap_denominator_push_forward, pr_box, random_any_data, random_hidden_distribution, random_ms_data
-from relabel import chsh_facet_value, mix_experiments
+from relabel import (
+    chsh_facet_value,
+    mix_distributions,
+    mix_experiments,
+    point_mass_distribution,
+    reconstructed_tables,
+    sign_pattern,
+    uniform_distribution,
+    uniform_table,
+    weight,
+)
 
 import fraction_simplex
+from test_corpus_digest import corpus
 
 
 class TestHiddenStates:
@@ -96,29 +107,29 @@ class TestHiddenStateDistribution:
 
     def test_from_mapping_with_state_strings(self):
         dist = HiddenStateDistribution.from_mapping({"++++": "1/2", "----": ".5"})
-        assert dist.weight(HIDDEN_STATES[0]) == Fraction(1, 2)
-        assert dist.weight(HIDDEN_STATES[15]) == Fraction(1, 2)
+        assert weight(dist, HIDDEN_STATES[0]) == Fraction(1, 2)
+        assert weight(dist, HIDDEN_STATES[15]) == Fraction(1, 2)
         assert sum(w for _, w in dist.nonzero_items()) == 1
 
     def test_mix_stays_a_distribution(self):
         rng = random.Random(51)
         a = random_hidden_distribution(rng)
         b = random_hidden_distribution(rng)
-        m = a.mix(b, Fraction(1, 3))
+        m = mix_distributions(a, b, Fraction(1, 3))
         assert sum(m.weights) == 1
         assert all(w >= 0 for w in m.weights)
 
 
 class TestPredictedTables:
     def test_point_mass_gives_deterministic_tables(self):
-        data = predicted_tables(HiddenStateDistribution.point_mass(HIDDEN_STATES[0]))
+        data = predicted_tables(point_mass_distribution(HIDDEN_STATES[0]))
         for t in TREATMENTS:
             assert data.table(t) == JointTable(1, 0, 0, 0)
 
     def test_uniform_gives_independent_fair_coins(self):
-        data = predicted_tables(HiddenStateDistribution.uniform())
+        data = predicted_tables(uniform_distribution())
         for t in TREATMENTS:
-            assert data.table(t) == JointTable.uniform()
+            assert data.table(t) == uniform_table()
 
     def test_equal_mix_of_aligned_extremes(self):
         dist = HiddenStateDistribution.from_mapping({"++++": "1/2", "----": "1/2"})
@@ -144,7 +155,7 @@ class TestSolveFeasibility:
         result = analyze(table2).feasibility
         assert not result.feasible
         assert isinstance(result.certificate, FacetViolation)
-        assert result.certificate.pattern == SignPattern.of(1, 1, 1, -1)
+        assert result.certificate.pattern == sign_pattern(1, 1, 1, -1)
         assert result.certificate.value == 4
 
     def test_marginal_violation_blocks_despite_zero_gamma(self, table1):
@@ -171,7 +182,7 @@ class TestSolveFeasibility:
         assert result.certificate is not None
 
     def test_uniform_tables_feasible_with_witness(self):
-        data = predicted_tables(HiddenStateDistribution.uniform())
+        data = predicted_tables(uniform_distribution())
         result = analyze(data).feasibility
         assert result.feasible
         assert verify_witness(result.witness, data)
@@ -184,19 +195,14 @@ class TestSolveFeasibility:
             assert result.feasible
             assert verify_witness(result.witness, data)
 
-    def test_solves_reuse_the_import_time_reduction(self, table1, table2, table3, monkeypatch):
-        def reduce_again(matrix):
-            raise AssertionError("the constraint matrix was reduced during a solve")
-
-        monkeypatch.setattr("selinf.feasibility.reduce_system", reduce_again)
-        monkeypatch.setattr("selinf.simplex.reduce_system", reduce_again)
-        assert analyze(predicted_tables(HiddenStateDistribution.uniform())).feasibility.feasible
+    def test_golden_and_uniform_verdicts(self, table1, table2, table3):
+        assert analyze(predicted_tables(uniform_distribution())).feasibility.feasible
         assert not any(analyze(t).feasibility.feasible for t in (table1, table2, table3))
 
     def test_solver_disagreeing_with_fine_is_an_error(self, monkeypatch):
         # the runtime cross-check: no witness, yet no violated condition
         monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs, lcd: None)
-        data = predicted_tables(HiddenStateDistribution.uniform())
+        data = predicted_tables(uniform_distribution())
         with pytest.raises(SelinfError, match="no marginal or facet condition"):
             solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data))
 
@@ -218,6 +224,46 @@ def _rhs(data):
     return [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
 
 
+# The 16 cell equations, one per (treatment, outcome pair), then
+# normalization, reduced by the rational oracle.
+ORACLE = fraction_simplex.reduce_system(
+    [[Fraction(int(s.response(t) == pair)) for s in HIDDEN_STATES] for t in TREATMENTS for pair in CELLS]
+    + [[Fraction(1)] * 16]
+)
+
+
+def rank(rows):
+    return len(fraction_simplex.reduce_system(rows).pivots)
+
+
+class TestConstantSystem:
+    def test_literal_is_the_reduction_of_the_constraint_matrix(self):
+        assert ORACLE.scale == 1
+        assert ORACLE.system() == _CONSTRAINTS
+        assert _CONSTRAINTS.pivots == (0, 1, 2, 4, 5, 6, 8, 9, 10)
+        assert {v for row in _CONSTRAINTS.rows for v in row} == {-1, 0, 1}
+        assert sum(map(len, _CONSTRAINTS.transform)) == 30
+
+    def test_dropped_rows_are_marginal_selectivity_and_normalization(self):
+        # functionals on b, the 16 cells then 1; cell k of treatment t is b[4 t + k]
+        def functional(terms):
+            row = [Fraction(0)] * 17
+            for j, c in terms:
+                row[j] += c
+            return row
+
+        dropped = [functional(row) for row in ORACLE.transform[len(ORACLE.pivots) :]]
+        plus = {"A": (0, 1), "B": (0, 2)}  # the cells where A = +1, B = +1
+        compared = [("A", 0, 1), ("A", 2, 3), ("B", 0, 2), ("B", 1, 3)]  # A at a, a'; B at b, b'
+        marginals = [
+            functional([(4 * t + k, 1) for k in plus[r]] + [(4 * u + k, -1) for k in plus[r]])
+            for r, t, u in compared
+        ]
+        sums = [functional([(4 * t + k, 1) for k in range(4)] + [(16, -1)]) for t in range(4)]
+        assert len(dropped) == 8
+        assert rank(dropped) == rank(marginals + sums) == rank(dropped + marginals + sums) == 8
+
+
 @pytest.fixture
 def phase_one_runs(monkeypatch):
     """A list that grows by one each time the simplex runs phase 1."""
@@ -228,11 +274,6 @@ def phase_one_runs(monkeypatch):
 
 
 class TestIntegerPhaseOne:
-    def test_constraint_reduction_is_integer_with_scale_one(self):
-        assert _CONSTRAINTS.scale == 1
-        assert all(type(v) is int for row in _CONSTRAINTS.rows for v in row)
-        assert all(type(c) is int for row in _CONSTRAINTS.transform for _, c in row)
-
     def test_same_points_as_the_rational_tableau_on_selective_batch_cases(self, phase_one_runs):
         # push-forwards alternating with marginally selective tables, as in
         # the benchmark's selective-batch pool; phase 1 decides most of them
@@ -240,8 +281,26 @@ class TestIntegerPhaseOne:
         for i in range(400):
             data = predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
             ours = simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
-            assert ours == fraction_simplex.feasible_point(_CONSTRAINTS, _rhs(data))
+            assert ours == fraction_simplex.feasible_point(ORACLE, _rhs(data))
         assert len(phase_one_runs) > 300
+
+    def test_same_verdicts_and_points_as_the_rational_oracle_on_the_corpus(self):
+        # the solver sees only data that satisfies marginal selectivity exactly;
+        # on the rest the oracle's consistency rows must reject
+        solved = 0
+        for data in corpus():
+            chsh, marginals = compute_gamma(data), check_marginal_selectivity(data)
+            expected = fraction_simplex.feasible_point(ORACLE, _rhs(data))
+            result = solve_feasibility(data, chsh, marginals)
+            assert result.feasible == (expected is not None)
+            if result.feasible:
+                assert list(result.witness.weights) == expected
+            if marginals.max_delta == 0:
+                solved += 1
+                assert simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16]) == expected
+            else:
+                assert expected is None
+        assert solved > 80
 
     def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):
         data = cap_denominator_push_forward()
@@ -337,7 +396,7 @@ class TestGeneralRepresentation:
     def test_reconstructs_golden_tables_exactly(self, table1, table2, table3):
         for data in (table1, table2, table3):
             rep = construct_general_representation(data)
-            rec = rep.reconstructed_tables()
+            rec = reconstructed_tables(rep)
             assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
 
     def test_exists_even_for_infeasible_data(self, table2):
@@ -346,7 +405,7 @@ class TestGeneralRepresentation:
         assert sum(rep.weights.values()) == 1
 
     def test_point_mass_tables_collapse_to_single_tuple(self):
-        data = predicted_tables(HiddenStateDistribution.point_mass(HIDDEN_STATES[0]))
+        data = predicted_tables(point_mass_distribution(HIDDEN_STATES[0]))
         rep = construct_general_representation(data)
         assert rep.weights == {((1, 1), (1, 1), (1, 1), (1, 1)): Fraction(1)}
 
@@ -354,7 +413,7 @@ class TestGeneralRepresentation:
         rng = random.Random(59)
         for _ in range(60):
             data = random_any_data(rng)
-            rec = construct_general_representation(data).reconstructed_tables()
+            rec = reconstructed_tables(construct_general_representation(data))
             assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
 
     def test_at_most_256_states(self):
@@ -366,11 +425,11 @@ class TestGeneralRepresentation:
 
 class TestVerifyWitness:
     def test_uniform_pair(self):
-        data = predicted_tables(HiddenStateDistribution.uniform())
-        assert verify_witness(HiddenStateDistribution.uniform(), data)
+        data = predicted_tables(uniform_distribution())
+        assert verify_witness(uniform_distribution(), data)
 
     def test_wrong_witness_rejected(self, table2):
-        point = HiddenStateDistribution.point_mass(HIDDEN_STATES[0])
+        point = point_mass_distribution(HIDDEN_STATES[0])
         assert not verify_witness(point, table2)
 
     def test_solver_witnesses_always_verify(self):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from selinf.chsh import SIGN_PATTERNS, classify_gamma, compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
-from selinf.feasibility import HIDDEN_STATES, HiddenStateDistribution, predicted_tables
+from selinf.feasibility import HIDDEN_STATES, predicted_tables
 from selinf.io import parse_experiment
 from selinf.model import ALPHA_A, ALPHA_A_PRIME, BETA_B, BETA_B_PRIME, CELLS, TREATMENTS, Treatment
 from selinf.selectivity import Response, check_marginal_selectivity, test_marginal_selectivity as run_ms_test
@@ -26,7 +26,7 @@ from conftest import (
     random_hidden_distribution,
     random_ms_data,
 )
-from relabel import chsh_facet_value
+from relabel import chsh_facet_value, expectation, point_mass_distribution, pr_a_plus, pr_b_plus
 
 # Each comparison's two treatments, built afresh rather than taken from TREATMENTS.
 COMPARED = {
@@ -59,13 +59,13 @@ def sampled_corpus():
         spec = SampleSpec(n_per_treatment=50 + 37 * seed, seed=seed)
         yield sample_counts(SelectiveModel(hidden), spec)
         yield sample_counts(ContaminatedModel(hidden, Fraction(1, 5), cross), spec)
-    point = HiddenStateDistribution.point_mass(HIDDEN_STATES[0])
+    point = point_mass_distribution(HIDDEN_STATES[0])
     yield sample_counts(SelectiveModel(point), SampleSpec(20, 3))  # every pooled proportion 0 or 1
     yield parse_experiment(load_fixture_text("table3"))  # independent counts
 
 
 def plus(table, response):
-    return table.pr_a_plus if response is Response.A else table.pr_b_plus
+    return pr_a_plus(table) if response is Response.A else pr_b_plus(table)
 
 
 def test_chsh_report_matches_the_fraction_route():
@@ -73,7 +73,7 @@ def test_chsh_report_matches_the_fraction_route():
         report = compute_gamma(data)
         sums = {p: chsh_facet_value(data, p) for p in SIGN_PATTERNS}
         gamma = max(sums.values())
-        assert report.expectations == {t: data.table(t).expectation() for t in TREATMENTS}
+        assert report.expectations == {t: expectation(data.table(t)) for t in TREATMENTS}
         assert list(report.sums.items()) == list(sums.items())
         assert report.gamma == gamma
         assert report.argmax_patterns == {p for p, v in sums.items() if v == gamma}

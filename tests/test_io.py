@@ -19,7 +19,7 @@ from selinf.errors import (
     ParseError,
     SumNotOne,
 )
-from selinf.feasibility import HiddenStateDistribution, predicted_tables, verify_witness
+from selinf.feasibility import predicted_tables, verify_witness
 from selinf.io import (
     analyze,
     parse_experiment,
@@ -29,7 +29,8 @@ from selinf.io import (
     report_to_json_dict,
     serialize_experiment,
 )
-from selinf.model import TREATMENTS, JointTable
+from selinf.cli import EXIT_INFEASIBLE, run_cli
+from selinf.model import TREATMENTS, ExperimentData, JointTable
 from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, sample_counts
 
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
     random_any_data,
     random_hidden_distribution,
 )
+from relabel import uniform_distribution, uniform_table
 
 UNIFORM_BLOCK = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
 
@@ -60,7 +62,7 @@ class TestParseExperiment:
     def test_uniform_document(self):
         data = parse_experiment(json.dumps(uniform_doc()))
         for t in TREATMENTS:
-            assert data.table(t) == JointTable.uniform()
+            assert data.table(t) == uniform_table()
 
     def test_each_probability_cell_is_converted_once(self, monkeypatch):
         original = selinf.model.rational
@@ -304,7 +306,7 @@ class TestParseExperiment:
         doc["independent_counts"] = True
         data = parse_experiment(json.dumps(doc))
         assert data.independent_counts
-        assert data.table(TREATMENTS[0]) == JointTable.uniform()
+        assert data.table(TREATMENTS[0]) == uniform_table()
 
     @pytest.mark.parametrize("value", ["false", 0, None, [1]])
     @pytest.mark.parametrize("key", ["renormalize", "independent_counts"])
@@ -386,7 +388,7 @@ class TestRoundTrip:
             assert parse_experiment(serialize_experiment(data)) == data
 
     def test_sampled_counts_round_trip(self):
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(64, 3))
         assert parse_experiment(serialize_experiment(sampled)) == sampled
 
@@ -473,10 +475,25 @@ class TestAnalyzeAssembly:
         assert analyze(table1).ms_tests is None
         assert analyze(table3).ms_tests is not None
 
-    def test_tolerance_flows_through(self, table1):
+    def test_tolerance_flows_through(self, table1, tmp_path, capsys):
         loose = analyze(table1, tolerance=Fraction(1, 4))
         assert loose.marginals.satisfied
         assert not loose.feasibility.feasible  # solver still exact
+        # one table of the uniform push-forward moves 1/8 from mp to pp: only
+        # Pr(A=+1) under (a,b) moves, and every facet stays at most 2
+        delta = Fraction(1, 8)
+        tables = dict(predicted_tables(uniform_distribution()).tables)
+        tables[TREATMENTS[0]] = JointTable(Fraction(3, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4))
+        shifted = ExperimentData(tables=tables)
+        report = analyze(shifted, tolerance=delta)
+        assert [c.delta for c in report.marginals.comparisons] == [delta, 0, 0, 0]
+        assert report.marginals.satisfied and report.chsh.gamma <= 2
+        assert not report.feasibility.feasible
+        assert report.feasibility.certificate == report.marginals.comparisons[0]
+        path = tmp_path / "shifted.json"
+        path.write_text(serialize_experiment(shifted))
+        assert run_cli(["analyze", str(path), "--tolerance", "1/8"]) == EXIT_INFEASIBLE
+        assert "INFEASIBLE" in capsys.readouterr().out
 
     def test_each_report_is_built_once(self, table1, table2, table3, monkeypatch):
         calls = Counter()
@@ -587,7 +604,7 @@ class TestTextRendering:
         assert "Tiger" in text and "Cat" in text
 
     def test_witness_rendered_when_asked(self):
-        data = predicted_tables(HiddenStateDistribution.uniform())
+        data = predicted_tables(uniform_distribution())
         report = analyze(data)
         text = render_report_text(report, include_witness=True)
         assert "FEASIBLE" in text

@@ -6,21 +6,40 @@ from fractions import Fraction
 import pytest
 
 from selinf.model import over_common_denominator
-from selinf.simplex import _phase_one, feasible_point, reduce_system
+from selinf.simplex import _phase_one, feasible_point
 
 import fraction_simplex
+from fraction_simplex import reduce_system
 
 
 def F(*args):
     return Fraction(*args)
 
 
-def solve(matrix, rhs):
-    """Reduce the matrix, then solve for one right-hand side; the rational oracle must agree."""
-    reduced = reduce_system(matrix)
-    x = feasible_point(reduced, *over_common_denominator(rhs))
-    assert x == fraction_simplex.feasible_point(reduced, rhs)
+def solve_reduced(reduced, rhs):
+    """The rational oracle's answer for one right-hand side, checked against the integer solver.
+
+    The integer solver takes only right-hand sides that pass the consistency
+    rows. With k = 1 and a nonzero rank it runs as the program runs it, through
+    ``feasible_point``; otherwise phase 1 runs on k R directly, when it runs.
+    """
+    x = fraction_simplex.feasible_point(reduced, rhs)
+    scaled, lcd = over_common_denominator(rhs)
+    reduced_rhs = [sum(c * scaled[j] for j, c in row) for row in reduced.transform]
+    rank = len(reduced.pivots)
+    if any(reduced_rhs[rank:]):
+        assert x is None
+    elif reduced.scale == 1 and rank:
+        assert feasible_point(reduced.system(), scaled, lcd) == x
+    elif any(v < 0 for v in reduced_rhs[:rank]):
+        found = _phase_one(reduced.rows, reduced_rhs[:rank])
+        assert x == (None if found is None else [Fraction(v, found[1] * lcd) for v in found[0]])
     return x
+
+
+def solve(matrix, rhs):
+    """Reduce the matrix with the oracle, then solve for one right-hand side."""
+    return solve_reduced(reduce_system(matrix), rhs)
 
 
 def check_solution(matrix, rhs, x):
@@ -152,10 +171,8 @@ class TestSharedReduction:
             else:  # arbitrary; the dependent row is off by one when k % 4 == 1
                 rhs = [Fraction(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(3)]
                 rhs.append(rhs[0] + rhs[1] + (k % 4 == 1))
-            scaled, lcd = over_common_denominator(rhs)
-            x = feasible_point(shared, scaled, lcd)
-            assert x == feasible_point(reduce_system(matrix), scaled, lcd)
-            assert x == fraction_simplex.feasible_point(shared, rhs)
+            x = solve_reduced(shared, rhs)
+            assert x == solve(matrix, rhs)
             if x is not None:
                 check_solution(matrix, rhs, x)
             infeasible[k % 4].add(x is None)

@@ -32,6 +32,7 @@ from selinf.simulate import (
 )
 
 from conftest import random_hidden_distribution
+from relabel import next_53bits, point_mass_distribution, uniform_distribution, uniform_table
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -91,14 +92,14 @@ class TestSplitMix64:
     def test_53_bit_draws(self):
         gen = SplitMix64(99)
         for _ in range(100):
-            assert 0 <= gen.next_53bits() < (1 << 53)
+            assert 0 <= next_53bits(gen) < (1 << 53)
 
 
 class TestModelTables:
     def test_uniform_selective_model(self):
-        tables = model_tables(SelectiveModel(HiddenStateDistribution.uniform()))
+        tables = model_tables(SelectiveModel(uniform_distribution()))
         for t in TREATMENTS:
-            assert tables.table(t) == JointTable.uniform()
+            assert tables.table(t) == uniform_table()
 
     def test_zero_contamination_equals_selective(self):
         rng = random.Random(72)
@@ -120,7 +121,7 @@ class TestModelTables:
             TREATMENTS[3]: (-1, 1),
         }
         model = ContaminatedModel(
-            hidden=HiddenStateDistribution.uniform(), eta=Fraction(1), cross_map=cross
+            hidden=uniform_distribution(), eta=Fraction(1), cross_map=cross
         )
         report = check_marginal_selectivity(model_tables(model), 0)
         assert not report.satisfied
@@ -157,7 +158,7 @@ class TestModelTables:
             return original(dist)
 
         monkeypatch.setattr(selinf.simulate, "predicted_tables", counting)
-        uniform = HiddenStateDistribution.uniform()
+        uniform = uniform_distribution()
         cross = {t: (1, -1) for t in TREATMENTS}
         builds = (
             lambda: SelectiveModel(uniform),
@@ -190,7 +191,7 @@ class TestModelTables:
         assert after.misses - before.misses <= 1 and after.hits - before.hits >= 7
 
     def test_model_validation(self):
-        uniform = HiddenStateDistribution.uniform()
+        uniform = uniform_distribution()
         with pytest.raises(InvalidValue):
             ContaminatedModel(hidden=uniform, eta=Fraction(3, 2), cross_map={})
         with pytest.raises(InvalidValue):
@@ -226,7 +227,7 @@ class TestSampleSpec:
 
 class TestSampling:
     def test_point_mass_model_draws_only_plus_plus(self):
-        model = SelectiveModel(HiddenStateDistribution.point_mass(HIDDEN_STATES[0]))
+        model = SelectiveModel(point_mass_distribution(HIDDEN_STATES[0]))
         sampled = sample_counts(model, SampleSpec(40, 7))
         for t in TREATMENTS:
             assert sampled.count(t).cells() == (40, 0, 0, 0)
@@ -242,13 +243,13 @@ class TestSampling:
             assert first.count(t) == second.count(t)
 
     def test_different_seeds_differ(self):
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         a = sample_counts(model, SampleSpec(500, 1))
         b = sample_counts(model, SampleSpec(500, 2))
         assert any(a.count(t) != b.count(t) for t in TREATMENTS)
 
     def test_counts_attach_with_derived_tables(self):
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(100, 5))
         assert sampled.has_full_counts()
         for t in TREATMENTS:
@@ -257,7 +258,7 @@ class TestSampling:
 
     def test_cell_frequencies_converge_with_n(self):
         # fixed seed 2026: max cell deviation shrinks over n = 1e2, 1e4, 1e6
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         exact = model_tables(model)
         deviations = []
         for n in (10**2, 10**4, 10**6):
@@ -271,7 +272,7 @@ class TestSampling:
         assert deviations[0] > deviations[1] > deviations[2]
 
     def test_empirical_gamma_near_zero_for_uniform_model(self):
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(10**5, 2026))
         assert float(compute_gamma(sampled).gamma) < 0.05
 
@@ -363,7 +364,7 @@ class TestPackedSampler:
             assert list(sampled.count(t).cells()) == expected
 
     def test_memory_does_not_grow_with_n(self):
-        model = SelectiveModel(HiddenStateDistribution.uniform())
+        model = SelectiveModel(uniform_distribution())
         tracemalloc.start()
         try:
             sample_counts(model, SampleSpec(10**6, 2026))
