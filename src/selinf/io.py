@@ -103,7 +103,7 @@ from .selectivity import (
     significance_level,
     test_marginal_selectivity,
 )
-from .simulate import ContaminatedModel, Model, SelectiveModel, contamination_rate
+from .simulate import Model, contamination_rate
 
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 
@@ -277,7 +277,8 @@ def serialize_experiment(data: ExperimentData) -> str:
 
 
 def parse_model(text: str) -> Model:
-    """Parse the text of a model file into a selective or contaminated model."""
+    """Parse the text of a model file into a ``Model``; one with no ``cross_map``
+    has eta = 0 and is the selective model."""
     doc = _load(text, "model document")
     unknown = set(doc) - {"hidden", "eta", "cross_map"}
     if unknown:
@@ -301,18 +302,16 @@ def parse_model(text: str) -> Model:
         contamination_rate(eta)
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
-    if "cross_map" not in doc:
-        if eta != 0:
-            raise ParseError("eta > 0 needs a cross_map of forced outcome pairs")
-        return SelectiveModel(hidden=hidden)
-    if not isinstance(doc["cross_map"], Mapping):
+    cross = doc.get("cross_map")
+    if "cross_map" in doc and not isinstance(cross, Mapping):  # null is not a missing map
         raise ParseError("cross_map must be a JSON object")
     try:
-        cross = {
-            Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
-            for key, pair in doc["cross_map"].items()
-        }
-        return ContaminatedModel(hidden=hidden, eta=eta, cross_map=cross)
+        if cross is not None:
+            cross = {
+                Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
+                for key, pair in cross.items()
+            }
+        return Model(hidden=hidden, eta=eta, cross_map=cross)
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
 

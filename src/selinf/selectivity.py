@@ -23,7 +23,6 @@ from .model import (
     TREATMENTS,
     ExperimentData,
     FactorLevel,
-    Level,
     Rational,
     Treatment,
     exceeds_common_denominator_cap,
@@ -87,12 +86,6 @@ class MarginalReport:
     @property
     def satisfied(self) -> bool:
         return self.max_delta <= self.tolerance
-
-    def comparison(self, response: Response, level: Level) -> MarginalComparison:
-        for c in self.comparisons:
-            if c.response is response and c.fixed_level.level is level:
-                return c
-        raise KeyError((response, level))
 
 
 def check_marginal_selectivity(

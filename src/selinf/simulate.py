@@ -2,12 +2,12 @@
 
 Models
 ------
-A selective model is just a hidden-state distribution: its tables are the
-exact push-forward. A contaminated model mixes that push-forward, per
-treatment, with a point mass on a fixed treatment-indexed outcome pair,
-at rate eta; this is the simplest mechanism by which a response can leak
-information about the other factor, and at eta = 0 it reduces to the
-selective model.
+One type, ``Model(hidden, eta, cross_map)``, covers both cases. Its tables
+mix the hidden-state distribution's exact push-forward, per treatment, with
+a point mass on a fixed treatment-indexed outcome pair, at rate eta; this is
+the simplest mechanism by which a response can leak information about the
+other factor. Without a ``cross_map`` eta must be 0, and the model is the
+selective one: its tables are the push-forward itself.
 
 Random number contract
 ----------------------
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Union
+from typing import Mapping, Optional
 
 from .errors import InvalidValue
 from .feasibility import HiddenStateDistribution, predicted_tables
@@ -62,7 +62,6 @@ from .model import (
     JointTable,
     Rational,
     Treatment,
-    over_common_denominator,
     rational,
 )
 
@@ -88,15 +87,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
-
-
-def _model_thresholds(model: Model) -> list[list[int]]:
-    """Per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""
-    thresholds = []
-    for table in model_tables(model).tables.values():
-        numerators, lcd = over_common_denominator(table.cells())
-        thresholds.append([-((-cum << 53) // lcd) for cum in accumulate(numerators)])
-    return thresholds
 
 
 @lru_cache(maxsize=4)  # a chunk's width is _LANES or the remainder; 192 KB each at most
@@ -141,20 +131,6 @@ def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
     return tallies
 
 
-@dataclass(frozen=True)
-class SelectiveModel:
-    """A latent model in which each response reads only its own factor."""
-
-    hidden: HiddenStateDistribution
-
-    @cached_property
-    def _tables(self) -> ExperimentData:
-        """The exact push-forward, computed on first use."""
-        return predicted_tables(self.hidden)
-
-    _thresholds = cached_property(_model_thresholds)
-
-
 def contamination_rate(value: Rational) -> Fraction:
     """``value`` as an exact contamination rate eta, which must lie in [0, 1]."""
     eta = rational(value)
@@ -164,20 +140,25 @@ def contamination_rate(value: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ContaminatedModel:
-    """A selective core contaminated at rate eta by fixed cross-reading outcomes.
+class Model:
+    """A latent model: a hidden-state core, contaminated at rate eta by fixed outcomes.
 
     ``cross_map`` gives, for every treatment, the outcome pair forced when
     contamination strikes; because it may vary with the full treatment, both
-    responses can effectively read both factors through it.
+    responses can effectively read both factors through it. Without a
+    ``cross_map`` (so at eta = 0) the model is selective.
     """
 
     hidden: HiddenStateDistribution
-    eta: Fraction
-    cross_map: Mapping[Treatment, tuple[int, int]]
+    eta: Fraction = Fraction(0)
+    cross_map: Optional[Mapping[Treatment, tuple[int, int]]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", contamination_rate(self.eta))
+        if self.cross_map is None:
+            if self.eta != 0:
+                raise InvalidValue("eta > 0 needs a cross_map of forced outcome pairs")
+            return
         if set(self.cross_map) != set(TREATMENTS):
             raise InvalidValue("cross_map must give an outcome pair for all four treatments")
         fixed = {t: tuple(pair) for t, pair in self.cross_map.items()}
@@ -187,16 +168,20 @@ class ContaminatedModel:
         object.__setattr__(self, "cross_map", fixed)
 
     @cached_property
-    def _tables(self) -> ExperimentData:
-        """Per treatment, the forced pair's point mass mixed in at rate eta; computed on first use."""
-        base = predicted_tables(self.hidden).tables
-        mixed = {t: JointTable.point_mass(*pair).mix(base[t], self.eta) for t, pair in self.cross_map.items()}
+    def tables(self) -> ExperimentData:
+        """The exact per-treatment joint tables: the push-forward, with each forced
+        pair's point mass mixed in at rate eta; computed on first use."""
+        base = predicted_tables(self.hidden)
+        if self.cross_map is None:
+            return base
+        mixed = {t: JointTable.point_mass(*pair).mix(base.tables[t], self.eta) for t, pair in self.cross_map.items()}
         return ExperimentData(tables=mixed)
 
-    _thresholds = cached_property(_model_thresholds)
-
-
-Model = Union[SelectiveModel, ContaminatedModel]
+    @cached_property
+    def _thresholds(self) -> list[list[int]]:
+        """Per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""
+        *cells, lcd = self.tables.scaled_cells
+        return [[-((-cum << 53) // lcd) for cum in accumulate(cells[k : k + 4])] for k in range(0, 16, 4)]
 
 
 @dataclass(frozen=True)
@@ -211,11 +196,6 @@ class SampleSpec:
             raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {self.n_per_treatment!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-def model_tables(model: Model) -> ExperimentData:
-    """The exact per-treatment joint tables a model generates, computed once per model."""
-    return model._tables
 
 
 def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:

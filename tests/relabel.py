@@ -4,9 +4,10 @@ Recoding a response or exchanging a factor's two levels permutes the tables
 and signed sums in a known way, and mixing two experiments is affine cell by
 cell; the invariance and convexity tests check the program against these.
 One facet's signed sum, computed on its own, checks the certificates. The
-per-table expectations and marginals, uniform tables and distributions, and
-the other small helpers below are computed here on ``Fraction``s, apart from
-the integer routes the program takes.
+per-table expectations and marginals, a report's comparison by response and
+level, uniform tables and distributions, and the other small helpers below
+are computed here on ``Fraction``s, apart from the integer routes the program
+takes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from selinf.model import (
     Treatment,
     rational,
 )
+from selinf.selectivity import MarginalComparison, MarginalReport, Response
 from selinf.simulate import SplitMix64
 
 
@@ -51,6 +53,14 @@ def pr_a_plus(table: JointTable) -> Fraction:
 
 def pr_b_plus(table: JointTable) -> Fraction:
     return table.p_pp + table.p_mp
+
+
+def comparison(report: MarginalReport, response: Response, level: Level) -> MarginalComparison:
+    """The report's comparison of ``response`` at the other factor's ``level``."""
+    for c in report.comparisons:
+        if c.response is response and c.fixed_level.level is level:
+            return c
+    raise KeyError((response, level))
 
 
 def uniform_distribution() -> HiddenStateDistribution:

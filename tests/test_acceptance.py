@@ -24,12 +24,13 @@ from selinf.selectivity import (
     check_marginal_selectivity,
     test_marginal_selectivity as run_ms_test,
 )
-from selinf.simulate import SampleSpec, SelectiveModel, sample_counts
+from selinf.simulate import Model, SampleSpec, sample_counts
 from selinf.io import analyze, serialize_experiment
 
 from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
 from relabel import (
     chsh_facet_value,
+    comparison,
     flip_a_coding,
     flip_b_coding,
     mix_experiments,
@@ -63,7 +64,7 @@ def test_criterion_1_zero_gamma_with_marginal_violation(table1):
 
     ms = check_marginal_selectivity(table1, 0)
     assert not ms.satisfied
-    b_at_b = ms.comparison(Response.B, Level.FIRST)
+    b_at_b = comparison(ms, Response.B, Level.FIRST)
     assert b_at_b.p_under_first == Fraction(5, 10)
     assert b_at_b.p_under_second == Fraction(4, 10)
 
@@ -101,7 +102,7 @@ def test_criterion_3_observed_experiment(table3):
 
     ms = check_marginal_selectivity(table3, 0)
     assert not ms.satisfied
-    cat_under_b, cat_under_b_prime = ms.comparison(Response.A, Level.SECOND).complements()
+    cat_under_b, cat_under_b_prime = comparison(ms, Response.A, Level.SECOND).complements()
     assert abs(cat_under_b - Fraction(135, 1000)) <= Fraction(2, 1000)
     assert abs(cat_under_b_prime - Fraction(766, 1000)) <= Fraction(2, 1000)
 
@@ -160,7 +161,7 @@ def test_criterion_5_witness_and_certificate_soundness():
                     assert cert.value > 2
                 else:
                     report = check_marginal_selectivity(data, 0)
-                    assert report.comparison(cert.response, cert.fixed_level.level) == cert
+                    assert comparison(report, cert.response, cert.fixed_level.level) == cert
                     assert cert.delta > 0
     assert n_feasible >= 100 and n_infeasible >= 100, (n_feasible, n_infeasible)
     _passed(5, f"{n_feasible} witnesses verified, {n_infeasible} certificates re-violated")
@@ -219,7 +220,7 @@ def test_criterion_8_relabeling_invariance():
 
 
 def test_criterion_9_simulator_reproducibility_and_convergence():
-    uniform = SelectiveModel(uniform_distribution())
+    uniform = Model(uniform_distribution())
 
     spec = SampleSpec(n_per_treatment=500, seed=DOCUMENTED_SEED)
     first = serialize_experiment(sample_counts(uniform, spec)).encode()

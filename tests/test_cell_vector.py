@@ -19,7 +19,7 @@ from selinf.feasibility import predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
 from selinf.model import CELLS, TREATMENTS, Level, over_common_denominator
 from selinf.selectivity import check_marginal_selectivity
-from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, model_tables, sample_counts
+from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
     cap_denominator_push_forward,
@@ -48,10 +48,10 @@ def every_route():
     for name in FIXTURE_NAMES:
         yield parse_experiment(load_fixture_text(name))
     hidden = random_hidden_distribution(rng)
-    contaminated = ContaminatedModel(hidden, Fraction(1, 7), dict(zip(TREATMENTS, CELLS)))
+    contaminated = Model(hidden, Fraction(1, 7), dict(zip(TREATMENTS, CELLS)))
     yield predicted_tables(hidden)
-    yield model_tables(contaminated)
-    for model in (SelectiveModel(hidden), contaminated):
+    yield contaminated.tables
+    for model in (Model(hidden), contaminated):
         sampled = sample_counts(model, SampleSpec(n_per_treatment=97, seed=5))
         yield sampled
         yield parse_experiment(serialize_experiment(sampled))

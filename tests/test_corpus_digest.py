@@ -26,7 +26,7 @@ from selinf.io import (
     serialize_experiment,
 )
 from selinf.model import CELLS, TREATMENTS
-from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, sample_counts
+from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import pr_box, random_any_data, random_hidden_distribution, random_ms_data
 
@@ -46,8 +46,8 @@ def corpus():
     for seed in range(6):
         hidden = random_hidden_distribution(rng)
         spec = SampleSpec(n_per_treatment=200, seed=seed)
-        yield sample_counts(SelectiveModel(hidden), spec)
-        yield sample_counts(ContaminatedModel(hidden, Fraction(1, 5), cross), spec)
+        yield sample_counts(Model(hidden), spec)
+        yield sample_counts(Model(hidden, Fraction(1, 5), cross), spec)
 
 
 def test_outputs_are_byte_identical_across_the_corpus(tmp_path, capsys):

@@ -31,6 +31,7 @@ from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 from conftest import cap_denominator_push_forward, pr_box, random_any_data, random_hidden_distribution, random_ms_data
 from relabel import (
     chsh_facet_value,
+    comparison,
     mix_distributions,
     mix_experiments,
     point_mass_distribution,
@@ -365,7 +366,7 @@ class TestFineEquivalence:
                 else:
                     seen_marginal += 1
                     report = check_marginal_selectivity(data, 0)
-                    match = report.comparison(cert.response, cert.fixed_level.level)
+                    match = comparison(report, cert.response, cert.fixed_level.level)
                     assert match == cert
                     assert cert.delta > 0
         assert seen_facet > 0 and seen_marginal > 0

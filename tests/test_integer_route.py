@@ -17,7 +17,7 @@ from selinf.feasibility import HIDDEN_STATES, predicted_tables
 from selinf.io import parse_experiment
 from selinf.model import ALPHA_A, ALPHA_A_PRIME, BETA_B, BETA_B_PRIME, CELLS, TREATMENTS, Treatment
 from selinf.selectivity import Response, check_marginal_selectivity, test_marginal_selectivity as run_ms_test
-from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, sample_counts
+from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
     cap_denominator_push_forward,
@@ -57,10 +57,10 @@ def sampled_corpus():
     for seed in range(6):
         hidden = random_hidden_distribution(rng)
         spec = SampleSpec(n_per_treatment=50 + 37 * seed, seed=seed)
-        yield sample_counts(SelectiveModel(hidden), spec)
-        yield sample_counts(ContaminatedModel(hidden, Fraction(1, 5), cross), spec)
+        yield sample_counts(Model(hidden), spec)
+        yield sample_counts(Model(hidden, Fraction(1, 5), cross), spec)
     point = point_mass_distribution(HIDDEN_STATES[0])
-    yield sample_counts(SelectiveModel(point), SampleSpec(20, 3))  # every pooled proportion 0 or 1
+    yield sample_counts(Model(point), SampleSpec(20, 3))  # every pooled proportion 0 or 1
     yield parse_experiment(load_fixture_text("table3"))  # independent counts
 
 

@@ -31,7 +31,7 @@ from selinf.io import (
 )
 from selinf.cli import EXIT_INFEASIBLE, run_cli
 from selinf.model import TREATMENTS, ExperimentData, JointTable
-from selinf.simulate import ContaminatedModel, SampleSpec, SelectiveModel, sample_counts
+from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
     CROSS_MAP,
@@ -388,7 +388,7 @@ class TestRoundTrip:
             assert parse_experiment(serialize_experiment(data)) == data
 
     def test_sampled_counts_round_trip(self):
-        model = SelectiveModel(uniform_distribution())
+        model = Model(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(64, 3))
         assert parse_experiment(serialize_experiment(sampled)) == sampled
 
@@ -401,7 +401,7 @@ class TestRoundTrip:
 class TestParseModel:
     def test_selective(self):
         model = parse_model('{"hidden": {"++++": "1/2", "----": ".5"}}')
-        assert isinstance(model, SelectiveModel)
+        assert model.cross_map is None
         assert model.hidden.weights[0] == Fraction(1, 2)
 
     def test_contaminated(self):
@@ -411,7 +411,7 @@ class TestParseModel:
             "cross_map": {"a,b": "++", "a,b'": "+-", "a',b": "-+", "a',b'": "--"},
         }
         model = parse_model(json.dumps(doc))
-        assert isinstance(model, ContaminatedModel)
+        assert model.cross_map is not None
         assert model.eta == Fraction(1, 10)
         assert model.cross_map[TREATMENTS[1]] == (1, -1)
 
@@ -462,10 +462,14 @@ class TestParseModel:
             ({**CROSS_MAP, "a,c": "++"}, "unknown treatment key 'a,c'"),
             ({**CROSS_MAP, "a,b": "+x"}, "cross_map\\['a,b'\\] must be 2 of \\+/-"),
             (["++", "+-", "-+", "--"], "cross_map must be a JSON object"),
+            (None, "cross_map must be a JSON object"),
         ],
     )
     def test_bad_cross_maps(self, cross_map, message):
         doc = {"hidden": {"++++": "1"}, "eta": "1/10", "cross_map": cross_map}
+        with pytest.raises(ParseError, match=message):
+            parse_model(json.dumps(doc))
+        del doc["eta"]  # at eta = 0 a present map is still read, never taken for an absent one
         with pytest.raises(ParseError, match=message):
             parse_model(json.dumps(doc))
 

@@ -19,7 +19,6 @@ from selinf.model import (
     LabelSet,
     Level,
     Treatment,
-    over_common_denominator,
     rational,
 )
 

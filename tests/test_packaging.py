@@ -1,4 +1,4 @@
-"""Package hygiene: stdlib-only imports and a public API that matches its imports."""
+"""Package hygiene: stdlib-only imports, no unused ones, and a public API that matches its imports."""
 
 import ast
 import inspect
@@ -10,6 +10,7 @@ from pathlib import Path
 from types import FunctionType
 
 import selinf
+from selinf.io import serialize_experiment
 
 PACKAGE_DIR = Path(selinf.__file__).parent
 
@@ -81,17 +82,19 @@ def test_code_names_skip_prose_and_definitions(tmp_path):
 
 
 def public_methods():
-    """(class name, name) of every public method and property each public class defines."""
+    """(class name, name, is a method) of every public method and property each public class defines."""
     for cls_name in selinf.__all__:
         cls = getattr(selinf, cls_name)
         if inspect.isclass(cls):
             for name, value in vars(cls).items():
-                if not name.startswith("_") and isinstance(value, (FunctionType, classmethod, staticmethod, property)):
-                    yield cls_name, name
+                method = isinstance(value, (FunctionType, classmethod, staticmethod))
+                if not name.startswith("_") and (method or isinstance(value, property)):
+                    yield cls_name, name, method
 
 
 def attribute_uses(path):
-    """(class name or None, name) for each ``expr.name`` a file reads outside a def of that name.
+    """(class name or None, name, called) for each ``expr.name`` a file reads outside a def
+    of that name; ``called`` tells whether the read is the callee of ``expr.name(...)``.
 
     ``Cls.name`` binds to the public class Cls, and ``Cls.method(...).name`` to
     the public class that ``method`` is annotated to return; any other
@@ -108,16 +111,18 @@ def attribute_uses(path):
         return None
 
     uses = set()
+    tree = ast.parse(path.read_text())
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
     def visit(node, defs):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defs = defs | {node.name}
         if isinstance(node, ast.Attribute) and node.attr not in defs:
-            uses.add((receiver(node.value), node.attr))
+            uses.add((receiver(node.value), node.attr, id(node) in callees))
         for child in ast.iter_child_nodes(node):
             visit(child, defs)
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, frozenset())
     return uses
 
 
@@ -130,20 +135,22 @@ def test_attribute_uses_bind_to_the_receiver_class(tmp_path):
         "JointTable.point_mass(1, 1).cells()\n"
         "HiddenStateDistribution.from_mapping({}).items()\n"
         "data.table(t)\n"
+        "result.comparison\n"
     )
     assert attribute_uses(path) == {
-        ("JointTable", "point_mass"),
-        ("JointTable", "cells"),
-        ("HiddenStateDistribution", "from_mapping"),
-        ("HiddenStateDistribution", "items"),
-        (None, "table"),
+        ("JointTable", "point_mass", True),
+        ("JointTable", "cells", True),
+        ("HiddenStateDistribution", "from_mapping", True),
+        ("HiddenStateDistribution", "items", True),
+        (None, "table", True),
+        (None, "comparison", False),  # reads a field: no use of a method of that name
     }
 
 
 def test_every_public_name_is_used_outside_the_tests():
     # a name only tests use belongs in a test helper, not in the API; so does a
-    # method or property, which counts as used where it is read as an attribute
-    # in the package outside its own def, or in the benchmark
+    # method, which counts as used where it is called as an attribute in the
+    # package outside its own def, or in the benchmark, and a property, where it is read
     root = PACKAGE_DIR.parent.parent
     paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "bench").glob("*.py"))
@@ -151,5 +158,61 @@ def test_every_public_name_is_used_outside_the_tests():
     readme = (root / "README.md").read_text()
     unused = [name for name in selinf.__all__ if name not in used and not re.search(rf"\b{name}\b", readme)]
     uses = set().union(*(attribute_uses(path) for path in paths))
-    unused += [f"{cls}.{name}" for cls, name in public_methods() if not {(cls, name), (None, name)} & uses]
+    reads = {(cls, name) for cls, name, _ in uses}
+    calls = {(cls, name) for cls, name, called in uses if called}
+    unused += [
+        f"{cls}.{name}"
+        for cls, name, method in public_methods()
+        if not {(cls, name), (None, name)} & (calls if method else reads)
+    ]
     assert unused == []
+
+
+def unused_imports(path):
+    """``line: name`` for each name a file imports and never uses as a name, skipping
+    ``from __future__`` imports and import statements marked ``# noqa: F401``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if "# noqa: F401" not in lines[node.lineno - 1]:
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_skip_future_noqa_and_dotted_uses(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json  # noqa: F401\n"
+        "from fractions import (\n"
+        "    Fraction,\n"
+        "    Decimal as D,\n"
+        ")\n"
+        '"""Fraction in prose."""\n'
+        "os.path.join('a')\n"
+    )
+    assert unused_imports(path) == ["4: Fraction", "4: D"]
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports are its API, which the __all__ test checks
+    root = PACKAGE_DIR.parent.parent
+    paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    unused = [f"{path.relative_to(root)}:{use}" for path in paths for use in unused_imports(path)]
+    assert unused == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, table2):
+    # the README's library example opens "experiment.json" in the working directory
+    blocks = re.findall(r"^```python\n(.*?)^```", (PACKAGE_DIR.parent.parent / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    (tmp_path / "experiment.json").write_text(serialize_experiment(table2))
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -20,14 +20,12 @@ from selinf.io import analyze
 from selinf.model import TREATMENTS, JointTable
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import (
-    ContaminatedModel,
+    Model,
     SampleSpec,
-    SelectiveModel,
     SplitMix64,
     _LANES,
     _lane_constants,
     _tallies,
-    model_tables,
     sample_counts,
 )
 
@@ -97,7 +95,7 @@ class TestSplitMix64:
 
 class TestModelTables:
     def test_uniform_selective_model(self):
-        tables = model_tables(SelectiveModel(uniform_distribution()))
+        tables = Model(uniform_distribution()).tables
         for t in TREATMENTS:
             assert tables.table(t) == uniform_table()
 
@@ -105,10 +103,8 @@ class TestModelTables:
         rng = random.Random(72)
         hidden = random_hidden_distribution(rng)
         cross = {t: (1, -1) for t in TREATMENTS}
-        plain = model_tables(SelectiveModel(hidden))
-        contaminated = model_tables(
-            ContaminatedModel(hidden=hidden, eta=Fraction(0), cross_map=cross)
-        )
+        plain = Model(hidden).tables
+        contaminated = Model(hidden=hidden, eta=Fraction(0), cross_map=cross).tables
         for t in TREATMENTS:
             assert plain.table(t) == contaminated.table(t)
 
@@ -120,10 +116,10 @@ class TestModelTables:
             TREATMENTS[2]: (1, 1),
             TREATMENTS[3]: (-1, 1),
         }
-        model = ContaminatedModel(
+        model = Model(
             hidden=uniform_distribution(), eta=Fraction(1), cross_map=cross
         )
-        report = check_marginal_selectivity(model_tables(model), 0)
+        report = check_marginal_selectivity(model.tables, 0)
         assert not report.satisfied
         assert report.comparisons[0].delta == 1
 
@@ -131,11 +127,11 @@ class TestModelTables:
         rng = random.Random(73)
         hidden = random_hidden_distribution(rng)
         cross = {t: (-1, -1) for t in TREATMENTS}
-        base = model_tables(SelectiveModel(hidden))
+        base = Model(hidden).tables
         point = JointTable(0, 0, 0, 1)
         for _ in range(20):
             eta = Fraction(rng.randint(0, 12), 12)
-            mixed = model_tables(ContaminatedModel(hidden=hidden, eta=eta, cross_map=cross))
+            mixed = Model(hidden=hidden, eta=eta, cross_map=cross).tables
             for t in TREATMENTS:
                 for got, p, q in zip(
                     mixed.table(t).cells(), base.table(t).cells(), point.cells()
@@ -145,7 +141,7 @@ class TestModelTables:
     def test_selective_models_pass_criterion_and_solver(self):
         rng = random.Random(74)
         for _ in range(50):
-            data = model_tables(SelectiveModel(random_hidden_distribution(rng)))
+            data = Model(random_hidden_distribution(rng)).tables
             assert fine_criterion(data)
             assert analyze(data).feasibility.feasible
 
@@ -161,8 +157,8 @@ class TestModelTables:
         uniform = uniform_distribution()
         cross = {t: (1, -1) for t in TREATMENTS}
         builds = (
-            lambda: SelectiveModel(uniform),
-            lambda: ContaminatedModel(hidden=uniform, eta=Fraction(1, 5), cross_map=cross),
+            lambda: Model(uniform),
+            lambda: Model(hidden=uniform, eta=Fraction(1, 5), cross_map=cross),
         )
         for build in builds:
             pushed.clear()
@@ -170,38 +166,40 @@ class TestModelTables:
             assert pushed == []  # not at construction
             first = sample_counts(model, SampleSpec(n_per_treatment=50, seed=3))
             assert sample_counts(model, SampleSpec(n_per_treatment=50, seed=3)) == first
-            assert model_tables(model) is model_tables(model)
+            assert model.tables is model.tables
             assert len(pushed) == 1
 
     def test_thresholds_and_lane_constants_are_computed_once(self, monkeypatch):
-        looked_up = []
-        original = selinf.simulate.model_tables
+        pushed = []
+        original = selinf.simulate.predicted_tables
 
-        def counting(model):
-            looked_up.append(model)
-            return original(model)
+        def counting(dist):
+            pushed.append(dist)
+            return original(dist)
 
-        monkeypatch.setattr(selinf.simulate, "model_tables", counting)
-        model = SelectiveModel(random_hidden_distribution(random.Random(8)))
+        monkeypatch.setattr(selinf.simulate, "predicted_tables", counting)
+        model = Model(random_hidden_distribution(random.Random(8)))
         before = _lane_constants.cache_info()
         first = sample_counts(model, SampleSpec(n_per_treatment=77, seed=3))
         assert sample_counts(model, SampleSpec(n_per_treatment=77, seed=4)) != first
         after = _lane_constants.cache_info()
-        assert looked_up == [model]  # once per model, not per call
+        assert pushed == [model.hidden]  # once per model, not per call
         assert after.misses - before.misses <= 1 and after.hits - before.hits >= 7
 
     def test_model_validation(self):
         uniform = uniform_distribution()
+        with pytest.raises(InvalidValue, match="^eta > 0 needs a cross_map of forced outcome pairs$"):
+            Model(uniform, Fraction(1, 2))
         with pytest.raises(InvalidValue):
-            ContaminatedModel(hidden=uniform, eta=Fraction(3, 2), cross_map={})
+            Model(hidden=uniform, eta=Fraction(3, 2), cross_map={})
         with pytest.raises(InvalidValue):
-            ContaminatedModel(
+            Model(
                 hidden=uniform,
                 eta=Fraction(1, 2),
                 cross_map={TREATMENTS[0]: (1, 1)},
             )
         with pytest.raises(InvalidValue):
-            ContaminatedModel(
+            Model(
                 hidden=uniform,
                 eta=Fraction(1, 2),
                 cross_map={t: (1, 2) for t in TREATMENTS},
@@ -227,7 +225,7 @@ class TestSampleSpec:
 
 class TestSampling:
     def test_point_mass_model_draws_only_plus_plus(self):
-        model = SelectiveModel(point_mass_distribution(HIDDEN_STATES[0]))
+        model = Model(point_mass_distribution(HIDDEN_STATES[0]))
         sampled = sample_counts(model, SampleSpec(40, 7))
         for t in TREATMENTS:
             assert sampled.count(t).cells() == (40, 0, 0, 0)
@@ -235,7 +233,7 @@ class TestSampling:
 
     def test_reproducibility_exact(self):
         rng = random.Random(75)
-        model = SelectiveModel(random_hidden_distribution(rng))
+        model = Model(random_hidden_distribution(rng))
         spec = SampleSpec(200, 31337)
         first = sample_counts(model, spec)
         second = sample_counts(model, spec)
@@ -243,13 +241,13 @@ class TestSampling:
             assert first.count(t) == second.count(t)
 
     def test_different_seeds_differ(self):
-        model = SelectiveModel(uniform_distribution())
+        model = Model(uniform_distribution())
         a = sample_counts(model, SampleSpec(500, 1))
         b = sample_counts(model, SampleSpec(500, 2))
         assert any(a.count(t) != b.count(t) for t in TREATMENTS)
 
     def test_counts_attach_with_derived_tables(self):
-        model = SelectiveModel(uniform_distribution())
+        model = Model(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(100, 5))
         assert sampled.has_full_counts()
         for t in TREATMENTS:
@@ -258,8 +256,8 @@ class TestSampling:
 
     def test_cell_frequencies_converge_with_n(self):
         # fixed seed 2026: max cell deviation shrinks over n = 1e2, 1e4, 1e6
-        model = SelectiveModel(uniform_distribution())
-        exact = model_tables(model)
+        model = Model(uniform_distribution())
+        exact = model.tables
         deviations = []
         for n in (10**2, 10**4, 10**6):
             sampled = sample_counts(model, SampleSpec(n, 2026))
@@ -272,7 +270,7 @@ class TestSampling:
         assert deviations[0] > deviations[1] > deviations[2]
 
     def test_empirical_gamma_near_zero_for_uniform_model(self):
-        model = SelectiveModel(uniform_distribution())
+        model = Model(uniform_distribution())
         sampled = sample_counts(model, SampleSpec(10**5, 2026))
         assert float(compute_gamma(sampled).gamma) < 0.05
 
@@ -281,7 +279,7 @@ class TestSampling:
         dist = HiddenStateDistribution.from_mapping(
             {"++++": Fraction(1, 3), "---+": Fraction(2, 3)}
         )
-        model = SelectiveModel(dist)
+        model = Model(dist)
         sampled = sample_counts(model, SampleSpec(30000, 17))
         table = sampled.table(TREATMENTS[0])
         assert abs(table.p_pp - Fraction(1, 3)) < Fraction(2, 100)
@@ -353,8 +351,8 @@ class TestPackedSampler:
     def test_sample_counts_match_per_draw_reference(self, seed):
         cross = dict(zip(TREATMENTS, ((1, 1), (1, -1), (-1, -1), (1, 1))))
         hidden = random_hidden_distribution(random.Random(76))
-        model = ContaminatedModel(hidden=hidden, eta=Fraction(1, 10), cross_map=cross)
-        exact = model_tables(model)
+        model = Model(hidden=hidden, eta=Fraction(1, 10), cross_map=cross)
+        exact = model.tables
         n = _LANES + 1
         sampled = sample_counts(model, SampleSpec(n, seed))
         for t, sub_seed in zip(TREATMENTS, reference_splitmix64(seed, 4)):
@@ -364,7 +362,7 @@ class TestPackedSampler:
             assert list(sampled.count(t).cells()) == expected
 
     def test_memory_does_not_grow_with_n(self):
-        model = SelectiveModel(uniform_distribution())
+        model = Model(uniform_distribution())
         tracemalloc.start()
         try:
             sample_counts(model, SampleSpec(10**6, 2026))
