@@ -1,10 +1,12 @@
 """Latent-model representability of four joint tables, decided exactly.
 
 A deterministic hidden state fixes all four responses at once: A's answer at
-a and at a', B's answer at b and at b'. There are 16 such states, and the
-mixtures over them are exactly the models in which each response reads only
-its own factor plus a shared random source. Whether observed tables admit
-such a mixture is a linear feasibility question in the 16 weights. Data that
+a and at a', B's answer at b and at b'. There are 16 such states, each held
+as its sign string such as "+-+-", and the mixtures over them are exactly the
+models in which each response reads only its own factor plus a shared random
+source. Whether observed tables admit such a mixture is a linear feasibility
+question in the 16 weights. Its constant matrix is one table of the cell each
+state fills under each treatment, which the push-forward reads too. Data that
 violates marginal selectivity fails it outright; the rest is decided here
 with an exact phase-1 simplex. The answer is either a witness distribution
 or a certificate (a marginal-selectivity inequality or a CHSH facet above 2,
@@ -21,7 +23,8 @@ product measure over the 256 tuples of per-treatment outcome pairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -32,65 +35,26 @@ from .model import (
     TREATMENTS,
     ExperimentData,
     JointTable,
-    Level,
     Rational,
-    Treatment,
-    decode_signs,
-    encode_signs,
     over_common_denominator,
+    printable,
     rational,
 )
 from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
 from .simplex import ReducedSystem, feasible_point
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    """Deterministic responses (A(a), A(a'), B(b), B(b')), each +1 or -1."""
+# The 16 deterministic states, written A(a) A(a') B(b) B(b') in "+"/"-", in
+# lexicographic order with "+" first.
+HIDDEN_STATES: tuple[str, ...] = tuple(map("".join, itertools.product("+-", repeat=4)))
 
-    a_val: int
-    a_prime_val: int
-    b_val: int
-    b_prime_val: int
-    key: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("a_val", "a_prime_val", "b_val", "b_prime_val"):
-            if getattr(self, name) not in (1, -1):
-                raise InvalidValue(f"{name} must be +1 or -1")
-        object.__setattr__(self, "key", encode_signs((self.a_val, self.a_prime_val, self.b_val, self.b_prime_val)))
-
-    @property
-    def index(self) -> int:
-        """Position in the fixed lexicographic order with +1 before -1."""
-        bits = 0
-        for v in (self.a_val, self.a_prime_val, self.b_val, self.b_prime_val):
-            bits = (bits << 1) | (v == -1)
-        return bits
-
-    @classmethod
-    def from_index(cls, index: int) -> "HiddenState":
-        if not 0 <= index < 16:
-            raise InvalidValue(f"hidden state index {index} outside 0..15")
-        vals = [(-1 if (index >> shift) & 1 else 1) for shift in (3, 2, 1, 0)]
-        return cls(*vals)
-
-    @classmethod
-    def from_string(cls, text: str) -> "HiddenState":
-        return cls(*decode_signs(text, 4, "hidden state string", InvalidValue))
-
-    def response(self, treatment: Treatment) -> tuple[int, int]:
-        """The (A, B) outcome this state produces under ``treatment``."""
-        return (
-            self.a_val if treatment.alpha.level is Level.FIRST else self.a_prime_val,
-            self.b_val if treatment.beta.level is Level.FIRST else self.b_prime_val,
-        )
-
-    def __str__(self) -> str:
-        return self.key
-
-
-HIDDEN_STATES: tuple[HiddenState, ...] = tuple(HiddenState.from_index(i) for i in range(16))
+# Per state, the cell it fills under each treatment k = 2 (alpha at a') + (beta
+# at b'), as its position 4 k + c among the 16 cells (c in the order pp, pm, mp,
+# mm): A gives the state's sign at its alpha level, B the sign at 2 + its beta level.
+_STATE_CELLS = tuple(
+    tuple(4 * (2 * i + j) + 2 * (state[i] == "-") + (state[2 + j] == "-") for i in (0, 1) for j in (0, 1))
+    for state in HIDDEN_STATES
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +71,7 @@ class HiddenStateDistribution:
         if any(p < 0 for p in numerators):
             raise InvalidDistribution("weights must be nonnegative")
         if sum(numerators) != lcd:
-            raise InvalidDistribution(f"weights sum to {Fraction(sum(numerators), lcd)}, expected exactly 1")
+            raise InvalidDistribution(f"weights sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "weights", ws)
 
     @classmethod
@@ -115,13 +79,15 @@ class HiddenStateDistribution:
         """Build from {"+-+-": weight}, states written A(a)A(a')B(b)B(b'); missing states get 0."""
         ws = [Fraction(0)] * 16
         for state, weight in mapping.items():
-            ws[HiddenState.from_string(state).index] += rational(weight)
+            if state not in HIDDEN_STATES:
+                raise InvalidValue(f"hidden state string must be 4 of +/-, got {state!r}")
+            ws[HIDDEN_STATES.index(state)] += rational(weight)
         return cls(tuple(ws))
 
-    def items(self) -> Iterator[tuple[HiddenState, Fraction]]:
+    def items(self) -> Iterator[tuple[str, Fraction]]:
         return zip(HIDDEN_STATES, self.weights)
 
-    def nonzero_items(self) -> Iterator[tuple[HiddenState, Fraction]]:
+    def nonzero_items(self) -> Iterator[tuple[str, Fraction]]:
         return ((s, w) for s, w in self.items() if w != 0)
 
 
@@ -131,13 +97,18 @@ OutcomeTuple = tuple[OutcomePair, OutcomePair, OutcomePair, OutcomePair]
 
 
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
-    """Push the state distribution forward to one joint table per treatment."""
-    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
-    for state, w in dist.nonzero_items():
-        for k, t in enumerate(TREATMENTS):
-            cells[k][state.response(t)] += w
+    """Push the state distribution forward to one joint table per treatment.
+
+    The weights' numerators over their common denominator are summed into the
+    16 cells on integers, and each cell becomes a ``Fraction`` once.
+    """
+    numerators, lcd = over_common_denominator(dist.weights)
+    cells = [0] * 16
+    for targets, p in zip(_STATE_CELLS, numerators):
+        for k in targets:
+            cells[k] += p
     return ExperimentData(
-        tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)}
+        tables={t: JointTable(*(Fraction(p, lcd) for p in cells[4 * t.index : 4 * t.index + 4])) for t in TREATMENTS}
     )
 
 
@@ -238,10 +209,11 @@ def fine_criterion(data: ExperimentData) -> bool:
 
 
 # The 16 cell equations, one per (treatment, outcome pair) in table cell
-# order, then normalization, have rank 9. Row-reduced, they are R x = T b
+# order, then normalization, have rank 9; state i's column has a 1 in the
+# cells _STATE_CELLS[i] and in normalization. Row-reduced, they are R x = T b
 # below, b the cells then 1; the 8 rows of T beyond the rank say that b
 # satisfies marginal selectivity exactly and that each table sums to 1
-# (tests/test_feasibility.py re-derives all of this from HIDDEN_STATES).
+# (tests/test_feasibility.py re-derives all of this from the state strings).
 _CONSTRAINTS = ReducedSystem(
     rows=(
         (1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1),

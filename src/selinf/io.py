@@ -392,13 +392,13 @@ def _certificate_from_dict(d: Mapping[str, Any]):
 
 
 def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
-    return {state.key: str(w) for state, w in witness.nonzero_items()}
+    return {state: str(w) for state, w in witness.nonzero_items()}
 
 
 def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
     """The witness header, then one ``state : weight`` line per state of nonzero weight."""
     return [f"{header_prefix}witness (state A(a)A(a')B(b)B(b') : weight):"] + [
-        f"{indent}{state.key} : {w}" for state, w in witness.nonzero_items()
+        f"{indent}{state} : {w}" for state, w in witness.nonzero_items()
     ]
 
 

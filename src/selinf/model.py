@@ -54,6 +54,11 @@ def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
     return max(lcd, *[abs(v.numerator) for v in values]) > MAX_COMMON_DENOMINATOR
 
 
+def printable(value: Fraction) -> str:
+    """``value`` as text, unless a numerator or denominator beyond 10**2000 makes it too long to print."""
+    return "a rational of over 2,000 digits" if exceeds_common_denominator_cap([value]) else str(value)
+
+
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """The values as integer numerators over their least common denominator L, and L."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -237,15 +242,10 @@ class JointTable:
                 v = rational(v)
                 object.__setattr__(self, name, v)
             if not 0 <= v.numerator <= v.denominator:
-                raise InvalidTable(f"cell {name} = {v} outside [0, 1]")
+                raise InvalidTable(f"cell {name} = {printable(v)} outside [0, 1]")
         numerators, lcd = over_common_denominator(self.cells())
         if sum(numerators) != lcd:
-            raise InvalidTable(f"cells sum to {Fraction(sum(numerators), lcd)}, expected exactly 1")
-
-    @classmethod
-    def point_mass(cls, a: int, b: int) -> "JointTable":
-        cells = [Fraction(1) if (a, b) == pair else Fraction(0) for pair in CELLS]
-        return cls(*cells)
+            raise InvalidTable(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
 
     def cells(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
@@ -253,15 +253,6 @@ class JointTable:
     def cell(self, a: int, b: int) -> Fraction:
         """Pr(A=a, B=b) for a, b in {+1, -1}."""
         return self.cells()[CELLS.index((a, b))]
-
-    def mix(self, other: "JointTable", lam: Rational) -> "JointTable":
-        """Cell-wise convex combination lam*self + (1-lam)*other."""
-        lam = rational(lam)
-        if not 0 <= lam <= 1:
-            raise InvalidValue(f"mixing weight {lam} outside [0, 1]")
-        return JointTable(
-            *(lam * x + (1 - lam) * y for x, y in zip(self.cells(), other.cells()))
-        )
 
 
 _LABEL_KEYS = {
@@ -345,7 +336,7 @@ class ExperimentData:
                     pairs = zip(self.tables[t].cells(), ct.cells())
                     if any(p.numerator * ct.n != c * p.denominator for p, c in pairs):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
-                        table = ", ".join(map(str, self.tables[t].cells()))
+                        table = ", ".join(map(printable, self.tables[t].cells()))
                         raise ConflictingData(
                             f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
                         )

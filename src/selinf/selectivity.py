@@ -149,9 +149,9 @@ def test_marginal_selectivity(
     ``check_marginal_selectivity(data)`` gives; sample sizes from the
     attached counts (all four treatments must carry counts). Two-sided
     p-values from the standard normal. A pooled proportion of exactly 0 or 1
-    is flagged degenerate: z is 0 when the two proportions agree, otherwise
-    infinite in magnitude. ``bonferroni`` divides the significance level by
-    the four comparisons made.
+    is flagged degenerate, with z = 0: both proportions are then 0, or both
+    1. ``bonferroni`` divides the significance level by the four comparisons
+    made.
     """
     significance_level(alpha_sig)
     if not data.has_full_counts():
@@ -166,9 +166,8 @@ def test_marginal_selectivity(
         pooled = a1 * b2 * n1 + a2 * b1 * n2
         total = b1 * b2 * (n1 + n2)
         degenerate = pooled == 0 or pooled == total
-        if degenerate:
-            z = 0.0 if diff == 0 else (math.inf if diff > 0 else -math.inf)
-        else:
+        z = 0.0
+        if not degenerate:
             se = math.sqrt(pooled * (total - pooled) / (total * total) * (1 / n1 + 1 / n2))
             z = diff / (b1 * b2) / se
         p_value = math.erfc(abs(z) / math.sqrt(2))

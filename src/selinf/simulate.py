@@ -4,10 +4,11 @@ Models
 ------
 One type, ``Model(hidden, eta, cross_map)``, covers both cases. Its tables
 mix the hidden-state distribution's exact push-forward, per treatment, with
-a point mass on a fixed treatment-indexed outcome pair, at rate eta; this is
-the simplest mechanism by which a response can leak information about the
-other factor. Without a ``cross_map`` eta must be 0, and the model is the
-selective one: its tables are the push-forward itself.
+a point mass on a fixed treatment-indexed outcome pair, at rate eta, adding
+integer numerators over one denominator; this is the simplest mechanism by
+which a response can leak information about the other factor. Without a
+``cross_map`` eta must be 0, and the model is the selective one: its tables
+are the push-forward itself.
 
 Random number contract
 ----------------------
@@ -170,12 +171,16 @@ class Model:
     @cached_property
     def tables(self) -> ExperimentData:
         """The exact per-treatment joint tables: the push-forward, with each forced
-        pair's point mass mixed in at rate eta; computed on first use."""
+        pair's point mass mixed in at rate eta on integers; computed on first use."""
         base = predicted_tables(self.hidden)
         if self.cross_map is None:
             return base
-        mixed = {t: JointTable.point_mass(*pair).mix(base.tables[t], self.eta) for t, pair in self.cross_map.items()}
-        return ExperimentData(tables=mixed)
+        e, d = self.eta.as_integer_ratio()
+        *cells, lcd = base.scaled_cells
+        forced = {4 * t.index + CELLS.index(pair) for t, pair in self.cross_map.items()}
+        # eta = e/d and the cells over L: (e L [the cell is forced] + (d - e) cell) / (d L)
+        mixed = [Fraction(e * lcd * (k in forced) + (d - e) * c, d * lcd) for k, c in enumerate(cells)]
+        return ExperimentData(tables={t: JointTable(*mixed[4 * t.index : 4 * t.index + 4]) for t in TREATMENTS})
 
     @cached_property
     def _thresholds(self) -> list[list[int]]:

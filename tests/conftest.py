@@ -70,13 +70,18 @@ def random_any_data(rng: random.Random, denom: int = 20) -> ExperimentData:
     return ExperimentData(tables=tables)
 
 
-def cap_denominator_push_forward() -> ExperimentData:
-    """The push-forward of 16 seeded weights over the denominator 10**2000 - 1, just under the cap."""
+def cap_denominator_distribution() -> HiddenStateDistribution:
+    """16 seeded weights over the denominator 10**2000 - 1, just under the cap."""
     denominator = MAX_COMMON_DENOMINATOR - 1
     rng = random.Random(2000)
     parts = [rng.randrange(denominator // 16) for _ in range(15)]
     parts.append(denominator - sum(parts))
-    return predicted_tables(HiddenStateDistribution(tuple(Fraction(a, denominator) for a in parts)))
+    return HiddenStateDistribution(tuple(Fraction(a, denominator) for a in parts))
+
+
+def cap_denominator_push_forward() -> ExperimentData:
+    """The push-forward of ``cap_denominator_distribution()``."""
+    return predicted_tables(cap_denominator_distribution())
 
 
 def pr_box() -> ExperimentData:

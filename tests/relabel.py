@@ -4,14 +4,16 @@ Recoding a response or exchanging a factor's two levels permutes the tables
 and signed sums in a known way, and mixing two experiments is affine cell by
 cell; the invariance and convexity tests check the program against these.
 One facet's signed sum, computed on its own, checks the certificates. The
-per-table expectations and marginals, a report's comparison by response and
-level, uniform tables and distributions, and the other small helpers below
-are computed here on ``Fraction``s, apart from the integer routes the program
-takes.
+hidden states' responses and push-forward, point-mass tables and their mix,
+the per-table expectations and marginals, a report's comparison by response
+and level, uniform tables and distributions, and the other small helpers
+below are computed here on ``Fraction``s from the states' sign strings,
+apart from the integer routes the program takes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +21,7 @@ from typing import Optional
 from typing import Iterable
 
 from selinf.chsh import SignPattern
-from selinf.feasibility import GeneralRepresentation, HiddenState, HiddenStateDistribution
+from selinf.feasibility import GeneralRepresentation, HiddenStateDistribution
 from selinf.model import (
     CELLS,
     FACTOR_LEVELS,
@@ -35,6 +37,37 @@ from selinf.model import (
 )
 from selinf.selectivity import MarginalComparison, MarginalReport, Response
 from selinf.simulate import SplitMix64
+
+
+# Hidden states A(a) A(a') B(b) B(b'), "+" before "-".
+STATES = tuple("".join(s) for s in itertools.product("+-", repeat=4))
+
+
+def state_response(state: str, treatment: Treatment) -> tuple[int, int]:
+    """The (A, B) outcome a hidden state produces: A reads its own alpha level, B its beta level."""
+    a = state[treatment.alpha.level is Level.SECOND]
+    b = state[2 + (treatment.beta.level is Level.SECOND)]
+    return (1 if a == "+" else -1, 1 if b == "+" else -1)
+
+
+def push_forward(dist: HiddenStateDistribution) -> ExperimentData:
+    """The tables a state distribution produces, summed as ``Fraction``s state by state."""
+    cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
+    for state, w in zip(STATES, dist.weights):
+        for k, t in enumerate(TREATMENTS):
+            cells[k][state_response(state, t)] += w
+    return ExperimentData(tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)})
+
+
+def point_mass_table(a: int, b: int) -> JointTable:
+    """The table that puts all mass on the outcome pair (a, b)."""
+    return JointTable(*(Fraction(int((a, b) == pair)) for pair in CELLS))
+
+
+def mix_tables(first: JointTable, second: JointTable, lam: Rational) -> JointTable:
+    """Cell-wise convex combination lam*first + (1-lam)*second."""
+    lam = rational(lam)
+    return JointTable(*(lam * x + (1 - lam) * y for x, y in zip(first.cells(), second.cells())))
 
 
 def uniform_table() -> JointTable:
@@ -67,14 +100,12 @@ def uniform_distribution() -> HiddenStateDistribution:
     return HiddenStateDistribution((Fraction(1, 16),) * 16)
 
 
-def point_mass_distribution(state: HiddenState) -> HiddenStateDistribution:
-    ws = [Fraction(0)] * 16
-    ws[state.index] = Fraction(1)
-    return HiddenStateDistribution(tuple(ws))
+def point_mass_distribution(state: str) -> HiddenStateDistribution:
+    return HiddenStateDistribution(tuple(Fraction(int(s == state)) for s in STATES))
 
 
-def weight(dist: HiddenStateDistribution, state: HiddenState) -> Fraction:
-    return dist.weights[state.index]
+def weight(dist: HiddenStateDistribution, state: str) -> Fraction:
+    return dist.weights[STATES.index(state)]
 
 
 def mix_distributions(
@@ -131,7 +162,7 @@ def flip_b(table):
 def mix_experiments(first: ExperimentData, second: ExperimentData, lam: Rational) -> ExperimentData:
     """Treatment-wise convex combination lam*first + (1-lam)*second of the tables."""
     return ExperimentData(
-        tables={t: first.table(t).mix(second.table(t), lam) for t in TREATMENTS}
+        tables={t: mix_tables(first.table(t), second.table(t), lam) for t in TREATMENTS}
     )
 
 

@@ -384,3 +384,17 @@ class TestOversizedInput:
         assert code == EXIT_ERROR
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unexpected" not in err and "least common denominator" in err
+
+
+class TestUndecodableFile:
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["witness"], ["simulate", "--n", "5", "--seed", "1", "--model"]], ids=lambda c: c[0]
+    )
+    def test_non_utf8_file_is_a_read_error(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = run_cli([*command, str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+        assert "unexpected" not in err and "can't decode byte 0xff" in err

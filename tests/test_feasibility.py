@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from selinf.feasibility import (
     _CONSTRAINTS,
     HIDDEN_STATES,
     FacetViolation,
-    HiddenState,
     HiddenStateDistribution,
     construct_general_representation,
     fine_criterion,
@@ -26,17 +26,29 @@ from selinf.feasibility import (
 )
 from selinf.io import analyze, render_report_text, report_to_json_dict
 from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
-from selinf.selectivity import MarginalComparison, check_marginal_selectivity
+from selinf.selectivity import MarginalComparison, Response, check_marginal_selectivity
 
-from conftest import cap_denominator_push_forward, pr_box, random_any_data, random_hidden_distribution, random_ms_data
+from conftest import (
+    cap_denominator_distribution,
+    cap_denominator_push_forward,
+    pr_box,
+    random_any_data,
+    random_hidden_distribution,
+    random_ms_data,
+)
 from relabel import (
+    STATES,
     chsh_facet_value,
     comparison,
     mix_distributions,
     mix_experiments,
+    negated,
     point_mass_distribution,
+    point_mass_table,
+    push_forward,
     reconstructed_tables,
     sign_pattern,
+    state_response,
     uniform_distribution,
     uniform_table,
     weight,
@@ -48,37 +60,35 @@ from test_corpus_digest import corpus
 
 class TestHiddenStates:
     def test_sixteen_distinct_states(self):
-        assert len(HIDDEN_STATES) == 16
-        assert len(set(HIDDEN_STATES)) == 16
-
-    def test_stored_string_leaves_equality_hash_and_repr_alone(self):
-        state = HiddenState(1, -1, -1, 1)
-        assert state.key == str(state) == "+--+"
-        assert repr(state) == "HiddenState(a_val=1, a_prime_val=-1, b_val=-1, b_prime_val=1)"
-        assert hash(state) == hash((1, -1, -1, 1)) and state == HIDDEN_STATES[6]
+        assert len(HIDDEN_STATES) == len(set(HIDDEN_STATES)) == 16
+        assert all(type(state) is str for state in HIDDEN_STATES)
 
     def test_lexicographic_order_with_plus_first(self):
-        assert str(HIDDEN_STATES[0]) == "++++"
-        assert str(HIDDEN_STATES[1]) == "+++-"
-        assert str(HIDDEN_STATES[2]) == "++-+"
-        assert str(HIDDEN_STATES[15]) == "----"
+        assert HIDDEN_STATES[0] == "++++"
+        assert HIDDEN_STATES[1] == "+++-"
+        assert HIDDEN_STATES[2] == "++-+"
+        assert HIDDEN_STATES[6] == "+--+"
+        assert HIDDEN_STATES[15] == "----"
+        assert HIDDEN_STATES == STATES
 
     def test_index_round_trip(self):
         for i, state in enumerate(HIDDEN_STATES):
-            assert state.index == i
-            assert HiddenState.from_index(i) == state
-            assert HiddenState.from_string(str(state)) == state
+            dist = HiddenStateDistribution.from_mapping({state: 1})
+            assert dist.weights.index(1) == i
+            assert list(dist.nonzero_items()) == [(state, 1)]
 
     def test_response_reads_own_factor_only(self):
-        state = HiddenState.from_string("+--+")
-        assert state.response(TREATMENTS[0]) == (1, -1)  # (a, b)
-        assert state.response(TREATMENTS[1]) == (1, 1)  # (a, b')
-        assert state.response(TREATMENTS[2]) == (-1, -1)  # (a', b)
-        assert state.response(TREATMENTS[3]) == (-1, 1)  # (a', b')
+        data = predicted_tables(point_mass_distribution("+--+"))
+        assert data.table(TREATMENTS[0]) == point_mass_table(1, -1)  # (a, b)
+        assert data.table(TREATMENTS[1]) == point_mass_table(1, 1)  # (a, b')
+        assert data.table(TREATMENTS[2]) == point_mass_table(-1, -1)  # (a', b)
+        assert data.table(TREATMENTS[3]) == point_mass_table(-1, 1)  # (a', b')
 
-    def test_values_must_be_signs(self):
-        with pytest.raises(InvalidValue):
-            HiddenState(0, 1, 1, 1)
+    @pytest.mark.parametrize("key", ["+++", "+++++", "++0+", "", 5, None])
+    def test_bad_keys_name_the_sign_string_form(self, key):
+        message = rf"^hidden state string must be 4 of \+/-, got {re.escape(repr(key))}$"
+        with pytest.raises(InvalidValue, match=message):
+            HiddenStateDistribution.from_mapping({key: 1})
 
 
 class TestHiddenStateDistribution:
@@ -97,6 +107,11 @@ class TestHiddenStateDistribution:
             HiddenStateDistribution((Fraction(1, 16),) * 15 + (Fraction(0),))
         with pytest.raises(InvalidDistribution, match=r"^need 16 weights, got 15$"):
             HiddenStateDistribution((Fraction(1, 15),) * 15)
+
+    def test_sums_too_long_to_print_are_named_not_printed(self):
+        ws = [Fraction(1, 10**1200 + k) for k in (1, 3, 7, 9)] + [Fraction(0)] * 12
+        with pytest.raises(InvalidDistribution, match=r"^weights sum to a rational of over 2,000 digits, expected"):
+            HiddenStateDistribution(tuple(ws))
 
     def test_fractions_are_kept_and_other_weights_converted(self):
         ws = (Fraction(1, 2), Fraction(0)) + (Fraction(1, 28),) * 14
@@ -142,6 +157,14 @@ class TestPredictedTables:
         box = pr_box()
         assert data.table(TREATMENTS[2]) == box.table(TREATMENTS[2])
         assert data.table(TREATMENTS[3]) != box.table(TREATMENTS[3])
+
+    def test_equals_the_fraction_route_push_forward(self):
+        # every point mass, seeded distributions and weights over 10**2000 - 1
+        rng = random.Random(53)
+        dists = [point_mass_distribution(state) for state in STATES]
+        dists += [random_hidden_distribution(rng) for _ in range(100)] + [cap_denominator_distribution()]
+        for dist in dists:
+            assert predicted_tables(dist) == push_forward(dist)
 
     def test_push_forward_always_selective_and_classical(self):
         rng = random.Random(52)
@@ -225,12 +248,14 @@ def _rhs(data):
     return [cell for t in TREATMENTS for cell in data.table(t).cells()] + [Fraction(1)]
 
 
+# The 16 hidden-state columns of the system {x >= 0, A x = b}: each state's
+# deterministic tables, read from its sign string, as the 16 cells, then 1
+# for normalization.
+STATE_COLUMNS = [[int(state_response(s, t) == pair) for t in TREATMENTS for pair in CELLS] + [1] for s in STATES]
+
 # The 16 cell equations, one per (treatment, outcome pair), then
 # normalization, reduced by the rational oracle.
-ORACLE = fraction_simplex.reduce_system(
-    [[Fraction(int(s.response(t) == pair)) for s in HIDDEN_STATES] for t in TREATMENTS for pair in CELLS]
-    + [[Fraction(1)] * 16]
-)
+ORACLE = fraction_simplex.reduce_system([[Fraction(col[r]) for col in STATE_COLUMNS] for r in range(17)])
 
 
 def rank(rows):
@@ -378,6 +403,87 @@ class TestFineEquivalence:
             data = random_ms_data(rng) if rng.random() < 0.5 else random_any_data(rng)
             violations = fine_violations(compute_gamma(data), check_marginal_selectivity(data))
             assert (not violations) == analyze(data).feasibility.feasible
+
+
+def dot(w, v):
+    return sum(x * y for x, y in zip(w, v, strict=True))
+
+
+def certificate_functional(cert):
+    """A certificate as an integer functional on (the 16 cells, normalization)."""
+    w = [0] * 17
+    if isinstance(cert, FacetViolation):
+        # 2 * normalization - S, S = sum over treatments k of s_k (pp - pm - mp + mm)
+        w[16] = 2
+        for k, s in enumerate(cert.pattern.signs):
+            for c, e in enumerate((1, -1, -1, 1)):
+                w[4 * k + c] = -s * e
+        return w
+    # the two marginals' difference, in the sign the data violates; each
+    # compared treatment holds the response's own factor at the fixed level
+    level = cert.fixed_level
+    first, second = (k for k, t in enumerate(TREATMENTS) if getattr(t, level.factor.value) == level)
+    plus = (0, 1) if cert.response is Response.A else (0, 2)  # the cells where the response is +1
+    sign = 1 if cert.p_under_first < cert.p_under_second else -1
+    for c in plus:
+        w[4 * first + c] += sign
+        w[4 * second + c] -= sign
+    return w
+
+
+def nonnegative_on_states(w):
+    return all(dot(w, col) >= 0 for col in STATE_COLUMNS)
+
+
+def is_farkas_vector(w, data):
+    """w >= 0 on every state column and w < 0 on the data, on integers over the cells' lcd.
+
+    By Farkas's lemma {x >= 0, A x = b} is infeasible iff such a w exists.
+    """
+    cells = [c for t in TREATMENTS for c in data.table(t).cells()]
+    lcd = math.lcm(*(c.denominator for c in cells))
+    return nonnegative_on_states(w) and dot(w, [c.numerator * (lcd // c.denominator) for c in cells] + [lcd]) < 0
+
+
+class TestFarkasCertificates:
+    def test_every_certificate_is_a_farkas_vector(self):
+        # the goldens, pr_box, the seeded conftest corpora and samples, and
+        # seeded mixtures of pr_box with push-forwards, which violate facets
+        rng = random.Random(62)
+        mixtures = [
+            mix_experiments(pr_box(), predicted_tables(random_hidden_distribution(rng)), Fraction(rng.randint(9, 16), 16))
+            for _ in range(40)
+        ]
+        seen = {FacetViolation: 0, MarginalComparison: 0}
+        for data in [*corpus(), *mixtures]:
+            result = analyze(data).feasibility
+            if result.feasible:
+                continue
+            assert result.certificate == result.all_violations[0]
+            for cert in result.all_violations:
+                seen[type(cert)] += 1
+                assert is_farkas_vector(certificate_functional(cert), data), cert
+        assert seen[FacetViolation] > 30 and seen[MarginalComparison] > 150
+
+    def test_sign_flipped_certificates_fail(self, table2, table3):
+        flipped = 0
+        for data in (pr_box(), table2, table3):
+            for cert in analyze(data).feasibility.all_violations:
+                if isinstance(cert, FacetViolation):
+                    w = certificate_functional(FacetViolation(negated(cert.pattern), -cert.value))
+                else:
+                    w = [-x for x in certificate_functional(cert)]
+                assert not is_farkas_vector(w, data)
+                flipped += 1
+        assert flipped >= 3
+
+    def test_every_state_column_is_checked(self):
+        # 3 * normalization minus the four cells state s fills is -1 on s's
+        # column and at least 1 on every other, so only s's column rejects it
+        for col in STATE_COLUMNS:
+            w = [-x for x in col[:16]] + [3]
+            assert [dot(w, other) < 0 for other in STATE_COLUMNS] == [other is col for other in STATE_COLUMNS]
+            assert not nonnegative_on_states(w)
 
 
 class TestConvexity:

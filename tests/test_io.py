@@ -15,6 +15,7 @@ import selinf.selectivity
 from selinf.errors import (
     BadCell,
     ConflictingData,
+    InvalidDistribution,
     MissingTreatment,
     ParseError,
     SumNotOne,
@@ -541,6 +542,13 @@ class TestReportJson:
         doc = json.loads(json.dumps(report_to_json_dict(report, include_witness=True)))
         rebuilt = report_from_json_dict(doc)
         assert rebuilt.feasibility.witness == report.feasibility.witness
+
+    def test_witness_whose_sum_is_too_long_to_print_is_rejected(self):
+        report, _ = self.feasible_report()
+        doc = report_to_json_dict(report, include_witness=True)
+        doc["feasibility"]["witness"] = {s: f"1/{10**1200 + k}" for s, k in zip(("++++", "+-+-", "-+-+", "----"), (1, 3, 7, 9))}
+        with pytest.raises(InvalidDistribution, match=r"^weights sum to a rational of over 2,000 digits, expected"):
+            report_from_json_dict(doc)
 
     def test_witness_only_on_request(self):
         report, _ = self.feasible_report()

@@ -183,6 +183,15 @@ class TestJointTable:
         with pytest.raises(InvalidTable, match=r"^cells sum to 1/6, expected exactly 1$"):
             JointTable(Fraction(1, 12), Fraction(1, 24), Fraction(1, 24), 0)
 
+    def test_sums_and_cells_too_long_to_print_are_named_not_printed(self):
+        # the wrong total's denominator, the four coprime ones' product, has over 4,300 digits
+        cells = [Fraction(1, 10**1200 + k) for k in (1, 3, 7, 9)]
+        with pytest.raises(InvalidTable, match=r"^cells sum to a rational of over 2,000 digits, expected exactly 1$"):
+            JointTable(*cells)
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(InvalidTable, match=r"^cell p_pm = a rational of over 2,000 digits outside \[0, 1\]$"):
+            JointTable(Fraction(1), -tiny, tiny, Fraction(0))
+
     def test_cells_must_be_probabilities(self):
         with pytest.raises(InvalidTable, match=r"^cell p_pp = 3/2 outside \[0, 1\]$"):
             JointTable("1.5", "-0.5", "0", "0")
@@ -309,6 +318,15 @@ class TestExperimentData:
         tables = {t: uniform_table() for t in TREATMENTS}
         counts = {TREATMENTS[0]: CountTable(2, 1, 1, 1)}
         with pytest.raises(ConflictingData):
+            ExperimentData(tables=tables, counts=counts)
+
+    def test_conflicting_cells_too_long_to_print_are_named_not_printed(self):
+        d = 10**2500
+        cells = (Fraction(1, d + 1), Fraction(1, d + 3), Fraction(0), 1 - Fraction(1, d + 1) - Fraction(1, d + 3))
+        tables = {t: uniform_table() for t in TREATMENTS} | {TREATMENTS[0]: JointTable(*cells)}
+        counts = {TREATMENTS[0]: CountTable(1, 1, 1, 1)}
+        table = "a rational of over 2,000 digits, a rational of over 2,000 digits, 0, a rational of over 2,000 digits"
+        with pytest.raises(ConflictingData, match=rf"^treatment a,b: counts normalize to 1/4, 1/4, 1/4, 1/4 but table says {table}$"):
             ExperimentData(tables=tables, counts=counts)
 
     def test_independent_counts_flag_allows_mismatch(self):

@@ -132,14 +132,14 @@ def test_attribute_uses_bind_to_the_receiver_class(tmp_path):
         '"""JointTable.uniform() in prose."""\n'
         "def mix(table):\n"
         "    return table.mix(table)\n"
-        "JointTable.point_mass(1, 1).cells()\n"
+        "SignPattern.from_string('+---').key\n"
         "HiddenStateDistribution.from_mapping({}).items()\n"
         "data.table(t)\n"
         "result.comparison\n"
     )
     assert attribute_uses(path) == {
-        ("JointTable", "point_mass", True),
-        ("JointTable", "cells", True),
+        ("SignPattern", "from_string", True),
+        ("SignPattern", "key", False),
         ("HiddenStateDistribution", "from_mapping", True),
         ("HiddenStateDistribution", "items", True),
         (None, "table", True),

@@ -15,14 +15,25 @@ from selinf.selectivity import (
     test_marginal_selectivity as run_ms_test,
 )
 
-from conftest import random_any_data, random_hidden_distribution
+from conftest import random_any_data, random_hidden_distribution, random_ms_data
 from relabel import comparison, flip_a_coding, flip_b_coding
+from test_corpus_digest import corpus
 
 
 def with_counts(counts_by_treatment):
     counts = {t: CountTable(*cells) for t, cells in zip(TREATMENTS, counts_by_treatment)}
     tables = {t: c.normalized() for t, c in counts.items()}
     return ExperimentData(tables=tables, counts=counts)
+
+
+def exact_counts(data):
+    """``data`` with each table's cells as counts over that table's least common denominator."""
+    counts = {}
+    for t in TREATMENTS:
+        cells = data.table(t).cells()
+        n = math.lcm(*(c.denominator for c in cells))
+        counts[t] = CountTable(*(c.numerator * (n // c.denominator) for c in cells))
+    return ExperimentData(tables=data.tables, counts=counts)
 
 
 # Table 3 counts, round(81 * p) per cell.
@@ -138,6 +149,20 @@ class TestZTest:
         results = run_ms_test(data, check_marginal_selectivity(data))
         assert all(r.degenerate for r in results)
         assert all(r.z_statistic == 0.0 for r in results)
+        # a pooled proportion of 0 or 1 forces both proportions to it: so on the
+        # corpus's sampled experiments, and on seeded tables as exact counts
+        rng = random.Random(2026)
+        items = [data for data in corpus() if data.has_full_counts()]
+        items += [exact_counts(random_ms_data(rng)) for _ in range(100)]
+        items += [exact_counts(random_any_data(rng)) for _ in range(100)]
+        degenerate = 0
+        for data in items:
+            for r in run_ms_test(data, check_marginal_selectivity(data)):
+                if r.degenerate:
+                    degenerate += 1
+                    assert r.comparison.delta == 0
+                    assert (r.z_statistic, r.p_value, r.reject) == (0.0, 1.0, False)
+        assert degenerate > 20
 
     def test_missing_counts_raises(self, table1):
         with pytest.raises(MissingCounts):
@@ -195,7 +220,7 @@ class TestSelectiveModelsUnderTest:
     def test_exactly_selective_sampled_tables_keep_small_z(self):
         # push-forward tables turned into exact counts: z is identically zero
         dist = HiddenStateDistribution.from_mapping(
-            {str(HIDDEN_STATES[0]): Fraction(1, 4), str(HIDDEN_STATES[5]): Fraction(3, 4)}
+            {HIDDEN_STATES[0]: Fraction(1, 4), HIDDEN_STATES[5]: Fraction(3, 4)}
         )
         data = predicted_tables(dist)
         counts = {}

@@ -17,7 +17,7 @@ from selinf.feasibility import (
     fine_criterion,
 )
 from selinf.io import analyze
-from selinf.model import TREATMENTS, JointTable
+from selinf.model import CELLS, TREATMENTS, ExperimentData, JointTable
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import (
     Model,
@@ -30,7 +30,15 @@ from selinf.simulate import (
 )
 
 from conftest import random_hidden_distribution
-from relabel import next_53bits, point_mass_distribution, uniform_distribution, uniform_table
+from relabel import (
+    mix_tables,
+    next_53bits,
+    point_mass_distribution,
+    point_mass_table,
+    push_forward,
+    uniform_distribution,
+    uniform_table,
+)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -137,6 +145,18 @@ class TestModelTables:
                     mixed.table(t).cells(), base.table(t).cells(), point.cells()
                 ):
                     assert got == (1 - eta) * p + eta * q
+
+    def test_tables_equal_the_fraction_route_push_forward_and_mix(self):
+        # seeded models with random forced pairs and rates, some over large denominators
+        rng = random.Random(75)
+        for i in range(60):
+            hidden = random_hidden_distribution(rng)
+            cross = {t: rng.choice(CELLS) for t in TREATMENTS}
+            eta = Fraction(rng.randint(0, 20), 20) if i % 3 else Fraction(rng.randrange(10**40), 10**40 + 7)
+            base = push_forward(hidden)
+            assert Model(hidden).tables == base
+            mixed = {t: mix_tables(point_mass_table(*cross[t]), base.table(t), eta) for t in TREATMENTS}
+            assert Model(hidden, eta, cross).tables == ExperimentData(tables=mixed)
 
     def test_selective_models_pass_criterion_and_solver(self):
         rng = random.Random(74)
