@@ -36,6 +36,7 @@ from .model import (
     ExperimentData,
     JointTable,
     Rational,
+    decode_signs,
     over_common_denominator,
     printable,
     rational,
@@ -79,8 +80,7 @@ class HiddenStateDistribution:
         """Build from {"+-+-": weight}, states written A(a)A(a')B(b)B(b'); missing states get 0."""
         ws = [Fraction(0)] * 16
         for state, weight in mapping.items():
-            if state not in HIDDEN_STATES:
-                raise InvalidValue(f"hidden state string must be 4 of +/-, got {state!r}")
+            decode_signs(state, 4, "hidden state string", InvalidValue)  # the 16 states are every such string
             ws[HIDDEN_STATES.index(state)] += rational(weight)
         return cls(tuple(ws))
 

@@ -30,10 +30,10 @@ appears only with counts); the two must agree unless
 alongside sample sizes). Probability cells must sum to exactly 1 unless
 ``renormalize`` is set, which accepts sums within +-0.01 and rescales.
 Decimal exponents beyond +-1000, count tables of more than 2**53
-observations, and cells whose least common denominator exceeds 10**2000
-(checked per block, then over all 16 cells after renormalizing) are bad
-cells, and ``analyze`` rejects a tolerance whose numerator or denominator
-exceeds 10**2000. Every label name is a nonempty string.
+observations, and 16 cells whose least common denominator exceeds 10**2000
+(after renormalizing) are bad cells; ``analyze`` checks that cap on any data
+too, and rejects a tolerance whose numerator or denominator exceeds 10**2000.
+Every label name is a nonempty string.
 ``parse_experiment`` and ``parse_model`` read the document text.
 
 On output, probabilities are written as exact fraction strings
@@ -61,7 +61,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import AbstractSet, Any, Optional, Union
 
 from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
 from .errors import (
@@ -71,6 +71,7 @@ from .errors import (
     InvalidValue,
     MissingTreatment,
     ParseError,
+    SelinfError,
     SumNotOne,
 )
 from .feasibility import (
@@ -91,7 +92,9 @@ from .model import (
     Rational,
     Treatment,
     decode_signs,
+    echo,
     exceeds_common_denominator_cap,
+    printable,
     rational,
 )
 from .selectivity import (
@@ -103,9 +106,11 @@ from .selectivity import (
     significance_level,
     test_marginal_selectivity,
 )
-from .simulate import Model, contamination_rate
+from .simulate import Model
 
 PROB_KEYS = ("pp", "pm", "mp", "mm")
+_COUNT_BLOCK_KEYS = frozenset({*PROB_KEYS, "n"})
+_PROB_BLOCK_KEYS = frozenset({*PROB_KEYS, "counts"})
 
 RENORMALIZE_WINDOW = Fraction(1, 100)
 
@@ -122,11 +127,15 @@ def _load(text: str, what: str) -> Mapping[str, Any]:
     return document
 
 
-def _check_cell_keys(block: Mapping[str, Any], key: str, extra: str) -> None:
-    """The four cells must be present; ``extra`` is the one other key allowed."""
-    unknown = set(block) - set(PROB_KEYS) - {extra}
-    if unknown:
-        raise ParseError(f"treatment {key}: unknown keys {sorted(unknown)}")
+def _reject_unknown(obj: Mapping[str, Any], allowed: AbstractSet[str], what: str) -> None:
+    """Raise ``ParseError`` naming, after ``what``, the keys of ``obj`` outside the set ``allowed``."""
+    if not obj.keys() <= allowed:
+        raise ParseError(f"{what} {echo(sorted(obj.keys() - allowed))}")
+
+
+def _check_cell_keys(block: Mapping[str, Any], key: str, allowed: AbstractSet[str]) -> None:
+    """The four cells must be present, and no key outside ``allowed``."""
+    _reject_unknown(block, allowed, f"treatment {key}: unknown keys")
     missing = [ck for ck in PROB_KEYS if ck not in block]
     if missing:
         raise BadCell(f"treatment {key}: missing cells {missing}")
@@ -136,7 +145,7 @@ def _parse_count_cells(block: Any, key: str) -> CountTable:
     """A count block, top-level or nested under "counts": four counts and an optional total "n"."""
     if not isinstance(block, Mapping):
         raise ParseError(f"treatment {key}: counts must be a JSON object")
-    _check_cell_keys(block, key, "n")
+    _check_cell_keys(block, key, _COUNT_BLOCK_KEYS)
     try:
         counts = CountTable(*(block[ck] for ck in PROB_KEYS))
     except InvalidTable as exc:
@@ -155,33 +164,23 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
     for ck in PROB_KEYS:
         v = block[ck]
         if isinstance(v, bool) or not isinstance(v, (str, int, float)):
-            raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {v!r}")
+            raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
         try:
             cells.append(rational(v))
         except InvalidValue as exc:
             raise BadCell(f"treatment {key}: cell {ck}: {exc}") from exc
     try:
-        if not exceeds_common_denominator_cap(cells):  # JointTable's messages print the cells
-            return JointTable(*cells)
+        return JointTable(*cells)
     except InvalidTable:
         pass
     for ck, f in zip(PROB_KEYS, cells):
         if f < 0 or f > 1:
-            raise BadCell(f"treatment {key}: cell {ck} = {block[ck]!r} outside [0, 1]")
-    if exceeds_common_denominator_cap(cells):  # SumNotOne prints the sum
-        raise BadCell(f"treatment {key}: the cells' least common denominator exceeds 10**2000")
-    total = sum(cells)
-    if not renormalize:
-        raise SumNotOne(
-            f"treatment {key}: cells sum to {total} "
-            f"(~{float(total):.4f}); set \"renormalize\" to accept near-1 sums"
-        )
-    if abs(total - 1) > RENORMALIZE_WINDOW or total == 0:
-        raise SumNotOne(
-            f"treatment {key}: cells sum to {total} "
-            f"(~{float(total):.4f}), beyond the +-0.01 renormalization window"
-        )
-    return JointTable(*(c / total for c in cells))  # each c <= total, so still in [0, 1]
+            raise BadCell(f"treatment {key}: cell {ck} = {echo(block[ck])} outside [0, 1]")
+    total = sum(cells)  # at most 4, so float(total) cannot overflow
+    if renormalize and abs(total - 1) <= RENORMALIZE_WINDOW:
+        return JointTable(*(c / total for c in cells))  # each c <= total, so still in [0, 1]
+    why = ", beyond the +-0.01 renormalization window" if renormalize else '; set "renormalize" to accept near-1 sums'
+    raise SumNotOne(f"treatment {key}: cells sum to {printable(total)} (~{float(total):.4f}){why}")
 
 
 def _parse_block(
@@ -193,7 +192,7 @@ def _parse_block(
     if all(is_count):
         counts = _parse_count_cells(block, key)
         return counts.normalized(), counts
-    _check_cell_keys(block, key, "counts")
+    _check_cell_keys(block, key, _PROB_BLOCK_KEYS)
     if any(is_count):
         raise BadCell(
             f"treatment {key}: mix of integer (count) and fractional (probability) cells"
@@ -205,9 +204,7 @@ def _parse_block(
 def _parse_labels(raw: Any) -> LabelSet:
     if not isinstance(raw, Mapping):
         raise ParseError("labels must be a JSON object")
-    unknown = set(raw) - {"factors", "levels", "responses"}
-    if unknown:
-        raise ParseError(f"unknown label sections {sorted(unknown)}")
+    _reject_unknown(raw, {"factors", "levels", "responses"}, "unknown label sections")
     for section in ("factors", "levels", "responses"):
         if section in raw and not isinstance(raw[section], Mapping):
             raise ParseError(f"labels.{section} must be a JSON object")
@@ -217,12 +214,16 @@ def _parse_labels(raw: Any) -> LabelSet:
         raise ParseError(f"bad labels: {exc}") from exc
 
 
+def _check_common_denominator(data: ExperimentData, error: type[SelinfError]) -> ExperimentData:
+    if max(data.scaled_cells) > MAX_COMMON_DENOMINATOR:  # L, which bounds every numerator, each cell being at most 1
+        raise error("treatments: the cells' least common denominator exceeds 10**2000")
+    return data
+
+
 def parse_experiment(text: str) -> ExperimentData:
     """Parse the text of an experiment file into exact-rational data."""
     doc = _load(text, "experiment document")
-    unknown = set(doc) - {"treatments", "labels", "renormalize", "independent_counts"}
-    if unknown:
-        raise ParseError(f"unknown top-level keys {sorted(unknown)}")
+    _reject_unknown(doc, {"treatments", "labels", "renormalize", "independent_counts"}, "unknown top-level keys")
     if "treatments" not in doc or not isinstance(doc["treatments"], Mapping):
         raise ParseError('document needs a "treatments" object')
     for key in ("renormalize", "independent_counts"):
@@ -231,9 +232,7 @@ def parse_experiment(text: str) -> ExperimentData:
     renormalize = doc.get("renormalize", False)
     independent = doc.get("independent_counts", False)
     blocks = doc["treatments"]
-    unknown = set(blocks) - {t.key for t in TREATMENTS}
-    if unknown:
-        raise ParseError(f"unknown treatment keys {sorted(unknown)}")
+    _reject_unknown(blocks, {t.key for t in TREATMENTS}, "unknown treatment keys")
     tables = {}
     counts = {}
     for t in TREATMENTS:
@@ -252,9 +251,7 @@ def parse_experiment(text: str) -> ExperimentData:
         )
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
-    if max(data.scaled_cells) > MAX_COMMON_DENOMINATOR:  # L and every numerator, each cell being at most 1
-        raise BadCell("treatments: the cells' least common denominator exceeds 10**2000")
-    return data
+    return _check_common_denominator(data, BadCell)
 
 
 def serialize_experiment(data: ExperimentData) -> str:
@@ -280,14 +277,12 @@ def parse_model(text: str) -> Model:
     """Parse the text of a model file into a ``Model``; one with no ``cross_map``
     has eta = 0 and is the selective model."""
     doc = _load(text, "model document")
-    unknown = set(doc) - {"hidden", "eta", "cross_map"}
-    if unknown:
-        raise ParseError(f"unknown top-level keys {sorted(unknown)}")
+    _reject_unknown(doc, {"hidden", "eta", "cross_map"}, "unknown top-level keys")
     if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):
         raise ParseError('model needs a "hidden" object of state weights')
     try:
         weights = {state: rational(w) for state, w in doc["hidden"].items()}
-        if exceeds_common_denominator_cap(weights.values()):  # the sum error prints the total
+        if exceeds_common_denominator_cap(weights.values()):  # the documented input cap, as for eta
             raise ParseError("hidden: a numerator or the least common denominator exceeds 10**2000")
         hidden = HiddenStateDistribution.from_mapping(weights)
     except InvalidValue as exc:
@@ -296,12 +291,8 @@ def parse_model(text: str) -> Model:
         eta = rational(doc.get("eta", 0))
     except InvalidValue as exc:
         raise ParseError(f"bad eta: {exc}") from exc
-    if exceeds_common_denominator_cap([eta]):  # the range error prints eta
+    if exceeds_common_denominator_cap([eta]):  # the range error, checked by Model, prints eta
         raise ParseError("eta: numerator or denominator exceeds 10**2000")
-    try:
-        contamination_rate(eta)
-    except InvalidValue as exc:
-        raise ParseError(str(exc)) from exc
     cross = doc.get("cross_map")
     if "cross_map" in doc and not isinstance(cross, Mapping):  # null is not a missing map
         raise ParseError("cross_map must be a JSON object")
@@ -335,8 +326,9 @@ def analyze(
     """Run the full pipeline on one experiment.
 
     Significance tests run exactly when counts are present for all four
-    treatments; ``alpha_sig`` is checked either way.
+    treatments; ``alpha_sig`` and the cells' 10**2000 cap are checked either way.
     """
+    _check_common_denominator(data, InvalidValue)
     chsh = compute_gamma(data)
     marginals = check_marginal_selectivity(data, tolerance)
     significance_level(alpha_sig)

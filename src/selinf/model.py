@@ -37,14 +37,14 @@ MAX_COUNT_TOTAL = 2**53
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 # Every rational a report computes from the tables has a denominator that
-# divides the least common denominator of the 16 table cells times the
+# divides the least common denominator L of the 16 table cells times the
 # determinant of a basis of the constant 0/1 constraint matrix (at most 195
 # in magnitude for 9x9), and a numerator at most 4 times that denominator.
-# Capping the common denominator keeps every rendered number far below
-# Python's 4,300-digit int-to-str limit. The simplex's phase 1 pivots on
-# integers, the cells scaled by their common denominator L; its tableau
-# entries stay under 2**22 * L (see ``simplex``), so about 2,000 digits at
-# the cap.
+# Capping L keeps every rendered number far below Python's 4,300-digit
+# int-to-str limit; ``io`` checks it on ``ExperimentData.scaled_cells`` when
+# parsing and in ``analyze``. The simplex's phase 1 pivots on integers, the
+# cells scaled by L; its tableau entries stay under 2**22 * L (see
+# ``simplex``), so about 2,000 digits at the cap.
 MAX_COMMON_DENOMINATOR = 10**2000
 
 
@@ -57,6 +57,12 @@ def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
 def printable(value: Fraction) -> str:
     """``value`` as text, unless a numerator or denominator beyond 10**2000 makes it too long to print."""
     return "a rational of over 2,000 digits" if exceeds_common_denominator_cap([value]) else str(value)
+
+
+def echo(value: object) -> str:
+    """``repr(value)`` for a message: its first 60 characters and its length when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text):,} characters)"
 
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -94,14 +100,14 @@ def rational(value: Rational) -> Fraction:
         if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidValue(f"cannot interpret {value!r} as a rational") from exc
-    raise InvalidValue(f"cannot interpret {value!r} as a rational")
+        raise InvalidValue(f"cannot interpret {echo(value)} as a rational") from exc
+    raise InvalidValue(f"cannot interpret {echo(value)} as a rational")
 
 
 def decode_signs(text: object, length: int, what: str, error: type[SelinfError]) -> tuple[int, ...]:
     """Read a string of ``length`` "+"/"-" characters as +1/-1 signs."""
     if not isinstance(text, str) or len(text) != length or set(text) - {"+", "-"}:
-        raise error(f"{what} must be {length} of +/-, got {text!r}")
+        raise error(f"{what} must be {length} of +/-, got {echo(text)}")
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
@@ -166,7 +172,7 @@ class Treatment:
     @classmethod
     def from_key(cls, key: str) -> "Treatment":
         if key not in _TREATMENT_BY_KEY:
-            raise InvalidValue(f"unknown treatment key {key!r}")
+            raise InvalidValue(f"unknown treatment key {echo(key)}")
         return _TREATMENT_BY_KEY[key]
 
     def __str__(self) -> str:
@@ -200,9 +206,9 @@ class CountTable:
         for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
-                raise InvalidTable(f"count {name} must be an integer, got {v!r}")
+                raise InvalidTable(f"count {name} must be an integer, got {echo(v)}")
             if v < 0:
-                raise InvalidTable(f"count {name} must be nonnegative, got {v}")
+                raise InvalidTable(f"count {name} must be nonnegative, got {echo(v)}")
         if self.n == 0:
             raise ZeroTotal("count table has zero total observations")
         if self.n > MAX_COUNT_TOTAL:
@@ -282,14 +288,14 @@ class LabelSet:
                 continue
             bad = set(mapping) - set(keys)
             if bad:
-                raise InvalidValue(f"unknown keys {sorted(bad)} in labels.{section}")
+                raise InvalidValue(f"unknown keys {echo(sorted(bad))} in labels.{section}")
             pair = section == "responses"
             fixed = {}
             for key, value in mapping.items():
                 names = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
                 if len(names) != (2 if pair else 1) or not all(isinstance(name, str) and name for name in names):
                     shape = "a list of two nonempty strings" if pair else "a nonempty string"
-                    raise InvalidValue(f"labels.{section}[{key!r}] must be {shape}")
+                    raise InvalidValue(f"labels.{section}[{echo(key)}] must be {shape}")
                 fixed[key] = names if pair else value
             object.__setattr__(self, section, fixed)
 

@@ -63,6 +63,7 @@ from .model import (
     JointTable,
     Rational,
     Treatment,
+    echo,
     rational,
 )
 
@@ -198,9 +199,9 @@ class SampleSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_per_treatment, int) or not 1 <= self.n_per_treatment <= MAX_COUNT_TOTAL:
-            raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {self.n_per_treatment!r}")
+            raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {echo(self.n_per_treatment)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
-            raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {echo(self.seed)}")
 
 
 def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:

@@ -386,6 +386,52 @@ class TestOversizedInput:
         assert "unexpected" not in err and "least common denominator" in err
 
 
+class TestLongValuesInMessages:
+    """An error line echoes at most the start of a raw input value, so its size is bounded."""
+
+    def run(self, capsys, argv):
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+        assert "unexpected" not in err
+        return err
+
+    @pytest.mark.parametrize("where", ["cell", "key", "count"])
+    def test_long_value_in_a_file(self, tmp_path, capsys, where):
+        value = "x" * 100_000
+        block = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
+        doc = {"treatments": {k: dict(block) for k in ("a,b", "a,b'", "a',b", "a',b'")}}
+        if where == "cell":
+            doc["treatments"]["a,b"]["pp"] = value
+        elif where == "key":
+            doc[value] = 1
+        else:
+            doc["treatments"]["a,b"]["counts"] = {"pp": value, "pm": 1, "mp": 1, "mm": 1}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        err = self.run(capsys, ["analyze", str(path)])
+        assert "'xxxxx" in err and "xxx... (100,00" in err
+
+    def test_long_tolerance(self, fixture_path, capsys):
+        err = self.run(capsys, ["analyze", fixture_path("table1"), "--tolerance", "y" * 10_000])
+        assert err.startswith("error: cannot interpret 'yyyyy") and "(10,002 characters) as a rational" in err
+
+    @pytest.mark.parametrize("option", ["--n", "--seed"])
+    def test_long_sample_option(self, tmp_path, capsys, option):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"hidden": {"++++": "1"}}))
+        argv = {"--n": "10", "--seed": "1", option: "9" * 4000}
+        err = self.run(capsys, ["simulate", "--model", str(path), *(x for pair in argv.items() for x in pair)])
+        assert "got 99999" in err and "(4,000 characters)" in err
+
+    def test_long_hidden_state(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"hidden": {"+" * 100_000: "1"}}))
+        err = self.run(capsys, ["simulate", "--model", str(path), "--n", "10", "--seed", "1"])
+        assert "hidden state string must be 4 of +/-, got '++++" in err
+
+
 class TestUndecodableFile:
     @pytest.mark.parametrize(
         "command", [["analyze"], ["witness"], ["simulate", "--n", "5", "--seed", "1", "--model"]], ids=lambda c: c[0]

@@ -1,12 +1,14 @@
 """File parsing/serialization, report assembly, JSON round-trips, schema."""
 
 import json
+import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import selinf.feasibility
 import selinf.io
@@ -16,12 +18,14 @@ from selinf.errors import (
     BadCell,
     ConflictingData,
     InvalidDistribution,
+    InvalidValue,
     MissingTreatment,
     ParseError,
     SumNotOne,
 )
 from selinf.feasibility import predicted_tables, verify_witness
 from selinf.io import (
+    PROB_KEYS,
     analyze,
     parse_experiment,
     parse_model,
@@ -214,7 +218,7 @@ class TestParseExperiment:
         with pytest.raises(BadCell, match="treatment a,b: cell pp = '9999.* outside"):
             parse_experiment(json.dumps(doc))
         doc["treatments"]["a,b"] = {ck: f"1/{10**1200 + k}" for ck, k in zip("pp pm mp mm".split(), (1, 3, 7, 9))}
-        with pytest.raises(BadCell, match="treatment a,b: the cells' least common denominator"):
+        with pytest.raises(SumNotOne, match="^treatment a,b: cells sum to a rational of over 2,000 digits \\(~0.0000\\); set"):
             parse_experiment(json.dumps(doc))
 
     def test_tables_of_1e_minus_1000_cells_parse_and_analyze(self):
@@ -300,6 +304,37 @@ class TestParseExperiment:
         doc["treatments"]["a,b"] = block
         with pytest.raises(error, match=f"treatment a,b: {message}"):
             parse_experiment(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            (None, {"zeta": 1, "alpha": 2}, "unknown top-level keys ['alpha', 'zeta']"),
+            ("treatments", {"a,c": UNIFORM_BLOCK}, "unknown treatment keys ['a,c']"),
+            ("labels", {"colors": {}, "factors": {}}, "unknown label sections ['colors']"),
+            ("a,b", {"n": 4, "total": 1}, "treatment a,b: unknown keys ['n', 'total']"),
+        ],
+        ids=["top-level", "treatments", "label-sections", "block"],
+    )
+    def test_unknown_key_messages(self, section, value, message):
+        doc = uniform_doc()
+        if section is None:
+            doc.update(value)
+        elif section in doc["treatments"]:
+            doc["treatments"][section].update(value)
+        else:
+            doc.setdefault(section, {}).update(value)
+        with pytest.raises(ParseError) as info:
+            parse_experiment(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_block_beyond_the_cap_that_sums_to_one_is_reported_over_all_treatments(self):
+        # the block's own checks pass, so the cap is reported by the 16-cell check
+        doc = uniform_doc()
+        pp, mp = Fraction(1, 10**1200 + 1), Fraction(1, 10**1200 + 3)
+        doc["treatments"]["a,b"] = {"pp": str(pp), "pm": "0", "mp": str(mp), "mm": str(1 - pp - mp)}
+        with pytest.raises(BadCell) as info:
+            parse_experiment(json.dumps(doc))
+        assert str(info.value) == "treatments: the cells' least common denominator exceeds 10**2000"
 
     def test_independent_counts_flag(self):
         doc = uniform_doc()
@@ -437,6 +472,17 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model('{"hidden": {"+++x": "1"}}')
 
+    def test_cross_map_errors_come_before_the_range_of_eta(self):
+        # Model checks eta's range once, after the cross_map is read
+        doc = {"hidden": {"++++": "1"}, "eta": "3/2", "cross_map": {**CROSS_MAP, "a,c": "++"}}
+        with pytest.raises(ParseError, match="^unknown treatment key 'a,c'$"):
+            parse_model(json.dumps(doc))
+
+    def test_unknown_top_level_keys(self):
+        with pytest.raises(ParseError) as info:
+            parse_model('{"hidden": {"++++": "1"}, "beta": 1, "alpha": 2}')
+        assert str(info.value) == "unknown top-level keys ['alpha', 'beta']"
+
     @pytest.mark.parametrize(
         "name, message",
         [
@@ -473,6 +519,72 @@ class TestParseModel:
         del doc["eta"]  # at eta = 0 a present map is still read, never taken for an absent one
         with pytest.raises(ParseError, match=message):
             parse_model(json.dumps(doc))
+
+
+# Block denominators below, at and above the 10**2000 cap; pairs of them, and
+# renormalizing, give common denominators on both sides of it.
+CAP_DENOMINATORS = (10**3 + 7, 10**999 + 9, 10**1000 + 1, 10**1999 + 3, 10**2000 - 1, 10**2000, 10**2000 + 1, 10**2400 + 3)
+CAP_MESSAGE = "treatments: the cells' least common denominator exceeds 10**2000"
+
+
+def cap_block(kind, d, e):
+    """Uniform cells; exact cells 1/d, 0, 0, 1 - 1/d; or cells 1/d, 0, 1/e, 1, which need renormalizing."""
+    if kind == "uniform":
+        return [Fraction(1, 4)] * 4
+    if kind == "exact":
+        return [Fraction(1, d), Fraction(0), Fraction(0), 1 - Fraction(1, d)]
+    return [Fraction(1, d), Fraction(0), Fraction(1, e), Fraction(1)]
+
+
+class TestCommonDenominatorCap:
+    """The parser and ``analyze`` reject the same data: 16 cells whose common denominator exceeds 10**2000."""
+
+    def test_library_data_beyond_the_cap_is_rejected_by_analyze(self):
+        pp, pm = Fraction(1, 10**2500 + 1), Fraction(1, 10**2500 + 3)
+        tables = dict.fromkeys(TREATMENTS, uniform_table())
+        tables[TREATMENTS[0]] = JointTable(pp, pm, Fraction(0), 1 - pp - pm)
+        with pytest.raises(InvalidValue) as info:
+            analyze(ExperimentData(tables=tables))
+        assert str(info.value) == CAP_MESSAGE
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["uniform", "exact", "renormalized"]),
+                st.sampled_from(CAP_DENOMINATORS),
+                st.sampled_from(CAP_DENOMINATORS),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @example([("exact", 10**2000, 1)] * 4)  # at the cap
+    @example([("exact", 10**2000 + 1, 1)] + [("uniform", 1, 1)] * 3)  # one block just above it
+    @example([("exact", 10**999 + 9, 1), ("exact", 10**1000 + 1, 1)] * 2)  # two blocks, below it together
+    @example([("renormalized", 10**999 + 9, 10**1000 + 1)] + [("uniform", 1, 1)] * 3)  # below it after renormalizing
+    def test_parse_and_analyze_apply_the_same_cap(self, blocks):
+        cells = [cap_block(*block) for block in blocks]
+        doc = {
+            "treatments": {t.key: dict(zip(PROB_KEYS, map(str, cs))) for t, cs in zip(TREATMENTS, cells)},
+            "renormalize": True,
+        }
+        tables = {t: JointTable(*(c / sum(cs) for c in cs)) for t, cs in zip(TREATMENTS, cells)}
+        data = ExperimentData(tables=tables)
+        over = math.lcm(*(c.denominator for table in tables.values() for c in table.cells())) > 10**2000
+        if over:
+            with pytest.raises(BadCell) as parsed:
+                parse_experiment(json.dumps(doc))
+            with pytest.raises(InvalidValue) as analyzed:
+                analyze(data)
+            assert str(parsed.value) == str(analyzed.value) == CAP_MESSAGE
+            return
+        parsed = parse_experiment(json.dumps(doc))
+        assert parsed == data
+        assert parse_experiment(serialize_experiment(parsed)) == data
+        report = analyze(parsed)
+        json.dumps(report_to_json_dict(report, include_witness=True))
+        render_report_text(report, include_witness=True)
 
 
 class TestAnalyzeAssembly:

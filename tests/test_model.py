@@ -85,7 +85,7 @@ def fraction_route(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return f"cannot interpret {text!r} as a rational"
+        return f"cannot interpret {model.echo(text)} as a rational"
 
 
 def rational_or_message(text):
@@ -98,6 +98,16 @@ def rational_or_message(text):
 # Python 3.10's Fraction rejects "0.000_1" and "1_0/3", 3.11 and later accept
 # them; int() reads underscores on every version, so they must not be plain.
 FIXED_STRINGS = ("0.", ".", "1/0", "00/1", "١/٢", " 1/2 ", "0.000_1", "1_0/3", "1/-2", "+.5", "1e5", "1.5/2")
+
+
+class TestEcho:
+    def test_values_up_to_60_characters_print_as_their_repr(self):
+        for value in ("x" * 58, ["n", "total"], 7, None):
+            assert model.echo(value) == repr(value)
+
+    def test_longer_values_print_their_start_and_length(self):
+        assert model.echo("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+        assert model.echo("y" * 100_000) == "'" + "y" * 59 + "... (100,002 characters)"
 
 
 class TestRationalRoutes:
