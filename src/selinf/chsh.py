@@ -16,29 +16,31 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidPattern
-from .model import TREATMENTS, ExperimentData, Treatment, decode_signs, encode_signs
+from .model import TREATMENTS, ExperimentData, Treatment, _Record, decode_signs, encode_signs
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(_Record):
     """Signs applied to (E_ab, E_ab', E_a'b, E_a'b'); the plus count must be odd."""
 
-    signs: tuple[int, int, int, int]
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("signs", "key")
+    _fields = ("signs",)
+    key: str
 
-    def __post_init__(self) -> None:
-        signs = tuple(self.signs)
+    def __init__(self, signs: tuple[int, int, int, int]) -> None:
+        signs = tuple(signs)
         if len(signs) != 4 or any(s not in (1, -1) for s in signs):
             raise InvalidPattern(f"signs must be four values in {{+1, -1}}, got {signs!r}")
         if sum(s == 1 for s in signs) % 2 == 0:
             raise InvalidPattern(f"pattern {signs!r} has an even number of plus signs")
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "key", encode_signs(signs))
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
 
     @classmethod
     def from_string(cls, text: str) -> "SignPattern":
@@ -71,15 +73,20 @@ def classify_gamma(gamma: Fraction) -> BoundClassification:
     return BoundClassification.SUPRA_QUANTUM
 
 
-@dataclass(frozen=True, slots=True)
-class ChshReport:
+class ChshReport(_Record):
     """Per-treatment expectations, all eight signed sums, and their maximum."""
 
-    expectations: Mapping[Treatment, Fraction]
-    sums: Mapping[SignPattern, Fraction]
-    gamma: Fraction
-    argmax_patterns: frozenset[SignPattern]
-    classification: BoundClassification
+    __slots__ = _fields = ("expectations", "sums", "gamma", "argmax_patterns", "classification")
+
+    def __init__(
+        self, expectations: Mapping[Treatment, Fraction], sums: Mapping[SignPattern, Fraction], gamma: Fraction,
+        argmax_patterns: frozenset[SignPattern], classification: BoundClassification,
+    ) -> None:
+        object.__setattr__(self, "expectations", expectations)
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "argmax_patterns", argmax_patterns)
+        object.__setattr__(self, "classification", classification)
 
     def gamma_decimal(self) -> str:
         """Gamma rounded half-up to three decimal places, as a string."""

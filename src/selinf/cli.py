@@ -19,9 +19,10 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ParseError, SelinfError
+from .model import echo
 from .io import (
     analyze,
     certificate_to_dict,
@@ -47,6 +48,18 @@ def load_fixture_text(name: str) -> str:
     return (resources.files("selinf") / "fixtures" / f"{name}.json").read_text()
 
 
+def _converter(convert: type) -> Callable[[str], object]:
+    """An argparse ``type`` that converts with ``convert`` and echoes a bad value through ``echo``."""
+
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError:  # argparse's own message would print the whole value
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {echo(text)}") from None
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selinf",
@@ -64,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--sig",
-        type=float,
+        type=_converter(float),
         default=0.05,
         help="significance level for the marginal z-tests (default 0.05)",
     )
@@ -86,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample an experiment from a model file")
     p_sim.add_argument("--model", required=True, help="model JSON file")
-    p_sim.add_argument("--n", required=True, type=int, help="observations per treatment")
-    p_sim.add_argument("--seed", required=True, type=int, help="64-bit unsigned seed")
+    p_sim.add_argument("--n", required=True, type=_converter(int), help="observations per treatment")
+    p_sim.add_argument("--seed", required=True, type=_converter(int), help="64-bit unsigned seed")
     p_sim.add_argument("--out", help="output file (default: stdout)")
 
     sub.add_parser("selftest", help="run the built-in golden fixtures")

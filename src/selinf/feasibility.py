@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -36,6 +35,7 @@ from .model import (
     ExperimentData,
     JointTable,
     Rational,
+    _Record,
     decode_signs,
     over_common_denominator,
     printable,
@@ -58,14 +58,13 @@ _STATE_CELLS = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class HiddenStateDistribution:
+class HiddenStateDistribution(_Record):
     """Probability weights over the 16 deterministic states, summing to 1 (checked on integers)."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self) -> None:
-        ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in self.weights)
+    def __init__(self, weights: tuple[Rational, ...]) -> None:
+        ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in weights)
         if len(ws) != 16:
             raise InvalidDistribution(f"need 16 weights, got {len(ws)}")
         numerators, lcd = over_common_denominator(ws)
@@ -112,18 +111,17 @@ def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
     )
 
 
-@dataclass(frozen=True)
-class GeneralRepresentation:
+class GeneralRepresentation(_Record):
     """A joint source over per-treatment outcome tuples; reproduces any tables.
 
     Stored sparsely: tuples with zero weight are omitted.
     """
 
-    weights: Mapping[OutcomeTuple, Fraction]
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: Mapping[OutcomeTuple, Rational]) -> None:
         fixed = {}
-        for tup, w in self.weights.items():
+        for tup, w in weights.items():
             if len(tup) != 4 or any(pair not in CELLS for pair in tup):
                 raise InvalidValue(f"bad outcome tuple {tup!r}")
             w = rational(w)
@@ -164,19 +162,20 @@ class Verdict(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True, slots=True)
-class FacetViolation:
+class FacetViolation(_Record):
     """A CHSH facet whose signed sum exceeds the classical bound 2."""
 
-    pattern: SignPattern
-    value: Fraction
+    __slots__ = _fields = ("pattern", "value")
+
+    def __init__(self, pattern: SignPattern, value: Fraction) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "value", value)
 
 
 Certificate = Union[MarginalComparison, FacetViolation]
 
 
-@dataclass(frozen=True, slots=True)
-class FeasibilityResult:
+class FeasibilityResult(_Record):
     """Outcome of the hidden-state feasibility decision.
 
     Feasible results carry a witness distribution whose push-forward equals
@@ -186,10 +185,16 @@ class FeasibilityResult:
     ``all_violations``.
     """
 
-    verdict: Verdict
-    witness: Optional[HiddenStateDistribution] = None
-    certificate: Optional[Certificate] = None
-    all_violations: tuple[Certificate, ...] = ()
+    __slots__ = _fields = ("verdict", "witness", "certificate", "all_violations")
+
+    def __init__(
+        self, verdict: Verdict, witness: Optional[HiddenStateDistribution] = None,
+        certificate: Optional[Certificate] = None, all_violations: tuple[Certificate, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "all_violations", all_violations)
 
     @property
     def feasible(self) -> bool:

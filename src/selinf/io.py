@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import AbstractSet, Any, Optional, Union
 
@@ -91,6 +90,7 @@ from .model import (
     LabelSet,
     Rational,
     Treatment,
+    _Record,
     decode_signs,
     echo,
     exceeds_common_denominator_cap,
@@ -267,7 +267,9 @@ def serialize_experiment(data: ExperimentData) -> str:
         treatments[t.key] = block
     doc: dict[str, Any] = {"treatments": treatments}
     if data.labels is not None:  # json writes each response pair as a list
-        doc["labels"] = {name: names for name, names in asdict(data.labels).items() if names is not None}
+        labels = data.labels
+        sections = {"factors": labels.factors, "levels": labels.levels, "responses": labels.responses}
+        doc["labels"] = {name: names for name, names in sections.items() if names is not None}
     if data.independent_counts:
         doc["independent_counts"] = True
     return json.dumps(doc, indent=2)
@@ -307,14 +309,19 @@ def parse_model(text: str) -> Model:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Everything one analysis produces: CHSH, marginals, tests, feasibility."""
 
-    chsh: ChshReport
-    marginals: MarginalReport
-    ms_tests: Optional[tuple[MsTestResult, ...]]
-    feasibility: FeasibilityResult
+    __slots__ = _fields = ("chsh", "marginals", "ms_tests", "feasibility")
+
+    def __init__(
+        self, chsh: ChshReport, marginals: MarginalReport, ms_tests: Optional[tuple[MsTestResult, ...]],
+        feasibility: FeasibilityResult,
+    ) -> None:
+        object.__setattr__(self, "chsh", chsh)
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "ms_tests", ms_tests)
+        object.__setattr__(self, "feasibility", feasibility)
 
 
 def analyze(

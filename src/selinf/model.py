@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Union
 
@@ -54,9 +53,22 @@ def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
     return max(lcd, *[abs(v.numerator) for v in values]) > MAX_COMMON_DENOMINATOR
 
 
+def _leading(n: int, count: int) -> tuple[str, int]:
+    """The first ``count`` decimal digits of n >= 0, and how many digits n has; only those are converted to text."""
+    digits = max(1, int(n.bit_length() * 0.30102999566398))  # log10(2), rounded down: never above the count
+    while n >= 10**digits:
+        digits += 1
+    return str(n // 10 ** max(0, digits - count)), digits
+
+
 def printable(value: Fraction) -> str:
-    """``value`` as text, unless a numerator or denominator beyond 10**2000 makes it too long to print."""
-    return "a rational of over 2,000 digits" if exceeds_common_denominator_cap([value]) else str(value)
+    """``value`` as text for a message: its first 60 characters and its digit count when it is longer.
+
+    Only leading digits are converted to text, so values past Python's 4,300-digit limit print too."""
+    (num, p), (den, q) = _leading(abs(value.numerator), 61), _leading(value.denominator, 61)
+    whole = value.denominator == 1
+    text = "-" * (value < 0) + num + ("" if whole else "/" + den)
+    return text if len(text) <= 60 else f"{text[:60]}... ({p + (0 if whole else q):,} digits)"
 
 
 def echo(value: object) -> str:
@@ -116,6 +128,43 @@ def encode_signs(signs: tuple[int, ...]) -> str:
     return "".join("+" if s == 1 else "-" for s in signs)
 
 
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` made one but without its import-time cost.
+
+    A subclass lists its attributes in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``. Equality, hash, repr and
+    ``__reduce__`` cover the fields named in ``_fields``, the ``__init__``
+    parameters in order; attributes derived once, such as ``key``, stay out.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, which sets frozen fields
+        return self.__class__, self._values()
+
+
 class Factor(enum.Enum):
     # Each value is also the name of the Treatment field holding that factor's level.
     ALPHA = "alpha"
@@ -127,17 +176,21 @@ class Level(enum.Enum):
     SECOND = "second"  # a' or b'
 
 
-@dataclass(frozen=True)
-class FactorLevel:
+class FactorLevel(_Record):
     """One level of one factor; display names live in ``LabelSet``."""
 
-    factor: Factor
-    level: Level
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("factor", "level", "key")
+    _fields = ("factor", "level")
+    key: str
 
-    def __post_init__(self) -> None:
-        base = "a" if self.factor is Factor.ALPHA else "b"
-        object.__setattr__(self, "key", base if self.level is Level.FIRST else base + "'")
+    def __init__(self, factor: Factor, level: Level) -> None:
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "level", level)
+        base = "a" if factor is Factor.ALPHA else "b"
+        object.__setattr__(self, "key", base if level is Level.FIRST else base + "'")
+
+    def __hash__(self) -> int:
+        return hash((self.factor, self.level))
 
     def __str__(self) -> str:
         return self.key
@@ -151,20 +204,21 @@ BETA_B_PRIME = FactorLevel(Factor.BETA, Level.SECOND)
 FACTOR_LEVELS = (ALPHA_A, ALPHA_A_PRIME, BETA_B, BETA_B_PRIME)
 
 
-@dataclass(frozen=True)
-class Treatment:
+class Treatment(_Record):
     """One combination of factor levels; exactly four exist, hashed by ``index``, their canonical position."""
 
-    alpha: FactorLevel
-    beta: FactorLevel
-    index: int = field(init=False, repr=False, compare=False)
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("alpha", "beta", "index", "key")
+    _fields = ("alpha", "beta")
+    index: int
+    key: str
 
-    def __post_init__(self) -> None:
-        if self.alpha.factor is not Factor.ALPHA or self.beta.factor is not Factor.BETA:
+    def __init__(self, alpha: FactorLevel, beta: FactorLevel) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if alpha.factor is not Factor.ALPHA or beta.factor is not Factor.BETA:
             raise InvalidValue("treatment needs one alpha level and one beta level")
-        object.__setattr__(self, "index", 2 * (self.alpha.level is Level.SECOND) + (self.beta.level is Level.SECOND))
-        object.__setattr__(self, "key", f"{self.alpha.key},{self.beta.key}")
+        object.__setattr__(self, "index", 2 * (alpha.level is Level.SECOND) + (beta.level is Level.SECOND))
+        object.__setattr__(self, "key", f"{alpha.key},{beta.key}")
 
     def __hash__(self) -> int:
         return self.index
@@ -193,18 +247,17 @@ CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _CELL_FIELDS = ("p_pp", "p_pm", "p_mp", "p_mm")
 
 
-@dataclass(frozen=True, slots=True)
-class CountTable:
+class CountTable(_Record):
     """Observed outcome counts for one treatment."""
 
-    n_pp: int
-    n_pm: int
-    n_mp: int
-    n_mm: int
+    __slots__ = _fields = ("n_pp", "n_pm", "n_mp", "n_mm")
 
-    def __post_init__(self) -> None:
-        for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
-            v = getattr(self, name)
+    def __init__(self, n_pp: int, n_pm: int, n_mp: int, n_mm: int) -> None:
+        object.__setattr__(self, "n_pp", n_pp)
+        object.__setattr__(self, "n_pm", n_pm)
+        object.__setattr__(self, "n_mp", n_mp)
+        object.__setattr__(self, "n_mm", n_mm)
+        for name, v in zip(self._fields, (n_pp, n_pm, n_mp, n_mm)):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidTable(f"count {name} must be an integer, got {echo(v)}")
             if v < 0:
@@ -227,8 +280,7 @@ class CountTable:
         return JointTable(*(Fraction(c, n) for c in self.cells()))
 
 
-@dataclass(frozen=True, slots=True)
-class JointTable:
+class JointTable(_Record):
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
@@ -236,17 +288,13 @@ class JointTable:
     are not already Fractions are converted with ``rational``.
     """
 
-    p_pp: Fraction
-    p_pm: Fraction
-    p_mp: Fraction
-    p_mm: Fraction
+    __slots__ = _fields = _CELL_FIELDS
 
-    def __post_init__(self) -> None:
-        for name in _CELL_FIELDS:
-            v = getattr(self, name)
+    def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
+        for name, v in zip(_CELL_FIELDS, (p_pp, p_pm, p_mp, p_mm)):
             if not isinstance(v, Fraction):
                 v = rational(v)
-                object.__setattr__(self, name, v)
+            object.__setattr__(self, name, v)
             if not 0 <= v.numerator <= v.denominator:
                 raise InvalidTable(f"cell {name} = {printable(v)} outside [0, 1]")
         numerators, lcd = over_common_denominator(self.cells())
@@ -268,8 +316,7 @@ _LABEL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class LabelSet(_Record):
     """Optional display names: factor names, level prompts, response alternatives.
 
     ``responses`` maps a level key ("a", "a'", "b", "b'") to the pair of
@@ -277,13 +324,14 @@ class LabelSet:
     name is a nonempty string.
     """
 
-    factors: Optional[Mapping[str, str]] = None
-    levels: Optional[Mapping[str, str]] = None
-    responses: Optional[Mapping[str, tuple[str, str]]] = None
+    __slots__ = _fields = tuple(_LABEL_KEYS)
 
-    def __post_init__(self) -> None:
-        for section, keys in _LABEL_KEYS.items():
-            mapping = getattr(self, section)
+    def __init__(
+        self, factors: Optional[Mapping[str, str]] = None, levels: Optional[Mapping[str, str]] = None,
+        responses: Optional[Mapping[str, tuple[str, str]]] = None,
+    ) -> None:
+        for (section, keys), mapping in zip(_LABEL_KEYS.items(), (factors, levels, responses)):
+            object.__setattr__(self, section, mapping)
             if mapping is None:
                 continue
             bad = set(mapping) - set(keys)
@@ -305,8 +353,7 @@ class LabelSet:
         return self.responses.get(level.key)
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentData:
+class ExperimentData(_Record):
     """The four joint tables of one experiment, optionally with counts and labels.
 
     When ``counts`` are present each table must equal its count table
@@ -316,36 +363,40 @@ class ExperimentData:
     as integers over their least common denominator L, then L.
     """
 
-    tables: Mapping[Treatment, JointTable]
-    counts: Optional[Mapping[Treatment, CountTable]] = None
-    labels: Optional[LabelSet] = None
-    independent_counts: bool = False
-    scaled_cells: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("tables", "counts", "labels", "independent_counts", "scaled_cells")
+    _fields = ("tables", "counts", "labels", "independent_counts")
+    scaled_cells: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        found = set(self.tables)
+    def __init__(
+        self, tables: Mapping[Treatment, JointTable], counts: Optional[Mapping[Treatment, CountTable]] = None,
+        labels: Optional[LabelSet] = None, independent_counts: bool = False,
+    ) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "independent_counts", independent_counts)
+        found = set(tables)
         if found != set(TREATMENTS):
             missing = [t.key for t in TREATMENTS if t not in found]
             if missing:
                 raise InvalidValue(f"missing treatments: {missing}")
             raise InvalidValue("tables must be keyed by the four treatments")
-        object.__setattr__(self, "tables", {t: self.tables[t] for t in TREATMENTS})
-        numerators, lcd = over_common_denominator(c for table in self.tables.values() for c in table.cells())
+        tables = {t: tables[t] for t in TREATMENTS}
+        object.__setattr__(self, "tables", tables)
+        numerators, lcd = over_common_denominator(c for table in tables.values() for c in table.cells())
         object.__setattr__(self, "scaled_cells", (*numerators, lcd))
-        if self.counts is not None:
-            if set(self.counts) - set(TREATMENTS):
+        if counts is not None:
+            if set(counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")
-            counts = {t: self.counts[t] for t in TREATMENTS if t in self.counts} or None
-            object.__setattr__(self, "counts", counts)
-            if counts and not self.independent_counts:
+            counts = {t: counts[t] for t in TREATMENTS if t in counts} or None
+            if counts and not independent_counts:
                 for t, ct in counts.items():
-                    pairs = zip(self.tables[t].cells(), ct.cells())
+                    pairs = zip(tables[t].cells(), ct.cells())
                     if any(p.numerator * ct.n != c * p.denominator for p, c in pairs):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
-                        table = ", ".join(map(printable, self.tables[t].cells()))
+                        table = ", ".join(map(printable, tables[t].cells()))
                         raise ConflictingData(
                             f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
                         )
+        object.__setattr__(self, "counts", counts)
 
     def table(self, treatment: Treatment) -> JointTable:
         return self.tables[treatment]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InvalidValue, MissingCounts
 from .model import (
@@ -25,7 +24,9 @@ from .model import (
     FactorLevel,
     Rational,
     Treatment,
+    _Record,
     exceeds_common_denominator_cap,
+    printable,
     rational,
 )
 
@@ -35,8 +36,7 @@ class Response(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True, slots=True)
-class MarginalComparison:
+class MarginalComparison(_Record):
     """Pr(response=+1) at a fixed own-factor level, across the other factor's levels.
 
     For response A at alpha level L: p_under_first is Pr(A=+1) under (L, b)
@@ -44,14 +44,18 @@ class MarginalComparison:
     roles of the factors swap. ``delta``, their absolute difference, is set once.
     """
 
-    response: Response
-    fixed_level: FactorLevel
-    p_under_first: Fraction
-    p_under_second: Fraction
-    delta: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("response", "fixed_level", "p_under_first", "p_under_second", "delta")
+    _fields = ("response", "fixed_level", "p_under_first", "p_under_second")
+    delta: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", abs(self.p_under_first - self.p_under_second))
+    def __init__(
+        self, response: Response, fixed_level: FactorLevel, p_under_first: Fraction, p_under_second: Fraction
+    ) -> None:
+        object.__setattr__(self, "response", response)
+        object.__setattr__(self, "fixed_level", fixed_level)
+        object.__setattr__(self, "p_under_first", p_under_first)
+        object.__setattr__(self, "p_under_second", p_under_second)
+        object.__setattr__(self, "delta", abs(p_under_first - p_under_second))
 
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:
@@ -72,16 +76,17 @@ _COMPARISON_SLOTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class MarginalReport:
-    """All four marginal comparisons plus the satisfied/violated verdict."""
+class MarginalReport(_Record):
+    """All four marginal comparisons plus the satisfied/violated verdict; ``max_delta`` is set once."""
 
-    comparisons: tuple[MarginalComparison, ...]
-    tolerance: Fraction
+    __slots__ = ("comparisons", "tolerance", "max_delta")
+    _fields = ("comparisons", "tolerance")
+    max_delta: Fraction
 
-    @property
-    def max_delta(self) -> Fraction:
-        return max(c.delta for c in self.comparisons)
+    def __init__(self, comparisons: tuple[MarginalComparison, ...], tolerance: Fraction) -> None:
+        object.__setattr__(self, "comparisons", comparisons)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "max_delta", max(c.delta for c in comparisons))
 
     @property
     def satisfied(self) -> bool:
@@ -102,7 +107,7 @@ def check_marginal_selectivity(
     if exceeds_common_denominator_cap([tol]):  # checked first: the sign error prints tol
         raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
     if tol < 0:
-        raise InvalidValue(f"tolerance must be nonnegative, got {tol}")
+        raise InvalidValue(f"tolerance must be nonnegative, got {printable(tol)}")
     cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L
     plus = {
@@ -123,18 +128,25 @@ def significance_level(alpha_sig: float) -> None:
         raise InvalidValue(f"alpha_sig must be in (0, 1), got {alpha_sig}")
 
 
-@dataclass(frozen=True, slots=True)
-class MsTestResult:
+class MsTestResult(_Record):
     """Two-sample pooled z-test of one marginal comparison."""
 
-    comparison: MarginalComparison
-    n_first: int
-    n_second: int
-    z_statistic: float
-    p_value: float
-    reject: bool
-    alpha_sig: float
-    degenerate: bool = False
+    __slots__ = _fields = (
+        "comparison", "n_first", "n_second", "z_statistic", "p_value", "reject", "alpha_sig", "degenerate"
+    )
+
+    def __init__(
+        self, comparison: MarginalComparison, n_first: int, n_second: int, z_statistic: float, p_value: float,
+        reject: bool, alpha_sig: float, degenerate: bool = False,
+    ) -> None:
+        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "n_first", n_first)
+        object.__setattr__(self, "n_second", n_second)
+        object.__setattr__(self, "z_statistic", z_statistic)
+        object.__setattr__(self, "p_value", p_value)
+        object.__setattr__(self, "reject", reject)
+        object.__setattr__(self, "alpha_sig", alpha_sig)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def test_marginal_selectivity(

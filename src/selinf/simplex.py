@@ -38,20 +38,26 @@ Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .model import _Record
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(_Record):
     """R (independent integer rows), its pivot columns, and T as (index, coefficient) rows."""
 
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-    transform: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = _fields = ("rows", "pivots", "transform")
+
+    def __init__(
+        self, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
+        transform: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "transform", transform)
 
 
 def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:

@@ -46,7 +46,6 @@ full comparison. The counts equal those of drawing one at a time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate
@@ -63,7 +62,9 @@ from .model import (
     JointTable,
     Rational,
     Treatment,
+    _Record,
     echo,
+    printable,
     rational,
 )
 
@@ -137,12 +138,11 @@ def contamination_rate(value: Rational) -> Fraction:
     """``value`` as an exact contamination rate eta, which must lie in [0, 1]."""
     eta = rational(value)
     if not 0 <= eta <= 1:
-        raise InvalidValue(f"eta must be in [0, 1], got {eta}")
+        raise InvalidValue(f"eta must be in [0, 1], got {printable(eta)}")
     return eta
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Record):
     """A latent model: a hidden-state core, contaminated at rate eta by fixed outcomes.
 
     ``cross_map`` gives, for every treatment, the outcome pair forced when
@@ -151,23 +151,25 @@ class Model:
     ``cross_map`` (so at eta = 0) the model is selective.
     """
 
-    hidden: HiddenStateDistribution
-    eta: Fraction = Fraction(0)
-    cross_map: Optional[Mapping[Treatment, tuple[int, int]]] = None
+    _fields = ("hidden", "eta", "cross_map")  # no __slots__: cached_property stores in __dict__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", contamination_rate(self.eta))
-        if self.cross_map is None:
+    def __init__(
+        self, hidden: HiddenStateDistribution, eta: Rational = Fraction(0),
+        cross_map: Optional[Mapping[Treatment, tuple[int, int]]] = None,
+    ) -> None:
+        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "eta", contamination_rate(eta))
+        if cross_map is None:
             if self.eta != 0:
                 raise InvalidValue("eta > 0 needs a cross_map of forced outcome pairs")
-            return
-        if set(self.cross_map) != set(TREATMENTS):
-            raise InvalidValue("cross_map must give an outcome pair for all four treatments")
-        fixed = {t: tuple(pair) for t, pair in self.cross_map.items()}
-        for t, pair in fixed.items():
-            if pair not in CELLS:
-                raise InvalidValue(f"cross_map[{t.key}] = {pair!r} is not a +1/-1 pair")
-        object.__setattr__(self, "cross_map", fixed)
+        else:
+            if set(cross_map) != set(TREATMENTS):
+                raise InvalidValue("cross_map must give an outcome pair for all four treatments")
+            cross_map = {t: tuple(pair) for t, pair in cross_map.items()}
+            for t, pair in cross_map.items():
+                if pair not in CELLS:
+                    raise InvalidValue(f"cross_map[{t.key}] = {pair!r} is not a +1/-1 pair")
+        object.__setattr__(self, "cross_map", cross_map)
 
     @cached_property
     def tables(self) -> ExperimentData:
@@ -190,18 +192,18 @@ class Model:
         return [[-((-cum << 53) // lcd) for cum in accumulate(cells[k : k + 4])] for k in range(0, 16, 4)]
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(_Record):
     """How much to sample and with which seed."""
 
-    n_per_treatment: int
-    seed: int
+    __slots__ = _fields = ("n_per_treatment", "seed")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_per_treatment, int) or not 1 <= self.n_per_treatment <= MAX_COUNT_TOTAL:
-            raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {echo(self.n_per_treatment)}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
-            raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {echo(self.seed)}")
+    def __init__(self, n_per_treatment: int, seed: int) -> None:
+        object.__setattr__(self, "n_per_treatment", n_per_treatment)
+        object.__setattr__(self, "seed", seed)
+        if not isinstance(n_per_treatment, int) or not 1 <= n_per_treatment <= MAX_COUNT_TOTAL:
+            raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {echo(n_per_treatment)}")
+        if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+            raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {echo(seed)}")
 
 
 def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:

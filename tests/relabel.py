@@ -14,7 +14,6 @@ apart from the integer routes the program takes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -230,7 +229,7 @@ def _swap_levels(data: ExperimentData, factor: Factor) -> ExperimentData:
     other = {first: second, second: first}
 
     def move(t: Treatment, table):
-        return replace(t, **{factor.value: other[getattr(t, factor.value)]}), table
+        return Treatment(other.get(t.alpha, t.alpha), other.get(t.beta, t.beta)), table
 
     return _rebuild(data, move, _swap_level_labels(data.labels, first.key, second.key))
 

@@ -431,6 +431,42 @@ class TestLongValuesInMessages:
         err = self.run(capsys, ["simulate", "--model", str(path), "--n", "10", "--seed", "1"])
         assert "hidden state string must be 4 of +/-, got '++++" in err
 
+    @pytest.mark.parametrize("option", ["--sig", "--n", "--seed"])
+    def test_long_value_argparse_rejects(self, tmp_path, fixture_path, capsys, option):
+        # argparse's own error: the usage line, then one line that echoes the start of the value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"hidden": {"++++": "1"}}))
+        value = "x" * 10_000 if option == "--sig" else "9" * 5_000  # past int()'s 4,300-digit limit
+        argv = ["analyze", fixture_path("table1")] if option == "--sig" else ["simulate", "--model", str(path)]
+        argv += {"--n": ["--n", "10", "--seed", "1"], "--seed": ["--seed", "1", "--n", "10"]}.get(option, [])
+        code = run_cli([*argv, option, value])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("usage: selinf ") and len(err.encode()) < 500
+        kind = "float" if option == "--sig" else "int"
+        echoed = f"'{value[:59]}... ({len(value) + 2:,} characters)"
+        assert f"error: argument {option}: invalid {kind} value: {echoed}" in err
+
+    @pytest.mark.parametrize("case", ["renormalized sum", "tolerance", "eta"])
+    def test_long_rational_is_cut_to_its_first_60_characters(self, tmp_path, fixture_path, capsys, case):
+        sevens = "7" * 1500
+        if case == "renormalized sum":
+            block = {"pp": "1e-1000", "pm": "0", "mp": "0", "mm": "0.5"}
+            doc = {"treatments": {k: block for k in ("a,b", "a,b'", "a',b", "a',b'")}, "renormalize": True}
+            path = tmp_path / "data.json"
+            path.write_text(json.dumps(doc))
+            err = self.run(capsys, ["analyze", str(path)])
+            assert err.startswith("error: treatment a,b: cells sum to 5" + "0" * 59 + "... (2,001 digits) (~0.5000)")
+        elif case == "tolerance":
+            err = self.run(capsys, ["analyze", fixture_path("table1"), f"--tolerance=-1/{sevens}"])
+            assert err == f"error: tolerance must be nonnegative, got -1/{sevens[:57]}... (1,501 digits)\n"
+        else:
+            pairs = {k: "++" for k in ("a,b", "a,b'", "a',b", "a',b'")}
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"hidden": {"++++": "1"}, "eta": f"{sevens}/3", "cross_map": pairs}))
+            err = self.run(capsys, ["simulate", "--model", str(path), "--n", "10", "--seed", "1"])
+            assert err == f"error: eta must be in [0, 1], got {'259' * 20}... (1,500 digits)\n"
+
 
 class TestUndecodableFile:
     @pytest.mark.parametrize(

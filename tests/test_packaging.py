@@ -3,7 +3,9 @@
 import ast
 import inspect
 import io
+import os
 import re
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -36,6 +38,16 @@ def test_every_absolute_import_is_in_the_standard_library():
                 if module.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_importing_the_cli_loads_no_source_introspection_module():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 30 ms of every selinf process
+    code = "import sys, selinf.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    child = subprocess.run([sys.executable, "-c", code, *heavy], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 def test_all_lists_exactly_the_names_imported_by_the_package():
