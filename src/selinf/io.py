@@ -163,7 +163,7 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
     cells = []
     for ck in PROB_KEYS:
         v = block[ck]
-        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        if type(v) not in (str, int, float):  # the types json gives, so not bool
             raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
         try:
             cells.append(rational(v))
@@ -460,63 +460,53 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
 
 
 def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
-    """Rebuild a report from its machine rendering (lossless round-trip)."""
-    if doc.get("format") != REPORT_FORMAT:
-        raise ParseError(f"unsupported report format {doc.get('format')!r}")
-    raw_chsh = doc["chsh"]
-    sums = {
-        SignPattern.from_string(k): Fraction(v) for k, v in raw_chsh["sums"].items()
-    }
-    chsh = ChshReport(
-        expectations={
-            Treatment.from_key(k): Fraction(v)
-            for k, v in raw_chsh["expectations"].items()
-        },
-        sums=sums,
-        gamma=Fraction(raw_chsh["gamma"]),
-        argmax_patterns=frozenset(
-            SignPattern.from_string(s) for s in raw_chsh["argmax_patterns"]
-        ),
-        classification=BoundClassification(raw_chsh["classification"]),
-    )
-    raw_ms = doc["marginal_selectivity"]
-    marginals = MarginalReport(
-        comparisons=tuple(_comparison_from_dict(c) for c in raw_ms["comparisons"]),
-        tolerance=Fraction(raw_ms["tolerance"]),
-    )
-    ms_tests = None
-    if doc.get("statistical_tests") is not None:
-        ms_tests = tuple(
-            MsTestResult(
-                comparison=_comparison_from_dict(r["comparison"]),
-                n_first=r["n_first"],
-                n_second=r["n_second"],
-                z_statistic=r["z"],
-                p_value=r["p_value"],
-                reject=r["reject"],
-                alpha_sig=r["alpha_sig"],
-                degenerate=r["degenerate"],
-            )
-            for r in doc["statistical_tests"]
+    """Rebuild a report from its machine rendering (lossless round-trip).
+
+    A document missing a part, or with a part of the wrong type or value, is a
+    one-line ``ParseError``; a value that a record rejects keeps its own error.
+    """
+    try:
+        if doc.get("format") != REPORT_FORMAT:
+            raise ParseError(f"unsupported report format {echo(doc.get('format'))}")
+        raw_chsh, raw_ms, raw_feas = doc["chsh"], doc["marginal_selectivity"], doc["feasibility"]
+        chsh = ChshReport(
+            expectations={Treatment.from_key(k): Fraction(v) for k, v in raw_chsh["expectations"].items()},
+            sums={SignPattern.from_string(k): Fraction(v) for k, v in raw_chsh["sums"].items()},
+            gamma=Fraction(raw_chsh["gamma"]),
+            argmax_patterns=frozenset(SignPattern.from_string(s) for s in raw_chsh["argmax_patterns"]),
+            classification=BoundClassification(raw_chsh["classification"]),
         )
-    raw_feas = doc["feasibility"]
-    witness = None
-    if raw_feas.get("witness") is not None:
-        witness = HiddenStateDistribution.from_mapping(raw_feas["witness"])
-    certificate = None
-    if raw_feas.get("certificate") is not None:
-        certificate = _certificate_from_dict(raw_feas["certificate"])
-    feasibility = FeasibilityResult(
-        verdict=Verdict(raw_feas["verdict"]),
-        witness=witness,
-        certificate=certificate,
-        all_violations=tuple(
-            _certificate_from_dict(c) for c in raw_feas["all_violations"]
-        ),
-    )
-    return AnalysisReport(
-        chsh=chsh, marginals=marginals, ms_tests=ms_tests, feasibility=feasibility
-    )
+        marginals = MarginalReport(
+            comparisons=tuple(_comparison_from_dict(c) for c in raw_ms["comparisons"]),
+            tolerance=Fraction(raw_ms["tolerance"]),
+        )
+        ms_tests = None
+        if doc.get("statistical_tests") is not None:
+            ms_tests = tuple(
+                MsTestResult(
+                    comparison=_comparison_from_dict(r["comparison"]), n_first=r["n_first"], n_second=r["n_second"],
+                    z_statistic=r["z"], p_value=r["p_value"], reject=r["reject"], alpha_sig=r["alpha_sig"],
+                    degenerate=r["degenerate"],
+                )
+                for r in doc["statistical_tests"]
+            )
+        witness = None
+        if raw_feas.get("witness") is not None:
+            witness = HiddenStateDistribution.from_mapping(raw_feas["witness"])
+        certificate = None
+        if raw_feas.get("certificate") is not None:
+            certificate = _certificate_from_dict(raw_feas["certificate"])
+        feasibility = FeasibilityResult(
+            verdict=Verdict(raw_feas["verdict"]),
+            witness=witness,
+            certificate=certificate,
+            all_violations=tuple(_certificate_from_dict(c) for c in raw_feas["all_violations"]),
+        )
+    except SelinfError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed report: {echo(exc)}") from exc
+    return AnalysisReport(chsh=chsh, marginals=marginals, ms_tests=ms_tests, feasibility=feasibility)
 
 
 def _fmt(x: Fraction) -> str:

@@ -10,11 +10,14 @@ tolerance-based.
 
 Data and reports hold Fractions; arithmetic on several of them runs on
 ``int``s. ``over_common_denominator`` writes values as numerators over their
-least common denominator L. ``ExperimentData`` computes its 16 cells in this
-form once; the cap check, CHSH sums, marginals and simplex read that vector and
-add and compare plain integers, with no gcd per step. A ``Fraction`` is built
-only for a value that a report holds or a message prints. ``rational`` reads
-plain ASCII "p/q" and decimal strings with ``int``, the rest with ``Fraction``.
+least common denominator L. ``rational`` reads plain ASCII "p/q" and decimal
+strings as integer pairs with ``int``, the rest with ``Fraction``, and builds
+one ``Fraction``. A ``JointTable`` checks range and sum on its cells' integer
+pairs and keeps the four over their L; ``ExperimentData`` puts its 16 cells
+over one L from those four, once. The cap check, CHSH sums, marginals and
+simplex read that vector and add and compare plain integers, with no gcd per
+step. A ``Fraction`` is built only for a value that a report holds or a
+message prints.
 """
 
 from __future__ import annotations
@@ -101,12 +104,11 @@ def rational(value: Rational) -> Fraction:
         plain = value.isascii() and (num.isdigit() and den.isdigit() if slash else (whole + decimals).isdigit())
         exponent = None if plain else _DECIMAL_EXPONENT.search(value)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        if digits and (len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT):
             raise InvalidValue(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
-        if plain:
-            scale = 10 ** len(decimals)
-            return Fraction(int(whole or 0) * scale + int(decimals or 0), scale * int(den or 1))
+        if plain:  # "p/q" has no "." in p
+            return Fraction(int(num), int(den)) if slash else Fraction(int(whole + decimals), 10 ** len(decimals))
         if isinstance(value, float):
             return Fraction(repr(value))
         if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
@@ -284,22 +286,30 @@ class JointTable(_Record):
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
-    rationals in [0, 1] summing to exactly 1, checked on integers; cells that
-    are not already Fractions are converted with ``rational``.
+    rationals in [0, 1] summing to exactly 1, checked on their integer pairs;
+    cells that are not already Fractions are converted with ``rational``.
+    ``scaled_cells`` holds the four over their least common denominator, then it.
     """
 
-    __slots__ = _fields = _CELL_FIELDS
+    __slots__ = (*_CELL_FIELDS, "scaled_cells")
+    _fields = _CELL_FIELDS
+    scaled_cells: tuple[int, int, int, int, int]
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
+        ratios = []
         for name, v in zip(_CELL_FIELDS, (p_pp, p_pm, p_mp, p_mm)):
             if not isinstance(v, Fraction):
                 v = rational(v)
             object.__setattr__(self, name, v)
-            if not 0 <= v.numerator <= v.denominator:
+            p, q = v.as_integer_ratio()
+            if not 0 <= p <= q:
                 raise InvalidTable(f"cell {name} = {printable(v)} outside [0, 1]")
-        numerators, lcd = over_common_denominator(self.cells())
+            ratios.append((p, q))
+        lcd = math.lcm(*[q for _, q in ratios])
+        numerators = [p * (lcd // q) for p, q in ratios]
         if sum(numerators) != lcd:
             raise InvalidTable(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
+        object.__setattr__(self, "scaled_cells", (*numerators, lcd))
 
     def cells(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
@@ -381,8 +391,9 @@ class ExperimentData(_Record):
             raise InvalidValue("tables must be keyed by the four treatments")
         tables = {t: tables[t] for t in TREATMENTS}
         object.__setattr__(self, "tables", tables)
-        numerators, lcd = over_common_denominator(c for table in tables.values() for c in table.cells())
-        object.__setattr__(self, "scaled_cells", (*numerators, lcd))
+        lcd = math.lcm(*[table.scaled_cells[4] for table in tables.values()])
+        scaled = [v * (lcd // table.scaled_cells[4]) for table in tables.values() for v in table.scaled_cells[:4]]
+        object.__setattr__(self, "scaled_cells", (*scaled, lcd))
         if counts is not None:
             if set(counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")

@@ -12,20 +12,23 @@ artificial variable per row minimizes their sum under Bland's anti-cycling
 rule. Optimum zero yields a feasible point; a positive optimum proves there
 is none.
 
-Phase 1 pivots fraction-free (Bareiss 1968): the tableau is an integer
-matrix M over a positive common divisor d, the previous pivot. A pivot on p
-keeps its row and makes every other row (p*v - f*w) // d, an exact division:
-each entry of M is, up to sign, a minor of the initial tableau [R | I | T Lb]
-of order at most rank(A), and d is the absolute determinant of the current
-basis. So the integers never outgrow those minors, which Hadamard's
-inequality bounds. For the program's matrix, 9 independent rows of [R | I]
-with five entries of -1 or 1 each, every matrix entry and d are at most
-5**4.5 < 1400, and every right-hand side entry at most that times the sum
-of |T Lb| <= 153 L: under 18 bits beyond L. The objective row, one more row
-of M pivoted like the others, is the artificial-basic rows' sum minus d times
-the costs (1 on each artificial): minus each reduced cost, then the objective,
-times d, at most rank(A) + 1 times M's largest entry. Bland enters its first
-positive column.
+Phase 1 pivots fraction-free (Bareiss 1968) on a condensed tableau: an
+integer matrix M over a positive common divisor d, the previous pivot, with
+one column per nonbasic variable (its label) and the right-hand side; basic
+columns, d times unit columns, are not kept. A pivot on p keeps its row, sets
+each other entry to (p*v - f*w) // d, an exact division, where that changes
+it, and hands the column to the leaving variable: -f in each other row, d in
+the pivot row. Each entry of M is, up to sign, a minor of the initial tableau
+[R | I | T Lb] of order at most rank(A), and d is the absolute determinant
+of the current basis. So the integers never outgrow those minors, which
+Hadamard's inequality bounds. For the program's matrix, 9 independent rows
+of [R | I] with five entries of -1 or 1 each, every matrix entry and d are at
+most 5**4.5 < 1400, and every right-hand side entry at most that times the
+sum of |T Lb| <= 153 L: under 18 bits beyond L. The objective row, one more
+row of M pivoted like the others, is the artificial-basic rows' sum minus d
+times the costs (1 on each artificial): minus each reduced cost, then the
+objective, times d, at most rank(A) + 1 times M's largest entry. Bland
+enters the positive entry of smallest label.
 
 Phase 1 solves R y = T(Lb) for y = Lx, with artificials L times the rational
 ones. That multiplies the phase-1 objective by L > 0 and each variable by a
@@ -66,53 +69,49 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
     Returns a nonnegative solution as numerators over one positive common
     denominator, or None when infeasible.
     """
-    m = len(rows)
-    n = len(rows[0])
-    # Artificial variable j = n + i starts basic in row i; rhs must be >= 0.
-    tableau: list[list[int]] = []
-    for i, (row, r) in enumerate(zip(rows, rhs)):
-        sign = -1 if r < 0 else 1
-        art = [0] * m
-        art[i] = 1
-        tableau.append([sign * v for v in row] + art + [sign * r])
-    # row m, the objective row: the rows' sum less the cost 1 on each artificial
-    tableau.append([sum(column) for column in zip(*tableau)])
-    tableau[m][n : n + m] = [0] * m
+    m, n = len(rows), len(rows[0])
+    # Artificial variable n + i starts basic in row i; rhs must be >= 0. A row
+    # holds one column per nonbasic variable, named in ``labels``, then the rhs.
+    tableau = [[-v for v in row] + [-r] if r < 0 else [*row, r] for row, r in zip(rows, rhs)]
+    # row m, the objective row: the rows' sum, the artificials' unit costs cancelling
+    tableau.append(list(map(sum, zip(*tableau))))
+    labels = list(range(n))
     basis = [n + i for i in range(m)]
     divisor = 1  # the rational tableau is tableau / divisor
 
     def pivot(row: int, col: int) -> None:
         nonlocal divisor
-        p, w_row = tableau[row][col], tableau[row]  # p > 0
+        d, w_row, p = divisor, tableau[row], tableau[row][col]  # p > 0
+        # (p*v - f*w) // d is v where f*w = 0 and p = d: only the other entries change
+        changed = [(j, w) for j, w in enumerate(w_row) if w] if p == d else list(enumerate(w_row))
         for i, other in enumerate(tableau):
-            if i == row:
-                continue
             f = other[col]
-            if f:
-                tableau[i] = [(p * v - f * w) // divisor for v, w in zip(other, w_row)]
-            elif p != divisor:
-                tableau[i] = [p * v // divisor for v in other]
+            if i != row and (f or p != d):
+                for j, w in changed:
+                    other[j] = (p * other[j] - f * w) // d
+                other[col] = -f  # the leaving variable's column
+        w_row[col] = d
         divisor = p
-        basis[row] = col
+        basis[row], labels[col] = labels[col], basis[row]
 
     while True:
-        # Bland: smallest improving index
-        entering = next((col for col, v in enumerate(tableau[m][:-1]) if v > 0), None)
-        if entering is None:
+        # Bland: smallest improving variable
+        improving = [label for label, v in zip(labels, tableau[m]) if v > 0]
+        if not improving:
             break
-        leaving = None
+        entering = labels.index(min(improving))
+        leaving = lead = None
         for i in range(m):
-            coeff = tableau[i][entering]
+            row = tableau[i]
+            coeff = row[entering]
             if coeff > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                # Ratios rhs/coeff compared by cross-multiplication (both coeffs > 0);
-                # Bland tie-break: smallest basis variable index.
-                here = tableau[i][-1] * tableau[leaving][entering]
-                best = tableau[leaving][-1] * coeff
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving = i
+                if lead is not None:
+                    # Ratios rhs/coeff compared by cross-multiplication (both coeffs > 0);
+                    # Bland tie-break: smallest basis variable index.
+                    here, best = row[-1] * lead[entering], lead[-1] * coeff
+                    if here > best or (here == best and basis[i] > basis[leaving]):
+                        continue
+                leaving, lead = i, row
         if leaving is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
         pivot(leaving, entering)
@@ -126,7 +125,7 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
     # changes nothing the pivot does not undo.
     for i in range(m):
         if basis[i] >= n:
-            col = next(j for j in range(n) if tableau[i][j] != 0)
+            col = labels.index(min(label for label, v in zip(labels, tableau[i]) if label < n and v))
             if tableau[i][col] < 0:
                 tableau[i] = [-v for v in tableau[i]]
             pivot(i, col)
@@ -142,7 +141,7 @@ def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Opti
 
     b must pass the consistency conditions of the system.
     """
-    reduced_rhs = [sum(c * rhs[j] for j, c in row) for row in reduced.transform]  # T (L b)
+    reduced_rhs = [sum([c * rhs[j] for j, c in row]) for row in reduced.transform]  # T (L b)
     if all(v >= 0 for v in reduced_rhs):
         solution = [ZERO] * len(reduced.rows[0])
         for col, value in zip(reduced.pivots, reduced_rhs):

@@ -15,9 +15,9 @@ import selinf
 from selinf.chsh import compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import BadCell, ConflictingData, ParseError
-from selinf.feasibility import predicted_tables, solve_feasibility
+from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
-from selinf.model import CELLS, TREATMENTS, Level, over_common_denominator
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, Level, over_common_denominator
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import Model, SampleSpec, sample_counts
 
@@ -74,9 +74,46 @@ def test_every_route_stores_the_cells_over_their_common_denominator():
         assert type(data.scaled_cells) is tuple
 
 
+def test_every_route_stores_each_table_over_its_own_common_denominator():
+    for data in every_route():
+        for t in TREATMENTS:
+            numerators, lcd = over_common_denominator(data.table(t).cells())
+            assert data.table(t).scaled_cells == (*numerators, lcd)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ("2/4", "1/4", "1/8", "1/8"),
+        ("2/4", "2/4", "0/3", "0/3"),
+        (0.25, "0.25", Fraction(1, 4), ".25"),
+        (1, 0, 0.0, "0/7"),
+        (Fraction(1, 3), "1/6", 0.5, 0),
+        (Fraction(1, 10**1500 + 1), 0, 0, Fraction(10**1500, 10**1500 + 1)),
+    ],
+)
+def test_library_tables_and_data_store_the_least_common_denominator(cells):
+    table = JointTable(*cells)
+    numerators, lcd = over_common_denominator(table.cells())
+    assert table.scaled_cells == (*numerators, lcd)
+    data = ExperimentData(dict.fromkeys(TREATMENTS[:3], JointTable("1/6", "1/3", "1/4", "1/4")) | {TREATMENTS[3]: table})
+    numerators, lcd = over_common_denominator(table_cells(data))
+    assert data.scaled_cells == (*numerators, lcd)
+
+
+def test_model_tables_past_the_cap_still_sample():
+    # L of the contaminated tables has about 4,000 digits; the cap is checked
+    # where reports are made, not in ExperimentData, so sampling still works
+    w = Fraction(1, 10**1999 + 1)
+    model = Model(HiddenStateDistribution.from_mapping({"++++": w, "----": 1 - w}), Fraction(1, 10**1999 + 7), dict(zip(TREATMENTS, CELLS)))
+    assert model.tables.scaled_cells[16] > MAX_COMMON_DENOMINATOR
+    sampled = sample_counts(model, SampleSpec(n_per_treatment=64, seed=9))
+    assert [sampled.count(t).n for t in TREATMENTS] == [64] * 4
+
+
 def test_the_vector_is_not_part_of_equality_or_repr():
     data = predicted_tables(uniform_distribution())
-    assert "scaled_cells" not in repr(data)
+    assert "scaled_cells" not in repr(data) and "scaled_cells" not in repr(data.table(TREATMENTS[0]))
     assert data == predicted_tables(uniform_distribution())
 
 
@@ -97,11 +134,18 @@ def lcd_calls(monkeypatch):
     return calls
 
 
-def test_parsing_puts_the_16_cells_over_one_denominator_once(lcd_calls):
+def test_parsing_reuses_each_block_denominator_for_the_16_cells(lcd_calls):
+    # each JointTable puts its four cells over their L while it checks their
+    # sum, and ExperimentData takes the lcm of those four, so parsing never
+    # puts values over a common denominator again
     for name in FIXTURE_NAMES:
         lcd_calls.clear()
         data = parse_experiment(load_fixture_text(name))
-        assert [values for values in lcd_calls if len(values) == 16] == [table_cells(data)]
+        assert lcd_calls == []
+        assert data.scaled_cells == (*over_common_denominator(table_cells(data))[0], data.scaled_cells[16])
+        for t in TREATMENTS:
+            numerators, lcd = over_common_denominator(data.table(t).cells())
+            assert data.table(t).scaled_cells == (*numerators, lcd)
 
 
 def stored_vector_corpus():

@@ -25,7 +25,7 @@ from selinf.feasibility import (
     verify_witness,
 )
 from selinf.io import analyze, render_report_text, report_to_json_dict
-from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, Level, over_common_denominator
 from selinf.selectivity import MarginalComparison, Response, check_marginal_selectivity
 
 from conftest import (
@@ -290,6 +290,32 @@ class TestConstantSystem:
         assert rank(dropped) == rank(marginals + sums) == rank(dropped + marginals + sums) == 8
 
 
+def selective_batch_cases():
+    """Push-forwards alternating with marginally selective tables, as in the benchmark's selective-batch pool."""
+    rng = random.Random(301)
+    for i in range(400):
+        yield predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
+
+
+def phase_one_rhs(data):
+    """T (L b) on the rows of R, the right-hand side the program's phase 1 gets, or None when phase 1 does not run."""
+    cells = data.scaled_cells
+    reduced = [sum(c * cells[j] for j, c in row) for row in _CONSTRAINTS.transform]
+    return reduced if any(v < 0 for v in reduced) else None
+
+
+def same_as_the_full_tableau(datas):
+    """Check the condensed phase 1 against the full-tableau one on each phase-1 right-hand side; return their count."""
+    runs = 0
+    for data in datas:
+        rhs = phase_one_rhs(data)
+        if rhs is not None:
+            runs += 1
+            found = simplex._phase_one(_CONSTRAINTS.rows, rhs)
+            assert found == fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs)
+    return runs
+
+
 @pytest.fixture
 def phase_one_runs(monkeypatch):
     """A list that grows by one each time the simplex runs phase 1."""
@@ -301,11 +327,8 @@ def phase_one_runs(monkeypatch):
 
 class TestIntegerPhaseOne:
     def test_same_points_as_the_rational_tableau_on_selective_batch_cases(self, phase_one_runs):
-        # push-forwards alternating with marginally selective tables, as in
-        # the benchmark's selective-batch pool; phase 1 decides most of them
-        rng = random.Random(301)
-        for i in range(400):
-            data = predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
+        # phase 1 decides most of them
+        for data in selective_batch_cases():
             ours = simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
             assert ours == fraction_simplex.feasible_point(ORACLE, _rhs(data))
         assert len(phase_one_runs) > 300
@@ -342,6 +365,56 @@ class TestIntegerPhaseOne:
         assert verify_witness(report.feasibility.witness, data)
         # about 25 ms on a 2-CPU host with Python 3.11, most of it CHSH sums and rendering
         assert best < 0.25
+
+
+class TestCondensedTableau:
+    """The program pivots only the nonbasic columns; every pivot, point and divisor is the full tableau's."""
+
+    def test_selective_batch_cases(self):
+        assert same_as_the_full_tableau(selective_batch_cases()) > 300
+
+    def test_digest_corpus(self):
+        # phase 1 sees only data that satisfies marginal selectivity exactly
+        exact = [data for data in corpus() if check_marginal_selectivity(data).max_delta == 0]
+        assert same_as_the_full_tableau(exact) > 70
+
+    def test_cap_size_push_forward(self):
+        assert same_as_the_full_tableau([cap_denominator_push_forward()]) == 1
+
+
+def solver_farkas_vector(data):
+    """T^T u for the rational oracle's u on a positive phase-1 optimum, as integers over the 17 equations, or None."""
+    u = fraction_simplex.phase_one_farkas(ORACLE, _rhs(data))
+    if u is None:
+        return None
+    w = [Fraction(0)] * 17
+    for u_i, row in zip(u, ORACLE.transform):
+        for j, c in row:
+            w[j] += u_i * c
+    return over_common_denominator(w)[0]  # a positive multiple: the same signs
+
+
+class TestSolverFarkasVector:
+    """Phase 1's own proof of infeasibility, checked against the 16 state columns and the data."""
+
+    def test_every_infeasible_phase_one_item_has_one(self, table2):
+        # the goldens, pr_box and the seeded corpora; Fine's certificates are checked elsewhere
+        seen = feasible = 0
+        for data in [*corpus(), *selective_batch_cases()]:
+            marginals = check_marginal_selectivity(data)
+            if marginals.max_delta != 0 or phase_one_rhs(data) is None:
+                continue
+            if solve_feasibility(data, compute_gamma(data), marginals).feasible:
+                feasible += 1
+                if feasible <= 20:
+                    assert solver_farkas_vector(data) is None
+                continue
+            seen += 1
+            w = solver_farkas_vector(data)
+            assert type(w[0]) is int and is_farkas_vector(w, data)
+        assert seen >= 10 and feasible > 400
+        for data in (table2, pr_box()):
+            assert is_farkas_vector(solver_farkas_vector(data), data)
 
 
 class TestFineEquivalence:
@@ -479,11 +552,16 @@ class TestFarkasCertificates:
 
     def test_every_state_column_is_checked(self):
         # 3 * normalization minus the four cells state s fills is -1 on s's
-        # column and at least 1 on every other, so only s's column rejects it
-        for col in STATE_COLUMNS:
+        # column and at least 1 on every other, so only s's column rejects it;
+        # it is < 0 on the point mass at s, which the solver finds feasible, so
+        # a check that skipped s's column would pass it as a Farkas vector
+        for state, col in zip(STATES, STATE_COLUMNS):
             w = [-x for x in col[:16]] + [3]
             assert [dot(w, other) < 0 for other in STATE_COLUMNS] == [other is col for other in STATE_COLUMNS]
             assert not nonnegative_on_states(w)
+            data = predicted_tables(point_mass_distribution(state))
+            assert solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data)).feasible
+            assert dot(w, data.scaled_cells) < 0 and not is_farkas_vector(w, data)
 
 
 class TestConvexity:

@@ -35,7 +35,7 @@ from selinf.io import (
     serialize_experiment,
 )
 from selinf.cli import EXIT_INFEASIBLE, run_cli
-from selinf.model import TREATMENTS, ExperimentData, JointTable
+from selinf.model import TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
@@ -412,6 +412,69 @@ class TestParseExperiment:
             parse_experiment(json.dumps(doc))
 
 
+PINNED_BLOCKS = [
+    # non-reduced cells read as their reduced value
+    (["2/4", "1/4", "1/8", "1/8"], False, ("1/2", "1/4", "1/8", "1/8")),
+    (["2/4", "2/4", "0/3", "0/3"], False, ("1/2", "1/2", "0", "0")),
+    (["5/5", "0", "0", "0/5"], False, ("1", "0", "0", "0")),
+    (["1/0", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: cannot interpret '1/0' as a rational")),
+    (["0/0", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: cannot interpret '0/0' as a rational")),
+    (["1/2", "1/0", "abc", "0"], False, (BadCell, "treatment a,b: cell pm: cannot interpret '1/0' as a rational")),
+    # JSON numbers go through their shortest repr, exponents included
+    ([0.25, 0.5, 0.125, 0.125], False, ("1/4", "1/2", "1/8", "1/8")),
+    ([0.1, 0.2, 0.3, 0.4], False, ("1/10", "1/5", "3/10", "2/5")),
+    ([2.5e-1, 2.5e-1, 0.25, 25e-2], False, ("1/4", "1/4", "1/4", "1/4")),
+    ([1.5, 0.5, 0.0, 0.0], False, (BadCell, "treatment a,b: cell pp = 1.5 outside [0, 1]")),
+    ([True, ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp must be numeric, got True")),
+    # decimal strings and exponents
+    ([".049", ".630", ".259", ".062"], False, ("49/1000", "63/100", "259/1000", "31/500")),
+    (["2.5e-1", "25E-2", ".25", "0.2500"], False, ("1/4", "1/4", "1/4", "1/4")),
+    (["1.5", "-.5", "0", "0"], False, (BadCell, "treatment a,b: cell pp = '1.5' outside [0, 1]")),
+    (["-0.1", "abc", "0", "0"], False, (BadCell, "treatment a,b: cell pm: cannot interpret 'abc' as a rational")),
+    (["1e-1001", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
+    (["1e1001", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
+    # the renormalize window, +-0.01 inclusive
+    ([".5", ".5", ".01", "0"], True, ("50/101", "50/101", "1/101", "0")),
+    ([".5", ".49", "0", "0"], True, ("50/99", "49/99", "0", "0")),
+    (
+        [".5", ".5", ".011", "0"], True,
+        (SumNotOne, "treatment a,b: cells sum to 1011/1000 (~1.0110), beyond the +-0.01 renormalization window"),
+    ),
+    (
+        [".5", ".489", "0", "0"], True,
+        (SumNotOne, "treatment a,b: cells sum to 989/1000 (~0.9890), beyond the +-0.01 renormalization window"),
+    ),
+    (
+        [".5", ".5", ".01", "0"], False,
+        (SumNotOne, 'treatment a,b: cells sum to 101/100 (~1.0100); set "renormalize" to accept near-1 sums'),
+    ),
+    ([".5", ".5", "-.01", ".01"], True, (BadCell, "treatment a,b: cell mp = '-.01' outside [0, 1]")),
+]
+
+
+class TestPinnedCellMessages:
+    """What each kind of a,b cell parses to, or the exact line it is rejected with."""
+
+    @pytest.mark.parametrize("cells, renormalize, expected", PINNED_BLOCKS)
+    def test_block(self, cells, renormalize, expected):
+        doc = uniform_doc()
+        doc["treatments"]["a,b"] = dict(zip(PROB_KEYS, cells))
+        if renormalize:
+            doc["renormalize"] = True
+        if isinstance(expected[0], str):
+            data = parse_experiment(json.dumps(doc))
+            assert tuple(map(str, data.table(TREATMENTS[0]).cells())) == expected
+            numerators, lcd = over_common_denominator(data.table(TREATMENTS[0]).cells())
+            assert data.table(TREATMENTS[0]).scaled_cells == (*numerators, lcd)
+            numerators, lcd = over_common_denominator(c for t in TREATMENTS for c in data.table(t).cells())
+            assert data.scaled_cells == (*numerators, lcd)
+        else:
+            error, message = expected
+            with pytest.raises(error) as caught:
+                parse_experiment(json.dumps(doc))
+            assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestRoundTrip:
     def test_fixtures_round_trip(self, table1, table2, table3):
         for data in (table1, table2, table3):
@@ -678,6 +741,25 @@ class TestReportJson:
     def test_wrong_format_rejected(self):
         with pytest.raises(ParseError):
             report_from_json_dict({"format": "something-else/9"})
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("marginal_selectivity", "comparisons", [], "ValueError('max() arg is an empty sequence')"),
+            ("chsh", "gamma", None, "KeyError('gamma')"),
+            ("chsh", "gamma", "abc", 'ValueError("Invalid literal for Fraction: \'abc\'")'),
+            ("chsh", "sums", ["1/2"], "AttributeError(\"'list' object has no attribute 'items'\")"),
+        ],
+    )
+    def test_malformed_reports_are_one_line_parse_errors(self, table1, section, key, value, message):
+        doc = json.loads(json.dumps(report_to_json_dict(analyze(table1))))
+        if value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        with pytest.raises(ParseError) as caught:
+            report_from_json_dict(doc)
+        assert str(caught.value) == f"malformed report: {message}"
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from selinf.model import over_common_denominator
 from selinf.simplex import _phase_one, feasible_point
@@ -223,3 +224,27 @@ class TestIntegerTableau:
             x = solve(matrix, rhs)
             if x is not None:
                 check_solution(matrix, rhs, x)
+
+
+@st.composite
+def independent_row_systems(draw):
+    """k R of a random small integer matrix, its rows independent, and an integer right-hand side."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    matrix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    rows = reduce_system([[Fraction(v) for v in row] for row in matrix]).rows
+    rhs = draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+class TestCondensedTableau:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(independent_row_systems())
+    # the system of test_artificial_driven_out_on_a_negative_entry as reduce_system gives it
+    @example(([(4, 0, 4), (0, 4, -4)], [8, -8]))
+    # a drive-out whose smallest structural label is not its first nonzero
+    # column; the pivots differ in size, so another column changes the divisor
+    @example((((10, 0, 0, -12, 25), (0, 10, 0, 8, -10), (0, 0, 10, 2, -10)), [5, -2, 5]))
+    def test_same_point_and_divisor_as_the_full_tableau(self, system):
+        rows, rhs = system
+        if rows:
+            assert _phase_one(rows, rhs) == fraction_simplex.full_tableau_phase_one(rows, rhs)
