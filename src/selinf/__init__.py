@@ -54,19 +54,13 @@ from .io import (
     serialize_experiment,
 )
 from .model import (
-    ALPHA_A,
-    ALPHA_A_PRIME,
-    BETA_B,
-    BETA_B_PRIME,
     CELLS,
+    LEVELS,
     TREATMENTS,
     CountTable,
     ExperimentData,
-    Factor,
-    FactorLevel,
     JointTable,
     LabelSet,
-    Level,
     Treatment,
     rational,
 )
@@ -74,7 +68,6 @@ from .selectivity import (
     MarginalComparison,
     MarginalReport,
     MsTestResult,
-    Response,
     check_marginal_selectivity,
     test_marginal_selectivity,
 )
@@ -88,11 +81,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_A",
-    "ALPHA_A_PRIME",
     "AnalysisReport",
-    "BETA_B",
-    "BETA_B_PRIME",
     "BadCell",
     "BoundClassification",
     "CELLS",
@@ -101,8 +90,6 @@ __all__ = [
     "CountTable",
     "ExperimentData",
     "FacetViolation",
-    "Factor",
-    "FactorLevel",
     "FeasibilityResult",
     "GeneralRepresentation",
     "HIDDEN_STATES",
@@ -112,8 +99,8 @@ __all__ = [
     "InvalidTable",
     "InvalidValue",
     "JointTable",
+    "LEVELS",
     "LabelSet",
-    "Level",
     "MarginalComparison",
     "MarginalReport",
     "MissingCounts",
@@ -121,7 +108,6 @@ __all__ = [
     "Model",
     "MsTestResult",
     "ParseError",
-    "Response",
     "SIGN_PATTERNS",
     "SampleSpec",
     "SelinfError",

@@ -81,7 +81,7 @@ from .feasibility import (
     solve_feasibility,
 )
 from .model import (
-    FACTOR_LEVELS,
+    LEVELS,
     MAX_COMMON_DENOMINATOR,
     TREATMENTS,
     CountTable,
@@ -101,7 +101,6 @@ from .selectivity import (
     MarginalComparison,
     MarginalReport,
     MsTestResult,
-    Response,
     check_marginal_selectivity,
     significance_level,
     test_marginal_selectivity,
@@ -113,8 +112,6 @@ _COUNT_BLOCK_KEYS = frozenset({*PROB_KEYS, "n"})
 _PROB_BLOCK_KEYS = frozenset({*PROB_KEYS, "counts"})
 
 RENORMALIZE_WINDOW = Fraction(1, 100)
-
-_LEVELS_BY_KEY = {lv.key: lv for lv in FACTOR_LEVELS}
 
 
 def _load(text: str, what: str) -> Mapping[str, Any]:
@@ -355,8 +352,8 @@ REPORT_FORMAT = "selinf-analysis/1"
 
 def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
     return {
-        "response": comp.response.value,
-        "fixed_level": comp.fixed_level.key,
+        "response": comp.response,
+        "fixed_level": comp.fixed_level,
         "p_under_first": str(comp.p_under_first),
         "p_under_second": str(comp.p_under_second),
         "delta": str(comp.delta),
@@ -364,12 +361,11 @@ def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
 
 
 def _comparison_from_dict(d: Mapping[str, Any]) -> MarginalComparison:
-    return MarginalComparison(
-        response=Response(d["response"]),
-        fixed_level=_LEVELS_BY_KEY[d["fixed_level"]],
-        p_under_first=Fraction(d["p_under_first"]),
-        p_under_second=Fraction(d["p_under_second"]),
-    )
+    comp = MarginalComparison(d["fixed_level"], Fraction(d["p_under_first"]), Fraction(d["p_under_second"]))
+    if d["response"] != comp.response:
+        found, level = echo(d["response"]), comp.fixed_level
+        raise ParseError(f"malformed report: response {found} at {level}, where the level fixes {comp.response!r}")
+    return comp
 
 
 def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict[str, Any]:
@@ -476,10 +472,11 @@ def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
             argmax_patterns=frozenset(SignPattern.from_string(s) for s in raw_chsh["argmax_patterns"]),
             classification=BoundClassification(raw_chsh["classification"]),
         )
-        marginals = MarginalReport(
-            comparisons=tuple(_comparison_from_dict(c) for c in raw_ms["comparisons"]),
-            tolerance=Fraction(raw_ms["tolerance"]),
-        )
+        comparisons = tuple(_comparison_from_dict(c) for c in raw_ms["comparisons"])
+        if tuple(c.fixed_level for c in comparisons) != LEVELS:
+            levels = echo([c.fixed_level for c in comparisons])
+            raise ParseError(f"malformed report: comparisons must be at a, a', b, b' in that order, got {levels}")
+        marginals = MarginalReport(comparisons=comparisons, tolerance=Fraction(raw_ms["tolerance"]))
         ms_tests = None
         if doc.get("statistical_tests") is not None:
             ms_tests = tuple(
@@ -490,6 +487,8 @@ def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
                 )
                 for r in doc["statistical_tests"]
             )
+            if tuple(r.comparison for r in ms_tests) != comparisons:
+                raise ParseError("malformed report: statistical_tests must test the four comparisons, in their order")
         witness = None
         if raw_feas.get("witness") is not None:
             witness = HiddenStateDistribution.from_mapping(raw_feas["witness"])
@@ -517,10 +516,10 @@ def _fmt(x: Fraction) -> str:
 
 def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> str:
     other_first, other_second = (
-        ("b", "b'") if comp.response is Response.A else ("a", "a'")
+        ("b", "b'") if comp.response == "A" else ("a", "a'")
     )
     line = (
-        f"{comp.response.value} at {comp.fixed_level.key:2s}: "
+        f"{comp.response} at {comp.fixed_level:2s}: "
         f"Pr(+1|{other_first}) = {_fmt(comp.p_under_first)}  vs  "
         f"Pr(+1|{other_second}) = {_fmt(comp.p_under_second)}  "
         f"delta = {_fmt(comp.delta)}"
@@ -559,13 +558,13 @@ def render_report_text(
         lines.append("  " + _comparison_line(comp, labels))
     lines.append("")
     if report.ms_tests is not None:
-        alpha = report.ms_tests[0].alpha_sig if report.ms_tests else 0.05
+        alpha = report.ms_tests[0].alpha_sig
         lines.append(f"Significance (two-sided pooled z-test, alpha {alpha:g})")
         for r in report.ms_tests:
             flag = "reject" if r.reject else "retain"
             extra = " degenerate" if r.degenerate else ""
             lines.append(
-                f"  {r.comparison.response.value} at {r.comparison.fixed_level.key:2s}: "
+                f"  {r.comparison.response} at {r.comparison.fixed_level:2s}: "
                 f"z = {r.z_statistic:+.3f}  p = {r.p_value:.3g}  -> {flag}{extra}"
                 f"  (n = {r.n_first}/{r.n_second})"
             )
@@ -589,7 +588,7 @@ def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str
     if isinstance(cert, FacetViolation):
         return f"CHSH facet {cert.pattern.key} = {_fmt(cert.value)} > 2"
     return (
-        f"marginal comparison {cert.response.value} at {cert.fixed_level.key}: "
+        f"marginal comparison {cert.response} at {cert.fixed_level}: "
         f"{_fmt(cert.p_under_first)} vs {_fmt(cert.p_under_second)}"
         f" (delta {_fmt(cert.delta)} > 0)"
     )

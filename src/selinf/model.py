@@ -2,7 +2,9 @@
 
 Two factors (alpha with levels a/a', beta with levels b/b') are crossed into
 four treatments; under each treatment two responses A and B are recorded,
-coded +1 for the first listed alternative and -1 for the second. Every
+coded +1 for the first listed alternative and -1 for the second. A level is
+its key string, one of ``LEVELS``, and a ``Treatment`` is a pair of them,
+alpha's then beta's, such as ("a'", "b") with key "a',b". Every
 probability in this package is a ``fractions.Fraction``: decimal strings such
 as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
@@ -22,7 +24,6 @@ message prints.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from fractions import Fraction
@@ -167,60 +168,25 @@ class _Record:
         return self.__class__, self._values()
 
 
-class Factor(enum.Enum):
-    # Each value is also the name of the Treatment field holding that factor's level.
-    ALPHA = "alpha"
-    BETA = "beta"
-
-
-class Level(enum.Enum):
-    FIRST = "first"  # a or b
-    SECOND = "second"  # a' or b'
-
-
-class FactorLevel(_Record):
-    """One level of one factor; display names live in ``LabelSet``."""
-
-    __slots__ = ("factor", "level", "key")
-    _fields = ("factor", "level")
-    key: str
-
-    def __init__(self, factor: Factor, level: Level) -> None:
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "level", level)
-        base = "a" if factor is Factor.ALPHA else "b"
-        object.__setattr__(self, "key", base if level is Level.FIRST else base + "'")
-
-    def __hash__(self) -> int:
-        return hash((self.factor, self.level))
-
-    def __str__(self) -> str:
-        return self.key
-
-
-ALPHA_A = FactorLevel(Factor.ALPHA, Level.FIRST)
-ALPHA_A_PRIME = FactorLevel(Factor.ALPHA, Level.SECOND)
-BETA_B = FactorLevel(Factor.BETA, Level.FIRST)
-BETA_B_PRIME = FactorLevel(Factor.BETA, Level.SECOND)
-
-FACTOR_LEVELS = (ALPHA_A, ALPHA_A_PRIME, BETA_B, BETA_B_PRIME)
+# The four factor levels, each its key: alpha's a and a', then beta's b and b'.
+LEVELS = ("a", "a'", "b", "b'")
 
 
 class Treatment(_Record):
-    """One combination of factor levels; exactly four exist, hashed by ``index``, their canonical position."""
+    """A pair of level keys, alpha's then beta's; four exist, hashed by ``index``, their canonical position."""
 
     __slots__ = ("alpha", "beta", "index", "key")
     _fields = ("alpha", "beta")
     index: int
     key: str
 
-    def __init__(self, alpha: FactorLevel, beta: FactorLevel) -> None:
+    def __init__(self, alpha: str, beta: str) -> None:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if alpha.factor is not Factor.ALPHA or beta.factor is not Factor.BETA:
-            raise InvalidValue("treatment needs one alpha level and one beta level")
-        object.__setattr__(self, "index", 2 * (alpha.level is Level.SECOND) + (beta.level is Level.SECOND))
-        object.__setattr__(self, "key", f"{alpha.key},{beta.key}")
+        if alpha not in LEVELS[:2] or beta not in LEVELS[2:]:  # compared by ==, so any value gets this error
+            raise InvalidValue(f"treatment needs an alpha level and a beta level, got {echo(alpha)} and {echo(beta)}")
+        object.__setattr__(self, "index", 2 * (alpha == "a'") + (beta == "b'"))
+        object.__setattr__(self, "key", f"{alpha},{beta}")
 
     def __hash__(self) -> int:
         return self.index
@@ -235,12 +201,7 @@ class Treatment(_Record):
         return self.key
 
 
-TREATMENTS = (
-    Treatment(ALPHA_A, BETA_B),
-    Treatment(ALPHA_A, BETA_B_PRIME),
-    Treatment(ALPHA_A_PRIME, BETA_B),
-    Treatment(ALPHA_A_PRIME, BETA_B_PRIME),
-)
+TREATMENTS = (Treatment("a", "b"), Treatment("a", "b'"), Treatment("a'", "b"), Treatment("a'", "b'"))
 _TREATMENT_BY_KEY = {t.key: t for t in TREATMENTS}
 
 # Outcome pairs (A, B) in the fixed cell order pp, pm, mp, mm.
@@ -321,8 +282,8 @@ class JointTable(_Record):
 
 _LABEL_KEYS = {
     "factors": ("alpha", "beta"),
-    "levels": ("a", "a'", "b", "b'"),
-    "responses": ("a", "a'", "b", "b'"),
+    "levels": LEVELS,
+    "responses": LEVELS,
 }
 
 
@@ -357,10 +318,10 @@ class LabelSet(_Record):
                 fixed[key] = names if pair else value
             object.__setattr__(self, section, fixed)
 
-    def response_pair(self, level: FactorLevel) -> Optional[tuple[str, str]]:
+    def response_pair(self, level: str) -> Optional[tuple[str, str]]:
         if self.responses is None:
             return None
-        return self.responses.get(level.key)
+        return self.responses.get(level)
 
 
 class ExperimentData(_Record):

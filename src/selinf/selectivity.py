@@ -2,77 +2,71 @@
 
 If each response depends only on its own factor (plus shared randomness),
 the distribution of A cannot move when beta's level changes, nor B's when
-alpha's does. That gives four equalities of Pr(response = +1), one per
-response per own-factor level, checked here exactly or within a tolerance,
-and tested statistically with a two-sample pooled-proportion z-test when
-per-treatment counts are available.
+alpha's does. That gives four equalities of Pr(response = +1), one per level
+of a factor: at a and a' A is compared across b and b', at b and b' B across
+a and a'. So the level names the comparison and fixes its response. They are
+checked here exactly or within a tolerance, and tested statistically with a
+two-sample pooled-proportion z-test when per-treatment counts are available.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from .errors import InvalidValue, MissingCounts
 from .model import (
-    ALPHA_A,
-    ALPHA_A_PRIME,
-    BETA_B,
-    BETA_B_PRIME,
+    LEVELS,
     TREATMENTS,
     ExperimentData,
-    FactorLevel,
     Rational,
     Treatment,
     _Record,
+    echo,
     exceeds_common_denominator_cap,
     printable,
     rational,
 )
 
 
-class Response(enum.Enum):
-    A = "A"
-    B = "B"
-
-
 class MarginalComparison(_Record):
-    """Pr(response=+1) at a fixed own-factor level, across the other factor's levels.
+    """Pr(response=+1) at a fixed level, across the other factor's levels.
 
-    For response A at alpha level L: p_under_first is Pr(A=+1) under (L, b)
-    and p_under_second under (L, b'); for response B at beta level L the
-    roles of the factors swap. ``delta``, their absolute difference, is set once.
+    At alpha's level L the response is A: p_under_first is Pr(A=+1) under
+    (L, b) and p_under_second under (L, b'); at beta's level L the response
+    is B and the roles of the factors swap. ``response``, "A" or "B", and
+    ``delta``, the absolute difference, are set once.
     """
 
-    __slots__ = ("response", "fixed_level", "p_under_first", "p_under_second", "delta")
-    _fields = ("response", "fixed_level", "p_under_first", "p_under_second")
+    __slots__ = ("fixed_level", "p_under_first", "p_under_second", "response", "delta")
+    _fields = ("fixed_level", "p_under_first", "p_under_second")
+    response: str
     delta: Fraction
 
-    def __init__(
-        self, response: Response, fixed_level: FactorLevel, p_under_first: Fraction, p_under_second: Fraction
-    ) -> None:
-        object.__setattr__(self, "response", response)
+    def __init__(self, fixed_level: str, p_under_first: Fraction, p_under_second: Fraction) -> None:
         object.__setattr__(self, "fixed_level", fixed_level)
         object.__setattr__(self, "p_under_first", p_under_first)
         object.__setattr__(self, "p_under_second", p_under_second)
+        if fixed_level not in LEVELS:  # compared by ==, so any value gets this error
+            raise InvalidValue(f"unknown level {echo(fixed_level)}, expected one of {', '.join(LEVELS)}")
+        object.__setattr__(self, "response", "A" if fixed_level in LEVELS[:2] else "B")
         object.__setattr__(self, "delta", abs(p_under_first - p_under_second))
 
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:
         """The two treatments whose marginals are compared, in level order."""
-        return _COMPARISON_SLOTS[(self.response, self.fixed_level)]
+        return _COMPARISON_SLOTS[self.fixed_level]
 
     def complements(self) -> tuple[Fraction, Fraction]:
         """Pr(response = -1) under both levels (the second listed alternative)."""
         return (1 - self.p_under_first, 1 - self.p_under_second)
 
 
-# Fixed comparison order: A at a, A at a', B at b, B at b'; each with the treatments it compares.
+# Fixed comparison order: A at a, A at a', B at b, B at b'; each level with the treatments it compares.
 _COMPARISON_SLOTS = {
-    (Response.A, ALPHA_A): (TREATMENTS[0], TREATMENTS[1]),  # (a,b), (a,b')
-    (Response.A, ALPHA_A_PRIME): (TREATMENTS[2], TREATMENTS[3]),  # (a',b), (a',b')
-    (Response.B, BETA_B): (TREATMENTS[0], TREATMENTS[2]),  # (a,b), (a',b)
-    (Response.B, BETA_B_PRIME): (TREATMENTS[1], TREATMENTS[3]),  # (a,b'), (a',b')
+    "a": (TREATMENTS[0], TREATMENTS[1]),  # (a,b), (a,b')
+    "a'": (TREATMENTS[2], TREATMENTS[3]),  # (a',b), (a',b')
+    "b": (TREATMENTS[0], TREATMENTS[2]),  # (a,b), (a',b)
+    "b'": (TREATMENTS[1], TREATMENTS[3]),  # (a,b'), (a',b')
 }
 
 
@@ -109,15 +103,13 @@ def check_marginal_selectivity(
     if tol < 0:
         raise InvalidValue(f"tolerance must be nonnegative, got {printable(tol)}")
     cells, lcd = data.scaled_cells, data.scaled_cells[16]
-    # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L
-    plus = {
-        Response.A: [cells[k] + cells[k + 1] for k in range(0, 16, 4)],
-        Response.B: [cells[k] + cells[k + 2] for k in range(0, 16, 4)],
-    }
-    as_fraction = {m: Fraction(m, lcd) for m in {*plus[Response.A], *plus[Response.B]}}  # once per distinct value
+    # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L; A is compared at a and a'
+    plus_a = [cells[k] + cells[k + 1] for k in range(0, 16, 4)]
+    plus_b = [cells[k] + cells[k + 2] for k in range(0, 16, 4)]
+    as_fraction = {m: Fraction(m, lcd) for m in {*plus_a, *plus_b}}  # once per distinct value
     comparisons = tuple(
-        MarginalComparison(response, level, *(as_fraction[plus[response][t.index]] for t in pair))
-        for (response, level), pair in _COMPARISON_SLOTS.items()
+        MarginalComparison(level, *(as_fraction[plus[t.index]] for t in pair))
+        for (level, pair), plus in zip(_COMPARISON_SLOTS.items(), (plus_a, plus_a, plus_b, plus_b))
     )
     return MarginalReport(comparisons=comparisons, tolerance=tol)
 

@@ -11,7 +11,7 @@ import pytest
 from selinf.cli import load_fixture_text
 from selinf.feasibility import HiddenStateDistribution, predicted_tables
 from selinf.io import parse_experiment
-from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, Level
+from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable
 
 
 @pytest.fixture(scope="session")
@@ -45,11 +45,11 @@ def random_ms_data(rng: random.Random, denom: int = 24) -> ExperimentData:
     first; each treatment's p_pp is then placed uniformly inside its
     Frechet-Hoeffding interval, which spans every joint with those margins.
     """
-    pa = {lv: Fraction(rng.randint(0, denom), denom) for lv in Level}
-    pb = {lv: Fraction(rng.randint(0, denom), denom) for lv in Level}
+    pa = {lv: Fraction(rng.randint(0, denom), denom) for lv in ("a", "a'")}
+    pb = {lv: Fraction(rng.randint(0, denom), denom) for lv in ("b", "b'")}
     tables = {}
     for t in TREATMENTS:
-        a, b = pa[t.alpha.level], pb[t.beta.level]
+        a, b = pa[t.alpha], pb[t.beta]
         lo = max(Fraction(0), a + b - 1)
         hi = min(a, b)
         mix = Fraction(rng.randint(0, 16), 16)

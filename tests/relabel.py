@@ -23,18 +23,15 @@ from selinf.chsh import SignPattern
 from selinf.feasibility import GeneralRepresentation, HiddenStateDistribution
 from selinf.model import (
     CELLS,
-    FACTOR_LEVELS,
     TREATMENTS,
     ExperimentData,
-    Factor,
     JointTable,
     LabelSet,
-    Level,
     Rational,
     Treatment,
     rational,
 )
-from selinf.selectivity import MarginalComparison, MarginalReport, Response
+from selinf.selectivity import MarginalComparison, MarginalReport
 from selinf.simulate import SplitMix64
 
 
@@ -44,8 +41,8 @@ STATES = tuple("".join(s) for s in itertools.product("+-", repeat=4))
 
 def state_response(state: str, treatment: Treatment) -> tuple[int, int]:
     """The (A, B) outcome a hidden state produces: A reads its own alpha level, B its beta level."""
-    a = state[treatment.alpha.level is Level.SECOND]
-    b = state[2 + (treatment.beta.level is Level.SECOND)]
+    a = state[treatment.alpha == "a'"]
+    b = state[2 + (treatment.beta == "b'")]
     return (1 if a == "+" else -1, 1 if b == "+" else -1)
 
 
@@ -87,12 +84,12 @@ def pr_b_plus(table: JointTable) -> Fraction:
     return table.p_pp + table.p_mp
 
 
-def comparison(report: MarginalReport, response: Response, level: Level) -> MarginalComparison:
-    """The report's comparison of ``response`` at the other factor's ``level``."""
+def comparison(report: MarginalReport, level: str) -> MarginalComparison:
+    """The report's comparison at ``level``: of A at "a" or "a'", of B at "b" or "b'"."""
     for c in report.comparisons:
-        if c.response is response and c.fixed_level.level is level:
+        if c.fixed_level == level:
             return c
-    raise KeyError((response, level))
+    raise KeyError(level)
 
 
 def uniform_distribution() -> HiddenStateDistribution:
@@ -178,13 +175,11 @@ def _rebuild(data: ExperimentData, move, labels: Optional[LabelSet]) -> Experime
     )
 
 
-def _flip_coding(data: ExperimentData, factor: Factor, level: Optional[Level]) -> ExperimentData:
-    """Recode the response read at ``factor`` (+1 <-> -1) at one level, or at both when None."""
-    keys = {lv.key for lv in FACTOR_LEVELS if lv.factor is factor and level in (None, lv.level)}
-    flip = flip_a if factor is Factor.ALPHA else flip_b
+def _flip_coding(data: ExperimentData, keys: tuple[str, ...], flip) -> ExperimentData:
+    """Recode (+1 <-> -1), by ``flip``, the response read at the levels ``keys`` of one factor."""
 
     def move(t: Treatment, table):
-        hit = getattr(t, factor.value).key in keys
+        hit = t.alpha in keys or t.beta in keys
         return t, (flip(table) if hit else table)
 
     labels = data.labels
@@ -197,14 +192,16 @@ def _flip_coding(data: ExperimentData, factor: Factor, level: Optional[Level]) -
     return _rebuild(data, move, labels)
 
 
-def flip_a_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
-    """Recode A (+1 <-> -1) at one alpha level, or at both when level is None."""
-    return _flip_coding(data, Factor.ALPHA, level)
+def flip_a_coding(data: ExperimentData, level: Optional[str] = None) -> ExperimentData:
+    """Recode A (+1 <-> -1) at one alpha level, "a" or "a'", or at both when level is None."""
+    assert level in (None, "a", "a'")
+    return _flip_coding(data, ("a", "a'") if level is None else (level,), flip_a)
 
 
-def flip_b_coding(data: ExperimentData, level: Optional[Level] = None) -> ExperimentData:
-    """Recode B (+1 <-> -1) at one beta level, or at both when level is None."""
-    return _flip_coding(data, Factor.BETA, level)
+def flip_b_coding(data: ExperimentData, level: Optional[str] = None) -> ExperimentData:
+    """Recode B (+1 <-> -1) at one beta level, "b" or "b'", or at both when level is None."""
+    assert level in (None, "b", "b'")
+    return _flip_coding(data, ("b", "b'") if level is None else (level,), flip_b)
 
 
 def _swap_level_labels(labels: Optional[LabelSet], first_key: str, second_key: str) -> Optional[LabelSet]:
@@ -223,22 +220,21 @@ def _swap_level_labels(labels: Optional[LabelSet], first_key: str, second_key: s
     return LabelSet(labels.factors, *swapped)
 
 
-def _swap_levels(data: ExperimentData, factor: Factor) -> ExperimentData:
-    """Exchange the roles of the two levels of ``factor``."""
-    first, second = (lv for lv in FACTOR_LEVELS if lv.factor is factor)
+def _swap_levels(data: ExperimentData, first: str, second: str) -> ExperimentData:
+    """Exchange the roles of one factor's two levels, ``first`` and ``second``."""
     other = {first: second, second: first}
 
     def move(t: Treatment, table):
         return Treatment(other.get(t.alpha, t.alpha), other.get(t.beta, t.beta)), table
 
-    return _rebuild(data, move, _swap_level_labels(data.labels, first.key, second.key))
+    return _rebuild(data, move, _swap_level_labels(data.labels, first, second))
 
 
 def swap_alpha_levels(data: ExperimentData) -> ExperimentData:
     """Exchange the roles of a and a' (relabel the alpha factor's levels)."""
-    return _swap_levels(data, Factor.ALPHA)
+    return _swap_levels(data, "a", "a'")
 
 
 def swap_beta_levels(data: ExperimentData) -> ExperimentData:
     """Exchange the roles of b and b' (relabel the beta factor's levels)."""
-    return _swap_levels(data, Factor.BETA)
+    return _swap_levels(data, "b", "b'")

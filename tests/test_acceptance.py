@@ -17,10 +17,9 @@ from selinf.feasibility import (
     solve_feasibility,
     verify_witness,
 )
-from selinf.model import TREATMENTS, CountTable, ExperimentData, Level
+from selinf.model import TREATMENTS, CountTable, ExperimentData
 from selinf.selectivity import (
     MarginalComparison,
-    Response,
     check_marginal_selectivity,
     test_marginal_selectivity as run_ms_test,
 )
@@ -64,7 +63,7 @@ def test_criterion_1_zero_gamma_with_marginal_violation(table1):
 
     ms = check_marginal_selectivity(table1, 0)
     assert not ms.satisfied
-    b_at_b = comparison(ms, Response.B, Level.FIRST)
+    b_at_b = comparison(ms, "b")
     assert b_at_b.p_under_first == Fraction(5, 10)
     assert b_at_b.p_under_second == Fraction(4, 10)
 
@@ -102,7 +101,7 @@ def test_criterion_3_observed_experiment(table3):
 
     ms = check_marginal_selectivity(table3, 0)
     assert not ms.satisfied
-    cat_under_b, cat_under_b_prime = comparison(ms, Response.A, Level.SECOND).complements()
+    cat_under_b, cat_under_b_prime = comparison(ms, "a'").complements()
     assert abs(cat_under_b - Fraction(135, 1000)) <= Fraction(2, 1000)
     assert abs(cat_under_b_prime - Fraction(766, 1000)) <= Fraction(2, 1000)
 
@@ -161,7 +160,7 @@ def test_criterion_5_witness_and_certificate_soundness():
                     assert cert.value > 2
                 else:
                     report = check_marginal_selectivity(data, 0)
-                    assert comparison(report, cert.response, cert.fixed_level.level) == cert
+                    assert comparison(report, cert.fixed_level) == cert
                     assert cert.delta > 0
     assert n_feasible >= 100 and n_infeasible >= 100, (n_feasible, n_infeasible)
     _passed(5, f"{n_feasible} witnesses verified, {n_infeasible} certificates re-violated")
@@ -201,11 +200,11 @@ def test_criterion_7_statistical_rejection_at_n81():
 
 def test_criterion_8_relabeling_invariance():
     relabelings = (
-        lambda d: flip_a_coding(d, Level.FIRST),
-        lambda d: flip_a_coding(d, Level.SECOND),
+        lambda d: flip_a_coding(d, "a"),
+        lambda d: flip_a_coding(d, "a'"),
         lambda d: flip_a_coding(d),
-        lambda d: flip_b_coding(d, Level.FIRST),
-        lambda d: flip_b_coding(d, Level.SECOND),
+        lambda d: flip_b_coding(d, "b"),
+        lambda d: flip_b_coding(d, "b'"),
         lambda d: flip_b_coding(d),
         swap_alpha_levels,
         swap_beta_levels,

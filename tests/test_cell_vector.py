@@ -17,7 +17,7 @@ from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import BadCell, ConflictingData, ParseError
 from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
-from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, Level, over_common_denominator
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import Model, SampleSpec, sample_counts
 
@@ -60,7 +60,7 @@ def every_route():
     yield random_ms_data(rng)
     yield pr_box()
     yield cap_denominator_push_forward()
-    yield flip_a_coding(base, Level.FIRST)
+    yield flip_a_coding(base, "a")
     yield flip_b_coding(base)
     yield swap_alpha_levels(base)
     yield swap_beta_levels(base)

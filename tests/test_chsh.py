@@ -15,7 +15,7 @@ from selinf.chsh import (
 )
 from selinf.errors import InvalidPattern
 from selinf.feasibility import predicted_tables
-from selinf.model import TREATMENTS, Level, encode_signs
+from selinf.model import TREATMENTS, encode_signs
 
 from conftest import random_any_data, random_hidden_distribution
 from relabel import (
@@ -134,11 +134,11 @@ class TestGammaInvariants:
 
     def test_relabeling_invariance(self):
         relabelings = [
-            lambda d: flip_a_coding(d, Level.FIRST),
-            lambda d: flip_a_coding(d, Level.SECOND),
+            lambda d: flip_a_coding(d, "a"),
+            lambda d: flip_a_coding(d, "a'"),
             lambda d: flip_a_coding(d),
-            lambda d: flip_b_coding(d, Level.FIRST),
-            lambda d: flip_b_coding(d, Level.SECOND),
+            lambda d: flip_b_coding(d, "b"),
+            lambda d: flip_b_coding(d, "b'"),
             lambda d: flip_b_coding(d),
             swap_alpha_levels,
             swap_beta_levels,

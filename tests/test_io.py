@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -745,7 +746,7 @@ class TestReportJson:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("marginal_selectivity", "comparisons", [], "ValueError('max() arg is an empty sequence')"),
+            ("marginal_selectivity", "comparisons", [], "comparisons must be at a, a', b, b' in that order, got []"),
             ("chsh", "gamma", None, "KeyError('gamma')"),
             ("chsh", "gamma", "abc", 'ValueError("Invalid literal for Fraction: \'abc\'")'),
             ("chsh", "sums", ["1/2"], "AttributeError(\"'list' object has no attribute 'items'\")"),
@@ -757,6 +758,61 @@ class TestReportJson:
             del doc[section][key]
         else:
             doc[section][key] = value
+        with pytest.raises(ParseError) as caught:
+            report_from_json_dict(doc)
+        assert str(caught.value) == f"malformed report: {message}"
+
+    def sampled_doc(self, table3):
+        """The JSON report of table 3, which carries counts, so tests, and four marginal violations."""
+        return json.loads(json.dumps(report_to_json_dict(analyze(table3))))
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda doc: doc["marginal_selectivity"]["comparisons"][2],
+            lambda doc: doc["statistical_tests"][1]["comparison"],
+            lambda doc: doc["feasibility"]["certificate"],
+            lambda doc: doc["feasibility"]["all_violations"][3],
+        ],
+        ids=["comparisons", "statistical_tests", "certificate", "all_violations"],
+    )
+    def test_a_response_its_level_does_not_fix_is_rejected(self, table3, where):
+        doc = self.sampled_doc(table3)
+        comp = where(doc)
+        fixed = comp["response"]
+        comp["response"] = "B" if fixed == "A" else "A"
+        level = re.escape(comp["fixed_level"])
+        message = rf"^malformed report: response '{comp['response']}' at {level}, where the level fixes '{fixed}'$"
+        with pytest.raises(ParseError, match=message):
+            report_from_json_dict(doc)
+
+    @pytest.mark.parametrize("level", ["c", "A", None, ["a"], "b" * 10**5], ids=["c", "A", "None", "list", "long"])
+    def test_an_unknown_level_is_rejected_by_the_comparison(self, table3, level):
+        doc = self.sampled_doc(table3)
+        doc["marginal_selectivity"]["comparisons"][0]["fixed_level"] = level
+        with pytest.raises(InvalidValue, match=r"^unknown level .*, expected one of a, a', b, b'$") as caught:
+            report_from_json_dict(doc)
+        assert len(str(caught.value).encode()) < 200
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ms, tests: ms.pop(), """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b']"""),
+            (lambda ms, tests: ms.__setitem__(slice(None), [ms[0]] * 4), "comparisons must be at a, a', b, b' in that order, got ['a', 'a', 'a', 'a']"),
+            (lambda ms, tests: ms.reverse(), """comparisons must be at a, a', b, b' in that order, got ["b'", 'b', "a'", 'a']"""),
+            (lambda ms, tests: ms.append(ms[0]), """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b', "b'", 'a']"""),
+            (lambda ms, tests: tests.__delitem__(slice(1, None)), "statistical_tests must test the four comparisons, in their order"),
+            (lambda ms, tests: tests.clear(), "statistical_tests must test the four comparisons, in their order"),
+            (lambda ms, tests: tests.reverse(), "statistical_tests must test the four comparisons, in their order"),
+            (lambda ms, tests: tests[0].__setitem__("comparison", tests[1]["comparison"]), "statistical_tests must test the four comparisons, in their order"),
+            (lambda ms, tests: tests[2]["comparison"].__setitem__("p_under_first", "0"), "statistical_tests must test the four comparisons, in their order"),
+        ],
+        ids=["three", "four-copies", "reversed", "five", "one-test", "no-tests", "tests-reversed", "test-swapped", "test-changed"],
+    )
+    def test_comparison_and_test_lists_the_program_never_writes_are_rejected(self, table3, edit, message):
+        doc = self.sampled_doc(table3)
+        assert report_from_json_dict(doc) == analyze(table3)
+        edit(doc["marginal_selectivity"]["comparisons"], doc["statistical_tests"])
         with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
         assert str(caught.value) == f"malformed report: {message}"

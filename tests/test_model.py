@@ -9,15 +9,11 @@ from hypothesis import given, settings, strategies as st
 from selinf import model
 from selinf.errors import ConflictingData, InvalidTable, InvalidValue, ZeroTotal
 from selinf.model import (
-    ALPHA_A,
-    ALPHA_A_PRIME,
-    BETA_B,
     TREATMENTS,
     CountTable,
     ExperimentData,
     JointTable,
     LabelSet,
-    Level,
     Treatment,
     rational,
 )
@@ -147,7 +143,7 @@ class TestTreatments:
             Treatment.from_key("a,c")
 
     def test_ad_hoc_treatment_hashes_and_looks_up_as_the_canonical_one(self):
-        ad_hoc = Treatment(ALPHA_A, BETA_B)
+        ad_hoc = Treatment("a", "b")
         assert ad_hoc is not TREATMENTS[0] and ad_hoc == TREATMENTS[0]
         assert hash(ad_hoc) == hash(TREATMENTS[0]) == 0
         data = random_any_data(random.Random(5))
@@ -168,10 +164,14 @@ class TestTreatments:
         assert rebuilt == data
 
     def test_treatment_needs_one_level_per_factor(self):
-        with pytest.raises(InvalidValue):
-            Treatment(BETA_B, BETA_B)
-        with pytest.raises(InvalidValue):
-            Treatment(ALPHA_A, ALPHA_A_PRIME)
+        with pytest.raises(InvalidValue, match=r"""^treatment needs an alpha level and a beta level, got 'b' and 'b'$"""):
+            Treatment("b", "b")
+        with pytest.raises(InvalidValue, match=r"""^treatment needs an alpha level and a beta level, got 'a' and "a'"$"""):
+            Treatment("a", "a'")
+        for alpha, beta in (("a" * 10**6, "b"), ("a", ["b"] * 10**5), (None, "b'")):
+            with pytest.raises(InvalidValue) as exc:
+                Treatment(alpha, beta)
+            assert len(str(exc.value).encode()) < 200
 
 
 class TestJointTable:
@@ -376,7 +376,7 @@ class TestLabelSet:
         assert labels.factors == {"alpha": "animal"}
         assert labels.levels == {"a": "Horse or Bear?"}
         assert labels.responses == {"a": ("Horse", "Bear")}
-        assert labels.response_pair(ALPHA_A) == ("Horse", "Bear")
+        assert labels.response_pair("a") == ("Horse", "Bear")
 
     @pytest.mark.parametrize(
         "section, mapping, message",
@@ -398,11 +398,11 @@ class TestLabelSet:
 class TestTransforms:
     def transform_set(self):
         return [
-            lambda d: flip_a_coding(d, Level.FIRST),
-            lambda d: flip_a_coding(d, Level.SECOND),
+            lambda d: flip_a_coding(d, "a"),
+            lambda d: flip_a_coding(d, "a'"),
             lambda d: flip_a_coding(d),
-            lambda d: flip_b_coding(d, Level.FIRST),
-            lambda d: flip_b_coding(d, Level.SECOND),
+            lambda d: flip_b_coding(d, "b"),
+            lambda d: flip_b_coding(d, "b'"),
             lambda d: flip_b_coding(d),
             swap_alpha_levels,
             swap_beta_levels,
@@ -419,9 +419,9 @@ class TestTransforms:
     def test_flip_a_at_one_level_touches_only_that_level(self):
         rng = random.Random(16)
         data = random_any_data(rng)
-        flipped = flip_a_coding(data, Level.FIRST)
+        flipped = flip_a_coding(data, "a")
         for t in TREATMENTS:
-            if t.alpha.level is Level.FIRST:
+            if t.alpha == "a":
                 assert flipped.table(t) == flip_a(data.table(t))
             else:
                 assert flipped.table(t) == data.table(t)
@@ -438,7 +438,7 @@ class TestTransforms:
         labels = LabelSet(responses={"a": ("Horse", "Bear"), "b": ("Growls", "Whinnies")})
         tables = {t: uniform_table() for t in TREATMENTS}
         data = ExperimentData(tables=tables, labels=labels)
-        flipped = flip_a_coding(data, Level.FIRST)
+        flipped = flip_a_coding(data, "a")
         assert flipped.labels.responses["a"] == ("Bear", "Horse")
         assert flipped.labels.responses["b"] == ("Growls", "Whinnies")
 

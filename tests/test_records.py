@@ -3,16 +3,20 @@
 Each record has a hand-written ``__init__``; the shared base gives the frozen
 ``__setattr__``/``__delattr__`` and an ``__eq__``, ``__hash__`` and
 ``__repr__`` over the fields that ``__init__`` takes, in order. Attributes
-derived once (``key``, ``index``, ``scaled_cells``, ``delta``,
+derived once (``key``, ``index``, ``scaled_cells``, ``response``, ``delta``,
 ``max_delta``) stay out of all three.
 """
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
+
+import selinf
 
 from selinf.chsh import SIGN_PATTERNS, ChshReport, SignPattern, compute_gamma
 from selinf.feasibility import (
@@ -25,23 +29,18 @@ from selinf.feasibility import (
 )
 from selinf.io import AnalysisReport, analyze
 from selinf.model import (
-    ALPHA_A,
-    BETA_B_PRIME,
     TREATMENTS,
     CountTable,
     ExperimentData,
-    Factor,
-    FactorLevel,
     JointTable,
     LabelSet,
-    Level,
     Treatment,
+    _Record,
 )
 from selinf.selectivity import (
     MarginalComparison,
     MarginalReport,
     MsTestResult,
-    Response,
     check_marginal_selectivity,
 )
 from selinf.simplex import ReducedSystem
@@ -59,15 +58,14 @@ def sampled():
 
 # One factory per record class; each call builds a new instance equal to the last.
 SAMPLES = {
-    FactorLevel: lambda: FactorLevel(Factor.ALPHA, Level.FIRST),
-    Treatment: lambda: Treatment(ALPHA_A, BETA_B_PRIME),
+    Treatment: lambda: Treatment("a", "b'"),
     CountTable: lambda: CountTable(1, 0, 2, 3),
     JointTable: lambda: JointTable("1/2", 0, ".25", Fraction(1, 4)),
     LabelSet: lambda: LabelSet(factors={"alpha": "x"}, responses={"a": ["H", "B"]}),
     ExperimentData: sampled,
     SignPattern: lambda: SignPattern((1, 1, 1, -1)),
     ChshReport: lambda: compute_gamma(sampled()),
-    MarginalComparison: lambda: MarginalComparison(Response.A, ALPHA_A, Fraction(1, 2), Fraction(1, 3)),
+    MarginalComparison: lambda: MarginalComparison("a", Fraction(1, 2), Fraction(1, 3)),
     MarginalReport: lambda: check_marginal_selectivity(sampled()),
     MsTestResult: lambda: analyze(sampled()).ms_tests[2],
     HiddenStateDistribution: hidden,
@@ -85,18 +83,10 @@ SAMPLES = {
 # Records with a dict among their fields cannot be hashed, as under the dataclasses.
 UNHASHABLE = {LabelSet, ExperimentData, ChshReport, GeneralRepresentation, Model, AnalysisReport}
 
-ALPHA = "FactorLevel(factor=<Factor.ALPHA: 'alpha'>, level=<Level.FIRST: 'first'>)"
-BETA_PRIME = "FactorLevel(factor=<Factor.BETA: 'beta'>, level=<Level.SECOND: 'second'>)"
-COMPARISON = (
-    f"MarginalComparison(response=<Response.A: 'A'>, fixed_level={ALPHA},"
-    " p_under_first=Fraction(1, 2), p_under_second=Fraction(1, 3))"
-)
-
-# The repr each sample had as a dataclass. A record built from other records is
+# The repr each sample would have as a dataclass. A record built from other records is
 # checked here by its own fields and their order; those records have their own line.
 REPRS = {
-    FactorLevel: ALPHA,
-    Treatment: f"Treatment(alpha={ALPHA}, beta={BETA_PRIME})",
+    Treatment: """Treatment(alpha='a', beta="b'")""",
     CountTable: "CountTable(n_pp=1, n_pm=0, n_mp=2, n_mm=3)",
     JointTable: "JointTable(p_pp=Fraction(1, 2), p_pm=Fraction(0, 1), p_mp=Fraction(1, 4), p_mm=Fraction(1, 4))",
     LabelSet: "LabelSet(factors={'alpha': 'x'}, levels=None, responses={'a': ('H', 'B')})",
@@ -109,7 +99,7 @@ REPRS = {
         " argmax_patterns=frozenset({SignPattern(signs=(1, -1, 1, 1))}),"
         " classification=<BoundClassification.SUPRA_QUANTUM: 'supra-quantum'>)"
     ),
-    MarginalComparison: COMPARISON,
+    MarginalComparison: "MarginalComparison(fixed_level='a', p_under_first=Fraction(1, 2), p_under_second=Fraction(1, 3))",
     MarginalReport: lambda r: f"MarginalReport(comparisons={r.comparisons!r}, tolerance=Fraction(0, 1))",
     MsTestResult: lambda r: (
         f"MsTestResult(comparison={r.comparison!r}, n_first=4, n_second=4, z_statistic=-1.6329931618554523,"
@@ -138,8 +128,21 @@ REPRS = {
 records = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
 
+def record_classes(cls=_Record):
+    """Every subclass of ``_Record`` that the package's modules define, found by walking the class tree."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.split(".")[0] == "selinf":
+            found.add(sub)
+        found |= record_classes(sub)
+    return found
+
+
 def test_every_record_class_is_sampled():
-    assert len(SAMPLES) == len(REPRS) == 19 and set(SAMPLES) == set(REPRS)
+    for module in pkgutil.iter_modules(selinf.__path__):
+        if module.name != "__main__":  # it runs the command line
+            importlib.import_module(f"selinf.{module.name}")
+    assert set(SAMPLES) == set(REPRS) == record_classes()
 
 
 @records

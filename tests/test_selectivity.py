@@ -8,9 +8,9 @@ import pytest
 
 from selinf.errors import InvalidValue, MissingCounts
 from selinf.feasibility import HIDDEN_STATES, HiddenStateDistribution, predicted_tables
-from selinf.model import TREATMENTS, CountTable, ExperimentData, Level
+from selinf.model import TREATMENTS, CountTable, ExperimentData
 from selinf.selectivity import (
-    Response,
+    MarginalComparison,
     check_marginal_selectivity,
     test_marginal_selectivity as run_ms_test,
 )
@@ -44,7 +44,7 @@ class TestExactCheck:
     def test_zero_correlation_tables_still_violate(self, table1):
         report = check_marginal_selectivity(table1, 0)
         assert not report.satisfied
-        b_at_b = comparison(report, Response.B, Level.FIRST)
+        b_at_b = comparison(report, "b")
         assert (b_at_b.p_under_first, b_at_b.p_under_second) == (
             Fraction(1, 2),
             Fraction(2, 5),
@@ -59,19 +59,28 @@ class TestExactCheck:
     def test_observed_experiment_second_alternative_margins(self, table3):
         report = check_marginal_selectivity(table3, 0)
         assert not report.satisfied
-        cat = comparison(report, Response.A, Level.SECOND).complements()
+        cat = comparison(report, "a'").complements()
         assert abs(cat[0] - Fraction(135, 1000)) <= Fraction(2, 1000)
         assert abs(cat[1] - Fraction(766, 1000)) <= Fraction(2, 1000)
 
     def test_comparison_order_is_fixed(self, table1):
         report = check_marginal_selectivity(table1)
-        slots = [(c.response, c.fixed_level.level) for c in report.comparisons]
-        assert slots == [
-            (Response.A, Level.FIRST),
-            (Response.A, Level.SECOND),
-            (Response.B, Level.FIRST),
-            (Response.B, Level.SECOND),
-        ]
+        slots = [(c.response, c.fixed_level) for c in report.comparisons]
+        assert slots == [("A", "a"), ("A", "a'"), ("B", "b"), ("B", "b'")]
+
+    def test_the_level_fixes_the_response(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for level, response in (("a", "A"), ("a'", "A"), ("b", "B"), ("b'", "B")):
+            comp = MarginalComparison(level, half, third)
+            assert (comp.fixed_level, comp.response, comp.delta) == (level, response, Fraction(1, 6))
+
+    @pytest.mark.parametrize(
+        "level", ["c", "A", "", "a,b", None, ("a",), "a" * 10**5], ids=["c", "A", "empty", "a,b", "None", "tuple", "long"]
+    )
+    def test_a_comparison_needs_a_known_level(self, level):
+        with pytest.raises(InvalidValue, match=r"^unknown level .*, expected one of a, a', b, b'$") as caught:
+            MarginalComparison(level, Fraction(1, 2), Fraction(1, 3))
+        assert len(str(caught.value).encode()) < 200
 
     def test_tolerance_widening_is_monotone(self, table1):
         exact = check_marginal_selectivity(table1, 0)
