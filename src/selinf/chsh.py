@@ -7,9 +7,10 @@ it at or below 2; quantum models reach 2*sqrt(2); the algebraic ceiling is 4.
 Comparisons against 2*sqrt(2) are done as gamma^2 vs 8 in exact rationals.
 
 ``compute_gamma`` reads the 16 cells as integers over their least common
-denominator L from ``ExperimentData.scaled_cells``, picks gamma and its
-achievers by comparing integer sums, and builds each expectation and sum as a
-``Fraction`` once, for the report.
+denominator L from ``ExperimentData.scaled_cells`` and builds the four
+expectations. ``ChshReport`` derives the rest from them once: it puts them
+over their own common denominator, picks gamma and its achievers by comparing
+integer sums, and builds each sum as a ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidPattern
-from .model import TREATMENTS, ExperimentData, Treatment, _Record, decode_signs, encode_signs
+from .model import TREATMENTS, ExperimentData, Treatment, _Record, encode_signs, over_common_denominator
 
 
 class SignPattern(_Record):
@@ -41,10 +42,6 @@ class SignPattern(_Record):
 
     def __hash__(self) -> int:
         return hash((self.signs,))
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignPattern":
-        return cls(decode_signs(text, 4, "pattern string", InvalidPattern))
 
     def __str__(self) -> str:
         return self.key
@@ -74,19 +71,26 @@ def classify_gamma(gamma: Fraction) -> BoundClassification:
 
 
 class ChshReport(_Record):
-    """Per-treatment expectations, all eight signed sums, and their maximum."""
+    """Per-treatment expectations; all eight signed sums, their maximum gamma, the
+    patterns attaining it and its classification are derived from them once."""
 
-    __slots__ = _fields = ("expectations", "sums", "gamma", "argmax_patterns", "classification")
+    __slots__ = ("expectations", "sums", "gamma", "argmax_patterns", "classification")
+    _fields = ("expectations",)
+    sums: dict[SignPattern, Fraction]
+    gamma: Fraction
+    argmax_patterns: frozenset[SignPattern]
+    classification: BoundClassification
 
-    def __init__(
-        self, expectations: Mapping[Treatment, Fraction], sums: Mapping[SignPattern, Fraction], gamma: Fraction,
-        argmax_patterns: frozenset[SignPattern], classification: BoundClassification,
-    ) -> None:
+    def __init__(self, expectations: Mapping[Treatment, Fraction]) -> None:
         object.__setattr__(self, "expectations", expectations)
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "argmax_patterns", argmax_patterns)
-        object.__setattr__(self, "classification", classification)
+        values, lcd = over_common_denominator(expectations[t] for t in TREATMENTS)
+        sums = {p: sum(s * e for s, e in zip(p.signs, values)) for p in SIGN_PATTERNS}
+        top = max(sums.values())
+        argmax = [p for p, v in sums.items() if v == top]
+        object.__setattr__(self, "sums", {p: Fraction(v, lcd) for p, v in sums.items()})
+        object.__setattr__(self, "gamma", self.sums[argmax[0]])
+        object.__setattr__(self, "argmax_patterns", frozenset(argmax))
+        object.__setattr__(self, "classification", classify_gamma(self.gamma))
 
     def gamma_decimal(self) -> str:
         """Gamma rounded half-up to three decimal places, as a string."""
@@ -96,19 +100,8 @@ class ChshReport(_Record):
 
 
 def compute_gamma(data: ExperimentData) -> ChshReport:
-    """Evaluate all eight signed sums and report the maximum with its achievers."""
+    """The CHSH report of the data, from its four expectations E[A*B]."""
     cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # E[A*B] = p_pp - p_pm - p_mp + p_mm per treatment, times L
-    values = [cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4)]
-    sums = {p: sum(s * e for s, e in zip(p.signs, values)) for p in SIGN_PATTERNS}
-    top = max(sums.values())
-    argmax = [p for p, v in sums.items() if v == top]
-    fractions = {p: Fraction(v, lcd) for p, v in sums.items()}
-    gamma = fractions[argmax[0]]
-    return ChshReport(
-        expectations={t: Fraction(e, lcd) for t, e in zip(TREATMENTS, values)},
-        sums=fractions,
-        gamma=gamma,
-        argmax_patterns=frozenset(argmax),
-        classification=classify_gamma(gamma),
-    )
+    values = (cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4))
+    return ChshReport({t: Fraction(e, lcd) for t, e in zip(TREATMENTS, values)})

@@ -178,23 +178,27 @@ Certificate = Union[MarginalComparison, FacetViolation]
 class FeasibilityResult(_Record):
     """Outcome of the hidden-state feasibility decision.
 
-    Feasible results carry a witness distribution whose push-forward equals
-    the data exactly. Infeasible results carry the first violated condition
-    in the fixed search order (marginal comparisons, then CHSH facets) as
-    ``certificate``, with every violated condition listed in
-    ``all_violations``.
+    ``all_violations`` lists every violated condition in the fixed search
+    order (marginal comparisons, then CHSH facets). The ``verdict`` is
+    infeasible exactly when it is nonempty, and the ``certificate`` is its
+    first entry; both are derived once. A feasible result may carry a witness
+    distribution whose push-forward equals the data exactly.
     """
 
-    __slots__ = _fields = ("verdict", "witness", "certificate", "all_violations")
+    __slots__ = ("witness", "all_violations", "verdict", "certificate")
+    _fields = ("witness", "all_violations")
+    verdict: Verdict
+    certificate: Optional[Certificate]
 
     def __init__(
-        self, verdict: Verdict, witness: Optional[HiddenStateDistribution] = None,
-        certificate: Optional[Certificate] = None, all_violations: tuple[Certificate, ...] = (),
+        self, witness: Optional[HiddenStateDistribution] = None, all_violations: tuple[Certificate, ...] = ()
     ) -> None:
-        object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "all_violations", all_violations)
+        if witness is not None and all_violations:
+            raise InvalidValue("a result with violated conditions has no witness")
+        object.__setattr__(self, "verdict", Verdict.INFEASIBLE if all_violations else Verdict.FEASIBLE)
+        object.__setattr__(self, "certificate", all_violations[0] if all_violations else None)
 
     @property
     def feasible(self) -> bool:
@@ -264,18 +268,13 @@ def solve_feasibility(
     if marginals.max_delta == 0:
         solution = feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
         if solution is not None:
-            witness = HiddenStateDistribution(tuple(solution))
-            return FeasibilityResult(verdict=Verdict.FEASIBLE, witness=witness)
+            return FeasibilityResult(witness=HiddenStateDistribution(tuple(solution)))
     violations = fine_violations(chsh, marginals)
     if not violations:
         raise SelinfError(
             "solver found no mixture but no marginal or facet condition is violated"
         )
-    return FeasibilityResult(
-        verdict=Verdict.INFEASIBLE,
-        certificate=violations[0],
-        all_violations=tuple(violations),
-    )
+    return FeasibilityResult(all_violations=tuple(violations))
 
 
 def verify_witness(dist: HiddenStateDistribution, data: ExperimentData) -> bool:

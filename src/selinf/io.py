@@ -62,7 +62,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import AbstractSet, Any, Optional, Union
 
-from .chsh import ChshReport, SignPattern, BoundClassification, compute_gamma
+from .chsh import ChshReport, compute_gamma
 from .errors import (
     BadCell,
     ConflictingData,
@@ -77,11 +77,11 @@ from .feasibility import (
     FacetViolation,
     FeasibilityResult,
     HiddenStateDistribution,
-    Verdict,
+    fine_violations,
+    predicted_tables,
     solve_feasibility,
 )
 from .model import (
-    LEVELS,
     MAX_COMMON_DENOMINATOR,
     TREATMENTS,
     CountTable,
@@ -307,7 +307,10 @@ def parse_model(text: str) -> Model:
 
 
 class AnalysisReport(_Record):
-    """Everything one analysis produces: CHSH, marginals, tests, feasibility."""
+    """Everything one analysis produces: CHSH, marginals, tests, feasibility.
+
+    ``ms_tests`` is None or one test per marginal comparison, in their order.
+    """
 
     __slots__ = _fields = ("chsh", "marginals", "ms_tests", "feasibility")
 
@@ -319,6 +322,8 @@ class AnalysisReport(_Record):
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "ms_tests", ms_tests)
         object.__setattr__(self, "feasibility", feasibility)
+        if ms_tests is not None and tuple(r.comparison for r in ms_tests) != marginals.comparisons:
+            raise InvalidValue("ms_tests must hold one test per marginal comparison, in their order")
 
 
 def analyze(
@@ -360,14 +365,6 @@ def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
     }
 
 
-def _comparison_from_dict(d: Mapping[str, Any]) -> MarginalComparison:
-    comp = MarginalComparison(d["fixed_level"], Fraction(d["p_under_first"]), Fraction(d["p_under_second"]))
-    if d["response"] != comp.response:
-        found, level = echo(d["response"]), comp.fixed_level
-        raise ParseError(f"malformed report: response {found} at {level}, where the level fixes {comp.response!r}")
-    return comp
-
-
 def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict[str, Any]:
     if isinstance(cert, FacetViolation):
         return {
@@ -376,14 +373,6 @@ def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict
             "value": str(cert.value),
         }
     return {"kind": "marginal", **_comparison_to_dict(cert)}
-
-
-def _certificate_from_dict(d: Mapping[str, Any]):
-    if d["kind"] == "chsh_facet":
-        return FacetViolation(
-            pattern=SignPattern.from_string(d["pattern"]), value=Fraction(d["value"])
-        )
-    return _comparison_from_dict(d)
 
 
 def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
@@ -456,56 +445,49 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
 
 
 def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
-    """Rebuild a report from its machine rendering (lossless round-trip).
+    """Rebuild a report from its machine rendering, accepting exactly the documents the program writes.
 
-    A document missing a part, or with a part of the wrong type or value, is a
-    one-line ``ParseError``; a value that a record rejects keeps its own error.
+    Only the report's inputs are read: the four expectations, the tolerance,
+    each comparison's level and two marginals, each test's sample sizes and
+    significance level, and the witness, whose push-forward must give the same
+    expectations and marginals. The records derive the rest, and
+    ``fine_violations`` the feasibility part. The document is accepted only if
+    the rebuilt report renders back to it as JSON; otherwise a ``ParseError``
+    names the first top-level key that differs. A document missing a part, or
+    with a part of the wrong type or value, is a one-line ``ParseError``; a
+    value that a record rejects keeps its own error.
     """
     try:
         if doc.get("format") != REPORT_FORMAT:
             raise ParseError(f"unsupported report format {echo(doc.get('format'))}")
-        raw_chsh, raw_ms, raw_feas = doc["chsh"], doc["marginal_selectivity"], doc["feasibility"]
-        chsh = ChshReport(
-            expectations={Treatment.from_key(k): Fraction(v) for k, v in raw_chsh["expectations"].items()},
-            sums={SignPattern.from_string(k): Fraction(v) for k, v in raw_chsh["sums"].items()},
-            gamma=Fraction(raw_chsh["gamma"]),
-            argmax_patterns=frozenset(SignPattern.from_string(s) for s in raw_chsh["argmax_patterns"]),
-            classification=BoundClassification(raw_chsh["classification"]),
-        )
-        comparisons = tuple(_comparison_from_dict(c) for c in raw_ms["comparisons"])
-        if tuple(c.fixed_level for c in comparisons) != LEVELS:
-            levels = echo([c.fixed_level for c in comparisons])
-            raise ParseError(f"malformed report: comparisons must be at a, a', b, b' in that order, got {levels}")
-        marginals = MarginalReport(comparisons=comparisons, tolerance=Fraction(raw_ms["tolerance"]))
-        ms_tests = None
-        if doc.get("statistical_tests") is not None:
-            ms_tests = tuple(
-                MsTestResult(
-                    comparison=_comparison_from_dict(r["comparison"]), n_first=r["n_first"], n_second=r["n_second"],
-                    z_statistic=r["z"], p_value=r["p_value"], reject=r["reject"], alpha_sig=r["alpha_sig"],
-                    degenerate=r["degenerate"],
-                )
-                for r in doc["statistical_tests"]
-            )
-            if tuple(r.comparison for r in ms_tests) != comparisons:
-                raise ParseError("malformed report: statistical_tests must test the four comparisons, in their order")
+        raw_ms, raw_tests, raw_feas = doc["marginal_selectivity"], doc["statistical_tests"], doc["feasibility"]
+        chsh = ChshReport({Treatment.from_key(k): Fraction(v) for k, v in doc["chsh"]["expectations"].items()})
+        comparisons = [
+            MarginalComparison(c["fixed_level"], Fraction(c["p_under_first"]), Fraction(c["p_under_second"]))
+            for c in raw_ms["comparisons"]
+        ]
+        marginals = MarginalReport(comparisons, Fraction(raw_ms["tolerance"]))
         witness = None
-        if raw_feas.get("witness") is not None:
+        if raw_feas["witness"] is not None:
             witness = HiddenStateDistribution.from_mapping(raw_feas["witness"])
-        certificate = None
-        if raw_feas.get("certificate") is not None:
-            certificate = _certificate_from_dict(raw_feas["certificate"])
-        feasibility = FeasibilityResult(
-            verdict=Verdict(raw_feas["verdict"]),
-            witness=witness,
-            certificate=certificate,
-            all_violations=tuple(_certificate_from_dict(c) for c in raw_feas["all_violations"]),
-        )
+            data = predicted_tables(witness)
+            chsh, marginals = compute_gamma(data), check_marginal_selectivity(data, marginals.tolerance)
+        ms_tests = None
+        if raw_tests is not None:
+            tests = zip(marginals.comparisons, raw_tests)
+            ms_tests = tuple(MsTestResult(c, r["n_first"], r["n_second"], r["alpha_sig"]) for c, r in tests)
+        feasibility = FeasibilityResult(witness, tuple(fine_violations(chsh, marginals)))
+        report = AnalysisReport(chsh, marginals, ms_tests, feasibility)
+        rendered = report_to_json_dict(report, include_witness=witness is not None)
+        _reject_unknown(doc, rendered.keys(), "malformed report: unknown keys")
+        for key, part in rendered.items():  # as JSON text, so 1 is not true and 0 is not 0.0
+            if json.dumps(doc[key], sort_keys=True) != json.dumps(part, sort_keys=True):
+                raise ParseError(f"malformed report: {key} disagrees with the report's own inputs")
     except SelinfError:
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed report: {echo(exc)}") from exc
-    return AnalysisReport(chsh=chsh, marginals=marginals, ms_tests=ms_tests, feasibility=feasibility)
+    return report
 
 
 def _fmt(x: Fraction) -> str:

@@ -71,16 +71,20 @@ _COMPARISON_SLOTS = {
 
 
 class MarginalReport(_Record):
-    """All four marginal comparisons plus the satisfied/violated verdict; ``max_delta`` is set once."""
+    """The four marginal comparisons, at a, a', b and b' in that order, plus the
+    satisfied/violated verdict; ``max_delta`` is set once."""
 
     __slots__ = ("comparisons", "tolerance", "max_delta")
     _fields = ("comparisons", "tolerance")
     max_delta: Fraction
 
     def __init__(self, comparisons: tuple[MarginalComparison, ...], tolerance: Fraction) -> None:
-        object.__setattr__(self, "comparisons", comparisons)
+        object.__setattr__(self, "comparisons", tuple(comparisons))
         object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "max_delta", max(c.delta for c in comparisons))
+        if tuple(c.fixed_level for c in self.comparisons) != LEVELS:
+            levels = echo([c.fixed_level for c in self.comparisons])
+            raise InvalidValue(f"comparisons must be at a, a', b, b' in that order, got {levels}")
+        object.__setattr__(self, "max_delta", max(c.delta for c in self.comparisons))
 
     @property
     def satisfied(self) -> bool:
@@ -121,23 +125,43 @@ def significance_level(alpha_sig: float) -> None:
 
 
 class MsTestResult(_Record):
-    """Two-sample pooled z-test of one marginal comparison."""
+    """Two-sample pooled z-test of one marginal comparison, at significance level ``alpha_sig``.
 
-    __slots__ = _fields = (
-        "comparison", "n_first", "n_second", "z_statistic", "p_value", "reject", "alpha_sig", "degenerate"
-    )
+    ``z_statistic``, its two-sided ``p_value`` from the standard normal,
+    ``reject`` (p below ``alpha_sig``) and ``degenerate`` are derived once from
+    the comparison's two proportions and sample sizes. A pooled proportion of
+    exactly 0 or 1 is degenerate, with z = 0: both proportions are then 0, or
+    both 1.
+    """
 
-    def __init__(
-        self, comparison: MarginalComparison, n_first: int, n_second: int, z_statistic: float, p_value: float,
-        reject: bool, alpha_sig: float, degenerate: bool = False,
-    ) -> None:
+    __slots__ = ("comparison", "n_first", "n_second", "alpha_sig", "z_statistic", "p_value", "reject", "degenerate")
+    _fields = ("comparison", "n_first", "n_second", "alpha_sig")
+    z_statistic: float
+    p_value: float
+    reject: bool
+    degenerate: bool
+
+    def __init__(self, comparison: MarginalComparison, n_first: int, n_second: int, alpha_sig: float) -> None:
         object.__setattr__(self, "comparison", comparison)
         object.__setattr__(self, "n_first", n_first)
         object.__setattr__(self, "n_second", n_second)
-        object.__setattr__(self, "z_statistic", z_statistic)
-        object.__setattr__(self, "p_value", p_value)
-        object.__setattr__(self, "reject", reject)
         object.__setattr__(self, "alpha_sig", alpha_sig)
+        significance_level(alpha_sig)
+        if not all(type(n) is int and n > 0 for n in (n_first, n_second)):  # so not bool
+            raise InvalidValue(f"sample sizes must be positive integers, got {echo(n_first)} and {echo(n_second)}")
+        (a1, b1), (a2, b2) = comparison.p_under_first.as_integer_ratio(), comparison.p_under_second.as_integer_ratio()
+        # p1 - p2 = diff / (b1 b2) and (p1 n1 + p2 n2) / (n1 + n2) = pooled / total; int / int rounds as float() does
+        diff = a1 * b2 - a2 * b1
+        pooled = a1 * b2 * n_first + a2 * b1 * n_second
+        total = b1 * b2 * (n_first + n_second)
+        degenerate = pooled == 0 or pooled == total
+        z = 0.0
+        if not degenerate:
+            se = math.sqrt(pooled * (total - pooled) / (total * total) * (1 / n_first + 1 / n_second))
+            z = diff / (b1 * b2) / se
+        object.__setattr__(self, "z_statistic", z)
+        object.__setattr__(self, "p_value", math.erfc(abs(z) / math.sqrt(2)))
+        object.__setattr__(self, "reject", self.p_value < alpha_sig)
         object.__setattr__(self, "degenerate", degenerate)
 
 
@@ -151,40 +175,11 @@ def test_marginal_selectivity(
 
     Proportions come from ``marginals``, the report
     ``check_marginal_selectivity(data)`` gives; sample sizes from the
-    attached counts (all four treatments must carry counts). Two-sided
-    p-values from the standard normal. A pooled proportion of exactly 0 or 1
-    is flagged degenerate, with z = 0: both proportions are then 0, or both
-    1. ``bonferroni`` divides the significance level by the four comparisons
-    made.
+    attached counts (all four treatments must carry counts). ``bonferroni``
+    divides the significance level by the four comparisons made.
     """
     significance_level(alpha_sig)
     if not data.has_full_counts():
         raise MissingCounts("statistical test needs counts for all four treatments")
     alpha_eff = alpha_sig / 4 if bonferroni else alpha_sig
-    results = []
-    for comp in marginals.comparisons:
-        n1, n2 = (data.count(t).n for t in comp.treatments)
-        (a1, b1), (a2, b2) = comp.p_under_first.as_integer_ratio(), comp.p_under_second.as_integer_ratio()
-        # p1 - p2 = diff / (b1 b2) and (p1 n1 + p2 n2) / (n1 + n2) = pooled / total; int / int rounds as float() does
-        diff = a1 * b2 - a2 * b1
-        pooled = a1 * b2 * n1 + a2 * b1 * n2
-        total = b1 * b2 * (n1 + n2)
-        degenerate = pooled == 0 or pooled == total
-        z = 0.0
-        if not degenerate:
-            se = math.sqrt(pooled * (total - pooled) / (total * total) * (1 / n1 + 1 / n2))
-            z = diff / (b1 * b2) / se
-        p_value = math.erfc(abs(z) / math.sqrt(2))
-        results.append(
-            MsTestResult(
-                comparison=comp,
-                n_first=n1,
-                n_second=n2,
-                z_statistic=z,
-                p_value=p_value,
-                reject=p_value < alpha_eff,
-                alpha_sig=alpha_eff,
-                degenerate=degenerate,
-            )
-        )
-    return results
+    return [MsTestResult(c, *(data.count(t).n for t in c.treatments), alpha_eff) for c in marginals.comparisons]

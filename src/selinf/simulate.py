@@ -200,9 +200,9 @@ class SampleSpec(_Record):
     def __init__(self, n_per_treatment: int, seed: int) -> None:
         object.__setattr__(self, "n_per_treatment", n_per_treatment)
         object.__setattr__(self, "seed", seed)
-        if not isinstance(n_per_treatment, int) or not 1 <= n_per_treatment <= MAX_COUNT_TOTAL:
+        if type(n_per_treatment) is not int or not 1 <= n_per_treatment <= MAX_COUNT_TOTAL:  # so not bool
             raise InvalidValue(f"n_per_treatment must be an integer from 1 to 2**53, got {echo(n_per_treatment)}")
-        if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+        if type(seed) is not int or not 0 <= seed < (1 << 64):
             raise InvalidValue(f"seed must be a 64-bit unsigned integer, got {echo(seed)}")
 
 

@@ -164,8 +164,9 @@ def test_gamma_marginals_and_solver_read_the_stored_vector(lcd_calls):
         chsh, marginals = compute_gamma(data), check_marginal_selectivity(data)
         result = solve_feasibility(data, chsh, marginals)
         verdicts.add(result.feasible)
-        # the only sum left is the witness's own check of its 16 weights
-        assert lcd_calls == ([list(result.witness.weights)] if result.feasible else [])
+        # the sums left are the CHSH report's, over its four expectations, and the witness's own check of its 16 weights
+        expected = [[chsh.expectations[t] for t in TREATMENTS]] + ([list(result.witness.weights)] if result.feasible else [])
+        assert lcd_calls == expected
     assert verdicts == {True, False}
 
 

@@ -16,7 +16,9 @@ from selinf.feasibility import (
     _CONSTRAINTS,
     HIDDEN_STATES,
     FacetViolation,
+    FeasibilityResult,
     HiddenStateDistribution,
+    Verdict,
     construct_general_representation,
     fine_criterion,
     fine_violations,
@@ -228,6 +230,16 @@ class TestSolveFeasibility:
         data = predicted_tables(uniform_distribution())
         with pytest.raises(SelinfError, match="no marginal or facet condition"):
             solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data))
+
+    def test_a_result_derives_its_verdict_and_certificate(self, table1):
+        violations = analyze(table1).feasibility.all_violations
+        infeasible = FeasibilityResult(all_violations=violations)
+        assert (infeasible.verdict, infeasible.certificate) == (Verdict.INFEASIBLE, violations[0])
+        witness = uniform_distribution()
+        for feasible in (FeasibilityResult(), FeasibilityResult(witness)):
+            assert (feasible.verdict, feasible.certificate, feasible.feasible) == (Verdict.FEASIBLE, None, True)
+        with pytest.raises(InvalidValue, match="^a result with violated conditions has no witness$"):
+            FeasibilityResult(witness, violations)
 
     def test_certificate_search_order_marginals_first(self, table1):
         result = analyze(table1).feasibility

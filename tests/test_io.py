@@ -1,9 +1,11 @@
 """File parsing/serialization, report assembly, JSON round-trips, schema."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import random
-import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +17,7 @@ import selinf.feasibility
 import selinf.io
 import selinf.model
 import selinf.selectivity
+from selinf.chsh import SIGN_PATTERNS, BoundClassification
 from selinf.errors import (
     BadCell,
     ConflictingData,
@@ -22,11 +25,13 @@ from selinf.errors import (
     InvalidValue,
     MissingTreatment,
     ParseError,
+    SelinfError,
     SumNotOne,
 )
-from selinf.feasibility import predicted_tables, verify_witness
+from selinf.feasibility import FeasibilityResult, predicted_tables, verify_witness
 from selinf.io import (
     PROB_KEYS,
+    AnalysisReport,
     analyze,
     parse_experiment,
     parse_model,
@@ -36,7 +41,7 @@ from selinf.io import (
     serialize_experiment,
 )
 from selinf.cli import EXIT_INFEASIBLE, run_cli
-from selinf.model import TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.model import LEVELS, TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
@@ -47,6 +52,8 @@ from conftest import (
     random_hidden_distribution,
 )
 from relabel import uniform_distribution, uniform_table
+from test_corpus_digest import corpus
+from test_feasibility import selective_batch_cases
 
 UNIFORM_BLOCK = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
 
@@ -700,6 +707,28 @@ class TestAnalyzeAssembly:
             analyze(data)
             assert calls == {"compute_gamma": 1, "check_marginal_selectivity": 1}
 
+    @pytest.mark.parametrize(
+        "edit", [lambda tests: (), lambda tests: tests[:3], lambda tests: tests[::-1], lambda tests: tests + tests[:1]],
+        ids=["none", "three", "reversed", "five"],
+    )
+    def test_tests_are_absent_or_one_per_comparison_in_order(self, table3, edit):
+        r = analyze(table3)
+        with pytest.raises(InvalidValue, match="^ms_tests must hold one test per marginal comparison, in their order$"):
+            AnalysisReport(r.chsh, r.marginals, edit(r.ms_tests), r.feasibility)
+        assert AnalysisReport(r.chsh, r.marginals, None, r.feasibility).ms_tests is None
+
+
+def certificate_contradicted(doc):
+    """A marginal certificate its own comparisons contradict, with no violation listed."""
+    doc["feasibility"]["certificate"].update(p_under_first="1/7", delta="0")
+    doc["feasibility"]["all_violations"] = []
+
+
+def gamma_zero_and_feasible(doc):
+    """Gamma 0, classical and feasible with no certificate, next to violated marginals."""
+    doc["chsh"].update(gamma="0", classification="classical-bound-satisfied")
+    doc["feasibility"].update(verdict="feasible", certificate=None, all_violations=[])
+
 
 class TestReportJson:
     def feasible_report(self):
@@ -746,11 +775,13 @@ class TestReportJson:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("marginal_selectivity", "comparisons", [], "comparisons must be at a, a', b, b' in that order, got []"),
-            ("chsh", "gamma", None, "KeyError('gamma')"),
-            ("chsh", "gamma", "abc", 'ValueError("Invalid literal for Fraction: \'abc\'")'),
-            ("chsh", "sums", ["1/2"], "AttributeError(\"'list' object has no attribute 'items'\")"),
+            ("marginal_selectivity", "tolerance", None, "KeyError('tolerance')"),
+            ("chsh", "gamma", None, "chsh disagrees with the report's own inputs"),
+            ("chsh", "gamma", "abc", "chsh disagrees with the report's own inputs"),
+            ("chsh", "sums", ["1/2"], "chsh disagrees with the report's own inputs"),
+            ("chsh", "expectations", ["1/2"], "AttributeError(\"'list' object has no attribute 'items'\")"),
         ],
+        ids=["marginal_selectivity-tolerance-missing", "chsh-gamma-missing", "chsh-gamma-abc", "chsh-sums-list", "chsh-expectations-list"],
     )
     def test_malformed_reports_are_one_line_parse_errors(self, table1, section, key, value, message):
         doc = json.loads(json.dumps(report_to_json_dict(analyze(table1))))
@@ -767,24 +798,22 @@ class TestReportJson:
         return json.loads(json.dumps(report_to_json_dict(analyze(table3))))
 
     @pytest.mark.parametrize(
-        "where",
+        "where, section",
         [
-            lambda doc: doc["marginal_selectivity"]["comparisons"][2],
-            lambda doc: doc["statistical_tests"][1]["comparison"],
-            lambda doc: doc["feasibility"]["certificate"],
-            lambda doc: doc["feasibility"]["all_violations"][3],
+            (lambda doc: doc["marginal_selectivity"]["comparisons"][2], "marginal_selectivity"),
+            (lambda doc: doc["statistical_tests"][1]["comparison"], "statistical_tests"),
+            (lambda doc: doc["feasibility"]["certificate"], "feasibility"),
+            (lambda doc: doc["feasibility"]["all_violations"][3], "feasibility"),
         ],
         ids=["comparisons", "statistical_tests", "certificate", "all_violations"],
     )
-    def test_a_response_its_level_does_not_fix_is_rejected(self, table3, where):
+    def test_a_response_its_level_does_not_fix_is_rejected(self, table3, where, section):
         doc = self.sampled_doc(table3)
         comp = where(doc)
-        fixed = comp["response"]
-        comp["response"] = "B" if fixed == "A" else "A"
-        level = re.escape(comp["fixed_level"])
-        message = rf"^malformed report: response '{comp['response']}' at {level}, where the level fixes '{fixed}'$"
-        with pytest.raises(ParseError, match=message):
+        comp["response"] = "B" if comp["response"] == "A" else "A"
+        with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
+        assert str(caught.value) == f"malformed report: {section} disagrees with the report's own inputs"
 
     @pytest.mark.parametrize("level", ["c", "A", None, ["a"], "b" * 10**5], ids=["c", "A", "None", "list", "long"])
     def test_an_unknown_level_is_rejected_by_the_comparison(self, table3, level):
@@ -795,27 +824,157 @@ class TestReportJson:
         assert len(str(caught.value).encode()) < 200
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, error, message",
         [
-            (lambda ms, tests: ms.pop(), """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b']"""),
-            (lambda ms, tests: ms.__setitem__(slice(None), [ms[0]] * 4), "comparisons must be at a, a', b, b' in that order, got ['a', 'a', 'a', 'a']"),
-            (lambda ms, tests: ms.reverse(), """comparisons must be at a, a', b, b' in that order, got ["b'", 'b', "a'", 'a']"""),
-            (lambda ms, tests: ms.append(ms[0]), """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b', "b'", 'a']"""),
-            (lambda ms, tests: tests.__delitem__(slice(1, None)), "statistical_tests must test the four comparisons, in their order"),
-            (lambda ms, tests: tests.clear(), "statistical_tests must test the four comparisons, in their order"),
-            (lambda ms, tests: tests.reverse(), "statistical_tests must test the four comparisons, in their order"),
-            (lambda ms, tests: tests[0].__setitem__("comparison", tests[1]["comparison"]), "statistical_tests must test the four comparisons, in their order"),
-            (lambda ms, tests: tests[2]["comparison"].__setitem__("p_under_first", "0"), "statistical_tests must test the four comparisons, in their order"),
+            (lambda ms, tests: ms.pop(), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b']"""),
+            (lambda ms, tests: ms.__setitem__(slice(None), [ms[0]] * 4), InvalidValue, "comparisons must be at a, a', b, b' in that order, got ['a', 'a', 'a', 'a']"),
+            (lambda ms, tests: ms.reverse(), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ["b'", 'b', "a'", 'a']"""),
+            (lambda ms, tests: ms.append(ms[0]), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b', "b'", 'a']"""),
+            (lambda ms, tests: ms.clear(), InvalidValue, "comparisons must be at a, a', b, b' in that order, got []"),
+            (lambda ms, tests: tests.__delitem__(slice(1, None)), InvalidValue, "ms_tests must hold one test per marginal comparison, in their order"),
+            (lambda ms, tests: tests.clear(), InvalidValue, "ms_tests must hold one test per marginal comparison, in their order"),
+            (lambda ms, tests: tests.append(tests[0]), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            (lambda ms, tests: tests.reverse(), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            (lambda ms, tests: tests[0].__setitem__("comparison", tests[1]["comparison"]), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            (lambda ms, tests: tests[2]["comparison"].__setitem__("p_under_first", "0"), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
         ],
-        ids=["three", "four-copies", "reversed", "five", "one-test", "no-tests", "tests-reversed", "test-swapped", "test-changed"],
+        ids=["three", "four-copies", "reversed", "five", "none", "one-test", "no-tests", "five-tests", "tests-reversed", "test-swapped", "test-changed"],
     )
-    def test_comparison_and_test_lists_the_program_never_writes_are_rejected(self, table3, edit, message):
+    def test_comparison_and_test_lists_the_program_never_writes_are_rejected(self, table3, edit, error, message):
         doc = self.sampled_doc(table3)
         assert report_from_json_dict(doc) == analyze(table3)
         edit(doc["marginal_selectivity"]["comparisons"], doc["statistical_tests"])
+        with pytest.raises(error) as caught:
+            report_from_json_dict(doc)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, section", [(certificate_contradicted, "feasibility"), (gamma_zero_and_feasible, "chsh")],
+        ids=["certificate-contradicted", "gamma-zero-and-feasible"],
+    )
+    def test_parts_that_contradict_the_inputs_are_rejected(self, table3, edit, section):
+        doc = self.sampled_doc(table3)
+        edit(doc)
         with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
-        assert str(caught.value) == f"malformed report: {message}"
+        assert str(caught.value) == f"malformed report: {section} disagrees with the report's own inputs"
+
+    def test_every_derived_leaf_is_checked(self, schema, table1, table2, table3):
+        import jsonschema
+
+        validator = jsonschema.Draft7Validator(schema)
+        feasible, _ = self.feasible_report()
+        docs = [report_to_json_dict(analyze(data)) for data in (table1, table2, table3)]
+        docs.append(report_to_json_dict(feasible, include_witness=True))
+        edits = 0
+        for doc in (json.loads(json.dumps(doc)) for doc in docs):
+            for path, value in derived_leaf_edits(doc):
+                edited = copy.deepcopy(doc)
+                *parents, leaf = path
+                target = functools.reduce(operator.getitem, parents, edited)
+                assert target[leaf] != value, path
+                target[leaf] = value
+                validator.validate(edited)
+                with pytest.raises(SelinfError):
+                    report_from_json_dict(edited)
+                edits += 1
+        assert edits == 195
+
+    def test_every_corpus_report_round_trips_with_and_without_its_witness(self):
+        for data in [*corpus(), *selective_batch_cases()]:
+            report = analyze(data)
+            feasibility = FeasibilityResult(all_violations=report.feasibility.all_violations)
+            bare = AnalysisReport(report.chsh, report.marginals, report.ms_tests, feasibility)
+            for include_witness, expected in ((True, report), (False, bare)):
+                doc = json.loads(json.dumps(report_to_json_dict(report, include_witness=include_witness)))
+                rebuilt = report_from_json_dict(doc)
+                assert rebuilt == expected and report_to_json_dict(rebuilt, include_witness=include_witness) == doc
+
+    def test_a_witness_must_give_the_reported_expectations_and_marginals(self, table3):
+        report, _ = self.feasible_report()
+        doc = json.loads(json.dumps(report_to_json_dict(report, include_witness=True)))
+        doc["feasibility"]["witness"] = {"++++": "1"}  # a distribution, of other tables
+        with pytest.raises(ParseError, match="^malformed report: chsh disagrees with the report's own inputs$"):
+            report_from_json_dict(doc)
+        doc = self.sampled_doc(table3)
+        doc["feasibility"]["witness"] = {"++++": "1"}
+        with pytest.raises(ParseError, match="^malformed report: chsh disagrees with the report's own inputs$"):
+            report_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda doc: doc["statistical_tests"][0].update(reject=0), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            (lambda doc: doc["marginal_selectivity"].update(satisfied=0), ParseError, "malformed report: marginal_selectivity disagrees with the report's own inputs"),
+            (lambda doc: doc["statistical_tests"][0].update(n_first=81.0), InvalidValue, "sample sizes must be positive integers, got 81.0 and 81"),
+            (lambda doc: doc["statistical_tests"][0].update(n_first=0), InvalidValue, "sample sizes must be positive integers, got 0 and 81"),
+            (lambda doc: doc["statistical_tests"][0].update(alpha_sig=True), InvalidValue, "alpha_sig must be in (0, 1), got True"),
+            (lambda doc: doc.update(note="x"), ParseError, "malformed report: unknown keys ['note']"),
+            (lambda doc: doc.pop("statistical_tests"), ParseError, "malformed report: KeyError('statistical_tests')"),
+        ],
+        ids=["reject-as-0", "satisfied-as-0", "float-size", "zero-size", "alpha-true", "extra-key", "no-tests-key"],
+    )
+    def test_values_are_read_and_compared_as_json(self, table3, edit, error, message):
+        doc = self.sampled_doc(table3)
+        edit(doc)
+        with pytest.raises(error) as caught:
+            report_from_json_dict(doc)
+        assert type(caught.value) is error and str(caught.value) == message
+
+
+PATTERN_KEYS = [p.key for p in SIGN_PATTERNS]
+FACET = {"kind": "chsh_facet", "pattern": "+++-", "value": "3"}
+
+
+def other_fraction(text):
+    return str(Fraction(text) + 1)
+
+
+def comparison_edits(path, comp):
+    yield (*path, "response"), "B" if comp["response"] == "A" else "A"
+    yield (*path, "delta"), other_fraction(comp["delta"])
+    yield (*path, "fixed_level"), next(level for level in LEVELS if level != comp["fixed_level"])
+
+
+def certificate_edits(path, cert):
+    if cert["kind"] == "marginal":
+        yield from comparison_edits(path, cert)
+        yield (*path, "p_under_first"), other_fraction(cert["p_under_first"])
+    else:
+        yield (*path, "pattern"), next(p for p in PATTERN_KEYS if p != cert["pattern"])
+        yield (*path, "value"), other_fraction(cert["value"])
+
+
+def derived_leaf_edits(doc):
+    """(path, value): each part of a rendered report that its inputs fix, given another schema-valid value."""
+    chsh, ms, tests, feas = doc["chsh"], doc["marginal_selectivity"], doc["statistical_tests"] or [], doc["feasibility"]
+    for key, value in chsh["sums"].items():
+        yield ("chsh", "sums", key), other_fraction(value)
+    yield ("chsh", "gamma"), other_fraction(chsh["gamma"])
+    yield ("chsh", "gamma_decimal"), "9.999"
+    yield ("chsh", "argmax_patterns"), [p for p in PATTERN_KEYS if p not in chsh["argmax_patterns"]][:1] or PATTERN_KEYS[:1]
+    if len(chsh["argmax_patterns"]) > 1:
+        yield ("chsh", "argmax_patterns"), chsh["argmax_patterns"][::-1]
+    yield ("chsh", "classification"), next(c.value for c in BoundClassification if c.value != chsh["classification"])
+    yield ("marginal_selectivity", "satisfied"), not ms["satisfied"]
+    yield ("marginal_selectivity", "max_delta"), other_fraction(ms["max_delta"])
+    for i, comp in enumerate(ms["comparisons"]):
+        yield from comparison_edits(("marginal_selectivity", "comparisons", i), comp)
+    for i, test in enumerate(tests):
+        path = ("statistical_tests", i)
+        yield (*path, "z"), test["z"] + 1
+        yield (*path, "p_value"), 0.25 if test["p_value"] == 0.5 else 0.5
+        yield (*path, "reject"), not test["reject"]
+        yield (*path, "degenerate"), not test["degenerate"]
+        yield (*path, "comparison"), tests[(i + 1) % len(tests)]["comparison"]
+        yield from comparison_edits((*path, "comparison"), test["comparison"])
+    yield ("feasibility", "verdict"), "infeasible" if feas["verdict"] == "feasible" else "feasible"
+    yield ("feasibility", "certificate"), None if feas["certificate"] else FACET
+    if feas["certificate"]:
+        yield from certificate_edits(("feasibility", "certificate"), feas["certificate"])
+    for i, cert in enumerate(feas["all_violations"]):
+        yield from certificate_edits(("feasibility", "all_violations", i), cert)
+    yield ("feasibility", "all_violations"), feas["all_violations"][1:] if feas["all_violations"] else [FACET]
 
 
 @pytest.fixture(scope="module")

@@ -144,14 +144,14 @@ def test_attribute_uses_bind_to_the_receiver_class(tmp_path):
         '"""JointTable.uniform() in prose."""\n'
         "def mix(table):\n"
         "    return table.mix(table)\n"
-        "SignPattern.from_string('+---').key\n"
+        "Treatment.from_key('a,b').key\n"
         "HiddenStateDistribution.from_mapping({}).items()\n"
         "data.table(t)\n"
         "result.comparison\n"
     )
     assert attribute_uses(path) == {
-        ("SignPattern", "from_string", True),
-        ("SignPattern", "key", False),
+        ("Treatment", "from_key", True),
+        ("Treatment", "key", False),
         ("HiddenStateDistribution", "from_mapping", True),
         ("HiddenStateDistribution", "items", True),
         (None, "table", True),

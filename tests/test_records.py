@@ -4,7 +4,10 @@ Each record has a hand-written ``__init__``; the shared base gives the frozen
 ``__setattr__``/``__delattr__`` and an ``__eq__``, ``__hash__`` and
 ``__repr__`` over the fields that ``__init__`` takes, in order. Attributes
 derived once (``key``, ``index``, ``scaled_cells``, ``response``, ``delta``,
-``max_delta``) stay out of all three.
+``max_delta``, a CHSH report's ``sums``, ``gamma``, ``argmax_patterns`` and
+``classification``, a z-test's ``z_statistic``, ``p_value``, ``reject`` and
+``degenerate``, and a feasibility result's ``verdict`` and ``certificate``)
+stay out of all three.
 """
 
 import copy
@@ -18,12 +21,13 @@ import pytest
 
 import selinf
 
-from selinf.chsh import SIGN_PATTERNS, ChshReport, SignPattern, compute_gamma
+from selinf.chsh import SIGN_PATTERNS, BoundClassification, ChshReport, SignPattern, compute_gamma
 from selinf.feasibility import (
     FacetViolation,
     FeasibilityResult,
     GeneralRepresentation,
     HiddenStateDistribution,
+    Verdict,
     construct_general_representation,
     predicted_tables,
 )
@@ -94,17 +98,12 @@ REPRS = {
         f"ExperimentData(tables={r.tables!r}, counts={r.counts!r}, labels=None, independent_counts=False)"
     ),
     SignPattern: "SignPattern(signs=(1, 1, 1, -1))",
-    ChshReport: lambda r: (
-        f"ChshReport(expectations={r.expectations!r}, sums={r.sums!r}, gamma=Fraction(3, 1),"
-        " argmax_patterns=frozenset({SignPattern(signs=(1, -1, 1, 1))}),"
-        " classification=<BoundClassification.SUPRA_QUANTUM: 'supra-quantum'>)"
-    ),
+    ChshReport: "ChshReport(expectations={Treatment(alpha='a', beta='b'): Fraction(1, 1),"
+    """ Treatment(alpha='a', beta="b'"): Fraction(-1, 1), Treatment(alpha="a'", beta='b'): Fraction(0, 1),"""
+    """ Treatment(alpha="a'", beta="b'"): Fraction(1, 1)})""",
     MarginalComparison: "MarginalComparison(fixed_level='a', p_under_first=Fraction(1, 2), p_under_second=Fraction(1, 3))",
     MarginalReport: lambda r: f"MarginalReport(comparisons={r.comparisons!r}, tolerance=Fraction(0, 1))",
-    MsTestResult: lambda r: (
-        f"MsTestResult(comparison={r.comparison!r}, n_first=4, n_second=4, z_statistic=-1.6329931618554523,"
-        " p_value=0.10247043485974938, reject=False, alpha_sig=0.05, degenerate=False)"
-    ),
+    MsTestResult: lambda r: f"MsTestResult(comparison={r.comparison!r}, n_first=4, n_second=4, alpha_sig=0.05)",
     HiddenStateDistribution: "HiddenStateDistribution(weights=(Fraction(1, 2), "
     + "Fraction(0, 1), " * 9
     + "Fraction(1, 2), "
@@ -112,10 +111,7 @@ REPRS = {
     + "))",
     GeneralRepresentation: "GeneralRepresentation(weights={((1, 1), (1, -1), (-1, 1), (-1, -1)): Fraction(1, 1)})",
     FacetViolation: "FacetViolation(pattern=SignPattern(signs=(1, 1, 1, -1)), value=Fraction(5, 2))",
-    FeasibilityResult: lambda r: (
-        f"FeasibilityResult(verdict=<Verdict.INFEASIBLE: 'infeasible'>, witness=None,"
-        f" certificate={r.certificate!r}, all_violations={r.all_violations!r})"
-    ),
+    FeasibilityResult: lambda r: f"FeasibilityResult(witness=None, all_violations={r.all_violations!r})",
     ReducedSystem: "ReducedSystem(rows=((1, 0, -1),), pivots=(0,), transform=(((0, 1), (2, -1)),))",
     Model: lambda r: f"Model(hidden={r.hidden!r}, eta=Fraction(1, 10), cross_map={r.cross_map!r})",
     SampleSpec: "SampleSpec(n_per_treatment=4, seed=7)",
@@ -191,6 +187,16 @@ def test_repr_is_the_dataclass_repr(cls):
     assert repr(record) == (expected(record) if callable(expected) else expected)
 
 
+@records
+def test_fields_are_the_init_parameters_and_other_slots_stay_out_of_repr_and_equality(cls):
+    record = SAMPLES[cls]()
+    assert cls._fields == tuple(inspect.signature(cls).parameters)
+    for name in set(cls.__dict__.get("__slots__", ())) - set(cls._fields):
+        changed = copy.copy(record)
+        object.__setattr__(changed, name, object())
+        assert changed == record and repr(changed) == repr(record)
+
+
 def test_fields_from_init_and_derived_attributes():
     # every field is an __init__ parameter, with the same name, order and default as before
     def defaults(cls):
@@ -200,10 +206,20 @@ def test_fields_from_init_and_derived_attributes():
     assert defaults(ExperimentData) == [
         ("tables", empty), ("counts", None), ("labels", None), ("independent_counts", False)
     ]
-    assert defaults(FeasibilityResult) == [
-        ("verdict", empty), ("witness", None), ("certificate", None), ("all_violations", ())
-    ]
     assert defaults(Model) == [("hidden", empty), ("eta", Fraction(0)), ("cross_map", None)]
+    # a report record takes only its inputs and derives the rest
+    assert defaults(ChshReport) == [("expectations", empty)]
+    assert defaults(MsTestResult) == [("comparison", empty), ("n_first", empty), ("n_second", empty), ("alpha_sig", empty)]
+    assert defaults(FeasibilityResult) == [("witness", None), ("all_violations", ())]
+    chsh = compute_gamma(sampled())
+    assert chsh.gamma == 3 and chsh.argmax_patterns == frozenset({SignPattern((1, -1, 1, 1))})
+    assert chsh.classification is BoundClassification.SUPRA_QUANTUM and chsh.sums[SIGN_PATTERNS[0]] == -1
+    test = SAMPLES[MsTestResult]()
+    assert (test.z_statistic, test.p_value, test.reject, test.degenerate) == (
+        -1.6329931618554523, 0.10247043485974938, False, False
+    )
+    feasibility = SAMPLES[FeasibilityResult]()
+    assert feasibility.verdict is Verdict.INFEASIBLE and feasibility.certificate == feasibility.all_violations[0]
     # max_delta is computed once, like each comparison's delta, and shown or compared by neither
     report = check_marginal_selectivity(sampled())
     assert report.max_delta == max(c.delta for c in report.comparisons) == Fraction(1, 2)

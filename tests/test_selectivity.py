@@ -8,9 +8,11 @@ import pytest
 
 from selinf.errors import InvalidValue, MissingCounts
 from selinf.feasibility import HIDDEN_STATES, HiddenStateDistribution, predicted_tables
-from selinf.model import TREATMENTS, CountTable, ExperimentData
+from selinf.model import LEVELS, TREATMENTS, CountTable, ExperimentData
 from selinf.selectivity import (
     MarginalComparison,
+    MarginalReport,
+    MsTestResult,
     check_marginal_selectivity,
     test_marginal_selectivity as run_ms_test,
 )
@@ -81,6 +83,16 @@ class TestExactCheck:
         with pytest.raises(InvalidValue, match=r"^unknown level .*, expected one of a, a', b, b'$") as caught:
             MarginalComparison(level, Fraction(1, 2), Fraction(1, 3))
         assert len(str(caught.value).encode()) < 200
+
+    @pytest.mark.parametrize(
+        "levels", [("a", "a'", "b"), ("b'", "b", "a'", "a"), ("a",) * 4, (*LEVELS, "a"), ()],
+        ids=["three", "reversed", "four-copies", "five", "none"],
+    )
+    def test_a_report_needs_the_four_comparisons_in_order(self, levels):
+        comparisons = [MarginalComparison(level, Fraction(1, 2), Fraction(1, 2)) for level in levels]
+        with pytest.raises(InvalidValue) as caught:
+            MarginalReport(comparisons, Fraction(0))
+        assert str(caught.value) == f"comparisons must be at a, a', b, b' in that order, got {list(levels)!r}"
 
     def test_tolerance_widening_is_monotone(self, table1):
         exact = check_marginal_selectivity(table1, 0)
@@ -182,6 +194,25 @@ class TestZTest:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidValue):
                 run_ms_test(data, check_marginal_selectivity(data), alpha_sig=bad)
+
+    def test_a_test_is_its_comparison_sample_sizes_and_level(self):
+        data = with_counts(TABLE3_COUNTS)
+        marginals = check_marginal_selectivity(data)
+        for r in run_ms_test(data, marginals, alpha_sig=0.01):
+            again = MsTestResult(r.comparison, r.n_first, r.n_second, 0.01)
+            assert again == r
+            assert (again.z_statistic, again.p_value, again.reject, again.degenerate) == (
+                r.z_statistic, r.p_value, r.reject, r.degenerate
+            )
+
+    @pytest.mark.parametrize(
+        "n_first, n_second, alpha_sig",
+        [(0, 81, 0.05), (81, -1, 0.05), (True, 81, 0.05), (81.0, 81, 0.05), ("81", 81, 0.05), (81, 81, 1.0), (81, 81, True)],
+    )
+    def test_a_test_rejects_sample_sizes_and_levels_no_count_table_gives(self, n_first, n_second, alpha_sig):
+        comp = MarginalComparison("a", Fraction(1, 3), Fraction(2, 3))
+        with pytest.raises(InvalidValue, match="^(sample sizes must be positive integers|alpha_sig must be in)"):
+            MsTestResult(comp, n_first, n_second, alpha_sig)
 
     def test_p_value_monotone_in_z_magnitude(self):
         data = with_counts(TABLE3_COUNTS)

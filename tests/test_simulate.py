@@ -236,6 +236,12 @@ class TestSampleSpec:
             SampleSpec(10, 1 << 64)
         SampleSpec(1, (1 << 64) - 1)
 
+    @pytest.mark.parametrize("n, seed", [(True, 0), (10, False), (True, False), (10, True)])
+    def test_bools_are_not_sizes_or_seeds(self, n, seed):
+        # as a CountTable rejects a bool count
+        with pytest.raises(InvalidValue, match="^(n_per_treatment|seed) must be"):
+            SampleSpec(n, seed)
+
     def test_sample_size_is_capped_like_count_totals(self):
         # constructing a spec draws nothing; a larger n could never form a CountTable
         assert SampleSpec(2**53, 0).n_per_treatment == 2**53
