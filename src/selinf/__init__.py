@@ -10,16 +10,13 @@ certificate of impossibility. All probability arithmetic is exact rational.
 
 from .chsh import (
     SIGN_PATTERNS,
-    BoundClassification,
     ChshReport,
-    SignPattern,
     compute_gamma,
 )
 from .errors import (
     BadCell,
     ConflictingData,
     InvalidDistribution,
-    InvalidPattern,
     InvalidTable,
     InvalidValue,
     MissingCounts,
@@ -33,10 +30,7 @@ from .feasibility import (
     HIDDEN_STATES,
     FacetViolation,
     FeasibilityResult,
-    GeneralRepresentation,
     HiddenStateDistribution,
-    Verdict,
-    construct_general_representation,
     fine_criterion,
     fine_violations,
     predicted_tables,
@@ -83,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BadCell",
-    "BoundClassification",
     "CELLS",
     "ChshReport",
     "ConflictingData",
@@ -91,11 +84,9 @@ __all__ = [
     "ExperimentData",
     "FacetViolation",
     "FeasibilityResult",
-    "GeneralRepresentation",
     "HIDDEN_STATES",
     "HiddenStateDistribution",
     "InvalidDistribution",
-    "InvalidPattern",
     "InvalidTable",
     "InvalidValue",
     "JointTable",
@@ -111,17 +102,14 @@ __all__ = [
     "SIGN_PATTERNS",
     "SampleSpec",
     "SelinfError",
-    "SignPattern",
     "SplitMix64",
     "SumNotOne",
     "TREATMENTS",
     "Treatment",
-    "Verdict",
     "ZeroTotal",
     "analyze",
     "check_marginal_selectivity",
     "compute_gamma",
-    "construct_general_representation",
     "fine_criterion",
     "fine_violations",
     "parse_experiment",

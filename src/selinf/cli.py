@@ -197,7 +197,7 @@ def _selftest_checks():
         problems = []
         if report.chsh.gamma != 4:
             problems.append(f"Gamma = {report.chsh.gamma}, expected 4")
-        if {str(p) for p in report.chsh.argmax_patterns} != {"+++-"}:
+        if report.chsh.argmax_patterns != ("+++-",):
             problems.append("argmax should be exactly +++-")
         if not report.marginals.satisfied or report.marginals.max_delta != 0:
             problems.append("marginal selectivity should hold exactly")
@@ -242,7 +242,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
         else:
             gamma = report.chsh.gamma_decimal()
             ms = "satisfied" if report.marginals.satisfied else "violated"
-            verdict = report.feasibility.verdict.value
+            verdict = "feasible" if report.feasibility.feasible else "infeasible"
             print(f"PASS {name}: Gamma = {gamma}, marginal selectivity {ms}, {verdict}")
     return EXIT_FEASIBLE if failures == 0 else EXIT_INFEASIBLE
 

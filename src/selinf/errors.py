@@ -21,10 +21,6 @@ class InvalidDistribution(InvalidValue):
     """A weight vector is not a probability distribution."""
 
 
-class InvalidPattern(InvalidValue):
-    """A CHSH sign pattern must contain an odd number of plus signs."""
-
-
 class MissingCounts(SelinfError):
     """Statistical tests need per-treatment counts that are not present."""
 

@@ -11,26 +11,21 @@ violates marginal selectivity fails it outright; the rest is decided here
 with an exact phase-1 simplex. The answer is either a witness distribution
 or a certificate (a marginal-selectivity inequality or a CHSH facet above 2,
 read from the caller's reports of the same data) that provably excludes
-every mixture. Fine's theorem guarantees the certificate family is complete
-for this design, and ``fine_criterion`` provides that closed form as an
-independent cross-check.
-
-An unrestricted representation, in which both responses may read both
-factors, always exists: ``construct_general_representation`` builds one as a
-product measure over the 256 tuples of per-treatment outcome pairs.
+every mixture. Fine's theorem guarantees that this fixed family, the four
+marginal comparisons and the eight facets, each named by its sign pattern, is
+complete for this design, and ``fine_criterion`` provides that closed form as
+an independent cross-check.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
-from .chsh import ChshReport, SignPattern, compute_gamma
+from .chsh import ChshReport, compute_gamma
 from .errors import InvalidDistribution, InvalidValue, SelinfError
 from .model import (
-    CELLS,
     TREATMENTS,
     ExperimentData,
     JointTable,
@@ -90,11 +85,6 @@ class HiddenStateDistribution(_Record):
         return ((s, w) for s, w in self.items() if w != 0)
 
 
-# One outcome pair per treatment, in canonical treatment order: 4^4 = 256 tuples.
-OutcomePair = tuple[int, int]
-OutcomeTuple = tuple[OutcomePair, OutcomePair, OutcomePair, OutcomePair]
-
-
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
     """Push the state distribution forward to one joint table per treatment.
 
@@ -111,63 +101,12 @@ def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
     )
 
 
-class GeneralRepresentation(_Record):
-    """A joint source over per-treatment outcome tuples; reproduces any tables.
-
-    Stored sparsely: tuples with zero weight are omitted.
-    """
-
-    __slots__ = _fields = ("weights",)
-
-    def __init__(self, weights: Mapping[OutcomeTuple, Rational]) -> None:
-        fixed = {}
-        for tup, w in weights.items():
-            if len(tup) != 4 or any(pair not in CELLS for pair in tup):
-                raise InvalidValue(f"bad outcome tuple {tup!r}")
-            w = rational(w)
-            if w < 0:
-                raise InvalidDistribution("weights must be nonnegative")
-            if w != 0:
-                fixed[tuple(tup)] = w
-        if sum(fixed.values()) != 1:
-            raise InvalidDistribution("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", fixed)
-
-
-def construct_general_representation(data: ExperimentData) -> GeneralRepresentation:
-    """Product measure across treatments; always exists and reconstructs exactly."""
-    weights: dict[OutcomeTuple, Fraction] = {}
-    tables = [data.table(t) for t in TREATMENTS]
-    for pair0 in CELLS:
-        w0 = tables[0].cell(*pair0)
-        if w0 == 0:
-            continue
-        for pair1 in CELLS:
-            w1 = w0 * tables[1].cell(*pair1)
-            if w1 == 0:
-                continue
-            for pair2 in CELLS:
-                w2 = w1 * tables[2].cell(*pair2)
-                if w2 == 0:
-                    continue
-                for pair3 in CELLS:
-                    w3 = w2 * tables[3].cell(*pair3)
-                    if w3 != 0:
-                        weights[(pair0, pair1, pair2, pair3)] = w3
-    return GeneralRepresentation(weights)
-
-
-class Verdict(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-
 class FacetViolation(_Record):
-    """A CHSH facet whose signed sum exceeds the classical bound 2."""
+    """A CHSH facet, named by its sign pattern such as "+++-", whose signed sum exceeds the classical bound 2."""
 
     __slots__ = _fields = ("pattern", "value")
 
-    def __init__(self, pattern: SignPattern, value: Fraction) -> None:
+    def __init__(self, pattern: str, value: Fraction) -> None:
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "value", value)
 
@@ -179,15 +118,15 @@ class FeasibilityResult(_Record):
     """Outcome of the hidden-state feasibility decision.
 
     ``all_violations`` lists every violated condition in the fixed search
-    order (marginal comparisons, then CHSH facets). The ``verdict`` is
-    infeasible exactly when it is nonempty, and the ``certificate`` is its
+    order (marginal comparisons, then CHSH facets). The result is
+    ``feasible`` exactly when it is empty, and the ``certificate`` is its
     first entry; both are derived once. A feasible result may carry a witness
     distribution whose push-forward equals the data exactly.
     """
 
-    __slots__ = ("witness", "all_violations", "verdict", "certificate")
+    __slots__ = ("witness", "all_violations", "feasible", "certificate")
     _fields = ("witness", "all_violations")
-    verdict: Verdict
+    feasible: bool
     certificate: Optional[Certificate]
 
     def __init__(
@@ -197,12 +136,8 @@ class FeasibilityResult(_Record):
         object.__setattr__(self, "all_violations", all_violations)
         if witness is not None and all_violations:
             raise InvalidValue("a result with violated conditions has no witness")
-        object.__setattr__(self, "verdict", Verdict.INFEASIBLE if all_violations else Verdict.FEASIBLE)
+        object.__setattr__(self, "feasible", not all_violations)
         object.__setattr__(self, "certificate", all_violations[0] if all_violations else None)
-
-    @property
-    def feasible(self) -> bool:
-        return self.verdict is Verdict.FEASIBLE
 
 
 def fine_violations(chsh: ChshReport, marginals: MarginalReport) -> list[Certificate]:

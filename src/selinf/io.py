@@ -369,7 +369,7 @@ def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict
     if isinstance(cert, FacetViolation):
         return {
             "kind": "chsh_facet",
-            "pattern": cert.pattern.key,
+            "pattern": cert.pattern,
             "value": str(cert.value),
         }
     return {"kind": "marginal", **_comparison_to_dict(cert)}
@@ -386,10 +386,6 @@ def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: 
     ]
 
 
-def _ordered_argmax(chsh: ChshReport) -> list[str]:
-    return [p.key for p in chsh.sums if p in chsh.argmax_patterns]
-
-
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
     """Machine rendering; every rational is an exact fraction string."""
     chsh = report.chsh
@@ -397,11 +393,11 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
         "format": REPORT_FORMAT,
         "chsh": {
             "expectations": {t.key: str(chsh.expectations[t]) for t in TREATMENTS},
-            "sums": {p.key: str(v) for p, v in chsh.sums.items()},
+            "sums": {p: str(v) for p, v in chsh.sums.items()},
             "gamma": str(chsh.gamma),
             "gamma_decimal": chsh.gamma_decimal(),
-            "argmax_patterns": _ordered_argmax(chsh),
-            "classification": chsh.classification.value,
+            "argmax_patterns": list(chsh.argmax_patterns),
+            "classification": chsh.classification,
         },
         "marginal_selectivity": {
             "tolerance": str(report.marginals.tolerance),
@@ -413,7 +409,7 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
         },
         "statistical_tests": None,
         "feasibility": {
-            "verdict": report.feasibility.verdict.value,
+            "verdict": "feasible" if report.feasibility.feasible else "infeasible",
             "witness": None,
             "certificate": None,
             "all_violations": [
@@ -526,9 +522,9 @@ def render_report_text(
         lines.append(f"  E[A*B | {t.key:5s}] = {_fmt(chsh.expectations[t])}")
     lines.append(
         f"  Gamma = {chsh.gamma} (= {chsh.gamma_decimal()} to 3 places)"
-        f"   classification: {chsh.classification.value}"
+        f"   classification: {chsh.classification}"
     )
-    lines.append(f"  attained by sign pattern(s): {', '.join(_ordered_argmax(chsh))}")
+    lines.append(f"  attained by sign pattern(s): {', '.join(chsh.argmax_patterns)}")
     lines.append("")
     ms = report.marginals
     verdict = "satisfied" if ms.satisfied else "VIOLATED"
@@ -568,7 +564,7 @@ def render_report_text(
 
 def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
     if isinstance(cert, FacetViolation):
-        return f"CHSH facet {cert.pattern.key} = {_fmt(cert.value)} > 2"
+        return f"CHSH facet {cert.pattern} = {_fmt(cert.value)} > 2"
     return (
         f"marginal comparison {cert.response} at {cert.fixed_level}: "
         f"{_fmt(cert.p_under_first)} vs {_fmt(cert.p_under_second)}"

@@ -126,11 +126,6 @@ def decode_signs(text: object, length: int, what: str, error: type[SelinfError])
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-def encode_signs(signs: tuple[int, ...]) -> str:
-    """Write +1/-1 signs as a string of "+"/"-" characters."""
-    return "".join("+" if s == 1 else "-" for s in signs)
-
-
 class _Record:
     """A frozen record, as ``@dataclass(frozen=True)`` made one but without its import-time cost.
 
@@ -274,10 +269,6 @@ class JointTable(_Record):
 
     def cells(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-    def cell(self, a: int, b: int) -> Fraction:
-        """Pr(A=a, B=b) for a, b in {+1, -1}."""
-        return self.cells()[CELLS.index((a, b))]
 
 
 _LABEL_KEYS = {

@@ -72,7 +72,11 @@ _COMPARISON_SLOTS = {
 
 class MarginalReport(_Record):
     """The four marginal comparisons, at a, a', b and b' in that order, plus the
-    satisfied/violated verdict; ``max_delta`` is set once."""
+    satisfied/violated verdict; ``max_delta`` is set once.
+
+    The tolerance is nonnegative, and a tolerance whose numerator or
+    denominator exceeds 10**2000 is rejected, as table cells are.
+    """
 
     __slots__ = ("comparisons", "tolerance", "max_delta")
     _fields = ("comparisons", "tolerance")
@@ -84,6 +88,10 @@ class MarginalReport(_Record):
         if tuple(c.fixed_level for c in self.comparisons) != LEVELS:
             levels = echo([c.fixed_level for c in self.comparisons])
             raise InvalidValue(f"comparisons must be at a, a', b, b' in that order, got {levels}")
+        if exceeds_common_denominator_cap([tolerance]):  # checked first: the sign error prints it
+            raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
+        if tolerance < 0:
+            raise InvalidValue(f"tolerance must be nonnegative, got {printable(tolerance)}")
         object.__setattr__(self, "max_delta", max(c.delta for c in self.comparisons))
 
     @property
@@ -96,16 +104,10 @@ def check_marginal_selectivity(
 ) -> MarginalReport:
     """Compare Pr(response=+1) across the other factor's levels, all four ways.
 
-    tolerance 0 is the exact check; a positive rational accepts deltas up to it.
-    A tolerance whose numerator or denominator exceeds 10**2000 is rejected,
-    as table cells are. Marginals are summed on ``data.scaled_cells``, the
-    cells as integers over their common denominator.
+    tolerance 0 is the exact check; a positive rational accepts deltas up to
+    it, and ``MarginalReport`` checks it. Marginals are summed on
+    ``data.scaled_cells``, the cells as integers over their common denominator.
     """
-    tol = rational(tolerance)
-    if exceeds_common_denominator_cap([tol]):  # checked first: the sign error prints tol
-        raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
-    if tol < 0:
-        raise InvalidValue(f"tolerance must be nonnegative, got {printable(tol)}")
     cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L; A is compared at a and a'
     plus_a = [cells[k] + cells[k + 1] for k in range(0, 16, 4)]
@@ -115,7 +117,7 @@ def check_marginal_selectivity(
         MarginalComparison(level, *(as_fraction[plus[t.index]] for t in pair))
         for (level, pair), plus in zip(_COMPARISON_SLOTS.items(), (plus_a, plus_a, plus_b, plus_b))
     )
-    return MarginalReport(comparisons=comparisons, tolerance=tol)
+    return MarginalReport(comparisons=comparisons, tolerance=rational(tolerance))
 
 
 def significance_level(alpha_sig: float) -> None:
@@ -131,7 +133,8 @@ class MsTestResult(_Record):
     ``reject`` (p below ``alpha_sig``) and ``degenerate`` are derived once from
     the comparison's two proportions and sample sizes. A pooled proportion of
     exactly 0 or 1 is degenerate, with z = 0: both proportions are then 0, or
-    both 1.
+    both 1. Where the float pooled variance underflows to 0.0, z is the square
+    root of the exact rational z^2.
     """
 
     __slots__ = ("comparison", "n_first", "n_second", "alpha_sig", "z_statistic", "p_value", "reject", "degenerate")
@@ -158,7 +161,14 @@ class MsTestResult(_Record):
         z = 0.0
         if not degenerate:
             se = math.sqrt(pooled * (total - pooled) / (total * total) * (1 / n_first + 1 / n_second))
-            z = diff / (b1 * b2) / se
+            if se > 0:
+                z = diff / (b1 * b2) / se
+            else:  # the pooled variance underflowed, so |z| is far below 1: its root from the exact z^2 = num / den
+                num = diff * diff * total * total * n_first * n_second
+                den = (b1 * b2) ** 2 * pooled * (total - pooled) * (n_first + n_second)
+                shift = (den.bit_length() - num.bit_length() + 128) // 2  # so the root keeps 64 bits or more
+                root = math.isqrt((num << 2 * shift) // den) / (1 << shift)
+                z = root if diff > 0 else -root  # diff may be too large for a float, so copysign cannot take it
         object.__setattr__(self, "z_statistic", z)
         object.__setattr__(self, "p_value", math.erfc(abs(z) / math.sqrt(2)))
         object.__setattr__(self, "reject", self.p_value < alpha_sig)

@@ -3,24 +3,23 @@
 Recoding a response or exchanging a factor's two levels permutes the tables
 and signed sums in a known way, and mixing two experiments is affine cell by
 cell; the invariance and convexity tests check the program against these.
-One facet's signed sum, computed on its own, checks the certificates. The
-hidden states' responses and push-forward, point-mass tables and their mix,
-the per-table expectations and marginals, a report's comparison by response
-and level, uniform tables and distributions, and the other small helpers
-below are computed here on ``Fraction``s from the states' sign strings,
-apart from the integer routes the program takes.
+One facet's signed sum, computed on its own from the pattern's string, checks
+the certificates. The product measure over per-treatment outcome pairs is the
+unrestricted representation, in which both responses may read both factors,
+that every experiment has. The hidden states' responses and push-forward,
+point-mass tables and their mix, the per-table expectations and marginals, a
+report's comparison by response and level, uniform tables and distributions,
+and the other small helpers below are computed here on ``Fraction``s from
+the states' sign strings, apart from the integer routes the program takes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from typing import Iterable
-
-from selinf.chsh import SignPattern
-from selinf.feasibility import GeneralRepresentation, HiddenStateDistribution
+from selinf.feasibility import HiddenStateDistribution
 from selinf.model import (
     CELLS,
     TREATMENTS,
@@ -112,28 +111,44 @@ def mix_distributions(
     return HiddenStateDistribution(tuple(lam * a + (1 - lam) * b for a, b in zip(first.weights, second.weights)))
 
 
-def sign_pattern(s1: int, s2: int, s3: int, s4: int) -> SignPattern:
-    return SignPattern((s1, s2, s3, s4))
+def sign_pattern(s1: int, s2: int, s3: int, s4: int) -> str:
+    """The pattern string of four +1/-1 signs, such as "+++-"."""
+    return "".join("+" if s == 1 else "-" for s in (s1, s2, s3, s4))
 
 
-def negated(pattern: SignPattern) -> SignPattern:
-    return SignPattern(tuple(-s for s in pattern.signs))
+def pattern_signs(pattern: str) -> tuple[int, ...]:
+    """The +1/-1 signs a pattern string applies to (E_ab, E_ab', E_a'b, E_a'b')."""
+    return tuple(1 if ch == "+" else -1 for ch in pattern)
 
 
-def signed_sum(pattern: SignPattern, expectations: Iterable[Fraction]) -> Fraction:
+def negated(pattern: str) -> str:
+    return pattern.translate(str.maketrans("+-", "-+"))
+
+
+def signed_sum(pattern: str, expectations: Iterable[Fraction]) -> Fraction:
     """s1*E_ab + s2*E_ab' + s3*E_a'b + s4*E_a'b' over expectations in treatment order."""
-    return sum((s * e for s, e in zip(pattern.signs, expectations)), Fraction(0))
+    return sum((s * e for s, e in zip(pattern_signs(pattern), expectations, strict=True)), Fraction(0))
 
 
-def chsh_facet_value(data: ExperimentData, pattern: SignPattern) -> Fraction:
+def chsh_facet_value(data: ExperimentData, pattern: str) -> Fraction:
     """The signed sum of the four product expectations for one pattern."""
     return signed_sum(pattern, (expectation(data.table(t)) for t in TREATMENTS))
 
 
-def reconstructed_tables(rep: GeneralRepresentation) -> ExperimentData:
-    """Marginalize each treatment's coordinate of the representation back to a joint table."""
+def general_representation(data: ExperimentData) -> dict[tuple[tuple[int, int], ...], Fraction]:
+    """The product of the four tables as one source over outcome tuples, one (A, B) pair per
+    treatment in treatment order: weights by tuple, zero weights omitted. It exists for any data."""
+    weights = {(): Fraction(1)}
+    for t in TREATMENTS:
+        cells = [(pair, p) for pair, p in zip(CELLS, data.table(t).cells()) if p]
+        weights = {tup + (pair,): w * p for tup, w in weights.items() for pair, p in cells}
+    return weights
+
+
+def reconstructed_tables(weights: dict[tuple[tuple[int, int], ...], Fraction]) -> ExperimentData:
+    """Marginalize each treatment's coordinate of a general representation back to a joint table."""
     cells = [dict.fromkeys(CELLS, Fraction(0)) for _ in TREATMENTS]
-    for tup, w in rep.weights.items():
+    for tup, w in weights.items():
         for k, pair in enumerate(tup):
             cells[k][pair] += w
     return ExperimentData(tables={t: JointTable(*(c[pair] for pair in CELLS)) for t, c in zip(TREATMENTS, cells)})

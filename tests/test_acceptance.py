@@ -11,7 +11,6 @@ from fractions import Fraction
 from selinf.chsh import compute_gamma
 from selinf.feasibility import (
     FacetViolation,
-    construct_general_representation,
     fine_criterion,
     predicted_tables,
     solve_feasibility,
@@ -32,6 +31,7 @@ from relabel import (
     comparison,
     flip_a_coding,
     flip_b_coding,
+    general_representation,
     mix_experiments,
     reconstructed_tables,
     sign_pattern,
@@ -79,8 +79,8 @@ def test_criterion_1_zero_gamma_with_marginal_violation(table1):
 def test_criterion_2_extremal_box(table2):
     report = compute_gamma(table2)
     assert report.gamma == 4
-    assert report.argmax_patterns == frozenset({sign_pattern(1, 1, 1, -1)})
-    assert report.classification.value == "supra-quantum"
+    assert report.argmax_patterns == (sign_pattern(1, 1, 1, -1),)
+    assert report.classification == "supra-quantum"
 
     ms = check_marginal_selectivity(table2, 0)
     assert ms.satisfied
@@ -170,8 +170,9 @@ def test_criterion_6_general_representation_reconstructs(table1, table2, table3)
     rng = random.Random(20250606)
     datasets = [table1, table2, table3] + [random_any_data(rng) for _ in range(100)]
     for data in datasets:
-        rep = construct_general_representation(data)
-        rec = reconstructed_tables(rep)
+        weights = general_representation(data)
+        assert len(weights) <= 256 and all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
+        rec = reconstructed_tables(weights)
         assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
     _passed(6, "3 golden + 100 random tables reconstructed exactly (256-state source)")
 

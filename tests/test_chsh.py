@@ -5,17 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from selinf.chsh import (
-    SIGN_PATTERNS,
-    BoundClassification,
-    ChshReport,
-    SignPattern,
-    classify_gamma,
-    compute_gamma,
-)
-from selinf.errors import InvalidPattern
+from selinf.chsh import SIGN_PATTERNS, ChshReport, classify_gamma, compute_gamma
+from selinf.errors import InvalidValue
 from selinf.feasibility import predicted_tables
-from selinf.model import TREATMENTS, encode_signs
+from selinf.model import TREATMENTS
 
 from conftest import random_any_data, random_hidden_distribution
 from relabel import (
@@ -35,57 +28,47 @@ class TestSignPatterns:
         assert len(SIGN_PATTERNS) == 8
         assert len(set(SIGN_PATTERNS)) == 8
         for p in SIGN_PATTERNS:
-            assert sum(s == 1 for s in p.signs) in (1, 3)
+            assert len(p) == 4 and set(p) <= {"+", "-"}
+            assert p.count("+") in (1, 3)
 
     def test_fixed_lexicographic_order(self):
-        assert [str(p) for p in SIGN_PATTERNS] == [
+        assert list(SIGN_PATTERNS) == [
             "+++-", "++-+", "+-++", "+---", "-+++", "-+--", "--+-", "---+",
         ]
 
     def test_closed_under_negation(self):
         assert {negated(p) for p in SIGN_PATTERNS} == set(SIGN_PATTERNS)
 
-    def test_even_plus_count_rejected(self):
-        with pytest.raises(InvalidPattern):
-            SignPattern((1, 1, 1, 1))
-        with pytest.raises(InvalidPattern):
-            SignPattern((1, -1, -1, 1))
-
-    def test_malformed_patterns_rejected(self):
-        with pytest.raises(InvalidPattern):
-            SignPattern((1, 1, 1))
-        with pytest.raises(InvalidPattern):
-            SignPattern((1, 0, 1, 1))
-
-    def test_stored_string_leaves_equality_hash_and_repr_alone(self):
-        p = SignPattern((1, 1, 1, -1))
-        assert p.key == str(p) == encode_signs(p.signs) == "+++-"
-        assert repr(p) == "SignPattern(signs=(1, 1, 1, -1))"
-        assert hash(p) == hash(((1, 1, 1, -1),)) and p == SIGN_PATTERNS[0]
-
 
 class TestGammaOnGoldenTables:
     def test_no_correlation_anywhere(self, table1):
         report = compute_gamma(table1)
         assert report.gamma == 0
-        assert report.classification is BoundClassification.CLASSICAL_BOUND_SATISFIED
-        # every expectation is 0, so every signed sum ties at the maximum
-        assert report.argmax_patterns == frozenset(SIGN_PATTERNS)
+        assert report.classification == "classical-bound-satisfied"
+        # every expectation is 0, so every signed sum ties at the maximum, listed in pattern order
+        assert report.argmax_patterns == SIGN_PATTERNS
 
     def test_extremal_box(self, table2):
         report = compute_gamma(table2)
         assert report.gamma == 4
-        assert report.classification is BoundClassification.SUPRA_QUANTUM
-        assert report.argmax_patterns == frozenset({sign_pattern(1, 1, 1, -1)})
+        assert report.classification == "supra-quantum"
+        assert report.argmax_patterns == (sign_pattern(1, 1, 1, -1),)
 
     def test_observed_experiment(self, table3):
         report = compute_gamma(table3)
         assert Fraction(2415, 1000) <= report.gamma <= Fraction(2425, 1000)
         assert report.gamma_decimal() == "2.422"
-        assert report.argmax_patterns == frozenset({sign_pattern(-1, 1, 1, 1)})
+        assert report.argmax_patterns == (sign_pattern(-1, 1, 1, 1),)
 
 
 class TestFacetValues:
+    def test_each_sum_applies_the_signs_its_key_spells(self):
+        rng = random.Random(26)
+        for _ in range(50):
+            data = random_any_data(rng)
+            report = compute_gamma(data)
+            assert report.sums == {p: chsh_facet_value(data, p) for p in SIGN_PATTERNS}
+
     def test_extremal_box_facet(self, table2):
         assert chsh_facet_value(table2, sign_pattern(1, 1, 1, -1)) == 4
 
@@ -117,8 +100,8 @@ class TestGammaInvariants:
         for _ in range(100):
             report = compute_gamma(random_any_data(rng))
             assert report.gamma == max(report.sums.values())
-            for p, v in report.sums.items():
-                assert (p in report.argmax_patterns) == (v == report.gamma)
+            assert list(report.sums) == list(SIGN_PATTERNS)
+            assert report.argmax_patterns == tuple(p for p, v in report.sums.items() if v == report.gamma)
 
     def test_hidden_state_models_respect_classical_bound(self):
         rng = random.Random(24)
@@ -154,13 +137,23 @@ class TestGammaInvariants:
 
 class TestClassification:
     def test_exact_boundary_at_two(self):
-        assert classify_gamma(Fraction(2)) is BoundClassification.CLASSICAL_BOUND_SATISFIED
-        assert classify_gamma(Fraction(2001, 1000)) is BoundClassification.QUANTUM_REGION
+        assert classify_gamma(Fraction(2)) == "classical-bound-satisfied"
+        assert classify_gamma(Fraction(2001, 1000)) == "quantum-region"
 
     def test_quantum_bound_compared_as_square_vs_eight(self):
         # 2.828^2 = 7.997... < 8 < 8.003... = 2.829^2
-        assert classify_gamma(Fraction(2828, 1000)) is BoundClassification.QUANTUM_REGION
-        assert classify_gamma(Fraction(2829, 1000)) is BoundClassification.SUPRA_QUANTUM
+        assert classify_gamma(Fraction(2828, 1000)) == "quantum-region"
+        assert classify_gamma(Fraction(2829, 1000)) == "supra-quantum"
+
+    def test_golden_tables_take_each_name(self, table1, table2, table3):
+        names = [compute_gamma(data).classification for data in (table1, table3, table2)]
+        assert names == ["classical-bound-satisfied", "quantum-region", "supra-quantum"]
+
+    def test_a_report_classifies_its_own_gamma(self):
+        rng = random.Random(25)
+        for _ in range(100):
+            report = compute_gamma(random_any_data(rng))
+            assert report.classification == classify_gamma(report.gamma)
 
     def test_gamma_decimal_rounding(self, table3):
         report = compute_gamma(table3)
@@ -175,5 +168,26 @@ class TestClassification:
         ]:
             # E_ab + E_ab' + E_a'b - E_a'b' = gamma, attained by +++- alone
             report = ChshReport(dict(zip(TREATMENTS, (gamma / 4, gamma / 4, gamma / 4, -gamma / 4))))
-            assert report.gamma == gamma and report.argmax_patterns == frozenset({SIGN_PATTERNS[0]})
+            assert report.gamma == gamma and report.argmax_patterns == (SIGN_PATTERNS[0],)
             assert report.gamma_decimal() == expected
+
+
+class TestExpectationRange:
+    @pytest.mark.parametrize("bad", [Fraction(5), Fraction(-1000001, 1000000)], ids=["five", "just-below-minus-one"])
+    def test_an_expectation_outside_minus_one_to_one_is_rejected(self, bad):
+        expectations = dict(zip(TREATMENTS, (Fraction(0), bad, Fraction(1, 2), Fraction(-1))))
+        with pytest.raises(InvalidValue) as caught:
+            ChshReport(expectations)
+        assert str(caught.value) == f"expectation E[A*B | a,b'] = {bad} outside [-1, 1]"
+
+    @pytest.mark.parametrize("index", range(4), ids=[t.key for t in TREATMENTS])
+    def test_the_message_names_the_treatment_out_of_range(self, index):
+        values = [Fraction(1, 2)] * 4
+        values[index] = Fraction(-3, 2)
+        with pytest.raises(InvalidValue) as caught:
+            ChshReport(dict(zip(TREATMENTS, values)))
+        assert str(caught.value) == f"expectation E[A*B | {TREATMENTS[index].key}] = -3/2 outside [-1, 1]"
+
+    def test_both_ends_are_accepted(self):
+        report = ChshReport(dict(zip(TREATMENTS, (Fraction(1), Fraction(-1), Fraction(1), Fraction(1)))))
+        assert report.gamma == 4 and report.argmax_patterns == ("+-++",)

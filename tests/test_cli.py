@@ -132,6 +132,33 @@ class TestAnalyze:
         assert code == EXIT_INFEASIBLE
         assert "retain" in out  # all four tests keep the null at n = 5
 
+    def test_z_test_whose_pooled_variance_underflows(self, tmp_path, capsys):
+        # A at a compares Pr(A=+1) = 10**-400 with 0 at n = 5 each: the float
+        # pooled variance underflows to 0.0, and z comes from the exact z^2
+        big = 10**400
+        counts = {"pp": 1, "pm": 1, "mp": 1, "mm": 2}
+        half_rest = f"{big - 1}/{2 * big}"
+        doc = {
+            "treatments": {
+                "a,b": {"pp": f"1/{big}", "pm": "0", "mp": half_rest, "mm": half_rest, "counts": counts},
+                "a,b'": {"pp": "0", "pm": "0", "mp": "1/2", "mm": "1/2", "counts": counts},
+                "a',b": {"pp": 1, "pm": 1, "mp": 2, "mm": 1},
+                "a',b'": {"pp": 1, "pm": 1, "mp": 2, "mm": 1},
+            },
+            "independent_counts": True,
+        }
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_INFEASIBLE, "")
+        test = json.loads(captured.out)["statistical_tests"][0]
+        assert (test["comparison"]["fixed_level"], test["degenerate"]) == ("a", False)
+        # sqrt(50 / (10**401 - 5)), from a 60-digit Decimal computation
+        assert (test["z"], test["p_value"], test["reject"]) == (2.2360679774997897e-200, 1.0, False)
+        assert run_cli(["analyze", str(path)]) == EXIT_INFEASIBLE
+        assert "A at a : z = +0.000  p = 1  -> retain" in capsys.readouterr().out
+
 
 class TestUsage:
     def test_no_command(self):

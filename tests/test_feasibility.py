@@ -18,8 +18,6 @@ from selinf.feasibility import (
     FacetViolation,
     FeasibilityResult,
     HiddenStateDistribution,
-    Verdict,
-    construct_general_representation,
     fine_criterion,
     fine_violations,
     predicted_tables,
@@ -27,7 +25,7 @@ from selinf.feasibility import (
     verify_witness,
 )
 from selinf.io import analyze, render_report_text, report_to_json_dict
-from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, JointTable, over_common_denominator
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 
 from conftest import (
@@ -42,9 +40,11 @@ from relabel import (
     STATES,
     chsh_facet_value,
     comparison,
+    general_representation,
     mix_distributions,
     mix_experiments,
     negated,
+    pattern_signs,
     point_mass_distribution,
     point_mass_table,
     push_forward,
@@ -234,10 +234,10 @@ class TestSolveFeasibility:
     def test_a_result_derives_its_verdict_and_certificate(self, table1):
         violations = analyze(table1).feasibility.all_violations
         infeasible = FeasibilityResult(all_violations=violations)
-        assert (infeasible.verdict, infeasible.certificate) == (Verdict.INFEASIBLE, violations[0])
+        assert (infeasible.feasible, infeasible.certificate) == (False, violations[0])
         witness = uniform_distribution()
         for feasible in (FeasibilityResult(), FeasibilityResult(witness)):
-            assert (feasible.verdict, feasible.certificate, feasible.feasible) == (Verdict.FEASIBLE, None, True)
+            assert (feasible.feasible, feasible.certificate) == (True, None)
         with pytest.raises(InvalidValue, match="^a result with violated conditions has no witness$"):
             FeasibilityResult(witness, violations)
 
@@ -498,7 +498,7 @@ def certificate_functional(cert):
     if isinstance(cert, FacetViolation):
         # 2 * normalization - S, S = sum over treatments k of s_k (pp - pm - mp + mm)
         w[16] = 2
-        for k, s in enumerate(cert.pattern.signs):
+        for k, s in enumerate(pattern_signs(cert.pattern)):
             for c, e in enumerate((1, -1, -1, 1)):
                 w[4 * k + c] = -s * e
         return w
@@ -590,32 +590,34 @@ class TestConvexity:
 class TestGeneralRepresentation:
     def test_reconstructs_golden_tables_exactly(self, table1, table2, table3):
         for data in (table1, table2, table3):
-            rep = construct_general_representation(data)
-            rec = reconstructed_tables(rep)
+            rec = reconstructed_tables(general_representation(data))
             assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
 
     def test_exists_even_for_infeasible_data(self, table2):
         assert not analyze(table2).feasibility.feasible
-        rep = construct_general_representation(table2)
-        assert sum(rep.weights.values()) == 1
+        weights = general_representation(table2)
+        assert sum(weights.values()) == 1 and all(w > 0 for w in weights.values())
 
     def test_point_mass_tables_collapse_to_single_tuple(self):
         data = predicted_tables(point_mass_distribution(HIDDEN_STATES[0]))
-        rep = construct_general_representation(data)
-        assert rep.weights == {((1, 1), (1, 1), (1, 1), (1, 1)): Fraction(1)}
+        assert general_representation(data) == {((1, 1), (1, 1), (1, 1), (1, 1)): Fraction(1)}
 
     def test_reconstruction_on_random_tables(self):
         rng = random.Random(59)
         for _ in range(60):
             data = random_any_data(rng)
-            rec = reconstructed_tables(construct_general_representation(data))
+            weights = general_representation(data)
+            assert all(w > 0 for w in weights.values()) and sum(weights.values()) == 1
+            assert all(len(tup) == 4 and set(tup) <= set(CELLS) for tup in weights)
+            rec = reconstructed_tables(weights)
             assert all(rec.table(t) == data.table(t) for t in TREATMENTS)
 
     def test_at_most_256_states(self):
         rng = random.Random(60)
         data = random_any_data(rng)
-        rep = construct_general_representation(data)
-        assert len(rep.weights) <= 256
+        assert len(general_representation(data)) <= 256
+        uniform = {t: uniform_table() for t in TREATMENTS}
+        assert len(general_representation(ExperimentData(tables=uniform))) == 256
 
 
 class TestVerifyWitness:

@@ -76,8 +76,8 @@ def test_chsh_report_matches_the_fraction_route():
         assert report.expectations == {t: expectation(data.table(t)) for t in TREATMENTS}
         assert list(report.sums.items()) == list(sums.items())
         assert report.gamma == gamma
-        assert report.argmax_patterns == {p for p, v in sums.items() if v == gamma}
-        assert report.classification is classify_gamma(gamma)
+        assert report.argmax_patterns == tuple(p for p, v in sums.items() if v == gamma)
+        assert report.classification == classify_gamma(gamma)
         scaled = math.floor(gamma * 1000 + Fraction(1, 2))
         assert report.gamma_decimal() == f"{scaled // 1000}.{scaled % 1000:03d}"
 

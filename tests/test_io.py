@@ -17,7 +17,7 @@ import selinf.feasibility
 import selinf.io
 import selinf.model
 import selinf.selectivity
-from selinf.chsh import SIGN_PATTERNS, BoundClassification
+from selinf.chsh import SIGN_PATTERNS, classify_gamma
 from selinf.errors import (
     BadCell,
     ConflictingData,
@@ -51,7 +51,7 @@ from conftest import (
     random_any_data,
     random_hidden_distribution,
 )
-from relabel import uniform_distribution, uniform_table
+from relabel import signed_sum, uniform_distribution, uniform_table
 from test_corpus_digest import corpus
 from test_feasibility import selective_batch_cases
 
@@ -718,6 +718,18 @@ class TestAnalyzeAssembly:
         assert AnalysisReport(r.chsh, r.marginals, None, r.feasibility).ms_tests is None
 
 
+def expectation_five(doc):
+    """E[A*B | a,b] set to 5, and the sums, gamma and facets it fixes rendered again."""
+    chsh = doc["chsh"]
+    chsh["expectations"]["a,b"] = "5"
+    sums = {p: signed_sum(p, map(Fraction, chsh["expectations"].values())) for p in SIGN_PATTERNS}
+    gamma = max(sums.values())
+    chsh.update(sums={p: str(v) for p, v in sums.items()}, gamma=str(gamma), gamma_decimal=f"{float(gamma):.3f}")
+    chsh.update(argmax_patterns=[p for p, v in sums.items() if v == gamma], classification=classify_gamma(gamma))
+    facets = [{"kind": "chsh_facet", "pattern": p, "value": str(v)} for p, v in sums.items() if v > 2]
+    doc["feasibility"]["all_violations"] += facets
+
+
 def certificate_contradicted(doc):
     """A marginal certificate its own comparisons contradict, with no violation listed."""
     doc["feasibility"]["certificate"].update(p_under_first="1/7", delta="0")
@@ -859,6 +871,25 @@ class TestReportJson:
             report_from_json_dict(doc)
         assert str(caught.value) == f"malformed report: {section} disagrees with the report's own inputs"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (expectation_five, "expectation E[A*B | a,b] = 5 outside [-1, 1]"),
+            (lambda doc: doc["marginal_selectivity"].update(tolerance="-1/2"), "tolerance must be nonnegative, got -1/2"),
+            (lambda doc: doc["marginal_selectivity"].update(tolerance=f"1/{10**2001}"), "tolerance: numerator or denominator exceeds 10**2000"),
+        ],
+        ids=["expectation-five", "tolerance-negative", "tolerance-beyond-cap"],
+    )
+    def test_inputs_that_no_data_gives_are_rejected_by_the_records(self, schema, table1, edit, message):
+        import jsonschema
+
+        doc = json.loads(json.dumps(report_to_json_dict(analyze(table1))))
+        edit(doc)  # every part the edited input fixes is rendered again, so only the input is wrong
+        jsonschema.validate(doc, schema)
+        with pytest.raises(InvalidValue) as caught:
+            report_from_json_dict(doc)
+        assert str(caught.value) == message
+
     def test_every_derived_leaf_is_checked(self, schema, table1, table2, table3):
         import jsonschema
 
@@ -922,7 +953,8 @@ class TestReportJson:
         assert type(caught.value) is error and str(caught.value) == message
 
 
-PATTERN_KEYS = [p.key for p in SIGN_PATTERNS]
+PATTERN_KEYS = list(SIGN_PATTERNS)
+CLASSIFICATIONS = ("classical-bound-satisfied", "quantum-region", "supra-quantum")
 FACET = {"kind": "chsh_facet", "pattern": "+++-", "value": "3"}
 
 
@@ -955,7 +987,7 @@ def derived_leaf_edits(doc):
     yield ("chsh", "argmax_patterns"), [p for p in PATTERN_KEYS if p not in chsh["argmax_patterns"]][:1] or PATTERN_KEYS[:1]
     if len(chsh["argmax_patterns"]) > 1:
         yield ("chsh", "argmax_patterns"), chsh["argmax_patterns"][::-1]
-    yield ("chsh", "classification"), next(c.value for c in BoundClassification if c.value != chsh["classification"])
+    yield ("chsh", "classification"), next(c for c in CLASSIFICATIONS if c != chsh["classification"])
     yield ("marginal_selectivity", "satisfied"), not ms["satisfied"]
     yield ("marginal_selectivity", "max_delta"), other_fraction(ms["max_delta"])
     for i, comp in enumerate(ms["comparisons"]):

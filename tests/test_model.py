@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from selinf import model
 from selinf.errors import ConflictingData, InvalidTable, InvalidValue, ZeroTotal
 from selinf.model import (
+    CELLS,
     TREATMENTS,
     CountTable,
     ExperimentData,
@@ -212,11 +213,11 @@ class TestJointTable:
             JointTable(Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
 
     def test_cell_lookup_by_signs(self):
-        t = JointTable(".1", ".2", ".3", ".4")
-        assert t.cell(1, 1) == Fraction(1, 10)
-        assert t.cell(1, -1) == Fraction(2, 10)
-        assert t.cell(-1, 1) == Fraction(3, 10)
-        assert t.cell(-1, -1) == Fraction(4, 10)
+        cell = dict(zip(CELLS, JointTable(".1", ".2", ".3", ".4").cells()))
+        assert cell[(1, 1)] == Fraction(1, 10)
+        assert cell[(1, -1)] == Fraction(2, 10)
+        assert cell[(-1, 1)] == Fraction(3, 10)
+        assert cell[(-1, -1)] == Fraction(4, 10)
 
 
 class TestExpectation:

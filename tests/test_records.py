@@ -6,7 +6,7 @@ Each record has a hand-written ``__init__``; the shared base gives the frozen
 derived once (``key``, ``index``, ``scaled_cells``, ``response``, ``delta``,
 ``max_delta``, a CHSH report's ``sums``, ``gamma``, ``argmax_patterns`` and
 ``classification``, a z-test's ``z_statistic``, ``p_value``, ``reject`` and
-``degenerate``, and a feasibility result's ``verdict`` and ``certificate``)
+``degenerate``, and a feasibility result's ``feasible`` and ``certificate``)
 stay out of all three.
 """
 
@@ -21,16 +21,8 @@ import pytest
 
 import selinf
 
-from selinf.chsh import SIGN_PATTERNS, BoundClassification, ChshReport, SignPattern, compute_gamma
-from selinf.feasibility import (
-    FacetViolation,
-    FeasibilityResult,
-    GeneralRepresentation,
-    HiddenStateDistribution,
-    Verdict,
-    construct_general_representation,
-    predicted_tables,
-)
+from selinf.chsh import SIGN_PATTERNS, ChshReport, compute_gamma
+from selinf.feasibility import FacetViolation, FeasibilityResult, HiddenStateDistribution
 from selinf.io import AnalysisReport, analyze
 from selinf.model import (
     TREATMENTS,
@@ -67,15 +59,11 @@ SAMPLES = {
     JointTable: lambda: JointTable("1/2", 0, ".25", Fraction(1, 4)),
     LabelSet: lambda: LabelSet(factors={"alpha": "x"}, responses={"a": ["H", "B"]}),
     ExperimentData: sampled,
-    SignPattern: lambda: SignPattern((1, 1, 1, -1)),
     ChshReport: lambda: compute_gamma(sampled()),
     MarginalComparison: lambda: MarginalComparison("a", Fraction(1, 2), Fraction(1, 3)),
     MarginalReport: lambda: check_marginal_selectivity(sampled()),
     MsTestResult: lambda: analyze(sampled()).ms_tests[2],
     HiddenStateDistribution: hidden,
-    GeneralRepresentation: lambda: construct_general_representation(
-        predicted_tables(HiddenStateDistribution.from_mapping({"+-+-": 1}))
-    ),
     FacetViolation: lambda: FacetViolation(SIGN_PATTERNS[0], Fraction(5, 2)),
     FeasibilityResult: lambda: analyze(sampled()).feasibility,
     ReducedSystem: lambda: ReducedSystem(rows=((1, 0, -1),), pivots=(0,), transform=(((0, 1), (2, -1)),)),
@@ -85,7 +73,7 @@ SAMPLES = {
 }
 
 # Records with a dict among their fields cannot be hashed, as under the dataclasses.
-UNHASHABLE = {LabelSet, ExperimentData, ChshReport, GeneralRepresentation, Model, AnalysisReport}
+UNHASHABLE = {LabelSet, ExperimentData, ChshReport, Model, AnalysisReport}
 
 # The repr each sample would have as a dataclass. A record built from other records is
 # checked here by its own fields and their order; those records have their own line.
@@ -97,7 +85,6 @@ REPRS = {
     ExperimentData: lambda r: (
         f"ExperimentData(tables={r.tables!r}, counts={r.counts!r}, labels=None, independent_counts=False)"
     ),
-    SignPattern: "SignPattern(signs=(1, 1, 1, -1))",
     ChshReport: "ChshReport(expectations={Treatment(alpha='a', beta='b'): Fraction(1, 1),"
     """ Treatment(alpha='a', beta="b'"): Fraction(-1, 1), Treatment(alpha="a'", beta='b'): Fraction(0, 1),"""
     """ Treatment(alpha="a'", beta="b'"): Fraction(1, 1)})""",
@@ -109,8 +96,7 @@ REPRS = {
     + "Fraction(1, 2), "
     + ", ".join(["Fraction(0, 1)"] * 5)
     + "))",
-    GeneralRepresentation: "GeneralRepresentation(weights={((1, 1), (1, -1), (-1, 1), (-1, -1)): Fraction(1, 1)})",
-    FacetViolation: "FacetViolation(pattern=SignPattern(signs=(1, 1, 1, -1)), value=Fraction(5, 2))",
+    FacetViolation: "FacetViolation(pattern='+++-', value=Fraction(5, 2))",
     FeasibilityResult: lambda r: f"FeasibilityResult(witness=None, all_violations={r.all_violations!r})",
     ReducedSystem: "ReducedSystem(rows=((1, 0, -1),), pivots=(0,), transform=(((0, 1), (2, -1)),))",
     Model: lambda r: f"Model(hidden={r.hidden!r}, eta=Fraction(1, 10), cross_map={r.cross_map!r})",
@@ -212,14 +198,14 @@ def test_fields_from_init_and_derived_attributes():
     assert defaults(MsTestResult) == [("comparison", empty), ("n_first", empty), ("n_second", empty), ("alpha_sig", empty)]
     assert defaults(FeasibilityResult) == [("witness", None), ("all_violations", ())]
     chsh = compute_gamma(sampled())
-    assert chsh.gamma == 3 and chsh.argmax_patterns == frozenset({SignPattern((1, -1, 1, 1))})
-    assert chsh.classification is BoundClassification.SUPRA_QUANTUM and chsh.sums[SIGN_PATTERNS[0]] == -1
+    assert chsh.gamma == 3 and chsh.argmax_patterns == ("+-++",)
+    assert chsh.classification == "supra-quantum" and chsh.sums[SIGN_PATTERNS[0]] == -1
     test = SAMPLES[MsTestResult]()
     assert (test.z_statistic, test.p_value, test.reject, test.degenerate) == (
         -1.6329931618554523, 0.10247043485974938, False, False
     )
     feasibility = SAMPLES[FeasibilityResult]()
-    assert feasibility.verdict is Verdict.INFEASIBLE and feasibility.certificate == feasibility.all_violations[0]
+    assert feasibility.feasible is False and feasibility.certificate == feasibility.all_violations[0]
     # max_delta is computed once, like each comparison's delta, and shown or compared by neither
     report = check_marginal_selectivity(sampled())
     assert report.max_delta == max(c.delta for c in report.comparisons) == Fraction(1, 2)

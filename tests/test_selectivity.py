@@ -1,7 +1,9 @@
 """Marginal selectivity checks and the pooled two-proportion z-test."""
 
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,23 @@ class TestExactCheck:
         with pytest.raises(InvalidValue, match="^tolerance: numerator or denominator exceeds 10\\*\\*2000$"):
             check_marginal_selectivity(table1, tolerance)
 
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (Fraction(-1, 2), "tolerance must be nonnegative, got -1/2"),
+            (Fraction(-1, 10**2001), "tolerance: numerator or denominator exceeds 10**2000"),
+        ],
+        ids=["negative", "beyond-cap-and-negative"],
+    )
+    def test_a_report_checks_its_own_tolerance(self, table1, tolerance, message):
+        comparisons = check_marginal_selectivity(table1).comparisons
+        with pytest.raises(InvalidValue) as caught:
+            MarginalReport(comparisons, tolerance)
+        assert str(caught.value) == message
+        with pytest.raises(InvalidValue) as caught:
+            check_marginal_selectivity(table1, tolerance)
+        assert str(caught.value) == message
+
     def test_tolerance_at_the_cap_accepted(self, table1):
         assert check_marginal_selectivity(table1, 10**2000).satisfied
         assert not check_marginal_selectivity(table1, Fraction(1, 10**2000)).satisfied
@@ -213,6 +232,26 @@ class TestZTest:
         comp = MarginalComparison("a", Fraction(1, 3), Fraction(2, 3))
         with pytest.raises(InvalidValue, match="^(sample sizes must be positive integers|alpha_sig must be in)"):
             MsTestResult(comp, n_first, n_second, alpha_sig)
+
+    @pytest.mark.parametrize(
+        "p_first, p_second, n_first, n_second",
+        [
+            (Fraction(1, 10**400), Fraction(0), 5, 5),
+            (Fraction(0), Fraction(1, 10**400), 5, 5),
+            (Fraction(3, 10**500), Fraction(1, 10**500), 7, 11),
+        ],
+        ids=["first-tiny", "second-tiny", "both-tiny"],
+    )
+    def test_underflowing_pooled_variance_gives_the_exact_z(self, p_first, p_second, n_first, n_second):
+        # the float pooled variance is 0.0 here; z is the pooled-z formula to 60 digits, rounded once
+        pooled = (p_first * n_first + p_second * n_second) / (n_first + n_second)
+        variance = pooled * (1 - pooled) * Fraction(n_first + n_second, n_first * n_second)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            diff = Decimal(p_first.numerator) / p_first.denominator - Decimal(p_second.numerator) / p_second.denominator
+            z = diff / (Decimal(variance.numerator) / variance.denominator).sqrt()
+        r = MsTestResult(MarginalComparison("a", p_first, p_second), n_first, n_second, 0.05)
+        assert (r.z_statistic, r.p_value, r.reject, r.degenerate) == (float(z), 1.0, False, False)
 
     def test_p_value_monotone_in_z_magnitude(self):
         data = with_counts(TABLE3_COUNTS)
