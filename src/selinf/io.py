@@ -309,7 +309,7 @@ def parse_model(text: str) -> Model:
 class AnalysisReport(_Record):
     """Everything one analysis produces: CHSH, marginals, tests, feasibility.
 
-    ``ms_tests`` is None or one test per marginal comparison, in their order.
+    ``ms_tests`` is None or one test per marginal comparison, in their order, sharing alpha_sig and each n.
     """
 
     __slots__ = _fields = ("chsh", "marginals", "ms_tests", "feasibility")
@@ -324,6 +324,12 @@ class AnalysisReport(_Record):
         object.__setattr__(self, "feasibility", feasibility)
         if ms_tests is not None and tuple(r.comparison for r in ms_tests) != marginals.comparisons:
             raise InvalidValue("ms_tests must hold one test per marginal comparison, in their order")
+        shared: dict[str, object] = {}  # alpha_sig, and n(t) of each treatment t, which two tests hold
+        for r in ms_tests or ():
+            first, second = [f"n({t.key})" for t in r.comparison.treatments]
+            for key, value in (("alpha_sig", r.alpha_sig), (first, r.n_first), (second, r.n_second)):
+                if shared.setdefault(key, value) != value:
+                    raise InvalidValue(f"ms_tests disagree on {key}: {echo(shared[key])} and {echo(value)}")
 
 
 def analyze(

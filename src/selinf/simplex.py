@@ -36,13 +36,22 @@ positive constant, so every reduced cost keeps its sign and every ratio test
 its order: Bland's rule takes the same entering and leaving steps as on the
 rational tableau, and the final basis and point are the same.
 
+Only the ratio test reads the data. The entering column and the divisor
+depend only on the state: the system, its sign mask (the rows where T(Lb) < 0)
+and the rows left so far; so does the drive-out, whose pivot rows have
+right-hand side 0. Phase 1 caches each state's column and, at the end, the
+drive-out's basis and divisor, and along cached states pivots only the
+right-hand side. From the first state not cached, one run of the full tableau
+serves and records the rest: a miss costs one full phase 1. At most 4,096
+states are kept, none evicted; past that, misses run uncached.
+
 Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import _Record
 
@@ -63,16 +72,55 @@ class ReducedSystem(_Record):
         object.__setattr__(self, "transform", transform)
 
 
+_CAP = 4096  # steps cached, for the life of the process; see the module docstring
+_SYSTEMS: dict[tuple[tuple[int, ...], ...], int] = {}
+_STEPS: dict[tuple[Optional[int], ...], tuple] = {}
+
+
 def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
     """Phase-1 simplex on an independent-row integer system.
 
     Returns a nonnegative solution as numerators over one positive common
     denominator, or None when infeasible.
     """
+    m, system = len(rows), tuple(map(tuple, rows))
+    sid = _SYSTEMS.setdefault(system, len(_SYSTEMS)) if len(_STEPS) < _CAP else _SYSTEMS.get(system)
+    mask = sum(1 << i for i, r in enumerate(rhs) if r < 0)
+    values = [*map(abs, rhs), sum(map(abs, rhs))]  # the rows' right-hand sides, then the objective
+    divisor, path, tableau = 1, [], None  # the rational right-hand side is values / divisor
+    while True:
+        state = (sid, mask, *path)
+        step = None if tableau else _STEPS.get(state)
+        if step is None:  # a state not cached has no cached successor: the full tableau serves the rest
+            tableau = tableau or _tableau_steps(rows, mask, path)
+            step = next(tableau)
+            if len(_STEPS) < _CAP:
+                _STEPS[state] = step
+        column, order = step
+        if column is None:
+            break
+        leaving = order[0]
+        for i in order[1:]:  # the least ratio values/column; on a tie the first, the smaller basic variable
+            if values[i] * column[leaving] < values[leaving] * column[i]:
+                leaving = i
+        lead, p = values[leaving], column[leaving]
+        values = [(p * v - f * lead) // divisor for v, f in zip(values, column)]
+        values[leaving], divisor = lead, p
+        path.append(leaving)
+    if values[m] != 0:
+        return None
+    # each drive-out pivot p scales the right-hand side by p / d, d the one before
+    basic_rows, final = order
+    return [0 if i is None else values[i] * final // divisor for i in basic_rows], final
+
+
+def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) -> Iterator[tuple]:
+    """Phase 1's steps from the condensed tableau without its right-hand side: it pivots on
+    each row of ``path``, which the caller extends after each step yielded at its end."""
     m, n = len(rows), len(rows[0])
-    # Artificial variable n + i starts basic in row i; rhs must be >= 0. A row
-    # holds one column per nonbasic variable, named in ``labels``, then the rhs.
-    tableau = [[-v for v in row] + [-r] if r < 0 else [*row, r] for row, r in zip(rows, rhs)]
+    # Artificial variable n + i starts basic in row i. A row holds one column per
+    # nonbasic variable, named in ``labels``.
+    tableau = [[-v for v in row] if mask >> i & 1 else list(row) for i, row in enumerate(rows)]
     # row m, the objective row: the rows' sum, the artificials' unit costs cancelling
     tableau.append(list(map(sum, zip(*tableau))))
     labels = list(range(n))
@@ -94,46 +142,32 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
         divisor = p
         basis[row], labels[col] = labels[col], basis[row]
 
+    taken = 0
     while True:
         # Bland: smallest improving variable
         improving = [label for label, v in zip(labels, tableau[m]) if v > 0]
         if not improving:
             break
         entering = labels.index(min(improving))
-        leaving = lead = None
-        for i in range(m):
-            row = tableau[i]
-            coeff = row[entering]
-            if coeff > 0:
-                if lead is not None:
-                    # Ratios rhs/coeff compared by cross-multiplication (both coeffs > 0);
-                    # Bland tie-break: smallest basis variable index.
-                    here, best = row[-1] * lead[entering], lead[-1] * coeff
-                    if here > best or (here == best and basis[i] > basis[leaving]):
-                        continue
-                leaving, lead = i, row
-        if leaving is None:
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        pivot(leaving, entering)
+        if taken == len(path):
+            column = tuple(row[entering] for row in tableau)
+            order = tuple(sorted((i for i in range(m) if column[i] > 0), key=basis.__getitem__))
+            if not order:
+                raise AssertionError("phase-1 objective cannot be unbounded")
+            yield column, order
+        pivot(path[taken], entering)
+        taken += 1
 
-    if tableau.pop()[-1] != 0:
-        return None
-
-    # Drive out artificials stuck basic at zero level; rows are independent,
-    # so some original column is always available to pivot on. The row's
-    # right-hand side is 0, so negating it to make the pivot positive
-    # changes nothing the pivot does not undo.
+    # Drive out artificials still basic; rows are independent, so some original column
+    # is always available. It matters only at optimum zero, where the row's right-hand
+    # side is 0, so negating it to make the pivot positive changes nothing.
     for i in range(m):
         if basis[i] >= n:
             col = labels.index(min(label for label, v in zip(labels, tableau[i]) if label < n and v))
             if tableau[i][col] < 0:
                 tableau[i] = [-v for v in tableau[i]]
             pivot(i, col)
-
-    solution = [0] * n
-    for i, var in enumerate(basis):
-        solution[var] = tableau[i][-1]
-    return solution, divisor
+    yield None, (tuple(basis.index(j) if j in basis else None for j in range(n)), divisor)
 
 
 def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Optional[list[Fraction]]:

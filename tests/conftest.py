@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from selinf import simplex
 from selinf.cli import load_fixture_text
 from selinf.feasibility import HiddenStateDistribution, predicted_tables
 from selinf.io import parse_experiment
@@ -27,6 +28,26 @@ def table2():
 @pytest.fixture(scope="session")
 def table3():
     return parse_experiment(load_fixture_text("table3"))
+
+
+@pytest.fixture
+def full_tableau_runs(monkeypatch):
+    """An empty phase-1 step cache for this test, and a list that grows by one each time phase 1 runs the full tableau.
+
+    ``clear_phase_one_cache`` empties the test's cache again; the process's own is restored afterwards.
+    """
+    monkeypatch.setattr(simplex, "_STEPS", {})
+    monkeypatch.setattr(simplex, "_SYSTEMS", {})
+    runs = []
+    original = simplex._tableau_steps
+    monkeypatch.setattr(simplex, "_tableau_steps", lambda *a: runs.append(1) or original(*a))
+    return runs
+
+
+def clear_phase_one_cache():
+    """Empty phase 1's step cache and the ids of the systems it holds."""
+    simplex._STEPS.clear()
+    simplex._SYSTEMS.clear()
 
 
 def random_hidden_distribution(rng: random.Random, max_weight: int = 30) -> HiddenStateDistribution:

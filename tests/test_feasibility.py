@@ -377,11 +377,36 @@ class TestIntegerPhaseOne:
         assert best < 0.25
 
 
+class LastLookup(dict):
+    """A dict that keeps the last key ``get`` was asked for."""
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
 class TestCondensedTableau:
     """The program pivots only the nonbasic columns; every pivot, point and divisor is the full tableau's."""
 
-    def test_selective_batch_cases(self):
-        assert same_as_the_full_tableau(selective_batch_cases()) > 300
+    def test_selective_batch_cases(self, full_tableau_runs, monkeypatch):
+        rhss = [rhs for rhs in map(phase_one_rhs, selective_batch_cases()) if rhs is not None]
+        expected = [fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs) for rhs in rhss]
+        assert len(rhss) > 300
+        for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
+            runs = len(full_tableau_runs)
+            assert simplex._phase_one(_CONSTRAINTS.rows, rhs) == found
+            assert len(full_tableau_runs) - runs <= 1
+        # Warm, no call runs the full tableau. The last state a call looks up is its
+        # end, (system, sign mask, leaving rows). A row that never leaves keeps its artificial
+        # basic to the end of phase 1, so a feasible run that leaves from fewer rows drives it out.
+        steps = LastLookup(simplex._STEPS)
+        monkeypatch.setattr(simplex, "_STEPS", steps)
+        runs, drive_outs = len(full_tableau_runs), 0
+        for rhs, found in zip(rhss, expected):
+            assert simplex._phase_one(_CONSTRAINTS.rows, rhs) == found
+            drive_outs += found is not None and len(set(steps.last[2:])) < len(_CONSTRAINTS.rows)
+        assert len(full_tableau_runs) == runs
+        assert drive_outs >= 60  # 68 of 386
 
     def test_digest_corpus(self):
         # phase 1 sees only data that satisfies marginal selectivity exactly

@@ -42,6 +42,7 @@ from selinf.io import (
 )
 from selinf.cli import EXIT_INFEASIBLE, run_cli
 from selinf.model import LEVELS, TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.selectivity import MsTestResult
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
@@ -717,6 +718,30 @@ class TestAnalyzeAssembly:
             AnalysisReport(r.chsh, r.marginals, edit(r.ms_tests), r.feasibility)
         assert AnalysisReport(r.chsh, r.marginals, None, r.feasibility).ms_tests is None
 
+    def test_tests_at_two_significance_levels_are_rejected(self, table3):
+        r = analyze(table3)
+        first = r.ms_tests[0]
+        tests = (MsTestResult(first.comparison, 81, 81, 0.2), *r.ms_tests[1:])
+        with pytest.raises(InvalidValue) as caught:
+            AnalysisReport(r.chsh, r.marginals, tests, r.feasibility)
+        assert str(caught.value) == "ms_tests disagree on alpha_sig: 0.2 and 0.05"
+        assert {t.alpha_sig for t in analyze(table3, bonferroni=True).ms_tests} == {0.0125}
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("slot", range(2))
+    def test_a_treatment_with_two_sample_sizes_is_rejected(self, table3, index, slot):
+        # each treatment is in two tests, one at alpha's level and one at beta's, which come later
+        r = analyze(table3)
+        test = r.ms_tests[index]
+        sizes = [test.n_first, test.n_second]
+        sizes[slot] = 88
+        tests = list(r.ms_tests)
+        tests[index] = MsTestResult(test.comparison, *sizes, test.alpha_sig)
+        with pytest.raises(InvalidValue) as caught:
+            AnalysisReport(r.chsh, r.marginals, tuple(tests), r.feasibility)
+        seen = "88 and 81" if index < 2 else "81 and 88"
+        assert str(caught.value) == f"ms_tests disagree on n({test.comparison.treatments[slot]}): {seen}"
+
 
 def expectation_five(doc):
     """E[A*B | a,b] set to 5, and the sums, gamma and facets it fixes rendered again."""
@@ -849,8 +874,13 @@ class TestReportJson:
             (lambda ms, tests: tests.reverse(), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
             (lambda ms, tests: tests[0].__setitem__("comparison", tests[1]["comparison"]), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
             (lambda ms, tests: tests[2]["comparison"].__setitem__("p_under_first", "0"), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            (lambda ms, tests: tests[0].__setitem__("alpha_sig", 0.2), InvalidValue, "ms_tests disagree on alpha_sig: 0.2 and 0.05"),
+            (lambda ms, tests: tests[0].__setitem__("n_first", 88), InvalidValue, "ms_tests disagree on n(a,b): 88 and 81"),
         ],
-        ids=["three", "four-copies", "reversed", "five", "none", "one-test", "no-tests", "five-tests", "tests-reversed", "test-swapped", "test-changed"],
+        ids=[
+            "three", "four-copies", "reversed", "five", "none", "one-test", "no-tests", "five-tests", "tests-reversed",
+            "test-swapped", "test-changed", "alpha-differs", "size-differs",
+        ],
     )
     def test_comparison_and_test_lists_the_program_never_writes_are_rejected(self, table3, edit, error, message):
         doc = self.sampled_doc(table3)

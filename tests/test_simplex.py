@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from selinf import simplex
 from selinf.model import over_common_denominator
 from selinf.simplex import _phase_one, feasible_point
 
 import fraction_simplex
+from conftest import clear_phase_one_cache
 from fraction_simplex import reduce_system
 
 
@@ -237,14 +239,54 @@ def independent_row_systems(draw):
 
 
 class TestCondensedTableau:
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(
+        derandomize=True, database=None, max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(independent_row_systems())
     # the system of test_artificial_driven_out_on_a_negative_entry as reduce_system gives it
     @example(([(4, 0, 4), (0, 4, -4)], [8, -8]))
     # a drive-out whose smallest structural label is not its first nonzero
     # column; the pivots differ in size, so another column changes the divisor
     @example((((10, 0, 0, -12, 25), (0, 10, 0, 8, -10), (0, 0, 10, 2, -10)), [5, -2, 5]))
-    def test_same_point_and_divisor_as_the_full_tableau(self, system):
+    def test_same_point_and_divisor_as_the_full_tableau(self, full_tableau_runs, system):
         rows, rhs = system
         if rows:
+            expected = fraction_simplex.full_tableau_phase_one(rows, rhs)
+            clear_phase_one_cache()
+            full_tableau_runs.clear()
+            # cold, the full tableau runs and records its steps; warm, only the right-hand side is pivoted
+            assert _phase_one(rows, rhs) == expected and len(full_tableau_runs) == 1
+            assert _phase_one(rows, rhs) == expected and len(full_tableau_runs) == 1
+
+
+class TestStepCache:
+    def test_a_flood_of_systems_and_masks_stays_within_the_cap(self, full_tableau_runs):
+        # [I | B] has independent rows; each system is solved for several sign masks.
+        # The first 250 or so systems fill the cache, and the rest run past the cap
+        rng = random.Random(46)
+        for _ in range(500):
+            m = rng.randint(3, 5)
+            rows = [tuple(int(i == j) for j in range(m)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(m)]
+            for _ in range(4):
+                rhs = [rng.randint(-6, 6) for _ in range(m)]
+                runs = len(full_tableau_runs)
+                assert _phase_one(rows, rhs) == fraction_simplex.full_tableau_phase_one(rows, rhs)
+                assert len(full_tableau_runs) - runs <= 1
+            assert len(simplex._SYSTEMS) <= len(simplex._STEPS) <= simplex._CAP
+        assert len(simplex._STEPS) == simplex._CAP
+
+    def test_a_call_runs_the_full_tableau_at_most_once(self, full_tableau_runs):
+        # Both right-hand sides leave from row 0 first and then from different rows:
+        # the second takes two cached steps, then the tableau replays them and serves the rest
+        rows = ((1, -2, 0, 1), (0, 0, 1, -3))
+        for rhs, runs, states in (([2, -4], 1, 3), ([2, -4], 1, 3), ([0, -2], 2, 5), ([0, -2], 2, 5)):
             assert _phase_one(rows, rhs) == fraction_simplex.full_tableau_phase_one(rows, rhs)
+            assert len(full_tableau_runs) == runs and len(simplex._STEPS) == states
+
+    def test_an_infeasible_run_caches_the_drive_out_of_its_path(self, full_tableau_runs):
+        # both take the same steps, and row 1 never leaves: its artificial is driven out
+        rows = ((2, 0, 2, 2), (0, 2, 3, -1))
+        assert _phase_one(rows, [2, -3]) is None
+        expected = fraction_simplex.full_tableau_phase_one(rows, [2, -1])
+        assert _phase_one(rows, [2, -1]) == expected and len(full_tableau_runs) == 1
