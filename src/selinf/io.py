@@ -73,14 +73,7 @@ from .errors import (
     SelinfError,
     SumNotOne,
 )
-from .feasibility import (
-    FacetViolation,
-    FeasibilityResult,
-    HiddenStateDistribution,
-    fine_violations,
-    predicted_tables,
-    solve_feasibility,
-)
+from .feasibility import FacetViolation, FeasibilityResult, HiddenStateDistribution, solve_feasibility
 from .model import (
     MAX_COMMON_DENOMINATOR,
     TREATMENTS,
@@ -449,37 +442,39 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
 def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
     """Rebuild a report from its machine rendering, accepting exactly the documents the program writes.
 
-    Only the report's inputs are read: the four expectations, the tolerance,
-    each comparison's level and two marginals, each test's sample sizes and
-    significance level, and the witness, whose push-forward must give the same
-    expectations and marginals. The records derive the rest, and
-    ``fine_violations`` the feasibility part. The document is accepted only if
-    the rebuilt report renders back to it as JSON; otherwise a ``ParseError``
-    names the first top-level key that differs. A document missing a part, or
-    with a part of the wrong type or value, is a one-line ``ParseError``; a
-    value that a record rejects keeps its own error.
+    A treatment's joint table is fixed by its E[A*B], Pr(A=+1) and Pr(B=+1),
+    which the document's expectations and its comparisons at the treatment's
+    alpha and beta levels give. So the four tables are rebuilt from them, and
+    the report is ``analyze`` of them at the document's tolerance. When the
+    document has tests, they are rebuilt from the first test's significance
+    level and each treatment's sample size in the tests at a and a'. The
+    document is accepted only if that report renders back to it as JSON, with
+    the witness exactly when the document has one; otherwise a ``ParseError``
+    names the first top-level key that differs. The report is returned with
+    its witness either way. A document missing a part, or with a part of the
+    wrong type or value, is a one-line ``ParseError``; a value that a record
+    rejects keeps its own error.
     """
     try:
         if doc.get("format") != REPORT_FORMAT:
             raise ParseError(f"unsupported report format {echo(doc.get('format'))}")
-        raw_ms, raw_tests, raw_feas = doc["marginal_selectivity"], doc["statistical_tests"], doc["feasibility"]
-        chsh = ChshReport({Treatment.from_key(k): Fraction(v) for k, v in doc["chsh"]["expectations"].items()})
-        comparisons = [
-            MarginalComparison(c["fixed_level"], Fraction(c["p_under_first"]), Fraction(c["p_under_second"]))
-            for c in raw_ms["comparisons"]
-        ]
-        marginals = MarginalReport(comparisons, Fraction(raw_ms["tolerance"]))
-        witness = None
-        if raw_feas["witness"] is not None:
-            witness = HiddenStateDistribution.from_mapping(raw_feas["witness"])
-            data = predicted_tables(witness)
-            chsh, marginals = compute_gamma(data), check_marginal_selectivity(data, marginals.tolerance)
-        ms_tests = None
-        if raw_tests is not None:
-            tests = zip(marginals.comparisons, raw_tests)
-            ms_tests = tuple(MsTestResult(c, r["n_first"], r["n_second"], r["alpha_sig"]) for c, r in tests)
-        feasibility = FeasibilityResult(witness, tuple(fine_violations(chsh, marginals)))
-        report = AnalysisReport(chsh, marginals, ms_tests, feasibility)
+        raw_ms, raw_tests = doc["marginal_selectivity"], doc["statistical_tests"]
+        witness = doc["feasibility"]["witness"]
+        plus = {c["fixed_level"]: (c["p_under_first"], c["p_under_second"]) for c in raw_ms["comparisons"]}
+        tables = {}
+        for t in TREATMENTS:  # Pr(A=+1) is compared at t's alpha level, Pr(B=+1) at its beta level
+            pa, pb = rational(plus[t.alpha][t.beta == "b'"]), rational(plus[t.beta][t.alpha == "a'"])
+            pp = (rational(doc["chsh"]["expectations"][t.key]) + 2 * pa + 2 * pb - 1) / 4
+            try:
+                tables[t] = JointTable(pp, pa - pp, pb - pp, 1 - pa - pb + pp)
+            except InvalidTable as exc:
+                raise InvalidTable(f"treatment {t.key}: the expectation and marginals give {exc}") from exc
+        report = analyze(ExperimentData(tables), rational(raw_ms["tolerance"]))
+        if raw_tests is not None:  # n of each treatment, in order, from the tests at a and a'
+            alpha = raw_tests[0]["alpha_sig"]
+            n = dict(zip(TREATMENTS, [raw_tests[i][key] for i in (0, 1) for key in ("n_first", "n_second")]))
+            tests = tuple(MsTestResult(c, *(n[t] for t in c.treatments), alpha) for c in report.marginals.comparisons)
+            report = AnalysisReport(report.chsh, report.marginals, tests, report.feasibility)
         rendered = report_to_json_dict(report, include_witness=witness is not None)
         _reject_unknown(doc, rendered.keys(), "malformed report: unknown keys")
         for key, part in rendered.items():  # as JSON text, so 1 is not true and 0 is not 0.0

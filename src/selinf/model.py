@@ -54,7 +54,7 @@ MAX_COMMON_DENOMINATOR = 10**2000
 def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
     """Whether the values' least common denominator, or a numerator's magnitude, exceeds 10**2000."""
     lcd = math.lcm(*[v.denominator for v in values])
-    return max(lcd, *[abs(v.numerator) for v in values]) > MAX_COMMON_DENOMINATOR
+    return max([lcd, *[abs(v.numerator) for v in values]]) > MAX_COMMON_DENOMINATOR  # no values: lcd = 1 alone
 
 
 def _leading(n: int, count: int) -> tuple[str, int]:

@@ -7,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import selinf
 from selinf.cli import load_fixture_text, run_cli
+from selinf.feasibility import HIDDEN_STATES
 from selinf.io import parse_experiment
 
-from conftest import large_denominator_documents, oversized_model_documents
+from conftest import CROSS_MAP, large_denominator_documents, oversized_model_documents
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR = 0, 1, 2
 
@@ -199,6 +201,37 @@ class TestWitnessCommand:
         assert total == 1
 
 
+# every JSON value type; mapped, so that one_of picks it as one branch rather than eight
+JSON_VALUES = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12).map(str),
+    st.integers(-2, 3),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1),
+).map(lambda value: value)
+# weights k_i / sum(k) on the first states, a distribution
+HIDDEN_DISTRIBUTIONS = st.lists(st.integers(1, 5), min_size=1, max_size=16).map(
+    lambda ks: {state: f"{k}/{sum(ks)}" for state, k in zip(HIDDEN_STATES, ks)}
+)
+SIGN_PAIRS = st.one_of(st.sampled_from(["++", "+-", "-+", "--"]), JSON_VALUES)
+HIDDEN_VALUES = st.dictionaries(st.one_of(st.sampled_from(HIDDEN_STATES), st.text(max_size=5)), JSON_VALUES, max_size=3)
+# the hidden weights alone, of any shape; or a distribution, with eta and cross_map of any shape
+MODEL_DOCUMENTS = (HIDDEN_VALUES | JSON_VALUES).map(lambda hidden: {"hidden": hidden}) | st.fixed_dictionaries(
+    {"hidden": HIDDEN_DISTRIBUTIONS},
+    optional={
+        "eta": st.one_of(st.sampled_from(["0", "1/10", "1"]), JSON_VALUES),
+        "cross_map": st.one_of(
+            st.fixed_dictionaries({key: SIGN_PAIRS for key in CROSS_MAP}),
+            st.dictionaries(st.one_of(st.sampled_from(list(CROSS_MAP)), st.text(max_size=5)), SIGN_PAIRS, max_size=5),
+            JSON_VALUES,
+        ),
+    },
+)
+
+
 class TestSimulateCommand:
     def model_path(self, tmp_path):
         path = tmp_path / "model.json"
@@ -266,6 +299,28 @@ class TestSimulateCommand:
         assert code == EXIT_ERROR
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unexpected" not in err and "exceeds 10**2000" in err
+
+    def test_a_model_with_no_hidden_states_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"hidden": {}}))
+        assert run_cli(["simulate", "--model", str(path), "--n", "5", "--seed", "1"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: bad hidden-state weights: weights sum to 0, expected exactly 1\n"
+
+    @settings(
+        derandomize=True, database=None, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(MODEL_DOCUMENTS)
+    def test_every_model_document_simulates_or_gives_one_error_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["simulate", "--model", str(path), "--n", "5", "--seed", "1"])
+        out, err = capsys.readouterr()
+        if code == EXIT_FEASIBLE:
+            assert err == "" and parse_experiment(out).has_full_counts()
+        else:
+            assert code == EXIT_ERROR and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and "unexpected" not in err
 
     def test_sample_size_beyond_2_to_the_53_is_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
         def no_draws(*args):

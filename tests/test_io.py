@@ -21,14 +21,14 @@ from selinf.chsh import SIGN_PATTERNS, classify_gamma
 from selinf.errors import (
     BadCell,
     ConflictingData,
-    InvalidDistribution,
+    InvalidTable,
     InvalidValue,
     MissingTreatment,
     ParseError,
     SelinfError,
     SumNotOne,
 )
-from selinf.feasibility import FeasibilityResult, predicted_tables, verify_witness
+from selinf.feasibility import predicted_tables, verify_witness
 from selinf.io import (
     PROB_KEYS,
     AnalysisReport,
@@ -755,6 +755,11 @@ def expectation_five(doc):
     doc["feasibility"]["all_violations"] += facets
 
 
+def uniform_witness(doc):
+    """The witness of 1/16 on every state, which gives the uniform tables but is not the one the program writes."""
+    doc["feasibility"]["witness"] = {state: str(w) for state, w in uniform_distribution().items()}
+
+
 def certificate_contradicted(doc):
     """A marginal certificate its own comparisons contradict, with no violation listed."""
     doc["feasibility"]["certificate"].update(p_under_first="1/7", delta="0")
@@ -786,11 +791,14 @@ class TestReportJson:
         assert rebuilt.feasibility.witness == report.feasibility.witness
 
     def test_witness_whose_sum_is_too_long_to_print_is_rejected(self):
+        # the reader compares the witness with the one the program writes, and never reads it as weights
         report, _ = self.feasible_report()
         doc = report_to_json_dict(report, include_witness=True)
         doc["feasibility"]["witness"] = {s: f"1/{10**1200 + k}" for s, k in zip(("++++", "+-+-", "-+-+", "----"), (1, 3, 7, 9))}
-        with pytest.raises(InvalidDistribution, match=r"^weights sum to 40{59}\.\.\. \(8,402 digits\), expected"):
+        with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == "malformed report: feasibility disagrees with the report's own inputs"
 
     def test_witness_only_on_request(self):
         report, _ = self.feasible_report()
@@ -816,7 +824,7 @@ class TestReportJson:
             ("chsh", "gamma", None, "chsh disagrees with the report's own inputs"),
             ("chsh", "gamma", "abc", "chsh disagrees with the report's own inputs"),
             ("chsh", "sums", ["1/2"], "chsh disagrees with the report's own inputs"),
-            ("chsh", "expectations", ["1/2"], "AttributeError(\"'list' object has no attribute 'items'\")"),
+            ("chsh", "expectations", ["1/2"], "TypeError('list indices must be integers or slices, not str'... (61 characters)"),
         ],
         ids=["marginal_selectivity-tolerance-missing", "chsh-gamma-missing", "chsh-gamma-abc", "chsh-sums-list", "chsh-expectations-list"],
     )
@@ -852,40 +860,74 @@ class TestReportJson:
             report_from_json_dict(doc)
         assert str(caught.value) == f"malformed report: {section} disagrees with the report's own inputs"
 
-    @pytest.mark.parametrize("level", ["c", "A", None, ["a"], "b" * 10**5], ids=["c", "A", "None", "list", "long"])
-    def test_an_unknown_level_is_rejected_by_the_comparison(self, table3, level):
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            ("c", "KeyError('a')"),
+            ("A", "KeyError('a')"),
+            (None, "KeyError('a')"),
+            (["a"], "TypeError(\"unhashable type: 'list'\")"),
+            ("b" * 10**5, "KeyError('a')"),
+        ],
+        ids=["c", "A", "None", "list", "long"],
+    )
+    def test_an_unknown_level_is_a_one_line_parse_error(self, table3, level, message):
+        # the marginals are looked up by level, so the comparison at a is missing
         doc = self.sampled_doc(table3)
         doc["marginal_selectivity"]["comparisons"][0]["fixed_level"] = level
-        with pytest.raises(InvalidValue, match=r"^unknown level .*, expected one of a, a', b, b'$") as caught:
+        with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
-        assert len(str(caught.value).encode()) < 200
+        assert str(caught.value) == f"malformed report: {message}"
 
     @pytest.mark.parametrize(
         "edit, error, message",
         [
-            (lambda ms, tests: ms.pop(), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b']"""),
-            (lambda ms, tests: ms.__setitem__(slice(None), [ms[0]] * 4), InvalidValue, "comparisons must be at a, a', b, b' in that order, got ['a', 'a', 'a', 'a']"),
-            (lambda ms, tests: ms.reverse(), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ["b'", 'b', "a'", 'a']"""),
-            (lambda ms, tests: ms.append(ms[0]), InvalidValue, """comparisons must be at a, a', b, b' in that order, got ['a', "a'", 'b', "b'", 'a']"""),
-            (lambda ms, tests: ms.clear(), InvalidValue, "comparisons must be at a, a', b, b' in that order, got []"),
-            (lambda ms, tests: tests.__delitem__(slice(1, None)), InvalidValue, "ms_tests must hold one test per marginal comparison, in their order"),
-            (lambda ms, tests: tests.clear(), InvalidValue, "ms_tests must hold one test per marginal comparison, in their order"),
+            (lambda ms, tests: ms.pop(), ParseError, """malformed report: KeyError("b'")"""),
+            (lambda ms, tests: ms.__setitem__(slice(None), [ms[0]] * 4), ParseError, "malformed report: KeyError('b')"),
+            (lambda ms, tests: ms.reverse(), ParseError, "malformed report: marginal_selectivity disagrees with the report's own inputs"),
+            (lambda ms, tests: ms.append(ms[0]), ParseError, "malformed report: marginal_selectivity disagrees with the report's own inputs"),
+            (lambda ms, tests: ms.clear(), ParseError, "malformed report: KeyError('a')"),
+            (lambda ms, tests: tests.__delitem__(slice(1, None)), ParseError, "malformed report: IndexError('list index out of range')"),
+            (lambda ms, tests: tests.clear(), ParseError, "malformed report: IndexError('list index out of range')"),
             (lambda ms, tests: tests.append(tests[0]), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
             (lambda ms, tests: tests.reverse(), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
             (lambda ms, tests: tests[0].__setitem__("comparison", tests[1]["comparison"]), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
             (lambda ms, tests: tests[2]["comparison"].__setitem__("p_under_first", "0"), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
-            (lambda ms, tests: tests[0].__setitem__("alpha_sig", 0.2), InvalidValue, "ms_tests disagree on alpha_sig: 0.2 and 0.05"),
-            (lambda ms, tests: tests[0].__setitem__("n_first", 88), InvalidValue, "ms_tests disagree on n(a,b): 88 and 81"),
+            (lambda ms, tests: tests[2].__setitem__("n_first", 88), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
         ],
         ids=[
             "three", "four-copies", "reversed", "five", "none", "one-test", "no-tests", "five-tests", "tests-reversed",
-            "test-swapped", "test-changed", "alpha-differs", "size-differs",
+            "test-swapped", "test-changed", "size-differs-at-b",
         ],
     )
     def test_comparison_and_test_lists_the_program_never_writes_are_rejected(self, table3, edit, error, message):
         doc = self.sampled_doc(table3)
         assert report_from_json_dict(doc) == analyze(table3)
         edit(doc["marginal_selectivity"]["comparisons"], doc["statistical_tests"])
+        with pytest.raises(error) as caught:
+            report_from_json_dict(doc)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "name, edit, error, message",
+        [
+            ("table1", expectation_five, InvalidTable, "treatment a,b: the expectation and marginals give cell p_pp = 3/2 outside [0, 1]"),
+            ("table1", lambda doc: doc["marginal_selectivity"].update(tolerance="-1/2"), InvalidValue, "tolerance must be nonnegative, got -1/2"),
+            ("table1", lambda doc: doc["marginal_selectivity"].update(tolerance=f"1/{10**2001}"), InvalidValue, "tolerance: numerator or denominator exceeds 10**2000"),
+            ("table3", lambda doc: doc["statistical_tests"][0].update(n_first=88), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            ("table3", lambda doc: doc["statistical_tests"][0].update(alpha_sig=0.2), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
+            ("uniform", uniform_witness, ParseError, "malformed report: feasibility disagrees with the report's own inputs"),
+        ],
+        ids=["expectation-five", "tolerance-negative", "tolerance-beyond-cap", "n-88-at-a-and-81-at-b", "alpha-0.2-and-0.05", "uniform-witness"],
+    )
+    def test_schema_valid_documents_the_program_never_writes_are_rejected(self, schema, request, name, edit, error, message):
+        import jsonschema
+
+        data = predicted_tables(uniform_distribution()) if name == "uniform" else request.getfixturevalue(name)
+        doc = json.loads(json.dumps(report_to_json_dict(analyze(data), include_witness=True)))
+        assert report_from_json_dict(doc) == analyze(data)
+        edit(doc)
+        jsonschema.validate(doc, schema)  # so the schema alone cannot reject it
         with pytest.raises(error) as caught:
             report_from_json_dict(doc)
         assert type(caught.value) is error and str(caught.value) == message
@@ -900,25 +942,6 @@ class TestReportJson:
         with pytest.raises(ParseError) as caught:
             report_from_json_dict(doc)
         assert str(caught.value) == f"malformed report: {section} disagrees with the report's own inputs"
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (expectation_five, "expectation E[A*B | a,b] = 5 outside [-1, 1]"),
-            (lambda doc: doc["marginal_selectivity"].update(tolerance="-1/2"), "tolerance must be nonnegative, got -1/2"),
-            (lambda doc: doc["marginal_selectivity"].update(tolerance=f"1/{10**2001}"), "tolerance: numerator or denominator exceeds 10**2000"),
-        ],
-        ids=["expectation-five", "tolerance-negative", "tolerance-beyond-cap"],
-    )
-    def test_inputs_that_no_data_gives_are_rejected_by_the_records(self, schema, table1, edit, message):
-        import jsonschema
-
-        doc = json.loads(json.dumps(report_to_json_dict(analyze(table1))))
-        edit(doc)  # every part the edited input fixes is rendered again, so only the input is wrong
-        jsonschema.validate(doc, schema)
-        with pytest.raises(InvalidValue) as caught:
-            report_from_json_dict(doc)
-        assert str(caught.value) == message
 
     def test_every_derived_leaf_is_checked(self, schema, table1, table2, table3):
         import jsonschema
@@ -942,24 +965,26 @@ class TestReportJson:
         assert edits == 195
 
     def test_every_corpus_report_round_trips_with_and_without_its_witness(self):
-        for data in [*corpus(), *selective_batch_cases()]:
-            report = analyze(data)
-            feasibility = FeasibilityResult(all_violations=report.feasibility.all_violations)
-            bare = AnalysisReport(report.chsh, report.marginals, report.ms_tests, feasibility)
-            for include_witness, expected in ((True, report), (False, bare)):
+        # at the defaults, with Bonferroni's alpha 0.0125, and at a nonzero tolerance and another alpha
+        options = [{}, {"bonferroni": True}, {"tolerance": Fraction(1, 20), "alpha_sig": 0.01}]
+        runs = [(data, {}) for data in selective_batch_cases()] + [(data, kw) for data in corpus() for kw in options]
+        for data, kwargs in runs:
+            report = analyze(data, **kwargs)
+            for include_witness in (True, False):  # the reader returns the witness either way
                 doc = json.loads(json.dumps(report_to_json_dict(report, include_witness=include_witness)))
                 rebuilt = report_from_json_dict(doc)
-                assert rebuilt == expected and report_to_json_dict(rebuilt, include_witness=include_witness) == doc
+                assert rebuilt == report and report_to_json_dict(rebuilt, include_witness=include_witness) == doc
+        assert len(runs) == 400 + 3 * 136
 
-    def test_a_witness_must_give_the_reported_expectations_and_marginals(self, table3):
+    def test_a_witness_must_be_the_one_the_program_writes(self, table3):
         report, _ = self.feasible_report()
         doc = json.loads(json.dumps(report_to_json_dict(report, include_witness=True)))
         doc["feasibility"]["witness"] = {"++++": "1"}  # a distribution, of other tables
-        with pytest.raises(ParseError, match="^malformed report: chsh disagrees with the report's own inputs$"):
+        with pytest.raises(ParseError, match="^malformed report: feasibility disagrees with the report's own inputs$"):
             report_from_json_dict(doc)
-        doc = self.sampled_doc(table3)
+        doc = self.sampled_doc(table3)  # infeasible, so no witness is written
         doc["feasibility"]["witness"] = {"++++": "1"}
-        with pytest.raises(ParseError, match="^malformed report: chsh disagrees with the report's own inputs$"):
+        with pytest.raises(ParseError, match="^malformed report: feasibility disagrees with the report's own inputs$"):
             report_from_json_dict(doc)
 
     @pytest.mark.parametrize(
@@ -970,10 +995,11 @@ class TestReportJson:
             (lambda doc: doc["statistical_tests"][0].update(n_first=81.0), InvalidValue, "sample sizes must be positive integers, got 81.0 and 81"),
             (lambda doc: doc["statistical_tests"][0].update(n_first=0), InvalidValue, "sample sizes must be positive integers, got 0 and 81"),
             (lambda doc: doc["statistical_tests"][0].update(alpha_sig=True), InvalidValue, "alpha_sig must be in (0, 1), got True"),
+            (lambda doc: doc["marginal_selectivity"].update(tolerance="1e5000"), InvalidValue, "decimal exponent beyond +-1000"),
             (lambda doc: doc.update(note="x"), ParseError, "malformed report: unknown keys ['note']"),
             (lambda doc: doc.pop("statistical_tests"), ParseError, "malformed report: KeyError('statistical_tests')"),
         ],
-        ids=["reject-as-0", "satisfied-as-0", "float-size", "zero-size", "alpha-true", "extra-key", "no-tests-key"],
+        ids=["reject-as-0", "satisfied-as-0", "float-size", "zero-size", "alpha-true", "exponent", "extra-key", "no-tests-key"],
     )
     def test_values_are_read_and_compared_as_json(self, table3, edit, error, message):
         doc = self.sampled_doc(table3)
