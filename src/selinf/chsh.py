@@ -6,7 +6,7 @@ its string of signs, such as "+++-", and a classification is its name. Any
 model in which each response depends only on its own factor and shared
 randomness keeps the statistic at or below 2; quantum models reach
 2*sqrt(2); the algebraic ceiling is 4. Comparisons against 2*sqrt(2) are
-done as gamma^2 vs 8 in exact rationals.
+done as gamma^2 vs 8 in exact integers.
 
 ``compute_gamma`` reads the 16 cells as integers over their least common
 denominator L from ``ExperimentData.scaled_cells`` and builds the four
@@ -31,10 +31,11 @@ _PATTERN_SIGNS = {p: tuple(1 if ch == "+" else -1 for ch in p) for p in SIGN_PAT
 
 
 def classify_gamma(gamma: Fraction) -> str:
-    """Exact classification; the 2*sqrt(2) comparison is gamma^2 vs 8."""
-    if gamma <= 2:
+    """Exact classification on gamma's integer pair p/q: p vs 2q, then p^2 vs 8q^2 for 2*sqrt(2)."""
+    p, q = gamma.as_integer_ratio()
+    if p <= 2 * q:
         return "classical-bound-satisfied"
-    if gamma * gamma <= 8:
+    if p * p <= 8 * q * q:
         return "quantum-region"
     return "supra-quantum"
 

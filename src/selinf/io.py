@@ -149,20 +149,20 @@ def _parse_count_cells(block: Any, key: str) -> CountTable:
 
 
 def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> JointTable:
-    """Four probability cells, checked by ``JointTable``; the parser looks again only at cells it rejects."""
+    """Four probability cells, read and checked by ``JointTable``; the parser rereads them only if it rejects them."""
+    values = [block[ck] for ck in PROB_KEYS]
+    try:
+        return JointTable(*values)  # it rejects every value json gives but a number or a string
+    except InvalidValue:
+        pass
     cells = []
-    for ck in PROB_KEYS:
-        v = block[ck]
+    for ck, v in zip(PROB_KEYS, values):
         if type(v) not in (str, int, float):  # the types json gives, so not bool
             raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
         try:
             cells.append(rational(v))
         except InvalidValue as exc:
             raise BadCell(f"treatment {key}: cell {ck}: {exc}") from exc
-    try:
-        return JointTable(*cells)
-    except InvalidTable:
-        pass
     for ck, f in zip(PROB_KEYS, cells):
         if f < 0 or f > 1:
             raise BadCell(f"treatment {key}: cell {ck} = {echo(block[ck])} outside [0, 1]")

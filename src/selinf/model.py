@@ -10,14 +10,18 @@ as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
 tolerance-based.
 
-Data and reports hold Fractions; arithmetic on several of them runs on
-``int``s. ``over_common_denominator`` writes values as numerators over their
-least common denominator L. ``rational`` reads plain ASCII "p/q" and decimal
-strings as integer pairs with ``int``, the rest with ``Fraction``, and builds
-one ``Fraction``. A ``JointTable`` checks range and sum on its cells' integer
-pairs and keeps the four over their L; ``ExperimentData`` puts its 16 cells
-over one L from those four, once. The cap check, CHSH sums, marginals and
-simplex read that vector and add and compare plain integers, with no gcd per
+Reports hold Fractions; data hold integers, and arithmetic on several
+values runs on ``int``s. ``over_common_denominator`` writes values as
+numerators over their least common denominator L. ``integer_ratio`` reads
+plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
+``int`` and ``math.gcd``, the rest with ``Fraction``; ``rational`` is the
+``Fraction`` of that pair. A ``JointTable`` checks range and sum on its
+cells' integer pairs and holds only the four over their L, its
+``scaled_cells``; a cell is a ``Fraction`` built when read.
+``ExperimentData`` puts its 16 cells over one L from those four, once, and
+checks a cell s/L against its count c of n as ``s * n == c * L``. The cap
+check, CHSH sums and class, marginals and their deltas, and the simplex read
+that vector and add, multiply and compare plain integers, with no gcd per
 step. A ``Fraction`` is built only for a value that a report holds or a
 message prints.
 """
@@ -88,35 +92,44 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]
     return [p * (lcd // q) for p, q in ratios], lcd
 
 
-def rational(value: Rational) -> Fraction:
-    """Convert ``value`` to an exact Fraction.
+def integer_ratio(value: Rational) -> tuple[int, int]:
+    """``value`` as an exact lowest-terms pair (p, q) of integers, q > 0.
 
     Strings may be decimals (".049" -> 49/1000) or ratios ("49/1000").
     Floats go through their shortest decimal repr, so a JSON number 0.049
     also becomes exactly 49/1000. Decimal exponents beyond
     ``MAX_DECIMAL_EXPONENT`` in magnitude are rejected. Plain strings are read
-    with ``int``, as ``Fraction`` would read them; the rest go to ``Fraction``.
+    with ``int`` and ``math.gcd``, as ``Fraction`` would read them; the rest go
+    to ``Fraction``.
     """
+    text = repr(value) if isinstance(value, float) else value
     plain = False
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
         whole, _, decimals = num.partition(".")
         # "p/q" or a plain decimal in ASCII digits, which int() reads as Fraction() would
-        plain = value.isascii() and (num.isdigit() and den.isdigit() if slash else (whole + decimals).isdigit())
-        exponent = None if plain else _DECIMAL_EXPONENT.search(value)
+        plain = text.isascii() and (num.isdigit() and den.isdigit() if slash else (whole + decimals).isdigit())
+        exponent = None if plain else _DECIMAL_EXPONENT.search(text)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if digits and (len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT):
             raise InvalidValue(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
         if plain:  # "p/q" has no "." in p
-            return Fraction(int(num), int(den)) if slash else Fraction(int(whole + decimals), 10 ** len(decimals))
-        if isinstance(value, float):
-            return Fraction(repr(value))
-        if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
-            return Fraction(value)
+            p, q = (int(num), int(den)) if slash else (int(whole + decimals), 10 ** len(decimals))
+            g = math.gcd(p, q) if q else 0  # so q = 0 divides by zero, as Fraction does
+            return p // g, q // g
+        if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+            return value.as_integer_ratio()
+        if isinstance(text, str):
+            return Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidValue(f"cannot interpret {echo(value)} as a rational") from exc
     raise InvalidValue(f"cannot interpret {echo(value)} as a rational")
+
+
+def rational(value: Rational) -> Fraction:
+    """``value`` as an exact Fraction, read by ``integer_ratio``."""
+    return Fraction(*integer_ratio(value))
 
 
 def decode_signs(text: object, length: int, what: str, error: type[SelinfError]) -> tuple[int, ...]:
@@ -233,39 +246,43 @@ class CountTable(_Record):
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
     def normalized(self) -> "JointTable":
-        """Exact cell fractions count/n."""
+        """Exact cell fractions count/n, read from "c/n" strings as integer pairs."""
         n = self.n
-        return JointTable(*(Fraction(c, n) for c in self.cells()))
+        return JointTable(*(f"{c}/{n}" for c in self.cells()))
 
 
 class JointTable(_Record):
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
-    rationals in [0, 1] summing to exactly 1, checked on their integer pairs;
-    cells that are not already Fractions are converted with ``rational``.
-    ``scaled_cells`` holds the four over their least common denominator, then it.
+    rationals in [0, 1] summing to exactly 1, each read as an integer pair by
+    ``integer_ratio`` and checked on it. The table holds only ``scaled_cells``,
+    the four as integers over their least common denominator L, then L; each
+    cell, and ``cells()``, is a ``Fraction`` built when read. A count table
+    of n observations matches it when s * n == c * L for each cell s/L and
+    its count c.
     """
 
-    __slots__ = (*_CELL_FIELDS, "scaled_cells")
+    __slots__ = ("scaled_cells",)
     _fields = _CELL_FIELDS
     scaled_cells: tuple[int, int, int, int, int]
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
         ratios = []
         for name, v in zip(_CELL_FIELDS, (p_pp, p_pm, p_mp, p_mm)):
-            if not isinstance(v, Fraction):
-                v = rational(v)
-            object.__setattr__(self, name, v)
-            p, q = v.as_integer_ratio()
+            p, q = integer_ratio(v)
             if not 0 <= p <= q:
-                raise InvalidTable(f"cell {name} = {printable(v)} outside [0, 1]")
+                raise InvalidTable(f"cell {name} = {printable(Fraction(p, q))} outside [0, 1]")
             ratios.append((p, q))
         lcd = math.lcm(*[q for _, q in ratios])
         numerators = [p * (lcd // q) for p, q in ratios]
         if sum(numerators) != lcd:
             raise InvalidTable(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "scaled_cells", (*numerators, lcd))
+
+    p_pp, p_pm, p_mp, p_mm = (  # each cell a Fraction, built when read
+        property(lambda self, k=k: Fraction(self.scaled_cells[k], self.scaled_cells[4])) for k in range(4)
+    )
 
     def cells(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
@@ -319,7 +336,8 @@ class ExperimentData(_Record):
     """The four joint tables of one experiment, optionally with counts and labels.
 
     When ``counts`` are present each table must equal its count table
-    normalized, unless ``independent_counts`` marks the probabilities as
+    normalized, checked as ``s * n == c * L`` on the table's integers (see ``JointTable``),
+    unless ``independent_counts`` marks the probabilities as
     supplied separately from the counts (e.g. published rounded estimates
     alongside the sample size). ``scaled_cells`` holds the 16 cells in order
     as integers over their least common denominator L, then L.
@@ -352,8 +370,8 @@ class ExperimentData(_Record):
             counts = {t: counts[t] for t in TREATMENTS if t in counts} or None
             if counts and not independent_counts:
                 for t, ct in counts.items():
-                    pairs = zip(tables[t].cells(), ct.cells())
-                    if any(p.numerator * ct.n != c * p.denominator for p, c in pairs):
+                    *cells, q = tables[t].scaled_cells  # cell s/q is count c/n when s * n == c * q
+                    if any(s * ct.n != c * q for s, c in zip(cells, ct.cells())):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
                         table = ", ".join(map(printable, tables[t].cells()))
                         raise ConflictingData(

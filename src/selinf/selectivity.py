@@ -34,7 +34,8 @@ class MarginalComparison(_Record):
     At alpha's level L the response is A: p_under_first is Pr(A=+1) under
     (L, b) and p_under_second under (L, b'); at beta's level L the response
     is B and the roles of the factors swap. ``response``, "A" or "B", and
-    ``delta``, the absolute difference, are set once.
+    ``delta``, the absolute difference, are set once; delta is
+    |a1 b2 - a2 b1| / (b1 b2) on the two integer pairs a1/b1 and a2/b2.
     """
 
     __slots__ = ("fixed_level", "p_under_first", "p_under_second", "response", "delta")
@@ -49,7 +50,8 @@ class MarginalComparison(_Record):
         if fixed_level not in LEVELS:  # compared by ==, so any value gets this error
             raise InvalidValue(f"unknown level {echo(fixed_level)}, expected one of {', '.join(LEVELS)}")
         object.__setattr__(self, "response", "A" if fixed_level in LEVELS[:2] else "B")
-        object.__setattr__(self, "delta", abs(p_under_first - p_under_second))
+        (a1, b1), (a2, b2) = p_under_first.as_integer_ratio(), p_under_second.as_integer_ratio()
+        object.__setattr__(self, "delta", Fraction(abs(a1 * b2 - a2 * b1), b1 * b2))
 
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:

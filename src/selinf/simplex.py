@@ -73,7 +73,9 @@ class ReducedSystem(_Record):
 
 
 _CAP = 4096  # steps cached, for the life of the process; see the module docstring
-_SYSTEMS: dict[tuple[tuple[int, ...], ...], int] = {}
+# A system is known by its rows object, which must not change once solved: id(rows)
+# maps to the system's id and the rows, held so that no other object takes their id.
+_SYSTEMS: dict[int, tuple[int, Sequence[Sequence[int]]]] = {}
 _STEPS: dict[tuple[Optional[int], ...], tuple] = {}
 
 
@@ -83,8 +85,10 @@ def _phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[
     Returns a nonnegative solution as numerators over one positive common
     denominator, or None when infeasible.
     """
-    m, system = len(rows), tuple(map(tuple, rows))
-    sid = _SYSTEMS.setdefault(system, len(_SYSTEMS)) if len(_STEPS) < _CAP else _SYSTEMS.get(system)
+    m, known = len(rows), _SYSTEMS.get(id(rows))
+    if known is None and len(_STEPS) < _CAP:
+        known = _SYSTEMS[id(rows)] = (len(_SYSTEMS), rows)
+    sid = None if known is None else known[0]
     mask = sum(1 << i for i, r in enumerate(rhs) if r < 0)
     values = [*map(abs, rhs), sum(map(abs, rhs))]  # the rows' right-hand sides, then the objective
     divisor, path, tableau = 1, [], None  # the rational right-hand side is values / divisor

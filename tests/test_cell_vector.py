@@ -2,10 +2,14 @@
 
 Every construction route must store the vector ``over_common_denominator``
 gives for the 16 cells, and the CHSH sums, the marginals and the solver must
-read it rather than put the cells over a common denominator again.
+read it rather than put the cells over a common denominator again. A joint
+table holds only its own four scaled cells, so parsing builds no
+``Fraction``: a cell is one, built when read.
 """
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,7 +21,15 @@ from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import BadCell, ConflictingData, ParseError
 from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
-from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.model import (
+    CELLS,
+    MAX_COMMON_DENOMINATOR,
+    TREATMENTS,
+    CountTable,
+    ExperimentData,
+    JointTable,
+    over_common_denominator,
+)
 from selinf.selectivity import check_marginal_selectivity
 from selinf.simulate import Model, SampleSpec, sample_counts
 
@@ -200,3 +212,60 @@ class TestTwoRulesBroken:
         doc["treatments"]["a',b"]["counts"] = {"pp": 1, "pm": 1, "mp": 1, "mm": 2}
         with pytest.raises(ConflictingData, match="^treatment a',b: counts normalize to"):
             parse_experiment(json.dumps(doc))
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A list that grows by the arguments of each ``Fraction`` constructed, by any module."""
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+class TestTablesHoldIntegers:
+    def documents(self):
+        """Seeded conftest corpora as documents: cells as "p/q" strings, some with counts, some counts alone."""
+        rng = random.Random(31)
+        datas = [random_ms_data(rng) for _ in range(10)] + [random_any_data(rng) for _ in range(10)]
+        datas += [predicted_tables(random_hidden_distribution(rng)) for _ in range(10)]
+        sampled = [sample_counts(Model(random_hidden_distribution(rng)), SampleSpec(50, seed)) for seed in range(5)]
+        texts = [serialize_experiment(data) for data in datas + sampled]
+        counts_alone = {
+            "treatments": {t.key: dict(zip(("pp", "pm", "mp", "mm"), data.count(t).cells())) for t in TREATMENTS}
+            for data in sampled
+        }
+        return texts + [json.dumps(counts_alone)]
+
+    def test_parsing_a_corpus_builds_no_fraction(self, fractions_built):
+        texts = self.documents()
+        fractions_built.clear()
+        parsed = [parse_experiment(text) for text in texts]
+        assert fractions_built == []
+        assert parsed[0].table(TREATMENTS[0]).cells()  # the counter sees Fractions built on read
+        assert len(fractions_built) == 4
+
+    def test_reading_a_cell_builds_one_fraction(self, fractions_built):
+        table = JointTable("1/2", 0, ".25", "1/4")
+        normalized = CountTable(1, 0, 2, 1).normalized()
+        assert fractions_built == []
+        value = table.p_pp
+        assert fractions_built == [(2, 4)]  # the cell over the table's L
+        assert value == Fraction(1, 2) and normalized.scaled_cells == (1, 0, 2, 1, 4)
+
+    def test_a_table_of_mixed_cells_is_the_table_of_their_fractions(self):
+        mixed = JointTable("1/2", 0, ".25", Fraction(1, 4))
+        fractions = JointTable(Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4))
+        assert mixed == fractions and hash(mixed) == hash(fractions)
+        assert hash(mixed) == hash((Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4)))
+        assert repr(mixed) == (
+            "JointTable(p_pp=Fraction(1, 2), p_pm=Fraction(0, 1), p_mp=Fraction(1, 4), p_mm=Fraction(1, 4))"
+        )
+        assert mixed.scaled_cells == (2, 0, 1, 1, 4)
+        for clone in (pickle.loads(pickle.dumps(mixed)), copy.copy(mixed), copy.deepcopy(mixed)):
+            assert clone == mixed and hash(clone) == hash(mixed) and clone.scaled_cells == mixed.scaled_cells

@@ -417,6 +417,48 @@ class TestMalformedOptionalSections:
         assert "unexpected" not in err and named in err
 
 
+class TestCellReader:
+    """How a cell string reads, pinned through the command line: its message, or a table equal to the uniform one."""
+
+    @staticmethod
+    def analyze_with_pp(tmp_path, capsys, pp):
+        block = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
+        doc = {"treatments": {k: dict(block) for k in ("a,b", "a,b'", "a',b", "a',b'")}}
+        doc["treatments"]["a,b"]["pp"] = pp
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pp, shown",
+        [
+            ("1/0", "'1/0'"),
+            ("0/0", "'0/0'"),
+            ("nan", "'nan'"),
+            ("inf", "'inf'"),
+            ("1" * 5000 + "/4", "'" + "1" * 59 + "... (5,004 characters)"),
+            ("1/" + "4" * 5000, "'1/" + "4" * 57 + "... (5,004 characters)"),
+        ],
+        ids=["zero-denominator", "zero-over-zero", "nan", "inf", "long-numerator", "long-denominator"],
+    )
+    def test_an_unreadable_cell_is_one_error_line(self, tmp_path, capsys, pp, shown):
+        assert self.analyze_with_pp(tmp_path, capsys, pp) == (
+            EXIT_ERROR, f"error: treatment a,b: cell pp: cannot interpret {shown} as a rational\n"
+        )
+
+    @pytest.mark.parametrize(
+        "pp, message",
+        [("-1/4", "cell pp = '-1/4' outside [0, 1]"), ("1e999999", "cell pp: decimal exponent beyond +-1000")],
+    )
+    def test_a_negative_cell_or_a_huge_exponent_is_one_error_line(self, tmp_path, capsys, pp, message):
+        assert self.analyze_with_pp(tmp_path, capsys, pp) == (EXIT_ERROR, f"error: treatment a,b: {message}\n")
+
+    @pytest.mark.parametrize("pp", [" 1/4", "+1/4", "1_0/40", "\u0661/4", "25e-2"])
+    def test_forms_that_fraction_reads_are_accepted(self, tmp_path, capsys, pp):
+        assert self.analyze_with_pp(tmp_path, capsys, pp) == (EXIT_FEASIBLE, "")
+
+
 class TestOversizedInput:
     """Inputs beyond the parse caps are bad cells, reported on one line with exit 2."""
 

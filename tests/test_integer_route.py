@@ -4,19 +4,23 @@
 the cells to integers over a common denominator. Here every expectation,
 signed sum, marginal, delta and z statistic is recomputed one ``Fraction``
 at a time, the way ``relabel.chsh_facet_value`` evaluates a facet, and must
-agree exactly: the same rationals, and bit-identical floats.
+agree exactly: the same rationals, and bit-identical floats. A delta and a
+CHSH class are derived on integers too, and checked against ``Fraction``
+arithmetic on any rationals, up to the denominator cap.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from selinf.chsh import SIGN_PATTERNS, classify_gamma, compute_gamma
+from hypothesis import example, given, settings, strategies as st
+
+from selinf.chsh import SIGN_PATTERNS, ChshReport, classify_gamma, compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.feasibility import HIDDEN_STATES, predicted_tables
 from selinf.io import parse_experiment
-from selinf.model import CELLS, TREATMENTS, Treatment
-from selinf.selectivity import check_marginal_selectivity, test_marginal_selectivity as run_ms_test
+from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, Treatment
+from selinf.selectivity import MarginalComparison, check_marginal_selectivity, test_marginal_selectivity as run_ms_test
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
@@ -112,3 +116,61 @@ def test_z_statistics_match_the_fraction_route():
                 assert (r.n_first, r.n_second, r.degenerate) == (n1, n2, pooled in (0, 1))
                 assert r.z_statistic == z  # bit for bit, not approximately
                 assert r.p_value == math.erfc(abs(z) / math.sqrt(2))
+
+
+def fraction_class(gamma):
+    """The classification by Fraction arithmetic: gamma against 2, then gamma squared against 8."""
+    if gamma <= 2:
+        return "classical-bound-satisfied"
+    if gamma * gamma <= 8:
+        return "quantum-region"
+    return "supra-quantum"
+
+
+# Just under the cap; odd, so q/2 is not a value k/q
+CAP_Q = MAX_COMMON_DENOMINATOR - 1
+# The largest k with 2k^2 <= q^2: 4k/q is the largest gamma over q at or below 2*sqrt(2)
+CAP_K = math.isqrt(CAP_Q * CAP_Q // 2)
+oracle = settings(derandomize=True, database=None, max_examples=50, deadline=None)  # the three take under 1 s
+
+
+@oracle
+@given(st.fractions(0, 4, max_denominator=10**9))
+@example(Fraction(2))
+@example(Fraction(2828427, 1000000))  # 2.828427^2 < 8: quantum region
+@example(Fraction(2828428, 1000000))  # 2.828428^2 > 8: supra-quantum
+@example(Fraction(4))
+@example(Fraction(4 * (CAP_Q // 2), CAP_Q))
+@example(Fraction(4 * (CAP_Q // 2 + 1), CAP_Q))
+@example(Fraction(4 * CAP_K, CAP_Q))
+@example(Fraction(4 * (CAP_K + 1), CAP_Q))
+def test_the_class_of_a_gamma_is_its_fraction_class(gamma):
+    # E_ab = E_ab' = E_a'b = -E_a'b' = gamma/4, so +++- sums to gamma
+    report = ChshReport(dict(zip(TREATMENTS, (gamma / 4, gamma / 4, gamma / 4, -gamma / 4))))
+    assert report.gamma == gamma
+    assert report.classification == classify_gamma(gamma) == fraction_class(gamma)
+
+
+def test_the_cap_examples_straddle_both_bounds():
+    below, above = Fraction(4 * CAP_K, CAP_Q), Fraction(4 * (CAP_K + 1), CAP_Q)
+    assert below * below <= 8 < above * above
+    assert [classify_gamma(Fraction(4 * k, CAP_Q)) for k in (CAP_Q // 2, CAP_Q // 2 + 1, CAP_K, CAP_K + 1)] == [
+        "classical-bound-satisfied", "quantum-region", "quantum-region", "supra-quantum"
+    ]
+
+
+@oracle
+@given(st.lists(st.fractions(-1, 1, max_denominator=10**6), min_size=4, max_size=4))
+def test_the_class_of_any_expectations_is_the_fraction_class_of_their_gamma(expectations):
+    report = ChshReport(dict(zip(TREATMENTS, expectations)))
+    assert report.classification == classify_gamma(report.gamma) == fraction_class(report.gamma)
+
+
+@oracle
+@given(st.fractions(0, 1, max_denominator=10**12), st.fractions(0, 1, max_denominator=10**12))
+@example(Fraction(1, CAP_Q), Fraction(2, CAP_Q - 2))
+@example(Fraction(CAP_Q - 1, CAP_Q), Fraction(1, MAX_COMMON_DENOMINATOR))
+@example(Fraction(1, 3), Fraction(1, 3))
+def test_a_delta_is_the_fraction_difference(first, second):
+    comparison = MarginalComparison("b'", first, second)
+    assert comparison.delta == abs(first - second)

@@ -78,21 +78,24 @@ class TestParseExperiment:
         for t in TREATMENTS:
             assert data.table(t) == uniform_table()
 
-    def test_each_probability_cell_is_converted_once(self, monkeypatch):
-        original = selinf.model.rational
+    def test_each_probability_cell_is_read_once_unless_its_table_is_rejected(self, monkeypatch):
+        # JointTable reads every cell; the parser reads again only the cells of a
+        # table it rejects, here the a',b block, and hands the renormalized Fractions back
+        original = selinf.model.integer_ratio
         calls = []
 
         def counting(value):
             calls.append(value)
             return original(value)
 
-        monkeypatch.setattr(selinf.model, "rational", counting)
-        monkeypatch.setattr(selinf.io, "rational", counting)
+        monkeypatch.setattr(selinf.model, "integer_ratio", counting)
         doc = uniform_doc()
         doc["treatments"]["a',b"] = {"pp": ".778", "pm": ".086", "mp": ".086", "mm": ".049"}
         doc["renormalize"] = True
         data = parse_experiment(json.dumps(doc))
-        assert len(calls) == 16
+        renormalized = [Fraction(c, 999) for c in (778, 86, 86, 49)]
+        assert len(calls) == 24 and calls[8:20] == [".778", ".086", ".086", ".049"] * 2 + renormalized
+        assert calls[:8] + calls[20:] == [UNIFORM_BLOCK[ck] for ck in PROB_KEYS] * 3
         assert data.table(TREATMENTS[2]).cells() == tuple(
             Fraction(c, 999) for c in (778, 86, 86, 49)
         )

@@ -120,6 +120,7 @@ class TestRationalRoutes:
 
     @pytest.mark.parametrize("text", ["١/٢", "٠.٥", "١", "1/٢"])
     def test_non_ascii_digits_take_the_fraction_parser(self, text, monkeypatch):
+        # the reader hands them to Fraction, once
         parsed = []
 
         class Spy(Fraction):
@@ -128,7 +129,7 @@ class TestRationalRoutes:
                 return Fraction(*args)
 
         monkeypatch.setattr(model, "Fraction", Spy)
-        assert rational(text) == Fraction(text)
+        assert model.integer_ratio(text) == Fraction(text).as_integer_ratio()
         assert parsed == [(text,)]
 
 
