@@ -25,7 +25,6 @@ from .errors import ParseError, SelinfError
 from .model import echo
 from .io import (
     analyze,
-    certificate_to_dict,
     describe_certificate,
     parse_experiment,
     parse_model,
@@ -33,7 +32,6 @@ from .io import (
     report_to_json_dict,
     serialize_experiment,
     witness_lines,
-    witness_to_dict,
 )
 from .simulate import SampleSpec, sample_counts
 
@@ -135,27 +133,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     data = parse_experiment(_read_file(args.file))
-    result = analyze(data).feasibility
-    if result.feasible:
-        if args.json:
-            print(json.dumps({"verdict": "feasible", "witness": witness_to_dict(result.witness)}, indent=2))
-        else:
-            print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
-        return EXIT_FEASIBLE
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "verdict": "infeasible",
-                    "certificate": certificate_to_dict(result.certificate),
-                },
-                indent=2,
-            )
-        )
+    report = analyze(data)
+    result = report.feasibility
+    if args.json:  # the report's feasibility part: the verdict, then the witness or the certificate
+        feasibility = report_to_json_dict(report, include_witness=True)["feasibility"]
+        print(json.dumps({k: v for k, v in feasibility.items() if k != "all_violations" and v is not None}, indent=2))
+    elif result.feasible:
+        print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
     else:
-        print("INFEASIBLE")
-        print(f"certificate: {describe_certificate(result.certificate)}")
-    return EXIT_INFEASIBLE
+        print(f"INFEASIBLE\ncertificate: {describe_certificate(result.certificate)}")
+    return EXIT_FEASIBLE if result.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

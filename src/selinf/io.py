@@ -364,7 +364,7 @@ def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
     }
 
 
-def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict[str, Any]:
+def _certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict[str, Any]:
     if isinstance(cert, FacetViolation):
         return {
             "kind": "chsh_facet",
@@ -372,10 +372,6 @@ def certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict
             "value": str(cert.value),
         }
     return {"kind": "marginal", **_comparison_to_dict(cert)}
-
-
-def witness_to_dict(witness: HiddenStateDistribution) -> dict[str, str]:
-    return {state: str(w) for state, w in witness.nonzero_items()}
 
 
 def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
@@ -412,7 +408,7 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
             "witness": None,
             "certificate": None,
             "all_violations": [
-                certificate_to_dict(c) for c in report.feasibility.all_violations
+                _certificate_to_dict(c) for c in report.feasibility.all_violations
             ],
         },
     }
@@ -431,9 +427,9 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
             for r in report.ms_tests
         ]
     if include_witness and report.feasibility.witness is not None:
-        out["feasibility"]["witness"] = witness_to_dict(report.feasibility.witness)
+        out["feasibility"]["witness"] = {state: str(w) for state, w in report.feasibility.witness.nonzero_items()}
     if report.feasibility.certificate is not None:
-        out["feasibility"]["certificate"] = certificate_to_dict(
+        out["feasibility"]["certificate"] = _certificate_to_dict(
             report.feasibility.certificate
         )
     return out

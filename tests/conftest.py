@@ -10,7 +10,7 @@ import pytest
 
 from selinf import simplex
 from selinf.cli import load_fixture_text
-from selinf.feasibility import HiddenStateDistribution, predicted_tables
+from selinf.feasibility import _CONSTRAINTS, HiddenStateDistribution, predicted_tables
 from selinf.io import parse_experiment
 from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable
 
@@ -32,22 +32,19 @@ def table3():
 
 @pytest.fixture
 def full_tableau_runs(monkeypatch):
-    """An empty phase-1 step cache for this test, and a list that grows by one each time phase 1 runs the full tableau.
+    """A list that grows by one each time phase 1 runs the full tableau.
 
-    ``clear_phase_one_cache`` empties the test's cache again; the process's own is restored afterwards.
+    The program's own system, ``_CONSTRAINTS``, starts the test with an empty
+    step cache and gets its cache back afterwards.
     """
-    monkeypatch.setattr(simplex, "_STEPS", {})
-    monkeypatch.setattr(simplex, "_SYSTEMS", {})
+    saved = dict(_CONSTRAINTS.steps)
+    _CONSTRAINTS.steps.clear()
     runs = []
     original = simplex._tableau_steps
     monkeypatch.setattr(simplex, "_tableau_steps", lambda *a: runs.append(1) or original(*a))
-    return runs
-
-
-def clear_phase_one_cache():
-    """Empty phase 1's step cache and the ids of the systems it holds."""
-    simplex._STEPS.clear()
-    simplex._SYSTEMS.clear()
+    yield runs
+    _CONSTRAINTS.steps.clear()
+    _CONSTRAINTS.steps.update(saved)
 
 
 def random_hidden_distribution(rng: random.Random, max_weight: int = 30) -> HiddenStateDistribution:

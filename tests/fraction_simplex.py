@@ -11,7 +11,9 @@ tableau, its nonbasic columns only, and claims to take the same Bland steps
 as the ``Fraction`` tableau here, so the two must return the same point (or
 both None) for every right-hand side. ``full_tableau_phase_one`` is the
 fraction-free phase 1 on every column, basic ones included, which the
-program ran before: the condensed one must return its point and divisor.
+program ran before: the condensed one must return its point. This oracle
+also drives out the artificials left basic at zero, which the program does
+not; those pivots change no value, only the divisor it is written over.
 On a positive optimum the ``Fraction`` phase 1 also returns its simplex
 multipliers y, which ``phase_one_farkas`` turns into the solver's own proof
 of infeasibility.
@@ -162,11 +164,14 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: list[Fraction]) -> tuple
     return solution, y
 
 
-def full_tableau_phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
+def full_tableau_phase_one(
+    rows: Sequence[Sequence[int]], rhs: list[int], driven_out: Optional[list[int]] = None
+) -> Optional[tuple[list[int], int]]:
     """The fraction-free phase 1 on the whole tableau [R | I | T Lb], kept to check ``selinf.simplex``.
 
     Each pivot rewrites every column, basic ones included; ``selinf.simplex``
-    keeps only the nonbasic columns and must return the same point and divisor.
+    keeps only the nonbasic columns and must return the same point. The row
+    of each artificial driven out at optimum zero is appended to ``driven_out``.
     """
     m = len(rows)
     n = len(rows[0])
@@ -232,6 +237,8 @@ def full_tableau_phase_one(rows: Sequence[Sequence[int]], rhs: list[int]) -> Opt
             if tableau[i][col] < 0:
                 tableau[i] = [-v for v in tableau[i]]
             pivot(i, col)
+            if driven_out is not None:
+                driven_out.append(i)
 
     solution = [0] * n
     for i, var in enumerate(basis):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import selinf
 from selinf.cli import load_fixture_text, run_cli
-from selinf.feasibility import HIDDEN_STATES
-from selinf.io import parse_experiment
+from selinf.feasibility import HIDDEN_STATES, predicted_tables
+from selinf.io import parse_experiment, serialize_experiment
 
-from conftest import CROSS_MAP, large_denominator_documents, oversized_model_documents
+from conftest import (
+    CROSS_MAP,
+    large_denominator_documents,
+    oversized_model_documents,
+    random_any_data,
+    random_hidden_distribution,
+    random_ms_data,
+)
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR = 0, 1, 2
 
@@ -199,6 +207,35 @@ class TestWitnessCommand:
 
         total = sum(Fraction(w) for w in doc["witness"].values())
         assert total == 1
+
+
+def witness_documents():
+    """The goldens, then seeded push-forwards (feasible), marginally selective tables
+    and unconstrained ones (mostly infeasible)."""
+    docs = {name: load_fixture_text(name) for name in ("table1", "table2", "table3")}
+    rng = random.Random(302)
+    for i in range(6):
+        docs[f"push-forward-{i}"] = serialize_experiment(predicted_tables(random_hidden_distribution(rng)))
+        docs[f"selective-{i}"] = serialize_experiment(random_ms_data(rng))
+        docs[f"unconstrained-{i}"] = serialize_experiment(random_any_data(rng))
+    return docs
+
+
+class TestWitnessMatchesAnalyze:
+    def test_json_is_the_reports_verdict_and_witness_or_certificate(self, tmp_path, capsys):
+        codes = set()
+        for name, text in witness_documents().items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code = run_cli(["witness", str(path), "--json"])
+            witness = json.loads(capsys.readouterr().out)
+            assert run_cli(["analyze", str(path), "--json", "--witness"]) == code, name
+            feasibility = json.loads(capsys.readouterr().out)["feasibility"]
+            expected = {k: v for k, v in feasibility.items() if k != "all_violations" and v is not None}
+            assert list(witness.items()) == list(expected.items()), name  # in the same key order
+            assert list(witness) == ["verdict", "witness" if code == EXIT_FEASIBLE else "certificate"], name
+            codes.add(code)
+        assert codes == {EXIT_FEASIBLE, EXIT_INFEASIBLE}
 
 
 # every JSON value type; mapped, so that one_of picks it as one branch rather than eight

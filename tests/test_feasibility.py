@@ -321,7 +321,7 @@ def same_as_the_full_tableau(datas):
         rhs = phase_one_rhs(data)
         if rhs is not None:
             runs += 1
-            found = simplex._phase_one(_CONSTRAINTS.rows, rhs)
+            found = simplex._phase_one(_CONSTRAINTS, rhs)
             assert found == fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs)
     return runs
 
@@ -377,36 +377,31 @@ class TestIntegerPhaseOne:
         assert best < 0.25
 
 
-class LastLookup(dict):
-    """A dict that keeps the last key ``get`` was asked for."""
-
-    def get(self, key, default=None):
-        self.last = key
-        return super().get(key, default)
-
-
 class TestCondensedTableau:
-    """The program pivots only the nonbasic columns; every pivot, point and divisor is the full tableau's."""
+    """The program pivots only the nonbasic columns; every pivot, point and divisor is the full tableau's.
 
-    def test_selective_batch_cases(self, full_tableau_runs, monkeypatch):
+    On this system the divisor agrees even where the full tableau goes on to
+    drive out an artificial left basic at zero, which the program does not.
+    """
+
+    def test_selective_batch_cases(self, full_tableau_runs):
         rhss = [rhs for rhs in map(phase_one_rhs, selective_batch_cases()) if rhs is not None]
-        expected = [fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs) for rhs in rhss]
+        driven_out = [[] for _ in rhss]
+        expected = [
+            fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs, rows) for rhs, rows in zip(rhss, driven_out)
+        ]
         assert len(rhss) > 300
         for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
             runs = len(full_tableau_runs)
-            assert simplex._phase_one(_CONSTRAINTS.rows, rhs) == found
+            assert simplex._phase_one(_CONSTRAINTS, rhs) == found
             assert len(full_tableau_runs) - runs <= 1
-        # Warm, no call runs the full tableau. The last state a call looks up is its
-        # end, (system, sign mask, leaving rows). A row that never leaves keeps its artificial
-        # basic to the end of phase 1, so a feasible run that leaves from fewer rows drives it out.
-        steps = LastLookup(simplex._STEPS)
-        monkeypatch.setattr(simplex, "_STEPS", steps)
-        runs, drive_outs = len(full_tableau_runs), 0
+        # Warm, no call runs the full tableau, and so neither do the feasible runs that
+        # end with an artificial basic at zero, which only the full tableau drives out
+        runs = len(full_tableau_runs)
         for rhs, found in zip(rhss, expected):
-            assert simplex._phase_one(_CONSTRAINTS.rows, rhs) == found
-            drive_outs += found is not None and len(set(steps.last[2:])) < len(_CONSTRAINTS.rows)
+            assert simplex._phase_one(_CONSTRAINTS, rhs) == found
         assert len(full_tableau_runs) == runs
-        assert drive_outs >= 60  # 68 of 386
+        assert sum(map(bool, driven_out)) >= 60  # 68 of 386
 
     def test_digest_corpus(self):
         # phase 1 sees only data that satisfies marginal selectivity exactly

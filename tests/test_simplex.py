@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from selinf import simplex
 from selinf.model import over_common_denominator
-from selinf.simplex import _phase_one, feasible_point
+from selinf.feasibility import _CONSTRAINTS
+from selinf.simplex import ReducedSystem, _phase_one, feasible_point
 
 import fraction_simplex
-from conftest import clear_phase_one_cache
 from fraction_simplex import reduce_system
 
 
@@ -35,7 +35,7 @@ def solve_reduced(reduced, rhs):
     elif reduced.scale == 1 and rank:
         assert feasible_point(reduced.system(), scaled, lcd) == x
     elif any(v < 0 for v in reduced_rhs[:rank]):
-        found = _phase_one(reduced.rows, reduced_rhs[:rank])
+        found = _phase_one(reduced.system(), reduced_rhs[:rank])
         assert x == (None if found is None else [Fraction(v, found[1] * lcd) for v in found[0]])
     return x
 
@@ -193,22 +193,23 @@ class TestIntegerTableau:
         # R has the identity at its pivot columns, so k R holds the scale there
         assert [row[col] for row, col in zip(reduced.rows, reduced.pivots)] == [reduced.scale] * 2
 
-    def test_artificial_driven_out_on_a_negative_entry(self):
+    def test_artificial_left_basic_at_zero_on_a_negative_row(self):
         # x1 + x3 = 2 and x2 - x3 = -2: phase 1 ends with an artificial basic
-        # at zero whose row is negative in the first original column; the row
-        # is negated first, so the common divisor stays positive
+        # at zero whose row is negative in the first original column; the
+        # program leaves it basic, and the point reads 0 for every original
+        # variable not basic
         matrix = [[F(2), F(0), F(2)], [F(1), F(2), F(-1)]]
         rhs = [F(4), F(-2)]
         assert solve(matrix, rhs) == [F(0), F(0), F(2)]
         reduced = reduce_system(matrix)
         scaled_rhs = [sum(c * int(rhs[j]) for j, c in row) for row in reduced.transform]
-        values, divisor = _phase_one(reduced.rows, scaled_rhs)
+        values, divisor = _phase_one(reduced.system(), scaled_rhs)
         assert divisor > 0
         assert values == [0, 0, 2 * divisor]
 
     def test_degenerate_fractional_systems_follow_the_rational_path(self):
         # sparse nonnegative points make degenerate vertices, so phase 1 often
-        # ends with artificials basic at zero and drives them out
+        # ends with artificials basic at zero
         rng = random.Random(44)
         for _ in range(300):
             m, n = rng.randint(1, 6), rng.randint(1, 9)
@@ -238,55 +239,91 @@ def independent_row_systems(draw):
     return rows, rhs
 
 
+def system(rows):
+    """The rows alone as a ``ReducedSystem``, the only part phase 1 reads, with an empty step cache of its own."""
+    return ReducedSystem(tuple(map(tuple, rows)), (), ())
+
+
+def point(found):
+    """A phase-1 answer as its rational point, or None, once its numerators are checked to be
+    nonnegative ints over a positive int divisor."""
+    if found is None:
+        return None
+    values, divisor = found
+    assert type(divisor) is int and divisor > 0
+    assert all(type(v) is int and v >= 0 for v in values)
+    return [Fraction(v, divisor) for v in values]
+
+
+def same_point_as_the_full_tableau(solved, rhs):
+    """Whether phase 1 on ``solved`` returns the full tableau's point for ``rhs``.
+
+    The full tableau also drives out the artificials left basic at zero,
+    which changes its divisor but not its point.
+    """
+    return point(_phase_one(solved, rhs)) == point(fraction_simplex.full_tableau_phase_one(solved.rows, rhs))
+
+
 class TestCondensedTableau:
     @settings(
         derandomize=True, database=None, max_examples=150, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(independent_row_systems())
-    # the system of test_artificial_driven_out_on_a_negative_entry as reduce_system gives it
+    # the system of test_artificial_left_basic_at_zero_on_a_negative_row as reduce_system gives it
     @example(([(4, 0, 4), (0, 4, -4)], [8, -8]))
-    # a drive-out whose smallest structural label is not its first nonzero
-    # column; the pivots differ in size, so another column changes the divisor
+    # an artificial left basic at zero whose row's smallest structural label is not its
+    # first nonzero column; the full tableau's drive-out pivot there changes its divisor
     @example((((10, 0, 0, -12, 25), (0, 10, 0, 8, -10), (0, 0, 10, 2, -10)), [5, -2, 5]))
-    def test_same_point_and_divisor_as_the_full_tableau(self, full_tableau_runs, system):
-        rows, rhs = system
+    def test_same_point_as_the_full_tableau(self, full_tableau_runs, rows_and_rhs):
+        rows, rhs = rows_and_rhs
         if rows:
-            expected = fraction_simplex.full_tableau_phase_one(rows, rhs)
-            clear_phase_one_cache()
+            solved = system(rows)
             full_tableau_runs.clear()
             # cold, the full tableau runs and records its steps; warm, only the right-hand side is pivoted
-            assert _phase_one(rows, rhs) == expected and len(full_tableau_runs) == 1
-            assert _phase_one(rows, rhs) == expected and len(full_tableau_runs) == 1
+            assert same_point_as_the_full_tableau(solved, rhs) and len(full_tableau_runs) == 1
+            assert same_point_as_the_full_tableau(solved, rhs) and len(full_tableau_runs) == 1
 
 
 class TestStepCache:
-    def test_a_flood_of_systems_and_masks_stays_within_the_cap(self, full_tableau_runs):
-        # [I | B] has independent rows; each system is solved for several sign masks.
-        # The first 250 or so systems fill the cache, and the rest run past the cap
+    def test_a_flood_of_systems_leaves_the_programs_cache_alone(self, full_tableau_runs):
+        # [I | B] has independent rows; each system is solved for several sign masks in a cache of its own
+        _phase_one(_CONSTRAINTS, [1, -1, 0, 0, 0, 0, 0, 0, 1])
+        before = dict(_CONSTRAINTS.steps)
         rng = random.Random(46)
         for _ in range(500):
             m = rng.randint(3, 5)
-            rows = [tuple(int(i == j) for j in range(m)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(m)]
+            solved = system([tuple(int(i == j) for j in range(m)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(m)])
             for _ in range(4):
                 rhs = [rng.randint(-6, 6) for _ in range(m)]
                 runs = len(full_tableau_runs)
-                assert _phase_one(rows, rhs) == fraction_simplex.full_tableau_phase_one(rows, rhs)
+                assert same_point_as_the_full_tableau(solved, rhs)
                 assert len(full_tableau_runs) - runs <= 1
-            assert len(simplex._SYSTEMS) <= len(simplex._STEPS) <= simplex._CAP
-        assert len(simplex._STEPS) == simplex._CAP
+        assert _CONSTRAINTS.steps == before and before
+
+    def test_a_system_caches_at_most_the_cap(self, full_tableau_runs, monkeypatch):
+        # 31 nonempty sign masks of 5 rows, each its own path of at least two states, start
+        # and end: the cache fills to the cap, and the misses past it run uncached
+        monkeypatch.setattr(simplex, "_CAP", 20)
+        rng = random.Random(47)
+        solved = system([tuple(int(i == j) for j in range(5)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(5)])
+        for _ in range(2):
+            for mask in range(1, 32):
+                rhs = [-rng.randint(1, 6) if mask >> i & 1 else rng.randint(0, 6) for i in range(5)]
+                assert same_point_as_the_full_tableau(solved, rhs)
+                assert len(solved.steps) <= 20
+        assert len(solved.steps) == 20
 
     def test_a_call_runs_the_full_tableau_at_most_once(self, full_tableau_runs):
         # Both right-hand sides leave from row 0 first and then from different rows:
         # the second takes two cached steps, then the tableau replays them and serves the rest
-        rows = ((1, -2, 0, 1), (0, 0, 1, -3))
+        solved = system(((1, -2, 0, 1), (0, 0, 1, -3)))
         for rhs, runs, states in (([2, -4], 1, 3), ([2, -4], 1, 3), ([0, -2], 2, 5), ([0, -2], 2, 5)):
-            assert _phase_one(rows, rhs) == fraction_simplex.full_tableau_phase_one(rows, rhs)
-            assert len(full_tableau_runs) == runs and len(simplex._STEPS) == states
+            assert same_point_as_the_full_tableau(solved, rhs)
+            assert len(full_tableau_runs) == runs and len(solved.steps) == states
 
-    def test_an_infeasible_run_caches_the_drive_out_of_its_path(self, full_tableau_runs):
-        # both take the same steps, and row 1 never leaves: its artificial is driven out
-        rows = ((2, 0, 2, 2), (0, 2, 3, -1))
-        assert _phase_one(rows, [2, -3]) is None
-        expected = fraction_simplex.full_tableau_phase_one(rows, [2, -1])
-        assert _phase_one(rows, [2, -1]) == expected and len(full_tableau_runs) == 1
+    def test_an_infeasible_run_caches_the_end_of_its_path(self, full_tableau_runs):
+        # both take the same steps, and row 1 never leaves: the feasible run ends with its artificial basic at zero
+        solved = system(((2, 0, 2, 2), (0, 2, 3, -1)))
+        assert _phase_one(solved, [2, -3]) is None
+        assert same_point_as_the_full_tableau(solved, [2, -1]) and len(full_tableau_runs) == 1
