@@ -2,8 +2,8 @@
 
 Commands::
 
-    selinf analyze <file> [--tolerance E] [--sig A] [--witness] [--json]
-    selinf witness <file>
+    selinf analyze <file> [--tolerance E] [--sig A] [--bonferroni] [--witness] [--json]
+    selinf witness <file> [--json]
     selinf simulate --model <file> --n <N> --seed <S> [--out <file>]
     selinf selftest
 

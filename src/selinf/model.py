@@ -44,14 +44,13 @@ MAX_COUNT_TOTAL = 2**53
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 # Every rational a report computes from the tables has a denominator that
-# divides the least common denominator L of the 16 table cells times the
-# determinant of a basis of the constant 0/1 constraint matrix (at most 195
-# in magnitude for 9x9), and a numerator at most 4 times that denominator.
-# Capping L keeps every rendered number far below Python's 4,300-digit
-# int-to-str limit; ``io`` checks it on ``ExperimentData.scaled_cells`` when
-# parsing and in ``analyze``. The simplex's phase 1 pivots on integers, the
-# cells scaled by L; its tableau entries stay under 2**22 * L (see
-# ``simplex``), so about 2,000 digits at the cap.
+# divides the least common denominator L of the 16 table cells (a witness
+# weight too, since every pivot of the simplex's phase 1 is 1), and a
+# numerator at most 4 times that denominator. Capping L keeps every rendered
+# number far below Python's 4,300-digit int-to-str limit; ``io`` checks it on
+# ``ExperimentData.scaled_cells`` when parsing and in ``analyze``. Phase 1
+# pivots on integers, the cells scaled by L; its tableau entries stay under
+# 2**22 * L (see ``simplex``), so about 2,000 digits at the cap.
 MAX_COMMON_DENOMINATOR = 10**2000
 
 

@@ -1,4 +1,4 @@
-"""Exact feasibility of {x >= 0, A x = b} by a fraction-free phase-1 simplex.
+"""Exact feasibility of {x >= 0, A x = b} by an integer phase-1 simplex whose every pivot is 1.
 
 The verdict is exact: no tolerances, no scaling heuristics. The system comes
 reduced, as a ``ReducedSystem``: R, the reduced row echelon form of A, as
@@ -12,42 +12,46 @@ artificial variable per row minimizes their sum under Bland's anti-cycling
 rule. Optimum zero yields a feasible point; a positive optimum proves there
 is none.
 
-Phase 1 pivots fraction-free (Bareiss 1968) on a condensed tableau: an
-integer matrix M over a positive common divisor d, the previous pivot, with
-one column per nonbasic variable (its label) and the right-hand side; basic
-columns, d times unit columns, are not kept. A pivot on p keeps its row, sets
-each other entry to (p*v - f*w) // d, an exact division, where that changes
-it, and hands the column to the leaving variable: -f in each other row, d in
-the pivot row. Each entry of M is, up to sign, a minor of the initial tableau
-[R | I | T Lb] of order at most rank(A), and d is the absolute determinant
-of the current basis. So the integers never outgrow those minors, which
-Hadamard's inequality bounds. For the program's matrix, 9 independent rows
-of [R | I] with five entries of -1 or 1 each, every matrix entry and d are at
-most 5**4.5 < 1400, and every right-hand side entry at most that times the
-sum of |T Lb| <= 153 L: under 18 bits beyond L. The objective row, one more
-row of M pivoted like the others, is the artificial-basic rows' sum minus d
-times the costs (1 on each artificial): minus each reduced cost, then the
-objective, times d, at most rank(A) + 1 times M's largest entry. Bland
-enters the positive entry of smallest label.
+Phase 1 pivots on a condensed integer tableau M, with one column per
+nonbasic variable (its label) and the right-hand side; basic columns, unit
+columns, are not kept. On the program's system every positive entry of every
+entering column is 1 (tests/test_simplex.py walks every state to show it), so
+every pivot is 1 and nothing is divided: a pivot keeps its row, subtracts f
+times it from each other row with f != 0 in the entering column, and hands
+that column to the leaving variable: -f in each other row, 1 in the pivot
+row. An entering column with another positive entry raises AssertionError,
+as an unbounded objective does. So every basis has determinant 1 up to sign,
+and each entry of M is, up to sign, a minor of [R | I] of order at most
+rank(A). For the program's matrix, 9 independent rows with five entries of -1
+or 1 each, Hadamard's inequality bounds those by 5**4.5 < 1400, and every
+right-hand side entry by that times the sum of |T Lb| <= 153 L: under 18
+bits beyond L, and the objective, a sum of at most 9 of them, under 22. The
+objective row, one more row of M pivoted like the others,
+is the artificial-basic rows' sum minus the costs (1 on each artificial):
+minus each reduced cost, then the objective. Bland enters the positive entry
+of smallest label, and the ratio test takes the row of least right-hand side
+among the entering column's 1s, on a tie the first in Bland's order.
 
 Phase 1 solves R y = T(Lb) for y = Lx, with artificials L times the rational
 ones. That multiplies the phase-1 objective by L > 0 and each variable by a
 positive constant, so every reduced cost keeps its sign and every ratio test
 its order: Bland's rule takes the same entering and leaving steps as on the
-rational tableau, and the final basis and point are the same.
+rational tableau, and the final basis and point are the same. Each weight is
+an integer over L.
 
 Phase 1 stops at its optimum, with no drive-out: an artificial left basic at
-zero has right-hand side 0, so driving it out would change only the divisor,
-not the point read off the final basis.
+zero has right-hand side 0, so driving it out would change no variable's
+value.
 
-Only the ratio test reads the data. The entering column and the divisor
-depend only on the state: the sign mask (the rows where T(Lb) < 0) and the
-rows left so far, one integer. Each system caches, per state, the column or,
-at the end, the basis, and along cached states phase 1 pivots only the
-right-hand side. From the first state not cached, one run of the full tableau
-serves and records the rest: a miss costs one full phase 1. A system keeps at
-most 4,096 states, none evicted; past that, misses run uncached. The
-program's holds 678 states, 0.20 MB, after 400 selective-batch experiments.
+Only the ratio test reads the data. The entering column depends only on the
+state: the sign mask (the rows where T(Lb) < 0) and the rows left so far,
+one integer. Each system caches, per state, the column or, at the end, the
+basis, and along cached states phase 1 pivots only the right-hand side. From
+the first state not cached, one run of the full tableau serves and records
+the rest: a miss costs one full phase 1. The cache has no cap and evicts
+nothing: from the 127 sign masks that valid data gives, the program's system
+reaches 7,388 states, none more than 14 pivots deep. 400 selective-batch
+experiments fill 678 of them, 0.20 MB.
 
 Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
 """
@@ -79,43 +83,35 @@ class ReducedSystem(_Record):
         object.__setattr__(self, "steps", {})
 
 
-_CAP = 4096  # steps cached per system, for its life; see the module docstring
-
-
-def _phase_one(system: ReducedSystem, rhs: list[int]) -> Optional[tuple[list[int], int]]:
+def _phase_one(system: ReducedSystem, rhs: list[int]) -> Optional[list[int]]:
     """Phase-1 simplex on the system's independent integer rows.
 
-    Returns a nonnegative solution as numerators over one positive common
-    denominator, or None when infeasible.
+    Returns a nonnegative integer solution, or None when infeasible.
     """
     rows, steps, m = system.rows, system.steps, len(system.rows)
     mask = sum(1 << i for i, r in enumerate(rhs) if r < 0)
     state = mask | 1 << m  # one integer per path: each step appends its leaving row as a digit in base m + 1
     values = [*map(abs, rhs), sum(map(abs, rhs))]  # the rows' right-hand sides, then the objective
-    divisor, path, tableau = 1, [], None  # the rational right-hand side is values / divisor
+    path, tableau = [], None
     while True:
         step = None if tableau else steps.get(state)
         if step is None:  # a state not cached has no cached successor: the full tableau serves the rest
             tableau = tableau or _tableau_steps(rows, mask, path)
-            step = next(tableau)
-            if len(steps) < _CAP:
-                steps[state] = step
+            step = steps[state] = next(tableau)
         column, order = step
         if column is None:
             break
-        leaving = order[0]
-        for i in order[1:]:  # the least ratio values/column; on a tie the first, the smaller basic variable
-            if values[i] * column[leaving] < values[leaving] * column[i]:
-                leaving = i
-        lead, p = values[leaving], column[leaving]
-        values = [(p * v - f * lead) // divisor for v, f in zip(values, column)]
-        values[leaving], divisor = lead, p
+        # the least ratio values / 1; on a tie the first, the smaller basic variable
+        leaving = min(order, key=values.__getitem__)
+        lead = values[leaving]
+        values = [v - f * lead if f else v for v, f in zip(values, column)]
+        values[leaving] = lead
         path.append(leaving)
         state = state * (m + 1) + leaving
     if values[m] != 0:
         return None
     # at the end, ``order`` holds each original variable's row if it is basic, else None
-    return [0 if i is None else values[i] for i in order], divisor
+    return [0 if i is None else values[i] for i in order]
 
 
 def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) -> Iterator[tuple]:
@@ -129,7 +125,6 @@ def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) ->
     tableau.append(list(map(sum, zip(*tableau))))
     labels = list(range(n))
     basis = [n + i for i in range(m)]
-    divisor = 1  # the rational tableau is tableau / divisor
     taken = 0
     while True:
         # Bland: smallest improving variable
@@ -142,18 +137,17 @@ def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) ->
             order = tuple(sorted((i for i in range(m) if column[i] > 0), key=basis.__getitem__))
             if not order:
                 raise AssertionError("phase-1 objective cannot be unbounded")
+            if any(column[i] != 1 for i in order):
+                raise AssertionError("phase-1 pivots must be 1")
             yield column, order
-        row, d = path[taken], divisor  # pivot on p > 0 in the row that leaves
-        w_row, p = tableau[row], tableau[row][col]
-        # (p*v - f*w) // d is v where f*w = 0 and p = d: only the other entries change
-        changed = [(j, w) for j, w in enumerate(w_row) if w] if p == d else list(enumerate(w_row))
+        row = path[taken]  # pivot on 1 in the row that leaves: only the other rows change
+        changed = [(j, w) for j, w in enumerate(tableau[row]) if w]
         for i, other in enumerate(tableau):
             f = other[col]
-            if i != row and (f or p != d):
+            if i != row and f:
                 for j, w in changed:
-                    other[j] = (p * other[j] - f * w) // d
+                    other[j] -= f * w
                 other[col] = -f  # the leaving variable's column
-        w_row[col], divisor = d, p
         basis[row], labels[col] = labels[col], basis[row]
         taken += 1
     # at optimum zero, an artificial still basic is at zero and changes no original variable's value
@@ -175,7 +169,4 @@ def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Opti
     found = _phase_one(reduced, reduced_rhs)
     if found is None:
         return None
-    # y = Lx
-    values, divisor = found
-    denominator = divisor * lcd
-    return [Fraction(v, denominator) if v else ZERO for v in values]
+    return [Fraction(v, lcd) if v else ZERO for v in found]  # y = Lx

@@ -6,17 +6,18 @@ reduces the random systems on which the tests run ``selinf.simplex``. It
 keeps the rows of T beyond the rank of A, the consistency conditions,
 which the program leaves to marginal selectivity.
 
-``selinf.simplex`` runs phase 1 fraction-free on a condensed integer
-tableau, its nonbasic columns only, and claims to take the same Bland steps
-as the ``Fraction`` tableau here, so the two must return the same point (or
-both None) for every right-hand side. ``full_tableau_phase_one`` is the
-fraction-free phase 1 on every column, basic ones included, which the
-program ran before: the condensed one must return its point. This oracle
+``selinf.simplex`` runs phase 1 on a condensed integer tableau, its
+nonbasic columns only, for the program's system alone, whose every pivot is
+1. It claims to take the same Bland steps as the ``Fraction`` tableau here,
+so on that system the two must return the same point (or both None) for
+every right-hand side. ``full_tableau_phase_one`` is the fraction-free
+(Bareiss) phase 1 on every column of any system, basic ones included,
+dividing exactly by the previous pivot: on the program's system its divisor
+must stay 1 and its numerators must be the condensed phase 1's. This oracle
 also drives out the artificials left basic at zero, which the program does
-not; those pivots change no value, only the divisor it is written over.
-On a positive optimum the ``Fraction`` phase 1 also returns its simplex
-multipliers y, which ``phase_one_farkas`` turns into the solver's own proof
-of infeasibility.
+not; those pivots change no value. On a positive optimum the ``Fraction``
+phase 1 also returns its simplex multipliers y, which ``phase_one_farkas``
+turns into the solver's own proof of infeasibility.
 """
 
 from __future__ import annotations

@@ -58,6 +58,7 @@ from relabel import (
 
 import fraction_simplex
 from test_corpus_digest import corpus
+from test_simplex import full_tableau, state_graph
 
 
 class TestHiddenStates:
@@ -321,9 +322,14 @@ def same_as_the_full_tableau(datas):
         rhs = phase_one_rhs(data)
         if rhs is not None:
             runs += 1
-            found = simplex._phase_one(_CONSTRAINTS, rhs)
-            assert found == fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs)
+            assert simplex._phase_one(_CONSTRAINTS, rhs) == full_tableau(rhs)
     return runs
+
+
+def cached_states_lie_in_the_state_graph():
+    """Whether every step the program's system has cached is its state's step in the state graph."""
+    graph, _ = state_graph()
+    return all(graph.get(state) == step for state, step in _CONSTRAINTS.steps.items())
 
 
 @pytest.fixture
@@ -361,6 +367,13 @@ class TestIntegerPhaseOne:
                 assert expected is None
         assert solved > 80
 
+    def test_a_nonnegative_basic_solution_with_zeros_runs_no_phase_one(self, phase_one_runs):
+        # a point mass fills one cell per table: T (L b) is nonnegative with zeros, and is the point itself
+        dist = point_mass_distribution("+-+-")
+        cells = predicted_tables(dist).scaled_cells
+        assert min(sum(c * cells[j] for j, c in row) for row in _CONSTRAINTS.transform) == 0
+        assert simplex.feasible_point(_CONSTRAINTS, cells, cells[16]) == list(dist.weights) and phase_one_runs == []
+
     def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):
         data = cap_denominator_push_forward()
         assert math.lcm(*(c.denominator for c in _rhs(data))) == MAX_COMMON_DENOMINATOR - 1
@@ -378,23 +391,23 @@ class TestIntegerPhaseOne:
 
 
 class TestCondensedTableau:
-    """The program pivots only the nonbasic columns; every pivot, point and divisor is the full tableau's.
+    """The program pivots only the nonbasic columns; every pivot and point is the full tableau's, whose divisor stays 1.
 
-    On this system the divisor agrees even where the full tableau goes on to
-    drive out an artificial left basic at zero, which the program does not.
+    The full tableau also drives out the artificials left basic at zero, which
+    the program does not; on this system the divisor stays 1 there too.
     """
 
     def test_selective_batch_cases(self, full_tableau_runs):
         rhss = [rhs for rhs in map(phase_one_rhs, selective_batch_cases()) if rhs is not None]
         driven_out = [[] for _ in rhss]
-        expected = [
-            fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs, rows) for rhs, rows in zip(rhss, driven_out)
-        ]
+        expected = [full_tableau(rhs, rows) for rhs, rows in zip(rhss, driven_out)]
         assert len(rhss) > 300
         for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
             runs = len(full_tableau_runs)
             assert simplex._phase_one(_CONSTRAINTS, rhs) == found
             assert len(full_tableau_runs) - runs <= 1
+        # the fixture emptied the cache: these cases fill 678 states, all in the state graph
+        assert len(_CONSTRAINTS.steps) == 678 and cached_states_lie_in_the_state_graph()
         # Warm, no call runs the full tableau, and so neither do the feasible runs that
         # end with an artificial basic at zero, which only the full tableau drives out
         runs = len(full_tableau_runs)
@@ -403,13 +416,28 @@ class TestCondensedTableau:
         assert len(full_tableau_runs) == runs
         assert sum(map(bool, driven_out)) >= 60  # 68 of 386
 
-    def test_digest_corpus(self):
+    def test_digest_corpus(self, full_tableau_runs):
         # phase 1 sees only data that satisfies marginal selectivity exactly
         exact = [data for data in corpus() if check_marginal_selectivity(data).max_delta == 0]
         assert same_as_the_full_tableau(exact) > 70
+        assert _CONSTRAINTS.steps and cached_states_lie_in_the_state_graph()
 
     def test_cap_size_push_forward(self):
         assert same_as_the_full_tableau([cap_denominator_push_forward()]) == 1
+
+
+class TestWitnessShape:
+    def test_every_witness_is_basic_and_an_integer_over_the_cells_denominator(self):
+        # phase 1 ends at a basic solution of the rank-9 system, and every pivot is 1,
+        # so each weight times L, the cells' common denominator, is an integer
+        witnesses = 0
+        for data in [*selective_batch_cases(), *corpus(), cap_denominator_push_forward()]:
+            witness = solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data)).witness
+            if witness is not None:
+                witnesses += 1
+                assert sum(w != 0 for w in witness.weights) <= 9
+                assert all((w * data.scaled_cells[16]).denominator == 1 for w in witness.weights)
+        assert witnesses == 472
 
 
 def solver_farkas_vector(data):

@@ -14,6 +14,8 @@ from types import FunctionType
 import selinf
 from selinf.io import serialize_experiment
 
+from mutants import MUTANTS, ROOT
+
 PACKAGE_DIR = Path(selinf.__file__).parent
 
 
@@ -227,3 +229,13 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, table2):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_mutant_snippet_occurs_once_and_names_tests_that_exist():
+    for name, file, snippet, _, tests in MUTANTS:
+        assert file.startswith("src/") and (ROOT / file).read_text().count(snippet) == 1, name
+        for test in tests:
+            module, *scopes = test.split("::")
+            source = (ROOT / module).read_text()
+            assert all(re.search(rf"^\s*(class|def) {scope}\b", source, re.M) for scope in scopes), test
+

@@ -1,5 +1,12 @@
-"""Exact phase-1 simplex: equality feasibility with nonnegative variables."""
+"""Exact phase-1 simplex: equality feasibility with nonnegative variables.
 
+The general systems check the rational oracle in ``fraction_simplex`` against
+scipy and hand solutions. The program's phase 1 serves one system, whose every
+pivot is 1, so it is checked on that system alone: its state graph, and its
+points against the oracle's full tableau.
+"""
+
+import functools
 import random
 from fractions import Fraction
 
@@ -7,9 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from selinf import simplex
-from selinf.model import over_common_denominator
 from selinf.feasibility import _CONSTRAINTS
-from selinf.simplex import ReducedSystem, _phase_one, feasible_point
+from selinf.simplex import ReducedSystem, _phase_one
 
 import fraction_simplex
 from fraction_simplex import reduce_system
@@ -19,30 +25,9 @@ def F(*args):
     return Fraction(*args)
 
 
-def solve_reduced(reduced, rhs):
-    """The rational oracle's answer for one right-hand side, checked against the integer solver.
-
-    The integer solver takes only right-hand sides that pass the consistency
-    rows. With k = 1 and a nonzero rank it runs as the program runs it, through
-    ``feasible_point``; otherwise phase 1 runs on k R directly, when it runs.
-    """
-    x = fraction_simplex.feasible_point(reduced, rhs)
-    scaled, lcd = over_common_denominator(rhs)
-    reduced_rhs = [sum(c * scaled[j] for j, c in row) for row in reduced.transform]
-    rank = len(reduced.pivots)
-    if any(reduced_rhs[rank:]):
-        assert x is None
-    elif reduced.scale == 1 and rank:
-        assert feasible_point(reduced.system(), scaled, lcd) == x
-    elif any(v < 0 for v in reduced_rhs[:rank]):
-        found = _phase_one(reduced.system(), reduced_rhs[:rank])
-        assert x == (None if found is None else [Fraction(v, found[1] * lcd) for v in found[0]])
-    return x
-
-
 def solve(matrix, rhs):
-    """Reduce the matrix with the oracle, then solve for one right-hand side."""
-    return solve_reduced(reduce_system(matrix), rhs)
+    """Reduce the matrix with the rational oracle, then solve for one right-hand side."""
+    return fraction_simplex.feasible_point(reduce_system(matrix), rhs)
 
 
 def check_solution(matrix, rhs, x):
@@ -174,7 +159,7 @@ class TestSharedReduction:
             else:  # arbitrary; the dependent row is off by one when k % 4 == 1
                 rhs = [Fraction(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(3)]
                 rhs.append(rhs[0] + rhs[1] + (k % 4 == 1))
-            x = solve_reduced(shared, rhs)
+            x = fraction_simplex.feasible_point(shared, rhs)
             assert x == solve(matrix, rhs)
             if x is not None:
                 check_solution(matrix, rhs, x)
@@ -196,18 +181,12 @@ class TestIntegerTableau:
     def test_artificial_left_basic_at_zero_on_a_negative_row(self):
         # x1 + x3 = 2 and x2 - x3 = -2: phase 1 ends with an artificial basic
         # at zero whose row is negative in the first original column; the
-        # program leaves it basic, and the point reads 0 for every original
+        # oracle drives it out, and the point reads 0 for every original
         # variable not basic
         matrix = [[F(2), F(0), F(2)], [F(1), F(2), F(-1)]]
-        rhs = [F(4), F(-2)]
-        assert solve(matrix, rhs) == [F(0), F(0), F(2)]
-        reduced = reduce_system(matrix)
-        scaled_rhs = [sum(c * int(rhs[j]) for j, c in row) for row in reduced.transform]
-        values, divisor = _phase_one(reduced.system(), scaled_rhs)
-        assert divisor > 0
-        assert values == [0, 0, 2 * divisor]
+        assert solve(matrix, [F(4), F(-2)]) == [F(0), F(0), F(2)]
 
-    def test_degenerate_fractional_systems_follow_the_rational_path(self):
+    def test_degenerate_fractional_systems_are_solved(self):
         # sparse nonnegative points make degenerate vertices, so phase 1 often
         # ends with artificials basic at zero
         rng = random.Random(44)
@@ -229,101 +208,109 @@ class TestIntegerTableau:
                 check_solution(matrix, rhs, x)
 
 
-@st.composite
-def independent_row_systems(draw):
-    """k R of a random small integer matrix, its rows independent, and an integer right-hand side."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
-    matrix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
-    rows = reduce_system([[Fraction(v) for v in row] for row in matrix]).rows
-    rhs = draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
-    return rows, rhs
+def constraints():
+    """The program's system with an empty step cache of its own."""
+    return ReducedSystem(_CONSTRAINTS.rows, _CONSTRAINTS.pivots, _CONSTRAINTS.transform)
 
 
-def system(rows):
-    """The rows alone as a ``ReducedSystem``, the only part phase 1 reads, with an empty step cache of its own."""
-    return ReducedSystem(tuple(map(tuple, rows)), (), ())
-
-
-def point(found):
-    """A phase-1 answer as its rational point, or None, once its numerators are checked to be
-    nonnegative ints over a positive int divisor."""
+def full_tableau(rhs, driven_out=None):
+    """The full tableau's phase 1 on the program's system, its divisor checked to be 1:
+    the numerators alone, as the program returns them, or None."""
+    found = fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs, driven_out)
     if found is None:
         return None
     values, divisor = found
-    assert type(divisor) is int and divisor > 0
-    assert all(type(v) is int and v >= 0 for v in values)
-    return [Fraction(v, divisor) for v in values]
+    assert divisor == 1
+    return values
 
 
-def same_point_as_the_full_tableau(solved, rhs):
-    """Whether phase 1 on ``solved`` returns the full tableau's point for ``rhs``.
+@functools.cache
+def state_graph():
+    """Each state of phase 1 on the program's system, keyed as in its step cache, with its step; and the longest path.
 
-    The full tableau also drives out the artificials left basic at zero,
-    which changes its divisor but not its point.
+    The walk starts from the 127 sign masks that valid data gives, since rows 7
+    and 8 of T each read one cell and are never negative. From each state it
+    leaves by every row with a positive entry in the entering column, a
+    superset of the rows Bland's ratio test can take.
     """
-    return point(_phase_one(solved, rhs)) == point(fraction_simplex.full_tableau_phase_one(solved.rows, rhs))
+    rows, m = _CONSTRAINTS.rows, len(_CONSTRAINTS.rows)
+    graph, depth, pending = {}, 0, []
+    for mask in range(1, 1 << 7):
+        path = []
+        pending.append((mask, mask | 1 << m, path, simplex._tableau_steps(rows, mask, path)))
+    while pending:
+        mask, state, path, steps = pending.pop()
+        column, order = graph[state] = next(steps)
+        depth = max(depth, len(path))
+        assert len(graph) <= 7388 and depth <= 14, "the walk outgrows the graph's pinned size"
+        if column is not None:
+            *others, last = order
+            for i in others:  # a new tableau replays the path to branch; the last row goes on with this one
+                branch = path + [i]
+                pending.append((mask, state * (m + 1) + i, branch, simplex._tableau_steps(rows, mask, branch)))
+            path.append(last)
+            pending.append((mask, state * (m + 1) + last, path, steps))
+    return graph, depth
+
+
+class TestStateGraph:
+    def test_valid_data_never_negates_rows_7_and_8(self):
+        assert _CONSTRAINTS.transform[7:] == (((7, 1),), ((3, 1),))
+
+    def test_size_depth_and_unit_pivots(self):
+        graph, depth = state_graph()
+        assert len(graph) == 7388
+        assert sum(column is None for column, _ in graph.values()) == 4959
+        assert depth == 14
+        # every positive entry of every entering column is 1, so every pivot is 1
+        assert all(column[i] == 1 for column, order in graph.values() if column is not None for i in order)
 
 
 class TestCondensedTableau:
     @settings(
-        derandomize=True, database=None, max_examples=150, deadline=None,
+        derandomize=True, database=None, max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(independent_row_systems())
-    # the system of test_artificial_left_basic_at_zero_on_a_negative_row as reduce_system gives it
-    @example(([(4, 0, 4), (0, 4, -4)], [8, -8]))
-    # an artificial left basic at zero whose row's smallest structural label is not its
-    # first nonzero column; the full tableau's drive-out pivot there changes its divisor
-    @example((((10, 0, 0, -12, 25), (0, 10, 0, 8, -10), (0, 0, 10, 2, -10)), [5, -2, 5]))
-    def test_same_point_as_the_full_tableau(self, full_tableau_runs, rows_and_rhs):
-        rows, rhs = rows_and_rhs
-        if rows:
-            solved = system(rows)
-            full_tableau_runs.clear()
-            # cold, the full tableau runs and records its steps; warm, only the right-hand side is pivoted
-            assert same_point_as_the_full_tableau(solved, rhs) and len(full_tableau_runs) == 1
-            assert same_point_as_the_full_tableau(solved, rhs) and len(full_tableau_runs) == 1
+    @given(st.lists(st.integers(0, 6), min_size=9, max_size=9))
+    # under the mask of rows 1, 2 and 3 a tie in the ratio test decides the point
+    @example([2, 1, 1, 1, 2, 1, 0, 2, 3])
+    def test_same_point_as_the_full_tableau_under_every_sign_mask(self, full_tableau_runs, magnitudes):
+        solved = constraints()
+        rhss = [[-v if mask >> i & 1 else v for i, v in enumerate(magnitudes)] for mask in range(1, 512)]
+        expected = [full_tableau(rhs) for rhs in rhss]
+        full_tableau_runs.clear()
+        for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
+            runs = len(full_tableau_runs)
+            assert _phase_one(solved, rhs) == found
+            assert len(full_tableau_runs) - runs <= 1
+        runs = len(full_tableau_runs)
+        for rhs, found in zip(rhss, expected):  # warm: only the right-hand side is pivoted
+            assert _phase_one(solved, rhs) == found
+        assert len(full_tableau_runs) == runs
 
 
 class TestStepCache:
-    def test_a_flood_of_systems_leaves_the_programs_cache_alone(self, full_tableau_runs):
-        # [I | B] has independent rows; each system is solved for several sign masks in a cache of its own
-        _phase_one(_CONSTRAINTS, [1, -1, 0, 0, 0, 0, 0, 0, 1])
-        before = dict(_CONSTRAINTS.steps)
-        rng = random.Random(46)
-        for _ in range(500):
-            m = rng.randint(3, 5)
-            solved = system([tuple(int(i == j) for j in range(m)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(m)])
-            for _ in range(4):
-                rhs = [rng.randint(-6, 6) for _ in range(m)]
-                runs = len(full_tableau_runs)
-                assert same_point_as_the_full_tableau(solved, rhs)
-                assert len(full_tableau_runs) - runs <= 1
-        assert _CONSTRAINTS.steps == before and before
-
-    def test_a_system_caches_at_most_the_cap(self, full_tableau_runs, monkeypatch):
-        # 31 nonempty sign masks of 5 rows, each its own path of at least two states, start
-        # and end: the cache fills to the cap, and the misses past it run uncached
-        monkeypatch.setattr(simplex, "_CAP", 20)
-        rng = random.Random(47)
-        solved = system([tuple(int(i == j) for j in range(5)) + tuple(rng.randint(-3, 3) for _ in range(3)) for i in range(5)])
-        for _ in range(2):
-            for mask in range(1, 32):
-                rhs = [-rng.randint(1, 6) if mask >> i & 1 else rng.randint(0, 6) for i in range(5)]
-                assert same_point_as_the_full_tableau(solved, rhs)
-                assert len(solved.steps) <= 20
-        assert len(solved.steps) == 20
+    def test_a_pivot_other_than_1_is_refused_and_each_system_has_its_own_cache(self, full_tableau_runs):
+        # the first entering column holds a 2 in the row that leaves
+        with pytest.raises(AssertionError, match="pivots must be 1"):
+            _phase_one(ReducedSystem(((2, 0, 2, 2), (0, 2, 3, -1)), (), ()), [2, -3])
+        # the fixture empties the program's cache; a second system over its rows fills only its own
+        solved = constraints()
+        assert _phase_one(solved, [-1, 2, 2, 0, 0, 0, 0, 0, 0]) == full_tableau([-1, 2, 2, 0, 0, 0, 0, 0, 0])
+        assert len(solved.steps) == 10 and _CONSTRAINTS.steps == {}
 
     def test_a_call_runs_the_full_tableau_at_most_once(self, full_tableau_runs):
-        # Both right-hand sides leave from row 0 first and then from different rows:
-        # the second takes two cached steps, then the tableau replays them and serves the rest
-        solved = system(((1, -2, 0, 1), (0, 0, 1, -3)))
-        for rhs, runs, states in (([2, -4], 1, 3), ([2, -4], 1, 3), ([0, -2], 2, 5), ([0, -2], 2, 5)):
-            assert same_point_as_the_full_tableau(solved, rhs)
+        # Both right-hand sides take the same first two steps and then leave from different rows:
+        # the second takes them cached, then the tableau replays them and serves the rest
+        solved = constraints()
+        first, second = [-1, 2, 2, 0, 0, 0, 0, 0, 0], [-1, 1, 2, 0, 0, 0, 0, 0, 0]
+        for rhs, runs, states in ((first, 1, 10), (first, 1, 10), (second, 2, 19), (second, 2, 19)):
+            assert _phase_one(solved, rhs) == full_tableau(rhs) is not None
             assert len(full_tableau_runs) == runs and len(solved.steps) == states
 
     def test_an_infeasible_run_caches_the_end_of_its_path(self, full_tableau_runs):
-        # both take the same steps, and row 1 never leaves: the feasible run ends with its artificial basic at zero
-        solved = system(((2, 0, 2, 2), (0, 2, 3, -1)))
-        assert _phase_one(solved, [2, -3]) is None
-        assert same_point_as_the_full_tableau(solved, [2, -1]) and len(full_tableau_runs) == 1
+        # both take the same steps, and the feasible run then runs no tableau
+        solved = constraints()
+        assert _phase_one(solved, [0, -2, 0, 1, 1, 0, 1, 2, 0]) is None
+        rhs = [0, -1, 0, 1, 1, 0, 1, 2, 0]
+        assert _phase_one(solved, rhs) == full_tableau(rhs) is not None and len(full_tableau_runs) == 1
