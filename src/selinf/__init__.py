@@ -13,19 +13,7 @@ from .chsh import (
     ChshReport,
     compute_gamma,
 )
-from .errors import (
-    BadCell,
-    ConflictingData,
-    InvalidDistribution,
-    InvalidTable,
-    InvalidValue,
-    MissingCounts,
-    MissingTreatment,
-    ParseError,
-    SelinfError,
-    SumNotOne,
-    ZeroTotal,
-)
+from .errors import InvalidValue, ParseError, SelinfError
 from .feasibility import (
     HIDDEN_STATES,
     FacetViolation,
@@ -76,26 +64,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BadCell",
     "CELLS",
     "ChshReport",
-    "ConflictingData",
     "CountTable",
     "ExperimentData",
     "FacetViolation",
     "FeasibilityResult",
     "HIDDEN_STATES",
     "HiddenStateDistribution",
-    "InvalidDistribution",
-    "InvalidTable",
     "InvalidValue",
     "JointTable",
     "LEVELS",
     "LabelSet",
     "MarginalComparison",
     "MarginalReport",
-    "MissingCounts",
-    "MissingTreatment",
     "Model",
     "MsTestResult",
     "ParseError",
@@ -103,10 +85,8 @@ __all__ = [
     "SampleSpec",
     "SelinfError",
     "SplitMix64",
-    "SumNotOne",
     "TREATMENTS",
     "Treatment",
-    "ZeroTotal",
     "analyze",
     "check_marginal_selectivity",
     "compute_gamma",

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""The three errors of the package, one per boundary.
+
+A record or library function raises ``InvalidValue`` for a value it
+rejects; a parser raises ``ParseError`` for a document it rejects, and
+turns an ``InvalidValue`` from the records it builds into one with the same
+message. Either prints as one ``error:`` line from the command line.
+"""
 
 
 class SelinfError(Exception):
@@ -6,40 +12,8 @@ class SelinfError(Exception):
 
 
 class InvalidValue(SelinfError, ValueError):
-    """A scalar argument violates its contract (sign, range, type)."""
-
-
-class InvalidTable(InvalidValue):
-    """A joint or count table violates its invariants."""
-
-
-class ZeroTotal(InvalidTable):
-    """A count table with zero observations cannot be normalized."""
-
-
-class InvalidDistribution(InvalidValue):
-    """A weight vector is not a probability distribution."""
-
-
-class MissingCounts(SelinfError):
-    """Statistical tests need per-treatment counts that are not present."""
+    """A value violates the contract of the record or function given it (type, range, sum, agreement)."""
 
 
 class ParseError(SelinfError):
-    """Base class for malformed experiment or model documents."""
-
-
-class MissingTreatment(ParseError):
-    """A required treatment block is absent from the document."""
-
-
-class BadCell(ParseError):
-    """A table cell is non-numeric, negative, or otherwise unusable."""
-
-
-class SumNotOne(ParseError):
-    """Probability cells do not sum to one (beyond any allowed tolerance)."""
-
-
-class ConflictingData(ParseError):
-    """Probabilities and counts were both given and disagree."""
+    """An experiment, model or report document is malformed."""

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
 from .chsh import ChshReport, compute_gamma
-from .errors import InvalidDistribution, InvalidValue, SelinfError
+from .errors import InvalidValue, SelinfError
 from .model import (
     TREATMENTS,
     ExperimentData,
@@ -61,12 +61,12 @@ class HiddenStateDistribution(_Record):
     def __init__(self, weights: tuple[Rational, ...]) -> None:
         ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in weights)
         if len(ws) != 16:
-            raise InvalidDistribution(f"need 16 weights, got {len(ws)}")
+            raise InvalidValue(f"need 16 weights, got {len(ws)}")
         numerators, lcd = over_common_denominator(ws)
         if any(p < 0 for p in numerators):
-            raise InvalidDistribution("weights must be nonnegative")
+            raise InvalidValue("weights must be nonnegative")
         if sum(numerators) != lcd:
-            raise InvalidDistribution(f"weights sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
+            raise InvalidValue(f"weights sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "weights", ws)
 
     @classmethod
@@ -74,7 +74,7 @@ class HiddenStateDistribution(_Record):
         """Build from {"+-+-": weight}, states written A(a)A(a')B(b)B(b'); missing states get 0."""
         ws = [Fraction(0)] * 16
         for state, weight in mapping.items():
-            decode_signs(state, 4, "hidden state string", InvalidValue)  # the 16 states are every such string
+            decode_signs(state, 4, "hidden state string")  # the 16 states are every such string
             ws[HIDDEN_STATES.index(state)] += rational(weight)
         return cls(tuple(ws))
 

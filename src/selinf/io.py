@@ -63,16 +63,7 @@ from fractions import Fraction
 from typing import AbstractSet, Any, Optional, Union
 
 from .chsh import ChshReport, compute_gamma
-from .errors import (
-    BadCell,
-    ConflictingData,
-    InvalidTable,
-    InvalidValue,
-    MissingTreatment,
-    ParseError,
-    SelinfError,
-    SumNotOne,
-)
+from .errors import InvalidValue, ParseError, SelinfError
 from .feasibility import FacetViolation, FeasibilityResult, HiddenStateDistribution, solve_feasibility
 from .model import (
     MAX_COMMON_DENOMINATOR,
@@ -128,7 +119,7 @@ def _check_cell_keys(block: Mapping[str, Any], key: str, allowed: AbstractSet[st
     _reject_unknown(block, allowed, f"treatment {key}: unknown keys")
     missing = [ck for ck in PROB_KEYS if ck not in block]
     if missing:
-        raise BadCell(f"treatment {key}: missing cells {missing}")
+        raise ParseError(f"treatment {key}: missing cells {missing}")
 
 
 def _parse_count_cells(block: Any, key: str) -> CountTable:
@@ -138,13 +129,13 @@ def _parse_count_cells(block: Any, key: str) -> CountTable:
     _check_cell_keys(block, key, _COUNT_BLOCK_KEYS)
     try:
         counts = CountTable(*(block[ck] for ck in PROB_KEYS))
-    except InvalidTable as exc:
-        raise BadCell(f"treatment {key}: {exc}") from exc
+    except InvalidValue as exc:
+        raise ParseError(f"treatment {key}: {exc}") from exc
     n = block.get("n", counts.n)
     if type(n) is not int:  # JSON integers, not booleans
-        raise BadCell(f"treatment {key}: n must be an integer")
+        raise ParseError(f"treatment {key}: n must be an integer")
     if n != counts.n:
-        raise ConflictingData(f"treatment {key}: counts sum to {counts.n} but n = {n}")
+        raise ParseError(f"treatment {key}: counts sum to {counts.n} but n = {n}")
     return counts
 
 
@@ -158,19 +149,19 @@ def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> 
     cells = []
     for ck, v in zip(PROB_KEYS, values):
         if type(v) not in (str, int, float):  # the types json gives, so not bool
-            raise BadCell(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
+            raise ParseError(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
         try:
             cells.append(rational(v))
         except InvalidValue as exc:
-            raise BadCell(f"treatment {key}: cell {ck}: {exc}") from exc
+            raise ParseError(f"treatment {key}: cell {ck}: {exc}") from exc
     for ck, f in zip(PROB_KEYS, cells):
         if f < 0 or f > 1:
-            raise BadCell(f"treatment {key}: cell {ck} = {echo(block[ck])} outside [0, 1]")
+            raise ParseError(f"treatment {key}: cell {ck} = {echo(block[ck])} outside [0, 1]")
     total = sum(cells)  # at most 4, so float(total) cannot overflow
     if renormalize and abs(total - 1) <= RENORMALIZE_WINDOW:
         return JointTable(*(c / total for c in cells))  # each c <= total, so still in [0, 1]
     why = ", beyond the +-0.01 renormalization window" if renormalize else '; set "renormalize" to accept near-1 sums'
-    raise SumNotOne(f"treatment {key}: cells sum to {printable(total)} (~{float(total):.4f}){why}")
+    raise ParseError(f"treatment {key}: cells sum to {printable(total)} (~{float(total):.4f}){why}")
 
 
 def _parse_block(
@@ -184,7 +175,7 @@ def _parse_block(
         return counts.normalized(), counts
     _check_cell_keys(block, key, _PROB_BLOCK_KEYS)
     if any(is_count):
-        raise BadCell(
+        raise ParseError(
             f"treatment {key}: mix of integer (count) and fractional (probability) cells"
         )
     table = _parse_prob_cells(block, key, renormalize)
@@ -204,9 +195,9 @@ def _parse_labels(raw: Any) -> LabelSet:
         raise ParseError(f"bad labels: {exc}") from exc
 
 
-def _check_common_denominator(data: ExperimentData, error: type[SelinfError]) -> ExperimentData:
+def _check_common_denominator(data: ExperimentData) -> ExperimentData:
     if max(data.scaled_cells) > MAX_COMMON_DENOMINATOR:  # L, which bounds every numerator, each cell being at most 1
-        raise error("treatments: the cells' least common denominator exceeds 10**2000")
+        raise InvalidValue("treatments: the cells' least common denominator exceeds 10**2000")
     return data
 
 
@@ -227,7 +218,7 @@ def parse_experiment(text: str) -> ExperimentData:
     counts = {}
     for t in TREATMENTS:
         if t.key not in blocks:
-            raise MissingTreatment(f"treatment block {t.key!r} is missing")
+            raise ParseError(f"treatment block {t.key!r} is missing")
         tables[t], count = _parse_block(blocks[t.key], t.key, renormalize)
         if count is not None:
             counts[t] = count
@@ -239,9 +230,9 @@ def parse_experiment(text: str) -> ExperimentData:
             labels=labels,
             independent_counts=independent,
         )
+        return _check_common_denominator(data)
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc
-    return _check_common_denominator(data, BadCell)
 
 
 def serialize_experiment(data: ExperimentData) -> str:
@@ -291,7 +282,7 @@ def parse_model(text: str) -> Model:
     try:
         if cross is not None:
             cross = {
-                Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]", ParseError)
+                Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]")
                 for key, pair in cross.items()
             }
         return Model(hidden=hidden, eta=eta, cross_map=cross)
@@ -336,7 +327,7 @@ def analyze(
     Significance tests run exactly when counts are present for all four
     treatments; ``alpha_sig`` and the cells' 10**2000 cap are checked either way.
     """
-    _check_common_denominator(data, InvalidValue)
+    _check_common_denominator(data)
     chsh = compute_gamma(data)
     marginals = check_marginal_selectivity(data, tolerance)
     significance_level(alpha_sig)
@@ -449,7 +440,7 @@ def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
     names the first top-level key that differs. The report is returned with
     its witness either way. A document missing a part, or with a part of the
     wrong type or value, is a one-line ``ParseError``; a value that a record
-    rejects keeps its own error.
+    rejects stays the record's ``InvalidValue``.
     """
     try:
         if doc.get("format") != REPORT_FORMAT:
@@ -463,8 +454,8 @@ def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
             pp = (rational(doc["chsh"]["expectations"][t.key]) + 2 * pa + 2 * pb - 1) / 4
             try:
                 tables[t] = JointTable(pp, pa - pp, pb - pp, 1 - pa - pb + pp)
-            except InvalidTable as exc:
-                raise InvalidTable(f"treatment {t.key}: the expectation and marginals give {exc}") from exc
+            except InvalidValue as exc:
+                raise InvalidValue(f"treatment {t.key}: the expectation and marginals give {exc}") from exc
         report = analyze(ExperimentData(tables), rational(raw_ms["tolerance"]))
         if raw_tests is not None:  # n of each treatment, in order, from the tests at a and a'
             alpha = raw_tests[0]["alpha_sig"]

@@ -5,7 +5,7 @@ four treatments; under each treatment two responses A and B are recorded,
 coded +1 for the first listed alternative and -1 for the second. A level is
 its key string, one of ``LEVELS``, and a ``Treatment`` is a pair of them,
 alpha's then beta's, such as ("a'", "b") with key "a',b". Every
-probability in this package is a ``fractions.Fraction``: decimal strings such
+probability in this package is an exact rational: decimal strings such
 as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
 tolerance-based.
@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Optional, Union
 
-from .errors import ConflictingData, InvalidTable, InvalidValue, SelinfError, ZeroTotal
+from .errors import InvalidValue
 
 Rational = Union[Fraction, int, str, float]
 
@@ -131,10 +131,10 @@ def rational(value: Rational) -> Fraction:
     return Fraction(*integer_ratio(value))
 
 
-def decode_signs(text: object, length: int, what: str, error: type[SelinfError]) -> tuple[int, ...]:
+def decode_signs(text: object, length: int, what: str) -> tuple[int, ...]:
     """Read a string of ``length`` "+"/"-" characters as +1/-1 signs."""
     if not isinstance(text, str) or len(text) != length or set(text) - {"+", "-"}:
-        raise error(f"{what} must be {length} of +/-, got {echo(text)}")
+        raise InvalidValue(f"{what} must be {length} of +/-, got {echo(text)}")
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
@@ -229,13 +229,13 @@ class CountTable(_Record):
         object.__setattr__(self, "n_mm", n_mm)
         for name, v in zip(self._fields, (n_pp, n_pm, n_mp, n_mm)):
             if isinstance(v, bool) or not isinstance(v, int):
-                raise InvalidTable(f"count {name} must be an integer, got {echo(v)}")
+                raise InvalidValue(f"count {name} must be an integer, got {echo(v)}")
             if v < 0:
-                raise InvalidTable(f"count {name} must be nonnegative, got {echo(v)}")
+                raise InvalidValue(f"count {name} must be nonnegative, got {echo(v)}")
         if self.n == 0:
-            raise ZeroTotal("count table has zero total observations")
+            raise InvalidValue("count table has zero total observations")
         if self.n > MAX_COUNT_TOTAL:
-            raise InvalidTable("count table total exceeds 2**53 observations")
+            raise InvalidValue("count table total exceeds 2**53 observations")
 
     @property
     def n(self) -> int:
@@ -271,12 +271,12 @@ class JointTable(_Record):
         for name, v in zip(_CELL_FIELDS, (p_pp, p_pm, p_mp, p_mm)):
             p, q = integer_ratio(v)
             if not 0 <= p <= q:
-                raise InvalidTable(f"cell {name} = {printable(Fraction(p, q))} outside [0, 1]")
+                raise InvalidValue(f"cell {name} = {printable(Fraction(p, q))} outside [0, 1]")
             ratios.append((p, q))
         lcd = math.lcm(*[q for _, q in ratios])
         numerators = [p * (lcd // q) for p, q in ratios]
         if sum(numerators) != lcd:
-            raise InvalidTable(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
+            raise InvalidValue(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "scaled_cells", (*numerators, lcd))
 
     p_pp, p_pm, p_mp, p_mm = (  # each cell a Fraction, built when read
@@ -373,7 +373,7 @@ class ExperimentData(_Record):
                     if any(s * ct.n != c * q for s, c in zip(cells, ct.cells())):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
                         table = ", ".join(map(printable, tables[t].cells()))
-                        raise ConflictingData(
+                        raise InvalidValue(
                             f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
                         )
         object.__setattr__(self, "counts", counts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from .errors import InvalidValue, MissingCounts
+from .errors import InvalidValue
 from .model import (
     LEVELS,
     TREATMENTS,
@@ -192,6 +192,6 @@ def test_marginal_selectivity(
     """
     significance_level(alpha_sig)
     if not data.has_full_counts():
-        raise MissingCounts("statistical test needs counts for all four treatments")
+        raise InvalidValue("statistical test needs counts for all four treatments")
     alpha_eff = alpha_sig / 4 if bonferroni else alpha_sig
     return [MsTestResult(c, *(data.count(t).n for t in c.treatments), alpha_eff) for c in marginals.comparisons]

@@ -33,6 +33,8 @@ MASKS = "tests/test_simplex.py::TestCondensedTableau::test_same_point_as_the_ful
 BATCH = "tests/test_feasibility.py::TestCondensedTableau::test_selective_batch_cases"
 DIGEST = "tests/test_feasibility.py::TestCondensedTableau::test_digest_corpus"
 ORACLE = "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_points_as_the_rational_tableau_on_selective_batch_cases"
+SELFTEST_FAILS = "tests/test_cli.py::TestSelftest::test_a_wrong_answer_prints_its_fail_line_and_exits_1"
+PARSERS = "tests/test_io.py::TestParsersRaiseOnlyParseError::"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -79,6 +81,75 @@ MUTANTS = (
         "the nonnegative shortcut tests v > 0",
         SIMPLEX, "if all(v >= 0 for v in reduced_rhs):", "if all(v > 0 for v in reduced_rhs):",
         ("tests/test_feasibility.py::TestIntegerPhaseOne::test_a_nonnegative_basic_solution_with_zeros_runs_no_phase_one",),
+    ),
+    (
+        "a failed selftest is not counted",
+        "src/selinf/cli.py", "failures += 1", "failures += 0",
+        (SELFTEST_FAILS,),
+    ),
+    (
+        "the selftest does not check table2's Gamma",
+        "src/selinf/cli.py", "if report.chsh.gamma != 4:", "if False:",
+        (SELFTEST_FAILS,),
+    ),
+    (
+        "Gamma = 2 is not classical",
+        "src/selinf/chsh.py", "if p <= 2 * q:", "if p < 2 * q:",
+        ("tests/test_chsh.py::TestClassification::test_exact_boundary_at_two",),
+    ),
+    (
+        "witness --json keeps all_violations",
+        "src/selinf/cli.py", 'if k != "all_violations" and v is not None', "if v is not None",
+        ("tests/test_cli.py::TestWitnessMatchesAnalyze::test_json_is_the_reports_verdict_and_witness_or_certificate",),
+    ),
+    (
+        "the delta cross-multiplies the wrong terms",
+        "src/selinf/selectivity.py", "abs(a1 * b2 - a2 * b1)", "abs(a1 * b1 - a2 * b2)",
+        (
+            "tests/test_selectivity.py::TestExactCheck::test_delta_invariant_under_recoding",
+            "tests/test_selectivity.py::TestExactCheck::test_zero_correlation_tables_still_violate",
+        ),
+    ),
+    (
+        "the count check cross-multiplies the wrong terms",
+        "src/selinf/model.py", "s * ct.n != c * q", "s * q != c * ct.n",
+        (
+            "tests/test_acceptance.py::test_criterion_7_statistical_rejection_at_n81",
+            "tests/test_cli.py::TestSimulateCommand::test_writes_parseable_experiment",
+        ),
+    ),
+    (
+        "alpha_sig = 0 is accepted",
+        "src/selinf/selectivity.py", "if not 0 < alpha_sig < 1:", "if not 0 <= alpha_sig < 1:",
+        ("tests/test_selectivity.py::TestZTest::test_alpha_out_of_range_rejected",),
+    ),
+    (
+        "plain strings are not reduced to lowest terms",
+        "src/selinf/model.py", "g = math.gcd(p, q) if q else 0", "g = 1 if q else 0",
+        (
+            "tests/test_cell_vector.py::test_every_route_stores_the_cells_over_their_common_denominator",
+            "tests/test_cell_vector.py::test_library_tables_and_data_store_the_least_common_denominator",
+        ),
+    ),
+    (
+        "the 10**2000 cap rejects data at the cap",
+        "src/selinf/io.py", "if max(data.scaled_cells) > MAX_COMMON_DENOMINATOR:",
+        "if max(data.scaled_cells) >= MAX_COMMON_DENOMINATOR:",
+        ("tests/test_io.py::TestCommonDenominatorCap::test_parse_and_analyze_apply_the_same_cap",),
+    ),
+    (
+        "parse_experiment lets the data's InvalidValue through",
+        "src/selinf/io.py",
+        "        return _check_common_denominator(data)\n    except InvalidValue as exc:\n",
+        "        return _check_common_denominator(data)\n    except ParseError as exc:\n",
+        (PARSERS + "test_experiment_documents", "tests/test_io.py::TestParseExperiment::test_nested_counts_must_agree"),
+    ),
+    (
+        "parse_model lets the model's InvalidValue through",
+        "src/selinf/io.py",
+        "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except InvalidValue as exc:\n",
+        "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except ParseError as exc:\n",
+        (PARSERS + "test_model_documents", "tests/test_io.py::TestParseModel::test_eta_without_cross_map"),
     ),
 )
 

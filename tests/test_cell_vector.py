@@ -18,7 +18,7 @@ import pytest
 import selinf
 from selinf.chsh import compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
-from selinf.errors import BadCell, ConflictingData, ParseError
+from selinf.errors import ParseError
 from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
 from selinf.io import parse_experiment, serialize_experiment
 from selinf.model import (
@@ -198,7 +198,7 @@ class TestTwoRulesBroken:
         return {"treatments": {t.key: block for t, block in zip(TREATMENTS, blocks)}}
 
     def test_the_cap_alone_is_a_bad_cell(self):
-        with pytest.raises(BadCell, match="^treatments: the cells' least common denominator exceeds"):
+        with pytest.raises(ParseError, match="^treatments: the cells' least common denominator exceeds"):
             parse_experiment(json.dumps(self.combined()))
 
     def test_bad_labels_are_reported_before_the_cap(self):
@@ -210,7 +210,7 @@ class TestTwoRulesBroken:
     def test_conflicting_counts_are_reported_before_the_cap(self):
         doc = self.combined()
         doc["treatments"]["a',b"]["counts"] = {"pp": 1, "pm": 1, "mp": 1, "mm": 2}
-        with pytest.raises(ConflictingData, match="^treatment a',b: counts normalize to"):
+        with pytest.raises(ParseError, match="^treatment a',b: counts normalize to"):
             parse_experiment(json.dumps(doc))
 
 

@@ -381,6 +381,17 @@ class TestSelftest:
         assert all(ln.startswith("PASS") for ln in lines)
         assert "table3" in out
 
+    def test_a_wrong_answer_prints_its_fail_line_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("selinf.cli.load_fixture_text", lambda name: load_fixture_text(name.replace("2", "1")))
+        code = run_cli(["selftest"])
+        assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS table1: Gamma = 0.000, marginal selectivity violated, infeasible",
+            "FAIL table2: Gamma = 0, expected 4; argmax should be exactly +++-; marginal selectivity should hold exactly;"
+            " certificate should be a CHSH facet",
+            "PASS table3: Gamma = 2.422, marginal selectivity violated, infeasible",
+        ]
+
 
 def run_python(*args):
     """Run ``python <args>`` with the package under test importable."""

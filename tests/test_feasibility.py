@@ -11,7 +11,7 @@ import pytest
 
 from selinf import simplex
 from selinf.chsh import compute_gamma
-from selinf.errors import InvalidDistribution, InvalidValue, SelinfError
+from selinf.errors import InvalidValue, SelinfError
 from selinf.feasibility import (
     _CONSTRAINTS,
     HIDDEN_STATES,
@@ -96,24 +96,24 @@ class TestHiddenStates:
 
 class TestHiddenStateDistribution:
     def test_must_sum_to_one(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidValue, match=r"^weights sum to 15/16, expected exactly 1$"):
             HiddenStateDistribution((Fraction(1, 16),) * 15 + (Fraction(0),))
 
     def test_must_be_nonnegative(self):
         ws = [Fraction(1, 8)] * 16
         ws[0], ws[1] = Fraction(-1, 16), Fraction(1, 8) + Fraction(3, 16)
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidValue, match=r"^weights must be nonnegative$"):
             HiddenStateDistribution(tuple(ws))
 
     def test_messages_print_the_reduced_sum(self):
-        with pytest.raises(InvalidDistribution, match=r"^weights sum to 15/16, expected exactly 1$"):
+        with pytest.raises(InvalidValue, match=r"^weights sum to 15/16, expected exactly 1$"):
             HiddenStateDistribution((Fraction(1, 16),) * 15 + (Fraction(0),))
-        with pytest.raises(InvalidDistribution, match=r"^need 16 weights, got 15$"):
+        with pytest.raises(InvalidValue, match=r"^need 16 weights, got 15$"):
             HiddenStateDistribution((Fraction(1, 15),) * 15)
 
     def test_sums_too_long_to_print_are_named_not_printed(self):
         ws = [Fraction(1, 10**1200 + k) for k in (1, 3, 7, 9)] + [Fraction(0)] * 12
-        with pytest.raises(InvalidDistribution, match=r"^weights sum to 40{59}\.\.\. \(8,402 digits\), expected"):
+        with pytest.raises(InvalidValue, match=r"^weights sum to 40{59}\.\.\. \(8,402 digits\), expected"):
             HiddenStateDistribution(tuple(ws))
 
     def test_fractions_are_kept_and_other_weights_converted(self):

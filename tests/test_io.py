@@ -18,16 +18,7 @@ import selinf.io
 import selinf.model
 import selinf.selectivity
 from selinf.chsh import SIGN_PATTERNS, classify_gamma
-from selinf.errors import (
-    BadCell,
-    ConflictingData,
-    InvalidTable,
-    InvalidValue,
-    MissingTreatment,
-    ParseError,
-    SelinfError,
-    SumNotOne,
-)
+from selinf.errors import InvalidValue, ParseError, SelinfError
 from selinf.feasibility import predicted_tables, verify_witness
 from selinf.io import (
     PROB_KEYS,
@@ -53,10 +44,12 @@ from conftest import (
     random_hidden_distribution,
 )
 from relabel import signed_sum, uniform_distribution, uniform_table
+from test_cli import JSON_VALUES, MODEL_DOCUMENTS
 from test_corpus_digest import corpus
 from test_feasibility import selective_batch_cases
 
 UNIFORM_BLOCK = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
+NEAR_ONE = r"^treatment a',b: cells sum to 999/1000 \(~0\.9990\); set \"renormalize\" to accept near-1 sums$"
 
 
 def uniform_doc():
@@ -105,7 +98,7 @@ class TestParseExperiment:
         doc["treatments"]["a',b"] = {
             "pp": ".778", "pm": ".086", "mp": ".086", "mm": ".049",
         }
-        with pytest.raises(SumNotOne):
+        with pytest.raises(ParseError, match=NEAR_ONE):
             parse_experiment(json.dumps(doc))
         doc["renormalize"] = True
         data = parse_experiment(json.dumps(doc))
@@ -122,20 +115,20 @@ class TestParseExperiment:
         data = parse_experiment(json.dumps(doc))
         assert sum(data.table(TREATMENTS[2]).cells()) == 1
         doc["renormalize"] = False
-        with pytest.raises(SumNotOne):
+        with pytest.raises(ParseError, match=NEAR_ONE):
             parse_experiment(json.dumps(doc))
 
     def test_renormalize_window_is_narrow(self):
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": ".5", "pm": ".5", "mp": ".1", "mm": "0"}
         doc["renormalize"] = True
-        with pytest.raises(SumNotOne):
+        with pytest.raises(ParseError, match=r"^treatment a,b: cells sum to 11/10 \(~1\.1000\), beyond the \+-0\.01"):
             parse_experiment(json.dumps(doc))
 
     def test_missing_treatment(self):
         doc = uniform_doc()
         del doc["treatments"]["a',b'"]
-        with pytest.raises(MissingTreatment):
+        with pytest.raises(ParseError, match="^treatment block \"a',b'\" is missing$"):
             parse_experiment(json.dumps(doc))
 
     def test_unknown_treatment_key(self):
@@ -151,14 +144,14 @@ class TestParseExperiment:
     def test_bad_cells(self, cell):
         doc = uniform_doc()
         doc["treatments"]["a,b"]["pp"] = cell
-        with pytest.raises((BadCell, SumNotOne)):
+        with pytest.raises(ParseError, match=r"^treatment a,b: cell pp\b"):
             parse_experiment(json.dumps(doc))
 
     @pytest.mark.parametrize("cell", [float("nan"), float("inf")])
     def test_non_finite_number_cells(self, cell):
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": cell, "pm": 0.5, "mp": 0.5, "mm": 0.0}
-        with pytest.raises(BadCell, match="a,b"):
+        with pytest.raises(ParseError, match="^treatment a,b: cell pp: cannot interpret"):
             parse_experiment(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -173,13 +166,13 @@ class TestParseExperiment:
     def test_bad_nested_counts_name_the_treatment(self, counts):
         doc = uniform_doc()
         doc["treatments"]["a',b"]["counts"] = counts
-        with pytest.raises(BadCell, match="treatment a',b: count"):
+        with pytest.raises(ParseError, match="treatment a',b: count"):
             parse_experiment(json.dumps(doc))
 
     def test_bad_count_block_names_the_treatment(self):
         doc = uniform_doc()
         doc["treatments"]["a,b'"] = {"pp": 0, "pm": 0, "mp": 0, "mm": 0}
-        with pytest.raises(BadCell, match="treatment a,b': count"):
+        with pytest.raises(ParseError, match="treatment a,b': count"):
             parse_experiment(json.dumps(doc))
 
     def test_bad_json_text(self):
@@ -197,7 +190,7 @@ class TestParseExperiment:
         doc["treatments"]["a,b"] = {"pp": "1e-2000000", "pm": ".5", "mp": ".5", "mm": "0"}
         text = json.dumps(doc)
         start = time.perf_counter()
-        with pytest.raises(BadCell, match="treatment a,b: cell pp: decimal exponent"):
+        with pytest.raises(ParseError, match="treatment a,b: cell pp: decimal exponent"):
             parse_experiment(text)
         assert time.perf_counter() - start < 0.010
 
@@ -205,12 +198,12 @@ class TestParseExperiment:
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": "1e-5000", "pm": "0", "mp": "0", "mm": "1"}
         doc["renormalize"] = True
-        with pytest.raises(BadCell, match="treatment a,b: cell pp: decimal exponent"):
+        with pytest.raises(ParseError, match="treatment a,b: cell pp: decimal exponent"):
             parse_experiment(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["renormalized", "combined"])
     def test_large_common_denominators_are_bad_cells(self, name):
-        with pytest.raises(BadCell, match="least common denominator exceeds 10\\*\\*2000"):
+        with pytest.raises(ParseError, match="least common denominator exceeds 10\\*\\*2000"):
             parse_experiment(large_denominator_documents()[name])
 
     def test_common_denominator_is_capped_across_treatments_after_renormalizing(self):
@@ -219,7 +212,7 @@ class TestParseExperiment:
         doc["treatments"]["a,b"] = {"pp": "1e-1000", "pm": "0", "mp": "0", "mm": "1"}
         doc["treatments"]["a,b'"] = {"pp": "3e-1000", "pm": "0", "mp": "0", "mm": "1"}
         doc["renormalize"] = True
-        with pytest.raises(BadCell, match="^treatments: the cells' least common denominator"):
+        with pytest.raises(ParseError, match="^treatments: the cells' least common denominator"):
             parse_experiment(json.dumps(doc))
 
     def test_error_messages_never_print_oversized_numbers(self):
@@ -227,10 +220,10 @@ class TestParseExperiment:
         # sum (not 1) has a denominator of about 4,800 digits
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": "9" * 4000 + "e1000", "pm": "0", "mp": "0", "mm": "0"}
-        with pytest.raises(BadCell, match="treatment a,b: cell pp = '9999.* outside"):
+        with pytest.raises(ParseError, match="treatment a,b: cell pp = '9999.* outside"):
             parse_experiment(json.dumps(doc))
         doc["treatments"]["a,b"] = {ck: f"1/{10**1200 + k}" for ck, k in zip("pp pm mp mm".split(), (1, 3, 7, 9))}
-        with pytest.raises(SumNotOne, match=r"^treatment a,b: cells sum to 40{59}\.\.\. \(8,402 digits\) \(~0.0000\); set"):
+        with pytest.raises(ParseError, match=r"^treatment a,b: cells sum to 40{59}\.\.\. \(8,402 digits\) \(~0.0000\); set"):
             parse_experiment(json.dumps(doc))
 
     def test_tables_of_1e_minus_1000_cells_parse_and_analyze(self):
@@ -257,7 +250,7 @@ class TestParseExperiment:
     def test_counts_beyond_float_precision_are_bad_cells(self):
         doc = uniform_doc()
         doc["treatments"]["a',b'"] = {"pp": 10**400, "pm": 1, "mp": 1, "mm": 1}
-        with pytest.raises(BadCell, match="treatment a',b': count table total exceeds"):
+        with pytest.raises(ParseError, match="treatment a',b': count table total exceeds"):
             parse_experiment(json.dumps(doc))
 
     def test_count_blocks(self):
@@ -270,13 +263,13 @@ class TestParseExperiment:
     def test_count_total_mismatch(self):
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": 4, "pm": 51, "mp": 21, "mm": 5, "n": 80}
-        with pytest.raises(ConflictingData):
+        with pytest.raises(ParseError, match="^treatment a,b: counts sum to 81 but n = 80$"):
             parse_experiment(json.dumps(doc))
 
     def test_mixed_cell_types_rejected(self):
         doc = uniform_doc()
         doc["treatments"]["a,b"] = {"pp": 1, "pm": ".5", "mp": ".25", "mm": ".25"}
-        with pytest.raises(BadCell):
+        with pytest.raises(ParseError, match=r"^treatment a,b: mix of integer \(count\) and fractional"):
             parse_experiment(json.dumps(doc))
 
     def test_nested_counts_must_agree(self):
@@ -285,7 +278,7 @@ class TestParseExperiment:
         data = parse_experiment(json.dumps(doc))
         assert data.count(TREATMENTS[0]).n == 4
         doc["treatments"]["a,b"]["counts"] = {"pp": 2, "pm": 1, "mp": 1, "mm": 1}
-        with pytest.raises(ConflictingData):
+        with pytest.raises(ParseError, match="^treatment a,b: counts normalize to 2/5, 1/5, 1/5, 1/5 but table says 1/4, "):
             parse_experiment(json.dumps(doc))
 
     def test_nested_counts_carry_an_optional_total(self):
@@ -293,7 +286,7 @@ class TestParseExperiment:
         doc["treatments"]["a,b"]["counts"] = {"pp": 1, "pm": 1, "mp": 1, "mm": 1, "n": 4}
         assert parse_experiment(json.dumps(doc)).count(TREATMENTS[0]).n == 4
         doc["treatments"]["a,b"]["counts"]["n"] = 5
-        with pytest.raises(ConflictingData, match="treatment a,b: counts sum to 4 but n = 5"):
+        with pytest.raises(ParseError, match="treatment a,b: counts sum to 4 but n = 5"):
             parse_experiment(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -302,11 +295,11 @@ class TestParseExperiment:
             ({**UNIFORM_BLOCK, "n": 7}, ParseError, "unknown keys \\['n'\\]"),
             ({**UNIFORM_BLOCK, "n": "x"}, ParseError, "unknown keys \\['n'\\]"),
             ({**UNIFORM_BLOCK, "counts": [1, 1, 1, 1]}, ParseError, "counts must be a JSON object"),
-            ({**UNIFORM_BLOCK, "counts": {"pp": 1, "pm": 1, "mp": 1}}, BadCell, "missing cells \\['mm'\\]"),
+            ({**UNIFORM_BLOCK, "counts": {"pp": 1, "pm": 1, "mp": 1}}, ParseError, "missing cells \\['mm'\\]"),
             ({**UNIFORM_BLOCK, "counts": {"pp": 1, "pm": 1, "mp": 1, "mm": 1, "x": 1}}, ParseError, "unknown keys \\['x'\\]"),
             ({"pp": 1, "pm": 1, "mp": 1, "mm": 1, "counts": {"pp": 1, "pm": 1, "mp": 1, "mm": 1}},
              ParseError, "unknown keys \\['counts'\\]"),
-            ({"pp": 1, "pm": 1, "mp": 1, "mm": 1, "n": True}, BadCell, "n must be an integer"),
+            ({"pp": 1, "pm": 1, "mp": 1, "mm": 1, "n": True}, ParseError, "n must be an integer"),
         ],
         ids=["n-int", "n-str", "counts-not-object", "counts-missing-cell", "counts-unknown-key", "counts-in-counts", "bool-n"],
     )
@@ -344,7 +337,7 @@ class TestParseExperiment:
         doc = uniform_doc()
         pp, mp = Fraction(1, 10**1200 + 1), Fraction(1, 10**1200 + 3)
         doc["treatments"]["a,b"] = {"pp": str(pp), "pm": "0", "mp": str(mp), "mm": str(1 - pp - mp)}
-        with pytest.raises(BadCell) as info:
+        with pytest.raises(ParseError) as info:
             parse_experiment(json.dumps(doc))
         assert str(info.value) == "treatments: the cells' least common denominator exceeds 10**2000"
 
@@ -368,7 +361,7 @@ class TestParseExperiment:
         near_one = uniform_doc()
         near_one["treatments"]["a,b"] = {"pp": ".2549", "pm": ".25", "mp": ".25", "mm": ".25"}
         near_one["renormalize"] = False
-        with pytest.raises(SumNotOne):
+        with pytest.raises(ParseError, match=r"^treatment a,b: cells sum to 10049/10000 \(~1\.0049\); set"):
             parse_experiment(json.dumps(near_one))
         conflicting = uniform_doc()
         conflicting["treatments"]["a,b"] = {
@@ -376,7 +369,7 @@ class TestParseExperiment:
             "counts": {"pp": 3, "pm": 0, "mp": 0, "mm": 1},
         }
         conflicting["independent_counts"] = False
-        with pytest.raises(ConflictingData):
+        with pytest.raises(ParseError, match="^treatment a,b: counts normalize to 3/4, 0, 0, 1/4 but table says 1/2, 0, 0, 1/2$"):
             parse_experiment(json.dumps(conflicting))
 
     def test_float_cells_read_by_shortest_repr(self):
@@ -429,38 +422,38 @@ PINNED_BLOCKS = [
     (["2/4", "1/4", "1/8", "1/8"], False, ("1/2", "1/4", "1/8", "1/8")),
     (["2/4", "2/4", "0/3", "0/3"], False, ("1/2", "1/2", "0", "0")),
     (["5/5", "0", "0", "0/5"], False, ("1", "0", "0", "0")),
-    (["1/0", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: cannot interpret '1/0' as a rational")),
-    (["0/0", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: cannot interpret '0/0' as a rational")),
-    (["1/2", "1/0", "abc", "0"], False, (BadCell, "treatment a,b: cell pm: cannot interpret '1/0' as a rational")),
+    (["1/0", ".5", ".5", "0"], False, (ParseError, "treatment a,b: cell pp: cannot interpret '1/0' as a rational")),
+    (["0/0", ".5", ".5", "0"], False, (ParseError, "treatment a,b: cell pp: cannot interpret '0/0' as a rational")),
+    (["1/2", "1/0", "abc", "0"], False, (ParseError, "treatment a,b: cell pm: cannot interpret '1/0' as a rational")),
     # JSON numbers go through their shortest repr, exponents included
     ([0.25, 0.5, 0.125, 0.125], False, ("1/4", "1/2", "1/8", "1/8")),
     ([0.1, 0.2, 0.3, 0.4], False, ("1/10", "1/5", "3/10", "2/5")),
     ([2.5e-1, 2.5e-1, 0.25, 25e-2], False, ("1/4", "1/4", "1/4", "1/4")),
-    ([1.5, 0.5, 0.0, 0.0], False, (BadCell, "treatment a,b: cell pp = 1.5 outside [0, 1]")),
-    ([True, ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp must be numeric, got True")),
+    ([1.5, 0.5, 0.0, 0.0], False, (ParseError, "treatment a,b: cell pp = 1.5 outside [0, 1]")),
+    ([True, ".5", ".5", "0"], False, (ParseError, "treatment a,b: cell pp must be numeric, got True")),
     # decimal strings and exponents
     ([".049", ".630", ".259", ".062"], False, ("49/1000", "63/100", "259/1000", "31/500")),
     (["2.5e-1", "25E-2", ".25", "0.2500"], False, ("1/4", "1/4", "1/4", "1/4")),
-    (["1.5", "-.5", "0", "0"], False, (BadCell, "treatment a,b: cell pp = '1.5' outside [0, 1]")),
-    (["-0.1", "abc", "0", "0"], False, (BadCell, "treatment a,b: cell pm: cannot interpret 'abc' as a rational")),
-    (["1e-1001", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
-    (["1e1001", ".5", ".5", "0"], False, (BadCell, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
+    (["1.5", "-.5", "0", "0"], False, (ParseError, "treatment a,b: cell pp = '1.5' outside [0, 1]")),
+    (["-0.1", "abc", "0", "0"], False, (ParseError, "treatment a,b: cell pm: cannot interpret 'abc' as a rational")),
+    (["1e-1001", ".5", ".5", "0"], False, (ParseError, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
+    (["1e1001", ".5", ".5", "0"], False, (ParseError, "treatment a,b: cell pp: decimal exponent beyond +-1000")),
     # the renormalize window, +-0.01 inclusive
     ([".5", ".5", ".01", "0"], True, ("50/101", "50/101", "1/101", "0")),
     ([".5", ".49", "0", "0"], True, ("50/99", "49/99", "0", "0")),
     (
         [".5", ".5", ".011", "0"], True,
-        (SumNotOne, "treatment a,b: cells sum to 1011/1000 (~1.0110), beyond the +-0.01 renormalization window"),
+        (ParseError, "treatment a,b: cells sum to 1011/1000 (~1.0110), beyond the +-0.01 renormalization window"),
     ),
     (
         [".5", ".489", "0", "0"], True,
-        (SumNotOne, "treatment a,b: cells sum to 989/1000 (~0.9890), beyond the +-0.01 renormalization window"),
+        (ParseError, "treatment a,b: cells sum to 989/1000 (~0.9890), beyond the +-0.01 renormalization window"),
     ),
     (
         [".5", ".5", ".01", "0"], False,
-        (SumNotOne, 'treatment a,b: cells sum to 101/100 (~1.0100); set "renormalize" to accept near-1 sums'),
+        (ParseError, 'treatment a,b: cells sum to 101/100 (~1.0100); set "renormalize" to accept near-1 sums'),
     ),
-    ([".5", ".5", "-.01", ".01"], True, (BadCell, "treatment a,b: cell mp = '-.01' outside [0, 1]")),
+    ([".5", ".5", "-.01", ".01"], True, (ParseError, "treatment a,b: cell mp = '-.01' outside [0, 1]")),
 ]
 
 
@@ -596,6 +589,71 @@ class TestParseModel:
             parse_model(json.dumps(doc))
 
 
+TREATMENT_KEYS = [t.key for t in TREATMENTS]
+DELETED = object()  # an edit that removes the key
+# valid probability blocks; the two with a 1,501-digit denominator exceed the 10**2000 cap together
+VALID_BLOCKS = st.sampled_from([
+    UNIFORM_BLOCK,
+    {"pp": "1/2", "pm": "0", "mp": "0", "mm": "1/2"},
+    {"pp": 0.5, "pm": 0.5, "mp": 0.0, "mm": 0.0},
+    *({"pp": f"1/{d}", "pm": "0", "mp": "0", "mm": f"{d - 1}/{d}"} for d in (10**1500 + 1, 10**1500 + 3)),
+])
+COUNT_BLOCKS = st.fixed_dictionaries(dict.fromkeys(PROB_KEYS, st.integers(0, 3)))
+LABEL_SECTIONS = st.fixed_dictionaries({}, optional={
+    "factors": st.dictionaries(st.sampled_from(["alpha", "beta", "gamma"]), JSON_VALUES, max_size=2),
+    "levels": st.dictionaries(st.sampled_from(["a", "b'", "c"]), JSON_VALUES, max_size=2),
+    "responses": st.dictionaries(st.sampled_from(["a", "a'"]), st.lists(st.text(max_size=2), max_size=3) | JSON_VALUES),
+})
+# the parts of a document an edit sets to another value or removes
+EDIT_PATHS = st.sampled_from([
+    ("treatments",), ("labels",), ("renormalize",), ("independent_counts",), ("zeta",),
+    *(("treatments", key) for key in [*TREATMENT_KEYS, "a,c"]),
+    *(("treatments", key, ck) for key in TREATMENT_KEYS for ck in [*PROB_KEYS, "n", "counts"]),
+    *(("treatments", key, "counts", ck) for key in TREATMENT_KEYS for ck in [*PROB_KEYS, "n"]),
+])
+EDIT_VALUES = st.one_of(JSON_VALUES, st.sampled_from(["1e-1001", "1/0", ".2549", "0", DELETED]), COUNT_BLOCKS)
+
+
+@st.composite
+def experiment_documents(draw):
+    """Four valid blocks, some with counts, maybe flags and labels; then up to two parts set to any value or removed."""
+    blocks = {key: {**draw(VALID_BLOCKS)} for key in TREATMENT_KEYS}
+    for key in draw(st.sets(st.sampled_from(TREATMENT_KEYS))):
+        blocks[key]["counts"] = draw(COUNT_BLOCKS)
+    doc = {"treatments": blocks, **draw(st.fixed_dictionaries({}, optional={
+        "labels": LABEL_SECTIONS, "renormalize": st.booleans(), "independent_counts": st.booleans(),
+    }))}
+    for path, value in draw(st.lists(st.tuples(EDIT_PATHS, EDIT_VALUES), max_size=2)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict) and value is DELETED:
+            parent.pop(path[-1], None)
+        elif isinstance(parent, dict):
+            parent[path[-1]] = value
+    return doc
+
+
+class TestParsersRaiseOnlyParseError:
+    """A document a parser rejects is a ``ParseError``, also where a record it builds raises ``InvalidValue``."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(experiment_documents())
+    def test_experiment_documents(self, doc):
+        try:
+            parse_experiment(json.dumps(doc))
+        except ParseError:
+            pass
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(MODEL_DOCUMENTS)
+    def test_model_documents(self, doc):
+        try:
+            parse_model(json.dumps(doc))
+        except ParseError:
+            pass
+
+
 # Block denominators below, at and above the 10**2000 cap; pairs of them, and
 # renormalizing, give common denominators on both sides of it.
 CAP_DENOMINATORS = (10**3 + 7, 10**999 + 9, 10**1000 + 1, 10**1999 + 3, 10**2000 - 1, 10**2000, 10**2000 + 1, 10**2400 + 3)
@@ -648,7 +706,7 @@ class TestCommonDenominatorCap:
         data = ExperimentData(tables=tables)
         over = math.lcm(*(c.denominator for table in tables.values() for c in table.cells())) > 10**2000
         if over:
-            with pytest.raises(BadCell) as parsed:
+            with pytest.raises(ParseError) as parsed:
                 parse_experiment(json.dumps(doc))
             with pytest.raises(InvalidValue) as analyzed:
                 analyze(data)
@@ -914,7 +972,7 @@ class TestReportJson:
     @pytest.mark.parametrize(
         "name, edit, error, message",
         [
-            ("table1", expectation_five, InvalidTable, "treatment a,b: the expectation and marginals give cell p_pp = 3/2 outside [0, 1]"),
+            ("table1", expectation_five, InvalidValue, "treatment a,b: the expectation and marginals give cell p_pp = 3/2 outside [0, 1]"),
             ("table1", lambda doc: doc["marginal_selectivity"].update(tolerance="-1/2"), InvalidValue, "tolerance must be nonnegative, got -1/2"),
             ("table1", lambda doc: doc["marginal_selectivity"].update(tolerance=f"1/{10**2001}"), InvalidValue, "tolerance: numerator or denominator exceeds 10**2000"),
             ("table3", lambda doc: doc["statistical_tests"][0].update(n_first=88), ParseError, "malformed report: statistical_tests disagrees with the report's own inputs"),
