@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -248,9 +249,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except SelinfError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading input and writing --out raise SelinfError: this is stdout, full or closed
+        with open(os.devnull, "w") as null:  # on fd 1, the interpreter's flush at exit fails no second time
+            os.dup2(null.fileno(), 1)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
     except Exception as exc:  # a crash must not exit 1, the "infeasible" code
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_ERROR

@@ -37,7 +37,7 @@ from .model import (
     rational,
 )
 from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
-from .simplex import ReducedSystem, feasible_point
+from .simplex import feasible_point
 
 
 # The 16 deterministic states, written A(a) A(a') B(b) B(b') in "+"/"-", in
@@ -152,39 +152,6 @@ def fine_criterion(data: ExperimentData) -> bool:
     return check_marginal_selectivity(data).satisfied and compute_gamma(data).gamma <= 2
 
 
-# The 16 cell equations, one per (treatment, outcome pair) in table cell
-# order, then normalization, have rank 9; state i's column has a 1 in the
-# cells _STATE_CELLS[i] and in normalization. Row-reduced, they are R x = T b
-# below, b the cells then 1; the 8 rows of T beyond the rank say that b
-# satisfies marginal selectivity exactly and that each table sums to 1
-# (tests/test_feasibility.py re-derives all of this from the state strings).
-_CONSTRAINTS = ReducedSystem(
-    rows=(
-        (1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1),
-        (0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1),
-        (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1),
-        (0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, -1),
-        (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
-        (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1),
-        (0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 1, 0, 0, -1),
-        (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1),
-        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1),
-    ),
-    pivots=(0, 1, 2, 4, 5, 6, 8, 9, 10),
-    transform=(
-        ((3, 1), (6, -1), (9, -1), (12, 1)),
-        ((7, -1), (8, 1), (9, 1), (12, -1)),
-        ((3, -1), (9, 1)),
-        ((1, -1), (3, -1), (4, 1), (6, 1), (9, 1), (12, -1)),
-        ((0, 1), (1, 1), (4, -1), (7, 1), (8, -1), (9, -1), (12, 1)),
-        ((1, 1), (3, 1), (9, -1)),
-        ((3, -1), (6, 1)),
-        ((7, 1),),
-        ((3, 1),),
-    ),
-)
-
-
 def solve_feasibility(
     data: ExperimentData, chsh: ChshReport, marginals: MarginalReport
 ) -> FeasibilityResult:
@@ -194,16 +161,19 @@ def solve_feasibility(
     ``marginals`` with a nonzero ``delta``, whatever its tolerance) fails the
     system's consistency conditions and is infeasible at once. Otherwise the
     verdict comes from the exact phase-1 simplex on the 16-weight system
-    (the 16 cell equations plus normalization, reduced to the constant
-    ``_CONSTRAINTS``; its right-hand side, the cells then 1, is
-    ``data.scaled_cells`` over its last entry). Certificates are not read off
-    the solver: they are the violated conditions in ``marginals`` and ``chsh``,
-    the reports of the same data, which Fine's theorem makes complete for this design.
+    (the 16 cell equations plus normalization, reduced to the constants of
+    ``selinf.simplex``). Its right-hand side, the cells then 1, is
+    ``data.scaled_cells`` = L b, and phase 1 returns the integers L x of the
+    witness x. Certificates are not read off the solver: they are the
+    violated conditions in ``marginals`` and ``chsh``, the reports of the
+    same data, which Fine's theorem makes complete for this design.
     """
     if marginals.max_delta == 0:
-        solution = feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
-        if solution is not None:
-            return FeasibilityResult(witness=HiddenStateDistribution(tuple(solution)))
+        found = feasible_point(data.scaled_cells)
+        if found is not None:
+            lcd, zero = data.scaled_cells[16], Fraction(0)
+            weights = tuple(Fraction(v, lcd) if v else zero for v in found)
+            return FeasibilityResult(witness=HiddenStateDistribution(weights))
     violations = fine_violations(chsh, marginals)
     if not violations:
         raise SelinfError(

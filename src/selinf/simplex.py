@@ -1,20 +1,21 @@
-"""Exact feasibility of {x >= 0, A x = b} by an integer phase-1 simplex whose every pivot is 1.
+"""Exact feasibility of the program's system {x >= 0, A x = b} by an integer phase-1 simplex whose every pivot is 1.
 
-The verdict is exact: no tolerances, no scaling heuristics. The system comes
-reduced, as a ``ReducedSystem``: R, the reduced row echelon form of A, as
-independent integer rows with the identity at its pivot columns, and the
-rows of T that take b to the right-hand side of R x = T b. That equation is
-A x = b only for a b that passes the consistency conditions (the rows of T
-beyond the rank), which the caller checks. ``feasible_point(reduced, Lb, L)``
-takes b as integers Lb over a positive common denominator L: a nonnegative
-T(Lb) is itself the basic solution, and otherwise a phase-1 simplex with one
-artificial variable per row minimizes their sum under Bland's anti-cycling
-rule. Optimum zero yields a feasible point; a positive optimum proves there
-is none.
+The verdict is exact: no tolerances, no scaling heuristics. A, the 17 x 16
+matrix of the hidden-state model, never changes; only b depends on the data.
+It ships reduced: ``ROWS`` is R, the reduced row echelon form of A, as
+independent integer rows with the identity at its pivot columns 0, 1, 2, 4,
+5, 6, 8, 9 and 10, and ``TRANSFORM`` holds the rows of T that take b to the
+right-hand side of R x = T b. That equation is A x = b only for a b that
+passes the consistency conditions (the rows of T beyond the rank), which the
+caller checks. ``feasible_point(Lb)`` takes b as integers Lb over a positive
+common denominator L, and phase 1 runs on T(Lb): one artificial variable per
+row, their sum minimized under Bland's anti-cycling rule. Optimum zero yields
+the integers y = Lx of a feasible point x; a positive optimum proves there is
+none.
 
 Phase 1 pivots on a condensed integer tableau M, with one column per
 nonbasic variable (its label) and the right-hand side; basic columns, unit
-columns, are not kept. On the program's system every positive entry of every
+columns, are not kept. On this system every positive entry of every
 entering column is 1 (tests/test_simplex.py walks every state to show it), so
 every pivot is 1 and nothing is divided: a pivot keeps its row, subtracts f
 times it from each other row with f != 0 in the entering column, and hands
@@ -22,7 +23,7 @@ that column to the leaving variable: -f in each other row, 1 in the pivot
 row. An entering column with another positive entry raises AssertionError,
 as an unbounded objective does. So every basis has determinant 1 up to sign,
 and each entry of M is, up to sign, a minor of [R | I] of order at most
-rank(A). For the program's matrix, 9 independent rows with five entries of -1
+rank(A). For R, 9 independent rows with five entries of -1
 or 1 each, Hadamard's inequality bounds those by 5**4.5 < 1400, and every
 right-hand side entry by that times the sum of |T Lb| <= 153 L: under 18
 bits beyond L, and the objective, a sum of at most 9 of them, under 22. The
@@ -36,68 +37,74 @@ Phase 1 solves R y = T(Lb) for y = Lx, with artificials L times the rational
 ones. That multiplies the phase-1 objective by L > 0 and each variable by a
 positive constant, so every reduced cost keeps its sign and every ratio test
 its order: Bland's rule takes the same entering and leaving steps as on the
-rational tableau, and the final basis and point are the same. Each weight is
-an integer over L.
+rational tableau, and the final basis and point are the same.
 
 Phase 1 stops at its optimum, with no drive-out: an artificial left basic at
 zero has right-hand side 0, so driving it out would change no variable's
-value.
+value. A nonnegative T(Lb) needs no special case: each entering column on its
+path has one positive entry, so phase 1 pivots rows 0 to 8 in order and ends
+at the basis of the pivot columns, whose point is T(Lb) itself.
 
 Only the ratio test reads the data. The entering column depends only on the
 state: the sign mask (the rows where T(Lb) < 0) and the rows left so far,
-one integer. Each system caches, per state, the column or, at the end, the
+one integer. ``STEPS`` caches, per state, the column or, at the end, the
 basis, and along cached states phase 1 pivots only the right-hand side. From
 the first state not cached, one run of the full tableau serves and records
 the rest: a miss costs one full phase 1. The cache has no cap and evicts
-nothing: from the 127 sign masks that valid data gives, the program's system
-reaches 7,388 states, none more than 14 pivots deep. 400 selective-batch
-experiments fill 678 of them, 0.20 MB.
-
-Systems here are at most 17 x 16; the only sparse trick is skipping zeros.
+nothing: from the 128 sign masks that valid data gives, phase 1 reaches
+7,398 states, none more than 14 pivots deep. 400 selective-batch
+experiments fill 688 of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .model import _Record
+# The 16 cell equations, one per (treatment, outcome pair) in table cell
+# order, then normalization, have rank 9; hidden state i's column has a 1 in
+# the cells ``selinf.feasibility._STATE_CELLS[i]`` and in normalization.
+# Row-reduced, they are R x = T b below, b the cells then 1; the 8 rows of T
+# beyond the rank say that b satisfies marginal selectivity exactly and that
+# each table sums to 1 (tests/test_feasibility.py re-derives all of this
+# from the state strings).
+ROWS = (
+    (1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1),
+    (0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1),
+    (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1),
+    (0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, -1),
+    (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
+    (0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1),
+    (0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 1, 0, 0, -1),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1),
+)
+# T's first 9 rows, each as (index into b, coefficient) pairs
+TRANSFORM = (
+    ((3, 1), (6, -1), (9, -1), (12, 1)),
+    ((7, -1), (8, 1), (9, 1), (12, -1)),
+    ((3, -1), (9, 1)),
+    ((1, -1), (3, -1), (4, 1), (6, 1), (9, 1), (12, -1)),
+    ((0, 1), (1, 1), (4, -1), (7, 1), (8, -1), (9, -1), (12, 1)),
+    ((1, 1), (3, 1), (9, -1)),
+    ((3, -1), (6, 1)),
+    ((7, 1),),
+    ((3, 1),),
+)
+STEPS: dict[int, tuple] = {}  # phase 1's step cache, keyed by state
 
-ZERO = Fraction(0)
 
-
-class ReducedSystem(_Record):
-    """R (independent integer rows), its pivot columns, and T as (index, coefficient) rows."""
-
-    __slots__ = ("rows", "pivots", "transform", "steps")
-    _fields = ("rows", "pivots", "transform")
-    steps: dict[int, tuple]  # derived: phase 1's step cache for this system, empty at first
-
-    def __init__(
-        self, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...],
-        transform: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "transform", transform)
-        object.__setattr__(self, "steps", {})
-
-
-def _phase_one(system: ReducedSystem, rhs: list[int]) -> Optional[list[int]]:
-    """Phase-1 simplex on the system's independent integer rows.
-
-    Returns a nonnegative integer solution, or None when infeasible.
-    """
-    rows, steps, m = system.rows, system.steps, len(system.rows)
+def _phase_one(rhs: list[int]) -> Optional[list[int]]:
+    """Phase-1 simplex on R y = ``rhs``: a nonnegative integer solution, or None when infeasible."""
+    m = len(ROWS)
     mask = sum(1 << i for i, r in enumerate(rhs) if r < 0)
     state = mask | 1 << m  # one integer per path: each step appends its leaving row as a digit in base m + 1
     values = [*map(abs, rhs), sum(map(abs, rhs))]  # the rows' right-hand sides, then the objective
     path, tableau = [], None
     while True:
-        step = None if tableau else steps.get(state)
+        step = None if tableau else STEPS.get(state)
         if step is None:  # a state not cached has no cached successor: the full tableau serves the rest
-            tableau = tableau or _tableau_steps(rows, mask, path)
-            step = steps[state] = next(tableau)
+            tableau = tableau or _tableau_steps(ROWS, mask, path)
+            step = STEPS[state] = next(tableau)
         column, order = step
         if column is None:
             break
@@ -154,19 +161,9 @@ def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) ->
     yield None, tuple(basis.index(j) if j in basis else None for j in range(n))
 
 
-def feasible_point(reduced: ReducedSystem, rhs: Sequence[int], lcd: int) -> Optional[list[Fraction]]:
-    """A nonnegative exact solution of A x = b, or None; ``rhs`` is L b, for a positive ``lcd`` = L.
+def feasible_point(rhs: Sequence[int]) -> Optional[list[int]]:
+    """y = Lx for a nonnegative exact solution x of A x = b, or None; ``rhs`` is L b, for a positive L.
 
     b must pass the consistency conditions of the system.
     """
-    reduced_rhs = [sum([c * rhs[j] for j, c in row]) for row in reduced.transform]  # T (L b)
-    if all(v >= 0 for v in reduced_rhs):
-        solution = [ZERO] * len(reduced.rows[0])
-        for col, value in zip(reduced.pivots, reduced_rhs):
-            if value:
-                solution[col] = Fraction(value, lcd)
-        return solution
-    found = _phase_one(reduced, reduced_rhs)
-    if found is None:
-        return None
-    return [Fraction(v, lcd) if v else ZERO for v in found]  # y = Lx
+    return _phase_one([sum([c * rhs[j] for j, c in row]) for row in TRANSFORM])  # T (L b)

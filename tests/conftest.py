@@ -10,7 +10,7 @@ import pytest
 
 from selinf import simplex
 from selinf.cli import load_fixture_text
-from selinf.feasibility import _CONSTRAINTS, HiddenStateDistribution, predicted_tables
+from selinf.feasibility import HiddenStateDistribution, predicted_tables
 from selinf.io import parse_experiment
 from selinf.model import MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable
 
@@ -34,17 +34,17 @@ def table3():
 def full_tableau_runs(monkeypatch):
     """A list that grows by one each time phase 1 runs the full tableau.
 
-    The program's own system, ``_CONSTRAINTS``, starts the test with an empty
-    step cache and gets its cache back afterwards.
+    Phase 1's step cache, ``simplex.STEPS``, starts the test empty and gets
+    its steps back afterwards.
     """
-    saved = dict(_CONSTRAINTS.steps)
-    _CONSTRAINTS.steps.clear()
+    saved = dict(simplex.STEPS)
+    simplex.STEPS.clear()
     runs = []
     original = simplex._tableau_steps
     monkeypatch.setattr(simplex, "_tableau_steps", lambda *a: runs.append(1) or original(*a))
     yield runs
-    _CONSTRAINTS.steps.clear()
-    _CONSTRAINTS.steps.update(saved)
+    simplex.STEPS.clear()
+    simplex.STEPS.update(saved)
 
 
 def random_hidden_distribution(rng: random.Random, max_weight: int = 30) -> HiddenStateDistribution:

@@ -1,10 +1,10 @@
 """Gauss-Jordan reduction and the rational phase-1 simplex, kept for the tests as oracles.
 
 ``reduce_system`` row-reduces [A | I] on ``Fraction``: it derives the
-constant system that ``selinf.feasibility`` ships as a literal, and it
-reduces the random systems on which the tests run ``selinf.simplex``. It
-keeps the rows of T beyond the rank of A, the consistency conditions,
-which the program leaves to marginal selectivity.
+constant system that ``selinf.simplex`` ships as the literals ``ROWS`` and
+``TRANSFORM``, and it reduces the random systems on which the tests check
+the rational phase 1 here. It keeps the rows of T beyond the rank of A, the
+consistency conditions, which the program leaves to marginal selectivity.
 
 ``selinf.simplex`` runs phase 1 on a condensed integer tableau, its
 nonbasic columns only, for the program's system alone, whose every pivot is
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from selinf.simplex import ReducedSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,9 +55,9 @@ class Reduction:
     ncols: int
     scale: int
 
-    def system(self) -> ReducedSystem:
-        """R and the first rank rows of T, the form ``selinf.simplex`` solves when k = 1."""
-        return ReducedSystem(self.rows, self.pivots, self.transform[: len(self.pivots)])
+    def system(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """R and the first rank rows of T: when k = 1, the form of ``selinf.simplex.ROWS`` and ``TRANSFORM``."""
+        return self.rows, self.transform[: len(self.pivots)]
 
 
 def reduce_system(matrix: Sequence[Sequence[Fraction]]) -> Reduction:

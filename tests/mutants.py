@@ -35,6 +35,7 @@ DIGEST = "tests/test_feasibility.py::TestCondensedTableau::test_digest_corpus"
 ORACLE = "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_points_as_the_rational_tableau_on_selective_batch_cases"
 SELFTEST_FAILS = "tests/test_cli.py::TestSelftest::test_a_wrong_answer_prints_its_fail_line_and_exits_1"
 PARSERS = "tests/test_io.py::TestParsersRaiseOnlyParseError::"
+UNWRITABLE = "tests/test_cli.py::TestUnwritableOutput::test_exits_2_on_one_line"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -66,11 +67,11 @@ MUTANTS = (
     (
         "the unit-entry check is disabled",
         SIMPLEX, "if any(column[i] != 1 for i in order):", "if False:",
-        (STEPS + "test_a_pivot_other_than_1_is_refused_and_each_system_has_its_own_cache",),
+        (STEPS + "test_a_pivot_other_than_1_is_refused",),
     ),
     (
         "a miss caches nothing",
-        SIMPLEX, "step = steps[state] = next(tableau)", "step = next(tableau)",
+        SIMPLEX, "step = STEPS[state] = next(tableau)", "step = next(tableau)",
         (
             MASKS, BATCH,
             STEPS + "test_a_call_runs_the_full_tableau_at_most_once",
@@ -78,9 +79,27 @@ MUTANTS = (
         ),
     ),
     (
-        "the nonnegative shortcut tests v > 0",
-        SIMPLEX, "if all(v >= 0 for v in reduced_rhs):", "if all(v > 0 for v in reduced_rhs):",
-        ("tests/test_feasibility.py::TestIntegerPhaseOne::test_a_nonnegative_basic_solution_with_zeros_runs_no_phase_one",),
+        "the witness is not put over the cells' denominator",
+        "src/selinf/feasibility.py", "Fraction(v, lcd) if v else zero", "Fraction(v) if v else zero",
+        (
+            "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_verdicts_and_points_as_the_rational_oracle_on_the_corpus",
+            "tests/test_feasibility.py::TestWitnessShape::test_every_witness_is_basic_and_an_integer_over_the_cells_denominator",
+        ),
+    ),
+    (
+        "the stdout-write clause catches nothing",
+        "src/selinf/cli.py", "except OSError as exc:  # reading", "except ArithmeticError as exc:  # reading",
+        (UNWRITABLE,),
+    ),
+    (
+        "stdout is flushed only at exit",
+        "src/selinf/cli.py", "        sys.stdout.flush()\n", "",
+        (UNWRITABLE,),
+    ),
+    (
+        "fd 1 is left on the failed output",
+        "src/selinf/cli.py", "os.dup2(null.fileno(), 1)", "pass",
+        (UNWRITABLE,),
     ),
     (
         "a failed selftest is not counted",

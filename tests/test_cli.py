@@ -5,24 +5,26 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 import selinf
 from selinf.cli import load_fixture_text, run_cli
-from selinf.feasibility import HIDDEN_STATES, predicted_tables
-from selinf.io import parse_experiment, serialize_experiment
+from selinf.feasibility import predicted_tables
+from selinf.io import parse_experiment, report_from_json_dict, serialize_experiment
 
 from conftest import (
-    CROSS_MAP,
     large_denominator_documents,
     oversized_model_documents,
     random_any_data,
     random_hidden_distribution,
     random_ms_data,
 )
+from test_io import MODEL_DOCUMENTS, experiment_documents
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR = 0, 1, 2
 
@@ -56,7 +58,7 @@ class TestAnalyze:
         assert "INFEASIBLE" in out
 
     def test_solver_disagreeing_with_fine_exits_with_error_code(self, uniform_path, monkeypatch, capsys):
-        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs, lcd: None)
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda rhs: None)
         code = run_cli(["analyze", uniform_path])
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
@@ -238,37 +240,6 @@ class TestWitnessMatchesAnalyze:
         assert codes == {EXIT_FEASIBLE, EXIT_INFEASIBLE}
 
 
-# every JSON value type; mapped, so that one_of picks it as one branch rather than eight
-JSON_VALUES = st.one_of(
-    st.fractions(min_value=-1, max_value=2, max_denominator=12).map(str),
-    st.integers(-2, 3),
-    st.floats(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=6),
-    st.lists(st.integers(0, 1), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1),
-).map(lambda value: value)
-# weights k_i / sum(k) on the first states, a distribution
-HIDDEN_DISTRIBUTIONS = st.lists(st.integers(1, 5), min_size=1, max_size=16).map(
-    lambda ks: {state: f"{k}/{sum(ks)}" for state, k in zip(HIDDEN_STATES, ks)}
-)
-SIGN_PAIRS = st.one_of(st.sampled_from(["++", "+-", "-+", "--"]), JSON_VALUES)
-HIDDEN_VALUES = st.dictionaries(st.one_of(st.sampled_from(HIDDEN_STATES), st.text(max_size=5)), JSON_VALUES, max_size=3)
-# the hidden weights alone, of any shape; or a distribution, with eta and cross_map of any shape
-MODEL_DOCUMENTS = (HIDDEN_VALUES | JSON_VALUES).map(lambda hidden: {"hidden": hidden}) | st.fixed_dictionaries(
-    {"hidden": HIDDEN_DISTRIBUTIONS},
-    optional={
-        "eta": st.one_of(st.sampled_from(["0", "1/10", "1"]), JSON_VALUES),
-        "cross_map": st.one_of(
-            st.fixed_dictionaries({key: SIGN_PAIRS for key in CROSS_MAP}),
-            st.dictionaries(st.one_of(st.sampled_from(list(CROSS_MAP)), st.text(max_size=5)), SIGN_PAIRS, max_size=5),
-            JSON_VALUES,
-        ),
-    },
-)
-
-
 class TestSimulateCommand:
     def model_path(self, tmp_path):
         path = tmp_path / "model.json"
@@ -393,17 +364,24 @@ class TestSelftest:
         ]
 
 
-def run_python(*args):
-    """Run ``python <args>`` with the package under test importable."""
+def run_python(*args, stdout=subprocess.PIPE, **variables):
+    """Run ``python <args>`` with the package under test importable; ``variables`` set the environment, None unsets."""
     env = dict(os.environ)
     src = str(Path(selinf.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+    )
 
 
-def run_module(*args):
+def run_module(*args, **kwargs):
     """Run ``python -m <args>``."""
-    return run_python("-m", *args)
+    return run_python("-m", *args, **kwargs)
 
 
 class TestModuleEntryPoints:
@@ -439,6 +417,56 @@ class TestUnexpectedFailure:
         proc = run_python("-c", script, "analyze", uniform_path)
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr == "error: unexpected RuntimeError: boom\n"
+
+
+class TestExitCodeContract:
+    """Any experiment document exits 0 or 1 with a report the reader accepts, or 2 with one error line."""
+
+    def test_analyze_on_experiment_documents(self, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((resources.files("selinf") / "schema" / "analysis_report.schema.json").read_text())
+        validator, path, codes = jsonschema.Draft7Validator(schema), tmp_path / "doc.json", Counter()
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(experiment_documents())
+        def check(doc):
+            path.write_text(json.dumps(doc))
+            code = run_cli(["analyze", str(path), "--json", "--witness"])
+            out, err = capsys.readouterr()
+            codes[code] += 1
+            if code == EXIT_ERROR:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                assert "unexpected" not in err
+            else:
+                report = json.loads(out)
+                validator.validate(report)
+                assert err == "" and report_from_json_dict(report).feasibility.feasible == (code == EXIT_FEASIBLE)
+
+        check()
+        assert set(codes) == {EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_ERROR}
+
+
+class TestUnwritableOutput:
+    """Standard output that is full or closed exits 2 on one error line, whether or not it is buffered."""
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+    def test_exits_2_on_one_line(self, fixture_path, target, unbuffered):
+        if target == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, stdout = os.pipe()
+            os.close(read)  # before the child starts, so that its first write fails
+        try:
+            proc = run_module("selinf", "analyze", fixture_path("table2"), stdout=stdout, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(stdout)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_ERROR
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+        assert "unexpected" not in lines[0]
 
 
 class TestMalformedOptionalSections:

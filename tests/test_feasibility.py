@@ -13,7 +13,6 @@ from selinf import simplex
 from selinf.chsh import compute_gamma
 from selinf.errors import InvalidValue, SelinfError
 from selinf.feasibility import (
-    _CONSTRAINTS,
     HIDDEN_STATES,
     FacetViolation,
     FeasibilityResult,
@@ -27,6 +26,7 @@ from selinf.feasibility import (
 from selinf.io import analyze, render_report_text, report_to_json_dict
 from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
+from selinf.simplex import ROWS, TRANSFORM
 
 from conftest import (
     cap_denominator_distribution,
@@ -227,7 +227,7 @@ class TestSolveFeasibility:
 
     def test_solver_disagreeing_with_fine_is_an_error(self, monkeypatch):
         # the runtime cross-check: no witness, yet no violated condition
-        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda reduced, rhs, lcd: None)
+        monkeypatch.setattr("selinf.feasibility.feasible_point", lambda rhs: None)
         data = predicted_tables(uniform_distribution())
         with pytest.raises(SelinfError, match="no marginal or facet condition"):
             solve_feasibility(data, compute_gamma(data), check_marginal_selectivity(data))
@@ -276,10 +276,10 @@ def rank(rows):
 class TestConstantSystem:
     def test_literal_is_the_reduction_of_the_constraint_matrix(self):
         assert ORACLE.scale == 1
-        assert ORACLE.system() == _CONSTRAINTS
-        assert _CONSTRAINTS.pivots == (0, 1, 2, 4, 5, 6, 8, 9, 10)
-        assert {v for row in _CONSTRAINTS.rows for v in row} == {-1, 0, 1}
-        assert sum(map(len, _CONSTRAINTS.transform)) == 30
+        assert ORACLE.system() == (ROWS, TRANSFORM)
+        assert ORACLE.pivots == (0, 1, 2, 4, 5, 6, 8, 9, 10)
+        assert {v for row in ROWS for v in row} == {-1, 0, 1}
+        assert sum(map(len, TRANSFORM)) == 30
 
     def test_dropped_rows_are_marginal_selectivity_and_normalization(self):
         # functionals on b, the 16 cells then 1; cell k of treatment t is b[4 t + k]
@@ -309,27 +309,29 @@ def selective_batch_cases():
 
 
 def phase_one_rhs(data):
-    """T (L b) on the rows of R, the right-hand side the program's phase 1 gets, or None when phase 1 does not run."""
+    """T (L b) on the rows of R, the right-hand side the program's phase 1 gets."""
     cells = data.scaled_cells
-    reduced = [sum(c * cells[j] for j, c in row) for row in _CONSTRAINTS.transform]
-    return reduced if any(v < 0 for v in reduced) else None
+    return [sum(c * cells[j] for j, c in row) for row in TRANSFORM]
 
 
 def same_as_the_full_tableau(datas):
-    """Check the condensed phase 1 against the full-tableau one on each phase-1 right-hand side; return their count."""
-    runs = 0
-    for data in datas:
-        rhs = phase_one_rhs(data)
-        if rhs is not None:
-            runs += 1
-            assert simplex._phase_one(_CONSTRAINTS, rhs) == full_tableau(rhs)
-    return runs
+    """Check the condensed phase 1 against the full-tableau one on each item's right-hand side; return their count."""
+    rhss = list(map(phase_one_rhs, datas))
+    for rhs in rhss:
+        assert simplex._phase_one(rhs) == full_tableau(rhs)
+    return len(rhss)
 
 
 def cached_states_lie_in_the_state_graph():
-    """Whether every step the program's system has cached is its state's step in the state graph."""
+    """Whether every step phase 1 has cached is its state's step in the state graph."""
     graph, _ = state_graph()
-    return all(graph.get(state) == step for state, step in _CONSTRAINTS.steps.items())
+    return all(graph.get(state) == step for state, step in simplex.STEPS.items())
+
+
+def program_point(data):
+    """The program's phase-1 point for the data as ``Fraction`` weights, or None."""
+    found = simplex.feasible_point(data.scaled_cells)
+    return None if found is None else [Fraction(v, data.scaled_cells[16]) for v in found]
 
 
 @pytest.fixture
@@ -343,11 +345,10 @@ def phase_one_runs(monkeypatch):
 
 class TestIntegerPhaseOne:
     def test_same_points_as_the_rational_tableau_on_selective_batch_cases(self, phase_one_runs):
-        # phase 1 decides most of them
+        # phase 1 decides each of them
         for data in selective_batch_cases():
-            ours = simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16])
-            assert ours == fraction_simplex.feasible_point(ORACLE, _rhs(data))
-        assert len(phase_one_runs) > 300
+            assert program_point(data) == fraction_simplex.feasible_point(ORACLE, _rhs(data))
+        assert len(phase_one_runs) == 400
 
     def test_same_verdicts_and_points_as_the_rational_oracle_on_the_corpus(self):
         # the solver sees only data that satisfies marginal selectivity exactly;
@@ -362,17 +363,17 @@ class TestIntegerPhaseOne:
                 assert list(result.witness.weights) == expected
             if marginals.max_delta == 0:
                 solved += 1
-                assert simplex.feasible_point(_CONSTRAINTS, data.scaled_cells, data.scaled_cells[16]) == expected
+                assert program_point(data) == expected
             else:
                 assert expected is None
         assert solved > 80
 
-    def test_a_nonnegative_basic_solution_with_zeros_runs_no_phase_one(self, phase_one_runs):
-        # a point mass fills one cell per table: T (L b) is nonnegative with zeros, and is the point itself
+    def test_a_nonnegative_basic_solution_with_zeros_is_phase_ones_point(self, phase_one_runs):
+        # a point mass fills one cell per table: T (L b) is nonnegative with zeros, and phase 1 ends at it
         dist = point_mass_distribution("+-+-")
-        cells = predicted_tables(dist).scaled_cells
-        assert min(sum(c * cells[j] for j, c in row) for row in _CONSTRAINTS.transform) == 0
-        assert simplex.feasible_point(_CONSTRAINTS, cells, cells[16]) == list(dist.weights) and phase_one_runs == []
+        data = predicted_tables(dist)
+        assert min(phase_one_rhs(data)) == 0
+        assert program_point(data) == list(dist.weights) and len(phase_one_runs) == 1
 
     def test_cell_denominators_at_the_cap_solve_and_render_quickly(self, phase_one_runs):
         data = cap_denominator_push_forward()
@@ -398,29 +399,28 @@ class TestCondensedTableau:
     """
 
     def test_selective_batch_cases(self, full_tableau_runs):
-        rhss = [rhs for rhs in map(phase_one_rhs, selective_batch_cases()) if rhs is not None]
+        rhss = list(map(phase_one_rhs, selective_batch_cases()))
         driven_out = [[] for _ in rhss]
         expected = [full_tableau(rhs, rows) for rhs, rows in zip(rhss, driven_out)]
-        assert len(rhss) > 300
         for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
             runs = len(full_tableau_runs)
-            assert simplex._phase_one(_CONSTRAINTS, rhs) == found
+            assert simplex._phase_one(rhs) == found
             assert len(full_tableau_runs) - runs <= 1
-        # the fixture emptied the cache: these cases fill 678 states, all in the state graph
-        assert len(_CONSTRAINTS.steps) == 678 and cached_states_lie_in_the_state_graph()
+        # the fixture emptied the cache: these cases fill 688 states, all in the state graph
+        assert len(simplex.STEPS) == 688 and cached_states_lie_in_the_state_graph()
         # Warm, no call runs the full tableau, and so neither do the feasible runs that
         # end with an artificial basic at zero, which only the full tableau drives out
         runs = len(full_tableau_runs)
         for rhs, found in zip(rhss, expected):
-            assert simplex._phase_one(_CONSTRAINTS, rhs) == found
+            assert simplex._phase_one(rhs) == found
         assert len(full_tableau_runs) == runs
-        assert sum(map(bool, driven_out)) >= 60  # 68 of 386
+        assert sum(map(bool, driven_out)) >= 60  # 68 of 400
 
     def test_digest_corpus(self, full_tableau_runs):
         # phase 1 sees only data that satisfies marginal selectivity exactly
         exact = [data for data in corpus() if check_marginal_selectivity(data).max_delta == 0]
         assert same_as_the_full_tableau(exact) > 70
-        assert _CONSTRAINTS.steps and cached_states_lie_in_the_state_graph()
+        assert simplex.STEPS and cached_states_lie_in_the_state_graph()
 
     def test_cap_size_push_forward(self):
         assert same_as_the_full_tableau([cap_denominator_push_forward()]) == 1
@@ -460,7 +460,7 @@ class TestSolverFarkasVector:
         seen = feasible = 0
         for data in [*corpus(), *selective_batch_cases()]:
             marginals = check_marginal_selectivity(data)
-            if marginals.max_delta != 0 or phase_one_rhs(data) is None:
+            if marginals.max_delta != 0:
                 continue
             if solve_feasibility(data, compute_gamma(data), marginals).feasible:
                 feasible += 1

@@ -19,7 +19,7 @@ import selinf.model
 import selinf.selectivity
 from selinf.chsh import SIGN_PATTERNS, classify_gamma
 from selinf.errors import InvalidValue, ParseError, SelinfError
-from selinf.feasibility import predicted_tables, verify_witness
+from selinf.feasibility import HIDDEN_STATES, predicted_tables, verify_witness
 from selinf.io import (
     PROB_KEYS,
     AnalysisReport,
@@ -31,7 +31,7 @@ from selinf.io import (
     report_to_json_dict,
     serialize_experiment,
 )
-from selinf.cli import EXIT_INFEASIBLE, run_cli
+from selinf.cli import EXIT_INFEASIBLE, load_fixture_text, run_cli
 from selinf.model import LEVELS, TREATMENTS, ExperimentData, JointTable, over_common_denominator
 from selinf.selectivity import MsTestResult
 from selinf.simulate import Model, SampleSpec, sample_counts
@@ -42,9 +42,9 @@ from conftest import (
     oversized_model_documents,
     random_any_data,
     random_hidden_distribution,
+    random_ms_data,
 )
 from relabel import signed_sum, uniform_distribution, uniform_table
-from test_cli import JSON_VALUES, MODEL_DOCUMENTS
 from test_corpus_digest import corpus
 from test_feasibility import selective_batch_cases
 
@@ -589,6 +589,35 @@ class TestParseModel:
             parse_model(json.dumps(doc))
 
 
+# every JSON value type; mapped, so that one_of picks it as one branch rather than eight
+JSON_VALUES = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12).map(str),
+    st.integers(-2, 3),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1),
+).map(lambda value: value)
+# weights k_i / sum(k) on the first states, a distribution
+HIDDEN_DISTRIBUTIONS = st.lists(st.integers(1, 5), min_size=1, max_size=16).map(
+    lambda ks: {state: f"{k}/{sum(ks)}" for state, k in zip(HIDDEN_STATES, ks)}
+)
+SIGN_PAIRS = st.one_of(st.sampled_from(["++", "+-", "-+", "--"]), JSON_VALUES)
+HIDDEN_VALUES = st.dictionaries(st.one_of(st.sampled_from(HIDDEN_STATES), st.text(max_size=5)), JSON_VALUES, max_size=3)
+# the hidden weights alone, of any shape; or a distribution, with eta and cross_map of any shape
+MODEL_DOCUMENTS = (HIDDEN_VALUES | JSON_VALUES).map(lambda hidden: {"hidden": hidden}) | st.fixed_dictionaries(
+    {"hidden": HIDDEN_DISTRIBUTIONS},
+    optional={
+        "eta": st.one_of(st.sampled_from(["0", "1/10", "1"]), JSON_VALUES),
+        "cross_map": st.one_of(
+            st.fixed_dictionaries({key: SIGN_PAIRS for key in CROSS_MAP}),
+            st.dictionaries(st.one_of(st.sampled_from(list(CROSS_MAP)), st.text(max_size=5)), SIGN_PAIRS, max_size=5),
+            JSON_VALUES,
+        ),
+    },
+)
 TREATMENT_KEYS = [t.key for t in TREATMENTS]
 DELETED = object()  # an edit that removes the key
 # valid probability blocks; the two with a 1,501-digit denominator exceed the 10**2000 cap together
@@ -1068,6 +1097,52 @@ class TestReportJson:
         with pytest.raises(error) as caught:
             report_from_json_dict(doc)
         assert type(caught.value) is error and str(caught.value) == message
+
+
+@functools.cache
+def report_documents():
+    """The JSON reports of the goldens and of seeded push-forward, selective and unconstrained data, with and without the witness."""
+    rng = random.Random(29)
+    datas = [parse_experiment(load_fixture_text(name)) for name in ("table1", "table2", "table3")]
+    datas += [predicted_tables(random_hidden_distribution(rng)), random_ms_data(rng), random_any_data(rng)]
+    reports = [analyze(data) for data in datas]
+    return [json.loads(json.dumps(report_to_json_dict(r, include_witness=w))) for r in reports for w in (False, True)]
+
+
+def json_parts(doc, path=()):
+    """The path of each part of a JSON document below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_parts(value, path + (key,))
+
+
+@st.composite
+def edited_reports(draw):
+    """A report of ``report_documents``, then one or two of its parts removed or set to any JSON value."""
+    docs = report_documents()
+    doc = copy.deepcopy(docs[draw(st.integers(0, len(docs) - 1))])
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, leaf = draw(st.sampled_from(list(json_parts(doc))))
+        parent = functools.reduce(operator.getitem, parents, doc)
+        value = draw(JSON_VALUES | st.just(DELETED))
+        if value is DELETED:
+            del parent[leaf]
+        else:
+            parent[leaf] = value
+    return doc
+
+
+class TestReportReaderRaisesOnlySelinfError:
+    """A report document the reader rejects is a ``ParseError`` or an ``InvalidValue``, never another exception."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(edited_reports())
+    def test_edited_reports(self, doc):
+        try:
+            report_from_json_dict(doc)
+        except (ParseError, InvalidValue):
+            pass
 
 
 PATTERN_KEYS = list(SIGN_PATTERNS)

@@ -40,7 +40,6 @@ from selinf.selectivity import (
     MsTestResult,
     check_marginal_selectivity,
 )
-from selinf.simplex import ReducedSystem
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 
@@ -67,7 +66,6 @@ SAMPLES = {
     HiddenStateDistribution: hidden,
     FacetViolation: lambda: FacetViolation(SIGN_PATTERNS[0], Fraction(5, 2)),
     FeasibilityResult: lambda: analyze(sampled()).feasibility,
-    ReducedSystem: lambda: ReducedSystem(rows=((1, 0, -1),), pivots=(0,), transform=(((0, 1), (2, -1)),)),
     Model: lambda: Model(hidden(), "1/10", {t: (1, -1) for t in TREATMENTS}),
     SampleSpec: lambda: SampleSpec(4, 7),
     AnalysisReport: lambda: analyze(sampled()),
@@ -99,7 +97,6 @@ REPRS = {
     + "))",
     FacetViolation: "FacetViolation(pattern='+++-', value=Fraction(5, 2))",
     FeasibilityResult: lambda r: f"FeasibilityResult(witness=None, all_violations={r.all_violations!r})",
-    ReducedSystem: "ReducedSystem(rows=((1, 0, -1),), pivots=(0,), transform=(((0, 1), (2, -1)),))",
     Model: lambda r: f"Model(hidden={r.hidden!r}, eta=Fraction(1, 10), cross_map={r.cross_map!r})",
     SampleSpec: "SampleSpec(n_per_treatment=4, seed=7)",
     AnalysisReport: lambda r: (

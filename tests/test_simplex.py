@@ -14,8 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from selinf import simplex
-from selinf.feasibility import _CONSTRAINTS
-from selinf.simplex import ReducedSystem, _phase_one
+from selinf.simplex import ROWS, TRANSFORM, _phase_one
 
 import fraction_simplex
 from fraction_simplex import reduce_system
@@ -208,15 +207,10 @@ class TestIntegerTableau:
                 check_solution(matrix, rhs, x)
 
 
-def constraints():
-    """The program's system with an empty step cache of its own."""
-    return ReducedSystem(_CONSTRAINTS.rows, _CONSTRAINTS.pivots, _CONSTRAINTS.transform)
-
-
 def full_tableau(rhs, driven_out=None):
     """The full tableau's phase 1 on the program's system, its divisor checked to be 1:
     the numerators alone, as the program returns them, or None."""
-    found = fraction_simplex.full_tableau_phase_one(_CONSTRAINTS.rows, rhs, driven_out)
+    found = fraction_simplex.full_tableau_phase_one(ROWS, rhs, driven_out)
     if found is None:
         return None
     values, divisor = found
@@ -228,26 +222,26 @@ def full_tableau(rhs, driven_out=None):
 def state_graph():
     """Each state of phase 1 on the program's system, keyed as in its step cache, with its step; and the longest path.
 
-    The walk starts from the 127 sign masks that valid data gives, since rows 7
+    The walk starts from the 128 sign masks that valid data gives, since rows 7
     and 8 of T each read one cell and are never negative. From each state it
     leaves by every row with a positive entry in the entering column, a
     superset of the rows Bland's ratio test can take.
     """
-    rows, m = _CONSTRAINTS.rows, len(_CONSTRAINTS.rows)
+    m = len(ROWS)
     graph, depth, pending = {}, 0, []
-    for mask in range(1, 1 << 7):
+    for mask in range(1 << 7):
         path = []
-        pending.append((mask, mask | 1 << m, path, simplex._tableau_steps(rows, mask, path)))
+        pending.append((mask, mask | 1 << m, path, simplex._tableau_steps(ROWS, mask, path)))
     while pending:
         mask, state, path, steps = pending.pop()
         column, order = graph[state] = next(steps)
         depth = max(depth, len(path))
-        assert len(graph) <= 7388 and depth <= 14, "the walk outgrows the graph's pinned size"
+        assert len(graph) <= 7398 and depth <= 14, "the walk outgrows the graph's pinned size"
         if column is not None:
             *others, last = order
             for i in others:  # a new tableau replays the path to branch; the last row goes on with this one
                 branch = path + [i]
-                pending.append((mask, state * (m + 1) + i, branch, simplex._tableau_steps(rows, mask, branch)))
+                pending.append((mask, state * (m + 1) + i, branch, simplex._tableau_steps(ROWS, mask, branch)))
             path.append(last)
             pending.append((mask, state * (m + 1) + last, path, steps))
     return graph, depth
@@ -255,15 +249,32 @@ def state_graph():
 
 class TestStateGraph:
     def test_valid_data_never_negates_rows_7_and_8(self):
-        assert _CONSTRAINTS.transform[7:] == (((7, 1),), ((3, 1),))
+        assert TRANSFORM[7:] == (((7, 1),), ((3, 1),))
 
     def test_size_depth_and_unit_pivots(self):
         graph, depth = state_graph()
-        assert len(graph) == 7388
-        assert sum(column is None for column, _ in graph.values()) == 4959
+        assert len(graph) == 7398
+        assert sum(column is None for column, _ in graph.values()) == 4960
         assert depth == 14
         # every positive entry of every entering column is 1, so every pivot is 1
         assert all(column[i] == 1 for column, order in graph.values() if column is not None for i in order)
+
+    def test_a_nonnegative_right_hand_side_is_its_own_point(self):
+        # Under sign mask 0 each entering column has one positive entry, so the
+        # path is single: rows 0 to 8 in order, ending at the basis of the
+        # pivot columns, whose point is T (L b) itself
+        graph, _ = state_graph()
+        m, state, path = len(ROWS), 1 << len(ROWS), []
+        column, order = graph[state]
+        while column is not None:
+            assert len(order) == 1
+            path.append(order[0])
+            state = state * (m + 1) + order[0]
+            column, order = graph[state]
+        assert path == list(range(m))
+        pivots = tuple(row.index(1) for row in ROWS)  # R is in reduced row echelon form
+        assert pivots == (0, 1, 2, 4, 5, 6, 8, 9, 10)
+        assert order == tuple(pivots.index(j) if j in pivots else None for j in range(16))
 
 
 class TestCondensedTableau:
@@ -275,42 +286,36 @@ class TestCondensedTableau:
     # under the mask of rows 1, 2 and 3 a tie in the ratio test decides the point
     @example([2, 1, 1, 1, 2, 1, 0, 2, 3])
     def test_same_point_as_the_full_tableau_under_every_sign_mask(self, full_tableau_runs, magnitudes):
-        solved = constraints()
-        rhss = [[-v if mask >> i & 1 else v for i, v in enumerate(magnitudes)] for mask in range(1, 512)]
+        simplex.STEPS.clear()
+        rhss = [[-v if mask >> i & 1 else v for i, v in enumerate(magnitudes)] for mask in range(512)]
         expected = [full_tableau(rhs) for rhs in rhss]
         full_tableau_runs.clear()
         for rhs, found in zip(rhss, expected):  # cold: each call runs the full tableau at most once
             runs = len(full_tableau_runs)
-            assert _phase_one(solved, rhs) == found
+            assert _phase_one(rhs) == found
             assert len(full_tableau_runs) - runs <= 1
         runs = len(full_tableau_runs)
         for rhs, found in zip(rhss, expected):  # warm: only the right-hand side is pivoted
-            assert _phase_one(solved, rhs) == found
+            assert _phase_one(rhs) == found
         assert len(full_tableau_runs) == runs
 
 
 class TestStepCache:
-    def test_a_pivot_other_than_1_is_refused_and_each_system_has_its_own_cache(self, full_tableau_runs):
+    def test_a_pivot_other_than_1_is_refused(self):
         # the first entering column holds a 2 in the row that leaves
         with pytest.raises(AssertionError, match="pivots must be 1"):
-            _phase_one(ReducedSystem(((2, 0, 2, 2), (0, 2, 3, -1)), (), ()), [2, -3])
-        # the fixture empties the program's cache; a second system over its rows fills only its own
-        solved = constraints()
-        assert _phase_one(solved, [-1, 2, 2, 0, 0, 0, 0, 0, 0]) == full_tableau([-1, 2, 2, 0, 0, 0, 0, 0, 0])
-        assert len(solved.steps) == 10 and _CONSTRAINTS.steps == {}
+            next(simplex._tableau_steps(((2, 0, 2, 2), (0, 2, 3, -1)), 0b10, []))
 
     def test_a_call_runs_the_full_tableau_at_most_once(self, full_tableau_runs):
         # Both right-hand sides take the same first two steps and then leave from different rows:
         # the second takes them cached, then the tableau replays them and serves the rest
-        solved = constraints()
         first, second = [-1, 2, 2, 0, 0, 0, 0, 0, 0], [-1, 1, 2, 0, 0, 0, 0, 0, 0]
         for rhs, runs, states in ((first, 1, 10), (first, 1, 10), (second, 2, 19), (second, 2, 19)):
-            assert _phase_one(solved, rhs) == full_tableau(rhs) is not None
-            assert len(full_tableau_runs) == runs and len(solved.steps) == states
+            assert _phase_one(rhs) == full_tableau(rhs) is not None
+            assert len(full_tableau_runs) == runs and len(simplex.STEPS) == states
 
     def test_an_infeasible_run_caches_the_end_of_its_path(self, full_tableau_runs):
         # both take the same steps, and the feasible run then runs no tableau
-        solved = constraints()
-        assert _phase_one(solved, [0, -2, 0, 1, 1, 0, 1, 2, 0]) is None
+        assert _phase_one([0, -2, 0, 1, 1, 0, 1, 2, 0]) is None
         rhs = [0, -1, 0, 1, 1, 0, 1, 2, 0]
-        assert _phase_one(solved, rhs) == full_tableau(rhs) is not None and len(full_tableau_runs) == 1
+        assert _phase_one(rhs) == full_tableau(rhs) is not None and len(full_tableau_runs) == 1
