@@ -59,8 +59,13 @@ def _converter(convert: type) -> Callable[[str], object]:
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse's own writer swallows OSError: a failed write must exit 2
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="selinf",
         description="Selective-influence analysis of 2x2x2x2 experiments: "
         "CHSH statistic, marginal selectivity, hidden-state feasibility.",
@@ -238,10 +243,6 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run the command, return the exit code."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
     handlers = {
         "analyze": _cmd_analyze,
         "witness": _cmd_witness,
@@ -249,7 +250,12 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        code = handlers[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            code = int(exc.code or 0)
+        else:
+            code = handlers[args.command](args)
         sys.stdout.flush()
         return code
     except SelinfError as exc:

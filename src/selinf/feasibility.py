@@ -54,9 +54,11 @@ _STATE_CELLS = tuple(
 
 
 class HiddenStateDistribution(_Record):
-    """Probability weights over the 16 deterministic states, summing to 1 (checked on integers)."""
+    """Weights over the 16 states, summing to 1; ``scaled_weights`` keeps their 16 numerators over L, then L."""
 
-    __slots__ = _fields = ("weights",)
+    __slots__ = ("weights", "scaled_weights")
+    _fields = ("weights",)
+    scaled_weights: tuple[int, ...]
 
     def __init__(self, weights: tuple[Rational, ...]) -> None:
         ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in weights)
@@ -68,6 +70,7 @@ class HiddenStateDistribution(_Record):
         if sum(numerators) != lcd:
             raise InvalidValue(f"weights sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "scaled_weights", (*numerators, lcd))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Rational]) -> "HiddenStateDistribution":
@@ -86,12 +89,9 @@ class HiddenStateDistribution(_Record):
 
 
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
-    """Push the state distribution forward to one joint table per treatment.
-
-    The weights' numerators over their common denominator are summed into the
-    16 cells on integers, and each cell becomes a ``Fraction`` once.
-    """
-    numerators, lcd = over_common_denominator(dist.weights)
+    """Push the state distribution forward to one joint table per treatment: ``dist.scaled_weights``,
+    the weights' numerators over their L, are summed into the 16 cells, and each becomes a ``Fraction`` once."""
+    *numerators, lcd = dist.scaled_weights
     cells = [0] * 16
     for targets, p in zip(_STATE_CELLS, numerators):
         for k in targets:
@@ -183,6 +183,5 @@ def solve_feasibility(
 
 
 def verify_witness(dist: HiddenStateDistribution, data: ExperimentData) -> bool:
-    """True iff the push-forward of ``dist`` equals the data cell-by-cell."""
-    predicted = predicted_tables(dist)
-    return all(predicted.table(t) == data.table(t) for t in TREATMENTS)
+    """True iff the push-forward of ``dist`` equals the data cell-by-cell, compared as canonical cell vectors."""
+    return predicted_tables(dist).scaled_cells == data.scaled_cells

@@ -8,7 +8,8 @@ a point mass on a fixed treatment-indexed outcome pair, at rate eta, adding
 integer numerators over one denominator; this is the simplest mechanism by
 which a response can leak information about the other factor. Without a
 ``cross_map`` eta must be 0, and the model is the selective one: its tables
-are the push-forward itself.
+are the push-forward itself. A model derives its tables, and the thresholds
+below, once, at construction.
 
 Random number contract
 ----------------------
@@ -46,7 +47,7 @@ full comparison. The counts equal those of drawing one at a time.
 from __future__ import annotations
 
 import struct
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Optional
@@ -134,31 +135,29 @@ def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
     return tallies
 
 
-def contamination_rate(value: Rational) -> Fraction:
-    """``value`` as an exact contamination rate eta, which must lie in [0, 1]."""
-    eta = rational(value)
-    if not 0 <= eta <= 1:
-        raise InvalidValue(f"eta must be in [0, 1], got {printable(eta)}")
-    return eta
-
-
 class Model(_Record):
     """A latent model: a hidden-state core, contaminated at rate eta by fixed outcomes.
 
     ``cross_map`` gives, for every treatment, the outcome pair forced when
     contamination strikes; because it may vary with the full treatment, both
     responses can effectively read both factors through it. Without a
-    ``cross_map`` (so at eta = 0) the model is selective.
+    ``cross_map`` (so at eta = 0) the model is selective. The exact tables and
+    the sampling thresholds are derived once, at construction.
     """
 
-    _fields = ("hidden", "eta", "cross_map")  # no __slots__: cached_property stores in __dict__
+    __slots__ = ("hidden", "eta", "cross_map", "tables", "_thresholds")
+    _fields = ("hidden", "eta", "cross_map")
+    tables: ExperimentData
+    _thresholds: list[list[int]]
 
     def __init__(
         self, hidden: HiddenStateDistribution, eta: Rational = Fraction(0),
         cross_map: Optional[Mapping[Treatment, tuple[int, int]]] = None,
     ) -> None:
         object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "eta", contamination_rate(eta))
+        object.__setattr__(self, "eta", rational(eta))
+        if not 0 <= self.eta <= 1:
+            raise InvalidValue(f"eta must be in [0, 1], got {printable(self.eta)}")
         if cross_map is None:
             if self.eta != 0:
                 raise InvalidValue("eta > 0 needs a cross_map of forced outcome pairs")
@@ -170,26 +169,19 @@ class Model(_Record):
                 if pair not in CELLS:
                     raise InvalidValue(f"cross_map[{t.key}] = {pair!r} is not a +1/-1 pair")
         object.__setattr__(self, "cross_map", cross_map)
-
-    @cached_property
-    def tables(self) -> ExperimentData:
-        """The exact per-treatment joint tables: the push-forward, with each forced
-        pair's point mass mixed in at rate eta on integers; computed on first use."""
-        base = predicted_tables(self.hidden)
-        if self.cross_map is None:
-            return base
-        e, d = self.eta.as_integer_ratio()
-        *cells, lcd = base.scaled_cells
-        forced = {4 * t.index + CELLS.index(pair) for t, pair in self.cross_map.items()}
-        # eta = e/d and the cells over L: (e L [the cell is forced] + (d - e) cell) / (d L)
-        mixed = [Fraction(e * lcd * (k in forced) + (d - e) * c, d * lcd) for k, c in enumerate(cells)]
-        return ExperimentData(tables={t: JointTable(*mixed[4 * t.index : 4 * t.index + 4]) for t in TREATMENTS})
-
-    @cached_property
-    def _thresholds(self) -> list[list[int]]:
-        """Per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53."""
-        *cells, lcd = self.tables.scaled_cells
-        return [[-((-cum << 53) // lcd) for cum in accumulate(cells[k : k + 4])] for k in range(0, 16, 4)]
+        tables = predicted_tables(hidden)
+        if cross_map is not None:  # each forced pair's point mass mixed into the push-forward at rate eta
+            e, d = self.eta.as_integer_ratio()
+            *cells, lcd = tables.scaled_cells
+            forced = {4 * t.index + CELLS.index(pair) for t, pair in cross_map.items()}
+            # eta = e/d and the cells over L: (e L [the cell is forced] + (d - e) cell) / (d L)
+            mixed = [Fraction(e * lcd * (k in forced) + (d - e) * c, d * lcd) for k, c in enumerate(cells)]
+            tables = ExperimentData(tables={t: JointTable(*mixed[4 * t.index : 4 * t.index + 4]) for t in TREATMENTS})
+        object.__setattr__(self, "tables", tables)
+        *cells, lcd = tables.scaled_cells  # per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53
+        object.__setattr__(self, "_thresholds", [
+            [-((-cum << 53) // lcd) for cum in accumulate(cells[k : k + 4])] for k in range(0, 16, 4)
+        ])
 
 
 class SampleSpec(_Record):

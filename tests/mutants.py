@@ -36,6 +36,9 @@ ORACLE = "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_points_as_th
 SELFTEST_FAILS = "tests/test_cli.py::TestSelftest::test_a_wrong_answer_prints_its_fail_line_and_exits_1"
 PARSERS = "tests/test_io.py::TestParsersRaiseOnlyParseError::"
 UNWRITABLE = "tests/test_cli.py::TestUnwritableOutput::test_exits_2_on_one_line"
+SIMULATE = "src/selinf/simulate.py"
+MODEL_TABLES = "tests/test_simulate.py::TestModelTables::"
+VECTOR_CHECK = "tests/test_feasibility.py::TestVerifyWitness::test_the_vector_check_is_the_table_check"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -85,6 +88,47 @@ MUTANTS = (
             "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_verdicts_and_points_as_the_rational_oracle_on_the_corpus",
             "tests/test_feasibility.py::TestWitnessShape::test_every_witness_is_basic_and_an_integer_over_the_cells_denominator",
         ),
+    ),
+    (
+        "the contamination keeps the push-forward at full weight",
+        SIMULATE, "(d - e) * c", "d * c",
+        (
+            MODEL_TABLES + "test_contamination_is_affine_in_eta",
+            MODEL_TABLES + "test_tables_equal_the_fraction_route_push_forward_and_mix",
+        ),
+    ),
+    (
+        "every forced pair lands in the first treatment's cells",
+        SIMULATE, "forced = {4 * t.index + CELLS.index(pair)", "forced = {CELLS.index(pair)",
+        (
+            MODEL_TABLES + "test_full_contamination_can_break_selectivity",
+            MODEL_TABLES + "test_contamination_is_affine_in_eta",
+        ),
+    ),
+    (
+        "the thresholds are floored",
+        SIMULATE, "-((-cum << 53) // lcd)", "(cum << 53) // lcd",
+        (MODEL_TABLES + "test_thresholds_are_the_ceilings_of_the_contract",),
+    ),
+    (
+        "the witness check reads half the cell vector",
+        "src/selinf/feasibility.py", "return predicted_tables(dist).scaled_cells == data.scaled_cells",
+        "return predicted_tables(dist).scaled_cells[:8] == data.scaled_cells[:8]",
+        (VECTOR_CHECK,),
+    ),
+    (
+        "the push-forward reads the weights over twice their denominator",
+        "src/selinf/feasibility.py", "Fraction(p, lcd) for p in cells", "Fraction(p, 2 * lcd) for p in cells",
+        (
+            "tests/test_feasibility.py::TestPredictedTables::test_equals_the_fraction_route_push_forward",
+            "tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair", VECTOR_CHECK,
+        ),
+    ),
+    (
+        "help is written through argparse's writer, which drops a failed write",
+        "src/selinf/cli.py", "(file or sys.stdout).write(self.format_help())",
+        "self._print_message(self.format_help(), file or sys.stdout)",
+        (UNWRITABLE,),
     ),
     (
         "the stdout-write clause catches nothing",

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, fixtures, simulation."""
 
+import argparse
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import selinf
+import selinf.cli
 from selinf.cli import load_fixture_text, run_cli
 from selinf.feasibility import predicted_tables
 from selinf.io import parse_experiment, report_from_json_dict, serialize_experiment
@@ -181,6 +183,14 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["help", "analyze-help"])
+    def test_help_is_the_text_argparse_writes(self, capsys, monkeypatch, argv):
+        assert run_cli(argv) == 0
+        ours = capsys.readouterr()
+        monkeypatch.setattr(selinf.cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == ours and ours.out.startswith("usage: selinf") and ours.err == ""
 
     def test_simulate_requires_arguments(self):
         assert run_cli(["simulate"]) == EXIT_ERROR
@@ -447,11 +457,16 @@ class TestExitCodeContract:
 
 
 class TestUnwritableOutput:
-    """Standard output that is full or closed exits 2 on one error line, whether or not it is buffered."""
+    """Standard output that is full or closed exits 2 on one error line, whether or not it is buffered.
+
+    Help output goes the same way: argparse's own writer would drop the error and exit 0, or 120 at exit."""
 
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
-    def test_exits_2_on_one_line(self, fixture_path, target, unbuffered):
+    @pytest.mark.parametrize(
+        "args", [("analyze", "table2"), ("--help",), ("analyze", "--help")], ids=["analyze", "help", "analyze-help"]
+    )
+    def test_exits_2_on_one_line(self, fixture_path, target, unbuffered, args):
         if target == "dev-full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full on this platform")
@@ -460,7 +475,8 @@ class TestUnwritableOutput:
             read, stdout = os.pipe()
             os.close(read)  # before the child starts, so that its first write fails
         try:
-            proc = run_module("selinf", "analyze", fixture_path("table2"), stdout=stdout, PYTHONUNBUFFERED=unbuffered)
+            argv = [fixture_path(arg) if arg == "table2" else arg for arg in args]
+            proc = run_module("selinf", *argv, stdout=stdout, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(stdout)
         lines = proc.stderr.splitlines()

@@ -57,6 +57,7 @@ from relabel import (
 )
 
 import fraction_simplex
+from test_cell_vector import fractions_built  # noqa: F401 (a fixture)
 from test_corpus_digest import corpus
 from test_simplex import full_tableau, state_graph
 
@@ -684,3 +685,34 @@ class TestVerifyWitness:
             result = analyze(data).feasibility
             if result.feasible:
                 assert verify_witness(result.witness, data)
+
+    def test_the_vector_check_is_the_table_check(self):
+        # solver witnesses of the first selective-batch cases, each with its own data, with the next case's data, and
+        # after one unit of numerator moves from one of its states to any other, which changes some cell
+        def by_tables(dist, data):
+            predicted = predicted_tables(dist)
+            return all(predicted.table(t) == data.table(t) for t in TREATMENTS)
+
+        datas = [data for _, data in zip(range(12), selective_batch_cases())]
+        found = [(analyze(data).feasibility.witness, data) for data in datas]
+        found = [(dist, data) for dist, data in found if dist is not None]
+        assert len(found) >= 8
+        for (dist, data), (_, other) in zip(found, found[1:] + found[:1]):
+            assert verify_witness(dist, data) is by_tables(dist, data) is True
+            assert verify_witness(dist, other) is by_tables(dist, other) is False
+            *numerators, lcd = dist.scaled_weights
+            for i in (i for i, p in enumerate(numerators) if p):
+                for j in set(range(16)) - {i}:
+                    moved = list(numerators)
+                    moved[i], moved[j] = moved[i] - 1, moved[j] + 1
+                    shifted = HiddenStateDistribution(tuple(Fraction(p, lcd) for p in moved))
+                    assert verify_witness(shifted, data) is by_tables(shifted, data) is False
+
+    def test_comparing_the_vectors_builds_no_fraction(self, fractions_built):
+        data = next(selective_batch_cases())
+        dist = analyze(data).feasibility.witness
+        fractions_built.clear()
+        predicted_tables(dist)
+        pushed = len(fractions_built)  # one per cell of the push-forward
+        fractions_built.clear()
+        assert verify_witness(dist, data) and len(fractions_built) == pushed == 16

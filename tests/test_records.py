@@ -7,8 +7,9 @@ table stores its four cells in one slot, ``scaled_cells``, and reads each
 field from it. Attributes derived once (``key``, ``index``, a data set's
 ``scaled_cells``, ``response``, ``delta``, ``max_delta``, a CHSH report's
 ``sums``, ``gamma``, ``argmax_patterns`` and ``classification``, a z-test's
-``z_statistic``, ``p_value``, ``reject`` and ``degenerate``, and a
-feasibility result's ``feasible`` and ``certificate``) stay out of all three.
+``z_statistic``, ``p_value``, ``reject`` and ``degenerate``, a distribution's
+``scaled_weights``, a model's ``tables`` and thresholds, and a feasibility
+result's ``feasible`` and ``certificate``) stay out of all three.
 """
 
 import copy
@@ -138,9 +139,9 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 
 @records
-def test_only_model_keeps_an_instance_dict(cls):
-    # Model's cached_property stores the tables in the instance dict
-    assert hasattr(SAMPLES[cls](), "__dict__") == (cls is Model)
+def test_no_record_keeps_an_instance_dict(cls):
+    # every attribute, derived ones too, is a slot set once in __init__
+    assert not hasattr(SAMPLES[cls](), "__dict__")
 
 
 @records

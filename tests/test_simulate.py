@@ -165,7 +165,7 @@ class TestModelTables:
             assert fine_criterion(data)
             assert analyze(data).feasibility.feasible
 
-    def test_tables_are_computed_on_first_use_and_once(self, monkeypatch):
+    def test_tables_are_computed_once_at_construction(self, monkeypatch):
         pushed = []
         original = selinf.simulate.predicted_tables
 
@@ -183,11 +183,24 @@ class TestModelTables:
         for build in builds:
             pushed.clear()
             model = build()
-            assert pushed == []  # not at construction
+            assert pushed == [uniform]  # one push-forward, at construction
             first = sample_counts(model, SampleSpec(n_per_treatment=50, seed=3))
             assert sample_counts(model, SampleSpec(n_per_treatment=50, seed=3)) == first
             assert model.tables is model.tables
-            assert len(pushed) == 1
+            assert pushed == [uniform]  # none while sampling
+
+    def test_thresholds_are_the_ceilings_of_the_contract(self):
+        # seeded selective and contaminated models; a cumulative cell times 2^53 that is not an integer is rounded up
+        rng = random.Random(76)
+        fractional = 0
+        for i in range(20):
+            hidden = random_hidden_distribution(rng)
+            cross = {t: rng.choice(CELLS) for t in TREATMENTS}
+            model = Model(hidden, Fraction(rng.randint(1, 6), 7), cross) if i % 2 else Model(hidden)
+            cells = [model.tables.table(t).cells() for t in TREATMENTS]
+            assert model._thresholds == [reference_thresholds(c) for c in cells]
+            fractional += sum((sum(c[: k + 1]) * 2**53).denominator != 1 for c in cells for k in range(4))
+        assert fractional > 20
 
     def test_thresholds_and_lane_constants_are_computed_once(self, monkeypatch):
         pushed = []
