@@ -53,14 +53,11 @@ from .selectivity import (
     check_marginal_selectivity,
     test_marginal_selectivity,
 )
-from .simulate import (
-    Model,
-    SampleSpec,
-    SplitMix64,
-    sample_counts,
-)
 
 __version__ = "0.1.0"
+
+# the sampler's names load selinf.simulate on first access: a process that only analyses never compiles it
+_SAMPLER = frozenset({"Model", "SampleSpec", "SplitMix64", "sample_counts"})
 
 __all__ = [
     "AnalysisReport",
@@ -105,3 +102,10 @@ __all__ = [
     "test_marginal_selectivity",
     "verify_witness",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

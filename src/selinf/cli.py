@@ -34,7 +34,6 @@ from .io import (
     serialize_experiment,
     witness_lines,
 )
-from .simulate import SampleSpec, sample_counts
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -152,6 +151,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import SampleSpec, sample_counts  # here, so that the analysis commands never load the sampler
     model = parse_model(_read_file(args.model))
     spec = SampleSpec(n_per_treatment=args.n, seed=args.seed)
     sampled = sample_counts(model, spec)

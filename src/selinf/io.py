@@ -58,9 +58,10 @@ denominator exceeds 10**2000.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import AbstractSet, Any, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Any, Optional, Union
 
 from .chsh import ChshReport, compute_gamma
 from .errors import InvalidValue, ParseError, SelinfError
@@ -89,7 +90,9 @@ from .selectivity import (
     significance_level,
     test_marginal_selectivity,
 )
-from .simulate import Model
+
+if TYPE_CHECKING:  # parse_model's return type; the function imports the sampler when it runs
+    from .simulate import Model
 
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 _COUNT_BLOCK_KEYS = frozenset({*PROB_KEYS, "n"})
@@ -239,9 +242,11 @@ def serialize_experiment(data: ExperimentData) -> str:
     """Write data back to the file format, probabilities as exact fractions."""
     treatments: dict[str, Any] = {}
     for t in TREATMENTS:
-        block: dict[str, Any] = {
-            ck: str(cell) for ck, cell in zip(PROB_KEYS, data.table(t).cells())
-        }
+        *numerators, lcd = data.table(t).scaled_cells
+        block: dict[str, Any] = {}
+        for ck, p in zip(PROB_KEYS, numerators):  # p/lcd in lowest terms, as str(Fraction) prints it
+            g = math.gcd(p, lcd)
+            block[ck] = str(p // g) if g == lcd else f"{p // g}/{lcd // g}"
         ct = data.count(t)
         if ct is not None:
             block["counts"] = dict(zip(PROB_KEYS, ct.cells()))
@@ -259,6 +264,7 @@ def serialize_experiment(data: ExperimentData) -> str:
 def parse_model(text: str) -> Model:
     """Parse the text of a model file into a ``Model``; one with no ``cross_map``
     has eta = 0 and is the selective model."""
+    from .simulate import Model  # here, so that parsing an experiment never loads the sampler
     doc = _load(text, "model document")
     _reject_unknown(doc, {"hidden", "eta", "cross_map"}, "unknown top-level keys")
     if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):

@@ -39,18 +39,20 @@ UNWRITABLE = "tests/test_cli.py::TestUnwritableOutput::test_exits_2_on_one_line"
 SIMULATE = "src/selinf/simulate.py"
 MODEL_TABLES = "tests/test_simulate.py::TestModelTables::"
 VECTOR_CHECK = "tests/test_feasibility.py::TestVerifyWitness::test_the_vector_check_is_the_table_check"
+SMALL_GRID = "tests/test_feasibility.py::TestSmallDenominators::test_verdicts_witnesses_and_points"
+SAMPLER_UNLOADED = "tests/test_packaging.py::test_importing_the_cli_does_not_load_the_sampler"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
     (
         "the ratio test ties to the last row",
         SIMPLEX, "min(order, key=values.__getitem__)", "min(order[::-1], key=values.__getitem__)",
-        (MASKS, BATCH),
+        (MASKS, BATCH, SMALL_GRID),
     ),
     (
         "Bland enters the largest improving label",
         SIMPLEX, "labels.index(min(improving))", "labels.index(max(improving))",
-        (MASKS, BATCH, ORACLE, "tests/test_simplex.py::TestStateGraph::test_size_depth_and_unit_pivots"),
+        (MASKS, BATCH, ORACLE, SMALL_GRID, "tests/test_simplex.py::TestStateGraph::test_size_depth_and_unit_pivots"),
     ),
     (
         "the mask counts zero as negative",
@@ -213,6 +215,26 @@ MUTANTS = (
         "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except InvalidValue as exc:\n",
         "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except ParseError as exc:\n",
         (PARSERS + "test_model_documents", "tests/test_io.py::TestParseModel::test_eta_without_cross_map"),
+    ),
+    (
+        "the serialized cells are not reduced",
+        "src/selinf/io.py", "g = math.gcd(p, lcd)", "g = 1",
+        ("tests/test_io.py::TestRoundTrip::test_cells_print_as_their_fractions_print",),
+    ),
+    (
+        "cli imports the sampler at load",
+        "src/selinf/cli.py", "from .model import echo\n", "from .model import echo\nfrom .simulate import sample_counts\n",
+        (SAMPLER_UNLOADED,),
+    ),
+    (
+        "io imports the sampler at load",
+        "src/selinf/io.py", "import json\n", "import json\nfrom .simulate import Model\n",
+        (SAMPLER_UNLOADED,),
+    ),
+    (
+        "the package imports the sampler eagerly",
+        "src/selinf/__init__.py", '__version__ = "0.1.0"\n', 'from .simulate import Model\n\n__version__ = "0.1.0"\n',
+        (SAMPLER_UNLOADED,),
     ),
 )
 

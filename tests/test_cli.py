@@ -344,7 +344,7 @@ class TestSimulateCommand:
         def no_draws(*args):
             raise AssertionError("drew samples")
 
-        monkeypatch.setattr("selinf.cli.sample_counts", no_draws)
+        monkeypatch.setattr("selinf.simulate.sample_counts", no_draws)
         model = self.model_path(tmp_path)
         code = run_cli(["simulate", "--model", model, "--n", str(2**53 + 1), "--seed", "1"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Hidden-state feasibility: push-forward, solver, criterion, representations."""
 
+import itertools
 import json
 import math
 import random
@@ -439,6 +440,43 @@ class TestWitnessShape:
                 assert sum(w != 0 for w in witness.weights) <= 9
                 assert all((w * data.scaled_cells[16]).denominator == 1 for w in witness.weights)
         assert witnesses == 472
+
+
+def selective_grid(d):
+    """Every experiment with exactly selective marginals whose cells are multiples of 1/d."""
+    tables = [cells for cells in itertools.product(range(d + 1), repeat=4) if sum(cells) == d]
+    a_plus, b_plus = (lambda c: c[0] + c[1]), (lambda c: c[0] + c[2])  # numerators of Pr(A=+1), Pr(B=+1)
+    for ab, ab_, a_b in itertools.product(tables, repeat=3):
+        if a_plus(ab) == a_plus(ab_) and b_plus(ab) == b_plus(a_b):
+            for a_b_ in tables:
+                if a_plus(a_b_) == a_plus(a_b) and b_plus(a_b_) == b_plus(ab_):
+                    cells = [Fraction(c, d) for table in (ab, ab_, a_b, a_b_) for c in table]
+                    yield ExperimentData({t: JointTable(*cells[4 * k : 4 * k + 4]) for k, t in enumerate(TREATMENTS)})
+
+
+class TestSmallDenominators:
+    """All small inputs: every exactly selective experiment whose cells are multiples of 1/d, for d <= 3.
+
+    Most defects show on some small input, so try every one; random data
+    missed the ratio test's tie-breaking, which 3 of these points expose.
+    """
+
+    def test_verdicts_witnesses_and_points(self):
+        checked = 0
+        for d in (1, 2, 3):
+            for data in selective_grid(d):
+                checked += 1
+                marginals = check_marginal_selectivity(data)
+                assert marginals.max_delta == 0
+                result = solve_feasibility(data, compute_gamma(data), marginals)
+                assert result.feasible == fine_criterion(data)
+                if result.feasible:
+                    weights = result.witness.weights
+                    assert verify_witness(result.witness, data)
+                    assert sum(w != 0 for w in weights) <= min(9, d)
+                    assert all((w * d).denominator == 1 for w in weights)
+                assert program_point(data) == fraction_simplex.feasible_point(ORACLE, _rhs(data))
+        assert checked == 904
 
 
 def solver_farkas_vector(data):

@@ -44,7 +44,7 @@ from conftest import (
     random_hidden_distribution,
     random_ms_data,
 )
-from relabel import signed_sum, uniform_distribution, uniform_table
+from relabel import point_mass_distribution, signed_sum, uniform_distribution, uniform_table
 from test_corpus_digest import corpus
 from test_feasibility import selective_batch_cases
 
@@ -500,6 +500,22 @@ class TestRoundTrip:
         data = parse_experiment(json.dumps(uniform_doc()))
         doc = json.loads(serialize_experiment(data))
         assert doc["treatments"]["a,b"]["pp"] == "1/4"
+
+    def test_cells_print_as_their_fractions_print(self):
+        # cells 0 and 1, and cells over an unreduced common denominator, as sampled counts give them
+        rng = random.Random(24)
+        datas = [predicted_tables(point_mass_distribution("+-+-")), predicted_tables(uniform_distribution())]
+        for i in range(40):
+            model = Model(random_hidden_distribution(rng))
+            datas.append(sample_counts(model, SampleSpec(rng.choice([1, 2, 6, 10, 100, 1000]), i)))
+        printed = set()
+        for data in datas:
+            doc = json.loads(serialize_experiment(data))
+            for t in TREATMENTS:
+                cells = [doc["treatments"][t.key][k] for k in PROB_KEYS]
+                assert cells == [str(cell) for cell in data.table(t).cells()]
+                printed.update(cells)
+        assert {"0", "1", "1/2"} <= printed
 
 
 class TestParseModel:

@@ -11,6 +11,8 @@ import tokenize
 from pathlib import Path
 from types import FunctionType
 
+import pytest
+
 import selinf
 from selinf.io import serialize_experiment
 
@@ -42,28 +44,50 @@ def test_every_absolute_import_is_in_the_standard_library():
     assert outside == []
 
 
-def test_importing_the_cli_loads_no_source_introspection_module():
-    # dataclasses pulls in inspect, ast, dis and tokenize: about 30 ms of every selinf process
+def loaded_by_importing_the_cli(modules):
+    """Which of the named modules a fresh interpreter holds after ``import selinf.cli``."""
     code = "import sys, selinf.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
-    child = subprocess.run([sys.executable, "-c", code, *heavy], env=env, capture_output=True, text=True, timeout=60)
+    child = subprocess.run([sys.executable, "-c", code, *modules], env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    return child.stdout
+
+
+def test_importing_the_cli_loads_no_source_introspection_module():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 30 ms of every selinf process
+    assert loaded_by_importing_the_cli(["dataclasses", "inspect", "ast", "dis", "tokenize"]) == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_the_sampler():
+    # analyze, witness and selftest never sample; without bytecode a process compiles every module it loads
+    assert loaded_by_importing_the_cli(["selinf.simulate"]) == "[]\n"
 
 
 def test_all_lists_exactly_the_names_imported_by_the_package():
+    # the sampler's names are resolved on first access, by the package's __getattr__
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
-    imported = {
+    imported = [
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
-    assert set(selinf.__all__) == imported
-    assert len(selinf.__all__) == len(imported)
+    ]
+    names = imported + sorted(selinf._SAMPLER)
+    assert set(selinf.__all__) == set(names)
+    assert len(selinf.__all__) == len(names)
     for name in selinf.__all__:
         assert getattr(selinf, name) is not None
+
+
+def test_star_import_binds_every_public_name_and_the_sampler_names_are_its_own():
+    namespace = {}
+    exec("from selinf import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(selinf.__all__)
+    assert len(selinf.__all__) == 41
+    assert selinf.Model is selinf.simulate.Model and selinf.sample_counts is selinf.simulate.sample_counts
+    assert selinf.SampleSpec is selinf.simulate.SampleSpec and selinf.SplitMix64 is selinf.simulate.SplitMix64
+    with pytest.raises(AttributeError, match="has no attribute 'simulated'"):
+        selinf.simulated
 
 
 def code_names(path):
