@@ -5,9 +5,9 @@ a and at a', B's answer at b and at b'. There are 16 such states, each held
 as its sign string such as "+-+-", and the mixtures over them are exactly the
 models in which each response reads only its own factor plus a shared random
 source. Whether observed tables admit such a mixture is a linear feasibility
-question in the 16 weights. Its constant matrix is one table of the cell each
-state fills under each treatment, which the push-forward reads too. Data that
-violates marginal selectivity fails it outright; the rest is decided here
+question in the 16 weights. Its constant matrix is one table of the states that
+fill each cell, which the push-forward and the witness check read too. Data
+violating marginal selectivity fails it outright; the rest is decided here
 with an exact phase-1 simplex. The answer is either a witness distribution
 or a certificate (a marginal-selectivity inequality or a CHSH facet above 2,
 read from the caller's reports of the same data) that provably excludes
@@ -44,12 +44,11 @@ from .simplex import feasible_point
 # lexicographic order with "+" first.
 HIDDEN_STATES: tuple[str, ...] = tuple(map("".join, itertools.product("+-", repeat=4)))
 
-# Per state, the cell it fills under each treatment k = 2 (alpha at a') + (beta
-# at b'), as its position 4 k + c among the 16 cells (c in the order pp, pm, mp,
-# mm): A gives the state's sign at its alpha level, B the sign at 2 + its beta level.
-_STATE_CELLS = tuple(
-    tuple(4 * (2 * i + j) + 2 * (state[i] == "-") + (state[2 + j] == "-") for i in (0, 1) for j in (0, 1))
-    for state in HIDDEN_STATES
+# Per cell 4 k + c, the states that fill it, for treatment k = 2 (alpha at a') + (beta at b') and c in the
+# order pp, pm, mp, mm: A gives the state's sign at its alpha level i, B the sign at 2 + its beta level j.
+_CELL_STATES = tuple(
+    tuple(s for s, state in enumerate(HIDDEN_STATES) if state[i] + state[2 + j] == a + b)
+    for i, j, a, b in itertools.product((0, 1), (0, 1), "+-", "+-")
 )
 
 
@@ -88,14 +87,15 @@ class HiddenStateDistribution(_Record):
         return ((s, w) for s, w in self.items() if w != 0)
 
 
+def _push_forward(dist: HiddenStateDistribution) -> tuple[int, ...]:
+    """The push-forward's 16 cells as integers over the weights' L, then L: each sums the states that fill it."""
+    weights = dist.scaled_weights
+    return (*(sum(weights[s] for s in states) for states in _CELL_STATES), weights[16])
+
+
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
-    """Push the state distribution forward to one joint table per treatment: ``dist.scaled_weights``,
-    the weights' numerators over their L, are summed into the 16 cells, and each becomes a ``Fraction`` once."""
-    *numerators, lcd = dist.scaled_weights
-    cells = [0] * 16
-    for targets, p in zip(_STATE_CELLS, numerators):
-        for k in targets:
-            cells[k] += p
+    """Push the state distribution forward to one joint table per treatment, each cell a ``Fraction`` once."""
+    *cells, lcd = _push_forward(dist)
     return ExperimentData(
         tables={t: JointTable(*(Fraction(p, lcd) for p in cells[4 * t.index : 4 * t.index + 4])) for t in TREATMENTS}
     )
@@ -183,5 +183,6 @@ def solve_feasibility(
 
 
 def verify_witness(dist: HiddenStateDistribution, data: ExperimentData) -> bool:
-    """True iff the push-forward of ``dist`` equals the data cell-by-cell, compared as canonical cell vectors."""
-    return predicted_tables(dist).scaled_cells == data.scaled_cells
+    """True iff the push-forward of ``dist`` equals the data: each cell c / M == s / L, on integers c L == s M."""
+    pushed, scaled = _push_forward(dist), data.scaled_cells
+    return all(c * scaled[16] == s * pushed[16] for c, s in zip(pushed, scaled))

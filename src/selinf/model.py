@@ -12,18 +12,18 @@ tolerance-based.
 
 Reports hold Fractions; data hold integers, and arithmetic on several values
 runs on ``int``s. ``over_common_denominator`` writes values as numerators over
-their least common denominator L. ``integer_ratio`` reads plain ASCII "p/q"
-and decimal strings as lowest-terms integer pairs with ``int`` and
-``math.gcd``, the rest with ``Fraction``; ``rational`` is the ``Fraction`` of
-that pair. A ``JointTable`` checks range and sum on its cells' integer pairs
-and holds only the four over their L, its ``scaled_cells``; a cell is a
-``Fraction`` built when read. A hidden-state distribution holds its weights'
-integers the same way, as ``scaled_weights``. ``ExperimentData`` puts its 16
-cells over one L from its tables' four, once, and checks a cell s/L against
-its count c of n as ``s * n == c * L``. The cap check, CHSH sums and class,
-marginals and their deltas, and the simplex read that vector and add, multiply
-and compare plain integers, with no gcd per step. A ``Fraction`` is built only
-for a value that a report holds or a message prints.
+their least common denominator L. ``integer_ratio`` reads plain ASCII "p/q" and
+decimal strings as lowest-terms integer pairs with ``int`` and ``math.gcd``, the
+rest with ``Fraction``; ``rational`` is the ``Fraction`` of that pair. A
+``JointTable`` checks range and sum on its cells' integer pairs and holds only
+the four over their L, its ``scaled_cells``; a cell is a ``Fraction`` built when
+read. A hidden-state distribution holds its weights' integers so, as
+``scaled_weights``, and pushes them forward as 16 sums. ``ExperimentData`` puts
+its 16 cells over one L from its tables' four, once, and checks a cell s/L
+against its count c of n as ``s * n == c * L``. The cap check, CHSH sums and
+class, marginals and their deltas, the simplex and the witness check read that
+vector and add, multiply and compare plain integers, with no gcd per step. A
+``Fraction`` is built only for a value that a report holds or a message prints.
 """
 
 from __future__ import annotations

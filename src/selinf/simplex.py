@@ -62,7 +62,7 @@ from typing import Iterator, Optional, Sequence
 
 # The 16 cell equations, one per (treatment, outcome pair) in table cell
 # order, then normalization, have rank 9; hidden state i's column has a 1 in
-# the cells ``selinf.feasibility._STATE_CELLS[i]`` and in normalization.
+# normalization and each cell k with i in ``selinf.feasibility._CELL_STATES[k]``.
 # Row-reduced, they are R x = T b below, b the cells then 1; the 8 rows of T
 # beyond the rank say that b satisfies marginal selectivity exactly and that
 # each table sums to 1 (tests/test_feasibility.py re-derives all of this

@@ -2,14 +2,14 @@
 
 Models
 ------
-One type, ``Model(hidden, eta, cross_map)``, covers both cases. Its tables
-mix the hidden-state distribution's exact push-forward, per treatment, with
-a point mass on a fixed treatment-indexed outcome pair, at rate eta, adding
-integer numerators over one denominator; this is the simplest mechanism by
-which a response can leak information about the other factor. Without a
-``cross_map`` eta must be 0, and the model is the selective one: its tables
-are the push-forward itself. A model derives its tables, and the thresholds
-below, once, at construction.
+One type, ``Model(hidden, eta, cross_map)``, covers both cases. Its tables mix
+the hidden-state distribution's exact push-forward, per treatment, with a point
+mass on a fixed treatment-indexed outcome pair at rate eta, the simplest
+mechanism by which a response can leak information about the other factor.
+Without a ``cross_map`` eta must be 0, and the model is the selective one: its
+tables are the push-forward itself. At construction a model mixes the
+push-forward's integer cells over one denominator, once, and builds its tables
+and the thresholds below from the mixed integers.
 
 Random number contract
 ----------------------
@@ -53,7 +53,7 @@ from itertools import accumulate
 from typing import Mapping, Optional
 
 from .errors import InvalidValue
-from .feasibility import HiddenStateDistribution, predicted_tables
+from .feasibility import HiddenStateDistribution, _push_forward
 from .model import (
     CELLS,
     MAX_COUNT_TOTAL,
@@ -169,18 +169,17 @@ class Model(_Record):
                 if pair not in CELLS:
                     raise InvalidValue(f"cross_map[{t.key}] = {pair!r} is not a +1/-1 pair")
         object.__setattr__(self, "cross_map", cross_map)
-        tables = predicted_tables(hidden)
-        if cross_map is not None:  # each forced pair's point mass mixed into the push-forward at rate eta
-            e, d = self.eta.as_integer_ratio()
-            *cells, lcd = tables.scaled_cells
-            forced = {4 * t.index + CELLS.index(pair) for t, pair in cross_map.items()}
-            # eta = e/d and the cells over L: (e L [the cell is forced] + (d - e) cell) / (d L)
-            mixed = [Fraction(e * lcd * (k in forced) + (d - e) * c, d * lcd) for k, c in enumerate(cells)]
-            tables = ExperimentData(tables={t: JointTable(*mixed[4 * t.index : 4 * t.index + 4]) for t in TREATMENTS})
-        object.__setattr__(self, "tables", tables)
-        *cells, lcd = tables.scaled_cells  # per treatment, ceil(cumulative * 2^53) per cell; the last is exactly 2^53
+        # eta = e/d and the push-forward's cells over L, mixed with each forced pair's point mass:
+        # (e L [the cell is forced] + (d - e) cell) / (d L); without a cross_map e = 0 and d = 1
+        e, d = self.eta.as_integer_ratio()
+        *cells, lcd = _push_forward(hidden)
+        forced = {4 * t.index + CELLS.index(pair) for t, pair in (cross_map or {}).items()}
+        mixed, lcd = [e * lcd * (k in forced) + (d - e) * c for k, c in enumerate(cells)], d * lcd
+        tables = {t: JointTable(*(Fraction(p, lcd) for p in mixed[4 * t.index : 4 * t.index + 4])) for t in TREATMENTS}
+        object.__setattr__(self, "tables", ExperimentData(tables=tables))
+        # per treatment, ceil(cumulative * 2^53) per cell, which depends only on the rational; the last is exactly 2^53
         object.__setattr__(self, "_thresholds", [
-            [-((-cum << 53) // lcd) for cum in accumulate(cells[k : k + 4])] for k in range(0, 16, 4)
+            [-((-cum << 53) // lcd) for cum in accumulate(mixed[k : k + 4])] for k in range(0, 16, 4)
         ])
 
 

@@ -47,6 +47,19 @@ def full_tableau_runs(monkeypatch):
     simplex.STEPS.update(saved)
 
 
+@pytest.fixture
+def tables_built(monkeypatch):
+    """A list that grows by the class name of each ``ExperimentData`` and ``JointTable`` constructed."""
+    built = []
+    for cls in (ExperimentData, JointTable):
+        def counted(self, *args, original=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def random_hidden_distribution(rng: random.Random, max_weight: int = 30) -> HiddenStateDistribution:
     """Random rational distribution over the 16 hidden states."""
     weights = [Fraction(rng.randint(0, max_weight)) for _ in range(16)]

@@ -37,6 +37,8 @@ SELFTEST_FAILS = "tests/test_cli.py::TestSelftest::test_a_wrong_answer_prints_it
 PARSERS = "tests/test_io.py::TestParsersRaiseOnlyParseError::"
 UNWRITABLE = "tests/test_cli.py::TestUnwritableOutput::test_exits_2_on_one_line"
 SIMULATE = "src/selinf/simulate.py"
+FEASIBILITY = "src/selinf/feasibility.py"
+PREDICTED = "tests/test_feasibility.py::TestPredictedTables::"
 MODEL_TABLES = "tests/test_simulate.py::TestModelTables::"
 VECTOR_CHECK = "tests/test_feasibility.py::TestVerifyWitness::test_the_vector_check_is_the_table_check"
 SMALL_GRID = "tests/test_feasibility.py::TestSmallDenominators::test_verdicts_witnesses_and_points"
@@ -85,7 +87,7 @@ MUTANTS = (
     ),
     (
         "the witness is not put over the cells' denominator",
-        "src/selinf/feasibility.py", "Fraction(v, lcd) if v else zero", "Fraction(v) if v else zero",
+        FEASIBILITY, "Fraction(v, lcd) if v else zero", "Fraction(v) if v else zero",
         (
             "tests/test_feasibility.py::TestIntegerPhaseOne::test_same_verdicts_and_points_as_the_rational_oracle_on_the_corpus",
             "tests/test_feasibility.py::TestWitnessShape::test_every_witness_is_basic_and_an_integer_over_the_cells_denominator",
@@ -114,16 +116,37 @@ MUTANTS = (
     ),
     (
         "the witness check reads half the cell vector",
-        "src/selinf/feasibility.py", "return predicted_tables(dist).scaled_cells == data.scaled_cells",
-        "return predicted_tables(dist).scaled_cells[:8] == data.scaled_cells[:8]",
+        FEASIBILITY, "for c, s in zip(pushed, scaled))", "for c, s in zip(pushed[:8], scaled[:8]))",
         (VECTOR_CHECK,),
     ),
     (
+        "the witness check multiplies by the wrong denominator",
+        FEASIBILITY, "c * scaled[16] == s * pushed[16]", "c * pushed[16] == s * scaled[16]",
+        ("tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair",),
+    ),
+    (
         "the push-forward reads the weights over twice their denominator",
-        "src/selinf/feasibility.py", "Fraction(p, lcd) for p in cells", "Fraction(p, 2 * lcd) for p in cells",
+        FEASIBILITY, "for states in _CELL_STATES), weights[16])", "for states in _CELL_STATES), 2 * weights[16])",
         (
-            "tests/test_feasibility.py::TestPredictedTables::test_equals_the_fraction_route_push_forward",
+            PREDICTED + "test_equals_the_fraction_route_push_forward",
             "tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair", VECTOR_CHECK,
+        ),
+    ),
+    (
+        "the cell table reads A's sign at the wrong level",
+        FEASIBILITY, "if state[i] + state[2 + j] == a + b", "if state[1 - i] + state[2 + j] == a + b",
+        (
+            "tests/test_feasibility.py::TestHiddenStates::test_response_reads_own_factor_only",
+            PREDICTED + "test_equals_the_fraction_route_push_forward",
+            MODEL_TABLES + "test_tables_equal_the_fraction_route_push_forward_and_mix",
+        ),
+    ),
+    (
+        "the mix keeps L instead of d L",
+        SIMULATE, "], d * lcd", "], lcd",
+        (
+            MODEL_TABLES + "test_contamination_is_affine_in_eta",
+            MODEL_TABLES + "test_tables_equal_the_fraction_route_push_forward_and_mix",
         ),
     ),
     (

@@ -167,13 +167,13 @@ class TestModelTables:
 
     def test_tables_are_computed_once_at_construction(self, monkeypatch):
         pushed = []
-        original = selinf.simulate.predicted_tables
+        original = selinf.simulate._push_forward
 
         def counting(dist):
             pushed.append(dist)
             return original(dist)
 
-        monkeypatch.setattr(selinf.simulate, "predicted_tables", counting)
+        monkeypatch.setattr(selinf.simulate, "_push_forward", counting)
         uniform = uniform_distribution()
         cross = {t: (1, -1) for t in TREATMENTS}
         builds = (
@@ -188,6 +188,15 @@ class TestModelTables:
             assert sample_counts(model, SampleSpec(n_per_treatment=50, seed=3)) == first
             assert model.tables is model.tables
             assert pushed == [uniform]  # none while sampling
+
+    def test_a_model_builds_one_experiment_and_four_tables(self, tables_built):
+        # the push-forward's cells and the mix are integers; only the model's own tables are records
+        uniform = uniform_distribution()
+        cross = {t: (1, -1) for t in TREATMENTS}
+        for build in (lambda: Model(uniform), lambda: Model(hidden=uniform, eta=Fraction(1, 5), cross_map=cross)):
+            tables_built.clear()
+            build()
+            assert tables_built == ["JointTable"] * 4 + ["ExperimentData"]
 
     def test_thresholds_are_the_ceilings_of_the_contract(self):
         # seeded selective and contaminated models; a cumulative cell times 2^53 that is not an integer is rounded up
@@ -204,13 +213,13 @@ class TestModelTables:
 
     def test_thresholds_and_lane_constants_are_computed_once(self, monkeypatch):
         pushed = []
-        original = selinf.simulate.predicted_tables
+        original = selinf.simulate._push_forward
 
         def counting(dist):
             pushed.append(dist)
             return original(dist)
 
-        monkeypatch.setattr(selinf.simulate, "predicted_tables", counting)
+        monkeypatch.setattr(selinf.simulate, "_push_forward", counting)
         model = Model(random_hidden_distribution(random.Random(8)))
         before = _lane_constants.cache_info()
         first = sample_counts(model, SampleSpec(n_per_treatment=77, seed=3))
