@@ -8,6 +8,8 @@ deterministic hidden states reproduces the data, emitting a witness or a
 certificate of impossibility. All probability arithmetic is exact rational.
 """
 
+import importlib
+
 from .chsh import (
     SIGN_PATTERNS,
     ChshReport,
@@ -29,9 +31,6 @@ from .io import (
     AnalysisReport,
     analyze,
     parse_experiment,
-    parse_model,
-    render_report_text,
-    report_from_json_dict,
     report_to_json_dict,
     serialize_experiment,
 )
@@ -56,8 +55,8 @@ from .selectivity import (
 
 __version__ = "0.1.0"
 
-# the sampler's names load selinf.simulate on first access: a process that only analyses never compiles it
-_SAMPLER = frozenset({"Model", "SampleSpec", "SplitMix64", "sample_counts"})
+_LAZY = dict.fromkeys(("Model", "SampleSpec", "SplitMix64", "parse_model", "sample_counts"), "simulate")
+_LAZY |= dict.fromkeys(("render_report_text", "report_from_json_dict"), "report")
 
 __all__ = [
     "AnalysisReport",
@@ -104,8 +103,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    if name in _SAMPLER:
-        from . import simulate
-        return getattr(simulate, name)
+def __getattr__(name: str):  # a name in _LAZY loads its module when first read: a process compiles only what it runs
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,16 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import ParseError, SelinfError
 from .model import echo
-from .io import (
-    analyze,
-    describe_certificate,
-    parse_experiment,
-    parse_model,
-    render_report_text,
-    report_to_json_dict,
-    serialize_experiment,
-    witness_lines,
-)
+from .io import analyze, parse_experiment, report_to_json_dict, serialize_experiment
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -129,10 +120,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report_to_json_dict(report, include_witness=args.witness), indent=2))
     else:
-        print(
-            render_report_text(report, labels=data.labels, include_witness=args.witness),
-            end="",
-        )
+        from .report import render_report_text  # here, so that analyze --json and selftest never load the text report
+        print(render_report_text(report, labels=data.labels, include_witness=args.witness), end="")
     return EXIT_FEASIBLE if report.feasibility.feasible else EXIT_INFEASIBLE
 
 
@@ -143,15 +132,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.json:  # the report's feasibility part: the verdict, then the witness or the certificate
         feasibility = report_to_json_dict(report, include_witness=True)["feasibility"]
         print(json.dumps({k: v for k, v in feasibility.items() if k != "all_violations" and v is not None}, indent=2))
-    elif result.feasible:
-        print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
     else:
-        print(f"INFEASIBLE\ncertificate: {describe_certificate(result.certificate)}")
+        from .report import describe_certificate, witness_lines
+        if result.feasible:
+            print("\n".join(witness_lines(result.witness, "FEASIBLE; ", "  ")))
+        else:
+            print(f"INFEASIBLE\ncertificate: {describe_certificate(result.certificate)}")
     return EXIT_FEASIBLE if result.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulate import SampleSpec, sample_counts  # here, so that the analysis commands never load the sampler
+    from .simulate import SampleSpec, parse_model, sample_counts  # here, so that the analysis commands never load it
     model = parse_model(_read_file(args.model))
     spec = SampleSpec(n_per_treatment=args.n, seed=args.seed)
     sampled = sample_counts(model, spec)

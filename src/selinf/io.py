@@ -1,4 +1,4 @@
-"""Experiment/model file handling and analysis-report assembly.
+"""Experiment file handling, the analysis pipeline and its JSON report.
 
 Experiment file format (JSON)
 -----------------------------
@@ -34,38 +34,24 @@ observations, and 16 cells whose least common denominator exceeds 10**2000
 (after renormalizing) are bad cells; ``analyze`` checks that cap on any data
 too, and rejects a tolerance whose numerator or denominator exceeds 10**2000.
 Every label name is a nonempty string.
-``parse_experiment`` and ``parse_model`` read the document text.
+``parse_experiment`` reads the document text; ``simulate`` documents the model file.
 
 On output, probabilities are written as exact fraction strings
 ("49/1000"), so parse(serialize(data)) == data.
-
-Model file format (JSON)
-------------------------
-::
-
-    {
-      "hidden": {"++++": "1/2", "----": "1/2"},   # states by A(a)A(a')B(b)B(b')
-      "eta": "0.1",                                # optional contamination rate
-      "cross_map": {"a,b": "++", "a,b'": "+-", "a',b": "-+", "a',b'": "--"}
-    }
-
-Missing states weigh 0. ``cross_map`` (required when eta > 0) forces the
-written outcome pair, A then B, when contamination strikes. The hidden
-weights, and eta, are rejected when a numerator or their least common
-denominator exceeds 10**2000.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, AbstractSet, Any, Optional, Union
+from typing import AbstractSet, Any, Optional, Union
 
 from .chsh import ChshReport, compute_gamma
-from .errors import InvalidValue, ParseError, SelinfError
-from .feasibility import FacetViolation, FeasibilityResult, HiddenStateDistribution, solve_feasibility
+from .errors import InvalidValue, ParseError
+from .feasibility import FacetViolation, FeasibilityResult, solve_feasibility
 from .model import (
     MAX_COMMON_DENOMINATOR,
     TREATMENTS,
@@ -74,11 +60,8 @@ from .model import (
     JointTable,
     LabelSet,
     Rational,
-    Treatment,
     _Record,
-    decode_signs,
     echo,
-    exceeds_common_denominator_cap,
     printable,
     rational,
 )
@@ -90,9 +73,6 @@ from .selectivity import (
     significance_level,
     test_marginal_selectivity,
 )
-
-if TYPE_CHECKING:  # parse_model's return type; the function imports the sampler when it runs
-    from .simulate import Model
 
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 _COUNT_BLOCK_KEYS = frozenset({*PROB_KEYS, "n"})
@@ -261,41 +241,6 @@ def serialize_experiment(data: ExperimentData) -> str:
     return json.dumps(doc, indent=2)
 
 
-def parse_model(text: str) -> Model:
-    """Parse the text of a model file into a ``Model``; one with no ``cross_map``
-    has eta = 0 and is the selective model."""
-    from .simulate import Model  # here, so that parsing an experiment never loads the sampler
-    doc = _load(text, "model document")
-    _reject_unknown(doc, {"hidden", "eta", "cross_map"}, "unknown top-level keys")
-    if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):
-        raise ParseError('model needs a "hidden" object of state weights')
-    try:
-        weights = {state: rational(w) for state, w in doc["hidden"].items()}
-        if exceeds_common_denominator_cap(weights.values()):  # the documented input cap, as for eta
-            raise ParseError("hidden: a numerator or the least common denominator exceeds 10**2000")
-        hidden = HiddenStateDistribution.from_mapping(weights)
-    except InvalidValue as exc:
-        raise ParseError(f"bad hidden-state weights: {exc}") from exc
-    try:
-        eta = rational(doc.get("eta", 0))
-    except InvalidValue as exc:
-        raise ParseError(f"bad eta: {exc}") from exc
-    if exceeds_common_denominator_cap([eta]):  # the range error, checked by Model, prints eta
-        raise ParseError("eta: numerator or denominator exceeds 10**2000")
-    cross = doc.get("cross_map")
-    if "cross_map" in doc and not isinstance(cross, Mapping):  # null is not a missing map
-        raise ParseError("cross_map must be a JSON object")
-    try:
-        if cross is not None:
-            cross = {
-                Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]")
-                for key, pair in cross.items()
-            }
-        return Model(hidden=hidden, eta=eta, cross_map=cross)
-    except InvalidValue as exc:
-        raise ParseError(str(exc)) from exc
-
-
 class AnalysisReport(_Record):
     """Everything one analysis produces: CHSH, marginals, tests, feasibility.
 
@@ -371,13 +316,6 @@ def _certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dic
     return {"kind": "marginal", **_comparison_to_dict(cert)}
 
 
-def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
-    """The witness header, then one ``state : weight`` line per state of nonzero weight."""
-    return [f"{header_prefix}witness (state A(a)A(a')B(b)B(b') : weight):"] + [
-        f"{indent}{state} : {w}" for state, w in witness.nonzero_items()
-    ]
-
-
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
     """Machine rendering; every rational is an exact fraction string."""
     chsh = report.chsh
@@ -432,135 +370,12 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
     return out
 
 
-def report_from_json_dict(doc: Mapping[str, Any]) -> AnalysisReport:
-    """Rebuild a report from its machine rendering, accepting exactly the documents the program writes.
-
-    A treatment's joint table is fixed by its E[A*B], Pr(A=+1) and Pr(B=+1),
-    which the document's expectations and its comparisons at the treatment's
-    alpha and beta levels give. So the four tables are rebuilt from them, and
-    the report is ``analyze`` of them at the document's tolerance. When the
-    document has tests, they are rebuilt from the first test's significance
-    level and each treatment's sample size in the tests at a and a'. The
-    document is accepted only if that report renders back to it as JSON, with
-    the witness exactly when the document has one; otherwise a ``ParseError``
-    names the first top-level key that differs. The report is returned with
-    its witness either way. A document missing a part, or with a part of the
-    wrong type or value, is a one-line ``ParseError``; a value that a record
-    rejects stays the record's ``InvalidValue``.
-    """
-    try:
-        if doc.get("format") != REPORT_FORMAT:
-            raise ParseError(f"unsupported report format {echo(doc.get('format'))}")
-        raw_ms, raw_tests = doc["marginal_selectivity"], doc["statistical_tests"]
-        witness = doc["feasibility"]["witness"]
-        plus = {c["fixed_level"]: (c["p_under_first"], c["p_under_second"]) for c in raw_ms["comparisons"]}
-        tables = {}
-        for t in TREATMENTS:  # Pr(A=+1) is compared at t's alpha level, Pr(B=+1) at its beta level
-            pa, pb = rational(plus[t.alpha][t.beta == "b'"]), rational(plus[t.beta][t.alpha == "a'"])
-            pp = (rational(doc["chsh"]["expectations"][t.key]) + 2 * pa + 2 * pb - 1) / 4
-            try:
-                tables[t] = JointTable(pp, pa - pp, pb - pp, 1 - pa - pb + pp)
-            except InvalidValue as exc:
-                raise InvalidValue(f"treatment {t.key}: the expectation and marginals give {exc}") from exc
-        report = analyze(ExperimentData(tables), rational(raw_ms["tolerance"]))
-        if raw_tests is not None:  # n of each treatment, in order, from the tests at a and a'
-            alpha = raw_tests[0]["alpha_sig"]
-            n = dict(zip(TREATMENTS, [raw_tests[i][key] for i in (0, 1) for key in ("n_first", "n_second")]))
-            tests = tuple(MsTestResult(c, *(n[t] for t in c.treatments), alpha) for c in report.marginals.comparisons)
-            report = AnalysisReport(report.chsh, report.marginals, tests, report.feasibility)
-        rendered = report_to_json_dict(report, include_witness=witness is not None)
-        _reject_unknown(doc, rendered.keys(), "malformed report: unknown keys")
-        for key, part in rendered.items():  # as JSON text, so 1 is not true and 0 is not 0.0
-            if json.dumps(doc[key], sort_keys=True) != json.dumps(part, sort_keys=True):
-                raise ParseError(f"malformed report: {key} disagrees with the report's own inputs")
-    except SelinfError:
-        raise
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed report: {echo(exc)}") from exc
-    return report
+_LAZY = {"parse_model": "simulate"} | dict.fromkeys(  # names only some commands use: each loads its module when read
+    ("describe_certificate", "render_report_text", "report_from_json_dict", "witness_lines"), "report"
+)
 
 
-def _fmt(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x} (~{float(x):.4f})"
-
-
-def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> str:
-    other_first, other_second = (
-        ("b", "b'") if comp.response == "A" else ("a", "a'")
-    )
-    line = (
-        f"{comp.response} at {comp.fixed_level:2s}: "
-        f"Pr(+1|{other_first}) = {_fmt(comp.p_under_first)}  vs  "
-        f"Pr(+1|{other_second}) = {_fmt(comp.p_under_second)}  "
-        f"delta = {_fmt(comp.delta)}"
-    )
-    if labels is not None:
-        pair = labels.response_pair(comp.fixed_level)
-        if pair is not None:
-            line += f"   [+1 = {pair[0]}, -1 = {pair[1]}]"
-    return line
-
-
-def render_report_text(
-    report: AnalysisReport,
-    labels: Optional[LabelSet] = None,
-    include_witness: bool = False,
-) -> str:
-    """Human-readable rendering of a full analysis."""
-    lines = []
-    chsh = report.chsh
-    lines.append("CHSH")
-    for t in TREATMENTS:
-        lines.append(f"  E[A*B | {t.key:5s}] = {_fmt(chsh.expectations[t])}")
-    lines.append(
-        f"  Gamma = {chsh.gamma} (= {chsh.gamma_decimal()} to 3 places)"
-        f"   classification: {chsh.classification}"
-    )
-    lines.append(f"  attained by sign pattern(s): {', '.join(chsh.argmax_patterns)}")
-    lines.append("")
-    ms = report.marginals
-    verdict = "satisfied" if ms.satisfied else "VIOLATED"
-    lines.append(
-        f"Marginal selectivity (tolerance {ms.tolerance}): {verdict}"
-        f" (max delta {_fmt(ms.max_delta)})"
-    )
-    for comp in ms.comparisons:
-        lines.append("  " + _comparison_line(comp, labels))
-    lines.append("")
-    if report.ms_tests is not None:
-        alpha = report.ms_tests[0].alpha_sig
-        lines.append(f"Significance (two-sided pooled z-test, alpha {alpha:g})")
-        for r in report.ms_tests:
-            flag = "reject" if r.reject else "retain"
-            extra = " degenerate" if r.degenerate else ""
-            lines.append(
-                f"  {r.comparison.response} at {r.comparison.fixed_level:2s}: "
-                f"z = {r.z_statistic:+.3f}  p = {r.p_value:.3g}  -> {flag}{extra}"
-                f"  (n = {r.n_first}/{r.n_second})"
-            )
-        lines.append("")
-    feas = report.feasibility
-    if feas.feasible:
-        lines.append("Hidden-state model: FEASIBLE (a witness distribution exists)")
-        if include_witness and feas.witness is not None:
-            lines.extend(witness_lines(feas.witness, "  ", "    "))
-    else:
-        lines.append("Hidden-state model: INFEASIBLE")
-        lines.append(f"  certificate: {describe_certificate(feas.certificate)}")
-        if len(feas.all_violations) > 1:
-            lines.append("  all violated conditions:")
-            for cert in feas.all_violations:
-                lines.append(f"    - {describe_certificate(cert)}")
-    return "\n".join(lines) + "\n"
-
-
-def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
-    if isinstance(cert, FacetViolation):
-        return f"CHSH facet {cert.pattern} = {_fmt(cert.value)} > 2"
-    return (
-        f"marginal comparison {cert.response} at {cert.fixed_level}: "
-        f"{_fmt(cert.p_under_first)} vs {_fmt(cert.p_under_second)}"
-        f" (delta {_fmt(cert.delta)} > 0)"
-    )
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

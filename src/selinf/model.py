@@ -265,6 +265,7 @@ class JointTable(_Record):
     __slots__ = ("scaled_cells",)
     _fields = _CELL_FIELDS
     scaled_cells: tuple[int, int, int, int, int]
+    __hash__ = _Record.__hash__  # a class that defines __eq__ inherits no __hash__
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
         ratios = []
@@ -278,6 +279,9 @@ class JointTable(_Record):
         if sum(numerators) != lcd:
             raise InvalidValue(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         object.__setattr__(self, "scaled_cells", (*numerators, lcd))
+
+    def __eq__(self, other: object) -> bool:  # the cells over their least L are canonical, so this builds no Fraction
+        return self.scaled_cells == other.scaled_cells if other.__class__ is self.__class__ else NotImplemented
 
     p_pp, p_pm, p_mp, p_mm = (  # each cell a Fraction, built when read
         property(lambda self, k=k: Fraction(self.scaled_cells[k], self.scaled_cells[4])) for k in range(4)

@@ -11,6 +11,21 @@ tables are the push-forward itself. At construction a model mixes the
 push-forward's integer cells over one denominator, once, and builds its tables
 and the thresholds below from the mixed integers.
 
+Model file format (JSON)
+------------------------
+::
+
+    {
+      "hidden": {"++++": "1/2", "----": "1/2"},   # states by A(a)A(a')B(b)B(b')
+      "eta": "0.1",                                # optional contamination rate
+      "cross_map": {"a,b": "++", "a,b'": "+-", "a',b": "-+", "a',b'": "--"}
+    }
+
+Missing states weigh 0. ``cross_map`` (required when eta > 0) forces the
+written outcome pair, A then B, when contamination strikes. ``parse_model``
+reads the document text and rejects hidden weights, and an eta, with a
+numerator or a least common denominator beyond 10**2000.
+
 Random number contract
 ----------------------
 Sampling uses SplitMix64 so that any implementation, in any language, can
@@ -52,8 +67,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Optional
 
-from .errors import InvalidValue
+from .errors import InvalidValue, ParseError
 from .feasibility import HiddenStateDistribution, _push_forward
+from .io import _load, _reject_unknown
 from .model import (
     CELLS,
     MAX_COUNT_TOTAL,
@@ -64,7 +80,9 @@ from .model import (
     Rational,
     Treatment,
     _Record,
+    decode_signs,
     echo,
+    exceeds_common_denominator_cap,
     printable,
     rational,
 )
@@ -181,6 +199,40 @@ class Model(_Record):
         object.__setattr__(self, "_thresholds", [
             [-((-cum << 53) // lcd) for cum in accumulate(mixed[k : k + 4])] for k in range(0, 16, 4)
         ])
+
+
+def parse_model(text: str) -> Model:
+    """Parse the text of a model file into a ``Model``; one with no ``cross_map``
+    has eta = 0 and is the selective model."""
+    doc = _load(text, "model document")
+    _reject_unknown(doc, {"hidden", "eta", "cross_map"}, "unknown top-level keys")
+    if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):
+        raise ParseError('model needs a "hidden" object of state weights')
+    try:
+        weights = {state: rational(w) for state, w in doc["hidden"].items()}
+        if exceeds_common_denominator_cap(weights.values()):  # the documented input cap, as for eta
+            raise ParseError("hidden: a numerator or the least common denominator exceeds 10**2000")
+        hidden = HiddenStateDistribution.from_mapping(weights)
+    except InvalidValue as exc:
+        raise ParseError(f"bad hidden-state weights: {exc}") from exc
+    try:
+        eta = rational(doc.get("eta", 0))
+    except InvalidValue as exc:
+        raise ParseError(f"bad eta: {exc}") from exc
+    if exceeds_common_denominator_cap([eta]):  # the range error, checked by Model, prints eta
+        raise ParseError("eta: numerator or denominator exceeds 10**2000")
+    cross = doc.get("cross_map")
+    if "cross_map" in doc and not isinstance(cross, Mapping):  # null is not a missing map
+        raise ParseError("cross_map must be a JSON object")
+    try:
+        if cross is not None:
+            cross = {
+                Treatment.from_key(key): decode_signs(pair, 2, f"cross_map[{key!r}]")
+                for key, pair in cross.items()
+            }
+        return Model(hidden=hidden, eta=eta, cross_map=cross)
+    except InvalidValue as exc:
+        raise ParseError(str(exc)) from exc
 
 
 class SampleSpec(_Record):

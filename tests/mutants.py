@@ -43,6 +43,7 @@ MODEL_TABLES = "tests/test_simulate.py::TestModelTables::"
 VECTOR_CHECK = "tests/test_feasibility.py::TestVerifyWitness::test_the_vector_check_is_the_table_check"
 SMALL_GRID = "tests/test_feasibility.py::TestSmallDenominators::test_verdicts_witnesses_and_points"
 SAMPLER_UNLOADED = "tests/test_packaging.py::test_importing_the_cli_does_not_load_the_sampler"
+COMMAND_MODULES = "tests/test_packaging.py::test_each_command_loads_only_the_modules_it_runs"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -122,7 +123,7 @@ MUTANTS = (
     (
         "the witness check multiplies by the wrong denominator",
         FEASIBILITY, "c * scaled[16] == s * pushed[16]", "c * pushed[16] == s * scaled[16]",
-        ("tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair",),
+        ("tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair", VECTOR_CHECK),
     ),
     (
         "the push-forward reads the weights over twice their denominator",
@@ -233,8 +234,14 @@ MUTANTS = (
         (PARSERS + "test_experiment_documents", "tests/test_io.py::TestParseExperiment::test_nested_counts_must_agree"),
     ),
     (
+        "table equality ignores the last cell and L",
+        "src/selinf/model.py", "return self.scaled_cells == other.scaled_cells if",
+        "return self.scaled_cells[:3] == other.scaled_cells[:3] if",
+        ("tests/test_cell_vector.py::TestTablesHoldIntegers::test_equality_reads_the_integers_and_agrees_with_the_cells",),
+    ),
+    (
         "parse_model lets the model's InvalidValue through",
-        "src/selinf/io.py",
+        SIMULATE,
         "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except InvalidValue as exc:\n",
         "        return Model(hidden=hidden, eta=eta, cross_map=cross)\n    except ParseError as exc:\n",
         (PARSERS + "test_model_documents", "tests/test_io.py::TestParseModel::test_eta_without_cross_map"),
@@ -247,17 +254,32 @@ MUTANTS = (
     (
         "cli imports the sampler at load",
         "src/selinf/cli.py", "from .model import echo\n", "from .model import echo\nfrom .simulate import sample_counts\n",
-        (SAMPLER_UNLOADED,),
+        (SAMPLER_UNLOADED, COMMAND_MODULES),
     ),
     (
         "io imports the sampler at load",
-        "src/selinf/io.py", "import json\n", "import json\nfrom .simulate import Model\n",
-        (SAMPLER_UNLOADED,),
+        "src/selinf/io.py", "_LAZY = {", "from .simulate import Model\n_LAZY = {",
+        (SAMPLER_UNLOADED, COMMAND_MODULES),
     ),
     (
         "the package imports the sampler eagerly",
         "src/selinf/__init__.py", '__version__ = "0.1.0"\n', 'from .simulate import Model\n\n__version__ = "0.1.0"\n',
-        (SAMPLER_UNLOADED,),
+        (SAMPLER_UNLOADED, COMMAND_MODULES),
+    ),
+    (
+        "cli imports the text report at load",
+        "src/selinf/cli.py", "from .model import echo\n", "from .model import echo\nfrom .report import witness_lines\n",
+        (COMMAND_MODULES,),
+    ),
+    (
+        "io imports the text report at load",
+        "src/selinf/io.py", "_LAZY = {", "from .report import render_report_text\n_LAZY = {",
+        (COMMAND_MODULES,),
+    ),
+    (
+        "the package imports the text report eagerly",
+        "src/selinf/__init__.py", '__version__ = "0.1.0"\n', 'from .report import witness_lines\n\n__version__ = "0.1.0"\n',
+        (COMMAND_MODULES,),
     ),
 )
 

@@ -8,6 +8,7 @@ table holds only its own four scaled cells, so parsing builds no
 """
 
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -269,3 +270,16 @@ class TestTablesHoldIntegers:
         assert mixed.scaled_cells == (2, 0, 1, 1, 4)
         for clone in (pickle.loads(pickle.dumps(mixed)), copy.copy(mixed), copy.deepcopy(mixed)):
             assert clone == mixed and hash(clone) == hash(mixed) and clone.scaled_cells == mixed.scaled_cells
+
+    def test_equality_reads_the_integers_and_agrees_with_the_cells(self, fractions_built):
+        # every table of cells over d = 1, 2 or 3, so a table over 1 recurs over 2 and 3, and some tables share three
+        # numerators over different L, such as (1, 1, 0, 0) over 2 and (1, 1, 0, 1) over 3
+        tables = [
+            JointTable(*(f"{c}/{d}" for c in cells))
+            for d in (1, 2, 3) for cells in itertools.product(range(d + 1), repeat=4) if sum(cells) == d
+        ]
+        fractions_built.clear()
+        equal = [[a == b for b in tables] for a in tables]
+        assert fractions_built == []
+        assert equal == [[a.cells() == b.cells() for b in tables] for a in tables]
+        assert sum(map(sum, equal)) == len(tables) + 4 * 6  # each table over 1 is 3 tables: 9 equal pairs, not 3

@@ -17,7 +17,8 @@ import selinf
 import selinf.cli
 from selinf.cli import load_fixture_text, run_cli
 from selinf.feasibility import predicted_tables
-from selinf.io import parse_experiment, report_from_json_dict, serialize_experiment
+from selinf.io import parse_experiment, serialize_experiment
+from selinf.report import report_from_json_dict
 
 from conftest import (
     large_denominator_documents,

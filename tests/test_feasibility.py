@@ -23,8 +23,9 @@ from selinf.feasibility import (
     solve_feasibility,
     verify_witness,
 )
-from selinf.io import analyze, render_report_text, report_to_json_dict
+from selinf.io import analyze, report_to_json_dict
 from selinf.model import CELLS, MAX_COMMON_DENOMINATOR, TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.report import render_report_text
 from selinf.selectivity import MarginalComparison, check_marginal_selectivity
 from selinf.simplex import ROWS, TRANSFORM
 
@@ -719,6 +720,13 @@ class TestVerifyWitness:
         found = [(analyze(data).feasibility.witness, data) for data in datas]
         found = [(dist, data) for dist, data in found if dist is not None]
         assert len(found) >= 8
+        # and the uniform weights on all 16 states, or on the 8 with one level's sign fixed, each with its push-forward:
+        # the weights' denominator M is 16 or 8, and the cells reduce to L = 4 or 2
+        for states in [HIDDEN_STATES] + [[s for s in HIDDEN_STATES if s[i] == sign] for i in range(4) for sign in "+-"]:
+            dist = HiddenStateDistribution.from_mapping(dict.fromkeys(states, Fraction(1, len(states))))
+            data = predicted_tables(dist)
+            assert data.scaled_cells[16] < dist.scaled_weights[16]
+            found.append((dist, data))
         for (dist, data), (_, other) in zip(found, found[1:] + found[:1]):
             assert verify_witness(dist, data) is by_tables(dist, data) is True
             assert verify_witness(dist, other) is by_tables(dist, other) is False

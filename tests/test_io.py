@@ -25,16 +25,14 @@ from selinf.io import (
     AnalysisReport,
     analyze,
     parse_experiment,
-    parse_model,
-    render_report_text,
-    report_from_json_dict,
     report_to_json_dict,
     serialize_experiment,
 )
 from selinf.cli import EXIT_INFEASIBLE, load_fixture_text, run_cli
 from selinf.model import LEVELS, TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.report import render_report_text, report_from_json_dict
 from selinf.selectivity import MsTestResult
-from selinf.simulate import Model, SampleSpec, sample_counts
+from selinf.simulate import Model, SampleSpec, parse_model, sample_counts
 
 from conftest import (
     CROSS_MAP,

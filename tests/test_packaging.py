@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import tokenize
+import typing
+from importlib import import_module
 from pathlib import Path
 from types import FunctionType
 
@@ -63,8 +65,76 @@ def test_importing_the_cli_does_not_load_the_sampler():
     assert loaded_by_importing_the_cli(["selinf.simulate"]) == "[]\n"
 
 
+ANALYSIS_MODULES = [
+    "selinf", "selinf.chsh", "selinf.cli", "selinf.errors", "selinf.feasibility", "selinf.io", "selinf.model",
+    "selinf.selectivity", "selinf.simplex",
+]
+GOLDEN = str(PACKAGE_DIR / "fixtures" / "table1.json")
+
+
+@pytest.mark.parametrize(
+    ("argv", "added"),
+    [
+        (["analyze", "--json", GOLDEN], []),
+        (["analyze", "--json", "--witness", "feasible.json"], []),
+        (["selftest"], []),
+        (["witness", "--json", "feasible.json"], []),
+        (["analyze", GOLDEN], ["selinf.report"]),
+        (["witness", GOLDEN], ["selinf.report"]),
+        (["witness", "feasible.json"], ["selinf.report"]),
+        (["simulate", "--model", "model.json", "--n", "5", "--seed", "1"], ["selinf.simulate"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, added, tmp_path):
+    # a JSON report and the selftest need neither the text report nor the sampler
+    (tmp_path / "feasible.json").write_text(serialize_experiment(selinf.predicted_tables(
+        selinf.HiddenStateDistribution.from_mapping({"++++": "1/2", "----": "1/2"})
+    )))
+    (tmp_path / "model.json").write_text('{"hidden": {"+-+-": "1"}}')
+    code = (
+        "import sys; from selinf.cli import run_cli; code = run_cli(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'selinf'), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    exit_code, modules = child.stderr.split(" ", 1)
+    assert exit_code in ("0", "1") and ast.literal_eval(modules) == sorted(ANALYSIS_MODULES + added)
+
+
+MOVED = {
+    "describe_certificate": "report", "parse_model": "simulate", "render_report_text": "report",
+    "report_from_json_dict": "report", "witness_lines": "report",
+}
+
+
+def test_each_moved_name_still_reads_from_io_and_the_package_as_its_new_modules_object():
+    for name, module in MOVED.items():
+        moved = getattr(import_module(f"selinf.{module}"), name)
+        assert getattr(selinf.io, name) is moved
+        assert name not in selinf.__all__ or getattr(selinf, name) is moved
+    with pytest.raises(AttributeError, match="module 'selinf.io' has no attribute 'Model'"):
+        selinf.io.Model
+
+
+def test_every_public_annotation_resolves():
+    # with postponed annotations a name imported only for type checking resolves nowhere at run time
+    unresolved = []
+    for name in selinf.__all__:
+        value = getattr(selinf, name)
+        function = vars(value).get("__init__") if isinstance(value, type) else value
+        if callable(function):
+            try:
+                typing.get_type_hints(function)
+            except NameError as exc:
+                unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
+
+
 def test_all_lists_exactly_the_names_imported_by_the_package():
-    # the sampler's names are resolved on first access, by the package's __getattr__
+    # the sampler's and the text report's names are resolved on first access, by the package's __getattr__
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
     imported = [
         alias.asname or alias.name
@@ -72,7 +142,7 @@ def test_all_lists_exactly_the_names_imported_by_the_package():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    names = imported + sorted(selinf._SAMPLER)
+    names = imported + sorted(selinf._LAZY)
     assert set(selinf.__all__) == set(names)
     assert len(selinf.__all__) == len(names)
     for name in selinf.__all__:
