@@ -15,7 +15,6 @@ or usage errors and on any other failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import ParseError, SelinfError
 from .model import echo
-from .io import analyze, parse_experiment, report_to_json_dict, serialize_experiment
+from .io import _json, analyze, parse_experiment, report_to_json_dict, serialize_experiment
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -118,7 +117,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bonferroni=args.bonferroni,
     )
     if args.json:
-        print(json.dumps(report_to_json_dict(report, include_witness=args.witness), indent=2))
+        print(_json(report_to_json_dict(report, include_witness=args.witness)))
     else:
         from .report import render_report_text  # here, so that analyze --json and selftest never load the text report
         print(render_report_text(report, labels=data.labels, include_witness=args.witness), end="")
@@ -131,7 +130,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     result = report.feasibility
     if args.json:  # the report's feasibility part: the verdict, then the witness or the certificate
         feasibility = report_to_json_dict(report, include_witness=True)["feasibility"]
-        print(json.dumps({k: v for k, v in feasibility.items() if k != "all_violations" and v is not None}, indent=2))
+        print(_json({k: v for k, v in feasibility.items() if k != "all_violations" and v is not None}))
     else:
         from .report import describe_certificate, witness_lines
         if result.feasible:

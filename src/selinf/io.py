@@ -37,7 +37,8 @@ Every label name is a nonempty string.
 ``parse_experiment`` reads the document text; ``simulate`` documents the model file.
 
 On output, probabilities are written as exact fraction strings
-("49/1000"), so parse(serialize(data)) == data.
+("49/1000"), so parse(serialize(data)) == data. ``_json`` writes every JSON
+document the program prints, experiments and reports, as ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, Optional, Union
 
 from .chsh import ChshReport, compute_gamma
@@ -218,6 +220,25 @@ def parse_experiment(text: str) -> ExperimentData:
         raise ParseError(str(exc)) from exc
 
 
+def _json(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, the text of every JSON document the program prints.
+
+    It lays out dicts, lists and tuples itself, where ``json.dumps`` would run its
+    pure-Python indenting encoder; it writes strings and ints as that encoder does
+    and passes every other scalar to ``json.dumps``. Keys are strings."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:  # an empty container is {} or []
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + newline + "]"
+
+
 def serialize_experiment(data: ExperimentData) -> str:
     """Write data back to the file format, probabilities as exact fractions."""
     treatments: dict[str, Any] = {}
@@ -232,13 +253,13 @@ def serialize_experiment(data: ExperimentData) -> str:
             block["counts"] = dict(zip(PROB_KEYS, ct.cells()))
         treatments[t.key] = block
     doc: dict[str, Any] = {"treatments": treatments}
-    if data.labels is not None:  # json writes each response pair as a list
+    if data.labels is not None:  # each response pair is written as a list
         labels = data.labels
         sections = {"factors": labels.factors, "levels": labels.levels, "responses": labels.responses}
         doc["labels"] = {name: names for name, names in sections.items() if names is not None}
     if data.independent_counts:
         doc["independent_counts"] = True
-    return json.dumps(doc, indent=2)
+    return _json(doc)
 
 
 class AnalysisReport(_Record):

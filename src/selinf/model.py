@@ -245,9 +245,10 @@ class CountTable(_Record):
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
     def normalized(self) -> "JointTable":
-        """Exact cell fractions count/n, read from "c/n" strings as integer pairs."""
-        n = self.n
-        return JointTable(*(f"{c}/{n}" for c in self.cells()))
+        """Exact cell fractions count/n: the counts and n over their one gcd are the table's ``scaled_cells``."""
+        n, cells = self.n, self.cells()
+        g = math.gcd(n, *cells)
+        return JointTable.__new__(JointTable)._hold(*(c // g for c in cells), n // g)
 
 
 class JointTable(_Record):
@@ -259,7 +260,7 @@ class JointTable(_Record):
     the four as integers over their least common denominator L, then L; each
     cell, and ``cells()``, is a ``Fraction`` built when read. A count table
     of n observations matches it when s * n == c * L for each cell s/L and
-    its count c.
+    its count c; ``CountTable.normalized()`` sets those integers directly.
     """
 
     __slots__ = ("scaled_cells",)
@@ -278,7 +279,11 @@ class JointTable(_Record):
         numerators = [p * (lcd // q) for p, q in ratios]
         if sum(numerators) != lcd:
             raise InvalidValue(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
-        object.__setattr__(self, "scaled_cells", (*numerators, lcd))
+        self._hold(*numerators, lcd)
+
+    def _hold(self, *scaled: int) -> "JointTable":  # the one place that sets the cells, checked by __init__ or by counts
+        object.__setattr__(self, "scaled_cells", scaled)
+        return self
 
     def __eq__(self, other: object) -> bool:  # the cells over their least L are canonical, so this builds no Fraction
         return self.scaled_cells == other.scaled_cells if other.__class__ is self.__class__ else NotImplemented

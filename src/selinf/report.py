@@ -14,9 +14,8 @@ from .selectivity import MarginalComparison, MsTestResult
 
 
 def _fmt(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x} (~{float(x):.4f})"
+    p, q = x.as_integer_ratio()  # str(x) is p/q and float(x) is p / q
+    return str(p) if q == 1 else f"{p}/{q} (~{p / q:.4f})"
 
 
 def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> str:

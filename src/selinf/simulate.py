@@ -54,9 +54,10 @@ chunk's states are packed as 128-bit lanes of one Python int, and the
 output function runs on all lanes at once (each multiply stays inside its
 lane). A cell's count is the number of outputs at or beyond its threshold
 t << 11: the lanes are written out once as bytes, ``bytes.translate`` counts
-the outputs whose top byte exceeds its, and only top-byte ties take the last
-step ``z ^ (z >> 31)`` (which changes bits 0..32, never the top byte) and a
-full comparison. The counts equal those of drawing one at a time.
+the outputs whose top byte exceeds its, and a top-byte tie is decided on byte 6
+of the lane. The last step ``z ^ (z >> 31)`` changes only bits 0..32, so bytes
+6 and 7 of a lane are those of the output; only a tie on both takes the last
+step and a full comparison. The counts equal those of drawing one at a time.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
     """Cell counts of the first n draws of each (seed, cell thresholds) stream.
 
     A draw reaches threshold th when its output is at least t = th << 11: its top
-    byte exceeds t's, or ties with it (about one draw in 256) and the full output
-    ``v ^ (v >> 31)``, whose top byte is v's, is at least t.
+    byte exceeds t's, or ties with it (about one draw in 256) and its byte 6
+    exceeds t's, or ties too (one draw in 65,536) and the full output
+    ``v ^ (v >> 31)``, whose bytes 6 and 7 are v's, is at least t.
     """
     tallies = []
     for seed, thresholds in streams:
@@ -141,12 +143,16 @@ def _tallies(n: int, streams: list[tuple[int, list[int]]]) -> list[list[int]]:
             lanes = (((z ^ (z >> 27)) & mask) * _MIX2).to_bytes(16 * width, "little")
             top = lanes[7::16]  # the output v ^ (v >> 31) has v's top byte
             for i, t in enumerate(th << 11 for th in thresholds[:3] if th < 1 << 53):  # sorted; no r reaches 2^53
-                tb = t >> 56
+                tb, t6 = t >> 56, t >> 48 & 255
                 above[i + 1] += len(top.translate(None, _BYTES[: tb + 1]))
                 j = top.find(tb)
-                while j >= 0:
-                    v = int.from_bytes(lanes[16 * j : 16 * j + 8], "little")
-                    above[i + 1] += v ^ (v >> 31) >= t
+                while j >= 0:  # a top-byte tie: byte 6, also v's own, decides it unless it ties too
+                    b6 = lanes[16 * j + 6]
+                    if b6 > t6:
+                        above[i + 1] += 1
+                    elif b6 == t6:
+                        v = int.from_bytes(lanes[16 * j : 16 * j + 8], "little")
+                        above[i + 1] += v ^ (v >> 31) >= t
                     j = top.find(tb, j + 1)
             done += width
         tallies.append([above[k] - above[k + 1] for k in range(4)])

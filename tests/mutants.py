@@ -44,6 +44,9 @@ VECTOR_CHECK = "tests/test_feasibility.py::TestVerifyWitness::test_the_vector_ch
 SMALL_GRID = "tests/test_feasibility.py::TestSmallDenominators::test_verdicts_witnesses_and_points"
 SAMPLER_UNLOADED = "tests/test_packaging.py::test_importing_the_cli_does_not_load_the_sampler"
 COMMAND_MODULES = "tests/test_packaging.py::test_each_command_loads_only_the_modules_it_runs"
+PACKED = "tests/test_simulate.py::TestPackedSampler::"
+WRITER = "tests/test_io.py::TestJsonWriter::"
+NORMALIZE = "tests/test_cell_vector.py::TestCountTablesNormalize::"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -280,6 +283,39 @@ MUTANTS = (
         "the package imports the text report eagerly",
         "src/selinf/__init__.py", '__version__ = "0.1.0"\n', 'from .report import witness_lines\n\n__version__ = "0.1.0"\n',
         (COMMAND_MODULES,),
+    ),
+    (
+        "a top-byte tie is decided on byte 5",
+        SIMULATE, "b6 = lanes[16 * j + 6]", "b6 = lanes[16 * j + 5]",
+        (PACKED + "test_tallies_match_per_draw_reference",),
+    ),
+    (
+        "a byte-6 tie counts as reached",
+        SIMULATE, "if b6 > t6:", "if b6 >= t6:",
+        (PACKED + "test_tallies_match_per_draw_reference",),
+    ),
+    (
+        "the writer escapes with encode_basestring, so non-ASCII is written raw",
+        "src/selinf/io.py", "        return encode_basestring_ascii(value)\n",
+        "        return json.encoder.encode_basestring(value)\n",
+        (WRITER + "test_generated_experiments_and_their_reports", WRITER + "test_scalars_and_empty_containers"),
+    ),
+    (
+        "the writer indents a nested container at its parent's depth",
+        "src/selinf/io.py", "{encode_basestring_ascii(key)}: {_json(item, inner)}",
+        "{encode_basestring_ascii(key)}: {_json(item, newline)}",
+        (
+            WRITER + "test_every_corpus_document_and_report_with_and_without_its_witness",
+            WRITER + "test_generated_experiments_and_their_reports",
+            "tests/test_cli.py::TestWitnessMatchesAnalyze::test_json_output_is_the_text_json_dumps_gives_at_indent_2",
+        ),
+    ),
+    (
+        # gcd(*cells) alone is equivalent, since the counts sum to n: leaving n out leaves the last count, which
+        # n fixes, unread
+        "normalized leaves n out of the gcd",
+        "src/selinf/model.py", "g = math.gcd(n, *cells)", "g = math.gcd(*cells[:3])",
+        (NORMALIZE + "test_every_count_table_of_at_most_ten_observations", NORMALIZE + "test_counts_up_to_2_to_the_53"),
     ),
 )
 

@@ -15,8 +15,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import selinf
+import selinf.model
 from selinf.chsh import compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import ParseError
@@ -283,3 +285,45 @@ class TestTablesHoldIntegers:
         assert fractions_built == []
         assert equal == [[a.cells() == b.cells() for b in tables] for a in tables]
         assert sum(map(sum, equal)) == len(tables) + 4 * 6  # each table over 1 is 3 tables: 9 equal pairs, not 3
+
+
+class TestCountTablesNormalize:
+    """``CountTable.normalized()`` puts the counts and n over their one gcd: the table of the cells count/n."""
+
+    @staticmethod
+    def assert_is_the_fraction_table(cells):
+        table = CountTable(*cells).normalized()
+        expected = JointTable(*(Fraction(c, sum(cells)) for c in cells))
+        assert table.scaled_cells == expected.scaled_cells and table == expected and hash(table) == hash(expected)
+        assert repr(table) == repr(expected) and pickle.dumps(table) == pickle.dumps(expected)
+        assert pickle.loads(pickle.dumps(table)).scaled_cells == expected.scaled_cells
+
+    def test_every_count_table_of_at_most_ten_observations(self):
+        # zeros, point masses and every common factor of the counts and n up to 10
+        tables = [cells for cells in itertools.product(range(11), repeat=4) if 0 < sum(cells) <= 10]
+        for cells in tables:
+            self.assert_is_the_fraction_table(cells)
+        assert len(tables) == 1000
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.integers(0, 2**51)] * 4)
+        | st.tuples(st.tuples(*[st.integers(0, 2**11)] * 4), st.integers(1, 2**40)).map(
+            lambda pair: tuple(c * pair[1] for c in pair[0])  # counts with a large common factor
+        )
+    )
+    def test_counts_up_to_2_to_the_53(self, cells):
+        assume(any(cells))
+        self.assert_is_the_fraction_table(cells)
+
+    def test_builds_no_cell_string_and_no_fraction(self, fractions_built, monkeypatch):
+        read = []
+        original = selinf.model.integer_ratio
+        monkeypatch.setattr(selinf.model, "integer_ratio", lambda value: read.append(value) or original(value))
+        model = Model(uniform_distribution())
+        read.clear()
+        fractions_built.clear()
+        tables = [CountTable(*cells).normalized() for cells in ((1, 0, 2, 1), (0, 0, 0, 7), (6, 4, 2, 0))]
+        sample_counts(model, SampleSpec(100, 5))
+        assert read == [] and fractions_built == []
+        assert [t.scaled_cells for t in tables] == [(1, 0, 2, 1, 4), (0, 0, 0, 1, 1), (3, 2, 1, 0, 6)]

@@ -250,6 +250,15 @@ class TestWitnessMatchesAnalyze:
             codes.add(code)
         assert codes == {EXIT_FEASIBLE, EXIT_INFEASIBLE}
 
+    def test_json_output_is_the_text_json_dumps_gives_at_indent_2(self, tmp_path, capsys):
+        for name, text in witness_documents().items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for command, *flags in (["witness", "--json"], ["analyze", "--json"], ["analyze", "--json", "--witness"]):
+                run_cli([command, str(path), *flags])
+                out = capsys.readouterr().out
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", (name, command, flags)
+
 
 class TestSimulateCommand:
     def model_path(self, tmp_path):

@@ -29,7 +29,7 @@ from selinf.io import (
     serialize_experiment,
 )
 from selinf.cli import EXIT_INFEASIBLE, load_fixture_text, run_cli
-from selinf.model import LEVELS, TREATMENTS, ExperimentData, JointTable, over_common_denominator
+from selinf.model import LEVELS, TREATMENTS, CountTable, ExperimentData, JointTable, LabelSet, over_common_denominator
 from selinf.report import render_report_text, report_from_json_dict
 from selinf.selectivity import MsTestResult
 from selinf.simulate import Model, SampleSpec, parse_model, sample_counts
@@ -874,6 +874,67 @@ def gamma_zero_and_feasible(doc):
     """Gamma 0, classical and feasible with no certificate, next to violated marginals."""
     doc["chsh"].update(gamma="0", classification="classical-bound-satisfied")
     doc["feasibility"].update(verdict="feasible", certificate=None, all_violations=[])
+
+
+# label names with non-ASCII, quote, backslash and control characters, or any text
+LABEL_NAMES = st.text(st.sampled_from('aZ "\\\x00\x1f\x7f\n\u00e9\u2603\U0001f600'), min_size=1, max_size=4) | st.text(
+    min_size=1, max_size=3
+)
+COUNT_TABLES = st.tuples(*[st.integers(0, 40)] * 4).filter(any).map(lambda cells: CountTable(*cells))
+# label sets, each section absent, empty or of any names
+LABEL_SETS = st.builds(
+    LabelSet,
+    factors=st.none() | st.dictionaries(st.sampled_from(["alpha", "beta"]), LABEL_NAMES),
+    levels=st.none() | st.dictionaries(st.sampled_from(LEVELS), LABEL_NAMES),
+    responses=st.none() | st.dictionaries(st.sampled_from(LEVELS), st.tuples(LABEL_NAMES, LABEL_NAMES)),
+)
+
+
+@st.composite
+def counted_experiments(draw):
+    """Counts for all, some or no treatments; tables from the counts or, with independent_counts, any; maybe labels."""
+    counted = draw(st.just(TREATMENTS) | st.sets(st.sampled_from(TREATMENTS)))
+    counts = {t: draw(COUNT_TABLES) for t in counted}
+    independent = draw(st.booleans())
+    tables = {t: (draw(COUNT_TABLES) if independent or t not in counts else counts[t]).normalized() for t in TREATMENTS}
+    return ExperimentData(tables, counts or None, draw(st.none() | LABEL_SETS), independent)
+
+
+UNICODE_LABELS = LabelSet({"alpha": "\u00e9t\u00e9", "beta": '"q"\n'}, {}, {"a": ("\u2603", "\x00\\")})
+
+
+class TestJsonWriter:
+    """Every JSON document the program prints is the text ``json.dumps(document, indent=2)`` gives."""
+
+    @staticmethod
+    def assert_written_as_json_dumps_writes(data):
+        text = serialize_experiment(data)
+        assert text == json.dumps(json.loads(text), indent=2)
+        report = analyze(data)
+        for include_witness in (True, False):
+            doc = report_to_json_dict(report, include_witness=include_witness)
+            assert selinf.io._json(doc) == json.dumps(doc, indent=2)
+
+    def test_every_corpus_document_and_report_with_and_without_its_witness(self):
+        for data in corpus():
+            self.assert_written_as_json_dumps_writes(data)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(counted_experiments())
+    @example(ExperimentData(  # full counts, one treatment degenerate, non-ASCII labels and an empty section
+        {t: CountTable(3, 0, 0, 0).normalized() for t in TREATMENTS},
+        {t: CountTable(3, 0, 0, 0) if t.index else CountTable(1, 2, 0, 5) for t in TREATMENTS},
+        UNICODE_LABELS, True,
+    ))
+    def test_generated_experiments_and_their_reports(self, data):
+        self.assert_written_as_json_dumps_writes(data)
+
+    def test_scalars_and_empty_containers(self):
+        values = ["\u00e9\"\\\x01", 0, -7, 2**70, 0.1, -0.0, 1e300, float("inf"), float("nan"), True, False, None]
+        doc = {"scalars": values, "empty": [{}, [], ()], "nested": {"pair": ("a", "b"), "deep": [[{"x": [1]}]]}}
+        assert selinf.io._json(doc) == json.dumps(doc, indent=2)
+        for value in [*values, {}, [], ()]:
+            assert selinf.io._json(value) == json.dumps(value, indent=2)
 
 
 class TestReportJson:

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -353,19 +354,40 @@ class TestPackedSampler:
     @staticmethod
     def tie_thresholds(outputs):
         """Thresholds that put drawn outputs on top-byte ties: at and just past their r, on
-        top-byte edges (the threshold << 11 has 56 zero low bits), and 0 and 2^53 before the last cell."""
+        top-byte edges (the threshold << 11 has 56 zero low bits) and two-byte edges (48 zero
+        low bits) and just past them, and 0 and 2^53 before the last cell."""
         first, last = outputs[0] >> 11, outputs[-1] >> 11
         # the most trailing zeros: with 11 or more, this output equals its threshold << 11 exactly
         exact = max(outputs, key=lambda out: out & -out) >> 11
         edges = [r >> 45 << 45 for r in (first, last, exact)]
+        two_byte_edges = sorted(r >> 37 << 37 for r in (first, last, exact))
         return [
             sorted([first, last, exact]) + [2**53],
             sorted([first + 1, last + 1, exact + 1]) + [2**53],
             sorted(edges[:2] + [edges[2] + (1 << 45)]) + [2**53],
+            two_byte_edges + [2**53],
+            [r + 1 for r in two_byte_edges] + [2**53],
             [0, 0, exact, 2**53],
             [0, 2**53, 2**53, 2**53],
             [exact, 2**53, 2**53, 2**53],
         ]
+
+    def test_the_tie_thresholds_reach_every_branch(self):
+        """Among the draws of the reference test that tie a threshold on the top byte, byte 6 decides some as
+        reached and some as not, and some tie on byte 6 too and are decided by the full comparison, either way."""
+        branches = Counter()
+        for seed in WRAPPING_SEEDS:
+            outputs = reference_splitmix64(seed, max(CHUNK_EDGES))
+            for thresholds in [reference_thresholds(c) for c in self.CELLS.values()] + self.tie_thresholds(outputs):
+                for t in [th << 11 for th in thresholds[:3] if th < 2**53]:
+                    for out in outputs:
+                        if out >> 56 == t >> 56:  # bytes 6 and 7 of the output are those of the lane
+                            byte_6, t_6 = out >> 48 & 255, t >> 48 & 255
+                            if byte_6 != t_6:
+                                branches["byte 6", byte_6 > t_6] += 1
+                            else:
+                                branches["full comparison", out >= t] += 1
+        assert len(branches) == 4, branches
 
     @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
     @pytest.mark.parametrize("n", CHUNK_EDGES)
@@ -385,6 +407,8 @@ class TestPackedSampler:
                 st.just(2**53),
                 st.integers(0, 2**53),
                 st.integers(0, 2**53).map(lambda r: r >> 45 << 45),
+                st.integers(0, 2**53).map(lambda r: r >> 37 << 37),
+                st.integers(0, 2**53 - 1).map(lambda r: (r >> 37 << 37) + 1),
             ),
             min_size=3,
             max_size=3,
