@@ -9,30 +9,30 @@ randomness keeps the statistic at or below 2; quantum models reach
 done as gamma^2 vs 8 in exact integers.
 
 ``compute_gamma`` reads the 16 cells as integers over their least common
-denominator L from ``ExperimentData.scaled_cells`` and builds the four
-expectations. ``ChshReport`` derives the rest from them once: it puts them
-over their own common denominator, checks each is in [-1, 1], picks gamma
-and its achievers by comparing integer sums, and builds each sum as a
-``Fraction`` once.
+denominator from ``ExperimentData.scaled_cells``, takes the four expectations
+on them and reduces them by one gcd. ``ChshReport`` holds those integers over
+their one denominator L and the eight sums over the same L; it picks gamma's
+patterns and its class by comparing integers once, and builds an expectation,
+a sum or gamma as a ``Fraction`` only when it is read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Union
 
 from .errors import InvalidValue
 from .model import TREATMENTS, ExperimentData, Treatment, _Record, over_common_denominator, printable
 
-# The signs on (E_ab, E_ab', E_a'b, E_a'b') with an odd number of plus signs,
-# in lexicographic order with "+" first, each with its signs as +1/-1.
+# The signs on (E_ab, E_ab', E_a'b, E_a'b') with an odd number of plus signs, in lexicographic order with "+" first.
+# Each has one sign unlike its other three, at i, so its sum is k (S - 2 E_i): S sums the E, k = -1 for a lone "+".
 SIGN_PATTERNS = ("+++-", "++-+", "+-++", "+---", "-+++", "-+--", "--+-", "---+")
-_PATTERN_SIGNS = {p: tuple(1 if ch == "+" else -1 for ch in p) for p in SIGN_PATTERNS}
+_LONE_SIGNS = tuple((p.index("-"), 1) if p.count("-") == 1 else (p.index("+"), -1) for p in SIGN_PATTERNS)
 
 
-def classify_gamma(gamma: Fraction) -> str:
-    """Exact classification on gamma's integer pair p/q: p vs 2q, then p^2 vs 8q^2 for 2*sqrt(2)."""
-    p, q = gamma.as_integer_ratio()
+def classify_gamma(p: Union[int, Fraction], q: int = 1) -> str:
+    """The class of gamma = p/q, q > 0, or of p = gamma, exactly: p vs 2q, then p^2 vs 8q^2 for 2*sqrt(2)."""
     if p <= 2 * q:
         return "classical-bound-satisfied"
     if p * p <= 8 * q * q:
@@ -41,41 +41,52 @@ def classify_gamma(gamma: Fraction) -> str:
 
 
 class ChshReport(_Record):
-    """Per-treatment expectations, each in [-1, 1]; all eight signed sums, their maximum
-    gamma, the patterns attaining it (in ``SIGN_PATTERNS`` order) and its classification
-    are derived from them once."""
+    """Per-treatment expectations in [-1, 1], held as ``scaled_expectations``: numerators over their least L, then L.
+    The eight signed sums over L (``scaled_sums``), the patterns attaining their maximum gamma, both in ``SIGN_PATTERNS``
+    order, and its class are derived once; ``expectations``, ``sums`` and ``gamma`` are ``Fraction``s built when read."""
 
-    __slots__ = ("expectations", "sums", "gamma", "argmax_patterns", "classification")
+    __slots__ = ("scaled_expectations", "scaled_sums", "argmax_patterns", "classification")
     _fields = ("expectations",)
-    sums: dict[str, Fraction]
-    gamma: Fraction
+    _canonical = "scaled_expectations"
+    scaled_expectations: tuple[int, int, int, int, int]
+    scaled_sums: tuple[int, ...]
     argmax_patterns: tuple[str, ...]
     classification: str
 
     def __init__(self, expectations: Mapping[Treatment, Fraction]) -> None:
-        object.__setattr__(self, "expectations", expectations)
         values, lcd = over_common_denominator(expectations[t] for t in TREATMENTS)
         for t, v in zip(TREATMENTS, values):
             if abs(v) > lcd:
                 raise InvalidValue(f"expectation E[A*B | {t.key}] = {printable(expectations[t])} outside [-1, 1]")
-        sums = {p: sum(s * e for s, e in zip(signs, values)) for p, signs in _PATTERN_SIGNS.items()}
-        top = max(sums.values())
-        argmax = tuple(p for p, v in sums.items() if v == top)
-        object.__setattr__(self, "sums", {p: Fraction(v, lcd) for p, v in sums.items()})
-        object.__setattr__(self, "gamma", self.sums[argmax[0]])
-        object.__setattr__(self, "argmax_patterns", argmax)
-        object.__setattr__(self, "classification", classify_gamma(self.gamma))
+        self._hold(*values, lcd)
+
+    def _hold(self, *scaled: int) -> "ChshReport":  # the one place that sets the integers: in range by __init__ or data
+        total = scaled[0] + scaled[1] + scaled[2] + scaled[3]
+        sums = tuple([k * (total - 2 * scaled[i]) for i, k in _LONE_SIGNS])
+        top = max(sums)
+        object.__setattr__(self, "scaled_expectations", scaled)
+        object.__setattr__(self, "scaled_sums", sums)
+        object.__setattr__(self, "argmax_patterns", tuple(p for p, v in zip(SIGN_PATTERNS, sums) if v == top))
+        object.__setattr__(self, "classification", classify_gamma(top, scaled[4]))
+        return self
+
+    def _read(self, keys: tuple, numerators: Iterable[int]) -> dict:  # each numerator over L, a Fraction built now
+        return {k: Fraction(v, self.scaled_expectations[4]) for k, v in zip(keys, numerators)}
+
+    expectations = property(lambda self: self._read(TREATMENTS, self.scaled_expectations))
+    sums = property(lambda self: self._read(SIGN_PATTERNS, self.scaled_sums))
+    gamma = property(lambda self: Fraction(max(self.scaled_sums), self.scaled_expectations[4]))
 
     def gamma_decimal(self) -> str:
         """Gamma rounded half-up to three decimal places, as a string."""
-        p, q = self.gamma.as_integer_ratio()
+        p, q = max(self.scaled_sums), self.scaled_expectations[4]
         scaled = (2000 * p + q) // (2 * q)  # floor(gamma * 1000 + 1/2)
         return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
 def compute_gamma(data: ExperimentData) -> ChshReport:
-    """The CHSH report of the data, from its four expectations E[A*B]."""
-    cells, lcd = data.scaled_cells, data.scaled_cells[16]
-    # E[A*B] = p_pp - p_pm - p_mp + p_mm per treatment, times L
-    values = (cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4))
-    return ChshReport({t: Fraction(e, lcd) for t, e in zip(TREATMENTS, values)})
+    """The CHSH report of the data: E[A*B] = p_pp - p_pm - p_mp + p_mm per treatment, on the cells over L."""
+    cells = data.scaled_cells
+    values = [cells[k] - cells[k + 1] - cells[k + 2] + cells[k + 3] for k in range(0, 16, 4)]
+    g = math.gcd(*values, cells[16])
+    return ChshReport.__new__(ChshReport)._hold(*(v // g for v in values), cells[16] // g)

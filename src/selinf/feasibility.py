@@ -14,7 +14,8 @@ read from the caller's reports of the same data) that provably excludes
 every mixture. Fine's theorem guarantees that this fixed family, the four
 marginal comparisons and the eight facets, each named by its sign pattern, is
 complete for this design, and ``fine_criterion`` provides that closed form as
-an independent cross-check.
+an independent cross-check. A witness holds phase 1's integers, and a facet is
+tested on the CHSH report's integer sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
-from .chsh import ChshReport, compute_gamma
+from .chsh import SIGN_PATTERNS, ChshReport, compute_gamma
 from .errors import InvalidValue, SelinfError
 from .model import (
     TREATMENTS,
@@ -32,6 +33,7 @@ from .model import (
     Rational,
     _Record,
     decode_signs,
+    fraction_text,
     over_common_denominator,
     printable,
     rational,
@@ -53,23 +55,30 @@ _CELL_STATES = tuple(
 
 
 class HiddenStateDistribution(_Record):
-    """Weights over the 16 states, summing to 1; ``scaled_weights`` keeps their 16 numerators over L, then L."""
+    """Weights over the 16 states, summing to 1, held as ``scaled_weights``: each a ``Fraction`` built when read."""
 
-    __slots__ = ("weights", "scaled_weights")
+    __slots__ = ("scaled_weights",)
     _fields = ("weights",)
+    _canonical = "scaled_weights"
     scaled_weights: tuple[int, ...]
 
     def __init__(self, weights: tuple[Rational, ...]) -> None:
-        ws = tuple(w if isinstance(w, Fraction) else rational(w) for w in weights)
+        ws = [w if isinstance(w, Fraction) else rational(w) for w in weights]
         if len(ws) != 16:
             raise InvalidValue(f"need 16 weights, got {len(ws)}")
         numerators, lcd = over_common_denominator(ws)
+        self._hold(*numerators, lcd)
+
+    def _hold(self, *scaled: int) -> "HiddenStateDistribution":  # the one place that sets and checks the weights
+        *numerators, lcd = scaled
         if any(p < 0 for p in numerators):
             raise InvalidValue("weights must be nonnegative")
         if sum(numerators) != lcd:
             raise InvalidValue(f"weights sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "scaled_weights", (*numerators, lcd))
+        object.__setattr__(self, "scaled_weights", scaled)
+        return self
+
+    weights = property(lambda self: tuple(Fraction(p, self.scaled_weights[16]) for p in self.scaled_weights[:16]))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Rational]) -> "HiddenStateDistribution":
@@ -80,11 +89,9 @@ class HiddenStateDistribution(_Record):
             ws[HIDDEN_STATES.index(state)] += rational(weight)
         return cls(tuple(ws))
 
-    def items(self) -> Iterator[tuple[str, Fraction]]:
-        return zip(HIDDEN_STATES, self.weights)
-
-    def nonzero_items(self) -> Iterator[tuple[str, Fraction]]:
-        return ((s, w) for s, w in self.items() if w != 0)
+    def nonzero_texts(self) -> Iterator[tuple[str, str]]:
+        """Each state of nonzero weight and the weight as ``str`` of its ``Fraction``, written from the integers."""
+        return ((s, fraction_text(p, self.scaled_weights[16])) for s, p in zip(HIDDEN_STATES, self.scaled_weights) if p)
 
 
 def _push_forward(dist: HiddenStateDistribution) -> tuple[int, ...]:
@@ -143,13 +150,14 @@ class FeasibilityResult(_Record):
 def fine_violations(chsh: ChshReport, marginals: MarginalReport) -> list[Certificate]:
     """All violated conditions: marginal inequalities first, then CHSH facets."""
     violations: list[Certificate] = [c for c in marginals.comparisons if c.delta > 0]
-    violations += [FacetViolation(p, v) for p, v in chsh.sums.items() if v > 2]
+    lcd = chsh.scaled_expectations[4]  # each facet's sum v / L > 2 on integers, a Fraction built only for a violation
+    violations += [FacetViolation(p, Fraction(v, lcd)) for p, v in zip(SIGN_PATTERNS, chsh.scaled_sums) if v > 2 * lcd]
     return violations
 
 
 def fine_criterion(data: ExperimentData) -> bool:
     """Exact marginal selectivity and all eight CHSH facets at most 2."""
-    return check_marginal_selectivity(data).satisfied and compute_gamma(data).gamma <= 2
+    return check_marginal_selectivity(data).satisfied and all(v <= 2 for v in compute_gamma(data).sums.values())
 
 
 def solve_feasibility(
@@ -170,10 +178,9 @@ def solve_feasibility(
     """
     if marginals.max_delta == 0:
         found = feasible_point(data.scaled_cells)
-        if found is not None:
-            lcd, zero = data.scaled_cells[16], Fraction(0)
-            weights = tuple(Fraction(v, lcd) if v else zero for v in found)
-            return FeasibilityResult(witness=HiddenStateDistribution(weights))
+        if found is not None:  # y = L x and L share no factor: it would divide L and each cell, a sum of y
+            witness = HiddenStateDistribution.__new__(HiddenStateDistribution)._hold(*found, data.scaled_cells[16])
+            return FeasibilityResult(witness=witness)
     violations = fine_violations(chsh, marginals)
     if not violations:
         raise SelinfError(

@@ -51,7 +51,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, Optional, Union
 
-from .chsh import ChshReport, compute_gamma
+from .chsh import SIGN_PATTERNS, ChshReport, compute_gamma
 from .errors import InvalidValue, ParseError
 from .feasibility import FacetViolation, FeasibilityResult, solve_feasibility
 from .model import (
@@ -64,6 +64,7 @@ from .model import (
     Rational,
     _Record,
     echo,
+    fraction_text,
     printable,
     rational,
 )
@@ -224,12 +225,17 @@ def _json(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, the text of every JSON document the program prints.
 
     It lays out dicts, lists and tuples itself, where ``json.dumps`` would run its
-    pure-Python indenting encoder; it writes strings and ints as that encoder does
-    and passes every other scalar to ``json.dumps``. Keys are strings."""
+    pure-Python indenting encoder; it writes strings, ints, ``None``, booleans and
+    finite floats as that encoder does and passes every other scalar to
+    ``json.dumps``. Keys are strings."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if type(value) is int:
         return str(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
     if not isinstance(value, (dict, list, tuple)) or not value:  # an empty container is {} or []
         return json.dumps(value)
     inner = newline + "  "
@@ -244,10 +250,7 @@ def serialize_experiment(data: ExperimentData) -> str:
     treatments: dict[str, Any] = {}
     for t in TREATMENTS:
         *numerators, lcd = data.table(t).scaled_cells
-        block: dict[str, Any] = {}
-        for ck, p in zip(PROB_KEYS, numerators):  # p/lcd in lowest terms, as str(Fraction) prints it
-            g = math.gcd(p, lcd)
-            block[ck] = str(p // g) if g == lcd else f"{p // g}/{lcd // g}"
+        block: dict[str, Any] = {ck: fraction_text(p, lcd) for ck, p in zip(PROB_KEYS, numerators)}
         ct = data.count(t)
         if ct is not None:
             block["counts"] = dict(zip(PROB_KEYS, ct.cells()))
@@ -340,12 +343,13 @@ def _certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dic
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
     """Machine rendering; every rational is an exact fraction string."""
     chsh = report.chsh
+    lcd = chsh.scaled_expectations[4]
     out: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "chsh": {
-            "expectations": {t.key: str(chsh.expectations[t]) for t in TREATMENTS},
-            "sums": {p: str(v) for p, v in chsh.sums.items()},
-            "gamma": str(chsh.gamma),
+            "expectations": {t.key: fraction_text(e, lcd) for t, e in zip(TREATMENTS, chsh.scaled_expectations)},
+            "sums": {p: fraction_text(v, lcd) for p, v in zip(SIGN_PATTERNS, chsh.scaled_sums)},
+            "gamma": fraction_text(max(chsh.scaled_sums), lcd),
             "gamma_decimal": chsh.gamma_decimal(),
             "argmax_patterns": list(chsh.argmax_patterns),
             "classification": chsh.classification,
@@ -383,7 +387,7 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
             for r in report.ms_tests
         ]
     if include_witness and report.feasibility.witness is not None:
-        out["feasibility"]["witness"] = {state: str(w) for state, w in report.feasibility.witness.nonzero_items()}
+        out["feasibility"]["witness"] = dict(report.feasibility.witness.nonzero_texts())
     if report.feasibility.certificate is not None:
         out["feasibility"]["certificate"] = _certificate_to_dict(
             report.feasibility.certificate

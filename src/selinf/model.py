@@ -10,20 +10,20 @@ as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
 tolerance-based.
 
-Reports hold Fractions; data hold integers, and arithmetic on several values
-runs on ``int``s. ``over_common_denominator`` writes values as numerators over
-their least common denominator L. ``integer_ratio`` reads plain ASCII "p/q" and
-decimal strings as lowest-terms integer pairs with ``int`` and ``math.gcd``, the
-rest with ``Fraction``; ``rational`` is the ``Fraction`` of that pair. A
-``JointTable`` checks range and sum on its cells' integer pairs and holds only
-the four over their L, its ``scaled_cells``; a cell is a ``Fraction`` built when
-read. A hidden-state distribution holds its weights' integers so, as
-``scaled_weights``, and pushes them forward as 16 sums. ``ExperimentData`` puts
-its 16 cells over one L from its tables' four, once, and checks a cell s/L
-against its count c of n as ``s * n == c * L``. The cap check, CHSH sums and
-class, marginals and their deltas, the simplex and the witness check read that
-vector and add, multiply and compare plain integers, with no gcd per step. A
-``Fraction`` is built only for a value that a report holds or a message prints.
+Data, CHSH reports and witnesses hold integers: numerators over their least
+common denominator L (``over_common_denominator``), then L. ``integer_ratio``
+reads plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
+``int`` and ``math.gcd``, the rest with ``Fraction``; ``rational`` is the
+``Fraction`` of that pair. A ``JointTable`` checks its cells' pairs and holds
+the four over their L, its ``scaled_cells``, as a CHSH report holds its
+expectations and a hidden-state distribution its weights, ``scaled_weights``;
+a field is a ``Fraction`` built when read. ``ExperimentData`` puts its 16
+cells over one L from its tables' four, once, and checks a cell s/L against
+its count c of n as ``s * n == c * L``. The cap check, CHSH sums and class,
+marginals and their deltas, the simplex and the witness check read that vector
+and compare plain integers, with no gcd per step; ``fraction_text`` prints p/q
+as ``str(Fraction(p, q))`` does. Other report values, such as the marginals,
+are still ``Fraction``s, built once.
 """
 
 from __future__ import annotations
@@ -82,6 +82,12 @@ def echo(value: object) -> str:
     """``repr(value)`` for a message: its first 60 characters and its length when it is longer."""
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text):,} characters)"
+
+
+def fraction_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q > 0, from one gcd: "p/q" in lowest terms, or the integer alone."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -145,10 +151,12 @@ class _Record:
     ``__init__`` with ``object.__setattr__``. Equality, hash, repr and
     ``__reduce__`` cover the fields named in ``_fields``, the ``__init__``
     parameters in order; attributes derived once, such as ``key``, stay out.
+    Equality compares only the slot ``_canonical`` names, if any: the fields as integers in lowest terms.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _canonical = ""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -160,9 +168,11 @@ class _Record:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._canonical:  # builds no Fraction
+            return getattr(self, self._canonical) == getattr(other, self._canonical)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -265,8 +275,8 @@ class JointTable(_Record):
 
     __slots__ = ("scaled_cells",)
     _fields = _CELL_FIELDS
+    _canonical = "scaled_cells"
     scaled_cells: tuple[int, int, int, int, int]
-    __hash__ = _Record.__hash__  # a class that defines __eq__ inherits no __hash__
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
         ratios = []
@@ -284,9 +294,6 @@ class JointTable(_Record):
     def _hold(self, *scaled: int) -> "JointTable":  # the one place that sets the cells, checked by __init__ or by counts
         object.__setattr__(self, "scaled_cells", scaled)
         return self
-
-    def __eq__(self, other: object) -> bool:  # the cells over their least L are canonical, so this builds no Fraction
-        return self.scaled_cells == other.scaled_cells if other.__class__ is self.__class__ else NotImplemented
 
     p_pp, p_pm, p_mp, p_mm = (  # each cell a Fraction, built when read
         property(lambda self, k=k: Fraction(self.scaled_cells[k], self.scaled_cells[4])) for k in range(4)

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Mapping, Optional, Union
 
 from .errors import InvalidValue, ParseError, SelinfError
 from .feasibility import FacetViolation, HiddenStateDistribution
 from .io import REPORT_FORMAT, AnalysisReport, _reject_unknown, analyze, report_to_json_dict
-from .model import TREATMENTS, ExperimentData, JointTable, LabelSet, echo, rational
+from .model import TREATMENTS, ExperimentData, JointTable, LabelSet, echo, fraction_text, rational
 from .selectivity import MarginalComparison, MsTestResult
 
 
-def _fmt(x: Fraction) -> str:
-    p, q = x.as_integer_ratio()  # str(x) is p/q and float(x) is p / q
-    return str(p) if q == 1 else f"{p}/{q} (~{p / q:.4f})"
+def _fmt(p: int, q: int) -> str:
+    """``str`` of the ``Fraction`` p/q, q > 0, then unless an integer ~ its ``float``, which int / int rounds as it."""
+    text = fraction_text(p, q)
+    return f"{text} (~{p / q:.4f})" if "/" in text else text
 
 
 def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> str:
@@ -24,9 +24,9 @@ def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> st
     )
     line = (
         f"{comp.response} at {comp.fixed_level:2s}: "
-        f"Pr(+1|{other_first}) = {_fmt(comp.p_under_first)}  vs  "
-        f"Pr(+1|{other_second}) = {_fmt(comp.p_under_second)}  "
-        f"delta = {_fmt(comp.delta)}"
+        f"Pr(+1|{other_first}) = {_fmt(*comp.p_under_first.as_integer_ratio())}  vs  "
+        f"Pr(+1|{other_second}) = {_fmt(*comp.p_under_second.as_integer_ratio())}  "
+        f"delta = {_fmt(*comp.delta.as_integer_ratio())}"
     )
     if labels is not None:
         pair = labels.response_pair(comp.fixed_level)
@@ -43,11 +43,12 @@ def render_report_text(
     """Human-readable rendering of a full analysis."""
     lines = []
     chsh = report.chsh
+    lcd = chsh.scaled_expectations[4]
     lines.append("CHSH")
-    for t in TREATMENTS:
-        lines.append(f"  E[A*B | {t.key:5s}] = {_fmt(chsh.expectations[t])}")
+    for t, e in zip(TREATMENTS, chsh.scaled_expectations):
+        lines.append(f"  E[A*B | {t.key:5s}] = {_fmt(e, lcd)}")
     lines.append(
-        f"  Gamma = {chsh.gamma} (= {chsh.gamma_decimal()} to 3 places)"
+        f"  Gamma = {fraction_text(max(chsh.scaled_sums), lcd)} (= {chsh.gamma_decimal()} to 3 places)"
         f"   classification: {chsh.classification}"
     )
     lines.append(f"  attained by sign pattern(s): {', '.join(chsh.argmax_patterns)}")
@@ -56,7 +57,7 @@ def render_report_text(
     verdict = "satisfied" if ms.satisfied else "VIOLATED"
     lines.append(
         f"Marginal selectivity (tolerance {ms.tolerance}): {verdict}"
-        f" (max delta {_fmt(ms.max_delta)})"
+        f" (max delta {_fmt(*ms.max_delta.as_integer_ratio())})"
     )
     for comp in ms.comparisons:
         lines.append("  " + _comparison_line(comp, labels))
@@ -90,18 +91,18 @@ def render_report_text(
 
 def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
     if isinstance(cert, FacetViolation):
-        return f"CHSH facet {cert.pattern} = {_fmt(cert.value)} > 2"
+        return f"CHSH facet {cert.pattern} = {_fmt(*cert.value.as_integer_ratio())} > 2"
     return (
         f"marginal comparison {cert.response} at {cert.fixed_level}: "
-        f"{_fmt(cert.p_under_first)} vs {_fmt(cert.p_under_second)}"
-        f" (delta {_fmt(cert.delta)} > 0)"
+        f"{_fmt(*cert.p_under_first.as_integer_ratio())} vs {_fmt(*cert.p_under_second.as_integer_ratio())}"
+        f" (delta {_fmt(*cert.delta.as_integer_ratio())} > 0)"
     )
 
 
 def witness_lines(witness: HiddenStateDistribution, header_prefix: str, indent: str) -> list[str]:
     """The witness header, then one ``state : weight`` line per state of nonzero weight."""
     return [f"{header_prefix}witness (state A(a)A(a')B(b)B(b') : weight):"] + [
-        f"{indent}{state} : {w}" for state, w in witness.nonzero_items()
+        f"{indent}{state} : {w}" for state, w in witness.nonzero_texts()
     ]
 
 

@@ -19,11 +19,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import selinf
 import selinf.model
-from selinf.chsh import compute_gamma
+from selinf.chsh import ChshReport, compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import ParseError
-from selinf.feasibility import HiddenStateDistribution, predicted_tables, solve_feasibility
-from selinf.io import parse_experiment, serialize_experiment
+from selinf.feasibility import FacetViolation, HiddenStateDistribution, predicted_tables, solve_feasibility
+from selinf.io import AnalysisReport, parse_experiment, report_to_json_dict, serialize_experiment
 from selinf.model import (
     CELLS,
     MAX_COMMON_DENOMINATOR,
@@ -179,9 +179,14 @@ def test_gamma_marginals_and_solver_read_the_stored_vector(lcd_calls):
         chsh, marginals = compute_gamma(data), check_marginal_selectivity(data)
         result = solve_feasibility(data, chsh, marginals)
         verdicts.add(result.feasible)
-        # the sums left are the CHSH report's, over its four expectations, and the witness's own check of its 16 weights
-        expected = [[chsh.expectations[t] for t in TREATMENTS]] + ([list(result.witness.weights)] if result.feasible else [])
-        assert lcd_calls == expected
+        # the CHSH report and the witness keep the integers they are computed from, and hold what the
+        # sums over their Fractions would give
+        assert lcd_calls == []
+        numerators, lcd = over_common_denominator(chsh.expectations[t] for t in TREATMENTS)
+        assert chsh.scaled_expectations == (*numerators, lcd)
+        if result.feasible:
+            numerators, lcd = over_common_denominator(result.witness.weights)
+            assert result.witness.scaled_weights == (*numerators, lcd)
     assert verdicts == {True, False}
 
 
@@ -285,6 +290,69 @@ class TestTablesHoldIntegers:
         assert fractions_built == []
         assert equal == [[a.cells() == b.cells() for b in tables] for a in tables]
         assert sum(map(sum, equal)) == len(tables) + 4 * 6  # each table over 1 is 3 tables: 9 equal pairs, not 3
+
+
+class TestReportsHoldIntegers:
+    """A CHSH report and a witness keep the integers they are computed from: the Fractions are built when read."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        """The benchmark's selective-batch pool at seed 301, through the experiment document."""
+        from test_feasibility import selective_batch_cases  # here: that module imports this one's fixture
+
+        return [parse_experiment(serialize_experiment(data)) for data in selective_batch_cases()]
+
+    def test_gamma_the_solver_and_the_json_render_build_no_fraction(self, items, fractions_built):
+        infeasible = 0
+        for data in items:
+            fractions_built.clear()
+            chsh = compute_gamma(data)
+            assert fractions_built == []
+            marginals = check_marginal_selectivity(data)
+            fractions_built.clear()
+            result = solve_feasibility(data, chsh, marginals)
+            # only a violated facet's value is built, for its FacetViolation
+            assert len(fractions_built) == sum(isinstance(c, FacetViolation) for c in result.all_violations)
+            infeasible += not result.feasible
+            fractions_built.clear()
+            report_to_json_dict(AnalysisReport(chsh, marginals, None, result), include_witness=True)
+            assert fractions_built == []
+        assert 0 < infeasible < len(items) / 10
+
+    def test_reading_builds_the_fractions(self, items, fractions_built):
+        chsh = compute_gamma(items[0])
+        witness = solve_feasibility(items[0], chsh, check_marginal_selectivity(items[0])).witness
+        *expectations, lcd = chsh.scaled_expectations
+        *weights, total = witness.scaled_weights
+        for read, built in (
+            (lambda: chsh.expectations, [(e, lcd) for e in expectations]),
+            (lambda: chsh.sums, [(v, lcd) for v in chsh.scaled_sums]),
+            (lambda: chsh.gamma, [(max(chsh.scaled_sums), lcd)]),
+            (lambda: witness.weights, [(w, total) for w in weights]),
+        ):
+            fractions_built.clear()
+            read()
+            assert fractions_built == built
+
+    def test_records_are_the_records_their_fractions_build(self, items):
+        for data in items + [parse_experiment(load_fixture_text(name)) for name in FIXTURE_NAMES]:
+            chsh = compute_gamma(data)
+            public = ChshReport(chsh.expectations)
+            assert chsh == public and repr(chsh) == repr(public) and pickle.dumps(chsh) == pickle.dumps(public)
+            assert chsh.scaled_expectations == public.scaled_expectations and chsh.scaled_sums == public.scaled_sums
+            assert chsh.sums == public.sums and chsh.gamma == public.gamma
+            assert (chsh.argmax_patterns, chsh.classification) == (public.argmax_patterns, public.classification)
+            with pytest.raises(TypeError):
+                hash(chsh)
+            witness = solve_feasibility(data, chsh, check_marginal_selectivity(data)).witness
+            if witness is None:
+                continue
+            public = HiddenStateDistribution(witness.weights)
+            assert witness == public and hash(witness) == hash(public) == hash((public.weights,))
+            assert repr(witness) == repr(public) and pickle.dumps(witness) == pickle.dumps(public)
+            assert witness.scaled_weights == public.scaled_weights
+            for clone in (pickle.loads(pickle.dumps(witness)), copy.copy(witness), copy.deepcopy(witness)):
+                assert clone == witness and clone.scaled_weights == witness.scaled_weights
 
 
 class TestCountTablesNormalize:

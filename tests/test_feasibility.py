@@ -1,5 +1,6 @@
 """Hidden-state feasibility: push-forward, solver, criterion, representations."""
 
+import itertools
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from selinf import simplex
-from selinf.chsh import compute_gamma
+from selinf.chsh import ChshReport, compute_gamma
 from selinf.errors import InvalidValue, SelinfError
 from selinf.feasibility import (
     HIDDEN_STATES,
@@ -81,7 +82,7 @@ class TestHiddenStates:
         for i, state in enumerate(HIDDEN_STATES):
             dist = HiddenStateDistribution.from_mapping({state: 1})
             assert dist.weights.index(1) == i
-            assert list(dist.nonzero_items()) == [(state, 1)]
+            assert list(dist.nonzero_texts()) == [(state, "1")]
 
     def test_response_reads_own_factor_only(self):
         data = predicted_tables(point_mass_distribution("+--+"))
@@ -122,7 +123,7 @@ class TestHiddenStateDistribution:
     def test_fractions_are_kept_and_other_weights_converted(self):
         ws = (Fraction(1, 2), Fraction(0)) + (Fraction(1, 28),) * 14
         dist = HiddenStateDistribution(ws)
-        assert all(kept is given for kept, given in zip(dist.weights, ws))
+        assert dist.weights == ws and all(type(w) is Fraction for w in dist.weights)  # built from the integers
         converted = HiddenStateDistribution(("1/2", 0, 0.5) + (0,) * 13)
         assert converted.weights[:3] == (Fraction(1, 2), 0, Fraction(1, 2))
         assert all(type(w) is Fraction for w in converted.weights)
@@ -131,7 +132,7 @@ class TestHiddenStateDistribution:
         dist = HiddenStateDistribution.from_mapping({"++++": "1/2", "----": ".5"})
         assert weight(dist, HIDDEN_STATES[0]) == Fraction(1, 2)
         assert weight(dist, HIDDEN_STATES[15]) == Fraction(1, 2)
-        assert sum(w for _, w in dist.nonzero_items()) == 1
+        assert sum(dist.weights) == 1 and dict(dist.nonzero_texts()) == {"++++": "1/2", "----": "1/2"}
 
     def test_mix_stays_a_distribution(self):
         rng = random.Random(51)
@@ -558,6 +559,17 @@ class TestFineEquivalence:
             data = random_ms_data(rng) if rng.random() < 0.5 else random_any_data(rng)
             violations = fine_violations(compute_gamma(data), check_marginal_selectivity(data))
             assert (not violations) == analyze(data).feasibility.feasible
+
+    def test_the_facets_are_the_sums_above_two(self):
+        # every report of expectations in {-1, -1/2, 0, 1/2, 1}: some facets sum to exactly 2, which is not violated
+        selective = check_marginal_selectivity(predicted_tables(uniform_distribution()))
+        at_two = 0
+        for values in itertools.product([Fraction(k, 2) for k in range(-2, 3)], repeat=4):
+            chsh = ChshReport(dict(zip(TREATMENTS, values)))
+            expected = [FacetViolation(p, v) for p, v in chsh.sums.items() if v > 2]
+            assert fine_violations(chsh, selective) == expected
+            at_two += sum(v == 2 for v in chsh.sums.values())
+        assert at_two > 0
 
 
 def dot(w, v):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import selinf.feasibility
 import selinf.io
 import selinf.model
+import selinf.report
 import selinf.selectivity
 from selinf.chsh import SIGN_PATTERNS, classify_gamma
 from selinf.errors import InvalidValue, ParseError, SelinfError
@@ -29,7 +30,9 @@ from selinf.io import (
     serialize_experiment,
 )
 from selinf.cli import EXIT_INFEASIBLE, load_fixture_text, run_cli
-from selinf.model import LEVELS, TREATMENTS, CountTable, ExperimentData, JointTable, LabelSet, over_common_denominator
+from selinf.model import (
+    LEVELS, TREATMENTS, CountTable, ExperimentData, JointTable, LabelSet, fraction_text, over_common_denominator,
+)
 from selinf.report import render_report_text, report_from_json_dict
 from selinf.selectivity import MsTestResult
 from selinf.simulate import Model, SampleSpec, parse_model, sample_counts
@@ -861,7 +864,7 @@ def expectation_five(doc):
 
 def uniform_witness(doc):
     """The witness of 1/16 on every state, which gives the uniform tables but is not the one the program writes."""
-    doc["feasibility"]["witness"] = {state: str(w) for state, w in uniform_distribution().items()}
+    doc["feasibility"]["witness"] = {state: str(w) for state, w in zip(HIDDEN_STATES, uniform_distribution().weights)}
 
 
 def certificate_contradicted(doc):
@@ -935,6 +938,32 @@ class TestJsonWriter:
         assert selinf.io._json(doc) == json.dumps(doc, indent=2)
         for value in [*values, {}, [], ()]:
             assert selinf.io._json(value) == json.dumps(value, indent=2)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1, 1), st.booleans(), st.none(), st.integers()), max_size=4))
+    def test_floats_booleans_and_null(self, values):
+        # json writes a finite float as float.__repr__, and NaN and the infinities by name
+        for value in [values, *values]:
+            assert selinf.io._json(value) == json.dumps(value, indent=2)
+
+
+class TestFractionText:
+    """Each rational printed from its integers is ``str`` of its ``Fraction``; the text report's form of it is what
+    its renderer wrote for that ``Fraction``: the text alone for an integer, else the text then ~ the float."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(), st.one_of(st.just(1), st.integers(1, 10**6), st.integers(min_value=1)), st.integers(1, 10**6))
+    @example(0, 7, 1)
+    @example(-6, 4, 1)
+    @example(-8, 4, 3)
+    @example(-5, 1, 1)
+    @example(2**70 + 1, 3 * 2**70, 1)
+    def test_is_the_fraction_s_str(self, p, q, k):
+        value = Fraction(p, q)
+        for scaled in ((p, q), (k * p, k * q)):  # in lowest terms or not
+            assert fraction_text(*scaled) == str(value)
+            old_text_form = str(value) if value.denominator == 1 else f"{value} (~{float(value):.4f})"
+            assert selinf.report._fmt(*scaled) == old_text_form
 
 
 class TestReportJson:

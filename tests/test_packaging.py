@@ -258,7 +258,8 @@ def test_attribute_uses_bind_to_the_receiver_class(tmp_path):
 def test_every_public_name_is_used_outside_the_tests():
     # a name only tests use belongs in a test helper, not in the API; so does a
     # method, which counts as used where it is called as an attribute in the
-    # package outside its own def, or in the benchmark, and a property, where it is read
+    # package outside its own def, or in the benchmark, and a property, where it is read;
+    # a property that is a record's field is read by name by every record's repr, equality and pickling
     root = PACKAGE_DIR.parent.parent
     paths = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "bench").glob("*.py"))
@@ -266,6 +267,7 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = [name for name in selinf.__all__ if name not in used]
     uses = set().union(*(attribute_uses(path) for path in paths))
     reads = {(cls, name) for cls, name, _ in uses}
+    reads |= {(cls, name) for cls in selinf.__all__ for name in getattr(getattr(selinf, cls), "_fields", ())}
     calls = {(cls, name) for cls, name, called in uses if called}
     unused += [
         f"{cls}.{name}"

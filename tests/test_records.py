@@ -3,13 +3,14 @@
 Each record has a hand-written ``__init__``; the shared base gives the frozen
 ``__setattr__``/``__delattr__`` and an ``__eq__``, ``__hash__`` and
 ``__repr__`` over the fields that ``__init__`` takes, in order. A joint
-table stores its four cells in one slot, ``scaled_cells``, and reads each
-field from it. Attributes derived once (``key``, ``index``, a data set's
-``scaled_cells``, ``response``, ``delta``, ``max_delta``, a CHSH report's
-``sums``, ``gamma``, ``argmax_patterns`` and ``classification``, a z-test's
-``z_statistic``, ``p_value``, ``reject`` and ``degenerate``, a distribution's
-``scaled_weights``, a model's ``tables`` and thresholds, and a feasibility
-result's ``feasible`` and ``certificate``) stay out of all three.
+table, a CHSH report and a distribution store their fields as integers in one
+slot each (``scaled_cells``, ``scaled_expectations``, ``scaled_weights``) and
+read each field from it. Attributes derived once (``key``, ``index``, a data
+set's ``scaled_cells``, ``response``, ``delta``, ``max_delta``, a CHSH
+report's ``scaled_sums``, ``argmax_patterns`` and ``classification``, a
+z-test's ``z_statistic``, ``p_value``, ``reject`` and ``degenerate``, a
+model's ``tables`` and thresholds, and a feasibility result's ``feasible`` and
+``certificate``) stay out of all three.
 """
 
 import copy
@@ -106,6 +107,14 @@ REPRS = {
     ),
 }
 
+# The slot that stores each such record's fields, and integers to set it to: four cells of 1/4, the expectations
+# 1/2, 0, 0 and 0, and sixteen weights of 1/16.
+STORED = {
+    JointTable: ("scaled_cells", (1, 1, 1, 1, 4)),
+    ChshReport: ("scaled_expectations", (1, 0, 0, 0, 2)),
+    HiddenStateDistribution: ("scaled_weights", (1,) * 16 + (16,)),
+}
+
 records = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
 
@@ -178,10 +187,15 @@ def test_fields_are_the_init_parameters_and_other_slots_stay_out_of_repr_and_equ
     assert cls._fields == tuple(inspect.signature(cls).parameters)
     for name in set(cls.__dict__.get("__slots__", ())) - set(cls._fields):
         changed = copy.copy(record)
-        if cls is JointTable:  # its one slot stores its fields, so changing it changes them
-            object.__setattr__(changed, name, (1, 1, 1, 1, 4))
+        if cls in STORED and name == STORED[cls][0]:  # the slot that stores the fields: changing it changes them
+            object.__setattr__(changed, name, STORED[cls][1])
             assert changed != record and repr(changed) != repr(record)
-            assert changed.cells() == (Fraction(1, 4),) * 4 and changed == JointTable(*changed.cells())
+            assert changed == cls(*changed._values())
+            assert changed._values() == {
+                JointTable: (Fraction(1, 4),) * 4,
+                ChshReport: (dict(zip(TREATMENTS, (Fraction(1, 2), 0, 0, 0))),),
+                HiddenStateDistribution: ((Fraction(1, 16),) * 16,),
+            }[cls]
         else:
             object.__setattr__(changed, name, object())
             assert changed == record and repr(changed) == repr(record)

@@ -397,26 +397,35 @@ class TestPackedSampler:
         got = _tallies(n, [(seed, th) for th in thresholds])
         assert got == [reference_tally(outputs, th) for th in thresholds]
 
+    @staticmethod
+    def tying(out):
+        """Thresholds r' that tie the output on the top byte, for its r = out >> 11: r + 1, r and r - 1; r' that
+        share r's top two bytes, so tie on byte 6 too, from either end of that range; and r' that share its top byte."""
+        r = out >> 11
+        block = r >> 37 << 37  # r's top two bytes, with zero bits below them
+        return st.one_of(
+            st.sampled_from([r + 1, r, max(r - 1, 0)]),
+            st.integers(0, 2**37 - 1).map(lambda low: block + low),
+            st.integers(0, 2**37 - 1).map(lambda low: block + 2**37 - 1 - low),
+            st.integers(0, 2**45 - 1).map(lambda low: (r >> 45 << 45) + low),
+        )
+
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, MASK64),
-        n=st.integers(1, 300),
-        thresholds=st.lists(
-            st.one_of(
-                st.just(0),
-                st.just(2**53),
-                st.integers(0, 2**53),
-                st.integers(0, 2**53).map(lambda r: r >> 45 << 45),
-                st.integers(0, 2**53).map(lambda r: r >> 37 << 37),
-                st.integers(0, 2**53 - 1).map(lambda r: (r >> 37 << 37) + 1),
-            ),
-            min_size=3,
-            max_size=3,
-        ),
-    )
-    def test_tallies_match_per_draw_reference_for_any_seed(self, seed, n, thresholds):
-        thresholds = sorted(thresholds) + [2**53]
+    @given(seed=st.integers(0, MASK64), n=st.integers(1, 300), data=st.data())
+    def test_tallies_match_per_draw_reference_for_any_seed(self, seed, n, data):
         outputs = reference_splitmix64(seed, n)
+        independent = st.one_of(
+            st.just(0),
+            st.just(2**53),
+            st.integers(0, 2**53),
+            st.integers(0, 2**53).map(lambda r: r >> 45 << 45),
+            st.integers(0, 2**53).map(lambda r: r >> 37 << 37),
+            st.integers(0, 2**53 - 1).map(lambda r: (r >> 37 << 37) + 1),
+        )
+        # two in three thresholds come from the seed's own outputs, so that draws tie them on the top byte and on byte 6
+        from_outputs = st.sampled_from(outputs).flatmap(self.tying)
+        threshold = st.one_of(from_outputs, from_outputs, independent)
+        thresholds = sorted(data.draw(st.lists(threshold, min_size=3, max_size=3))) + [2**53]
         assert _tallies(n, [(seed, thresholds)]) == [reference_tally(outputs, thresholds)]
 
     @pytest.mark.parametrize("seed", WRAPPING_SEEDS)
