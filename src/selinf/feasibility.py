@@ -27,11 +27,10 @@ from typing import Iterator, Mapping, Optional, Union
 from .chsh import SIGN_PATTERNS, ChshReport, compute_gamma
 from .errors import InvalidValue, SelinfError
 from .model import (
-    TREATMENTS,
     ExperimentData,
-    JointTable,
     Rational,
     _Record,
+    _tables,
     decode_signs,
     fraction_text,
     over_common_denominator,
@@ -101,11 +100,8 @@ def _push_forward(dist: HiddenStateDistribution) -> tuple[int, ...]:
 
 
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
-    """Push the state distribution forward to one joint table per treatment, each cell a ``Fraction`` once."""
-    *cells, lcd = _push_forward(dist)
-    return ExperimentData(
-        tables={t: JointTable(*(Fraction(p, lcd) for p in cells[4 * t.index : 4 * t.index + 4])) for t in TREATMENTS}
-    )
+    """Push the state distribution forward to one joint table per treatment, from the integer cells."""
+    return ExperimentData(tables=_tables(_push_forward(dist)))
 
 
 class FacetViolation(_Record):

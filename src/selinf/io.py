@@ -248,9 +248,9 @@ def _json(value: Any, newline: str = "\n") -> str:
 def serialize_experiment(data: ExperimentData) -> str:
     """Write data back to the file format, probabilities as exact fractions."""
     treatments: dict[str, Any] = {}
+    cells = data.scaled_cells
     for t in TREATMENTS:
-        *numerators, lcd = data.table(t).scaled_cells
-        block: dict[str, Any] = {ck: fraction_text(p, lcd) for ck, p in zip(PROB_KEYS, numerators)}
+        block: dict[str, Any] = {ck: fraction_text(p, cells[16]) for ck, p in zip(PROB_KEYS, cells[4 * t.index :])}
         ct = data.count(t)
         if ct is not None:
             block["counts"] = dict(zip(PROB_KEYS, ct.cells()))

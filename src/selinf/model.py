@@ -17,13 +17,12 @@ reads plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
 ``Fraction`` of that pair. A ``JointTable`` checks its cells' pairs and holds
 the four over their L, its ``scaled_cells``, as a CHSH report holds its
 expectations and a hidden-state distribution its weights, ``scaled_weights``;
-a field is a ``Fraction`` built when read. ``ExperimentData`` puts its 16
-cells over one L from its tables' four, once, and checks a cell s/L against
-its count c of n as ``s * n == c * L``. The cap check, CHSH sums and class,
+a field is a ``Fraction`` built when read. ``ExperimentData`` holds only its
+16 cells over one L and builds each table when read; a cell s/L matches its
+count c of n when ``s * n == c * L``. The cap check, CHSH sums and class,
 marginals and their deltas, the simplex and the witness check read that vector
-and compare plain integers, with no gcd per step; ``fraction_text`` prints p/q
-as ``str(Fraction(p, q))`` does. Other report values, such as the marginals,
-are still ``Fraction``s, built once.
+and compare integers, with no gcd per step; ``fraction_text`` prints p/q as
+``str(Fraction(p, q))`` does. Other report values are Fractions, built once.
 """
 
 from __future__ import annotations
@@ -255,10 +254,8 @@ class CountTable(_Record):
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
 
     def normalized(self) -> "JointTable":
-        """Exact cell fractions count/n: the counts and n over their one gcd are the table's ``scaled_cells``."""
-        n, cells = self.n, self.cells()
-        g = math.gcd(n, *cells)
-        return JointTable.__new__(JointTable)._hold(*(c // g for c in cells), n // g)
+        """Exact cell fractions count/n: the counts and n, in lowest terms, are the table's ``scaled_cells``."""
+        return JointTable.__new__(JointTable)._hold(*self.cells(), self.n)
 
 
 class JointTable(_Record):
@@ -270,7 +267,7 @@ class JointTable(_Record):
     the four as integers over their least common denominator L, then L; each
     cell, and ``cells()``, is a ``Fraction`` built when read. A count table
     of n observations matches it when s * n == c * L for each cell s/L and
-    its count c; ``CountTable.normalized()`` sets those integers directly.
+    its count c; ``_hold`` puts the integers it is given in lowest terms.
     """
 
     __slots__ = ("scaled_cells",)
@@ -291,8 +288,9 @@ class JointTable(_Record):
             raise InvalidValue(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         self._hold(*numerators, lcd)
 
-    def _hold(self, *scaled: int) -> "JointTable":  # the one place that sets the cells, checked by __init__ or by counts
-        object.__setattr__(self, "scaled_cells", scaled)
+    def _hold(self, *scaled: int) -> "JointTable":  # the one place that sets the cells, from __init__, counts or data
+        g = math.gcd(*scaled)  # 1 from __init__; the four cells and L of counts or of data may share a factor
+        object.__setattr__(self, "scaled_cells", scaled if g == 1 else tuple(v // g for v in scaled))
         return self
 
     p_pp, p_pm, p_mp, p_mm = (  # each cell a Fraction, built when read
@@ -347,18 +345,25 @@ class LabelSet(_Record):
         return self.responses.get(level)
 
 
+def _tables(scaled: tuple[int, ...]) -> dict[Treatment, JointTable]:
+    """The four tables of 16 cells over L, then L: each treatment's four and L, put in lowest terms by ``_hold``."""
+    *cells, lcd = scaled
+    return {t: JointTable.__new__(JointTable)._hold(*cells[4 * t.index : 4 * t.index + 4], lcd) for t in TREATMENTS}
+
+
 class ExperimentData(_Record):
     """The four joint tables of one experiment, optionally with counts and labels.
 
-    When ``counts`` are present each table must equal its count table
-    normalized, checked as ``s * n == c * L`` on the table's integers (see ``JointTable``),
-    unless ``independent_counts`` marks the probabilities as
+    The data hold only ``scaled_cells``, the 16 cells in order as integers over
+    their least common denominator L, then L; ``tables`` and ``table(t)`` build
+    each ``JointTable`` when read. When ``counts`` are present each table must
+    equal its count table normalized, checked as ``s * n == c * L`` (see
+    ``JointTable``), unless ``independent_counts`` marks the probabilities as
     supplied separately from the counts (e.g. published rounded estimates
-    alongside the sample size). ``scaled_cells`` holds the 16 cells in order
-    as integers over their least common denominator L, then L.
+    alongside the sample size).
     """
 
-    __slots__ = ("tables", "counts", "labels", "independent_counts", "scaled_cells")
+    __slots__ = ("scaled_cells", "counts", "labels", "independent_counts")
     _fields = ("tables", "counts", "labels", "independent_counts")
     scaled_cells: tuple[int, ...]
 
@@ -374,25 +379,25 @@ class ExperimentData(_Record):
             if missing:
                 raise InvalidValue(f"missing treatments: {missing}")
             raise InvalidValue("tables must be keyed by the four treatments")
-        tables = {t: tables[t] for t in TREATMENTS}
-        object.__setattr__(self, "tables", tables)
-        lcd = math.lcm(*[table.scaled_cells[4] for table in tables.values()])
-        scaled = [v * (lcd // table.scaled_cells[4]) for table in tables.values() for v in table.scaled_cells[:4]]
-        object.__setattr__(self, "scaled_cells", (*scaled, lcd))
+        held = [tables[t].scaled_cells for t in TREATMENTS]
+        lcd = math.lcm(*[cells[4] for cells in held])
+        scaled = (*[v * (lcd // cells[4]) for cells in held for v in cells[:4]], lcd)
+        object.__setattr__(self, "scaled_cells", scaled)
         if counts is not None:
             if set(counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")
             counts = {t: counts[t] for t in TREATMENTS if t in counts} or None
             if counts and not independent_counts:
-                for t, ct in counts.items():
-                    *cells, q = tables[t].scaled_cells  # cell s/q is count c/n when s * n == c * q
-                    if any(s * ct.n != c * q for s, c in zip(cells, ct.cells())):
+                for t, ct in counts.items():  # cell s/L is count c/n when s * n == c * L
+                    if any(s * ct.n != c * lcd for s, c in zip(scaled[4 * t.index : 4 * t.index + 4], ct.cells())):
                         normalized = ", ".join(map(str, ct.normalized().cells()))
                         table = ", ".join(map(printable, tables[t].cells()))
                         raise InvalidValue(
                             f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
                         )
         object.__setattr__(self, "counts", counts)
+
+    tables = property(lambda self: _tables(self.scaled_cells))  # each JointTable built when read
 
     def table(self, treatment: Treatment) -> JointTable:
         return self.tables[treatment]

@@ -77,10 +77,10 @@ from .model import (
     TREATMENTS,
     CountTable,
     ExperimentData,
-    JointTable,
     Rational,
     Treatment,
     _Record,
+    _tables,
     decode_signs,
     echo,
     exceeds_common_denominator_cap,
@@ -199,8 +199,7 @@ class Model(_Record):
         *cells, lcd = _push_forward(hidden)
         forced = {4 * t.index + CELLS.index(pair) for t, pair in (cross_map or {}).items()}
         mixed, lcd = [e * lcd * (k in forced) + (d - e) * c for k, c in enumerate(cells)], d * lcd
-        tables = {t: JointTable(*(Fraction(p, lcd) for p in mixed[4 * t.index : 4 * t.index + 4])) for t in TREATMENTS}
-        object.__setattr__(self, "tables", ExperimentData(tables=tables))
+        object.__setattr__(self, "tables", ExperimentData(tables=_tables((*mixed, lcd))))
         # per treatment, ceil(cumulative * 2^53) per cell, which depends only on the rational; the last is exactly 2^53
         object.__setattr__(self, "_thresholds", [
             [-((-cum << 53) // lcd) for cum in accumulate(mixed[k : k + 4])] for k in range(0, 16, 4)

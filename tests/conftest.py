@@ -60,6 +60,20 @@ def tables_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A list that grows by the arguments of each ``Fraction`` constructed, by any module."""
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
 def random_hidden_distribution(rng: random.Random, max_weight: int = 30) -> HiddenStateDistribution:
     """Random rational distribution over the 16 hidden states."""
     weights = [Fraction(rng.randint(0, max_weight)) for _ in range(16)]
@@ -99,6 +113,13 @@ def random_any_data(rng: random.Random, denom: int = 20) -> ExperimentData:
         total = sum(cells)
         tables[t] = JointTable(*(c / total for c in cells))
     return ExperimentData(tables=tables)
+
+
+def selective_batch_cases():
+    """Push-forwards alternating with marginally selective tables, as in the benchmark's selective-batch pool."""
+    rng = random.Random(301)
+    for i in range(400):
+        yield predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
 
 
 def cap_denominator_distribution() -> HiddenStateDistribution:

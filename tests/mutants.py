@@ -137,8 +137,8 @@ MUTANTS = (
         "every forced pair lands in the first treatment's cells",
         SIMULATE, "forced = {4 * t.index + CELLS.index(pair)", "forced = {CELLS.index(pair)",
         (
-            MODEL_TABLES + "test_full_contamination_can_break_selectivity",
             MODEL_TABLES + "test_contamination_is_affine_in_eta",
+            MODEL_TABLES + "test_tables_equal_the_fraction_route_push_forward_and_mix",
         ),
     ),
     (
@@ -161,7 +161,7 @@ MUTANTS = (
         FEASIBILITY, "for states in _CELL_STATES), weights[16])", "for states in _CELL_STATES), 2 * weights[16])",
         (
             PREDICTED + "test_equals_the_fraction_route_push_forward",
-            "tests/test_feasibility.py::TestVerifyWitness::test_uniform_pair", VECTOR_CHECK,
+            PREDICTED + "test_uniform_gives_independent_fair_coins", VECTOR_CHECK,
         ),
     ),
     (
@@ -232,10 +232,10 @@ MUTANTS = (
     ),
     (
         "the count check cross-multiplies the wrong terms",
-        "src/selinf/model.py", "s * ct.n != c * q", "s * q != c * ct.n",
+        "src/selinf/model.py", "s * ct.n != c * lcd", "s * lcd != c * ct.n",
         (
             "tests/test_acceptance.py::test_criterion_7_statistical_rejection_at_n81",
-            "tests/test_cli.py::TestSimulateCommand::test_writes_parseable_experiment",
+            "tests/test_io.py::TestParseExperiment::test_count_blocks",
         ),
     ),
     (
@@ -244,12 +244,10 @@ MUTANTS = (
         ("tests/test_selectivity.py::TestZTest::test_alpha_out_of_range_rejected",),
     ),
     (
+        # JointTable._hold puts a table in lowest terms whatever pairs it is given, so only the reader's result shows it
         "plain strings are not reduced to lowest terms",
         "src/selinf/model.py", "g = math.gcd(p, q) if q else 0", "g = 1 if q else 0",
-        (
-            "tests/test_cell_vector.py::test_every_route_stores_the_cells_over_their_common_denominator",
-            "tests/test_cell_vector.py::test_library_tables_and_data_store_the_least_common_denominator",
-        ),
+        ("tests/test_model.py::TestRationalRoutes::test_plain_strings_read_as_lowest_terms_pairs",),
     ),
     (
         "the 10**2000 cap rejects data at the cap",
@@ -339,11 +337,30 @@ MUTANTS = (
         ),
     ),
     (
-        # gcd(*cells) alone is equivalent, since the counts sum to n: leaving n out leaves the last count, which
-        # n fixes, unread
-        "normalized leaves n out of the gcd",
-        "src/selinf/model.py", "g = math.gcd(n, *cells)", "g = math.gcd(*cells[:3])",
+        # gcd(*cells) alone is equivalent, since the cells sum to L: leaving L out leaves the last cell, which
+        # L fixes, unread
+        "a table's gcd leaves L out",
+        "src/selinf/model.py", "g = math.gcd(*scaled)", "g = math.gcd(*scaled[:3])",
         (NORMALIZE + "test_every_count_table_of_at_most_ten_observations", NORMALIZE + "test_counts_up_to_2_to_the_53"),
+    ),
+    (
+        "a table read from the data keeps the data's L",
+        "src/selinf/model.py", "JointTable.__new__(JointTable)._hold(*cells[4 * t.index : 4 * t.index + 4], lcd)",
+        '(lambda table: object.__setattr__(table, "scaled_cells", (*cells[4 * t.index : 4 * t.index + 4], lcd)) or table)'
+        "(JointTable.__new__(JointTable))",
+        (
+            "tests/test_cell_vector.py::test_the_cells_are_held_once_and_each_table_is_built_when_read",
+            "tests/test_cell_vector.py::test_every_route_stores_each_table_over_its_own_common_denominator",
+        ),
+    ),
+    (
+        "serialize reads another treatment's cells",
+        "src/selinf/io.py", "cells[4 * t.index :]", "cells[4 * (t.index ^ 1) :]",
+        (
+            "tests/test_io.py::TestRoundTrip::test_fixtures_round_trip",
+            "tests/test_io.py::TestRoundTrip::test_random_data_round_trips",
+            "tests/test_io.py::TestRoundTrip::test_sampled_counts_round_trip",
+        ),
     ),
 )
 

@@ -2,12 +2,14 @@
 
 Every construction route must store the vector ``over_common_denominator``
 gives for the 16 cells, and the CHSH sums, the marginals and the solver must
-read it rather than put the cells over a common denominator again. A joint
+read it rather than put the cells over a common denominator again. The data
+hold no other copy of the cells: each table is built when read. A joint
 table holds only its own four scaled cells, so parsing builds no
 ``Fraction``: a cell is one, built when read.
 """
 
 import copy
+import gc
 import itertools
 import json
 import pickle
@@ -31,6 +33,7 @@ from selinf.model import (
     CountTable,
     ExperimentData,
     JointTable,
+    _Record,
     over_common_denominator,
 )
 from selinf.selectivity import check_marginal_selectivity
@@ -42,11 +45,15 @@ from conftest import (
     random_any_data,
     random_hidden_distribution,
     random_ms_data,
+    selective_batch_cases,
 )
 from relabel import (
     flip_a_coding,
     flip_b_coding,
     mix_experiments,
+    mix_tables,
+    point_mass_table,
+    push_forward,
     swap_alpha_levels,
     swap_beta_levels,
     uniform_distribution,
@@ -94,6 +101,48 @@ def test_every_route_stores_each_table_over_its_own_common_denominator():
         for t in TREATMENTS:
             numerators, lcd = over_common_denominator(data.table(t).cells())
             assert data.table(t).scaled_cells == (*numerators, lcd)
+
+
+def reached(root):
+    """Every container and record ``gc.get_referents`` finds from ``root``, ``root`` too."""
+    found, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in found:
+            found[id(obj)] = obj
+            stack += [r for r in gc.get_referents(obj) if isinstance(r, (tuple, list, dict, _Record))]
+    return list(found.values())
+
+
+def test_the_cells_are_held_once_and_each_table_is_built_when_read():
+    # each table read must be the one JointTable(...) builds from its cells as Fractions, as the data once stored it
+    hidden = random_hidden_distribution(random.Random(36))
+    cross = dict(zip(TREATMENTS, CELLS))
+    contaminated = Model(hidden, Fraction(1, 7), cross)
+    sampled = sample_counts(contaminated, SampleSpec(n_per_treatment=97, seed=5))
+    pushed = push_forward(hidden)
+    routes = []
+    for name in FIXTURE_NAMES:  # table3 sets "renormalize": its blocks are read over their sums
+        blocks = json.loads(load_fixture_text(name))["treatments"]
+        cells = [[Fraction(blocks[t.key][k]) for k in ("pp", "pm", "mp", "mm")] for t in TREATMENTS]
+        routes.append((parse_experiment(load_fixture_text(name)), [[c / sum(four) for c in four] for four in cells]))
+    routes += [
+        (sampled, [[Fraction(c, sampled.count(t).n) for c in sampled.count(t).cells()] for t in TREATMENTS]),
+        (predicted_tables(hidden), [pushed.table(t).cells() for t in TREATMENTS]),
+        (
+            contaminated.tables,
+            [mix_tables(point_mass_table(*cross[t]), pushed.table(t), Fraction(1, 7)).cells() for t in TREATMENTS],
+        ),
+    ]
+    for data, cells in routes:
+        slots = [name for cls in type(data).__mro__ for name in vars(cls).get("__slots__", ())]
+        assert slots == ["scaled_cells", "counts", "labels", "independent_counts"]
+        assert not any(isinstance(obj, JointTable) for obj in reached(data))
+        for t, table_cells in zip(TREATMENTS, cells):
+            stored = JointTable(*table_cells)
+            assert data.table(t) == stored and hash(data.table(t)) == hash(stored)
+            assert data.table(t).scaled_cells == stored.scaled_cells
+        assert data.tables == data.tables and data.tables is not data.tables
 
 
 @pytest.mark.parametrize(
@@ -222,20 +271,6 @@ class TestTwoRulesBroken:
             parse_experiment(json.dumps(doc))
 
 
-@pytest.fixture
-def fractions_built(monkeypatch):
-    """A list that grows by the arguments of each ``Fraction`` constructed, by any module."""
-    built = []
-    original = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    return built
-
-
 class TestTablesHoldIntegers:
     def documents(self):
         """Seeded conftest corpora as documents: cells as "p/q" strings, some with counts, some counts alone."""
@@ -298,8 +333,6 @@ class TestReportsHoldIntegers:
     @pytest.fixture(scope="class")
     def items(self):
         """The benchmark's selective-batch pool at seed 301, through the experiment document."""
-        from test_feasibility import selective_batch_cases  # here: that module imports this one's fixture
-
         return [parse_experiment(serialize_experiment(data)) for data in selective_batch_cases()]
 
     def test_gamma_the_solver_and_the_json_render_build_no_fraction(self, items, fractions_built):

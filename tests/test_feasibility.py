@@ -37,6 +37,7 @@ from conftest import (
     random_any_data,
     random_hidden_distribution,
     random_ms_data,
+    selective_batch_cases,
 )
 from relabel import (
     STATES,
@@ -60,7 +61,6 @@ from relabel import (
 
 import fraction_simplex
 from small_scope import checked_grid, experiment
-from test_cell_vector import fractions_built  # noqa: F401 (a fixture)
 from test_corpus_digest import corpus
 from test_simplex import full_tableau, state_graph
 
@@ -303,13 +303,6 @@ class TestConstantSystem:
         sums = [functional([(4 * t + k, 1) for k in range(4)] + [(16, -1)]) for t in range(4)]
         assert len(dropped) == 8
         assert rank(dropped) == rank(marginals + sums) == rank(dropped + marginals + sums) == 8
-
-
-def selective_batch_cases():
-    """Push-forwards alternating with marginally selective tables, as in the benchmark's selective-batch pool."""
-    rng = random.Random(301)
-    for i in range(400):
-        yield predicted_tables(random_hidden_distribution(rng)) if i % 2 == 0 else random_ms_data(rng)
 
 
 def phase_one_rhs(data):

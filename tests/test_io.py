@@ -44,10 +44,10 @@ from conftest import (
     random_any_data,
     random_hidden_distribution,
     random_ms_data,
+    selective_batch_cases,
 )
 from relabel import point_mass_distribution, signed_sum, uniform_distribution, uniform_table
 from test_corpus_digest import corpus
-from test_feasibility import selective_batch_cases
 
 UNIFORM_BLOCK = {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"}
 NEAR_ONE = r"^treatment a',b: cells sum to 999/1000 \(~0\.9990\); set \"renormalize\" to accept near-1 sums$"

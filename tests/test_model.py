@@ -112,6 +112,10 @@ class TestRationalRoutes:
     def test_fixed_strings_read_as_fraction_reads_them(self, text):
         assert rational_or_message(text) == fraction_route(text)
 
+    @pytest.mark.parametrize("text", ["2/4", "0/3", "10/5", "49/1000", "0.50", ".250", "7"])
+    def test_plain_strings_read_as_lowest_terms_pairs(self, text):
+        assert model.integer_ratio(text) == Fraction(text).as_integer_ratio()
+
     @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
     @given(st.text(alphabet="0123456789./_e+- ١²", max_size=9))
     def test_strings_read_as_fraction_reads_them(self, text):
@@ -151,7 +155,9 @@ class TestTreatments:
         data = random_any_data(random.Random(5))
         counts = {t: CountTable(1, 2, 3, 4) for t in TREATMENTS}
         with_counts = ExperimentData({t: ct.normalized() for t, ct in counts.items()}, counts)
-        assert data.table(ad_hoc) is data.table(TREATMENTS[0]) is data.tables[ad_hoc]
+        # a table is built when read: equal, with an equal hash, at every read
+        assert data.table(ad_hoc) == data.table(TREATMENTS[0]) == data.tables[ad_hoc]
+        assert hash(data.table(ad_hoc)) == hash(data.table(TREATMENTS[0])) == hash(data.tables[ad_hoc])
         assert with_counts.count(ad_hoc) is with_counts.count(TREATMENTS[0])
         assert {ad_hoc: "x"}[TREATMENTS[0]] == "x" and ad_hoc in set(TREATMENTS)
         for t in TREATMENTS:

@@ -5,12 +5,12 @@ Each record has a hand-written ``__init__``; the shared base gives the frozen
 ``__repr__`` over the fields that ``__init__`` takes, in order. A joint
 table, a CHSH report and a distribution store their fields as integers in one
 slot each (``scaled_cells``, ``scaled_expectations``, ``scaled_weights``) and
-read each field from it. Attributes derived once (``key``, ``index``, a data
-set's ``scaled_cells``, ``response``, ``delta``, ``max_delta``, a CHSH
-report's ``scaled_sums``, ``argmax_patterns`` and ``classification``, a
-z-test's ``z_statistic``, ``p_value``, ``reject`` and ``degenerate``, a
-model's ``tables`` and thresholds, and a feasibility result's ``feasible`` and
-``certificate``) stay out of all three.
+read each field from it; a data set stores its tables so, in ``scaled_cells``.
+Attributes derived once (``key``, ``index``, ``response``, ``delta``,
+``max_delta``, a CHSH report's ``scaled_sums``, ``argmax_patterns`` and
+``classification``, a z-test's ``z_statistic``, ``p_value``, ``reject`` and
+``degenerate``, a model's ``tables`` and thresholds, and a feasibility
+result's ``feasible`` and ``certificate``) stay out of all three.
 """
 
 import copy
@@ -107,10 +107,11 @@ REPRS = {
     ),
 }
 
-# The slot that stores each such record's fields, and integers to set it to: four cells of 1/4, the expectations
-# 1/2, 0, 0 and 0, and sixteen weights of 1/16.
+# The slot that stores each such record's fields, and integers to set it to: four cells of 1/4, sixteen, the
+# expectations 1/2, 0, 0 and 0, and sixteen weights of 1/16.
 STORED = {
     JointTable: ("scaled_cells", (1, 1, 1, 1, 4)),
+    ExperimentData: ("scaled_cells", (1,) * 16 + (4,)),
     ChshReport: ("scaled_expectations", (1, 0, 0, 0, 2)),
     HiddenStateDistribution: ("scaled_weights", (1,) * 16 + (16,)),
 }
@@ -189,10 +190,13 @@ def test_fields_are_the_init_parameters_and_other_slots_stay_out_of_repr_and_equ
         changed = copy.copy(record)
         if cls in STORED and name == STORED[cls][0]:  # the slot that stores the fields: changing it changes them
             object.__setattr__(changed, name, STORED[cls][1])
+            if cls is ExperimentData:  # the sample's counts do not normalize to the new cells, which __init__ refuses
+                object.__setattr__(changed, "counts", None)
             assert changed != record and repr(changed) != repr(record)
             assert changed == cls(*changed._values())
             assert changed._values() == {
                 JointTable: (Fraction(1, 4),) * 4,
+                ExperimentData: (dict.fromkeys(TREATMENTS, JointTable(*[Fraction(1, 4)] * 4)), None, None, False),
                 ChshReport: (dict(zip(TREATMENTS, (Fraction(1, 2), 0, 0, 0))),),
                 HiddenStateDistribution: ((Fraction(1, 16),) * 16,),
             }[cls]

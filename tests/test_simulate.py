@@ -190,14 +190,14 @@ class TestModelTables:
             assert model.tables is model.tables
             assert pushed == [uniform]  # none while sampling
 
-    def test_a_model_builds_one_experiment_and_four_tables(self, tables_built):
-        # the push-forward's cells and the mix are integers; only the model's own tables are records
+    def test_a_model_builds_one_experiment_and_no_table_through_its_constructor(self, tables_built):
+        # the push-forward's cells and the mix are integers, handed to each table as integers
         uniform = uniform_distribution()
         cross = {t: (1, -1) for t in TREATMENTS}
         for build in (lambda: Model(uniform), lambda: Model(hidden=uniform, eta=Fraction(1, 5), cross_map=cross)):
             tables_built.clear()
             build()
-            assert tables_built == ["JointTable"] * 4 + ["ExperimentData"]
+            assert tables_built == ["ExperimentData"]
 
     def test_thresholds_are_the_ceilings_of_the_contract(self):
         # seeded selective and contaminated models; a cumulative cell times 2^53 that is not an integer is rounded up
