@@ -47,7 +47,7 @@ class ChshReport(_Record):
 
     __slots__ = ("scaled_expectations", "scaled_sums", "argmax_patterns", "classification")
     _fields = ("expectations",)
-    _canonical = "scaled_expectations"
+    _canonical = ("scaled_expectations",)
     scaled_expectations: tuple[int, int, int, int, int]
     scaled_sums: tuple[int, ...]
     argmax_patterns: tuple[str, ...]

@@ -30,7 +30,6 @@ from .model import (
     ExperimentData,
     Rational,
     _Record,
-    _tables,
     decode_signs,
     fraction_text,
     over_common_denominator,
@@ -58,7 +57,7 @@ class HiddenStateDistribution(_Record):
 
     __slots__ = ("scaled_weights",)
     _fields = ("weights",)
-    _canonical = "scaled_weights"
+    _canonical = ("scaled_weights",)
     scaled_weights: tuple[int, ...]
 
     def __init__(self, weights: tuple[Rational, ...]) -> None:
@@ -101,7 +100,7 @@ def _push_forward(dist: HiddenStateDistribution) -> tuple[int, ...]:
 
 def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
     """Push the state distribution forward to one joint table per treatment, from the integer cells."""
-    return ExperimentData(tables=_tables(_push_forward(dist)))
+    return ExperimentData.__new__(ExperimentData)._hold([_push_forward(dist)])
 
 
 class FacetViolation(_Record):

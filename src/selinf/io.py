@@ -29,6 +29,8 @@ appears only with counts); the two must agree unless
 ``independent_counts`` is set (for published rounded estimates shipped
 alongside sample sizes). Probability cells must sum to exactly 1 unless
 ``renormalize`` is set, which accepts sums within +-0.01 and rescales.
+The parser reads each cell once, checks it on integers, and passes each
+block's integers to ``ExperimentData._hold``, which sets the experiment.
 Decimal exponents beyond +-1000, count tables of more than 2**53
 observations, and 16 cells whose least common denominator exceeds 10**2000
 (after renormalizing) are bad cells; ``analyze`` checks that cap on any data
@@ -59,14 +61,13 @@ from .model import (
     TREATMENTS,
     CountTable,
     ExperimentData,
-    JointTable,
     LabelSet,
     Rational,
     _Record,
     echo,
     fraction_text,
+    integer_ratio,
     printable,
-    rational,
 )
 from .selectivity import (
     MarginalComparison,
@@ -80,8 +81,6 @@ from .selectivity import (
 PROB_KEYS = ("pp", "pm", "mp", "mm")
 _COUNT_BLOCK_KEYS = frozenset({*PROB_KEYS, "n"})
 _PROB_BLOCK_KEYS = frozenset({*PROB_KEYS, "counts"})
-
-RENORMALIZE_WINDOW = Fraction(1, 100)
 
 
 def _load(text: str, what: str) -> Mapping[str, Any]:
@@ -125,47 +124,45 @@ def _parse_count_cells(block: Any, key: str) -> CountTable:
     return counts
 
 
-def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> JointTable:
-    """Four probability cells, read and checked by ``JointTable``; the parser rereads them only if it rejects them."""
-    values = [block[ck] for ck in PROB_KEYS]
-    try:
-        return JointTable(*values)  # it rejects every value json gives but a number or a string
-    except InvalidValue:
-        pass
-    cells = []
-    for ck, v in zip(PROB_KEYS, values):
-        if type(v) not in (str, int, float):  # the types json gives, so not bool
-            raise ParseError(f"treatment {key}: cell {ck} must be numeric, got {echo(v)}")
+def _parse_prob_cells(block: Mapping[str, Any], key: str, renormalize: bool) -> tuple[int, ...]:
+    """Four probability cells, each read once, as integers over their least common denominator L, then L (or S,
+    their sum, if renormalized)."""
+    ratios = []
+    for ck in PROB_KEYS:
+        if type(block[ck]) not in (str, int, float):  # the types json gives, so not bool
+            raise ParseError(f"treatment {key}: cell {ck} must be numeric, got {echo(block[ck])}")
         try:
-            cells.append(rational(v))
+            ratios.append(integer_ratio(block[ck]))
         except InvalidValue as exc:
             raise ParseError(f"treatment {key}: cell {ck}: {exc}") from exc
-    for ck, f in zip(PROB_KEYS, cells):
-        if f < 0 or f > 1:
+    for ck, (p, q) in zip(PROB_KEYS, ratios):
+        if not 0 <= p <= q:
             raise ParseError(f"treatment {key}: cell {ck} = {echo(block[ck])} outside [0, 1]")
-    total = sum(cells)  # at most 4, so float(total) cannot overflow
-    if renormalize and abs(total - 1) <= RENORMALIZE_WINDOW:
-        return JointTable(*(c / total for c in cells))  # each c <= total, so still in [0, 1]
+    lcd = math.lcm(*[q for _, q in ratios])
+    cells = [p * (lcd // q) for p, q in ratios]
+    total = sum(cells)  # at most 4 L, so total / L cannot overflow
+    if total == lcd or renormalize and abs(total - lcd) * 100 <= lcd:
+        return (*cells, total)  # each cell at most S, so still in [0, 1]
     why = ", beyond the +-0.01 renormalization window" if renormalize else '; set "renormalize" to accept near-1 sums'
-    raise ParseError(f"treatment {key}: cells sum to {printable(total)} (~{float(total):.4f}){why}")
+    raise ParseError(f"treatment {key}: cells sum to {printable(Fraction(total, lcd))} (~{total / lcd:.4f}){why}")
 
 
 def _parse_block(
     block: Any, key: str, renormalize: bool
-) -> tuple[JointTable, Optional[CountTable]]:
+) -> tuple[tuple[int, ...], Optional[CountTable]]:
     if not isinstance(block, Mapping):
         raise ParseError(f"treatment {key}: block must be a JSON object")
     is_count = [type(block.get(ck)) is int for ck in PROB_KEYS]  # JSON integers, not booleans
     if all(is_count):
         counts = _parse_count_cells(block, key)
-        return counts.normalized(), counts
+        return (*counts.cells(), counts.n), counts
     _check_cell_keys(block, key, _PROB_BLOCK_KEYS)
     if any(is_count):
         raise ParseError(
             f"treatment {key}: mix of integer (count) and fractional (probability) cells"
         )
-    table = _parse_prob_cells(block, key, renormalize)
-    return table, _parse_count_cells(block["counts"], key) if "counts" in block else None
+    cells = _parse_prob_cells(block, key, renormalize)
+    return cells, _parse_count_cells(block["counts"], key) if "counts" in block else None
 
 
 def _parse_labels(raw: Any) -> LabelSet:
@@ -200,22 +197,18 @@ def parse_experiment(text: str) -> ExperimentData:
     independent = doc.get("independent_counts", False)
     blocks = doc["treatments"]
     _reject_unknown(blocks, {t.key for t in TREATMENTS}, "unknown treatment keys")
-    tables = {}
+    held = []
     counts = {}
     for t in TREATMENTS:
         if t.key not in blocks:
             raise ParseError(f"treatment block {t.key!r} is missing")
-        tables[t], count = _parse_block(blocks[t.key], t.key, renormalize)
+        cells, count = _parse_block(blocks[t.key], t.key, renormalize)
+        held.append(cells)
         if count is not None:
             counts[t] = count
     labels = _parse_labels(doc["labels"]) if "labels" in doc else None
     try:
-        data = ExperimentData(
-            tables=tables,
-            counts=counts or None,
-            labels=labels,
-            independent_counts=independent,
-        )
+        data = ExperimentData.__new__(ExperimentData)._hold(held, counts or None, labels, independent)
         return _check_common_denominator(data)
     except InvalidValue as exc:
         raise ParseError(str(exc)) from exc

@@ -17,9 +17,10 @@ reads plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
 ``Fraction`` of that pair. A ``JointTable`` checks its cells' pairs and holds
 the four over their L, its ``scaled_cells``, as a CHSH report holds its
 expectations and a hidden-state distribution its weights, ``scaled_weights``;
-a field is a ``Fraction`` built when read. ``ExperimentData`` holds only its
-16 cells over one L and builds each table when read; a cell s/L matches its
-count c of n when ``s * n == c * L``. The cap check, CHSH sums and class,
+a field is a ``Fraction`` built when read. ``ExperimentData._hold``, the one
+place that sets an experiment, puts integer runs over one L, and the data hold
+only those 16 cells and L, building each table when read; a cell s/L matches
+its count c of n when ``s * n == c * L``. The cap check, CHSH sums and class,
 marginals and their deltas, the simplex and the witness check read that vector
 and compare integers, with no gcd per step; ``fraction_text`` prints p/q as
 ``str(Fraction(p, q))`` does. Other report values are Fractions, built once.
@@ -150,12 +151,12 @@ class _Record:
     ``__init__`` with ``object.__setattr__``. Equality, hash, repr and
     ``__reduce__`` cover the fields named in ``_fields``, the ``__init__``
     parameters in order; attributes derived once, such as ``key``, stay out.
-    Equality compares only the slot ``_canonical`` names, if any: the fields as integers in lowest terms.
+    Equality compares only the slots that ``_canonical`` names, if any: the fields as integers in lowest terms.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _canonical = ""
+    _canonical: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,8 +170,8 @@ class _Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._canonical:  # builds no Fraction
-            return getattr(self, self._canonical) == getattr(other, self._canonical)
+        if self._canonical:  # builds no Fraction and no table
+            return all(getattr(self, name) == getattr(other, name) for name in self._canonical)
         return self._values() == other._values()
 
     def __hash__(self) -> int:
@@ -272,7 +273,7 @@ class JointTable(_Record):
 
     __slots__ = ("scaled_cells",)
     _fields = _CELL_FIELDS
-    _canonical = "scaled_cells"
+    _canonical = ("scaled_cells",)
     scaled_cells: tuple[int, int, int, int, int]
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
@@ -345,25 +346,21 @@ class LabelSet(_Record):
         return self.responses.get(level)
 
 
-def _tables(scaled: tuple[int, ...]) -> dict[Treatment, JointTable]:
-    """The four tables of 16 cells over L, then L: each treatment's four and L, put in lowest terms by ``_hold``."""
-    *cells, lcd = scaled
-    return {t: JointTable.__new__(JointTable)._hold(*cells[4 * t.index : 4 * t.index + 4], lcd) for t in TREATMENTS}
-
-
 class ExperimentData(_Record):
     """The four joint tables of one experiment, optionally with counts and labels.
 
     The data hold only ``scaled_cells``, the 16 cells in order as integers over
     their least common denominator L, then L; ``tables`` and ``table(t)`` build
-    each ``JointTable`` when read. When ``counts`` are present each table must
-    equal its count table normalized, checked as ``s * n == c * L`` (see
+    each ``JointTable`` when read. ``_hold`` sets all four slots, from the
+    parser, the sampler, the push-forward, a model or ``__init__``, which checks
+    only the treatment keys. When ``counts`` are present each table must equal
+    its count table normalized, checked as ``s * n == c * L`` (see
     ``JointTable``), unless ``independent_counts`` marks the probabilities as
     supplied separately from the counts (e.g. published rounded estimates
     alongside the sample size).
     """
 
-    __slots__ = ("scaled_cells", "counts", "labels", "independent_counts")
+    __slots__ = _canonical = ("scaled_cells", "counts", "labels", "independent_counts")
     _fields = ("tables", "counts", "labels", "independent_counts")
     scaled_cells: tuple[int, ...]
 
@@ -371,36 +368,49 @@ class ExperimentData(_Record):
         self, tables: Mapping[Treatment, JointTable], counts: Optional[Mapping[Treatment, CountTable]] = None,
         labels: Optional[LabelSet] = None, independent_counts: bool = False,
     ) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "independent_counts", independent_counts)
         found = set(tables)
         if found != set(TREATMENTS):
             missing = [t.key for t in TREATMENTS if t not in found]
             if missing:
                 raise InvalidValue(f"missing treatments: {missing}")
             raise InvalidValue("tables must be keyed by the four treatments")
-        held = [tables[t].scaled_cells for t in TREATMENTS]
-        lcd = math.lcm(*[cells[4] for cells in held])
-        scaled = (*[v * (lcd // cells[4]) for cells in held for v in cells[:4]], lcd)
-        object.__setattr__(self, "scaled_cells", scaled)
         if counts is not None:
             if set(counts) - set(TREATMENTS):
                 raise InvalidValue("counts keyed by unknown treatments")
             counts = {t: counts[t] for t in TREATMENTS if t in counts} or None
-            if counts and not independent_counts:
-                for t, ct in counts.items():  # cell s/L is count c/n when s * n == c * L
-                    if any(s * ct.n != c * lcd for s, c in zip(scaled[4 * t.index : 4 * t.index + 4], ct.cells())):
-                        normalized = ", ".join(map(str, ct.normalized().cells()))
-                        table = ", ".join(map(printable, tables[t].cells()))
-                        raise InvalidValue(
-                            f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
-                        )
-        object.__setattr__(self, "counts", counts)
+        self._hold([tables[t].scaled_cells for t in TREATMENTS], counts, labels, independent_counts)
 
-    tables = property(lambda self: _tables(self.scaled_cells))  # each JointTable built when read
+    def _hold(
+        self, held: list[tuple[int, ...]], counts: Optional[dict[Treatment, CountTable]] = None,
+        labels: Optional[LabelSet] = None, independent_counts: bool = False,
+    ) -> "ExperimentData":
+        """The one place that sets the data, from integer runs that each end in a positive denominator: four
+        tables' (n_pp, n_pm, n_mp, n_mm, L), or one vector of 16 cells and L. Counts are None or in treatment order."""
+        lcd = math.lcm(*[run[-1] for run in held])
+        scaled = [v * (lcd // run[-1]) for run in held for v in run[:-1]]
+        g = math.gcd(lcd, *scaled)  # 1 when each run is in lowest terms; counts or renormalized cells may share one
+        if g > 1:
+            scaled, lcd = [v // g for v in scaled], lcd // g
+        object.__setattr__(self, "scaled_cells", (*scaled, lcd))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "independent_counts", independent_counts)
+        if counts and not independent_counts:
+            for t, ct in counts.items():  # cell s/L is count c/n when s * n == c * L
+                if any(s * ct.n != c * lcd for s, c in zip(scaled[4 * t.index : 4 * t.index + 4], ct.cells())):
+                    normalized = ", ".join(map(str, ct.normalized().cells()))
+                    table = ", ".join(map(printable, self.table(t).cells()))
+                    raise InvalidValue(
+                        f"treatment {t.key}: counts normalize to {normalized} but table says {table}"
+                    )
+        return self
+
+    tables = property(lambda self: {t: self.table(t) for t in TREATMENTS})  # each JointTable built when read
 
     def table(self, treatment: Treatment) -> JointTable:
-        return self.tables[treatment]
+        """The treatment's four cells and L, put in lowest terms by ``JointTable._hold``."""
+        cells, k = self.scaled_cells, 4 * treatment.index
+        return JointTable.__new__(JointTable)._hold(*cells[k : k + 4], cells[16])
 
     def count(self, treatment: Treatment) -> Optional[CountTable]:
         if self.counts is None:

@@ -80,7 +80,6 @@ from .model import (
     Rational,
     Treatment,
     _Record,
-    _tables,
     decode_signs,
     echo,
     exceeds_common_denominator_cap,
@@ -199,7 +198,7 @@ class Model(_Record):
         *cells, lcd = _push_forward(hidden)
         forced = {4 * t.index + CELLS.index(pair) for t, pair in (cross_map or {}).items()}
         mixed, lcd = [e * lcd * (k in forced) + (d - e) * c for k, c in enumerate(cells)], d * lcd
-        object.__setattr__(self, "tables", ExperimentData(tables=_tables((*mixed, lcd))))
+        object.__setattr__(self, "tables", ExperimentData.__new__(ExperimentData)._hold([(*mixed, lcd)]))
         # per treatment, ceil(cumulative * 2^53) per cell, which depends only on the rational; the last is exactly 2^53
         object.__setattr__(self, "_thresholds", [
             [-((-cum << 53) // lcd) for cum in accumulate(mixed[k : k + 4])] for k in range(0, 16, 4)
@@ -261,9 +260,6 @@ def sample_counts(model: Model, spec: SampleSpec) -> ExperimentData:
     """
     root = SplitMix64(spec.seed)
     streams = [(root.next_uint64(), thresholds) for thresholds in model._thresholds]
-    tables = {}
-    counts = {}
-    for t, tally in zip(TREATMENTS, _tallies(spec.n_per_treatment, streams)):
-        counts[t] = CountTable(*tally)
-        tables[t] = counts[t].normalized()
-    return ExperimentData(tables=tables, counts=counts)
+    tallies = _tallies(spec.n_per_treatment, streams)
+    counts = {t: CountTable(*tally) for t, tally in zip(TREATMENTS, tallies)}
+    return ExperimentData.__new__(ExperimentData)._hold([(*tally, spec.n_per_treatment) for tally in tallies], counts)

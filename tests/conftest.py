@@ -49,14 +49,20 @@ def full_tableau_runs(monkeypatch):
 
 @pytest.fixture
 def tables_built(monkeypatch):
-    """A list that grows by the class name of each ``ExperimentData`` and ``JointTable`` constructed."""
+    """A list that grows by the class name of each ``ExperimentData`` and ``JointTable`` constructed, and by
+    "ExperimentData._hold" or "JointTable._hold" at each call of the method that sets its record."""
     built = []
     for cls in (ExperimentData, JointTable):
         def counted(self, *args, original=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             original(self, *args, **kwargs)
 
+        def held(self, *args, original=cls._hold, **kwargs):
+            built.append(f"{type(self).__name__}._hold")
+            return original(self, *args, **kwargs)
+
         monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "_hold", held)
     return built
 
 

@@ -264,9 +264,16 @@ MUTANTS = (
     ),
     (
         "equality ignores the last cell and L",
-        "src/selinf/model.py", "return getattr(self, self._canonical) == getattr(other, self._canonical)",
-        "return getattr(self, self._canonical)[:3] == getattr(other, self._canonical)[:3]",
+        "src/selinf/model.py", "getattr(self, name) == getattr(other, name)",
+        "getattr(self, name)[:3] == getattr(other, name)[:3]",
         ("tests/test_cell_vector.py::TestTablesHoldIntegers::test_equality_reads_the_integers_and_agrees_with_the_cells",),
+    ),
+    (
+        "data equality ignores counts",
+        "src/selinf/model.py", '__slots__ = _canonical = ("scaled_cells", "counts", "labels", "independent_counts")',
+        '__slots__ = ("scaled_cells", "counts", "labels", "independent_counts")\n'
+        '    _canonical = ("scaled_cells", "labels", "independent_counts")',
+        ("tests/test_cell_vector.py::test_data_equality_reads_the_four_slots_and_builds_no_table",),
     ),
     (
         "parse_model lets the model's InvalidValue through",
@@ -345,12 +352,35 @@ MUTANTS = (
     ),
     (
         "a table read from the data keeps the data's L",
-        "src/selinf/model.py", "JointTable.__new__(JointTable)._hold(*cells[4 * t.index : 4 * t.index + 4], lcd)",
-        '(lambda table: object.__setattr__(table, "scaled_cells", (*cells[4 * t.index : 4 * t.index + 4], lcd)) or table)'
+        "src/selinf/model.py", "JointTable.__new__(JointTable)._hold(*cells[k : k + 4], cells[16])",
+        '(lambda table: object.__setattr__(table, "scaled_cells", (*cells[k : k + 4], cells[16])) or table)'
         "(JointTable.__new__(JointTable))",
         (
             "tests/test_cell_vector.py::test_the_cells_are_held_once_and_each_table_is_built_when_read",
             "tests/test_cell_vector.py::test_every_route_stores_each_table_over_its_own_common_denominator",
+        ),
+    ),
+    (
+        "the renormalization window is 1/99 wide",
+        "src/selinf/io.py", "abs(total - lcd) * 100 <= lcd", "abs(total - lcd) * 99 <= lcd",
+        ("tests/test_io.py::TestPinnedCellMessages::test_block",),
+    ),
+    (
+        "a renormalized block keeps its cells' L",
+        "src/selinf/io.py", "return (*cells, total)", "return (*cells, lcd)",
+        (
+            "tests/test_io.py::TestParseExperiment::test_sum_not_one_without_flag",
+            "tests/test_io.py::TestPinnedCellMessages::test_block",
+        ),
+    ),
+    (
+        "the data's gcd is skipped",
+        "src/selinf/model.py", "g = math.gcd(lcd, *scaled)", "g = 1",
+        (
+            VECTOR_CHECK,
+            "tests/test_cell_vector.py::test_every_route_stores_the_cells_over_their_common_denominator",
+            "tests/test_io.py::TestReportJson::test_schema_valid_documents_the_program_never_writes_are_rejected",
+            "tests/test_io.py::TestReportJson::test_every_corpus_report_round_trips_with_and_without_its_witness",
         ),
     ),
     (

@@ -33,6 +33,7 @@ from selinf.model import (
     CountTable,
     ExperimentData,
     JointTable,
+    LabelSet,
     _Record,
     over_common_denominator,
 )
@@ -69,6 +70,10 @@ def every_route():
     rng = random.Random(12)
     for name in FIXTURE_NAMES:
         yield parse_experiment(load_fixture_text(name))
+    # blocks whose integers share a factor with their denominator: even counts, and the cells .3, .3, .3 and .09,
+    # renormalized to 30, 30, 30 and 9 over their sum 99
+    for block in ({"pp": 2, "pm": 2, "mp": 0, "mm": 4}, {"pp": ".3", "pm": ".3", "mp": ".3", "mm": ".09"}):
+        yield parse_experiment(json.dumps({"treatments": {t.key: block for t in TREATMENTS}, "renormalize": True}))
     hidden = random_hidden_distribution(rng)
     contaminated = Model(hidden, Fraction(1, 7), dict(zip(TREATMENTS, CELLS)))
     yield predicted_tables(hidden)
@@ -145,6 +150,53 @@ def test_the_cells_are_held_once_and_each_table_is_built_when_read():
         assert data.tables == data.tables and data.tables is not data.tables
 
 
+def test_no_route_builds_a_table_until_one_is_read(tables_built):
+    # each route hands its integers to ExperimentData._hold; reading table(t) then builds that one table
+    hidden = random_hidden_distribution(random.Random(37))
+    cross = dict(zip(TREATMENTS, CELLS))
+    model = Model(hidden, Fraction(1, 7), cross)
+    counts = {"pp": 3, "pm": 1, "mp": 0, "mm": 4}
+    blocks = [
+        {"pp": ".25", "pm": ".25", "mp": ".25", "mm": ".25"},
+        counts,
+        {"pp": "3/8", "pm": "1/8", "mp": "0", "mm": "1/2", "counts": counts},
+        {"pp": ".5", "pm": ".5", "mp": ".01", "mm": "0"},  # renormalized
+    ]
+    texts = [json.dumps({"treatments": dict.fromkeys([t.key for t in TREATMENTS], b), "renormalize": True}) for b in blocks]
+    builds = [lambda text=text: parse_experiment(text) for text in texts] + [
+        lambda: sample_counts(model, SampleSpec(n_per_treatment=97, seed=5)),
+        lambda: predicted_tables(hidden),
+        lambda: Model(hidden).tables,
+        lambda: Model(hidden, Fraction(1, 7), cross).tables,
+    ]
+    for build in builds:
+        tables_built.clear()
+        data = build()
+        assert tables_built == ["ExperimentData._hold"]
+        tables_built.clear()
+        table = data.table(TREATMENTS[2])
+        assert tables_built == ["JointTable._hold"]
+        assert table == JointTable(*[Fraction(c, data.scaled_cells[16]) for c in data.scaled_cells[8:12]])
+
+
+def test_data_equality_reads_the_four_slots_and_builds_no_table(tables_built, fractions_built):
+    others = {
+        "scaled_cells": (1,) * 16 + (4,),
+        "counts": {TREATMENTS[0]: CountTable(1, 1, 1, 1)},
+        "labels": LabelSet(factors={"alpha": "x"}),
+    }
+    for name in FIXTURE_NAMES:
+        first, second = parse_experiment(load_fixture_text(name)), parse_experiment(load_fixture_text(name))
+        tables_built.clear()
+        fractions_built.clear()
+        assert first == second and first is not second
+        assert tables_built == fractions_built == []
+        for slot, other in {**others, "independent_counts": not first.independent_counts}.items():
+            changed = copy.copy(first)
+            object.__setattr__(changed, slot, other)
+            assert changed != second and second != changed
+
+
 @pytest.mark.parametrize(
     "cells",
     [
@@ -199,9 +251,9 @@ def lcd_calls(monkeypatch):
 
 
 def test_parsing_reuses_each_block_denominator_for_the_16_cells(lcd_calls):
-    # each JointTable puts its four cells over their L while it checks their
-    # sum, and ExperimentData takes the lcm of those four, so parsing never
-    # puts values over a common denominator again
+    # the parser puts each block's four cells over their L while it checks
+    # their sum, and ExperimentData._hold takes the lcm of those four, so
+    # parsing never puts values over a common denominator again
     for name in FIXTURE_NAMES:
         lcd_calls.clear()
         data = parse_experiment(load_fixture_text(name))

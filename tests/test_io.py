@@ -72,24 +72,22 @@ class TestParseExperiment:
         for t in TREATMENTS:
             assert data.table(t) == uniform_table()
 
-    def test_each_probability_cell_is_read_once_unless_its_table_is_rejected(self, monkeypatch):
-        # JointTable reads every cell; the parser reads again only the cells of a
-        # table it rejects, here the a',b block, and hands the renormalized Fractions back
-        original = selinf.model.integer_ratio
+    def test_each_probability_cell_is_read_once(self, monkeypatch):
+        # the parser reads every cell once, the a',b block's too, which it renormalizes on the integers it read
+        original = selinf.io.integer_ratio
         calls = []
 
         def counting(value):
             calls.append(value)
             return original(value)
 
-        monkeypatch.setattr(selinf.model, "integer_ratio", counting)
+        monkeypatch.setattr(selinf.io, "integer_ratio", counting)
         doc = uniform_doc()
         doc["treatments"]["a',b"] = {"pp": ".778", "pm": ".086", "mp": ".086", "mm": ".049"}
         doc["renormalize"] = True
         data = parse_experiment(json.dumps(doc))
-        renormalized = [Fraction(c, 999) for c in (778, 86, 86, 49)]
-        assert len(calls) == 24 and calls[8:20] == [".778", ".086", ".086", ".049"] * 2 + renormalized
-        assert calls[:8] + calls[20:] == [UNIFORM_BLOCK[ck] for ck in PROB_KEYS] * 3
+        assert len(calls) == 16 and calls[8:12] == [".778", ".086", ".086", ".049"]
+        assert calls[:8] + calls[12:] == [UNIFORM_BLOCK[ck] for ck in PROB_KEYS] * 3
         assert data.table(TREATMENTS[2]).cells() == tuple(
             Fraction(c, 999) for c in (778, 86, 86, 49)
         )
@@ -449,6 +447,14 @@ PINNED_BLOCKS = [
     (
         [".5", ".489", "0", "0"], True,
         (ParseError, "treatment a,b: cells sum to 989/1000 (~0.9890), beyond the +-0.01 renormalization window"),
+    ),
+    (
+        [".5", ".5", ".010001", "0"], True,
+        (ParseError, "treatment a,b: cells sum to 1010001/1000000 (~1.0100), beyond the +-0.01 renormalization window"),
+    ),
+    (
+        [".5", ".489999", "0", "0"], True,
+        (ParseError, "treatment a,b: cells sum to 989999/1000000 (~0.9900), beyond the +-0.01 renormalization window"),
     ),
     (
         [".5", ".5", ".01", "0"], False,

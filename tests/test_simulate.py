@@ -191,13 +191,13 @@ class TestModelTables:
             assert pushed == [uniform]  # none while sampling
 
     def test_a_model_builds_one_experiment_and_no_table_through_its_constructor(self, tables_built):
-        # the push-forward's cells and the mix are integers, handed to each table as integers
+        # the push-forward's cells and the mix are integers, handed to the data's _hold as integers; no __init__ runs
         uniform = uniform_distribution()
         cross = {t: (1, -1) for t in TREATMENTS}
         for build in (lambda: Model(uniform), lambda: Model(hidden=uniform, eta=Fraction(1, 5), cross_map=cross)):
             tables_built.clear()
             build()
-            assert tables_built == ["ExperimentData"]
+            assert tables_built == ["ExperimentData._hold"]
 
     def test_thresholds_are_the_ceilings_of_the_contract(self):
         # seeded selective and contaminated models; a cumulative cell times 2^53 that is not an integer is rounded up
