@@ -168,8 +168,9 @@ def _selftest_checks():
         if report.marginals.satisfied:
             problems.append("marginal selectivity should be violated")
         comp = report.marginals.comparisons[2]  # B at b
-        if (comp.p_under_first, comp.p_under_second) != (Fraction(1, 2), Fraction(2, 5)):
-            problems.append(f"B at b: {comp.p_under_first} vs {comp.p_under_second}, expected 1/2 vs 2/5")
+        found = (comp.p_under_first, comp.p_under_second, comp.delta)
+        if found != (Fraction(1, 2), Fraction(2, 5), Fraction(1, 10)):
+            problems.append(f"B at b: {found[0]} vs {found[1]}, delta {found[2]}, expected 1/2 vs 2/5, delta 1/10")
         if report.feasibility.feasible:
             problems.append("should be infeasible")
         elif not isinstance(report.feasibility.certificate, MarginalComparison):

@@ -14,13 +14,14 @@ read from the caller's reports of the same data) that provably excludes
 every mixture. Fine's theorem guarantees that this fixed family, the four
 marginal comparisons and the eight facets, each named by its sign pattern, is
 complete for this design, and ``fine_criterion`` provides that closed form as
-an independent cross-check. A witness holds phase 1's integers, and a facet is
-tested on the CHSH report's integer sums.
+an independent cross-check. A witness holds phase 1's integers; a facet is
+tested on the CHSH report's integer sums and holds its own, in lowest terms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -31,7 +32,9 @@ from .model import (
     Rational,
     _Record,
     decode_signs,
+    echo,
     fraction_text,
+    integer_ratio,
     over_common_denominator,
     printable,
     rational,
@@ -104,13 +107,25 @@ def predicted_tables(dist: HiddenStateDistribution) -> ExperimentData:
 
 
 class FacetViolation(_Record):
-    """A CHSH facet, named by its sign pattern such as "+++-", whose signed sum exceeds the classical bound 2."""
+    """A CHSH facet, named by a sign pattern such as "+++-", whose sum exceeds 2: held as ``scaled_value``."""
 
-    __slots__ = _fields = ("pattern", "value")
+    __slots__ = ("pattern", "scaled_value")
+    _fields = ("pattern", "value")
+    _canonical = ("pattern", "scaled_value")
+    scaled_value: tuple[int, int]
 
-    def __init__(self, pattern: str, value: Fraction) -> None:
+    def __init__(self, pattern: str, value: Rational) -> None:
+        if pattern not in SIGN_PATTERNS:  # compared by ==, so any value gets this error
+            raise InvalidValue(f"unknown sign pattern {echo(pattern)}, expected one of {', '.join(SIGN_PATTERNS)}")
+        self._hold(pattern, *integer_ratio(value))
+
+    def _hold(self, pattern: str, v: int, lcd: int) -> "FacetViolation":  # the one place that sets the sum
+        g = math.gcd(v, lcd)
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "scaled_value", (v // g, lcd // g))
+        return self
+
+    value = property(lambda self: Fraction(*self.scaled_value))
 
 
 Certificate = Union[MarginalComparison, FacetViolation]
@@ -144,9 +159,10 @@ class FeasibilityResult(_Record):
 
 def fine_violations(chsh: ChshReport, marginals: MarginalReport) -> list[Certificate]:
     """All violated conditions: marginal inequalities first, then CHSH facets."""
-    violations: list[Certificate] = [c for c in marginals.comparisons if c.delta > 0]
-    lcd = chsh.scaled_expectations[4]  # each facet's sum v / L > 2 on integers, a Fraction built only for a violation
-    violations += [FacetViolation(p, Fraction(v, lcd)) for p, v in zip(SIGN_PATTERNS, chsh.scaled_sums) if v > 2 * lcd]
+    violations: list[Certificate] = [c for c in marginals.comparisons if c.scaled_marginals[0] != c.scaled_marginals[1]]
+    lcd = chsh.scaled_expectations[4]  # each facet's sum v / L > 2 on integers
+    sums = zip(SIGN_PATTERNS, chsh.scaled_sums)
+    violations += [FacetViolation.__new__(FacetViolation)._hold(p, v, lcd) for p, v in sums if v > 2 * lcd]
     return violations
 
 
@@ -171,7 +187,7 @@ def solve_feasibility(
     violated conditions in ``marginals`` and ``chsh``, the reports of the
     same data, which Fine's theorem makes complete for this design.
     """
-    if marginals.max_delta == 0:
+    if marginals.scaled_max_delta[0] == 0:
         found = feasible_point(data.scaled_cells)
         if found is not None:  # y = L x and L share no factor: it would divide L and each cell, a sum of y
             witness = HiddenStateDistribution.__new__(HiddenStateDistribution)._hold(*found, data.scaled_cells[16])

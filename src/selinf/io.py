@@ -314,30 +314,27 @@ REPORT_FORMAT = "selinf-analysis/1"
 
 
 def _comparison_to_dict(comp: MarginalComparison) -> dict[str, Any]:
+    a1, a2, lcd = comp.scaled_marginals
     return {
         "response": comp.response,
         "fixed_level": comp.fixed_level,
-        "p_under_first": str(comp.p_under_first),
-        "p_under_second": str(comp.p_under_second),
-        "delta": str(comp.delta),
+        "p_under_first": fraction_text(a1, lcd),
+        "p_under_second": fraction_text(a2, lcd),
+        "delta": fraction_text(abs(a1 - a2), lcd),
     }
 
 
 def _certificate_to_dict(cert: Union[MarginalComparison, FacetViolation]) -> dict[str, Any]:
     if isinstance(cert, FacetViolation):
-        return {
-            "kind": "chsh_facet",
-            "pattern": cert.pattern,
-            "value": str(cert.value),
-        }
+        return {"kind": "chsh_facet", "pattern": cert.pattern, "value": fraction_text(*cert.scaled_value)}
     return {"kind": "marginal", **_comparison_to_dict(cert)}
 
 
 def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -> dict[str, Any]:
     """Machine rendering; every rational is an exact fraction string."""
-    chsh = report.chsh
+    chsh, feas = report.chsh, report.feasibility
     lcd = chsh.scaled_expectations[4]
-    out: dict[str, Any] = {
+    return {
         "format": REPORT_FORMAT,
         "chsh": {
             "expectations": {t.key: fraction_text(e, lcd) for t, e in zip(TREATMENTS, chsh.scaled_expectations)},
@@ -348,25 +345,12 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
             "classification": chsh.classification,
         },
         "marginal_selectivity": {
-            "tolerance": str(report.marginals.tolerance),
+            "tolerance": fraction_text(*report.marginals.scaled_tolerance),
             "satisfied": report.marginals.satisfied,
-            "max_delta": str(report.marginals.max_delta),
-            "comparisons": [
-                _comparison_to_dict(c) for c in report.marginals.comparisons
-            ],
+            "max_delta": fraction_text(*report.marginals.scaled_max_delta),
+            "comparisons": [_comparison_to_dict(c) for c in report.marginals.comparisons],
         },
-        "statistical_tests": None,
-        "feasibility": {
-            "verdict": "feasible" if report.feasibility.feasible else "infeasible",
-            "witness": None,
-            "certificate": None,
-            "all_violations": [
-                _certificate_to_dict(c) for c in report.feasibility.all_violations
-            ],
-        },
-    }
-    if report.ms_tests is not None:
-        out["statistical_tests"] = [
+        "statistical_tests": None if report.ms_tests is None else [
             {
                 "comparison": _comparison_to_dict(r.comparison),
                 "n_first": r.n_first,
@@ -378,14 +362,14 @@ def report_to_json_dict(report: AnalysisReport, include_witness: bool = False) -
                 "degenerate": r.degenerate,
             }
             for r in report.ms_tests
-        ]
-    if include_witness and report.feasibility.witness is not None:
-        out["feasibility"]["witness"] = dict(report.feasibility.witness.nonzero_texts())
-    if report.feasibility.certificate is not None:
-        out["feasibility"]["certificate"] = _certificate_to_dict(
-            report.feasibility.certificate
-        )
-    return out
+        ],
+        "feasibility": {
+            "verdict": "feasible" if feas.feasible else "infeasible",
+            "witness": dict(feas.witness.nonzero_texts()) if include_witness and feas.witness is not None else None,
+            "certificate": None if feas.certificate is None else _certificate_to_dict(feas.certificate),
+            "all_violations": [_certificate_to_dict(c) for c in feas.all_violations],
+        },
+    }
 
 
 _LAZY = {"parse_model": "simulate"} | dict.fromkeys(  # names only some commands use: each loads its module when read

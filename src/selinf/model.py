@@ -10,7 +10,7 @@ as ".049" parse to the exact rational 49/1000, so equality checks downstream
 (witness round-trips, criterion equivalences) are bit-exact rather than
 tolerance-based.
 
-Data, CHSH reports and witnesses hold integers: numerators over their least
+Data and every report record hold integers: numerators over their least
 common denominator L (``over_common_denominator``), then L. ``integer_ratio``
 reads plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
 ``int`` and ``math.gcd``, the rest with ``Fraction``; ``rational`` is the
@@ -23,7 +23,7 @@ only those 16 cells and L, building each table when read; a cell s/L matches
 its count c of n when ``s * n == c * L``. The cap check, CHSH sums and class,
 marginals and their deltas, the simplex and the witness check read that vector
 and compare integers, with no gcd per step; ``fraction_text`` prints p/q as
-``str(Fraction(p, q))`` does. Other report values are Fractions, built once.
+``str(Fraction(p, q))`` does. A report builds a ``Fraction`` only when read.
 """
 
 from __future__ import annotations

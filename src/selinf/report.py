@@ -19,14 +19,13 @@ def _fmt(p: int, q: int) -> str:
 
 
 def _comparison_line(comp: MarginalComparison, labels: Optional[LabelSet]) -> str:
-    other_first, other_second = (
-        ("b", "b'") if comp.response == "A" else ("a", "a'")
-    )
+    other_first, other_second = ("b", "b'") if comp.response == "A" else ("a", "a'")
+    a1, a2, lcd = comp.scaled_marginals
     line = (
         f"{comp.response} at {comp.fixed_level:2s}: "
-        f"Pr(+1|{other_first}) = {_fmt(*comp.p_under_first.as_integer_ratio())}  vs  "
-        f"Pr(+1|{other_second}) = {_fmt(*comp.p_under_second.as_integer_ratio())}  "
-        f"delta = {_fmt(*comp.delta.as_integer_ratio())}"
+        f"Pr(+1|{other_first}) = {_fmt(a1, lcd)}  vs  "
+        f"Pr(+1|{other_second}) = {_fmt(a2, lcd)}  "
+        f"delta = {_fmt(abs(a1 - a2), lcd)}"
     )
     if labels is not None:
         pair = labels.response_pair(comp.fixed_level)
@@ -56,8 +55,8 @@ def render_report_text(
     ms = report.marginals
     verdict = "satisfied" if ms.satisfied else "VIOLATED"
     lines.append(
-        f"Marginal selectivity (tolerance {ms.tolerance}): {verdict}"
-        f" (max delta {_fmt(*ms.max_delta.as_integer_ratio())})"
+        f"Marginal selectivity (tolerance {fraction_text(*ms.scaled_tolerance)}): {verdict}"
+        f" (max delta {_fmt(*ms.scaled_max_delta)})"
     )
     for comp in ms.comparisons:
         lines.append("  " + _comparison_line(comp, labels))
@@ -91,11 +90,11 @@ def render_report_text(
 
 def describe_certificate(cert: Union[MarginalComparison, FacetViolation]) -> str:
     if isinstance(cert, FacetViolation):
-        return f"CHSH facet {cert.pattern} = {_fmt(*cert.value.as_integer_ratio())} > 2"
+        return f"CHSH facet {cert.pattern} = {_fmt(*cert.scaled_value)} > 2"
+    a1, a2, lcd = cert.scaled_marginals
     return (
         f"marginal comparison {cert.response} at {cert.fixed_level}: "
-        f"{_fmt(*cert.p_under_first.as_integer_ratio())} vs {_fmt(*cert.p_under_second.as_integer_ratio())}"
-        f" (delta {_fmt(*cert.delta.as_integer_ratio())} > 0)"
+        f"{_fmt(a1, lcd)} vs {_fmt(a2, lcd)} (delta {_fmt(abs(a1 - a2), lcd)} > 0)"
     )
 
 

@@ -2,11 +2,11 @@
 
 If each response depends only on its own factor (plus shared randomness),
 the distribution of A cannot move when beta's level changes, nor B's when
-alpha's does. That gives four equalities of Pr(response = +1), one per level
-of a factor: at a and a' A is compared across b and b', at b and b' B across
-a and a'. So the level names the comparison and fixes its response. They are
-checked here exactly or within a tolerance, and tested statistically with a
-two-sample pooled-proportion z-test when per-treatment counts are available.
+alpha's does: four equalities of Pr(response = +1), one per level of a factor
+(A at a and a' across b and b', B at b and b' across a and a'), so the level
+names the comparison. They are checked exactly or within a tolerance on the
+marginals as integers over one denominator, with ``Fraction``s built only when
+read, and tested by a pooled two-proportion z-test when counts are available.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from fractions import Fraction
 from .errors import InvalidValue
 from .model import (
     LEVELS,
+    MAX_COMMON_DENOMINATOR,
     TREATMENTS,
     ExperimentData,
     Rational,
     Treatment,
     _Record,
     echo,
-    exceeds_common_denominator_cap,
+    integer_ratio,
     printable,
-    rational,
 )
 
 
@@ -33,25 +33,41 @@ class MarginalComparison(_Record):
 
     At alpha's level L the response is A: p_under_first is Pr(A=+1) under
     (L, b) and p_under_second under (L, b'); at beta's level L the response
-    is B and the roles of the factors swap. ``response``, "A" or "B", and
-    ``delta``, the absolute difference, are set once; delta is
-    |a1 b2 - a2 b1| / (b1 b2) on the two integer pairs a1/b1 and a2/b2.
+    is B and the roles of the factors swap. ``response``, "A" or "B", is set
+    once. The two are held as ``scaled_marginals``, a1, a2 and L in lowest
+    terms; they and ``delta`` = |a1 - a2| / L are ``Fraction``s built when read.
     """
 
-    __slots__ = ("fixed_level", "p_under_first", "p_under_second", "response", "delta")
+    __slots__ = ("fixed_level", "scaled_marginals", "response")
     _fields = ("fixed_level", "p_under_first", "p_under_second")
+    _canonical = ("fixed_level", "scaled_marginals")
+    scaled_marginals: tuple[int, int, int]
     response: str
-    delta: Fraction
 
-    def __init__(self, fixed_level: str, p_under_first: Fraction, p_under_second: Fraction) -> None:
-        object.__setattr__(self, "fixed_level", fixed_level)
-        object.__setattr__(self, "p_under_first", p_under_first)
-        object.__setattr__(self, "p_under_second", p_under_second)
+    def __init__(self, fixed_level: str, p_under_first: Rational, p_under_second: Rational) -> None:
         if fixed_level not in LEVELS:  # compared by ==, so any value gets this error
             raise InvalidValue(f"unknown level {echo(fixed_level)}, expected one of {', '.join(LEVELS)}")
+        ratios = [integer_ratio(p_under_first), integer_ratio(p_under_second)]
+        for name, (p, q) in zip(self._fields[1:], ratios):
+            if not 0 <= p <= q:
+                raise InvalidValue(f"{name} = {printable(Fraction(p, q))} outside [0, 1]")
+        (a1, b1), (a2, b2) = ratios
+        self._hold(fixed_level, a1 * b2, a2 * b1, b1 * b2)
+
+    def _hold(self, fixed_level: str, a1: int, a2: int, lcd: int) -> "MarginalComparison":  # the one place that sets it
+        g = math.gcd(a1, a2, lcd)
+        object.__setattr__(self, "fixed_level", fixed_level)
+        object.__setattr__(self, "scaled_marginals", (a1 // g, a2 // g, lcd // g))
         object.__setattr__(self, "response", "A" if fixed_level in LEVELS[:2] else "B")
-        (a1, b1), (a2, b2) = p_under_first.as_integer_ratio(), p_under_second.as_integer_ratio()
-        object.__setattr__(self, "delta", Fraction(abs(a1 * b2 - a2 * b1), b1 * b2))
+        return self
+
+    p_under_first = property(lambda self: Fraction(self.scaled_marginals[0], self.scaled_marginals[2]))
+    p_under_second = property(lambda self: Fraction(self.scaled_marginals[1], self.scaled_marginals[2]))
+
+    @property
+    def delta(self) -> Fraction:
+        a1, a2, lcd = self.scaled_marginals
+        return Fraction(abs(a1 - a2), lcd)
 
     @property
     def treatments(self) -> tuple[Treatment, Treatment]:
@@ -74,31 +90,41 @@ _COMPARISON_SLOTS = {
 
 class MarginalReport(_Record):
     """The four marginal comparisons, at a, a', b and b' in that order, plus the
-    satisfied/violated verdict; ``max_delta`` is set once.
-
-    The tolerance is nonnegative, and a tolerance whose numerator or
-    denominator exceeds 10**2000 is rejected, as table cells are.
+    satisfied/violated verdict, which cross-multiplies two integer pairs set once:
+    ``scaled_tolerance`` and ``scaled_max_delta``, read as ``Fraction``s by
+    ``tolerance`` and ``max_delta``. The tolerance, read by ``integer_ratio``, is
+    nonnegative, and one whose numerator or denominator exceeds 10**2000 is
+    rejected, as table cells are.
     """
 
-    __slots__ = ("comparisons", "tolerance", "max_delta")
+    __slots__ = ("comparisons", "scaled_tolerance", "scaled_max_delta")
     _fields = ("comparisons", "tolerance")
-    max_delta: Fraction
+    _canonical = ("comparisons", "scaled_tolerance")
+    scaled_tolerance: tuple[int, int]
+    scaled_max_delta: tuple[int, int]
 
-    def __init__(self, comparisons: tuple[MarginalComparison, ...], tolerance: Fraction) -> None:
+    def __init__(self, comparisons: tuple[MarginalComparison, ...], tolerance: Rational) -> None:
         object.__setattr__(self, "comparisons", tuple(comparisons))
-        object.__setattr__(self, "tolerance", tolerance)
         if tuple(c.fixed_level for c in self.comparisons) != LEVELS:
             levels = echo([c.fixed_level for c in self.comparisons])
             raise InvalidValue(f"comparisons must be at a, a', b, b' in that order, got {levels}")
-        if exceeds_common_denominator_cap([tolerance]):  # checked first: the sign error prints it
+        p, q = integer_ratio(tolerance)
+        if max(q, abs(p)) > MAX_COMMON_DENOMINATOR:  # checked first: the sign error prints it
             raise InvalidValue("tolerance: numerator or denominator exceeds 10**2000")
-        if tolerance < 0:
-            raise InvalidValue(f"tolerance must be nonnegative, got {printable(tolerance)}")
-        object.__setattr__(self, "max_delta", max(c.delta for c in self.comparisons))
+        if p < 0:
+            raise InvalidValue(f"tolerance must be nonnegative, got {printable(Fraction(p, q))}")
+        object.__setattr__(self, "scaled_tolerance", (p, q))
+        scaled = [c.scaled_marginals for c in self.comparisons]  # the deltas over their least common denominator
+        lcd = math.lcm(*[s for _, _, s in scaled])
+        object.__setattr__(self, "scaled_max_delta", (max([abs(a1 - a2) * (lcd // s) for a1, a2, s in scaled]), lcd))
+
+    tolerance = property(lambda self: Fraction(*self.scaled_tolerance))
+    max_delta = property(lambda self: Fraction(*self.scaled_max_delta))
 
     @property
     def satisfied(self) -> bool:
-        return self.max_delta <= self.tolerance
+        (d, lcd), (p, q) = self.scaled_max_delta, self.scaled_tolerance
+        return d * q <= p * lcd
 
 
 def check_marginal_selectivity(
@@ -108,18 +134,17 @@ def check_marginal_selectivity(
 
     tolerance 0 is the exact check; a positive rational accepts deltas up to
     it, and ``MarginalReport`` checks it. Marginals are summed on
-    ``data.scaled_cells``, the cells as integers over their common denominator.
+    ``data.scaled_cells``: a comparison holds two sums and L, reduced by one gcd.
     """
     cells, lcd = data.scaled_cells, data.scaled_cells[16]
     # Pr(A=+1) = p_pp + p_pm and Pr(B=+1) = p_pp + p_mp per treatment, times L; A is compared at a and a'
     plus_a = [cells[k] + cells[k + 1] for k in range(0, 16, 4)]
     plus_b = [cells[k] + cells[k + 2] for k in range(0, 16, 4)]
-    as_fraction = {m: Fraction(m, lcd) for m in {*plus_a, *plus_b}}  # once per distinct value
-    comparisons = tuple(
-        MarginalComparison(level, *(as_fraction[plus[t.index]] for t in pair))
-        for (level, pair), plus in zip(_COMPARISON_SLOTS.items(), (plus_a, plus_a, plus_b, plus_b))
-    )
-    return MarginalReport(comparisons=comparisons, tolerance=rational(tolerance))
+    comparisons = [
+        MarginalComparison.__new__(MarginalComparison)._hold(level, plus[first.index], plus[second.index], lcd)
+        for (level, (first, second)), plus in zip(_COMPARISON_SLOTS.items(), (plus_a, plus_a, plus_b, plus_b))
+    ]
+    return MarginalReport(comparisons, tolerance)
 
 
 def significance_level(alpha_sig: float) -> None:
@@ -154,7 +179,9 @@ class MsTestResult(_Record):
         significance_level(alpha_sig)
         if not all(type(n) is int and n > 0 for n in (n_first, n_second)):  # so not bool
             raise InvalidValue(f"sample sizes must be positive integers, got {echo(n_first)} and {echo(n_second)}")
-        (a1, b1), (a2, b2) = comparison.p_under_first.as_integer_ratio(), comparison.p_under_second.as_integer_ratio()
+        a1, a2, lcd = comparison.scaled_marginals
+        g1, g2 = math.gcd(a1, lcd), math.gcd(a2, lcd)  # each proportion in lowest terms: the underflow root reads them
+        a1, b1, a2, b2 = a1 // g1, lcd // g1, a2 // g2, lcd // g2
         # p1 - p2 = diff / (b1 b2) and (p1 n1 + p2 n2) / (n1 + n2) = pooled / total; int / int rounds as float() does
         diff = a1 * b2 - a2 * b1
         pooled = a1 * b2 * n_first + a2 * b1 * n_second

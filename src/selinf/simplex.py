@@ -47,8 +47,9 @@ at the basis of the pivot columns, whose point is T(Lb) itself.
 
 Only the ratio test reads the data. The entering column depends only on the
 state: the sign mask (the rows where T(Lb) < 0) and the rows left so far,
-one integer. ``STEPS`` caches, per state, the column or, at the end, the
-basis, and along cached states phase 1 pivots only the right-hand side. From
+one integer. ``STEPS`` caches, per state, the column's nonzero (row, entry)
+pairs or, at the end, the basis, and along cached states phase 1 pivots only
+the right-hand side, in those rows alone, objective included. From
 the first state not cached, one run of the full tableau serves and records
 the rest: a miss costs one full phase 1. The cache has no cap and evicts
 nothing: from the 128 sign masks that valid data gives, phase 1 reaches
@@ -105,13 +106,14 @@ def _phase_one(rhs: list[int]) -> Optional[list[int]]:
         if step is None:  # a state not cached has no cached successor: the full tableau serves the rest
             tableau = tableau or _tableau_steps(ROWS, mask, path)
             step = STEPS[state] = next(tableau)
-        column, order = step
-        if column is None:
+        pairs, order = step
+        if pairs is None:
             break
         # the least ratio values / 1; on a tie the first, the smaller basic variable
         leaving = min(order, key=values.__getitem__)
         lead = values[leaving]
-        values = [v - f * lead if f else v for v, f in zip(values, column)]
+        for i, f in pairs:  # the column's nonzero entries, objective row included
+            values[i] -= f * lead
         values[leaving] = lead
         path.append(leaving)
         state = state * (m + 1) + leaving
@@ -146,7 +148,7 @@ def _tableau_steps(rows: Sequence[Sequence[int]], mask: int, path: list[int]) ->
                 raise AssertionError("phase-1 objective cannot be unbounded")
             if any(column[i] != 1 for i in order):
                 raise AssertionError("phase-1 pivots must be 1")
-            yield column, order
+            yield tuple((i, f) for i, f in enumerate(column) if f), order
         row = path[taken]  # pivot on 1 in the row that leaves: only the other rows change
         changed = [(j, w) for j, w in enumerate(tableau[row]) if w]
         for i, other in enumerate(tableau):

@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SIMPLEX = "src/selinf/simplex.py"
+SELECTIVITY = "src/selinf/selectivity.py"
+STATE_GRAPH = "tests/test_simplex.py::TestStateGraph::"
 STEPS = "tests/test_simplex.py::TestStepCache::"
 MASKS = "tests/test_simplex.py::TestCondensedTableau::test_same_point_as_the_full_tableau_under_every_sign_mask"
 BATCH = "tests/test_feasibility.py::TestCondensedTableau::test_selective_batch_cases"
@@ -60,7 +62,7 @@ MUTANTS = (
     (
         "Bland enters the largest improving label",
         SIMPLEX, "labels.index(min(improving))", "labels.index(max(improving))",
-        (MASKS, BATCH, ORACLE, SMALL_GRID, "tests/test_simplex.py::TestStateGraph::test_size_depth_and_unit_pivots"),
+        (MASKS, BATCH, ORACLE, SMALL_GRID, STATE_GRAPH + "test_size_depth_and_unit_pivots"),
     ),
     (
         "the mask counts zero as negative",
@@ -223,12 +225,33 @@ MUTANTS = (
         ("tests/test_cli.py::TestWitnessMatchesAnalyze::test_json_is_the_reports_verdict_and_witness_or_certificate",),
     ),
     (
-        "the delta cross-multiplies the wrong terms",
-        "src/selinf/selectivity.py", "abs(a1 * b2 - a2 * b1)", "abs(a1 * b1 - a2 * b2)",
+        "a public comparison cross-multiplies the wrong terms",
+        SELECTIVITY, "a1 * b2, a2 * b1, b1 * b2", "a1 * b1, a2 * b2, b1 * b2",
         (
-            "tests/test_selectivity.py::TestExactCheck::test_delta_invariant_under_recoding",
-            "tests/test_selectivity.py::TestExactCheck::test_zero_correlation_tables_still_violate",
+            "tests/test_integer_route.py::test_a_delta_is_the_fraction_difference",
+            "tests/test_selectivity.py::TestExactCheck::test_a_comparison_reads_its_probabilities_as_rationals",
+            HOLD + "test_records_are_the_records_their_fractions_build",
         ),
+    ),
+    (
+        "a comparison is not reduced by its gcd",
+        SELECTIVITY, "g = math.gcd(a1, a2, lcd)", "g = 1",
+        (HOLD + "test_records_are_the_records_their_fractions_build",),
+    ),
+    (
+        "satisfied compares only numerators",
+        SELECTIVITY, "return d * q <= p * lcd", "return d <= p",
+        ("tests/test_selectivity.py::TestExactCheck::test_tolerance_widening_is_monotone",),
+    ),
+    (
+        "the sparse step drops the objective row",
+        SIMPLEX, "for i, f in enumerate(column) if f)", "for i, f in enumerate(column[:m]) if f)",
+        (MASKS, BATCH, STATE_GRAPH + "test_each_step_is_the_nonzero_entries_of_the_dense_entering_column"),
+    ),
+    (
+        "the sparse step keeps only positive entries",
+        SIMPLEX, "for i, f in enumerate(column) if f)", "for i, f in enumerate(column) if f > 0)",
+        (MASKS, BATCH, STATE_GRAPH + "test_each_step_is_the_nonzero_entries_of_the_dense_entering_column"),
     ),
     (
         "the count check cross-multiplies the wrong terms",
@@ -240,7 +263,7 @@ MUTANTS = (
     ),
     (
         "alpha_sig = 0 is accepted",
-        "src/selinf/selectivity.py", "if not 0 < alpha_sig < 1:", "if not 0 <= alpha_sig < 1:",
+        SELECTIVITY, "if not 0 < alpha_sig < 1:", "if not 0 <= alpha_sig < 1:",
         ("tests/test_selectivity.py::TestZTest::test_alpha_out_of_range_rejected",),
     ),
     (

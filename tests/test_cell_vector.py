@@ -25,7 +25,7 @@ from selinf.chsh import ChshReport, compute_gamma
 from selinf.cli import FIXTURE_NAMES, load_fixture_text
 from selinf.errors import ParseError
 from selinf.feasibility import FacetViolation, HiddenStateDistribution, predicted_tables, solve_feasibility
-from selinf.io import AnalysisReport, parse_experiment, report_to_json_dict, serialize_experiment
+from selinf.io import analyze, parse_experiment, report_to_json_dict, serialize_experiment
 from selinf.model import (
     CELLS,
     MAX_COMMON_DENOMINATOR,
@@ -37,7 +37,8 @@ from selinf.model import (
     _Record,
     over_common_denominator,
 )
-from selinf.selectivity import check_marginal_selectivity
+from selinf.report import render_report_text
+from selinf.selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
 from selinf.simulate import Model, SampleSpec, sample_counts
 
 from conftest import (
@@ -380,64 +381,99 @@ class TestTablesHoldIntegers:
 
 
 class TestReportsHoldIntegers:
-    """A CHSH report and a witness keep the integers they are computed from: the Fractions are built when read."""
+    """Every record of a report keeps the integers it is computed from: the Fractions are built when read."""
 
     @pytest.fixture(scope="class")
     def items(self):
         """The benchmark's selective-batch pool at seed 301, through the experiment document."""
         return [parse_experiment(serialize_experiment(data)) for data in selective_batch_cases()]
 
-    def test_gamma_the_solver_and_the_json_render_build_no_fraction(self, items, fractions_built):
-        infeasible = 0
-        for data in items:
-            fractions_built.clear()
-            chsh = compute_gamma(data)
-            assert fractions_built == []
-            marginals = check_marginal_selectivity(data)
-            fractions_built.clear()
-            result = solve_feasibility(data, chsh, marginals)
-            # only a violated facet's value is built, for its FacetViolation
-            assert len(fractions_built) == sum(isinstance(c, FacetViolation) for c in result.all_violations)
-            infeasible += not result.feasible
-            fractions_built.clear()
-            report_to_json_dict(AnalysisReport(chsh, marginals, None, result), include_witness=True)
-            assert fractions_built == []
-        assert 0 < infeasible < len(items) / 10
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        """The shipped goldens: marginal violations, a facet at 4 and counted tables with z-tests."""
+        return [parse_experiment(load_fixture_text(name)) for name in FIXTURE_NAMES]
 
-    def test_reading_builds_the_fractions(self, items, fractions_built):
+    def test_analyze_and_its_renderings_build_no_fraction(self, items, goldens, fractions_built):
+        violations = {FacetViolation: 0, MarginalComparison: 0}
+        for data in items + goldens:
+            text = serialize_experiment(data)
+            fractions_built.clear()
+            report = analyze(parse_experiment(text), "1/100")
+            report_to_json_dict(report, include_witness=True)
+            render_report_text(report, include_witness=True)
+            assert fractions_built == []
+            for cert in report.feasibility.all_violations:
+                violations[type(cert)] += 1
+        assert violations[FacetViolation] > 0 and violations[MarginalComparison] > 0
+
+    def test_reading_builds_the_fractions(self, items, goldens, fractions_built):
         chsh = compute_gamma(items[0])
         witness = solve_feasibility(items[0], chsh, check_marginal_selectivity(items[0])).witness
         *expectations, lcd = chsh.scaled_expectations
         *weights, total = witness.scaled_weights
+        marginals = check_marginal_selectivity(goldens[0], "1/10")
+        comp = marginals.comparisons[2]
+        a1, a2, scale = comp.scaled_marginals
+        facet = analyze(goldens[1]).feasibility.certificate
         for read, built in (
             (lambda: chsh.expectations, [(e, lcd) for e in expectations]),
             (lambda: chsh.sums, [(v, lcd) for v in chsh.scaled_sums]),
             (lambda: chsh.gamma, [(max(chsh.scaled_sums), lcd)]),
             (lambda: witness.weights, [(w, total) for w in weights]),
+            (lambda: comp.p_under_first, [(a1, scale)]),
+            (lambda: comp.p_under_second, [(a2, scale)]),
+            (lambda: comp.delta, [(abs(a1 - a2), scale)]),
+            (lambda: marginals.max_delta, [marginals.scaled_max_delta]),
+            (lambda: marginals.tolerance, [(1, 10)]),
+            (lambda: facet.value, [(4, 1)]),
         ):
             fractions_built.clear()
             read()
             assert fractions_built == built
 
-    def test_records_are_the_records_their_fractions_build(self, items):
-        for data in items + [parse_experiment(load_fixture_text(name)) for name in FIXTURE_NAMES]:
+    def test_records_are_the_records_their_fractions_build(self, items, goldens):
+        def assert_public(record, public):
+            assert record == public and repr(record) == repr(public) and pickle.dumps(record) == pickle.dumps(public)
+            for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+                assert clone == record and repr(clone) == repr(record)
+
+        for data in items + goldens:
             chsh = compute_gamma(data)
             public = ChshReport(chsh.expectations)
-            assert chsh == public and repr(chsh) == repr(public) and pickle.dumps(chsh) == pickle.dumps(public)
+            assert_public(chsh, public)
             assert chsh.scaled_expectations == public.scaled_expectations and chsh.scaled_sums == public.scaled_sums
             assert chsh.sums == public.sums and chsh.gamma == public.gamma
             assert (chsh.argmax_patterns, chsh.classification) == (public.argmax_patterns, public.classification)
             with pytest.raises(TypeError):
                 hash(chsh)
-            witness = solve_feasibility(data, chsh, check_marginal_selectivity(data)).witness
+            for tolerance in (0, Fraction(1, 100)):
+                marginals = check_marginal_selectivity(data, tolerance)
+                comparisons = [MarginalComparison(*c._values()) for c in marginals.comparisons]
+                for comp, public in zip(marginals.comparisons, comparisons):
+                    assert_public(comp, public)
+                    assert hash(comp) == hash(public) == hash((comp.fixed_level, comp.p_under_first, comp.p_under_second))
+                    assert comp.scaled_marginals == public.scaled_marginals and comp.response == public.response
+                public = MarginalReport(comparisons, marginals.tolerance)
+                assert_public(marginals, public)
+                assert hash(marginals) == hash(public) == hash((marginals.comparisons, marginals.tolerance))
+                assert (marginals.scaled_tolerance, marginals.scaled_max_delta) == (
+                    public.scaled_tolerance, public.scaled_max_delta
+                )
+                assert marginals.max_delta == max(c.delta for c in marginals.comparisons)
+            result = solve_feasibility(data, chsh, marginals)
+            for facet in result.all_violations:
+                if isinstance(facet, FacetViolation):
+                    public = FacetViolation(facet.pattern, facet.value)
+                    assert_public(facet, public)
+                    assert hash(facet) == hash(public) == hash((facet.pattern, facet.value))
+                    assert facet.scaled_value == public.scaled_value
+            witness = result.witness
             if witness is None:
                 continue
             public = HiddenStateDistribution(witness.weights)
-            assert witness == public and hash(witness) == hash(public) == hash((public.weights,))
-            assert repr(witness) == repr(public) and pickle.dumps(witness) == pickle.dumps(public)
+            assert_public(witness, public)
+            assert hash(witness) == hash(public) == hash((public.weights,))
             assert witness.scaled_weights == public.scaled_weights
-            for clone in (pickle.loads(pickle.dumps(witness)), copy.copy(witness), copy.deepcopy(witness)):
-                assert clone == witness and clone.scaled_weights == witness.scaled_weights
 
 
 class TestCountTablesNormalize:

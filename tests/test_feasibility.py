@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from selinf import simplex
-from selinf.chsh import ChshReport, compute_gamma
+from selinf.chsh import SIGN_PATTERNS, ChshReport, compute_gamma
 from selinf.errors import InvalidValue, SelinfError
 from selinf.feasibility import (
     HIDDEN_STATES,
@@ -188,6 +188,29 @@ class TestSolveFeasibility:
         assert isinstance(result.certificate, FacetViolation)
         assert result.certificate.pattern == sign_pattern(1, 1, 1, -1)
         assert result.certificate.value == 4
+
+    @pytest.mark.parametrize(
+        "pattern, value, message",
+        [
+            ("xyz", "5/2", "unknown sign pattern 'xyz', expected one of " + ", ".join(SIGN_PATTERNS)),
+            ("++++", 4, "unknown sign pattern '++++', expected one of " + ", ".join(SIGN_PATTERNS)),
+            ("+" * 10**5, 4, "unknown sign pattern '" + "+" * 59 + "... (100,002 characters), expected one of "
+             + ", ".join(SIGN_PATTERNS)),
+            ("+++-", "x", "cannot interpret 'x' as a rational"),
+            ("+++-", True, "cannot interpret True as a rational"),
+        ],
+        ids=["not-a-pattern", "even-plus", "long", "not-a-rational", "bool"],
+    )
+    def test_a_facet_violation_needs_a_pattern_and_a_rational(self, pattern, value, message):
+        with pytest.raises(InvalidValue) as caught:
+            FacetViolation(pattern, value)
+        assert str(caught.value) == message and len(message.encode()) < 200
+
+    def test_a_facet_violation_reads_its_value_as_a_rational(self):
+        for value in ("5/2", 2.5, "10/4", Fraction(5, 2)):
+            facet = FacetViolation("+++-", value)
+            assert facet.value == Fraction(5, 2) and facet.scaled_value == (5, 2)
+            assert facet == FacetViolation("+++-", Fraction(5, 2))
 
     def test_marginal_violation_blocks_despite_zero_gamma(self, table1):
         result = analyze(table1).feasibility

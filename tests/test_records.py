@@ -3,14 +3,17 @@
 Each record has a hand-written ``__init__``; the shared base gives the frozen
 ``__setattr__``/``__delattr__`` and an ``__eq__``, ``__hash__`` and
 ``__repr__`` over the fields that ``__init__`` takes, in order. A joint
-table, a CHSH report and a distribution store their fields as integers in one
-slot each (``scaled_cells``, ``scaled_expectations``, ``scaled_weights``) and
-read each field from it; a data set stores its tables so, in ``scaled_cells``.
-Attributes derived once (``key``, ``index``, ``response``, ``delta``,
-``max_delta``, a CHSH report's ``scaled_sums``, ``argmax_patterns`` and
-``classification``, a z-test's ``z_statistic``, ``p_value``, ``reject`` and
-``degenerate``, a model's ``tables`` and thresholds, and a feasibility
-result's ``feasible`` and ``certificate``) stay out of all three.
+table, a CHSH report, a distribution, a marginal comparison, a marginal
+report and a facet violation store their rational fields as integers in one
+slot each (``scaled_cells``, ``scaled_expectations``, ``scaled_weights``,
+``scaled_marginals``, ``scaled_tolerance``, ``scaled_value``) and read each
+field from it; a data set stores its tables so, in ``scaled_cells``.
+Attributes derived once (``key``, ``index``, ``response``, a marginal
+report's ``scaled_max_delta``, a CHSH report's ``scaled_sums``,
+``argmax_patterns`` and ``classification``, a z-test's ``z_statistic``,
+``p_value``, ``reject`` and ``degenerate``, a model's ``tables`` and
+thresholds, and a feasibility result's ``feasible`` and ``certificate``) stay
+out of all three.
 """
 
 import copy
@@ -107,13 +110,17 @@ REPRS = {
     ),
 }
 
-# The slot that stores each such record's fields, and integers to set it to: four cells of 1/4, sixteen, the
-# expectations 1/2, 0, 0 and 0, and sixteen weights of 1/16.
+# The slot that stores each such record's rational fields, and integers to set it to: four cells of 1/4, sixteen,
+# the expectations 1/2, 0, 0 and 0, sixteen weights of 1/16, the marginals 1/4 and 0, the tolerance 1/10 and the
+# facet sum 3.
 STORED = {
     JointTable: ("scaled_cells", (1, 1, 1, 1, 4)),
     ExperimentData: ("scaled_cells", (1,) * 16 + (4,)),
     ChshReport: ("scaled_expectations", (1, 0, 0, 0, 2)),
     HiddenStateDistribution: ("scaled_weights", (1,) * 16 + (16,)),
+    MarginalComparison: ("scaled_marginals", (1, 0, 4)),
+    MarginalReport: ("scaled_tolerance", (1, 10)),
+    FacetViolation: ("scaled_value", (3, 1)),
 }
 
 records = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -199,6 +206,9 @@ def test_fields_are_the_init_parameters_and_other_slots_stay_out_of_repr_and_equ
                 ExperimentData: (dict.fromkeys(TREATMENTS, JointTable(*[Fraction(1, 4)] * 4)), None, None, False),
                 ChshReport: (dict(zip(TREATMENTS, (Fraction(1, 2), 0, 0, 0))),),
                 HiddenStateDistribution: ((Fraction(1, 16),) * 16,),
+                MarginalComparison: ("a", Fraction(1, 4), Fraction(0)),
+                MarginalReport: (SAMPLES[MarginalReport]().comparisons, Fraction(1, 10)),
+                FacetViolation: (SIGN_PATTERNS[0], Fraction(3)),
             }[cls]
         else:
             object.__setattr__(changed, name, object())

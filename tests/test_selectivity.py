@@ -87,6 +87,50 @@ class TestExactCheck:
         assert len(str(caught.value).encode()) < 200
 
     @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (2, Fraction(1, 3), "p_under_first = 2 outside [0, 1]"),
+            (Fraction(1, 2), Fraction(-1, 3), "p_under_second = -1/3 outside [0, 1]"),
+            (Fraction(10**5000 + 1, 10**5000), 0, "p_under_first = 1" + "0" * 59 + "... (10,002 digits) outside [0, 1]"),
+            ("x", Fraction(1, 3), "cannot interpret 'x' as a rational"),
+            (Fraction(1, 2), "1" * 10**5, "cannot interpret '" + "1" * 59 + "... (100,002 characters) as a rational"),
+            (True, Fraction(1, 3), "cannot interpret True as a rational"),
+            (None, Fraction(1, 3), "cannot interpret None as a rational"),
+        ],
+        ids=["above-one", "negative", "long", "not-a-rational", "long-text", "bool", "None"],
+    )
+    def test_a_comparison_reads_two_probabilities(self, first, second, message):
+        with pytest.raises(InvalidValue) as caught:
+            MarginalComparison("a", first, second)
+        assert str(caught.value) == message and len(message.encode()) < 200
+
+    def test_a_comparison_reads_its_probabilities_as_rationals(self):
+        expected = MarginalComparison("a", Fraction(1, 2), Fraction(1, 3))
+        for first, second in (("1/2", "1/3"), (0.5, Fraction(2, 6)), (".5", "2/6")):
+            comp = MarginalComparison("a", first, second)
+            assert comp == expected and comp.scaled_marginals == (3, 2, 6) and comp.delta == Fraction(1, 6)
+
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (True, "cannot interpret True as a rational"),
+            ("x", "cannot interpret 'x' as a rational"),
+            (None, "cannot interpret None as a rational"),
+            ([1], "cannot interpret [1] as a rational"),
+        ],
+        ids=["bool", "not-a-rational", "None", "list"],
+    )
+    def test_a_report_reads_its_tolerance_as_a_rational(self, table1, tolerance, message):
+        comparisons = check_marginal_selectivity(table1).comparisons
+        with pytest.raises(InvalidValue) as caught:
+            MarginalReport(comparisons, tolerance)
+        assert str(caught.value) == message
+        for accepted in (0.25, "1/4", ".25", 1 / 4, Fraction(1, 4)):
+            report = MarginalReport(comparisons, accepted)
+            assert report.tolerance == Fraction(1, 4) and report.scaled_tolerance == (1, 4) and report.satisfied
+            assert report == check_marginal_selectivity(table1, Fraction(1, 4))
+
+    @pytest.mark.parametrize(
         "levels", [("a", "a'", "b"), ("b'", "b", "a'", "a"), ("a",) * 4, (*LEVELS, "a"), ()],
         ids=["three", "reversed", "four-copies", "five", "none"],
     )

@@ -234,10 +234,10 @@ def state_graph():
         pending.append((mask, mask | 1 << m, path, simplex._tableau_steps(ROWS, mask, path)))
     while pending:
         mask, state, path, steps = pending.pop()
-        column, order = graph[state] = next(steps)
+        pairs, order = graph[state] = next(steps)
         depth = max(depth, len(path))
         assert len(graph) <= 7398 and depth <= 14, "the walk outgrows the graph's pinned size"
-        if column is not None:
+        if pairs is not None:
             *others, last = order
             for i in others:  # a new tableau replays the path to branch; the last row goes on with this one
                 branch = path + [i]
@@ -254,10 +254,45 @@ class TestStateGraph:
     def test_size_depth_and_unit_pivots(self):
         graph, depth = state_graph()
         assert len(graph) == 7398
-        assert sum(column is None for column, _ in graph.values()) == 4960
+        assert sum(pairs is None for pairs, _ in graph.values()) == 4960
         assert depth == 14
         # every positive entry of every entering column is 1, so every pivot is 1
-        assert all(column[i] == 1 for column, order in graph.values() if column is not None for i in order)
+        assert all(dict(pairs)[i] == 1 for pairs, order in graph.values() if pairs is not None for i in order)
+
+    def test_each_step_is_the_nonzero_entries_of_the_dense_entering_column(self):
+        # A dense tableau [S R | I] with its objective row, S the sign mask, pivoted independently along every
+        # path of the walk: at each state the step's pairs are the nonzero entries of Bland's entering column,
+        # objective row included, every pivot is 1, and a path ends where no reduced cost is positive
+        graph, _ = state_graph()
+        m, n = len(ROWS), len(ROWS[0])
+        pending = []
+        for mask in range(1 << 7):
+            rows = [[-v if mask >> i & 1 else v for v in row] + [0] * m for i, row in enumerate(ROWS)]
+            for i in range(m):  # artificial n + i starts basic in row i
+                rows[i][n + i] = 1
+            rows.append([*map(sum, zip(*rows))][:n] + [0] * m)  # the artificials' unit costs cancel
+            pending.append((mask | 1 << m, rows))
+        visited = ends = 0
+        while pending:
+            state, tableau = pending.pop()
+            pairs, order = graph[state]
+            visited += 1
+            if pairs is None:
+                assert max(tableau[m]) <= 0
+                ends += 1
+                continue
+            entering = next(j for j, v in enumerate(tableau[m]) if v > 0)
+            column = [row[entering] for row in tableau]
+            assert pairs == tuple((i, f) for i, f in enumerate(column) if f)
+            assert order and all(column[i] == 1 for i in order)
+            for leaving in order:  # a pivot on 1: each other row less its entry times the pivot row
+                pivot = tableau[leaving]
+                pivoted = [
+                    row if i == leaving else [v - row[entering] * w for v, w in zip(row, pivot)]
+                    for i, row in enumerate(tableau)
+                ]
+                pending.append((state * (m + 1) + leaving, pivoted))
+        assert (visited, ends) == (len(graph), 4960) == (7398, 4960)
 
     def test_a_nonnegative_right_hand_side_is_its_own_point(self):
         # Under sign mask 0 each entering column has one positive entry, so the
@@ -265,12 +300,12 @@ class TestStateGraph:
         # pivot columns, whose point is T (L b) itself
         graph, _ = state_graph()
         m, state, path = len(ROWS), 1 << len(ROWS), []
-        column, order = graph[state]
-        while column is not None:
+        pairs, order = graph[state]
+        while pairs is not None:
             assert len(order) == 1
             path.append(order[0])
             state = state * (m + 1) + order[0]
-            column, order = graph[state]
+            pairs, order = graph[state]
         assert path == list(range(m))
         pivots = tuple(row.index(1) for row in ROWS)  # R is in reduced row echelon form
         assert pivots == (0, 1, 2, 4, 5, 6, 8, 9, 10)
