@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidValue
-from .model import TREATMENTS, ExperimentData, Treatment, _Record, over_common_denominator, printable
+from .model import TREATMENTS, ExperimentData, Rational, Treatment, _Record, over_common_denominator, printable
 
 # The signs on (E_ab, E_ab', E_a'b, E_a'b') with an odd number of plus signs, in lexicographic order with "+" first.
 # Each has one sign unlike its other three, at i, so its sum is k (S - 2 E_i): S sums the E, k = -1 for a lone "+".
@@ -53,11 +53,11 @@ class ChshReport(_Record):
     argmax_patterns: tuple[str, ...]
     classification: str
 
-    def __init__(self, expectations: Mapping[Treatment, Fraction]) -> None:
+    def __init__(self, expectations: Mapping[Treatment, Rational]) -> None:
         values, lcd = over_common_denominator(expectations[t] for t in TREATMENTS)
         for t, v in zip(TREATMENTS, values):
             if abs(v) > lcd:
-                raise InvalidValue(f"expectation E[A*B | {t.key}] = {printable(expectations[t])} outside [-1, 1]")
+                raise InvalidValue(f"expectation E[A*B | {t.key}] = {printable(Fraction(v, lcd))} outside [-1, 1]")
         self._hold(*values, lcd)
 
     def _hold(self, *scaled: int) -> "ChshReport":  # the one place that sets the integers: in range by __init__ or data

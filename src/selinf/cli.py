@@ -189,6 +189,8 @@ def _selftest_checks():
             problems.append("should be infeasible")
         elif not isinstance(report.feasibility.certificate, FacetViolation):
             problems.append("certificate should be a CHSH facet")
+        elif report.feasibility.certificate.value != report.chsh.sums[report.feasibility.certificate.pattern]:
+            problems.append("the certificate's sum should be the CHSH report's")
         return problems
 
     def check_table3(report) -> list[str]:

@@ -37,7 +37,6 @@ from .model import (
     integer_ratio,
     over_common_denominator,
     printable,
-    rational,
 )
 from .selectivity import MarginalComparison, MarginalReport, check_marginal_selectivity
 from .simplex import feasible_point
@@ -64,10 +63,9 @@ class HiddenStateDistribution(_Record):
     scaled_weights: tuple[int, ...]
 
     def __init__(self, weights: tuple[Rational, ...]) -> None:
-        ws = [w if isinstance(w, Fraction) else rational(w) for w in weights]
-        if len(ws) != 16:
-            raise InvalidValue(f"need 16 weights, got {len(ws)}")
-        numerators, lcd = over_common_denominator(ws)
+        numerators, lcd = over_common_denominator(weights)
+        if len(numerators) != 16:
+            raise InvalidValue(f"need 16 weights, got {len(numerators)}")
         self._hold(*numerators, lcd)
 
     def _hold(self, *scaled: int) -> "HiddenStateDistribution":  # the one place that sets and checks the weights
@@ -84,10 +82,10 @@ class HiddenStateDistribution(_Record):
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Rational]) -> "HiddenStateDistribution":
         """Build from {"+-+-": weight}, states written A(a)A(a')B(b)B(b'); missing states get 0."""
-        ws = [Fraction(0)] * 16
+        ws: list[Rational] = [0] * 16
         for state, weight in mapping.items():
             decode_signs(state, 4, "hidden state string")  # the 16 states are every such string
-            ws[HIDDEN_STATES.index(state)] += rational(weight)
+            ws[HIDDEN_STATES.index(state)] = weight  # placed unread: __init__ reads each once all states decode
         return cls(tuple(ws))
 
     def nonzero_texts(self) -> Iterator[tuple[str, str]]:
@@ -168,7 +166,8 @@ def fine_violations(chsh: ChshReport, marginals: MarginalReport) -> list[Certifi
 
 def fine_criterion(data: ExperimentData) -> bool:
     """Exact marginal selectivity and all eight CHSH facets at most 2."""
-    return check_marginal_selectivity(data).satisfied and all(v <= 2 for v in compute_gamma(data).sums.values())
+    chsh = compute_gamma(data)  # each facet's sum v / L at most 2, on integers
+    return check_marginal_selectivity(data).satisfied and max(chsh.scaled_sums) <= 2 * chsh.scaled_expectations[4]
 
 
 def solve_feasibility(

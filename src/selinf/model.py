@@ -11,11 +11,12 @@ as ".049" parse to the exact rational 49/1000, so equality checks downstream
 tolerance-based.
 
 Data and every report record hold integers: numerators over their least
-common denominator L (``over_common_denominator``), then L. ``integer_ratio``
+common denominator L, then L. ``over_common_denominator`` is the one reader of
+outside rationals into them: it reads each value with ``integer_ratio``, which
 reads plain ASCII "p/q" and decimal strings as lowest-terms integer pairs with
 ``int`` and ``math.gcd``, the rest with ``Fraction``; ``rational`` is the
-``Fraction`` of that pair. A ``JointTable`` checks its cells' pairs and holds
-the four over their L, its ``scaled_cells``, as a CHSH report holds its
+``Fraction`` of that pair. A ``JointTable`` checks its cells over their L and
+holds the four, its ``scaled_cells``, as a CHSH report holds its
 expectations and a hidden-state distribution its weights, ``scaled_weights``;
 a field is a ``Fraction`` built when read. ``ExperimentData._hold``, the one
 place that sets an experiment, puts integer runs over one L, and the data hold
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import InvalidValue
 
@@ -52,12 +53,6 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # pivots on integers, the cells scaled by L; its tableau entries stay under
 # 2**22 * L (see ``simplex``), so about 2,000 digits at the cap.
 MAX_COMMON_DENOMINATOR = 10**2000
-
-
-def exceeds_common_denominator_cap(values: Collection[Fraction]) -> bool:
-    """Whether the values' least common denominator, or a numerator's magnitude, exceeds 10**2000."""
-    lcd = math.lcm(*[v.denominator for v in values])
-    return max([lcd, *[abs(v.numerator) for v in values]]) > MAX_COMMON_DENOMINATOR  # no values: lcd = 1 alone
 
 
 def _leading(n: int, count: int) -> tuple[str, int]:
@@ -88,13 +83,6 @@ def fraction_text(p: int, q: int) -> str:
     """``str(Fraction(p, q))`` for q > 0, from one gcd: "p/q" in lowest terms, or the integer alone."""
     g = math.gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
-
-
-def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over their least common denominator L, and L."""
-    ratios = [v.as_integer_ratio() for v in values]
-    lcd = math.lcm(*[q for _, q in ratios])
-    return [p * (lcd // q) for p, q in ratios], lcd
 
 
 def integer_ratio(value: Rational) -> tuple[int, int]:
@@ -135,6 +123,13 @@ def integer_ratio(value: Rational) -> tuple[int, int]:
 def rational(value: Rational) -> Fraction:
     """``value`` as an exact Fraction, read by ``integer_ratio``."""
     return Fraction(*integer_ratio(value))
+
+
+def over_common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """The values, each read by ``integer_ratio``, as integer numerators over their least common denominator L, and L."""
+    ratios = [integer_ratio(v) for v in values]
+    lcd = math.lcm(*[q for _, q in ratios])
+    return [p * (lcd // q) for p, q in ratios], lcd
 
 
 def decode_signs(text: object, length: int, what: str) -> tuple[int, ...]:
@@ -263,9 +258,9 @@ class JointTable(_Record):
     """Joint distribution of (A, B) in {+1,-1}^2 under one treatment.
 
     Cell names follow the sign coding: p_pm is Pr(A=+1, B=-1). Cells must be
-    rationals in [0, 1] summing to exactly 1, each read as an integer pair by
-    ``integer_ratio`` and checked on it. The table holds only ``scaled_cells``,
-    the four as integers over their least common denominator L, then L; each
+    rationals in [0, 1] summing to exactly 1, read by ``over_common_denominator``
+    and checked as integers over their least common denominator L. The table
+    holds only ``scaled_cells``, those four integers and L, in lowest terms; each
     cell, and ``cells()``, is a ``Fraction`` built when read. A count table
     of n observations matches it when s * n == c * L for each cell s/L and
     its count c; ``_hold`` puts the integers it is given in lowest terms.
@@ -277,14 +272,10 @@ class JointTable(_Record):
     scaled_cells: tuple[int, int, int, int, int]
 
     def __init__(self, p_pp: Rational, p_pm: Rational, p_mp: Rational, p_mm: Rational) -> None:
-        ratios = []
-        for name, v in zip(_CELL_FIELDS, (p_pp, p_pm, p_mp, p_mm)):
-            p, q = integer_ratio(v)
-            if not 0 <= p <= q:
-                raise InvalidValue(f"cell {name} = {printable(Fraction(p, q))} outside [0, 1]")
-            ratios.append((p, q))
-        lcd = math.lcm(*[q for _, q in ratios])
-        numerators = [p * (lcd // q) for p, q in ratios]
+        numerators, lcd = over_common_denominator((p_pp, p_pm, p_mp, p_mm))
+        for name, p in zip(_CELL_FIELDS, numerators):
+            if not 0 <= p <= lcd:
+                raise InvalidValue(f"cell {name} = {printable(Fraction(p, lcd))} outside [0, 1]")
         if sum(numerators) != lcd:
             raise InvalidValue(f"cells sum to {printable(Fraction(sum(numerators), lcd))}, expected exactly 1")
         self._hold(*numerators, lcd)
@@ -327,6 +318,8 @@ class LabelSet(_Record):
             object.__setattr__(self, section, mapping)
             if mapping is None:
                 continue
+            if not isinstance(mapping, Mapping):
+                raise InvalidValue(f"labels.{section} must be a mapping, got {echo(mapping)}")
             bad = set(mapping) - set(keys)
             if bad:
                 raise InvalidValue(f"unknown keys {echo(sorted(bad))} in labels.{section}")

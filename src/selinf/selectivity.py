@@ -24,6 +24,7 @@ from .model import (
     _Record,
     echo,
     integer_ratio,
+    over_common_denominator,
     printable,
 )
 
@@ -47,12 +48,11 @@ class MarginalComparison(_Record):
     def __init__(self, fixed_level: str, p_under_first: Rational, p_under_second: Rational) -> None:
         if fixed_level not in LEVELS:  # compared by ==, so any value gets this error
             raise InvalidValue(f"unknown level {echo(fixed_level)}, expected one of {', '.join(LEVELS)}")
-        ratios = [integer_ratio(p_under_first), integer_ratio(p_under_second)]
-        for name, (p, q) in zip(self._fields[1:], ratios):
-            if not 0 <= p <= q:
-                raise InvalidValue(f"{name} = {printable(Fraction(p, q))} outside [0, 1]")
-        (a1, b1), (a2, b2) = ratios
-        self._hold(fixed_level, a1 * b2, a2 * b1, b1 * b2)
+        (a1, a2), lcd = over_common_denominator((p_under_first, p_under_second))
+        for name, p in zip(self._fields[1:], (a1, a2)):
+            if not 0 <= p <= lcd:
+                raise InvalidValue(f"{name} = {printable(Fraction(p, lcd))} outside [0, 1]")
+        self._hold(fixed_level, a1, a2, lcd)
 
     def _hold(self, fixed_level: str, a1: int, a2: int, lcd: int) -> "MarginalComparison":  # the one place that sets it
         g = math.gcd(a1, a2, lcd)

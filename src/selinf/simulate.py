@@ -23,8 +23,8 @@ Model file format (JSON)
 
 Missing states weigh 0. ``cross_map`` (required when eta > 0) forces the
 written outcome pair, A then B, when contamination strikes. ``parse_model``
-reads the document text and rejects hidden weights, and an eta, with a
-numerator or a least common denominator beyond 10**2000.
+reads the document text and rejects hidden weights whose least common
+denominator L, or a numerator over L, passes 10**2000, and such an eta.
 
 Random number contract
 ----------------------
@@ -73,6 +73,7 @@ from .feasibility import HiddenStateDistribution, _push_forward
 from .io import _load, _reject_unknown
 from .model import (
     CELLS,
+    MAX_COMMON_DENOMINATOR,
     MAX_COUNT_TOTAL,
     TREATMENTS,
     CountTable,
@@ -82,7 +83,7 @@ from .model import (
     _Record,
     decode_signs,
     echo,
-    exceeds_common_denominator_cap,
+    over_common_denominator,
     printable,
     rational,
 )
@@ -213,17 +214,17 @@ def parse_model(text: str) -> Model:
     if "hidden" not in doc or not isinstance(doc["hidden"], Mapping):
         raise ParseError('model needs a "hidden" object of state weights')
     try:
-        weights = {state: rational(w) for state, w in doc["hidden"].items()}
-        if exceeds_common_denominator_cap(weights.values()):  # the documented input cap, as for eta
+        numerators, lcd = over_common_denominator(doc["hidden"].values())
+        if max([lcd, *map(abs, numerators)]) > MAX_COMMON_DENOMINATOR:  # the documented input cap, as for eta
             raise ParseError("hidden: a numerator or the least common denominator exceeds 10**2000")
-        hidden = HiddenStateDistribution.from_mapping(weights)
+        hidden = HiddenStateDistribution.from_mapping(doc["hidden"])
     except InvalidValue as exc:
         raise ParseError(f"bad hidden-state weights: {exc}") from exc
     try:
         eta = rational(doc.get("eta", 0))
     except InvalidValue as exc:
         raise ParseError(f"bad eta: {exc}") from exc
-    if exceeds_common_denominator_cap([eta]):  # the range error, checked by Model, prints eta
+    if max(eta.denominator, abs(eta.numerator)) > MAX_COMMON_DENOMINATOR:  # Model's range error prints eta
         raise ParseError("eta: numerator or denominator exceeds 10**2000")
     cross = doc.get("cross_map")
     if "cross_map" in doc and not isinstance(cross, Mapping):  # null is not a missing map

@@ -51,6 +51,8 @@ WRITER = "tests/test_io.py::TestJsonWriter::"
 NORMALIZE = "tests/test_cell_vector.py::TestCountTablesNormalize::"
 HOLD = "tests/test_cell_vector.py::TestReportsHoldIntegers::"
 TEXT = "tests/test_io.py::TestFractionText::"
+ONE_WAY = "tests/test_records.py::test_every_rational_is_read_one_way"
+FINE = "tests/test_feasibility.py::TestFineEquivalence::"
 
 # (name, file, exact source snippet, its replacement, the tests that must fail)
 MUTANTS = (
@@ -225,13 +227,40 @@ MUTANTS = (
         ("tests/test_cli.py::TestWitnessMatchesAnalyze::test_json_is_the_reports_verdict_and_witness_or_certificate",),
     ),
     (
-        "a public comparison cross-multiplies the wrong terms",
-        SELECTIVITY, "a1 * b2, a2 * b1, b1 * b2", "a1 * b1, a2 * b2, b1 * b2",
+        "the shared reader reads each value with as_integer_ratio",
+        "src/selinf/model.py", "ratios = [integer_ratio(v) for v in values]", "ratios = [v.as_integer_ratio() for v in values]",
+        (ONE_WAY,),
+    ),
+    (
+        "floats are read as their binary fractions",
+        "src/selinf/model.py", "text = repr(value) if isinstance(value, float)",
+        "text = str(Fraction(value)) if isinstance(value, float)",
+        (ONE_WAY, "tests/test_model.py::TestRational::test_float_goes_through_repr"),
+    ),
+    (
+        "a table's range check reads each cell over 1",
+        "src/selinf/model.py", "if not 0 <= p <= lcd:", "if not 0 <= p <= 1:",
+        ("tests/test_model.py::TestJointTable::test_sum_is_checked_exactly_and_printed_reduced", ONE_WAY),
+    ),
+    (
+        "a public comparison holds its marginals over twice L",
+        SELECTIVITY, "self._hold(fixed_level, a1, a2, lcd)", "self._hold(fixed_level, a1, a2, 2 * lcd)",
         (
             "tests/test_integer_route.py::test_a_delta_is_the_fraction_difference",
             "tests/test_selectivity.py::TestExactCheck::test_a_comparison_reads_its_probabilities_as_rationals",
             HOLD + "test_records_are_the_records_their_fractions_build",
         ),
+    ),
+    (
+        "a label section need not be a mapping",
+        "src/selinf/model.py", "if not isinstance(mapping, Mapping):", "if False:",
+        ("tests/test_model.py::TestLabelSet::test_a_section_that_is_not_a_mapping_is_rejected",),
+    ),
+    (
+        "fine_criterion counts a facet summing to exactly 2 as violated",
+        FEASIBILITY, "max(chsh.scaled_sums) <= 2 * chsh.scaled_expectations[4]",
+        "max(chsh.scaled_sums) < 2 * chsh.scaled_expectations[4]",
+        (FINE + "test_verdict_equals_criterion_on_selective_data", SMALL_GRID),
     ),
     (
         "a comparison is not reduced by its gcd",

@@ -173,12 +173,14 @@ class TestClassification:
 
 
 class TestExpectationRange:
-    @pytest.mark.parametrize("bad", [Fraction(5), Fraction(-1000001, 1000000)], ids=["five", "just-below-minus-one"])
+    @pytest.mark.parametrize(
+        "bad", [Fraction(5), Fraction(-1000001, 1000000), "-1.5"], ids=["five", "just-below-minus-one", "a-string"]
+    )
     def test_an_expectation_outside_minus_one_to_one_is_rejected(self, bad):
         expectations = dict(zip(TREATMENTS, (Fraction(0), bad, Fraction(1, 2), Fraction(-1))))
         with pytest.raises(InvalidValue) as caught:
             ChshReport(expectations)
-        assert str(caught.value) == f"expectation E[A*B | a,b'] = {bad} outside [-1, 1]"
+        assert str(caught.value) == f"expectation E[A*B | a,b'] = {Fraction(bad)} outside [-1, 1]"
 
     @pytest.mark.parametrize("index", range(4), ids=[t.key for t in TREATMENTS])
     def test_the_message_names_the_treatment_out_of_range(self, index):

@@ -96,6 +96,8 @@ class TestHiddenStates:
         message = rf"^hidden state string must be 4 of \+/-, got {re.escape(repr(key))}$"
         with pytest.raises(InvalidValue, match=message):
             HiddenStateDistribution.from_mapping({key: 1})
+        with pytest.raises(InvalidValue, match=message):  # every state is decoded before any weight is read
+            HiddenStateDistribution.from_mapping({"++++": "x", key: 1})
 
 
 class TestHiddenStateDistribution:

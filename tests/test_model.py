@@ -1,6 +1,7 @@
 """Core data model: exact parsing, tables, expectations, marginals, transforms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,9 @@ class TestJointTable:
             JointTable("1.5", "-0.5", "0", "0")
         with pytest.raises(InvalidValue, match=r"^cell p_pm = -1/2 outside \[0, 1\]$"):
             JointTable(Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
+        # all four cells are read before any is range-checked
+        with pytest.raises(InvalidValue, match=r"^cannot interpret 'x' as a rational$"):
+            JointTable("1.5", "x", "0", "0")
 
     def test_cell_lookup_by_signs(self):
         cell = dict(zip(CELLS, JointTable(".1", ".2", ".3", ".4").cells()))
@@ -401,6 +405,11 @@ class TestLabelSet:
     def test_bad_names_rejected(self, section, mapping, message):
         with pytest.raises(InvalidValue, match=message):
             LabelSet(**{section: mapping})
+
+    @pytest.mark.parametrize("section, value", [("factors", ["alpha"]), ("levels", 5), ("responses", "a")])
+    def test_a_section_that_is_not_a_mapping_is_rejected(self, section, value):
+        with pytest.raises(InvalidValue, match=rf"^labels.{section} must be a mapping, got {re.escape(repr(value))}$"):
+            LabelSet(**{section: value})
 
 
 class TestTransforms:

@@ -28,6 +28,7 @@ import pytest
 import selinf
 
 from selinf.chsh import SIGN_PATTERNS, ChshReport, compute_gamma
+from selinf.errors import InvalidValue
 from selinf.feasibility import FacetViolation, FeasibilityResult, HiddenStateDistribution
 from selinf.io import AnalysisReport, analyze
 from selinf.model import (
@@ -123,6 +124,16 @@ STORED = {
     FacetViolation: ("scaled_value", (3, 1)),
 }
 
+# Each record that takes a rational, built with the value 1/10 in one rational field; its stored slot is in STORED.
+WITH_A_TENTH = {
+    JointTable: lambda v: JointTable(v, "9/10", 0, 0),
+    ChshReport: lambda v: ChshReport(dict(zip(TREATMENTS, (v, 0, -1, 1)))),
+    HiddenStateDistribution: lambda v: HiddenStateDistribution((v, ".9") + (0,) * 14),
+    MarginalComparison: lambda v: MarginalComparison("a", v, "1/2"),
+    MarginalReport: lambda v: MarginalReport(SAMPLES[MarginalReport]().comparisons, v),
+    FacetViolation: lambda v: FacetViolation(SIGN_PATTERNS[0], v),
+}
+
 records = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
 
@@ -213,6 +224,17 @@ def test_fields_are_the_init_parameters_and_other_slots_stay_out_of_repr_and_equ
         else:
             object.__setattr__(changed, name, object())
             assert changed == record and repr(changed) == repr(record)
+
+
+@pytest.mark.parametrize("cls", list(WITH_A_TENTH), ids=lambda cls: cls.__name__)
+def test_every_rational_is_read_one_way(cls):
+    # a float by its shortest repr, a decimal or ratio string and a Fraction give the same integers
+    slot = STORED[cls][0]
+    held = {getattr(WITH_A_TENTH[cls](v), slot) for v in (0.1, ".1", "1/10", Fraction(1, 10))}
+    assert len(held) == 1
+    for bad in (True, None, "x"):
+        with pytest.raises(InvalidValue, match=r"^cannot interpret .* as a rational$"):
+            WITH_A_TENTH[cls](bad)
 
 
 def test_fields_from_init_and_derived_attributes():
